@@ -44,6 +44,7 @@ from .extension import (
     harmonic_extension_flat,
 )
 from .manifolds import (
+    CACHE_VERSION,
     COS,
     SIN,
     FlatTorus,
@@ -188,8 +189,8 @@ def _cache_key(model_cfg_or_model, lambda_max: float) -> str:
     from .manifolds import model_descriptor
 
     desc = model_descriptor(model_cfg_or_model)
-    blob = json.dumps({"model": desc, "lambda_max": float(lambda_max).hex()},
-                      sort_keys=True).encode()
+    blob = json.dumps({"model": desc, "lambda_max": float(lambda_max).hex(),
+                       "version": CACHE_VERSION}, sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()[:24]
 
 
@@ -478,7 +479,7 @@ def _cmd_greens(config, cache_dir):
             abs(greens_coefficient(ext, mode.id, height) - series.coeffs[mode.id])
             for mode in basis.modes if mode.lam > 0.0
         ]
-        err = max(errs)
+        err = float(max(errs))
         worst = max(worst, err)
         per_height.append({"height": height, "max_error": err})
     check = None

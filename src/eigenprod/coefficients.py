@@ -341,23 +341,14 @@ def torus_support_lambda(spec: ProductSpec) -> float:
     cartesian product of the per-axis supports and its largest frequency
     is reached at the per-axis maxima.
     """
-    basis = spec.basis
-    model = basis.model
+    model = spec.basis.model
     if not isinstance(model, FlatTorus):
         raise ParameterError("support enumeration is exact on flat tori only")
-    largest = 0.0
-    per_axis_max = []
-    for axis in range(model.dim):
-        current = {(0, COS): 1.0}
-        for i in sorted(spec.factors):
-            k = basis.modes[i].rep[0][axis]
-            parity = basis.modes[i].rep[1][axis]
-            norm = _torus_axis_norm(model.periods[axis], k)
-            current = _trig_multiply(current, {(k, parity): norm})
-        scale = 2.0 * math.pi / model.periods[axis]
-        per_axis_max.append(max((k * scale for (k, _p) in current), default=0.0))
-    largest = math.hypot(*per_axis_max) if model.dim == 2 else per_axis_max[0]
-    return largest
+    per_axis_max = [
+        max((k * (2.0 * math.pi / period) for (k, _p) in current), default=0.0)
+        for period, current in zip(model.periods, _torus_axis_products(spec))
+    ]
+    return math.hypot(*per_axis_max) if model.dim == 2 else per_axis_max[0]
 
 
 def parseval_report(series: CoefficientSeries):
@@ -427,24 +418,23 @@ def _product_values_by_axis(spec: ProductSpec):
 
 
 def _quadrature_expansion(spec: ProductSpec):
+    """All coefficients in one contraction: Phi^T (w f) on one axis, and
+    u_i^T W v_i for every mode i on two, with W the weighted product
+    values.  The two-axis form is a stacked matmul, so each mode's value
+    has the bits of the single-mode product u_i @ W @ v_i."""
     basis = spec.basis
     values = _product_values_by_axis(spec)
     if values.ndim == 1:
         w = basis.grid.weights
         f_norm_sq = float(w @ (values * values))
-        coeffs = np.array([
-            float(w @ (values * basis.values_on_grid(m))) for m in basis.modes
-        ])
-        return coeffs, f_norm_sq
+        (phi,) = basis.profile_matrices
+        return phi @ (w * values), f_norm_sq
     w1 = basis.grid.axes[0][1]
     w2 = basis.grid.axes[1][1]
     weighted = values * np.multiply.outer(w1, w2)
     f_norm_sq = float(np.sum(weighted * values))
-    coeffs = np.empty(basis.size)
-    for i, mode in enumerate(basis.modes):
-        u, v = basis.axis_profiles(mode)
-        coeffs[i] = float(u @ weighted @ v)
-    return coeffs, f_norm_sq
+    u, v = basis.profile_matrices
+    return (u[:, None, :] @ weighted @ v[:, :, None])[:, 0, 0], f_norm_sq
 
 
 # ---------------------------------------------------------------------------
@@ -503,7 +493,9 @@ def _torus_axis_norm(period: float, k: int) -> float:
     return 1.0 / math.sqrt(period) if k == 0 else math.sqrt(2.0 / period)
 
 
-def _torus_exact(spec: ProductSpec) -> np.ndarray:
+def _torus_axis_products(spec: ProductSpec) -> list:
+    """Per axis, the flat-torus product's 1-d factor as an exact
+    trigonometric polynomial ({(frequency, parity): coefficient})."""
     basis = spec.basis
     model: FlatTorus = basis.model
     axis_dicts = []
@@ -515,6 +507,13 @@ def _torus_exact(spec: ProductSpec) -> np.ndarray:
             norm = _torus_axis_norm(model.periods[axis], k)
             current = _trig_multiply(current, {(k, parity): norm})
         axis_dicts.append(current)
+    return axis_dicts
+
+
+def _torus_exact(spec: ProductSpec) -> np.ndarray:
+    basis = spec.basis
+    model: FlatTorus = basis.model
+    axis_dicts = _torus_axis_products(spec)
     coeffs = np.zeros(basis.size)
     for i, mode in enumerate(basis.modes):
         value = 1.0

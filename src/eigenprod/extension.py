@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coefficients import CoefficientSeries
+from .coefficients import CoefficientSeries, _torus_axis_norm
 from .errors import BreakdownError, ParameterError
 from .manifolds import FlatTorus
 
@@ -39,10 +39,8 @@ def _torus_mode_sup(model: FlatTorus, mode) -> float:
     """Sup norm of a normalized flat-torus mode: product over axes of
     1/sqrt(P) for the constant and sqrt(2/P) for oscillating factors."""
     out = 1.0
-    for axis in range(model.dim):
-        period = model.periods[axis]
-        k = mode.rep[0][axis]
-        out *= (1.0 / math.sqrt(period)) if k == 0 else math.sqrt(2.0 / period)
+    for period, k in zip(model.periods, mode.rep[0]):
+        out *= _torus_axis_norm(period, k)
     return out
 
 

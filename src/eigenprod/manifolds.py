@@ -21,7 +21,8 @@ import hashlib
 import json
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -38,6 +39,7 @@ from .numerics import (
     circle_basis,
     circle_basis_derivative,
     gauss_legendre,
+    periodic_galerkin_terms,
     sym_generalized_eig,
     tensor_grid,
     uniform_periodic,
@@ -46,7 +48,7 @@ from .numerics import (
 COS, SIN = 0, 1
 
 CACHE_MAGIC = b"EPRD"
-CACHE_VERSION = 1
+CACHE_VERSION = 2
 
 __all__ = [
     "FlatTorus",
@@ -175,7 +177,13 @@ class Resolution:
 @dataclass(eq=False)
 class SpectralBasis:
     """All eigenfunctions with lambda <= lambda_max on one model, plus the
-    quadrature grid every integral in the package runs on."""
+    quadrature grid every integral in the package runs on.
+
+    ``profile_matrices`` holds, per grid axis, the factor values of every
+    mode on that axis's nodes as one (modes, nodes) array.  It is built in
+    one shot on first use, so bases that are only loaded or saved (CLI
+    token probes) never pay for it, and it never changes afterwards.
+    """
 
     model: object
     lambda_max: float
@@ -183,7 +191,12 @@ class SpectralBasis:
     grid: QuadratureGrid
     provenance: str
     resolution: Resolution
-    _profiles: dict = field(default_factory=dict, repr=False)
+
+    @cached_property
+    def profile_matrices(self) -> tuple:
+        grid = self.grid
+        nodes = tuple(ax[0] for ax in grid.axes) if grid.axes else (grid.nodes,)
+        return _axis_factor_rows(self.model, self.modes, nodes)
 
     def mode(self, mode_id: int) -> Mode:
         if not 0 <= mode_id < len(self.modes):
@@ -198,17 +211,13 @@ class SpectralBasis:
         return np.array([m.lam for m in self.modes])
 
     def axis_profiles(self, mode: Mode):
-        """Per-axis factor values of the mode on the grid axes.
+        """Per-axis factor values of the mode on the grid axes (row views
+        of ``profile_matrices``).
 
         Every model here has separable modes, which keeps coefficient
         quadrature at matrix-vector cost instead of full tensor size.
         """
-        cached = self._profiles.get(mode.id)
-        if cached is not None:
-            return cached
-        profiles = _axis_profiles(self.model, mode, self.grid)
-        self._profiles[mode.id] = profiles
-        return profiles
+        return tuple(rows[mode.id] for rows in self.profile_matrices)
 
     def values_on_grid(self, mode: Mode) -> np.ndarray:
         profiles = self.axis_profiles(mode)
@@ -277,22 +286,31 @@ def _build_flat_torus(model: FlatTorus, lambda_max: float, res: Resolution) -> S
 
 
 def _flat_torus_grid(model: FlatTorus, kmaxes, res: Resolution) -> QuadratureGrid:
-    axes = []
-    for period, kmax in zip(model.periods, kmaxes):
-        need = 2 * res.max_product_factors * max(kmax, 1) + res.margin + 1
-        axes.append(uniform_periodic(_round_up(need), period))
-    if model.dim == 1:
-        return axes[0]
-    return tensor_grid(*axes)
+    sizes = [_round_up(2 * res.max_product_factors * max(kmax, 1) + res.margin + 1)
+             for kmax in kmaxes]
+    return _grid_from_axis_sizes(model, sizes)
 
 
-def _torus_axis_values(period: float, k: int, parity: int, x: np.ndarray) -> np.ndarray:
+def _trig_rows(freqs, parities, x, const: float, amp: float) -> np.ndarray:
+    """One row per (freq, parity): ``const`` where freq is 0, else
+    amp * cos(freq x) (parity COS) or amp * sin(freq x) (parity SIN).
+    Each distinct pair is evaluated once, in place in its first row."""
+    keys, inverse = np.unique(np.column_stack([np.asarray(freqs, dtype=float), parities]),
+                              axis=0, return_inverse=True)
+    inverse = inverse.reshape(-1)
     x = np.asarray(x, dtype=float)
-    if k == 0:
-        return np.full(x.shape, 1.0 / math.sqrt(period))
-    scale = TWO_PI / period
-    trig = np.cos if parity == COS else np.sin
-    return math.sqrt(2.0 / period) * trig(k * scale * x)
+    out = np.empty((inverse.size, x.shape[0]))
+    for key, (freq, parity) in enumerate(keys):
+        rows = np.flatnonzero(inverse == key)
+        first = out[rows[0]]
+        if freq == 0.0:
+            first[:] = const
+        else:
+            np.multiply(freq, x, out=first)
+            (np.cos if parity == COS else np.sin)(first, out=first)
+            first *= amp
+        out[rows[1:]] = first
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -309,20 +327,41 @@ def normalized_legendre(l: int, m: int, x: np.ndarray) -> np.ndarray:
     """
     if l < 0 or m < 0 or m > l:
         raise ParameterError("need 0 <= m <= l")
-    x = np.asarray(x, dtype=float)
+    return _legendre_ladder(m, l, np.asarray(x, dtype=float))[-1]
+
+
+def _legendre_ladder(m: int, l_max: int, x: np.ndarray) -> list:
+    """[P(m,m,x), P(m+1,m,x), ..., P(l_max,m,x)] from one run of the
+    recursion of :func:`normalized_legendre`."""
     u = np.sqrt(np.maximum(0.0, 1.0 - x * x))
     p_mm = np.full(x.shape, 1.0 / math.sqrt(4.0 * math.pi))
     for j in range(1, m + 1):
         p_mm = math.sqrt((2.0 * j + 1.0) / (2.0 * j)) * u * p_mm
-    if l == m:
-        return p_mm
+    ladder = [p_mm]
+    if l_max == m:
+        return ladder
     p_prev = p_mm
     p_cur = math.sqrt(2.0 * m + 3.0) * x * p_mm
-    for j in range(m + 2, l + 1):
+    ladder.append(p_cur)
+    for j in range(m + 2, l_max + 1):
         a = math.sqrt((4.0 * j * j - 1.0) / (j * j - m * m))
         b = math.sqrt(((j - 1.0) ** 2 - m * m) / (4.0 * (j - 1.0) ** 2 - 1.0))
         p_cur, p_prev = a * (x * p_cur - b * p_prev), p_cur
-    return p_cur
+        ladder.append(p_cur)
+    return ladder
+
+
+def _legendre_rows(lms, x: np.ndarray) -> np.ndarray:
+    """P(l, |m|, x) for every (l, m) in ``lms``, one recursion per order."""
+    by_order: dict = {}
+    for row, (l, m) in enumerate(lms):
+        by_order.setdefault(abs(m), []).append((row, l))
+    out = np.empty((len(lms), x.shape[0]))
+    for order, wanted in by_order.items():
+        ladder = _legendre_ladder(order, max(l for _row, l in wanted), x)
+        for row, l in wanted:
+            out[row] = ladder[l - order]
+    return out
 
 
 def _sphere_lmax(lambda_max: float) -> int:
@@ -348,26 +387,8 @@ def _build_sphere(model: Sphere2, lambda_max: float, res: Resolution) -> Spectra
 
 def _sphere_grid(lmax: int, res: Resolution) -> QuadratureGrid:
     degree_needed = 2 * res.max_product_factors * max(lmax, 1) + res.margin
-    n_gl = _round_up((degree_needed + 2) // 2, 4)
-    n_phi = _round_up(degree_needed + 1)
-    x_axis = gauss_legendre(n_gl)
-    phi_axis = uniform_periodic(n_phi, TWO_PI)
-    grid = tensor_grid(x_axis, phi_axis)
-    # nodes are reported in chart coordinates (theta, phi); the x = cos(theta)
-    # Gauss axis already absorbs the sin(theta) volume factor.
-    theta = np.arccos(grid.nodes[:, 0])
-    nodes = np.stack([theta, grid.nodes[:, 1]], axis=-1)
-    return QuadratureGrid(nodes, grid.weights, min(2 * n_gl - 1, n_phi - 1),
-                          4.0 * math.pi, axes=grid.axes)
-
-
-def _sphere_azimuth_values(m: int, phi: np.ndarray) -> np.ndarray:
-    phi = np.asarray(phi, dtype=float)
-    if m == 0:
-        return np.ones(phi.shape)
-    if m > 0:
-        return math.sqrt(2.0) * np.cos(m * phi)
-    return math.sqrt(2.0) * np.sin(-m * phi)
+    sizes = [_round_up((degree_needed + 2) // 2, 4), _round_up(degree_needed + 1)]
+    return _grid_from_axis_sizes(Sphere2(), sizes)
 
 
 # ---------------------------------------------------------------------------
@@ -395,30 +416,31 @@ def _build_rev_torus(model: RevTorus, lambda_max: float, res: Resolution) -> Spe
             f"(cap {res.rev_m_cap})")
     size = 2 * trunc + 1
     even_idx, odd_idx = _rev_parity_indices(trunc)
+    stiff, inv_weight, mass = periodic_galerkin_terms(model.profile, model.profile, trunc)
     profiles = []  # (lam, m, s_parity, coeffs)
     worst_residual = 0.0
     for m in range(m_scan + 1):
-        pencil = _rev_pencil(model, m, trunc)
-        a_max = max(float(np.max(np.abs(pencil.a))), 1.0)
+        a = stiff + (m * m) * inv_weight
+        a_max = max(float(np.max(np.abs(a))), 1.0)
         for s_parity, idx in ((COS, even_idx), (SIN, odd_idx)):
-            sub = SymmetricPencil(pencil.a[np.ix_(idx, idx)], pencil.b[np.ix_(idx, idx)])
+            sub = SymmetricPencil(a[np.ix_(idx, idx)], mass[np.ix_(idx, idx)])
             values, vectors = sym_generalized_eig(sub)
-            for q, mu in enumerate(values):
-                if mu <= 1e-12 * a_max:
-                    mu = 0.0
-                lam = math.sqrt(mu)
-                if lam > lambda_max * (1.0 + 1e-12):
-                    break
+            lams = np.sqrt(np.where(values <= 1e-12 * a_max, 0.0, values))
+            kept = int(np.count_nonzero(lams <= lambda_max * (1.0 + 1e-12)))
+            if not kept:
+                continue
+            block = vectors[:, :kept]
+            residuals = np.linalg.norm(
+                sub.a @ block - (sub.b @ block) * values[:kept], axis=0)
+            worst_residual = max(worst_residual, float(np.max(residuals)) / a_max)
+            for q in range(kept):
                 coeffs = np.zeros(size)
-                coeffs[idx] = vectors[:, q]
-                if m == 0 and lam == 0.0:
+                if m == 0 and lams[q] == 0.0:
                     # the constant: v = e_0 / sqrt(R), exact by inspection
-                    coeffs = np.zeros(size)
                     coeffs[0] = 1.0 / math.sqrt(big)
-                residual = np.linalg.norm(
-                    sub.a @ vectors[:, q] - values[q] * (sub.b @ vectors[:, q]))
-                worst_residual = max(worst_residual, residual / a_max)
-                profiles.append((lam, m, s_parity, coeffs))
+                else:
+                    coeffs[idx] = block[:, q]
+                profiles.append((float(lams[q]), m, s_parity, coeffs))
     entries = []
     for lam, m, s_parity, coeffs in profiles:
         for theta_parity in ((COS,) if m == 0 else (COS, SIN)):
@@ -434,40 +456,12 @@ def _build_rev_torus(model: RevTorus, lambda_max: float, res: Resolution) -> Spe
     return SpectralBasis(model, float(lambda_max), modes, grid, provenance, res)
 
 
-def _rev_pencil(model: RevTorus, m: int, trunc: int) -> SymmetricPencil:
-    from .numerics import assemble_periodic_galerkin
-
-    return assemble_periodic_galerkin(model.profile, model.profile, m, trunc)
-
-
 def _rev_grid(model: RevTorus, trunc: int, m_used: int, res: Resolution) -> QuadratureGrid:
     mpf = res.max_product_factors
     stretch = max(mpf + 1, 2 * mpf)
-    n_s = _round_up(stretch * trunc + 2 + res.margin)
-    n_theta = _round_up(stretch * max(m_used, 1) + 1 + res.margin)
-    s_plain = uniform_periodic(n_s, TWO_PI)
-    s_axis = QuadratureGrid(
-        s_plain.nodes,
-        s_plain.weights * model.profile(s_plain.nodes),
-        n_s - 2,  # degree of g such that the integral of g * f ds is exact
-        TWO_PI * model.major_radius,
-    )
-    theta_axis = uniform_periodic(n_theta, TWO_PI)
-    return tensor_grid(s_axis, theta_axis)
-
-
-def _rev_theta_values(m: int, parity: int, theta: np.ndarray) -> np.ndarray:
-    theta = np.asarray(theta, dtype=float)
-    if m == 0:
-        return np.full(theta.shape, 1.0 / math.sqrt(TWO_PI))
-    trig = np.cos if parity == COS else np.sin
-    return trig(m * theta) / math.sqrt(math.pi)
-
-
-def _rev_profile_values(coeffs, s: np.ndarray) -> np.ndarray:
-    coeffs = np.asarray(coeffs, dtype=float)
-    basis = circle_basis(np.asarray(s, dtype=float), coeffs.shape[0])
-    return basis @ coeffs
+    sizes = [_round_up(stretch * trunc + 2 + res.margin),
+             _round_up(stretch * max(m_used, 1) + 1 + res.margin)]
+    return _grid_from_axis_sizes(model, sizes)
 
 
 def rev_profile_derivatives(mode: Mode, s: np.ndarray):
@@ -491,25 +485,31 @@ def rev_profile_derivatives(mode: Mode, s: np.ndarray):
 # evaluation
 
 
-def _axis_profiles(model, mode: Mode, grid: QuadratureGrid):
+def _axis_factor_rows(model, modes, axis_points) -> tuple:
+    """Per-axis factors of ``modes`` at per-axis coordinates: one
+    (len(modes), len(points)) array per axis, whose rows multiply to the
+    modes' values.  The sphere's first axis takes x = cos theta."""
     if isinstance(model, FlatTorus):
-        freqs, parities = mode.rep
-        if model.dim == 1:
-            return (_torus_axis_values(model.periods[0], freqs[0], parities[0], grid.nodes),)
         return tuple(
-            _torus_axis_values(model.periods[a], freqs[a], parities[a], grid.axes[a][0])
-            for a in range(2)
+            _trig_rows(np.array([m.rep[0][a] for m in modes]) * (TWO_PI / period),
+                       [m.rep[1][a] for m in modes], axis_points[a],
+                       1.0 / math.sqrt(period), math.sqrt(2.0 / period))
+            for a, period in enumerate(model.periods)
         )
     if isinstance(model, Sphere2):
-        l, m = mode.rep
-        x_nodes = grid.axes[0][0]
-        phi_nodes = grid.axes[1][0]
-        return (normalized_legendre(l, abs(m), x_nodes), _sphere_azimuth_values(m, phi_nodes))
-    if isinstance(model, RevTorus):
-        m, parity, coeffs, _lam = mode.rep
+        orders = [m.rep[1] for m in modes]
         return (
-            _rev_profile_values(coeffs, grid.axes[0][0]),
-            _rev_theta_values(m, parity, grid.axes[1][0]),
+            _legendre_rows([m.rep for m in modes], np.asarray(axis_points[0], dtype=float)),
+            _trig_rows(np.abs(orders), [SIN if o < 0 else COS for o in orders],
+                       axis_points[1], 1.0, math.sqrt(2.0)),
+        )
+    if isinstance(model, RevTorus):
+        coeffs = np.array([m.rep[2] for m in modes])
+        s_points = np.asarray(axis_points[0], dtype=float)
+        return (
+            coeffs @ circle_basis(s_points, coeffs.shape[1]).T,
+            _trig_rows([m.rep[0] for m in modes], [m.rep[1] for m in modes],
+                       axis_points[1], 1.0 / math.sqrt(TWO_PI), 1.0 / math.sqrt(math.pi)),
         )
     raise ParameterError(f"unknown manifold model {model!r}")
 
@@ -548,22 +548,15 @@ def evaluate(model, mode: Mode, points):
     Scalar-like input returns a float.
     """
     arr, scalar = _normalize_points(points, model.chart_dim)
-    if isinstance(model, FlatTorus):
-        freqs, parities = mode.rep
-        out = np.ones(arr.shape[0])
-        for a in range(model.dim):
-            out *= _torus_axis_values(model.periods[a], freqs[a], parities[a], arr[:, a])
-    elif isinstance(model, Sphere2):
-        theta = arr[:, 0]
-        if np.any(theta < 0.0) or np.any(theta > math.pi):
+    coords = [arr[:, a] for a in range(arr.shape[1])]
+    if isinstance(model, Sphere2):
+        if np.any(coords[0] < 0.0) or np.any(coords[0] > math.pi):
             raise ParameterError("polar angle must lie in [0, pi]")
-        l, m = mode.rep
-        out = normalized_legendre(l, abs(m), np.cos(theta)) * _sphere_azimuth_values(m, arr[:, 1])
-    elif isinstance(model, RevTorus):
-        m, parity, coeffs, _lam = mode.rep
-        out = _rev_profile_values(coeffs, arr[:, 0]) * _rev_theta_values(m, parity, arr[:, 1])
-    else:
-        raise ParameterError(f"unknown manifold model {model!r}")
+        coords[0] = np.cos(coords[0])
+    rows = _axis_factor_rows(model, (mode,), coords)
+    out = rows[0][0]
+    for axis_rows in rows[1:]:
+        out *= axis_rows[0]
     return float(out[0]) if scalar else out
 
 
@@ -703,6 +696,7 @@ def load_basis(path) -> SpectralBasis:
 
 
 def _grid_from_axis_sizes(model, sizes) -> QuadratureGrid:
+    """The model's quadrature grid from its per-axis node counts."""
     if isinstance(model, FlatTorus):
         axes = [uniform_periodic(n, p) for n, p in zip(sizes, model.periods)]
         return axes[0] if model.dim == 1 else tensor_grid(*axes)
@@ -710,6 +704,8 @@ def _grid_from_axis_sizes(model, sizes) -> QuadratureGrid:
         x_axis = gauss_legendre(sizes[0])
         phi_axis = uniform_periodic(sizes[1], TWO_PI)
         grid = tensor_grid(x_axis, phi_axis)
+        # nodes are reported in chart coordinates (theta, phi); the x = cos(theta)
+        # Gauss axis already absorbs the sin(theta) volume factor.
         theta = np.arccos(grid.nodes[:, 0])
         nodes = np.stack([theta, grid.nodes[:, 1]], axis=-1)
         return QuadratureGrid(nodes, grid.weights,
@@ -719,7 +715,8 @@ def _grid_from_axis_sizes(model, sizes) -> QuadratureGrid:
         s_plain = uniform_periodic(sizes[0], TWO_PI)
         s_axis = QuadratureGrid(
             s_plain.nodes, s_plain.weights * model.profile(s_plain.nodes),
-            sizes[0] - 2, TWO_PI * model.major_radius)
+            sizes[0] - 2,  # degree of g such that the integral of g * f ds is exact
+            TWO_PI * model.major_radius)
         theta_axis = uniform_periodic(sizes[1], TWO_PI)
         return tensor_grid(s_axis, theta_axis)
     raise ParameterError(f"unknown manifold model {model!r}")

@@ -1,12 +1,13 @@
 """Deterministic numerical kernels.
 
 Quadrature rules (Gauss-Legendre, uniform periodic), a dense symmetric
-generalized eigensolver (cyclic Jacobi on the Cholesky-reduced standard
-problem), and Fourier-Galerkin assembly of periodic Sturm-Liouville
-pencils on the circle.
+generalized eigensolver (LAPACK ``dsygvd`` through scipy), and
+Fourier-Galerkin assembly of periodic Sturm-Liouville pencils on the
+circle.
 
-Every function here is a pure function of its arguments: same inputs,
-same bits, safe to call from many threads.
+Every function here is a pure function of its arguments and safe to call
+from many threads.  Results are bit-reproducible for a fixed BLAS thread
+count; the eigensolver's and the matrix products' bits may change with it.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg import eigh
 
 from .errors import (
     ConvergenceError,
@@ -38,6 +39,7 @@ __all__ = [
     "tensor_grid",
     "sym_generalized_eig",
     "assemble_periodic_galerkin",
+    "periodic_galerkin_terms",
     "circle_basis",
     "circle_basis_derivative",
     "trig_bandwidth",
@@ -203,78 +205,21 @@ class SymmetricPencil:
 def sym_generalized_eig(pencil: SymmetricPencil):
     """Solve A v = mu B v for a symmetric pencil.
 
-    Returns (eigenvalues ascending, eigenvectors as B-orthonormal columns).
-    The pencil is reduced with the Cholesky factor of B and the standard
-    symmetric problem is diagonalized by cyclic Jacobi sweeps; Jacobi is
-    slow but backward stable and keeps residuals near machine precision
-    for the dense, modest-size pencils this package produces.
+    Returns (eigenvalues ascending, eigenvectors as B-orthonormal columns),
+    computed by LAPACK ``dsygvd`` through :func:`scipy.linalg.eigh`.  Each
+    column's sign is fixed so that its first entry above 1e-8 times the
+    column's largest magnitude is positive.
     """
     if pencil.dim > MAX_PENCIL_DIM:
         raise ParameterError(f"pencil dimension {pencil.dim} exceeds {MAX_PENCIL_DIM}")
     if pencil.dim == 0:
         return np.zeros(0), np.zeros((0, 0))
-    lower = np.linalg.cholesky(pencil.b)
-    y = solve_triangular(lower, pencil.a, lower=True)
-    c = solve_triangular(lower, y.T, lower=True).T
-    c = 0.5 * (c + c.T)
-    values, q = _jacobi_eigh(c)
-    order = np.argsort(values, kind="stable")
-    values = values[order]
-    vectors = solve_triangular(lower, q[:, order], lower=True, trans="T")
-    for j in range(vectors.shape[1]):
-        col = vectors[:, j]
-        lead = np.flatnonzero(np.abs(col) > 1e-8 * max(np.max(np.abs(col)), 1e-300))
-        if lead.size and col[lead[0]] < 0.0:
-            vectors[:, j] = -col
+    values, vectors = eigh(pencil.a, pencil.b, driver="gvd")
+    mags = np.abs(vectors)
+    lead = np.argmax(mags > 1e-8 * np.maximum(mags.max(axis=0), 1e-300), axis=0)
+    flip = vectors[lead, np.arange(pencil.dim)] < 0.0
+    vectors[:, flip] = -vectors[:, flip]
     return values, vectors
-
-
-def _jacobi_eigh(c: np.ndarray, max_sweeps: int = 64):
-    """Cyclic-by-rows Jacobi diagonalization of a symmetric matrix."""
-    n = c.shape[0]
-    a = c.copy()
-    v = np.eye(n)
-    if n == 1:
-        return np.array([a[0, 0]]), v
-    scale = max(float(np.max(np.abs(a))), 1e-300)
-    for _ in range(max_sweeps):
-        strict = np.abs(a - np.diag(np.diag(a)))
-        off = float(np.max(strict)) if n > 1 else 0.0
-        if off <= 1e-14 * scale:
-            return np.diag(a).copy(), v
-        skip = 1e-300
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= skip:
-                    continue
-                theta = 0.5 * (a[q, q] - a[p, p]) / apq
-                t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
-                cos = 1.0 / math.sqrt(t * t + 1.0)
-                sin = t * cos
-                app = a[p, p] - t * apq
-                aqq = a[q, q] + t * apq
-                rp = a[p, :].copy()
-                rq = a[q, :].copy()
-                a[p, :] = cos * rp - sin * rq
-                a[q, :] = sin * rp + cos * rq
-                cp = a[:, p].copy()
-                cq = a[:, q].copy()
-                a[:, p] = cos * cp - sin * cq
-                a[:, q] = sin * cp + cos * cq
-                a[p, p] = app
-                a[q, q] = aqq
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                vp = v[:, p].copy()
-                vq = v[:, q].copy()
-                v[:, p] = cos * vp - sin * vq
-                v[:, q] = sin * vp + cos * vq
-    strict = np.abs(a - np.diag(np.diag(a)))
-    raise ConvergenceError(
-        f"Jacobi sweeps hit the cap ({max_sweeps}); max off-diagonal residual "
-        f"{float(np.max(strict)):.3e} against scale {scale:.3e}"
-    )
 
 
 def circle_basis(s: np.ndarray, size: int) -> np.ndarray:
@@ -327,27 +272,24 @@ def trig_bandwidth(fn, probe: int = 4096, rel_floor: float = 1e-15) -> int:
     return int(above[-1]) if above.size else 0
 
 
-def assemble_periodic_galerkin(a, b, m: int, trunc: int, *,
-                               n_quad: int | None = None,
-                               margin: int = 8) -> SymmetricPencil:
-    """Weak form of -(1/b) d/ds (a u') + m^2 u / a on the 2*pi circle.
+def periodic_galerkin_terms(a, b, trunc: int, *, n_quad: int | None = None,
+                           margin: int = 8):
+    """The m-independent Galerkin matrices of -(1/b) d/ds (a u') + m^2 u / a.
 
-    Assembles, in the real Fourier basis of size 2*trunc+1, the stiffness
-    A[i,j] = I(a e_i' e_j') + m^2 I(e_i e_j / a) and mass
-    B[i,j] = I(b e_i e_j), where I is quadrature exact for the integrands'
-    bandwidth (grid size at least 4*trunc + bandwidth of the coefficient
-    functions, plus margin).  ``a`` and ``b`` must be strictly positive.
+    Returns (K, M_inv, B) in the real Fourier basis of size 2*trunc+1 on
+    the 2*pi circle: K[i,j] = I(a e_i' e_j'), M_inv[i,j] = I(e_i e_j / a)
+    and B[i,j] = I(b e_i e_j), where I is quadrature exact for the
+    integrands' bandwidth (grid size at least 4*trunc + bandwidth of the
+    coefficient functions, plus margin).  The stiffness of angular family
+    m is K + m^2 M_inv.  ``a`` and ``b`` must be strictly positive.
     """
-    if not isinstance(m, (int, np.integer)) or isinstance(m, bool) or m < 0:
-        raise ParameterError("angular index m must be a nonnegative integer")
     if trunc < 0 or trunc > MAX_GALERKIN_TRUNCATION:
         raise ParameterError(
             f"truncation must be in [0, {MAX_GALERKIN_TRUNCATION}], got {trunc}")
     size = 2 * trunc + 1
     if n_quad is None:
-        bw = max(trig_bandwidth(a), trig_bandwidth(b))
-        if m:
-            bw = max(bw, trig_bandwidth(lambda s: 1.0 / np.asarray(a(s), dtype=float)))
+        bw = max(trig_bandwidth(a), trig_bandwidth(b),
+                 trig_bandwidth(lambda s: 1.0 / np.asarray(a(s), dtype=float)))
         n_quad = 4 * trunc + bw + margin
     n_quad = max(int(n_quad), size + 1, 8)
     grid = uniform_periodic(n_quad, TWO_PI)
@@ -360,9 +302,21 @@ def assemble_periodic_galerkin(a, b, m: int, trunc: int, *,
     basis = circle_basis(s, size)
     deriv = circle_basis_derivative(s, size)
     stiff = (deriv * (w * av)[:, None]).T @ deriv
-    if m:
-        stiff = stiff + (m * m) * (basis * (w / av)[:, None]).T @ basis
+    inv_weight = (basis * (w / av)[:, None]).T @ basis
     mass = (basis * (w * bv)[:, None]).T @ basis
-    stiff = 0.5 * (stiff + stiff.T)
-    mass = 0.5 * (mass + mass.T)
-    return SymmetricPencil(stiff, mass)
+    return (0.5 * (stiff + stiff.T), 0.5 * (inv_weight + inv_weight.T),
+            0.5 * (mass + mass.T))
+
+
+def assemble_periodic_galerkin(a, b, m: int, trunc: int, *,
+                               n_quad: int | None = None,
+                               margin: int = 8) -> SymmetricPencil:
+    """Weak form of -(1/b) d/ds (a u') + m^2 u / a on the 2*pi circle.
+
+    The pencil (K + m^2 M_inv, B) of :func:`periodic_galerkin_terms`.
+    """
+    if not isinstance(m, (int, np.integer)) or isinstance(m, bool) or m < 0:
+        raise ParameterError("angular index m must be a nonnegative integer")
+    stiff, inv_weight, mass = periodic_galerkin_terms(a, b, trunc, n_quad=n_quad,
+                                                      margin=margin)
+    return SymmetricPencil(stiff + (m * m) * inv_weight, mass)

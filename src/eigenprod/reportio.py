@@ -8,7 +8,6 @@ byte-identical files.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import os
@@ -107,10 +106,6 @@ def atomic_write_bytes(path, blob: bytes) -> None:
 def load_json(path) -> dict:
     with open(path, "r", encoding="utf-8") as handle:
         return json.load(handle)
-
-
-def sha256_hex(blob: bytes) -> str:
-    return hashlib.sha256(blob).hexdigest()
 
 
 def diff_paths(one, other, prefix: str = "") -> list:

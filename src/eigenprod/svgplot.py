@@ -14,7 +14,7 @@ from .errors import ParameterError
 WIDTH, HEIGHT = 640, 420
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 64, 16, 20, 44
 
-__all__ = ["svg_coefficient_plot", "emit_svg_plot"]
+__all__ = ["svg_coefficient_plot"]
 
 
 def _fmt(value: float) -> str:
@@ -105,10 +105,3 @@ def svg_coefficient_plot(lams, abs_coeffs, envelope=None, title="") -> str:
             f'<circle cx="{_fmt(px)}" cy="{_fmt(py)}" r="2.5" fill="#204080"/>\n')
     parts.append("</svg>\n")
     return "".join(parts)
-
-
-def emit_svg_plot(path, lams, abs_coeffs, envelope=None, title="") -> None:
-    """Write the plot atomically; identical inputs give identical bytes."""
-    from .reportio import atomic_write_text
-
-    atomic_write_text(path, svg_coefficient_plot(lams, abs_coeffs, envelope, title))

@@ -1,14 +1,17 @@
 """Command-line surface: reports, exit codes, caching, replay, SVG."""
 
+import hashlib
 import json
 import math
 import os
+import struct
 
 import numpy as np
 import pytest
 
 from eigenprod.cli import cli_main, config_from_text, config_to_text
 from eigenprod.errors import ParameterError
+from eigenprod.manifolds import FlatTorus, build_basis, model_descriptor, save_basis
 from eigenprod.reportio import canonical_json, diff_paths, format_float
 from eigenprod.svgplot import svg_coefficient_plot
 
@@ -87,6 +90,50 @@ def test_greens_command(tmp_path):
     assert code == 0
     doc = read(out, "greens.json")
     assert doc["results"]["max_error"] <= 1e-8
+
+
+def test_greens_replay_check_passes(tmp_path):
+    code, out = run(tmp_path, "greens", "--model", "flat-torus", "--dim", "1",
+                    "--factors", "cos2,cos3", "--heights", "0.003,0.006")
+    assert code == 0
+    code2, out2 = run(tmp_path, "report", "--replay", str(out / "greens.json"),
+                      "--check")
+    assert code2 == 0
+    assert read(out2, "replay-greens.json")["results"] == \
+        read(out, "greens.json")["results"]
+
+
+def _write_version1_cache(cache_dir, model, lambda_max, stale):
+    """Store ``stale`` as a format-1 file under the key of the format-1
+    CLI, which hashed only the model descriptor and lambda_max."""
+    blob = json.dumps({"model": model_descriptor(model),
+                       "lambda_max": float(lambda_max).hex()},
+                      sort_keys=True).encode()
+    path = cache_dir / f"{hashlib.sha256(blob).hexdigest()[:24]}.eprd"
+    save_basis(stale, path)
+    raw = bytearray(path.read_bytes())
+    raw[4:6] = struct.pack("<H", 1)
+    path.write_bytes(bytes(raw))
+
+
+@pytest.mark.parametrize("argv, lambdas", [
+    (("basis", "--lambda-max", "3"), (3.0,)),
+    (("product", "--factors", "cos2,cos3"), (2.0, 4.0, 10.0)),
+], ids=["basis", "product"])
+def test_version1_cache_files_are_not_served(tmp_path, argv, lambdas):
+    model = FlatTorus(1, (TWO_PI,))
+    head = ("--model", "flat-torus", "--dim", "1")
+    code, clean = run(tmp_path / "clean", argv[0], *head, *argv[1:])
+    assert code == 0
+    stale_dir = tmp_path / "stale"
+    (stale_dir / "cache").mkdir(parents=True)
+    stale = build_basis(model, 12.0)
+    for lam in lambdas:
+        _write_version1_cache(stale_dir / "cache", model, lam, stale)
+    code, out = run(stale_dir, argv[0], *head, *argv[1:])
+    assert code == 0
+    for key in ("results", "provenance"):
+        assert read(out, f"{argv[0]}.json")[key] == read(clean, f"{argv[0]}.json")[key]
 
 
 def test_doubling_command(tmp_path):

@@ -46,6 +46,11 @@ def sphere_basis_3():
 
 
 @pytest.fixture(scope="module")
+def flat2_basis():
+    return build_basis(FlatTorus(2, (2.5, 4.0)), 6.0)
+
+
+@pytest.fixture(scope="module")
 def rev_basis_3():
     return build_basis(RevTorus(2.0, 1.0), 3.0)
 
@@ -172,6 +177,15 @@ def test_rev_torus_orthonormal_on_grid(rev_basis_3):
     values = np.stack([basis.values_on_grid(m) for m in basis.modes])
     gram = (values * basis.grid.weights) @ values.T
     assert np.max(np.abs(gram - np.eye(basis.size))) <= 1e-8
+
+
+@pytest.mark.parametrize("fixture", ["circle_basis_3", "flat2_basis", "sphere_basis_3",
+                                     "rev_basis_3"])
+def test_profile_matrices_match_pointwise_evaluation(request, fixture):
+    basis = request.getfixturevalue(fixture)
+    for mode in basis.modes:
+        pointwise = evaluate(basis.model, mode, basis.grid.nodes)
+        assert np.max(np.abs(basis.values_on_grid(mode) - pointwise)) <= 1e-13
 
 
 def test_rev_torus_strong_form_residual(rev_basis_3):
