@@ -48,6 +48,7 @@ from .manifolds import (
     COS,
     SIN,
     FlatTorus,
+    Resolution,
     RevTorus,
     Sphere2,
     as_chart_function,
@@ -182,24 +183,49 @@ def _resolve_basis_and_factors(model_cfg: dict, params: dict, cache_dir: str):
                          max(probe.modes[i].lam for i in ids) * 1.01)
     basis = _cached_basis(model, lambda_max, cache_dir)
     ids = tuple(_parse_factor_token(model, basis, t) for t in tokens)
+    _check_positional_ids(probe, basis, tokens, ids)
     return basis, ids
 
 
-def _cache_key(model_cfg_or_model, lambda_max: float) -> str:
-    from .manifolds import model_descriptor
+def _check_positional_ids(probe, basis, tokens, ids) -> None:
+    """A numeric factor id is resolved on the probe basis (to size the
+    final one) and then on the final basis; both must name the same mode:
+    the same leading representation fields and lambda within 1e-9
+    relative."""
+    for token, idx in zip(tokens, ids):
+        if not token.strip().lstrip("-").isdigit():
+            continue
+        seen, used = probe.modes[idx], basis.modes[idx]
+        if seen.rep[:2] != used.rep[:2] or \
+                abs(seen.lam - used.lam) > 1e-9 * max(abs(seen.lam), abs(used.lam)):
+            raise ParameterError(
+                f"mode id {idx} names different modes in the probe basis "
+                f"(lambda={seen.lam!r}) and the final basis (lambda={used.lam!r}); "
+                "pass a mode label instead")
 
-    desc = model_descriptor(model_cfg_or_model)
-    blob = json.dumps({"model": desc, "lambda_max": float(lambda_max).hex(),
+
+def _cache_key(model, lambda_max: float, resolution: Resolution) -> str:
+    from .manifolds import _resolution_payload, model_descriptor
+
+    blob = json.dumps({"model": model_descriptor(model),
+                       "lambda_max": float(lambda_max).hex(),
+                       "resolution": _resolution_payload(resolution),
                        "version": CACHE_VERSION}, sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()[:24]
 
 
 def _cached_basis(model, lambda_max: float, cache_dir: str):
-    key = _cache_key(model, lambda_max)
-    path = os.path.join(cache_dir, f"{key}.eprd")
+    """Load the basis from the disk cache, or build and store it.  A file
+    whose model, lambda_max or resolution differs from the request is a
+    miss: it is rebuilt and overwritten, never served."""
+    res = Resolution()
+    path = os.path.join(cache_dir, f"{_cache_key(model, lambda_max, res)}.eprd")
     if os.path.exists(path):
-        return load_basis(path)
-    basis = build_basis(model, lambda_max)
+        basis = load_basis(path)
+        if basis.model == model and basis.lambda_max == float(lambda_max) \
+                and basis.resolution == res:
+            return basis
+    basis = build_basis(model, lambda_max, res)
     os.makedirs(cache_dir, exist_ok=True)
     save_basis(basis, path)
     return basis

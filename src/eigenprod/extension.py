@@ -23,10 +23,12 @@ import numpy as np
 from .coefficients import CoefficientSeries, _torus_axis_norm
 from .errors import BreakdownError, ParameterError
 from .manifolds import FlatTorus
+from .numerics import TWO_PI
 
 __all__ = [
     "ExtensionParams",
     "HarmonicExtension",
+    "PointSample",
     "CauchyCheck",
     "compute_extension_params",
     "harmonic_extension_flat",
@@ -119,6 +121,13 @@ class HarmonicExtension:
         self.lams = series.lams[keep]
         self.coeffs = series.coeffs[keep]
         self._modes = [basis.modes[i] for i in self.mode_ids]
+        # Laplacian eigenvalues from the frequency vectors, independent of
+        # the lams the cosh propagation uses, so the residual check can fail
+        periods = basis.model.periods
+        self.laplacian_eigs = np.array([
+            sum((TWO_PI * k / p) ** 2 for k, p in zip(m.rep[0], periods))
+            for m in self._modes
+        ])
 
     @property
     def frequency_coefficients(self) -> dict:
@@ -132,23 +141,26 @@ class HarmonicExtension:
             np.atleast_1d(evaluate(self.basis.model, m, points)) for m in self._modes
         ])
 
+    def at(self, points) -> PointSample:
+        """The extension at fixed chart points, for evaluation at many
+        heights: the mode matrix is built once, here."""
+        return PointSample(self, self._mode_matrix(points))
+
     def value(self, points, t: float) -> np.ndarray:
         """H(x, t) at chart points."""
-        phi = self._mode_matrix(points)
-        return (self.coeffs * np.cosh(self.lams * t)) @ phi
+        return self.at(points).value(t)
 
     def dt_value(self, points, t: float) -> np.ndarray:
         """dH/dt(x, t)."""
-        phi = self._mode_matrix(points)
-        return (self.coeffs * self.lams * np.sinh(self.lams * t)) @ phi
+        return self.at(points).dt_value(t)
 
     def laplacian_x(self, points, t: float) -> np.ndarray:
-        phi = self._mode_matrix(points)
-        return (self.coeffs * self.lams**2 * np.cosh(self.lams * t)) @ phi
+        """Laplacian_x H(x, t), from the modes' frequency vectors."""
+        return self.at(points).laplacian_x(t)
 
     def dtt_value(self, points, t: float) -> np.ndarray:
-        phi = self._mode_matrix(points)
-        return (self.coeffs * np.cosh(self.lams * t) * self.lams**2) @ phi
+        """d^2H/dt^2(x, t), from the propagation rates lams."""
+        return self.at(points).dtt_value(t)
 
     def sup_bound(self, height: float | None = None) -> float:
         """sum |c| ||phi||_sup cosh(lambda T) dominates |H| on the slab."""
@@ -167,14 +179,44 @@ class HarmonicExtension:
         return values, slopes
 
 
+class PointSample:
+    """A harmonic extension restricted to fixed chart points: the mode
+    matrix (modes x points) is held, so each height costs one
+    vector-matrix product."""
+
+    def __init__(self, ext: HarmonicExtension, phi: np.ndarray):
+        self.ext = ext
+        self.phi = phi
+
+    def value(self, t: float) -> np.ndarray:
+        ext = self.ext
+        return (ext.coeffs * np.cosh(ext.lams * t)) @ self.phi
+
+    def dt_value(self, t: float) -> np.ndarray:
+        ext = self.ext
+        return (ext.coeffs * ext.lams * np.sinh(ext.lams * t)) @ self.phi
+
+    def laplacian_x(self, t: float) -> np.ndarray:
+        ext = self.ext
+        return (ext.coeffs * ext.laplacian_eigs * np.cosh(ext.lams * t)) @ self.phi
+
+    def dtt_value(self, t: float) -> np.ndarray:
+        ext = self.ext
+        return (ext.coeffs * np.cosh(ext.lams * t) * ext.lams**2) @ self.phi
+
+
 def harmonic_extension_flat(series: CoefficientSeries, height: float,
                             seed: int = 0) -> HarmonicExtension:
     """Build the extension and verify it really solves the problem.
 
     Term-wise, Laplacian_x [phi cosh(lambda t)] equals
-    d^2/dt^2 [phi cosh(lambda t)], so the residual vanishes identically;
-    this is asserted numerically at 100 seeded random points of the slab.
-    The Cauchy data are checked on a deterministic boundary lattice.
+    d^2/dt^2 [phi cosh(lambda t)] exactly when lambda^2 is phi's Laplacian
+    eigenvalue.  The residual is evaluated at 100 seeded random points of
+    the slab, with the Laplacian taken from the frequency vectors and the
+    time derivative from the series' lambdas, so a wrong lambda fails the
+    check.  The mode matrix of those points is built once and reused for
+    all 100 heights.  The Cauchy data are checked on a deterministic
+    boundary lattice, whose mode matrix is likewise built once.
     """
     ext = HarmonicExtension(series, height)
     model: FlatTorus = ext.basis.model
@@ -186,8 +228,9 @@ def harmonic_extension_flat(series: CoefficientSeries, height: float,
         points = points[:, 0]
     heights = rng.uniform(-ext.T, ext.T, size=100)
     scale = max(ext.sup_bound(), 1e-300)
+    sample = ext.at(points)
     for t in heights:
-        residual = ext.laplacian_x(points, float(t)) - ext.dtt_value(points, float(t))
+        residual = sample.laplacian_x(float(t)) - sample.dtt_value(float(t))
         if float(np.max(np.abs(residual))) > 1e-9 * scale:
             raise BreakdownError("extension residual check failed")
     # boundary data: H(., 0) = f and dH/dt(., 0) = 0
@@ -201,13 +244,14 @@ def harmonic_extension_flat(series: CoefficientSeries, height: float,
     for i in series.product.factors:
         f_direct = f_direct * np.atleast_1d(
             evaluate(model, ext.basis.modes[i], lattice))
-    boundary_gap = float(np.max(np.abs(ext.value(lattice, 0.0) - f_direct)))
+    boundary = ext.at(lattice)
+    boundary_gap = float(np.max(np.abs(boundary.value(0.0) - f_direct)))
     f_sup = float(np.max(np.abs(f_direct)))
     if boundary_gap > 1e-12 * max(f_sup, 1e-300):
         raise BreakdownError("extension does not reproduce the product at t=0")
     step = 1e-4
     odd_gap = float(np.max(np.abs(
-        (ext.value(lattice, step) - ext.value(lattice, -step)) / (2.0 * step))))
+        (boundary.value(step) - boundary.value(-step)) / (2.0 * step))))
     if odd_gap > 1e-8 * max(scale, 1.0):
         raise BreakdownError("extension time-derivative does not vanish at t=0")
     return ext
@@ -262,7 +306,8 @@ def cauchy_estimate_check(ext: HarmonicExtension, radius: float, delta: float,
         points = np.column_stack([m.reshape(-1) for m in mesh])
     half = np.linspace(-radius * delta / 2.0, radius * delta / 2.0, t_levels)
     full = np.linspace(-radius * delta, radius * delta, t_levels)
-    lhs = max(float(np.max(np.abs(ext.dt_value(points, float(t))))) for t in half)
-    rhs_sup = max(float(np.max(np.abs(ext.value(points, float(t))))) for t in full)
+    sample = ext.at(points)
+    lhs = max(float(np.max(np.abs(sample.dt_value(float(t))))) for t in half)
+    rhs_sup = max(float(np.max(np.abs(sample.value(float(t))))) for t in full)
     rhs = 2.0 / (delta * radius) * rhs_sup
     return CauchyCheck(lhs, rhs, lhs <= rhs * (1.0 + 1e-9))

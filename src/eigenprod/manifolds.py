@@ -21,7 +21,7 @@ import hashlib
 import json
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -183,6 +183,9 @@ class SpectralBasis:
     mode on that axis's nodes as one (modes, nodes) array.  It is built in
     one shot on first use, so bases that are only loaded or saved (CLI
     token probes) never pay for it, and it never changes afterwards.
+    The content digest is kept the same way: ``save_basis`` and
+    ``load_basis`` record the digest they wrote or verified, and
+    ``basis_digest`` serializes only bases that were never saved or loaded.
     """
 
     model: object
@@ -191,6 +194,7 @@ class SpectralBasis:
     grid: QuadratureGrid
     provenance: str
     resolution: Resolution
+    _digest: str | None = field(default=None, init=False, repr=False)
 
     @cached_property
     def profile_matrices(self) -> tuple:
@@ -651,8 +655,11 @@ def _basis_payload(basis: SpectralBasis) -> bytes:
 
 
 def basis_digest(basis: SpectralBasis) -> str:
-    """Content digest of the basis (independent of where it is stored)."""
-    return hashlib.sha256(_basis_payload(basis)).hexdigest()
+    """Content digest of the basis (independent of where it is stored):
+    the sha256 of its canonical payload, computed at most once per basis."""
+    if basis._digest is None:
+        basis._digest = hashlib.sha256(_basis_payload(basis)).hexdigest()
+    return basis._digest
 
 
 def save_basis(basis: SpectralBasis, path) -> str:
@@ -663,7 +670,8 @@ def save_basis(basis: SpectralBasis, path) -> str:
     blob += struct.pack("<Q", len(body)) + body
     with open(path, "wb") as handle:
         handle.write(blob)
-    return digest.hex()
+    basis._digest = digest.hex()
+    return basis._digest
 
 
 def load_basis(path) -> SpectralBasis:
@@ -692,7 +700,9 @@ def load_basis(path) -> SpectralBasis:
         provenance = payload["provenance"]
     except (KeyError, ValueError, TypeError) as exc:
         raise CorruptionError(f"{path}: malformed basis payload ({exc})") from exc
-    return SpectralBasis(model, lambda_max, modes, grid, provenance, res)
+    basis = SpectralBasis(model, lambda_max, modes, grid, provenance, res)
+    basis._digest = digest.hex()  # the body is the canonical payload save_basis wrote
+    return basis
 
 
 def _grid_from_axis_sizes(model, sizes) -> QuadratureGrid:

@@ -109,6 +109,30 @@ def doubling_index(fn, center, r: float, samples_per_axis: int = 129) -> Doublin
                           math.log(sup_2r / sup_r))
 
 
+def _measure_lattice(center: tuple, side: float, per_axis: int | None):
+    """Cell-center lattice of the half-cube of (center, side) and the
+    volume of one cell."""
+    per_axis = per_axis or _default_measure_axis(len(center))
+    if per_axis < 256:
+        raise ParameterError("need at least 256 cells per axis")
+    points = _cell_lattice(center, side / 2.0, per_axis)
+    cell = (side / 2.0 / per_axis) ** len(center)
+    return points, cell
+
+
+def _counts_below(values: np.ndarray, a_values) -> list:
+    """Number of values strictly below exp(-a), for each a.
+
+    One sort serves every threshold; ``side="left"`` counts exactly the
+    entries with value < exp(-a), as the direct comparison in
+    ``sublevel_measure`` does.  For a single threshold that comparison is
+    cheaper than the sort.
+    """
+    ordered = np.sort(values)
+    thresholds = [math.exp(-float(a)) for a in a_values]
+    return np.searchsorted(ordered, thresholds, side="left").tolist()
+
+
 def sublevel_measure(fn, center, side: float, a: float,
                      samples_per_axis: int | None = None) -> float:
     """Lattice measure of {x in half-cube : |u(x)| < exp(-a)}.
@@ -119,11 +143,7 @@ def sublevel_measure(fn, center, side: float, a: float,
     center = _as_center(center)
     if not (side > 0.0):
         raise ParameterError("cube side must be positive")
-    per_axis = samples_per_axis or _default_measure_axis(len(center))
-    if per_axis < 256:
-        raise ParameterError("need at least 256 cells per axis")
-    points = _cell_lattice(center, side / 2.0, per_axis)
-    cell = (side / 2.0 / per_axis) ** len(center)
+    points, cell = _measure_lattice(center, side, samples_per_axis)
     count = int(np.count_nonzero(_eval(fn, points) < math.exp(-a)))
     return count * cell
 
@@ -151,7 +171,11 @@ def remez_fit(fn, center, side: float, a_grid=None,
               samples_per_axis: int | None = None) -> RemezReport:
     """Fit log measure against the threshold exponent.
 
-    The function is normalized internally so sup over the cube is 1.  The
+    The function is normalized internally so sup over the cube is 1.  It
+    is evaluated three times in all: on the two sup lattices and once on
+    the half-cube's cell lattice, whose sorted values give the count of
+    every threshold; each measure equals ``sublevel_measure`` of the
+    normalized function at that threshold, bit for bit.  The
     least-squares fit skips saturated samples (the sublevel set filled the
     whole half-cube) and quantization-floor samples (fewer than
     QUANTIZATION_CELLS lattice cells); the reported measures keep every
@@ -171,17 +195,10 @@ def remez_fit(fn, center, side: float, a_grid=None,
     sup_2q = float(np.max(_eval(fn, _sup_lattice(center, side, sup_axis))))
     doubling = math.log(sup_2q / sup_q)
 
-    def normalized(points):
-        # receives points already in the caller's shape convention
-        return np.asarray(fn(points)) / sup_q
-
-    per_axis = samples_per_axis or _default_measure_axis(dim)
-    cell = (side / 2.0 / per_axis) ** dim
+    points, cell = _measure_lattice(center, side, samples_per_axis)
+    values = _eval(fn, points) / sup_q
     half_measure = (side / 2.0) ** dim
-    measures = np.array([
-        sublevel_measure(normalized, center, side, float(a), per_axis)
-        for a in grid
-    ])
+    measures = np.array([count * cell for count in _counts_below(values, grid)])
     clean = (measures >= QUANTIZATION_CELLS * cell) & \
             (measures <= half_measure * (1.0 - 1e-9))
     if not np.any(measures > 0.0) or int(np.count_nonzero(clean)) < 2 \

@@ -9,9 +9,19 @@ import struct
 import numpy as np
 import pytest
 
+from eigenprod import cli
 from eigenprod.cli import cli_main, config_from_text, config_to_text
 from eigenprod.errors import ParameterError
-from eigenprod.manifolds import FlatTorus, build_basis, model_descriptor, save_basis
+from eigenprod.manifolds import (
+    FlatTorus,
+    Mode,
+    Resolution,
+    RevTorus,
+    build_basis,
+    load_basis,
+    model_descriptor,
+    save_basis,
+)
 from eigenprod.reportio import canonical_json, diff_paths, format_float
 from eigenprod.svgplot import svg_coefficient_plot
 
@@ -289,3 +299,54 @@ def test_decay_command_rev_torus(tmp_path):
     assert doc["results"]["r_squared"] >= 0.9
     assert (out / "decay.csv").exists()
     assert (out / "decay.svg").exists()
+
+
+def test_cache_key_covers_the_resolution():
+    model = FlatTorus(1, (TWO_PI,))
+    default = cli._cache_key(model, 3.0, Resolution())
+    for changed in (Resolution(margin=9), Resolution(max_product_factors=4),
+                    Resolution(rev_fourier_n=64)):
+        assert cli._cache_key(model, 3.0, changed) != default
+
+
+def test_cached_basis_serves_hits_and_rebuilds_mismatched_files(tmp_path, monkeypatch):
+    model = FlatTorus(1, (TWO_PI,))
+    cache = str(tmp_path / "cache")
+    first = cli._cached_basis(model, 3.0, cache)
+    (path,) = (tmp_path / "cache").iterdir()
+
+    def no_build(*_args, **_kwargs):
+        raise AssertionError("a matching cache file must be served")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "build_basis", no_build)
+        assert cli._cached_basis(model, 3.0, cache).modes == first.modes
+    # a file under the right key that holds another request is a miss
+    for stale in (build_basis(model, 5.0), build_basis(FlatTorus(1, (3.0,)), 3.0)):
+        save_basis(stale, path)
+        served = cli._cached_basis(model, 3.0, cache)
+        assert served.model == model and served.lambda_max == 3.0
+        assert served.modes == first.modes
+        assert load_basis(path).lambda_max == 3.0  # overwritten with the rebuild
+
+
+def test_positional_id_guard_rejects_a_mode_shift():
+    model = RevTorus(2.0, 1.0)
+    probe = build_basis(model, 2.0)
+    final = build_basis(model, 3.0)
+    cli._check_positional_ids(probe, final, ["1", "2"], (1, 2))
+    # the same ids against a final basis whose modes 1 and 2 swapped places
+    modes = list(final.modes)
+    modes[1], modes[2] = (Mode(1, modes[2].lam, modes[2].rep),
+                          Mode(2, modes[1].lam, modes[1].rep))
+    shifted = build_basis(model, 3.0)
+    shifted.modes = tuple(modes)
+    assert probe.modes[1].rep[:2] != shifted.modes[1].rep[:2]
+    with pytest.raises(ParameterError):
+        cli._check_positional_ids(probe, shifted, ["1", "2"], (1, 2))
+    # same representation, lambda off by more than 1e-9 relative
+    modes = list(final.modes)
+    modes[2] = Mode(2, modes[2].lam * (1.0 + 1e-8), modes[2].rep)
+    shifted.modes = tuple(modes)
+    with pytest.raises(ParameterError):
+        cli._check_positional_ids(probe, shifted, ["2"], (2,))

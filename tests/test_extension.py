@@ -1,13 +1,15 @@
 """Flat-torus harmonic extension, Green recovery, Cauchy-style bound."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from eigenprod.coefficients import CoefficientSeries, ProductSpec, expand_product
-from eigenprod.errors import ParameterError
+from eigenprod.errors import BreakdownError, ParameterError
 from eigenprod.extension import (
+    HarmonicExtension,
     cauchy_estimate_check,
     compute_extension_params,
     greens_coefficient,
@@ -87,6 +89,39 @@ def test_cos_mode_extension_residual(circle_basis):
     assert ext.value(xs, t) == pytest.approx(expected, abs=1e-14)
     residual = ext.laplacian_x(xs, t) - ext.dtt_value(xs, t)
     assert np.max(np.abs(residual)) <= 1e-12
+
+
+def test_extension_residual_check_catches_a_wrong_lambda(circle_basis):
+    # the Laplacian comes from the frequency vectors, d^2/dt^2 from the
+    # series' lambdas: a planted wrong lambda must fail the check
+    cos2 = find_mode(circle_basis, ((2,), (COS,)))
+    cos3 = find_mode(circle_basis, ((3,), (COS,)))
+    series = expand_product(ProductSpec(circle_basis, (cos2.id, cos3.id)))
+    harmonic_extension_flat(series, 0.05)
+    lams = series.lams.copy()
+    cos5 = int(np.flatnonzero(series.ids == find_mode(circle_basis, ((5,), (COS,))).id)[0])
+    lams[cos5] = 5.0 * (1.0 - 1e-3)  # stays sorted: below sin5, above sin4
+    planted = dataclasses.replace(series, lams=lams)
+    with pytest.raises(BreakdownError):
+        harmonic_extension_flat(planted, 0.05)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_extension_check_builds_each_mode_matrix_once(monkeypatch, dim):
+    # one matrix for the 100 residual points, reused at all 100 heights,
+    # and one for the boundary lattice, reused for its three values
+    basis = build_basis(FlatTorus(dim, (TWO_PI,) * dim), 4.0)
+    series = expand_product(ProductSpec(basis, (1, 2)))
+    built = []
+    original = HarmonicExtension._mode_matrix
+
+    def counted(self, points):
+        built.append(len(points))
+        return original(self, points)
+
+    monkeypatch.setattr(HarmonicExtension, "_mode_matrix", counted)
+    harmonic_extension_flat(series, 0.05)
+    assert built == [100, 512]
 
 
 def test_product_extension_sup_bound(circle_basis):

@@ -1,5 +1,6 @@
 """Eigenbases on the three model surfaces."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from eigenprod.errors import (
     UnderResolvedError,
     VersionMismatchError,
 )
+from eigenprod import manifolds
 from eigenprod.manifolds import (
     COS,
     SIN,
@@ -257,6 +259,29 @@ def test_save_load_round_trip(tmp_path, circle_basis_3, rev_basis_3):
         assert digest == basis_digest(basis)
         loaded = load_basis(path)
         assert basis_equal(basis, loaded)
+
+
+@pytest.mark.parametrize("name", ["circle_basis_3", "flat2_basis",
+                                  "sphere_basis_3", "rev_basis_3"])
+def test_memoised_digest_matches_the_payload(tmp_path, request, monkeypatch, name):
+    # save and load record the digest they wrote or verified; it must be
+    # the digest of the canonical payload, recomputed from scratch
+    basis = request.getfixturevalue(name)
+    fresh = build_basis(basis.model, basis.lambda_max)
+    path = tmp_path / "basis.eprd"
+    saved = save_basis(basis, path)
+    loaded = load_basis(path)
+    from_scratch = hashlib.sha256(manifolds._basis_payload(loaded)).hexdigest()
+    assert saved == from_scratch
+    assert hashlib.sha256(manifolds._basis_payload(basis)).hexdigest() == from_scratch
+    assert basis_digest(fresh) == from_scratch
+
+    def no_payload(_basis):
+        raise AssertionError("a known digest must not be recomputed")
+
+    monkeypatch.setattr(manifolds, "_basis_payload", no_payload)
+    for memoised in (basis, loaded, fresh):
+        assert basis_digest(memoised) == from_scratch
 
 
 def test_loaded_basis_reproduces_coefficients_bitwise(tmp_path, rev_basis_3):

@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from eigenprod import remez
 from eigenprod.coefficients import ProductSpec
 from eigenprod.errors import BreakdownError, GridExhaustedError, ParameterError
-from eigenprod.manifolds import COS, FlatTorus, as_chart_function, build_basis
+from eigenprod.manifolds import COS, SIN, FlatTorus, as_chart_function, build_basis
 from eigenprod.remez import (
     coordinate_function,
     default_a_grid,
@@ -132,6 +133,60 @@ def test_remez_measures_nonincreasing_in_report():
     report = remez_fit(lambda x: np.sin(np.asarray(x)), 0.3, 2.0)
     measures = list(report.measures)
     assert all(b <= a for a, b in zip(measures, measures[1:]))
+
+
+def _flat2_mode_function():
+    basis = build_basis(FlatTorus(2, (TWO_PI, TWO_PI)), 3.0)
+    mode = next(m for m in basis.modes if m.rep == ((1, 2), (COS, SIN)))
+    return as_chart_function(basis.model, mode)
+
+
+REMEZ_CASES = {
+    "power3": (lambda: harmonic_power_function(3), (0.0, 0.0), 2.0),
+    "linear": (coordinate_function, 0.0, 2.0),
+    "flat2-mode": (_flat2_mode_function, (0.5, 0.5), 1.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REMEZ_CASES))
+def test_remez_measures_equal_per_threshold_sublevel_measures(name):
+    # one sweep over sorted lattice values must give, bit for bit, the
+    # measures of one sublevel_measure call per threshold on the function
+    # normalized by its sampled sup over the half-cube
+    factory, center, side = REMEZ_CASES[name]
+    fn = factory()
+    report = remez_fit(fn, center, side)
+    cube = remez._as_center(center)
+    sup_axis = 4097 if len(cube) == 1 else 257
+    sup_q = float(np.max(remez._eval(fn, remez._sup_lattice(cube, side / 2.0, sup_axis))))
+    normalized = lambda pts: np.asarray(fn(pts)) / sup_q
+    expected = [sublevel_measure(normalized, center, side, float(a))
+                for a in default_a_grid()]
+    assert [m.hex() for m in report.measures] == [m.hex() for m in expected]
+    assert any(0.0 < m < (side / 2.0) ** len(cube) for m in expected)
+
+
+def test_counts_below_are_strict_comparisons():
+    # values equal to a threshold, one ulp either side, zeros and NaN
+    grid = default_a_grid()
+    levels = np.array([math.exp(-float(grid[i])) for i in (0, 5, 20, 47)])
+    values = np.concatenate([levels, np.nextafter(levels, 0.0),
+                             np.nextafter(levels, 1.0), [0.0, 0.0, np.nan, 2.0]])
+    expected = [int(np.count_nonzero(values < math.exp(-float(a)))) for a in grid]
+    assert remez._counts_below(values, grid) == expected
+
+
+def test_remez_fit_evaluates_three_lattices():
+    # two sup lattices and one measure lattice, whatever the grid length
+    fn = harmonic_power_function(4)
+    sizes = []
+
+    def counted(points):
+        sizes.append(len(points))
+        return fn(points)
+
+    remez_fit(counted, (0.0, 0.0), 2.0)
+    assert sizes == [257 * 257, 257 * 257, 512 * 512]
 
 
 @pytest.fixture(scope="module")
