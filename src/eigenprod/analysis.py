@@ -19,7 +19,7 @@ import numpy as np
 
 from .coefficients import CoefficientSeries, ProductSpec
 from .errors import BreakdownError, ParameterError, UnderResolvedError
-from .manifolds import Sphere2, SpectralBasis
+from .manifolds import SpectralBasis
 from .numerics import TWO_PI, gauss_legendre, uniform_periodic
 
 NOISE_FLOOR_REL = 1e-12

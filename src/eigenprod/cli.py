@@ -45,8 +45,6 @@ from .extension import (
 )
 from .manifolds import (
     CACHE_VERSION,
-    COS,
-    SIN,
     FlatTorus,
     Resolution,
     RevTorus,
@@ -117,46 +115,28 @@ def _model_from_config(cfg: dict):
     raise ParameterError(f"unknown model kind {kind!r} in configuration")
 
 
-def _parse_factor_token(model, basis, token: str) -> int:
+def _factor_key(model, token: str):
+    """A factor token parsed once, independent of any basis: a numeric
+    mode id (int) or the representation a model label names (tuple)."""
     token = token.strip()
     if token.lstrip("-").isdigit():
-        idx = int(token)
-        if not 0 <= idx < basis.size:
-            raise ParameterError(f"mode id {idx} not in the basis")
-        return idx
-    if isinstance(model, FlatTorus) and model.dim == 1:
-        if token == "const":
-            return 0
-        for name, parity in (("cos", COS), ("sin", SIN)):
-            if token.startswith(name):
-                k = int(token[len(name):])
-                for mode in basis.modes:
-                    if mode.rep == ((k,), (parity,)):
-                        return mode.id
-                raise ParameterError(f"mode {token} exceeds the basis cutoff")
-    if isinstance(model, FlatTorus) and model.dim == 2 and len(token) >= 4:
-        parities = {"c": COS, "s": SIN}
-        head, tail = token[0], token[1:]
-        for split in range(1, len(tail)):
-            if tail[split] in parities and head in parities:
-                try:
-                    k1 = int(tail[:split])
-                    k2 = int(tail[split + 1:])
-                except ValueError:
-                    continue
-                rep = ((k1, k2), (parities[head], parities[tail[split]]))
-                for mode in basis.modes:
-                    if mode.rep == rep:
-                        return mode.id
-                raise ParameterError(f"mode {token} exceeds the basis cutoff")
-    if isinstance(model, Sphere2) and token.startswith("Y") and "m" in token:
-        l_text, m_text = token[1:].split("m", 1)
-        rep = (int(l_text), int(m_text))
-        for mode in basis.modes:
-            if mode.rep == rep:
-                return mode.id
-        raise ParameterError(f"harmonic {token} exceeds the basis cutoff")
-    raise ParameterError(f"cannot parse factor token {token!r} for this model")
+        return int(token)
+    try:
+        return model.parse_label(token)
+    except ValueError as exc:
+        raise ParameterError(f"cannot parse factor token {token!r} for this model") from exc
+
+
+def _mode_id(basis, key, token: str) -> int:
+    """The id of the mode that ``key``, parsed from ``token``, names in ``basis``."""
+    if isinstance(key, int):
+        if not 0 <= key < basis.size:
+            raise ParameterError(f"mode id {key} not in the basis")
+        return key
+    for mode in basis.modes:
+        if mode.rep == key:
+            return mode.id
+    raise ParameterError(f"mode {token.strip()} exceeds the basis cutoff")
 
 
 def _resolve_basis_and_factors(model_cfg: dict, params: dict, cache_dir: str):
@@ -165,11 +145,12 @@ def _resolve_basis_and_factors(model_cfg: dict, params: dict, cache_dir: str):
     tokens = [t for t in str(params["factors"]).split(",") if t]
     explicit = params.get("lambda_max")
     mult = float(params.get("lambda_max_mult", 2.0))
+    keys = [_factor_key(model, t) for t in tokens]
     probe_lambda = 2.0
     while True:
         probe = _cached_basis(model, probe_lambda, cache_dir)
         try:
-            ids = tuple(_parse_factor_token(model, probe, t) for t in tokens)
+            ids = tuple(_mode_id(probe, key, t) for key, t in zip(keys, tokens))
             break
         except ParameterError:
             if probe_lambda > 64.0:
@@ -182,7 +163,7 @@ def _resolve_basis_and_factors(model_cfg: dict, params: dict, cache_dir: str):
         lambda_max = max(mult * sum_lambda,
                          max(probe.modes[i].lam for i in ids) * 1.01)
     basis = _cached_basis(model, lambda_max, cache_dir)
-    ids = tuple(_parse_factor_token(model, basis, t) for t in tokens)
+    ids = tuple(_mode_id(basis, key, t) for key, t in zip(keys, tokens))
     _check_positional_ids(probe, basis, tokens, ids)
     return basis, ids
 
@@ -460,7 +441,7 @@ def _cmd_lower_bound(config, cache_dir):
         basis, _ = _resolve_basis_and_factors(model_cfg, params_local, cache_dir)
         specs = []
         for group in groups:
-            ids = tuple(_parse_factor_token(basis.model, basis, t)
+            ids = tuple(_mode_id(basis, _factor_key(basis.model, t), t)
                         for t in group.split(","))
             specs.append(ProductSpec(basis, ids))
     else:

@@ -21,7 +21,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import BreakdownError, ParameterError, UnderResolvedError
-from .manifolds import COS, SIN, FlatTorus, Mode, RevTorus, SpectralBasis, Sphere2
+from .manifolds import COS, SIN, FlatTorus, Mode, SpectralBasis, Sphere2
 
 FOUR_PI = 4.0 * math.pi
 
@@ -310,7 +310,8 @@ def expand_product(spec: ProductSpec) -> CoefficientSeries:
     basis = spec.basis
     _check_grid_resolution(spec)
     quad_coeffs, f_norm_sq = _quadrature_expansion(spec)
-    exact = _exact_expansion(spec)
+    oracle = _EXACT_ORACLES.get(type(basis.model))
+    exact = oracle(spec) if oracle else None
     if exact is not None:
         gap = float(np.max(np.abs(exact - quad_coeffs))) if exact.size else 0.0
         if gap > ORACLE_AGREEMENT_TOL:
@@ -366,40 +367,19 @@ def parseval_report(series: CoefficientSeries):
 
 
 def _check_grid_resolution(spec: ProductSpec):
+    """Every integrand of the expansion must be within the grid's
+    exactness on each axis: phi_i times the product, and the product
+    squared for its norm."""
     basis = spec.basis
-    model = basis.model
+    bandwidth = basis.model.bandwidth
+    factor_bw = np.sum([bandwidth(m) for m in spec.factor_modes()], axis=0)
+    target_bw = np.max([bandwidth(m) for m in basis.modes], axis=0)
+    needed = np.maximum(factor_bw + target_bw, 2 * factor_bw)
     exact = basis.axis_exactness()
-    modes = spec.factor_modes()
-    if isinstance(model, FlatTorus):
-        for axis in range(model.dim):
-            factor_bw = sum(m.rep[0][axis] for m in modes)
-            target_bw = max(m.rep[0][axis] for m in basis.modes)
-            needed = max(factor_bw + target_bw, 2 * factor_bw)
-            if needed > exact[axis]:
-                raise UnderResolvedError(
-                    f"axis {axis}: integrand bandwidth {needed} exceeds grid "
-                    f"exactness {exact[axis]}")
-    elif isinstance(model, Sphere2):
-        factor_bw = sum(m.rep[0] for m in modes)
-        target_bw = max(m.rep[0] for m in basis.modes)
-        needed = max(factor_bw + target_bw, 2 * factor_bw)
-        if needed > basis.grid.exactness_degree:
-            raise UnderResolvedError(
-                f"spherical degree {needed} exceeds grid exactness "
-                f"{basis.grid.exactness_degree}")
-    elif isinstance(model, RevTorus):
-        trunc = (len(basis.modes[0].rep[2]) - 1) // 2
-        factor_s = spec.n_factors * trunc  # profile bandwidth estimate: the
-        factor_t = sum(m.rep[0] for m in modes)  # Galerkin truncation per factor
-        target_t = max(m.rep[0] for m in basis.modes)
-        need_s = max(factor_s + trunc, 2 * factor_s)
-        need_t = max(factor_t + target_t, 2 * factor_t)
-        if need_s > exact[0] or need_t > exact[1]:
-            raise UnderResolvedError(
-                f"product bandwidth ({need_s}, {need_t}) exceeds grid "
-                f"exactness {exact}")
-    else:
-        raise ParameterError(f"unknown manifold model {model!r}")
+    if np.any(needed > exact):
+        raise UnderResolvedError(
+            f"integrand bandwidth {tuple(needed.tolist())} exceeds grid "
+            f"exactness {exact}")
 
 
 def _product_values_by_axis(spec: ProductSpec):
@@ -439,15 +419,6 @@ def _quadrature_expansion(spec: ProductSpec):
 
 # ---------------------------------------------------------------------------
 # exact routes
-
-
-def _exact_expansion(spec: ProductSpec):
-    model = spec.basis.model
-    if isinstance(model, FlatTorus):
-        return _torus_exact(spec)
-    if isinstance(model, Sphere2) and spec.n_factors <= 3:
-        return _sphere_exact(spec)
-    return None
 
 
 def _trig_multiply(left: dict, right: dict) -> dict:
@@ -544,7 +515,10 @@ def _sphere_pair_map(a: Mode, b: Mode) -> dict:
     return out
 
 
-def _sphere_exact(spec: ProductSpec) -> np.ndarray:
+def _sphere_exact(spec: ProductSpec):
+    """Gaunt contraction; quadrature only beyond three factors."""
+    if spec.n_factors > 3:
+        return None
     basis = spec.basis
     modes = [basis.modes[i] for i in sorted(spec.factors)]
     coeffs = np.zeros(basis.size)
@@ -564,6 +538,9 @@ def _sphere_exact(spec: ProductSpec) -> np.ndarray:
             total += weight * gaunt_real(l, m, lc, mc, li, mi)
         coeffs[i] = total
     return coeffs
+
+
+_EXACT_ORACLES = {FlatTorus: _torus_exact, Sphere2: _sphere_exact}
 
 
 # ---------------------------------------------------------------------------

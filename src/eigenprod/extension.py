@@ -22,7 +22,7 @@ import numpy as np
 
 from .coefficients import CoefficientSeries, _torus_axis_norm
 from .errors import BreakdownError, ParameterError
-from .manifolds import FlatTorus
+from .manifolds import FlatTorus, _normalize_points, evaluate
 from .numerics import TWO_PI
 
 __all__ = [
@@ -135,11 +135,9 @@ class HarmonicExtension:
         return {m.rep: float(c) for m, c in zip(self._modes, self.coeffs)}
 
     def _mode_matrix(self, points: np.ndarray) -> np.ndarray:
-        from .manifolds import evaluate
-
-        return np.stack([
-            np.atleast_1d(evaluate(self.basis.model, m, points)) for m in self._modes
-        ])
+        model = self.basis.model
+        arr, _scalar = _normalize_points(points, model.chart_dim)
+        return model.values(self._modes, arr)
 
     def at(self, points) -> PointSample:
         """The extension at fixed chart points, for evaluation at many
@@ -239,8 +237,6 @@ def harmonic_extension_flat(series: CoefficientSeries, height: float,
         lattice = np.column_stack([
             lattice, np.linspace(0.0, model.periods[1], 512, endpoint=False)])
     f_direct = np.ones(512)
-    from .manifolds import evaluate
-
     for i in series.product.factors:
         f_direct = f_direct * np.atleast_1d(
             evaluate(model, ext.basis.modes[i], lattice))

@@ -13,15 +13,24 @@ Three closed analytic models are supported:
 Eigenvalues are written lambda^2 throughout; a mode stores lambda, the
 frequency.  Modes are ordered by ascending lambda with ties broken by the
 lexicographic order of their representation, so ids are reproducible.
+
+Everything that differs between models lives in the model's class, one
+section of this module each; ``build_basis``, ``evaluate``, persistence
+and the JSON view are model-agnostic.  A fourth model is a frozen
+dataclass derived from ``_Surface`` whose fields are its constructor
+arguments.  It implements the method set listed there and joins
+``_MODELS``; an exact oracle, if it has one, joins
+``coefficients._EXACT_ORACLES``.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
@@ -66,72 +75,6 @@ __all__ = [
     "basis_to_json_dict",
     "normalized_legendre",
 ]
-
-
-@dataclass(frozen=True)
-class FlatTorus:
-    """Flat torus R^d / (periods Z^d), d in {1, 2}."""
-
-    dim: int
-    periods: tuple
-
-    def __post_init__(self):
-        if self.dim not in (1, 2):
-            raise ParameterError("flat torus dimension must be 1 or 2")
-        periods = tuple(float(p) for p in np.atleast_1d(np.asarray(self.periods, dtype=float)))
-        if len(periods) != self.dim:
-            raise ParameterError("need one period per dimension")
-        if any(not (p > 0.0) or not math.isfinite(p) for p in periods):
-            raise ParameterError("periods must be positive and finite")
-        object.__setattr__(self, "periods", periods)
-
-    @property
-    def chart_dim(self) -> int:
-        return self.dim
-
-    @property
-    def volume(self) -> float:
-        return float(np.prod(self.periods))
-
-
-@dataclass(frozen=True)
-class Sphere2:
-    """The unit round sphere."""
-
-    @property
-    def chart_dim(self) -> int:
-        return 2
-
-    @property
-    def volume(self) -> float:
-        return 4.0 * math.pi
-
-
-@dataclass(frozen=True)
-class RevTorus:
-    """Torus of revolution: (s, theta) in [0, 2pi)^2 with
-    metric ds^2 + (R + r cos s)^2 dtheta^2, R > r > 0."""
-
-    major_radius: float
-    minor_radius: float
-
-    def __post_init__(self):
-        big, small = float(self.major_radius), float(self.minor_radius)
-        if not (big > small > 0.0) or not math.isfinite(big):
-            raise ParameterError("need major_radius > minor_radius > 0")
-        object.__setattr__(self, "major_radius", big)
-        object.__setattr__(self, "minor_radius", small)
-
-    def profile(self, s):
-        return self.major_radius + self.minor_radius * np.cos(s)
-
-    @property
-    def chart_dim(self) -> int:
-        return 2
-
-    @property
-    def volume(self) -> float:
-        return TWO_PI * TWO_PI * self.major_radius
 
 
 @dataclass(frozen=True)
@@ -200,7 +143,7 @@ class SpectralBasis:
     def profile_matrices(self) -> tuple:
         grid = self.grid
         nodes = tuple(ax[0] for ax in grid.axes) if grid.axes else (grid.nodes,)
-        return _axis_factor_rows(self.model, self.modes, nodes)
+        return self.model.axis_factor_rows(self.modes, nodes)
 
     def mode(self, mode_id: int) -> Mode:
         if not 0 <= mode_id < len(self.modes):
@@ -235,64 +178,138 @@ class SpectralBasis:
         return (self.grid.exactness_degree,)
 
 
-def build_basis(model, lambda_max: float, resolution: Resolution | None = None) -> SpectralBasis:
-    """Construct the ordered eigenbasis with lambda <= lambda_max."""
-    if not math.isfinite(lambda_max) or lambda_max < 0.0:
-        raise ParameterError("lambda_max must be finite and >= 0")
-    res = resolution or Resolution()
-    if isinstance(model, FlatTorus):
-        return _build_flat_torus(model, lambda_max, res)
-    if isinstance(model, Sphere2):
-        return _build_sphere(model, lambda_max, res)
-    if isinstance(model, RevTorus):
-        return _build_rev_torus(model, lambda_max, res)
-    raise ParameterError(f"unknown manifold model {model!r}")
+class _Surface:
+    """The method set of a model; what is defined here is shared or a default.
+
+    Required: ``kind`` (the persisted descriptor key), ``rep_names`` (the
+    JSON names of the representation fields), ``chart_dim``, ``volume``,
+    ``build(lambda_max, res)`` (the ordered basis),
+    ``quadrature_grid(sizes)`` (the grid from its per-axis node counts,
+    the persisted grid input), ``axis_factor_rows(modes, axis_points)``
+    (per grid axis, one (len(modes), len(points)) array at grid-axis
+    coordinates whose rows multiply to the modes' values) and
+    ``bandwidth(mode)`` (the per-axis degree, which sizes the exactness a
+    product's integrands need).
+    """
+
+    payload_order = (0, 1)  # representation fields in persisted order
+
+    def chart_axes(self, arr: np.ndarray) -> list:
+        """Per-axis coordinates of validated (n, chart_dim) chart points."""
+        return list(arr.T)
+
+    def values(self, modes, arr: np.ndarray) -> np.ndarray:
+        """Values of ``modes`` at validated chart points, one row per mode."""
+        rows = self.axis_factor_rows(modes, self.chart_axes(arr))
+        out = rows[0]
+        for axis_rows in rows[1:]:
+            out *= axis_rows
+        return out
+
+    def parse_label(self, token: str) -> tuple:
+        """The representation a mode label names (CLI factor tokens)."""
+        raise ParameterError(f"cannot parse factor token {token!r} for this model")
+
+
+def _round_up(n: int, mult: int = 16) -> int:
+    return ((int(n) + mult - 1) // mult) * mult
 
 
 # ---------------------------------------------------------------------------
 # flat torus
 
 
+@dataclass(frozen=True)
+class FlatTorus(_Surface):
+    """Flat torus R^d / (periods Z^d), d in {1, 2}."""
+
+    dim: int
+    periods: tuple
+
+    kind = "flat-torus"
+    rep_names = ("freqs", "parities")
+
+    def __post_init__(self):
+        if self.dim not in (1, 2):
+            raise ParameterError("flat torus dimension must be 1 or 2")
+        periods = tuple(float(p) for p in np.atleast_1d(np.asarray(self.periods, dtype=float)))
+        if len(periods) != self.dim:
+            raise ParameterError("need one period per dimension")
+        if any(not (p > 0.0) or not math.isfinite(p) for p in periods):
+            raise ParameterError("periods must be positive and finite")
+        object.__setattr__(self, "periods", periods)
+
+    @property
+    def chart_dim(self) -> int:
+        return self.dim
+
+    @property
+    def volume(self) -> float:
+        return float(np.prod(self.periods))
+
+    def build(self, lambda_max: float, res: Resolution) -> SpectralBasis:
+        scales = tuple(TWO_PI / p for p in self.periods)
+        kmaxes = tuple(_torus_freq_cap(p, lambda_max) for p in self.periods)
+        if max(kmaxes) > res.torus_freq_cap:
+            raise UnderResolvedError(
+                f"flat torus needs frequencies up to {max(kmaxes)} "
+                f"(cap {res.torus_freq_cap}) to reach lambda_max={lambda_max}")
+        entries = []
+        for freqs in itertools.product(*(range(kmax + 1) for kmax in kmaxes)):
+            lam = math.hypot(*(k * scale for k, scale in zip(freqs, scales)))
+            if lam > lambda_max * (1.0 + 1e-12):
+                continue
+            for pars in itertools.product(*((COS,) if k == 0 else (COS, SIN) for k in freqs)):
+                entries.append((lam, freqs, pars))
+        entries.sort(key=lambda e: (e[0], e[1], e[2]))
+        modes = tuple(
+            Mode(i, lam, (freqs, pars)) for i, (lam, freqs, pars) in enumerate(entries)
+        )
+        sizes = [_round_up(2 * res.max_product_factors * max(kmax, 1) + res.margin + 1)
+                 for kmax in kmaxes]
+        return SpectralBasis(self, float(lambda_max), modes, self.quadrature_grid(sizes),
+                             "exact", res)
+
+    def quadrature_grid(self, sizes) -> QuadratureGrid:
+        axes = [uniform_periodic(n, p) for n, p in zip(sizes, self.periods)]
+        return axes[0] if self.dim == 1 else tensor_grid(*axes)
+
+    def axis_factor_rows(self, modes, axis_points) -> tuple:
+        return tuple(
+            _trig_rows(np.array([m.rep[0][a] for m in modes]) * (TWO_PI / period),
+                       [m.rep[1][a] for m in modes], axis_points[a],
+                       1.0 / math.sqrt(period), math.sqrt(2.0 / period))
+            for a, period in enumerate(self.periods)
+        )
+
+    def bandwidth(self, mode: Mode) -> tuple:
+        return mode.rep[0]
+
+    def parse_label(self, token: str) -> tuple:
+        """``const``, ``cos<k>``, ``sin<k>`` in 1-d; ``<p><k1><p><k2>`` with
+        p in {c, s} (for example ``c1s2``) in 2-d."""
+        if self.dim == 1:
+            if token == "const":
+                return ((0,), (COS,))
+            for name, parity in (("cos", COS), ("sin", SIN)):
+                if token.startswith(name):
+                    return ((int(token[len(name):]),), (parity,))
+        elif len(token) >= 4:
+            parities = {"c": COS, "s": SIN}
+            head, tail = token[0], token[1:]
+            for split in range(1, len(tail)):
+                if tail[split] in parities and head in parities:
+                    try:
+                        k1 = int(tail[:split])
+                        k2 = int(tail[split + 1:])
+                    except ValueError:
+                        continue
+                    return ((k1, k2), (parities[head], parities[tail[split]]))
+        return super().parse_label(token)
+
+
 def _torus_freq_cap(period: float, lambda_max: float) -> int:
     return int(math.floor(lambda_max * period / TWO_PI * (1.0 + 1e-12)))
-
-
-def _build_flat_torus(model: FlatTorus, lambda_max: float, res: Resolution) -> SpectralBasis:
-    scales = tuple(TWO_PI / p for p in model.periods)
-    kmaxes = tuple(_torus_freq_cap(p, lambda_max) for p in model.periods)
-    if max(kmaxes) > res.torus_freq_cap:
-        raise UnderResolvedError(
-            f"flat torus needs frequencies up to {max(kmaxes)} "
-            f"(cap {res.torus_freq_cap}) to reach lambda_max={lambda_max}")
-    entries = []
-    if model.dim == 1:
-        for k in range(kmaxes[0] + 1):
-            lam = k * scales[0]
-            for parity in ((COS,) if k == 0 else (COS, SIN)):
-                entries.append((lam, (k,), (parity,)))
-    else:
-        for k1 in range(kmaxes[0] + 1):
-            for k2 in range(kmaxes[1] + 1):
-                lam = math.hypot(k1 * scales[0], k2 * scales[1])
-                if lam > lambda_max * (1.0 + 1e-12):
-                    continue
-                par1 = (COS,) if k1 == 0 else (COS, SIN)
-                par2 = (COS,) if k2 == 0 else (COS, SIN)
-                for p1 in par1:
-                    for p2 in par2:
-                        entries.append((lam, (k1, k2), (p1, p2)))
-    entries.sort(key=lambda e: (e[0], e[1], e[2]))
-    modes = tuple(
-        Mode(i, lam, (freqs, pars)) for i, (lam, freqs, pars) in enumerate(entries)
-    )
-    grid = _flat_torus_grid(model, kmaxes, res)
-    return SpectralBasis(model, float(lambda_max), modes, grid, "exact", res)
-
-
-def _flat_torus_grid(model: FlatTorus, kmaxes, res: Resolution) -> QuadratureGrid:
-    sizes = [_round_up(2 * res.max_product_factors * max(kmax, 1) + res.margin + 1)
-             for kmax in kmaxes]
-    return _grid_from_axis_sizes(model, sizes)
 
 
 def _trig_rows(freqs, parities, x, const: float, amp: float) -> np.ndarray:
@@ -319,6 +336,73 @@ def _trig_rows(freqs, parities, x, const: float, amp: float) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # sphere
+
+
+@dataclass(frozen=True)
+class Sphere2(_Surface):
+    """The unit round sphere.  Its grid's first axis is x = cos theta."""
+
+    kind = "sphere2"
+    rep_names = ("l", "m")
+
+    @property
+    def chart_dim(self) -> int:
+        return 2
+
+    @property
+    def volume(self) -> float:
+        return 4.0 * math.pi
+
+    def build(self, lambda_max: float, res: Resolution) -> SpectralBasis:
+        lmax = _sphere_lmax(lambda_max)
+        if lmax > res.sphere_l_cap:
+            raise UnderResolvedError(
+                f"sphere needs harmonics to degree {lmax} (cap {res.sphere_l_cap})")
+        modes = []
+        for l in range(lmax + 1):
+            lam = math.sqrt(l * (l + 1.0))
+            for m in range(-l, l + 1):
+                modes.append(Mode(len(modes), lam, (l, m)))
+        degree_needed = 2 * res.max_product_factors * max(lmax, 1) + res.margin
+        sizes = [_round_up((degree_needed + 2) // 2, 4), _round_up(degree_needed + 1)]
+        return SpectralBasis(self, float(lambda_max), tuple(modes),
+                             self.quadrature_grid(sizes), "exact", res)
+
+    def quadrature_grid(self, sizes) -> QuadratureGrid:
+        x_axis = gauss_legendre(sizes[0])
+        phi_axis = uniform_periodic(sizes[1], TWO_PI)
+        grid = tensor_grid(x_axis, phi_axis)
+        # nodes are reported in chart coordinates (theta, phi); the x = cos(theta)
+        # Gauss axis already absorbs the sin(theta) volume factor.
+        theta = np.arccos(grid.nodes[:, 0])
+        nodes = np.stack([theta, grid.nodes[:, 1]], axis=-1)
+        return QuadratureGrid(nodes, grid.weights,
+                              min(2 * sizes[0] - 1, sizes[1] - 1),
+                              4.0 * math.pi, axes=grid.axes)
+
+    def chart_axes(self, arr: np.ndarray) -> list:
+        theta = arr[:, 0]
+        if np.any(theta < 0.0) or np.any(theta > math.pi):
+            raise ParameterError("polar angle must lie in [0, pi]")
+        return [np.cos(theta), arr[:, 1]]
+
+    def axis_factor_rows(self, modes, axis_points) -> tuple:
+        orders = [m.rep[1] for m in modes]
+        return (
+            _legendre_rows([m.rep for m in modes], np.asarray(axis_points[0], dtype=float)),
+            _trig_rows(np.abs(orders), [SIN if o < 0 else COS for o in orders],
+                       axis_points[1], 1.0, math.sqrt(2.0)),
+        )
+
+    def bandwidth(self, mode: Mode) -> tuple:
+        return (mode.rep[0], mode.rep[0])
+
+    def parse_label(self, token: str) -> tuple:
+        """``Y<l>m<m>``, for example ``Y2m-1``."""
+        if token.startswith("Y") and "m" in token:
+            l_text, m_text = token[1:].split("m", 1)
+            return (int(l_text), int(m_text))
+        return super().parse_label(token)
 
 
 def normalized_legendre(l: int, m: int, x: np.ndarray) -> np.ndarray:
@@ -375,97 +459,129 @@ def _sphere_lmax(lambda_max: float) -> int:
     return l
 
 
-def _build_sphere(model: Sphere2, lambda_max: float, res: Resolution) -> SpectralBasis:
-    lmax = _sphere_lmax(lambda_max)
-    if lmax > res.sphere_l_cap:
-        raise UnderResolvedError(
-            f"sphere needs harmonics to degree {lmax} (cap {res.sphere_l_cap})")
-    modes = []
-    for l in range(lmax + 1):
-        lam = math.sqrt(l * (l + 1.0))
-        for m in range(-l, l + 1):
-            modes.append(Mode(len(modes), lam, (l, m)))
-    grid = _sphere_grid(lmax, res)
-    return SpectralBasis(model, float(lambda_max), tuple(modes), grid, "exact", res)
-
-
-def _sphere_grid(lmax: int, res: Resolution) -> QuadratureGrid:
-    degree_needed = 2 * res.max_product_factors * max(lmax, 1) + res.margin
-    sizes = [_round_up((degree_needed + 2) // 2, 4), _round_up(degree_needed + 1)]
-    return _grid_from_axis_sizes(Sphere2(), sizes)
-
-
 # ---------------------------------------------------------------------------
 # torus of revolution
+
+
+@dataclass(frozen=True)
+class RevTorus(_Surface):
+    """Torus of revolution: (s, theta) in [0, 2pi)^2 with
+    metric ds^2 + (R + r cos s)^2 dtheta^2, R > r > 0."""
+
+    major_radius: float
+    minor_radius: float
+
+    kind = "rev-torus"
+    rep_names = ("m", "theta_parity", "profile_coefficients")
+    payload_order = (0, 1, 3, 2)  # lambda before the profile coefficients
+
+    def __post_init__(self):
+        big, small = float(self.major_radius), float(self.minor_radius)
+        if not (big > small > 0.0) or not math.isfinite(big):
+            raise ParameterError("need major_radius > minor_radius > 0")
+        object.__setattr__(self, "major_radius", big)
+        object.__setattr__(self, "minor_radius", small)
+
+    def profile(self, s):
+        return self.major_radius + self.minor_radius * np.cos(s)
+
+    @property
+    def chart_dim(self) -> int:
+        return 2
+
+    @property
+    def volume(self) -> float:
+        return TWO_PI * TWO_PI * self.major_radius
+
+    def build(self, lambda_max: float, res: Resolution) -> SpectralBasis:
+        big, small = self.major_radius, self.minor_radius
+        trunc = res.rev_fourier_n or max(64, 4 * int(math.ceil(lambda_max * small)))
+        if trunc > res.rev_fourier_cap:
+            raise UnderResolvedError(
+                f"s-profile truncation N={trunc} exceeds cap {res.rev_fourier_cap}")
+        # Rayleigh bound: the m-family has lambda >= m / max(f), so angular
+        # frequencies beyond lambda_max * (R + r) cannot contribute.
+        m_scan = int(math.floor(lambda_max * (big + small) * (1.0 + 1e-12)))
+        if m_scan > res.rev_m_cap:
+            raise UnderResolvedError(
+                f"angular family m={m_scan} needed for lambda_max={lambda_max} "
+                f"(cap {res.rev_m_cap})")
+        size = 2 * trunc + 1
+        even_idx, odd_idx = _rev_parity_indices(trunc)
+        stiff, inv_weight, mass = periodic_galerkin_terms(self.profile, self.profile, trunc)
+        profiles = []  # (lam, m, s_parity, coeffs)
+        worst_residual = 0.0
+        for m in range(m_scan + 1):
+            a = stiff + (m * m) * inv_weight
+            a_max = max(float(np.max(np.abs(a))), 1.0)
+            for s_parity, idx in ((COS, even_idx), (SIN, odd_idx)):
+                sub = SymmetricPencil(a[np.ix_(idx, idx)], mass[np.ix_(idx, idx)])
+                values, vectors = sym_generalized_eig(sub)
+                lams = np.sqrt(np.where(values <= 1e-12 * a_max, 0.0, values))
+                kept = int(np.count_nonzero(lams <= lambda_max * (1.0 + 1e-12)))
+                if not kept:
+                    continue
+                block = vectors[:, :kept]
+                residuals = np.linalg.norm(
+                    sub.a @ block - (sub.b @ block) * values[:kept], axis=0)
+                worst_residual = max(worst_residual, float(np.max(residuals)) / a_max)
+                for q in range(kept):
+                    coeffs = np.zeros(size)
+                    if m == 0 and lams[q] == 0.0:
+                        # the constant: v = e_0 / sqrt(R), exact by inspection
+                        coeffs[0] = 1.0 / math.sqrt(big)
+                    else:
+                        coeffs[idx] = block[:, q]
+                    profiles.append((float(lams[q]), m, s_parity, coeffs))
+        entries = []
+        for lam, m, s_parity, coeffs in profiles:
+            for theta_parity in ((COS,) if m == 0 else (COS, SIN)):
+                entries.append((lam, m, theta_parity, s_parity, coeffs))
+        entries.sort(key=lambda e: (e[0], e[1], e[2], e[3], tuple(e[4])))
+        modes = tuple(
+            Mode(i, lam, (m, theta_parity, tuple(float(c) for c in coeffs), lam))
+            for i, (lam, m, theta_parity, _sp, coeffs) in enumerate(entries)
+        )
+        m_used = max((mode.rep[0] for mode in modes), default=0)
+        mpf = res.max_product_factors
+        stretch = max(mpf + 1, 2 * mpf)
+        sizes = [_round_up(stretch * trunc + 2 + res.margin),
+                 _round_up(stretch * max(m_used, 1) + 1 + res.margin)]
+        provenance = f"numerical(residual={worst_residual:.3e})"
+        return SpectralBasis(self, float(lambda_max), modes, self.quadrature_grid(sizes),
+                             provenance, res)
+
+    def quadrature_grid(self, sizes) -> QuadratureGrid:
+        s_plain = uniform_periodic(sizes[0], TWO_PI)
+        s_axis = QuadratureGrid(
+            s_plain.nodes, s_plain.weights * self.profile(s_plain.nodes),
+            sizes[0] - 2,  # degree of g such that the integral of g * f ds is exact
+            TWO_PI * self.major_radius)
+        theta_axis = uniform_periodic(sizes[1], TWO_PI)
+        return tensor_grid(s_axis, theta_axis)
+
+    def axis_factor_rows(self, modes, axis_points) -> tuple:
+        # the s profiles are evaluated at the distinct s values only: a
+        # lattice of n points has about sqrt(n) of them
+        coeffs = np.array([m.rep[2] for m in modes])
+        s_values, inverse = np.unique(np.asarray(axis_points[0], dtype=float),
+                                      return_inverse=True)
+        s_rows = coeffs @ circle_basis(s_values, coeffs.shape[1]).T
+        return (
+            s_rows[:, inverse.reshape(-1)],
+            _trig_rows([m.rep[0] for m in modes], [m.rep[1] for m in modes],
+                       axis_points[1], 1.0 / math.sqrt(TWO_PI), 1.0 / math.sqrt(math.pi)),
+        )
+
+    def bandwidth(self, mode: Mode) -> tuple:
+        # the s bandwidth is estimated by the Galerkin truncation per factor
+        return ((len(mode.rep[2]) - 1) // 2, mode.rep[0])
 
 
 def _rev_parity_indices(trunc: int):
     even = [0] + [2 * k - 1 for k in range(1, trunc + 1)]
     odd = [2 * k for k in range(1, trunc + 1)]
     return np.array(even), np.array(odd)
-
-
-def _build_rev_torus(model: RevTorus, lambda_max: float, res: Resolution) -> SpectralBasis:
-    big, small = model.major_radius, model.minor_radius
-    trunc = res.rev_fourier_n or max(64, 4 * int(math.ceil(lambda_max * small)))
-    if trunc > res.rev_fourier_cap:
-        raise UnderResolvedError(
-            f"s-profile truncation N={trunc} exceeds cap {res.rev_fourier_cap}")
-    # Rayleigh bound: the m-family has lambda >= m / max(f), so angular
-    # frequencies beyond lambda_max * (R + r) cannot contribute.
-    m_scan = int(math.floor(lambda_max * (big + small) * (1.0 + 1e-12)))
-    if m_scan > res.rev_m_cap:
-        raise UnderResolvedError(
-            f"angular family m={m_scan} needed for lambda_max={lambda_max} "
-            f"(cap {res.rev_m_cap})")
-    size = 2 * trunc + 1
-    even_idx, odd_idx = _rev_parity_indices(trunc)
-    stiff, inv_weight, mass = periodic_galerkin_terms(model.profile, model.profile, trunc)
-    profiles = []  # (lam, m, s_parity, coeffs)
-    worst_residual = 0.0
-    for m in range(m_scan + 1):
-        a = stiff + (m * m) * inv_weight
-        a_max = max(float(np.max(np.abs(a))), 1.0)
-        for s_parity, idx in ((COS, even_idx), (SIN, odd_idx)):
-            sub = SymmetricPencil(a[np.ix_(idx, idx)], mass[np.ix_(idx, idx)])
-            values, vectors = sym_generalized_eig(sub)
-            lams = np.sqrt(np.where(values <= 1e-12 * a_max, 0.0, values))
-            kept = int(np.count_nonzero(lams <= lambda_max * (1.0 + 1e-12)))
-            if not kept:
-                continue
-            block = vectors[:, :kept]
-            residuals = np.linalg.norm(
-                sub.a @ block - (sub.b @ block) * values[:kept], axis=0)
-            worst_residual = max(worst_residual, float(np.max(residuals)) / a_max)
-            for q in range(kept):
-                coeffs = np.zeros(size)
-                if m == 0 and lams[q] == 0.0:
-                    # the constant: v = e_0 / sqrt(R), exact by inspection
-                    coeffs[0] = 1.0 / math.sqrt(big)
-                else:
-                    coeffs[idx] = block[:, q]
-                profiles.append((float(lams[q]), m, s_parity, coeffs))
-    entries = []
-    for lam, m, s_parity, coeffs in profiles:
-        for theta_parity in ((COS,) if m == 0 else (COS, SIN)):
-            entries.append((lam, m, theta_parity, s_parity, coeffs))
-    entries.sort(key=lambda e: (e[0], e[1], e[2], e[3], tuple(e[4])))
-    modes = tuple(
-        Mode(i, lam, (m, theta_parity, tuple(float(c) for c in coeffs), lam))
-        for i, (lam, m, theta_parity, _sp, coeffs) in enumerate(entries)
-    )
-    m_used = max((mode.rep[0] for mode in modes), default=0)
-    grid = _rev_grid(model, trunc, m_used, res)
-    provenance = f"numerical(residual={worst_residual:.3e})"
-    return SpectralBasis(model, float(lambda_max), modes, grid, provenance, res)
-
-
-def _rev_grid(model: RevTorus, trunc: int, m_used: int, res: Resolution) -> QuadratureGrid:
-    mpf = res.max_product_factors
-    stretch = max(mpf + 1, 2 * mpf)
-    sizes = [_round_up(stretch * trunc + 2 + res.margin),
-             _round_up(stretch * max(m_used, 1) + 1 + res.margin)]
-    return _grid_from_axis_sizes(model, sizes)
 
 
 def rev_profile_derivatives(mode: Mode, s: np.ndarray):
@@ -485,37 +601,25 @@ def rev_profile_derivatives(mode: Mode, s: np.ndarray):
     return basis @ coeffs, deriv @ coeffs, basis @ dd_coeffs
 
 
+_MODELS = {cls.kind: cls for cls in (FlatTorus, Sphere2, RevTorus)}
+
+
+def _surface(model):
+    if not isinstance(model, _Surface):
+        raise ParameterError(f"unknown manifold model {model!r}")
+    return model
+
+
 # ---------------------------------------------------------------------------
-# evaluation
+# construction and evaluation
 
 
-def _axis_factor_rows(model, modes, axis_points) -> tuple:
-    """Per-axis factors of ``modes`` at per-axis coordinates: one
-    (len(modes), len(points)) array per axis, whose rows multiply to the
-    modes' values.  The sphere's first axis takes x = cos theta."""
-    if isinstance(model, FlatTorus):
-        return tuple(
-            _trig_rows(np.array([m.rep[0][a] for m in modes]) * (TWO_PI / period),
-                       [m.rep[1][a] for m in modes], axis_points[a],
-                       1.0 / math.sqrt(period), math.sqrt(2.0 / period))
-            for a, period in enumerate(model.periods)
-        )
-    if isinstance(model, Sphere2):
-        orders = [m.rep[1] for m in modes]
-        return (
-            _legendre_rows([m.rep for m in modes], np.asarray(axis_points[0], dtype=float)),
-            _trig_rows(np.abs(orders), [SIN if o < 0 else COS for o in orders],
-                       axis_points[1], 1.0, math.sqrt(2.0)),
-        )
-    if isinstance(model, RevTorus):
-        coeffs = np.array([m.rep[2] for m in modes])
-        s_points = np.asarray(axis_points[0], dtype=float)
-        return (
-            coeffs @ circle_basis(s_points, coeffs.shape[1]).T,
-            _trig_rows([m.rep[0] for m in modes], [m.rep[1] for m in modes],
-                       axis_points[1], 1.0 / math.sqrt(TWO_PI), 1.0 / math.sqrt(math.pi)),
-        )
-    raise ParameterError(f"unknown manifold model {model!r}")
+def build_basis(model, lambda_max: float, resolution: Resolution | None = None) -> SpectralBasis:
+    """Construct the ordered eigenbasis with lambda <= lambda_max."""
+    _surface(model)
+    if not math.isfinite(lambda_max) or lambda_max < 0.0:
+        raise ParameterError("lambda_max must be finite and >= 0")
+    return model.build(lambda_max, resolution or Resolution())
 
 
 def _normalize_points(points, dim: int):
@@ -552,15 +656,7 @@ def evaluate(model, mode: Mode, points):
     Scalar-like input returns a float.
     """
     arr, scalar = _normalize_points(points, model.chart_dim)
-    coords = [arr[:, a] for a in range(arr.shape[1])]
-    if isinstance(model, Sphere2):
-        if np.any(coords[0] < 0.0) or np.any(coords[0] > math.pi):
-            raise ParameterError("polar angle must lie in [0, pi]")
-        coords[0] = np.cos(coords[0])
-    rows = _axis_factor_rows(model, (mode,), coords)
-    out = rows[0][0]
-    for axis_rows in rows[1:]:
-        out *= axis_rows[0]
+    out = model.values((mode,), arr)[0]
     return float(out[0]) if scalar else out
 
 
@@ -577,29 +673,37 @@ def as_chart_function(model, mode: Mode):
 # persistence
 
 
+def _encode_field(value, number):
+    """A model or representation field (a scalar or a flat sequence of
+    scalars of one type) with floats mapped through ``number``
+    (``float.hex`` to persist, ``float`` for JSON), sequences as lists."""
+    if isinstance(value, (list, tuple)):
+        return list(map(number, value)) if value and isinstance(value[0], float) else list(value)
+    return number(value) if isinstance(value, float) else value
+
+
+def _decode_field(value):
+    """Inverse of persisting through :func:`_encode_field`, lists back as tuples."""
+    if isinstance(value, list):
+        return tuple(map(float.fromhex, value)) if value and isinstance(value[0], str) \
+            else tuple(value)
+    return float.fromhex(value) if isinstance(value, str) else value
+
+
+def _model_fields(model, number) -> dict:
+    return {"kind": model.kind,
+            **{f.name: _encode_field(getattr(model, f.name), number) for f in fields(model)}}
+
+
 def model_descriptor(model) -> dict:
-    if isinstance(model, FlatTorus):
-        return {"kind": "flat-torus", "dim": model.dim,
-                "periods": [p.hex() for p in model.periods]}
-    if isinstance(model, Sphere2):
-        return {"kind": "sphere2"}
-    if isinstance(model, RevTorus):
-        return {"kind": "rev-torus",
-                "major_radius": model.major_radius.hex(),
-                "minor_radius": model.minor_radius.hex()}
-    raise ParameterError(f"unknown manifold model {model!r}")
+    return _model_fields(_surface(model), float.hex)
 
 
 def model_from_descriptor(desc: dict):
     kind = desc.get("kind")
-    if kind == "flat-torus":
-        return FlatTorus(desc["dim"], tuple(float.fromhex(p) for p in desc["periods"]))
-    if kind == "sphere2":
-        return Sphere2()
-    if kind == "rev-torus":
-        return RevTorus(float.fromhex(desc["major_radius"]),
-                        float.fromhex(desc["minor_radius"]))
-    raise CorruptionError(f"unknown model kind {kind!r} in basis file")
+    if kind not in _MODELS:
+        raise CorruptionError(f"unknown model kind {kind!r} in basis file")
+    return _MODELS[kind](**{k: _decode_field(v) for k, v in desc.items() if k != "kind"})
 
 
 def _resolution_payload(res: Resolution) -> dict:
@@ -614,42 +718,21 @@ def _resolution_payload(res: Resolution) -> dict:
     }
 
 
-def _mode_payload(model, mode: Mode):
-    if isinstance(model, FlatTorus):
-        freqs, parities = mode.rep
-        return [mode.id, mode.lam.hex(), list(freqs), list(parities)]
-    if isinstance(model, Sphere2):
-        l, m = mode.rep
-        return [mode.id, mode.lam.hex(), l, m]
-    m, parity, coeffs, lam = mode.rep
-    return [mode.id, mode.lam.hex(), m, parity, lam.hex(), [c.hex() for c in coeffs]]
-
-
-def _mode_from_payload(model, payload) -> Mode:
-    mode_id = int(payload[0])
-    lam = float.fromhex(payload[1])
-    if isinstance(model, FlatTorus):
-        return Mode(mode_id, lam, (tuple(int(k) for k in payload[2]),
-                                   tuple(int(p) for p in payload[3])))
-    if isinstance(model, Sphere2):
-        return Mode(mode_id, lam, (int(payload[2]), int(payload[3])))
-    return Mode(mode_id, lam, (int(payload[2]), int(payload[3]),
-                               tuple(float.fromhex(c) for c in payload[5]),
-                               float.fromhex(payload[4])))
-
-
 def _basis_payload(basis: SpectralBasis) -> bytes:
     if basis.grid.axes:
         axis_sizes = [len(ax[0]) for ax in basis.grid.axes]
     else:
         axis_sizes = [basis.grid.size]
+    model = basis.model
+    order = model.payload_order
     body = {
-        "model": model_descriptor(basis.model),
+        "model": model_descriptor(model),
         "lambda_max": basis.lambda_max.hex(),
         "resolution": _resolution_payload(basis.resolution),
         "provenance": basis.provenance,
         "grid_axis_sizes": axis_sizes,
-        "modes": [_mode_payload(basis.model, m) for m in basis.modes],
+        "modes": [[m.id, m.lam.hex(), *[_encode_field(m.rep[i], float.hex) for i in order]]
+                  for m in basis.modes],
     }
     return json.dumps(body, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
@@ -694,42 +777,19 @@ def load_basis(path) -> SpectralBasis:
         payload = json.loads(body.decode("utf-8"))
         model = model_from_descriptor(payload["model"])
         res = Resolution(**payload["resolution"])
-        modes = tuple(_mode_from_payload(model, m) for m in payload["modes"])
+        order = model.payload_order
+        columns = [2 + order.index(i) for i in range(len(order))]  # rep field i's column
+        modes = tuple(Mode(int(m[0]), float.fromhex(m[1]),
+                           tuple([_decode_field(m[c]) for c in columns]))
+                      for m in payload["modes"])
         lambda_max = float.fromhex(payload["lambda_max"])
-        grid = _grid_from_axis_sizes(model, payload["grid_axis_sizes"])
+        grid = model.quadrature_grid(payload["grid_axis_sizes"])
         provenance = payload["provenance"]
     except (KeyError, ValueError, TypeError) as exc:
         raise CorruptionError(f"{path}: malformed basis payload ({exc})") from exc
     basis = SpectralBasis(model, lambda_max, modes, grid, provenance, res)
     basis._digest = digest.hex()  # the body is the canonical payload save_basis wrote
     return basis
-
-
-def _grid_from_axis_sizes(model, sizes) -> QuadratureGrid:
-    """The model's quadrature grid from its per-axis node counts."""
-    if isinstance(model, FlatTorus):
-        axes = [uniform_periodic(n, p) for n, p in zip(sizes, model.periods)]
-        return axes[0] if model.dim == 1 else tensor_grid(*axes)
-    if isinstance(model, Sphere2):
-        x_axis = gauss_legendre(sizes[0])
-        phi_axis = uniform_periodic(sizes[1], TWO_PI)
-        grid = tensor_grid(x_axis, phi_axis)
-        # nodes are reported in chart coordinates (theta, phi); the x = cos(theta)
-        # Gauss axis already absorbs the sin(theta) volume factor.
-        theta = np.arccos(grid.nodes[:, 0])
-        nodes = np.stack([theta, grid.nodes[:, 1]], axis=-1)
-        return QuadratureGrid(nodes, grid.weights,
-                              min(2 * sizes[0] - 1, sizes[1] - 1),
-                              4.0 * math.pi, axes=grid.axes)
-    if isinstance(model, RevTorus):
-        s_plain = uniform_periodic(sizes[0], TWO_PI)
-        s_axis = QuadratureGrid(
-            s_plain.nodes, s_plain.weights * model.profile(s_plain.nodes),
-            sizes[0] - 2,  # degree of g such that the integral of g * f ds is exact
-            TWO_PI * model.major_radius)
-        theta_axis = uniform_periodic(sizes[1], TWO_PI)
-        return tensor_grid(s_axis, theta_axis)
-    raise ParameterError(f"unknown manifold model {model!r}")
 
 
 def basis_equal(one: SpectralBasis, other: SpectralBasis) -> bool:
@@ -747,34 +807,15 @@ def basis_equal(one: SpectralBasis, other: SpectralBasis) -> bool:
 
 def basis_to_json_dict(basis: SpectralBasis) -> dict:
     """Human-inspectable structured form (decimal floats, 17 digits)."""
-    modes = []
-    for mode in basis.modes:
-        entry = {"id": mode.id, "lambda": float(mode.lam)}
-        if isinstance(basis.model, FlatTorus):
-            entry["freqs"] = list(mode.rep[0])
-            entry["parities"] = list(mode.rep[1])
-        elif isinstance(basis.model, Sphere2):
-            entry["l"], entry["m"] = mode.rep
-        else:
-            entry["m"] = mode.rep[0]
-            entry["theta_parity"] = mode.rep[1]
-            entry["profile_coefficients"] = [float(c) for c in mode.rep[2]]
-        modes.append(entry)
-    desc = model_descriptor(basis.model)
-    if isinstance(basis.model, FlatTorus):
-        desc["periods"] = list(basis.model.periods)
-    elif isinstance(basis.model, RevTorus):
-        desc["major_radius"] = basis.model.major_radius
-        desc["minor_radius"] = basis.model.minor_radius
+    model = basis.model
+    modes = [{"id": mode.id, "lambda": float(mode.lam),
+              **{name: _encode_field(v, float) for name, v in zip(model.rep_names, mode.rep)}}
+             for mode in basis.modes]
     return {
-        "model": desc,
+        "model": _model_fields(model, float),
         "lambda_max": basis.lambda_max,
         "mode_count": basis.size,
         "provenance": basis.provenance,
         "digest": basis_digest(basis),
         "modes": modes,
     }
-
-
-def _round_up(n: int, mult: int = 16) -> int:
-    return ((int(n) + mult - 1) // mult) * mult

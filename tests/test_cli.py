@@ -13,10 +13,13 @@ from eigenprod import cli
 from eigenprod.cli import cli_main, config_from_text, config_to_text
 from eigenprod.errors import ParameterError
 from eigenprod.manifolds import (
+    COS,
+    SIN,
     FlatTorus,
     Mode,
     Resolution,
     RevTorus,
+    basis_digest,
     build_basis,
     load_basis,
     model_descriptor,
@@ -84,6 +87,42 @@ def test_cache_warm_equals_cold(tmp_path):
     code, out = run(tmp_path, *args)
     assert code == 0
     assert (out / "product.json").read_bytes() == cold
+
+
+MODEL_ARGS = {
+    "flat1": ("--model", "flat-torus", "--dim", "1"),
+    "flat2": ("--model", "flat-torus", "--dim", "2"),
+    "sphere": ("--model", "sphere"),
+    "rev": ("--model", "rev-torus", "--R", "2", "--r", "1"),
+}
+
+
+@pytest.mark.parametrize("model, token, names", [
+    ("flat1", "const", ((0,), (COS,))),
+    ("flat1", "sin2", ((2,), (SIN,))),
+    ("flat1", "cos3", ((3,), (COS,))),
+    ("flat2", "c1s2", ((1, 2), (COS, SIN))),
+    ("sphere", "Y2m-1", (2, -1)),
+    ("rev", "2", 2),  # a numeric id names the mode at that position
+    ("flat1", "Y2m-1", None),  # a sphere label on a flat torus
+    ("sphere", "cos3", None),  # a flat-torus label on the sphere
+    ("flat1", "cos200", None),  # beyond the largest probe basis (lambda 128)
+    ("flat1", "cosX", None),  # not a number
+])
+def test_factor_token_grammar(tmp_path, model, token, names):
+    code, out = run(tmp_path, "product", *MODEL_ARGS[model], "--factors", token)
+    if names is None:
+        assert code == 2
+        return
+    assert code == 0
+    doc = read(out, "product.json")
+    digest = doc["provenance"]["basis_digest"]
+    (basis,) = [b for b in map(load_basis, (tmp_path / "cache").iterdir())
+                if basis_digest(b) == digest]
+    # a one-factor product is its factor: one unit coefficient
+    mode_id = max(doc["results"]["entries"], key=lambda e: abs(e[2]))[0]
+    mode = basis.modes[mode_id]
+    assert (mode.id if isinstance(names, int) else mode.rep) == names
 
 
 def test_extension_params_command(tmp_path):

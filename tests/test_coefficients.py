@@ -1,5 +1,6 @@
 """Wigner/Gaunt oracles and product expansion."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -13,10 +14,11 @@ from eigenprod.coefficients import (
     expand_product,
     gaunt_real,
     parseval_report,
+    quadrature_coefficients,
     series_to_csv,
     wigner_3j,
 )
-from eigenprod.errors import BreakdownError, ParameterError
+from eigenprod.errors import BreakdownError, ParameterError, UnderResolvedError
 from eigenprod.manifolds import (
     COS,
     SIN,
@@ -312,6 +314,22 @@ def test_rev_torus_product_parseval_tail():
     # mass below 3x the frequency sum already captures the 0.999
     sub = series.truncated(3.0 * sum_lambda)
     assert sub.mass_captured / series.f_norm_sq >= 0.999
+
+
+@pytest.mark.parametrize("model, lambda_max", [
+    (FlatTorus(2, (2.5, 4.0)), 6.0), (Sphere2(), 3.5), (RevTorus(2.0, 1.0), 3.0)])
+def test_grid_resolution_check_covers_every_axis(model, lambda_max):
+    # the square of the top mode fits the default grid; a grid that is too
+    # coarse on either axis alone must be refused
+    basis = build_basis(model, lambda_max)
+    factors = (basis.size - 1, basis.size - 1)
+    quadrature_coefficients(ProductSpec(basis, factors))
+    sizes = [len(ax[0]) for ax in basis.grid.axes]
+    for axis in range(2):
+        coarse = sizes[:axis] + [4] + sizes[axis + 1:]
+        thin = dataclasses.replace(basis, grid=model.quadrature_grid(coarse))
+        with pytest.raises(UnderResolvedError):
+            quadrature_coefficients(ProductSpec(thin, factors))
 
 
 def test_degenerate_norm_rejected(circle_basis):

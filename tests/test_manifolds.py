@@ -1,7 +1,11 @@
 """Eigenbases on the three model surfaces."""
 
+import ast
 import hashlib
+import json
 import math
+import pathlib
+import struct
 
 import numpy as np
 import pytest
@@ -252,8 +256,9 @@ def test_evaluate_rejects_bad_points(sphere_basis_3, circle_basis_3):
         circle_basis_3.mode(99)
 
 
-def test_save_load_round_trip(tmp_path, circle_basis_3, rev_basis_3):
-    for basis in (circle_basis_3, rev_basis_3):
+def test_save_load_round_trip(tmp_path, circle_basis_3, flat2_basis, sphere_basis_3,
+                              rev_basis_3):
+    for basis in (circle_basis_3, flat2_basis, sphere_basis_3, rev_basis_3):
         path = tmp_path / "basis.eprd"
         digest = save_basis(basis, path)
         assert digest == basis_digest(basis)
@@ -324,12 +329,131 @@ def test_load_rejects_truncation_and_corruption(tmp_path, circle_basis_3):
         load_basis(path)
 
 
-def test_json_export_shape(circle_basis_3):
-    doc = basis_to_json_dict(circle_basis_3)
-    assert doc["mode_count"] == 7
-    assert doc["model"]["kind"] == "flat-torus"
-    assert doc["modes"][3]["freqs"] == [2]
+JSON_FIELDS = {  # kind, model fields, mode fields
+    "circle_basis_3": ("flat-torus", ("dim", "periods"), ("freqs", "parities")),
+    "flat2_basis": ("flat-torus", ("dim", "periods"), ("freqs", "parities")),
+    "sphere_basis_3": ("sphere2", (), ("l", "m")),
+    "rev_basis_3": ("rev-torus", ("major_radius", "minor_radius"),
+                    ("m", "theta_parity", "profile_coefficients")),
+}
+
+
+@pytest.mark.parametrize("name", list(JSON_FIELDS))
+def test_json_export_shape(request, name):
+    basis = request.getfixturevalue(name)
+    kind, model_fields, mode_fields = JSON_FIELDS[name]
+    doc = basis_to_json_dict(basis)
+    if name == "circle_basis_3":
+        assert doc["mode_count"] == 7
+        assert doc["modes"][3]["freqs"] == [2]
+    assert doc["model"]["kind"] == kind
     assert len(doc["digest"]) == 64
+    # model fields and representation fields in decimal, tuples as lists
+    assert set(doc["model"]) == {"kind", *model_fields}
+    for key in model_fields:
+        value = getattr(basis.model, key)
+        assert doc["model"][key] == (list(value) if isinstance(value, tuple) else value)
+    assert doc["mode_count"] == basis.size == len(doc["modes"])
+    for entry, mode in zip(doc["modes"], basis.modes):
+        assert set(entry) == {"id", "lambda", *mode_fields}
+        assert (entry["id"], entry["lambda"]) == (mode.id, mode.lam)
+        for key, value in zip(mode_fields, mode.rep):
+            assert entry[key] == (list(value) if isinstance(value, tuple) else value)
+    json.dumps(doc, allow_nan=False)
+
+
+@pytest.mark.parametrize("name, digest", [
+    ("circle_basis_3", "5088d204d2c7518505af65b935a6af13fd8f11d525e1d78d0c365dae7f991e82"),
+    ("flat2_basis", "8010eea403c014cc9566daf547ffb18e40d42a5db6a565a51f2543ca36f5f880"),
+    ("sphere_basis_3", "00559b4fd93675faa07b610ddfbb86964d1ad691c99eea4e353b302aacf88bef"),
+])
+def test_cache_payload_is_pinned(request, name, digest):
+    # the .eprd payload format is fixed: exact bases hash to known digests
+    basis = request.getfixturevalue(name)
+    assert hashlib.sha256(manifolds._basis_payload(basis)).hexdigest() == digest
+
+
+def test_rev_mode_payload_layout(rev_basis_3):
+    # rev-torus bits depend on the BLAS build, so pin the layout instead:
+    # [id, lambda, m, theta parity, lambda, profile coefficients], floats as hex
+    payload = json.loads(manifolds._basis_payload(rev_basis_3))
+    assert payload["model"] == {"kind": "rev-torus", "major_radius": (2.0).hex(),
+                                "minor_radius": (1.0).hex()}
+    for entry, mode in zip(payload["modes"], rev_basis_3.modes):
+        m, theta_parity, coeffs, lam = mode.rep
+        assert entry == [mode.id, mode.lam.hex(), m, theta_parity, lam.hex(),
+                         [c.hex() for c in coeffs]]
+
+
+def test_non_models_fail_cleanly(tmp_path, circle_basis_3):
+    with pytest.raises(ParameterError):
+        build_basis(object(), 1.0)
+    # a file with an unknown model kind but a valid digest: the kind check,
+    # not the digest check, must reject it
+    payload = json.loads(manifolds._basis_payload(circle_basis_3))
+    payload["model"]["kind"] = "cube"
+    body = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    path = tmp_path / "cube.eprd"
+    path.write_bytes(manifolds.CACHE_MAGIC + struct.pack("<H", manifolds.CACHE_VERSION)
+                     + hashlib.sha256(body).digest() + struct.pack("<Q", len(body)) + body)
+    with pytest.raises(CorruptionError, match="unknown model kind 'cube'"):
+        load_basis(path)
+
+
+def test_rev_evaluate_builds_the_circle_basis_at_distinct_s_only(monkeypatch, rev_basis_3):
+    # a 512 x 512 lattice has 512 distinct s values; the s profile must not
+    # be evaluated once per point
+    rows = []
+    original = manifolds.circle_basis
+
+    def recorded(s, size):
+        rows.append(len(s))
+        return original(s, size)
+
+    monkeypatch.setattr(manifolds, "circle_basis", recorded)
+    side = np.linspace(0.0, TWO_PI, 512, endpoint=False)
+    s, theta = np.meshgrid(side, side + 0.1, indexing="ij")
+    mode = rev_basis_3.modes[3]
+    values = evaluate(rev_basis_3.model, mode, np.column_stack([s.ravel(), theta.ravel()]))
+    assert rows and max(rows) <= 512
+    m, theta_parity = mode.rep[:2]
+    profile = rev_profile_derivatives(mode, side)[0]
+    if m == 0:
+        angular = np.full(512, 1.0 / math.sqrt(TWO_PI))
+    else:
+        trig = np.cos if theta_parity == COS else np.sin
+        angular = trig(m * (side + 0.1)) / math.sqrt(math.pi)
+    np.testing.assert_allclose(values.reshape(512, 512), np.multiply.outer(profile, angular),
+                               rtol=0.0, atol=1e-13)
+
+
+def test_model_isinstance_only_in_input_guards():
+    # a model's behaviour lives in its class; an isinstance test against a
+    # model class is allowed only where input is validated
+    guards = {("extension", "compute_extension_params"),
+              ("extension", "HarmonicExtension.__init__"),
+              ("coefficients", "torus_support_lambda")}
+    models = {"FlatTorus", "Sphere2", "RevTorus"}
+    found = set()
+
+    def names(node):
+        return {getattr(n, "id", None) or getattr(n, "attr", None) for n in ast.walk(node)}
+
+    def visit(module, node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            if isinstance(child, ast.Call) and isinstance(child.func, ast.Name) \
+                    and child.func.id == "isinstance" and len(child.args) == 2 \
+                    and models & names(child.args[1]):
+                found.add((module, inner))
+            visit(module, child, inner)
+
+    package = pathlib.Path(manifolds.__file__).parent
+    for path in sorted(package.rglob("*.py")):
+        visit(path.stem, ast.parse(path.read_text(encoding="utf-8")), "")
+    assert found == guards
 
 
 def test_model_validation():
