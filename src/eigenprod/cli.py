@@ -9,6 +9,7 @@ that configuration and must reproduce all numeric fields to the digit.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -140,32 +141,54 @@ def _mode_id(basis, key, token: str) -> int:
 
 
 def _resolve_basis_and_factors(model_cfg: dict, params: dict, cache_dir: str):
-    """Build (and cache) the basis sized from the factor frequency sum."""
+    """Build (and cache) the basis sized from the factor frequency sum.
+
+    The factors' lambdas come in closed form when every token is a label
+    and the model has ``rep_lambda``; otherwise from a probe basis, the
+    smallest of lambda 2, 4, ..., 128 that holds every factor."""
     model = _model_from_config(model_cfg)
     tokens = [t for t in str(params["factors"]).split(",") if t]
     explicit = params.get("lambda_max")
     mult = float(params.get("lambda_max_mult", 2.0))
     keys = [_factor_key(model, t) for t in tokens]
-    probe_lambda = 2.0
-    while True:
-        probe = _cached_basis(model, probe_lambda, cache_dir)
-        try:
-            ids = tuple(_mode_id(probe, key, t) for key, t in zip(keys, tokens))
-            break
-        except ParameterError:
-            if probe_lambda > 64.0:
-                raise
-            probe_lambda *= 2.0
-    sum_lambda = float(sum(probe.modes[i].lam for i in sorted(ids)))
+    probe = None
+    lams = _label_lambdas(model, keys)
+    if lams is None:
+        probe_lambda = 2.0
+        while True:
+            probe = _cached_basis(model, probe_lambda, cache_dir)
+            try:
+                ids = tuple(_mode_id(probe, key, t) for key, t in zip(keys, tokens))
+                break
+            except ParameterError:
+                if probe_lambda > 64.0:
+                    raise
+                probe_lambda *= 2.0
+        lams = [probe.modes[i].lam for i in ids]
+    # ascending, the order of the modes, so the sum's bits do not depend
+    # on the order of the tokens
+    sum_lambda = float(sum(sorted(lams)))
     if explicit is not None:
         lambda_max = float(explicit)
     else:
-        lambda_max = max(mult * sum_lambda,
-                         max(probe.modes[i].lam for i in ids) * 1.01)
+        lambda_max = max(mult * sum_lambda, max(lams) * 1.01)
     basis = _cached_basis(model, lambda_max, cache_dir)
     ids = tuple(_mode_id(basis, key, t) for key, t in zip(keys, tokens))
-    _check_positional_ids(probe, basis, tokens, ids)
+    if probe is not None:
+        _check_positional_ids(probe, basis, tokens, ids)
     return basis, ids
+
+
+def _label_lambdas(model, keys):
+    """The factors' lambdas in closed form, or None when a factor is a
+    numeric id or the model has no closed form."""
+    if any(isinstance(key, int) for key in keys):
+        return None
+    try:
+        lams = [model.rep_lambda(key) for key in keys]
+    except OverflowError as exc:
+        raise ParameterError("a factor label's frequency is beyond floating point range") from exc
+    return None if None in lams else lams
 
 
 def _check_positional_ids(probe, basis, tokens, ids) -> None:
@@ -640,7 +663,9 @@ def run_config(config: dict, out_dir: str, cache_dir: str):
 # argument parsing
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every call."""
     parser = argparse.ArgumentParser(
         prog="eigenprod",
         description="spectral coefficients of eigenfunction products on "

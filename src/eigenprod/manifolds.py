@@ -18,9 +18,11 @@ Everything that differs between models lives in the model's class, one
 section of this module each; ``build_basis``, ``evaluate``, persistence
 and the JSON view are model-agnostic.  A fourth model is a frozen
 dataclass derived from ``_Surface`` whose fields are its constructor
-arguments.  It implements the method set listed there and joins
-``_MODELS``; an exact oracle, if it has one, joins
-``coefficients._EXACT_ORACLES``.
+arguments.  It implements the method set listed there (``build``,
+``quadrature_grid``, ``axis_factor_rows``, ``bandwidth``, and where it
+has them ``chart_axes``, ``parse_label`` and the closed-form
+``rep_lambda``) and joins ``_MODELS``; an exact oracle, if it has one,
+joins ``coefficients._EXACT_ORACLES``.
 """
 
 from __future__ import annotations
@@ -125,7 +127,8 @@ class SpectralBasis:
     ``profile_matrices`` holds, per grid axis, the factor values of every
     mode on that axis's nodes as one (modes, nodes) array.  It is built in
     one shot on first use, so bases that are only loaded or saved (CLI
-    token probes) never pay for it, and it never changes afterwards.
+    token probes) never pay for it, and it never changes afterwards; so
+    is ``target_bandwidth``, the per-axis bandwidth of the widest mode.
     The content digest is kept the same way: ``save_basis`` and
     ``load_basis`` record the digest they wrote or verified, and
     ``basis_digest`` serializes only bases that were never saved or loaded.
@@ -144,6 +147,11 @@ class SpectralBasis:
         grid = self.grid
         nodes = tuple(ax[0] for ax in grid.axes) if grid.axes else (grid.nodes,)
         return self.model.axis_factor_rows(self.modes, nodes)
+
+    @cached_property
+    def target_bandwidth(self) -> np.ndarray:
+        """Per-axis maximum of the model's ``bandwidth`` over all modes."""
+        return np.max([self.model.bandwidth(m) for m in self.modes], axis=0)
 
     def mode(self, mode_id: int) -> Mode:
         if not 0 <= mode_id < len(self.modes):
@@ -190,6 +198,11 @@ class _Surface:
     coordinates whose rows multiply to the modes' values) and
     ``bandwidth(mode)`` (the per-axis degree, which sizes the exactness a
     product's integrands need).
+
+    Optional: ``chart_axes``, ``parse_label(token)`` (the representation a
+    CLI mode label names), ``rep_lambda(rep)`` (the mode's lambda in closed
+    form; ``build`` computes lambda with it, and the CLI sizes a basis for
+    labelled factors from it without a probe basis) and ``payload_order``.
     """
 
     payload_order = (0, 1)  # representation fields in persisted order
@@ -209,6 +222,10 @@ class _Surface:
     def parse_label(self, token: str) -> tuple:
         """The representation a mode label names (CLI factor tokens)."""
         raise ParameterError(f"cannot parse factor token {token!r} for this model")
+
+    def rep_lambda(self, rep: tuple) -> float | None:
+        """Lambda of the mode ``rep`` names, or None: no closed form."""
+        return None
 
 
 def _round_up(n: int, mult: int = 16) -> int:
@@ -248,7 +265,6 @@ class FlatTorus(_Surface):
         return float(np.prod(self.periods))
 
     def build(self, lambda_max: float, res: Resolution) -> SpectralBasis:
-        scales = tuple(TWO_PI / p for p in self.periods)
         kmaxes = tuple(_torus_freq_cap(p, lambda_max) for p in self.periods)
         if max(kmaxes) > res.torus_freq_cap:
             raise UnderResolvedError(
@@ -256,7 +272,7 @@ class FlatTorus(_Surface):
                 f"(cap {res.torus_freq_cap}) to reach lambda_max={lambda_max}")
         entries = []
         for freqs in itertools.product(*(range(kmax + 1) for kmax in kmaxes)):
-            lam = math.hypot(*(k * scale for k, scale in zip(freqs, scales)))
+            lam = self.rep_lambda((freqs, None))
             if lam > lambda_max * (1.0 + 1e-12):
                 continue
             for pars in itertools.product(*((COS,) if k == 0 else (COS, SIN) for k in freqs)):
@@ -285,6 +301,10 @@ class FlatTorus(_Surface):
     def bandwidth(self, mode: Mode) -> tuple:
         return mode.rep[0]
 
+    def rep_lambda(self, rep: tuple) -> float:
+        """|k| with k_a = 2 pi freqs[a] / periods[a]; the parities do not enter."""
+        return math.hypot(*(k * (TWO_PI / p) for k, p in zip(rep[0], self.periods)))
+
     def parse_label(self, token: str) -> tuple:
         """``const``, ``cos<k>``, ``sin<k>`` in 1-d; ``<p><k1><p><k2>`` with
         p in {c, s} (for example ``c1s2``) in 2-d."""
@@ -293,7 +313,7 @@ class FlatTorus(_Surface):
                 return ((0,), (COS,))
             for name, parity in (("cos", COS), ("sin", SIN)):
                 if token.startswith(name):
-                    return ((int(token[len(name):]),), (parity,))
+                    return self._checked_rep(token, (int(token[len(name):]),), (parity,))
         elif len(token) >= 4:
             parities = {"c": COS, "s": SIN}
             head, tail = token[0], token[1:]
@@ -304,8 +324,16 @@ class FlatTorus(_Surface):
                         k2 = int(tail[split + 1:])
                     except ValueError:
                         continue
-                    return ((k1, k2), (parities[head], parities[tail[split]]))
+                    return self._checked_rep(token, (k1, k2),
+                                             (parities[head], parities[tail[split]]))
         return super().parse_label(token)
+
+    @staticmethod
+    def _checked_rep(token: str, freqs: tuple, parities: tuple) -> tuple:
+        # frequencies are >= 0, and a zero frequency has only the cosine factor
+        if any(k < 0 or (k == 0 and p == SIN) for k, p in zip(freqs, parities)):
+            raise ParameterError(f"factor token {token!r} names no mode of the flat torus")
+        return (freqs, parities)
 
 
 def _torus_freq_cap(period: float, lambda_max: float) -> int:
@@ -360,7 +388,7 @@ class Sphere2(_Surface):
                 f"sphere needs harmonics to degree {lmax} (cap {res.sphere_l_cap})")
         modes = []
         for l in range(lmax + 1):
-            lam = math.sqrt(l * (l + 1.0))
+            lam = self.rep_lambda((l, 0))
             for m in range(-l, l + 1):
                 modes.append(Mode(len(modes), lam, (l, m)))
         degree_needed = 2 * res.max_product_factors * max(lmax, 1) + res.margin
@@ -397,11 +425,18 @@ class Sphere2(_Surface):
     def bandwidth(self, mode: Mode) -> tuple:
         return (mode.rep[0], mode.rep[0])
 
+    def rep_lambda(self, rep: tuple) -> float:
+        """sqrt(l (l + 1)); the order m does not enter."""
+        return math.sqrt(rep[0] * (rep[0] + 1.0))
+
     def parse_label(self, token: str) -> tuple:
-        """``Y<l>m<m>``, for example ``Y2m-1``."""
+        """``Y<l>m<m>`` with |m| <= l, for example ``Y2m-1``."""
         if token.startswith("Y") and "m" in token:
             l_text, m_text = token[1:].split("m", 1)
-            return (int(l_text), int(m_text))
+            l, m = int(l_text), int(m_text)
+            if abs(m) > l:
+                raise ParameterError(f"factor token {token!r} names no harmonic: need |m| <= l")
+            return (l, m)
         return super().parse_label(token)
 
 
@@ -532,14 +567,14 @@ class RevTorus(_Surface):
                         coeffs[0] = 1.0 / math.sqrt(big)
                     else:
                         coeffs[idx] = block[:, q]
-                    profiles.append((float(lams[q]), m, s_parity, coeffs))
+                    profiles.append((float(lams[q]), m, s_parity, tuple(coeffs.tolist())))
         entries = []
         for lam, m, s_parity, coeffs in profiles:
             for theta_parity in ((COS,) if m == 0 else (COS, SIN)):
                 entries.append((lam, m, theta_parity, s_parity, coeffs))
-        entries.sort(key=lambda e: (e[0], e[1], e[2], e[3], tuple(e[4])))
+        entries.sort()  # by lambda, then m, the parities and the coefficients
         modes = tuple(
-            Mode(i, lam, (m, theta_parity, tuple(float(c) for c in coeffs), lam))
+            Mode(i, lam, (m, theta_parity, coeffs, lam))
             for i, (lam, m, theta_parity, _sp, coeffs) in enumerate(entries)
         )
         m_used = max((mode.rep[0] for mode in modes), default=0)

@@ -12,6 +12,7 @@ count; the eigensolver's and the matrix products' bits may change with it.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -98,13 +99,20 @@ def gauss_legendre(n: int) -> QuadratureGrid:
     Nodes are the roots of the Legendre polynomial P_n, found by Newton
     iteration from the Chebyshev-like initial guesses, then symmetrized so
     the rule is exactly even.  Weights are 2 / ((1 - x^2) P_n'(x)^2).
+    Each rule is computed once per process and shared by every caller, so
+    its node and weight arrays are read-only.
     """
     if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
         raise ParameterError("node count must be an integer")
     if n < 1 or n > MAX_GAUSS_NODES:
         raise ParameterError(f"node count must be in [1, {MAX_GAUSS_NODES}], got {n}")
+    return _gauss_legendre_rule(int(n))
+
+
+@functools.cache
+def _gauss_legendre_rule(n: int) -> QuadratureGrid:
     if n == 1:
-        return QuadratureGrid(np.zeros(1), np.full(1, 2.0), 1, 2.0)
+        return _read_only(QuadratureGrid(np.zeros(1), np.full(1, 2.0), 1, 2.0))
 
     k = np.arange(1, n + 1, dtype=float)
     x = np.cos(math.pi * (4.0 * k - 1.0) / (4.0 * n + 2.0))
@@ -127,7 +135,13 @@ def gauss_legendre(n: int) -> QuadratureGrid:
     w *= 2.0 / w.sum()  # pin the zeroth moment
     if np.any(np.diff(x) <= 0.0) or x[0] <= -1.0 or x[-1] >= 1.0:
         raise ConvergenceError("Gauss-Legendre nodes failed ordering check")
-    return QuadratureGrid(x, w, 2 * n - 1, 2.0)
+    return _read_only(QuadratureGrid(x, w, 2 * n - 1, 2.0))
+
+
+def _read_only(grid: QuadratureGrid) -> QuadratureGrid:
+    grid.nodes.setflags(write=False)
+    grid.weights.setflags(write=False)
+    return grid
 
 
 def _legendre_pair(n: int, x: np.ndarray):

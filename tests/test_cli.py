@@ -4,7 +4,10 @@ import hashlib
 import json
 import math
 import os
+import pathlib
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -106,8 +109,11 @@ MODEL_ARGS = {
     ("rev", "2", 2),  # a numeric id names the mode at that position
     ("flat1", "Y2m-1", None),  # a sphere label on a flat torus
     ("sphere", "cos3", None),  # a flat-torus label on the sphere
-    ("flat1", "cos200", None),  # beyond the largest probe basis (lambda 128)
+    ("flat1", "cos200", None),  # beyond the frequency cap (128)
     ("flat1", "cosX", None),  # not a number
+    ("flat1", "cos" + "9" * 400, None),  # a frequency beyond floating point range
+    ("sphere", "Y2m3", None),  # |m| > l
+    ("flat1", "sin0", None),  # a zero frequency has no sine mode
 ])
 def test_factor_token_grammar(tmp_path, model, token, names):
     code, out = run(tmp_path, "product", *MODEL_ARGS[model], "--factors", token)
@@ -123,6 +129,42 @@ def test_factor_token_grammar(tmp_path, model, token, names):
     mode_id = max(doc["results"]["entries"], key=lambda e: abs(e[2]))[0]
     mode = basis.modes[mode_id]
     assert (mode.id if isinstance(names, int) else mode.rep) == names
+
+
+@pytest.mark.parametrize("model, factors, files", [
+    ("flat1", "cos2,cos3", 1),
+    ("flat2", "c1s2,s2c0", 1),
+    ("sphere", "Y2m1,Y1m0,Y2m1", 1),
+    ("flat1", "2,cos1", 2),  # a numeric id sizes the basis from a probe
+    ("rev", "1,3", 2),
+])
+def test_label_factors_need_no_probe_basis(tmp_path, monkeypatch, model, factors, files):
+    code, out = run(tmp_path / "closed", "product", *MODEL_ARGS[model], "--factors", factors)
+    assert code == 0
+    assert len(list((tmp_path / "closed" / "cache").glob("*.eprd"))) == files
+    # the probe route sizes the same basis, to the bit
+    monkeypatch.setattr(cli, "_label_lambdas", lambda model, keys: None)
+    code, probed = run(tmp_path / "probed", "product", *MODEL_ARGS[model], "--factors", factors)
+    assert code == 0
+    assert len(list((tmp_path / "probed" / "cache").glob("*.eprd"))) >= 2
+    for key in ("results", "provenance"):
+        assert read(out, "product.json")[key] == read(probed, "product.json")[key]
+
+
+def test_parser_is_built_once_and_not_on_import(tmp_path):
+    src = str(pathlib.Path(cli.__file__).parents[1])
+    probe = ("import eigenprod.cli as cli; "
+             "print(cli._build_parser.cache_info().misses)")
+    env = {**os.environ, "PYTHONPATH": src}
+    assert subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                          capture_output=True, text=True).stdout.strip() == "0"
+    cli._build_parser.cache_clear()
+    assert run(tmp_path, "product", "--model", "flat-torus", "--no-such-flag")[0] == 2
+    for _ in range(3):
+        code, out = run(tmp_path, "truncate", *MODEL_ARGS["flat1"], "--factors", "cos2,cos3")
+        assert code == 0
+    assert read(out, "truncate.json")["results"]["C5"] == 1.0
+    assert cli._build_parser.cache_info().misses == 1
 
 
 def test_extension_params_command(tmp_path):

@@ -154,6 +154,34 @@ def test_normalized_legendre_l2_norm():
                 1.0 / TWO_PI, rel=1e-12)
 
 
+@pytest.mark.parametrize("model, lambda_max", [
+    (FlatTorus(1, (TWO_PI,)), 9.0),
+    (FlatTorus(2, (TWO_PI, 3.0)), 9.0),
+    (Sphere2(), 12.0),
+], ids=["flat1", "flat2", "sphere"])
+def test_rep_lambda_is_the_built_lambda(model, lambda_max):
+    basis = build_basis(model, lambda_max)
+    assert basis.size > 15
+    for mode in basis.modes:
+        assert model.rep_lambda(mode.rep).hex() == mode.lam.hex()
+
+
+@pytest.mark.parametrize("model, token", [
+    (FlatTorus(1, (TWO_PI,)), "sin0"),
+    (FlatTorus(1, (TWO_PI,)), "cos-1"),
+    (FlatTorus(2, (TWO_PI, TWO_PI)), "s0c1"),
+    (Sphere2(), "Y2m3"),
+    (Sphere2(), "Y-1m0"),
+])
+def test_labels_that_name_no_mode_are_refused(model, token):
+    with pytest.raises(ParameterError, match="names no"):
+        model.parse_label(token)
+
+
+def test_rev_torus_has_no_closed_form_lambda(rev_basis_3):
+    assert rev_basis_3.model.rep_lambda(rev_basis_3.modes[1].rep) is None
+
+
 def test_rev_torus_constant_mode(rev_basis_3):
     basis = rev_basis_3
     const = basis.modes[0]

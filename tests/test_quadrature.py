@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from eigenprod import numerics
 from eigenprod.errors import GeometryError, ParameterError
 from eigenprod.numerics import (
     QuadratureGrid,
@@ -81,10 +82,25 @@ def test_gauss_legendre_random_polynomials(n, data):
     assert got == pytest.approx(exact, abs=1e-11 * max(1.0, np.abs(coeffs).sum()))
 
 
-@pytest.mark.parametrize("bad", [0, -3, 513])
+@pytest.mark.parametrize("bad", [0, -3, 513, True])
 def test_gauss_legendre_rejects_out_of_range(bad):
+    gauss_legendre(1)  # a memoised rule for 1 must not serve True
     with pytest.raises(ParameterError):
         gauss_legendre(bad)
+
+
+@pytest.mark.parametrize("n", [1, 2, 17, 64])
+def test_gauss_legendre_is_memoised_and_read_only(n):
+    grid = gauss_legendre(n)
+    assert gauss_legendre(np.int64(n)) is grid
+    fresh = numerics._gauss_legendre_rule.__wrapped__(n)
+    assert fresh is not grid
+    assert grid.nodes.tobytes() == fresh.nodes.tobytes()
+    assert grid.weights.tobytes() == fresh.weights.tobytes()
+    assert grid.exactness_degree == fresh.exactness_degree
+    for arr in (grid.nodes, grid.weights):
+        with pytest.raises(ValueError):
+            arr[0] = 0.5
 
 
 def test_uniform_periodic_cos_squared():
