@@ -62,7 +62,6 @@ from .manifolds import (
 from .numerics import (
     QuadratureGrid,
     SymmetricPencil,
-    assemble_periodic_galerkin,
     gauss_legendre,
     sym_generalized_eig,
     uniform_periodic,
@@ -82,7 +81,7 @@ __all__ = [
     "__version__",
     # numerics
     "QuadratureGrid", "SymmetricPencil", "gauss_legendre", "uniform_periodic",
-    "sym_generalized_eig", "assemble_periodic_galerkin",
+    "sym_generalized_eig",
     # manifolds
     "FlatTorus", "Sphere2", "RevTorus", "Mode", "Resolution", "SpectralBasis",
     "build_basis", "evaluate", "as_chart_function", "save_basis", "load_basis",

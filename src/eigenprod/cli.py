@@ -82,38 +82,48 @@ __all__ = ["cli_main", "main", "run_config", "config_to_text", "config_from_text
 # configuration plumbing
 
 
+def _flat_config(args) -> dict:
+    dim = args.dim or 1
+    periods = [2.0 * math.pi] * dim if args.periods is None else args.periods.split(",")
+    return {"dim": dim, "periods": [float(p) for p in periods]}
+
+
+def _flat_model(cfg: dict):
+    dim = int(cfg["dim"])
+    periods = cfg.get("periods") or [2.0 * math.pi] * dim
+    return FlatTorus(dim, tuple(float(p) for p in periods))
+
+
+def _rev_config(args) -> dict:
+    if args.major is None or args.minor is None:
+        raise ParameterError("rev-torus needs --R and --r")
+    return {"R": float(args.major), "r": float(args.minor)}
+
+
+# The models by their CLI name, which is also the ``kind`` of a [model]
+# config section: the section's other keys, the section read from the
+# parsed arguments, and the surface a section names.
+_CLI_MODELS = {
+    "flat-torus": (("dim", "periods"), _flat_config, _flat_model),
+    "sphere": ((), lambda args: {}, lambda cfg: Sphere2()),
+    "rev-torus": (("R", "r"), _rev_config,
+                  lambda cfg: RevTorus(float(cfg["R"]), float(cfg["r"]))),
+}
+_MODEL_KEYS = {"kind"}.union(*(keys for keys, _, _ in _CLI_MODELS.values()))
+
+
 def _model_config(args) -> dict | None:
     kind = getattr(args, "model", None)
     if kind is None:
         return None
-    if kind == "flat-torus":
-        dim = args.dim or 1
-        periods = args.periods
-        if periods is None:
-            periods = [2.0 * math.pi] * dim
-        else:
-            periods = [float(p) for p in periods.split(",")]
-        return {"kind": "flat-torus", "dim": dim, "periods": periods}
-    if kind == "sphere":
-        return {"kind": "sphere"}
-    if kind == "rev-torus":
-        if args.major is None or args.minor is None:
-            raise ParameterError("rev-torus needs --R and --r")
-        return {"kind": "rev-torus", "R": float(args.major), "r": float(args.minor)}
-    raise ParameterError(f"unknown model {kind!r}")
+    return {"kind": kind, **_CLI_MODELS[kind][1](args)}
 
 
 def _model_from_config(cfg: dict):
     kind = cfg.get("kind")
-    if kind == "flat-torus":
-        dim = int(cfg["dim"])
-        periods = cfg.get("periods") or [2.0 * math.pi] * dim
-        return FlatTorus(dim, tuple(float(p) for p in periods))
-    if kind == "sphere":
-        return Sphere2()
-    if kind == "rev-torus":
-        return RevTorus(float(cfg["R"]), float(cfg["r"]))
-    raise ParameterError(f"unknown model kind {kind!r} in configuration")
+    if kind not in _CLI_MODELS:
+        raise ParameterError(f"unknown model kind {kind!r} in configuration")
+    return _CLI_MODELS[kind][2](cfg)
 
 
 def _factor_key(model, token: str):
@@ -148,6 +158,8 @@ def _resolve_basis_and_factors(model_cfg: dict, params: dict, cache_dir: str):
     smallest of lambda 2, 4, ..., 128 that holds every factor."""
     model = _model_from_config(model_cfg)
     tokens = [t for t in str(params["factors"]).split(",") if t]
+    if not tokens:
+        raise ParameterError("--factors names no mode")
     explicit = params.get("lambda_max")
     mult = float(params.get("lambda_max_mult", 2.0))
     keys = [_factor_key(model, t) for t in tokens]
@@ -271,9 +283,6 @@ def _parse_scalar(text: str):
         return float(text)
     except ValueError:
         return text
-
-
-_MODEL_KEYS = {"kind", "dim", "periods", "R", "r"}
 
 
 def config_from_text(text: str) -> dict:
@@ -680,7 +689,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", default=None,
                        help="sectioned key=value config file; explicit flags win")
         if model:
-            p.add_argument("--model", choices=["flat-torus", "sphere", "rev-torus"])
+            p.add_argument("--model", choices=list(_CLI_MODELS))
             p.add_argument("--dim", type=int, default=None)
             p.add_argument("--periods", default=None,
                            help="comma-separated periods for the flat torus")

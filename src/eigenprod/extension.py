@@ -129,11 +129,6 @@ class HarmonicExtension:
             for m in self._modes
         ])
 
-    @property
-    def frequency_coefficients(self) -> dict:
-        """Map from mode representation (frequency vector + parity) to c."""
-        return {m.rep: float(c) for m, c in zip(self._modes, self.coeffs)}
-
     def _mode_matrix(self, points: np.ndarray) -> np.ndarray:
         model = self.basis.model
         arr, _scalar = _normalize_points(points, model.chart_dim)

@@ -6,9 +6,10 @@ Three closed analytic models are supported:
 * ``Sphere2``: real spherical harmonics, no Condon-Shortley phase.
 * ``RevTorus(R, r)``: the donut surface with metric ds^2 + f(s)^2 dtheta^2,
   f(s) = R + r cos s.  Its modes separate into per-angular-frequency
-  periodic Sturm-Liouville problems solved by the Fourier-Galerkin pencil
-  machinery in :mod:`eigenprod.numerics`; this is the one model whose
-  eigenfunction products are not band-limited.
+  periodic Sturm-Liouville problems, solved as Fourier-Galerkin pencils
+  whose matrices :func:`eigenprod.numerics.rev_galerkin_terms` gives in
+  closed form; this is the one model whose eigenfunction products are not
+  band-limited.
 
 Eigenvalues are written lambda^2 throughout; a mode stores lambda, the
 frequency.  Modes are ordered by ascending lambda with ties broken by the
@@ -50,7 +51,7 @@ from .numerics import (
     circle_basis,
     circle_basis_derivative,
     gauss_legendre,
-    periodic_galerkin_terms,
+    rev_galerkin_terms,
     sym_generalized_eig,
     tensor_grid,
     uniform_periodic,
@@ -59,7 +60,7 @@ from .numerics import (
 COS, SIN = 0, 1
 
 CACHE_MAGIC = b"EPRD"
-CACHE_VERSION = 2
+CACHE_VERSION = 3
 
 __all__ = [
     "FlatTorus",
@@ -543,7 +544,7 @@ class RevTorus(_Surface):
                 f"(cap {res.rev_m_cap})")
         size = 2 * trunc + 1
         even_idx, odd_idx = _rev_parity_indices(trunc)
-        stiff, inv_weight, mass = periodic_galerkin_terms(self.profile, self.profile, trunc)
+        stiff, inv_weight, mass = rev_galerkin_terms(big, small, trunc)
         profiles = []  # (lam, m, s_parity, coeffs)
         worst_residual = 0.0
         for m in range(m_scan + 1):
@@ -557,8 +558,12 @@ class RevTorus(_Surface):
                 if not kept:
                     continue
                 block = vectors[:, :kept]
+                # einsum without ``optimize`` takes no BLAS path, so the
+                # residual (part of the digest) does not depend on the
+                # BLAS thread count
                 residuals = np.linalg.norm(
-                    sub.a @ block - (sub.b @ block) * values[:kept], axis=0)
+                    np.einsum("ij,jk->ik", sub.a, block)
+                    - np.einsum("ij,jk->ik", sub.b, block) * values[:kept], axis=0)
                 worst_residual = max(worst_residual, float(np.max(residuals)) / a_max)
                 for q in range(kept):
                     coeffs = np.zeros(size)

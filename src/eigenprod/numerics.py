@@ -1,13 +1,14 @@
 """Deterministic numerical kernels.
 
 Quadrature rules (Gauss-Legendre, uniform periodic), a dense symmetric
-generalized eigensolver (LAPACK ``dsygvd`` through scipy), and
-Fourier-Galerkin assembly of periodic Sturm-Liouville pencils on the
-circle.
+generalized eigensolver (LAPACK ``dsygvd`` through scipy), and the
+Fourier-Galerkin matrices of the torus-of-revolution profile problem in
+closed form.
 
 Every function here is a pure function of its arguments and safe to call
 from many threads.  Results are bit-reproducible for a fixed BLAS thread
-count; the eigensolver's and the matrix products' bits may change with it.
+count.  Only the eigensolver's bits may change with it, and only for
+large pencils (the Galerkin matrices use no BLAS at all).
 """
 
 from __future__ import annotations
@@ -39,11 +40,9 @@ __all__ = [
     "uniform_periodic",
     "tensor_grid",
     "sym_generalized_eig",
-    "assemble_periodic_galerkin",
-    "periodic_galerkin_terms",
+    "rev_galerkin_terms",
     "circle_basis",
     "circle_basis_derivative",
-    "trig_bandwidth",
 ]
 
 
@@ -270,67 +269,52 @@ def circle_basis_derivative(s: np.ndarray, size: int) -> np.ndarray:
     return out
 
 
-def trig_bandwidth(fn, probe: int = 4096, rel_floor: float = 1e-15) -> int:
-    """Highest Fourier mode of a smooth 2*pi-periodic function above floor.
+def rev_galerkin_terms(big: float, small: float, trunc: int):
+    """The m-independent Galerkin matrices of the torus of revolution,
+    in closed form.
 
-    Probes on a dense uniform grid and reads the FFT tail; used to size
-    quadrature grids so that "exact for the integrand's bandwidth" claims
-    are justified for analytic, non-band-limited coefficients like 1/f.
+    With f(s) = big + small cos s, 0 <= small < big, returns (K, M_inv, B)
+    in the real Fourier basis of size 2*trunc+1 on the 2*pi circle (the
+    column order of :func:`circle_basis`): K[i,j] = int f e_i' e_j',
+    M_inv[i,j] = int e_i e_j / f and B[i,j] = int f e_i e_j.  The
+    stiffness of angular family m is K + m^2 M_inv.
+
+    An even weight w with cosine moments W_n = int w cos(ns) ds gives
+    int w cos(ks) cos(ls) = (W_|k-l| + W_{k+l}) / 2 and
+    int w sin(ks) sin(ls) = (W_|k-l| - W_{k+l}) / 2; cos-sin pairs vanish.
+    f has the moments 2 pi big and pi small, so K and B are banded; 1/f
+    has the Poisson-kernel moments (2 pi / d) rho^|n| with
+    d = sqrt(big^2 - small^2) and rho = -small / (big + d), so M_inv is
+    Toeplitz plus Hankel.  Every entry is a gathered moment times scalars:
+    no reduction, so the bits do not depend on the BLAS thread count and
+    the matrices are exactly symmetric.
     """
-    s = TWO_PI * np.arange(probe) / probe
-    spec = np.abs(np.fft.rfft(np.asarray(fn(s), dtype=float)))
-    top = float(spec.max())
-    if top == 0.0:
-        return 0
-    above = np.flatnonzero(spec > rel_floor * top)
-    return int(above[-1]) if above.size else 0
-
-
-def periodic_galerkin_terms(a, b, trunc: int, *, n_quad: int | None = None,
-                           margin: int = 8):
-    """The m-independent Galerkin matrices of -(1/b) d/ds (a u') + m^2 u / a.
-
-    Returns (K, M_inv, B) in the real Fourier basis of size 2*trunc+1 on
-    the 2*pi circle: K[i,j] = I(a e_i' e_j'), M_inv[i,j] = I(e_i e_j / a)
-    and B[i,j] = I(b e_i e_j), where I is quadrature exact for the
-    integrands' bandwidth (grid size at least 4*trunc + bandwidth of the
-    coefficient functions, plus margin).  The stiffness of angular family
-    m is K + m^2 M_inv.  ``a`` and ``b`` must be strictly positive.
-    """
+    if not isinstance(trunc, (int, np.integer)) or isinstance(trunc, bool):
+        raise ParameterError("truncation must be an integer")
     if trunc < 0 or trunc > MAX_GALERKIN_TRUNCATION:
         raise ParameterError(
             f"truncation must be in [0, {MAX_GALERKIN_TRUNCATION}], got {trunc}")
+    big, small = float(big), float(small)
+    if not (0.0 <= small < big) or not math.isfinite(big):
+        raise ParameterError(
+            f"profile {big!r} + {small!r} cos s must stay positive: need 0 <= small < big")
     size = 2 * trunc + 1
-    if n_quad is None:
-        bw = max(trig_bandwidth(a), trig_bandwidth(b),
-                 trig_bandwidth(lambda s: 1.0 / np.asarray(a(s), dtype=float)))
-        n_quad = 4 * trunc + bw + margin
-    n_quad = max(int(n_quad), size + 1, 8)
-    grid = uniform_periodic(n_quad, TWO_PI)
-    s = grid.nodes
-    w = grid.weights
-    av = np.asarray(a(s), dtype=float)
-    bv = np.asarray(b(s), dtype=float)
-    if np.min(av) <= 0.0 or np.min(bv) <= 0.0:
-        raise GeometryError("coefficient functions must be strictly positive on the circle")
-    basis = circle_basis(s, size)
-    deriv = circle_basis_derivative(s, size)
-    stiff = (deriv * (w * av)[:, None]).T @ deriv
-    inv_weight = (basis * (w / av)[:, None]).T @ basis
-    mass = (basis * (w * bv)[:, None]).T @ basis
-    return (0.5 * (stiff + stiff.T), 0.5 * (inv_weight + inv_weight.T),
-            0.5 * (mass + mass.T))
+    freq = np.concatenate(([0], np.repeat(np.arange(1, trunc + 1), 2)))
+    # +1 on cosine rows, -1 on sine rows: the sign of W_{k+l} in B
+    sign = np.where((np.arange(size) % 2 == 0) & (freq > 0), -1.0, 1.0)[:, None]
+    same = sign == sign.T
+    norm = np.where(freq > 0, 1.0 / math.sqrt(math.pi), 1.0 / math.sqrt(TWO_PI))
+    scale = 0.5 * (norm[:, None] * norm[None, :])
+    diff = np.abs(freq[:, None] - freq[None, :])
+    total = freq[:, None] + freq[None, :]
 
+    f_moments = np.zeros(2 * trunc + 2)
+    f_moments[:2] = TWO_PI * big, math.pi * small
+    d = math.sqrt((big - small) * (big + small))
+    inv_moments = (TWO_PI / d) * (-small / (big + d)) ** np.arange(2 * trunc + 2)
 
-def assemble_periodic_galerkin(a, b, m: int, trunc: int, *,
-                               n_quad: int | None = None,
-                               margin: int = 8) -> SymmetricPencil:
-    """Weak form of -(1/b) d/ds (a u') + m^2 u / a on the 2*pi circle.
+    def gather(moments, hankel_sign):
+        return np.where(same, scale * (moments[diff] + hankel_sign * moments[total]), 0.0)
 
-    The pencil (K + m^2 M_inv, B) of :func:`periodic_galerkin_terms`.
-    """
-    if not isinstance(m, (int, np.integer)) or isinstance(m, bool) or m < 0:
-        raise ParameterError("angular index m must be a nonnegative integer")
-    stiff, inv_weight, mass = periodic_galerkin_terms(a, b, trunc, n_quad=n_quad,
-                                                      margin=margin)
-    return SymmetricPencil(stiff + (m * m) * inv_weight, mass)
+    stiff = (freq[:, None] * freq[None, :]) * gather(f_moments, -sign)
+    return stiff, gather(inv_moments, sign), gather(f_moments, sign)

@@ -114,6 +114,7 @@ MODEL_ARGS = {
     ("flat1", "cos" + "9" * 400, None),  # a frequency beyond floating point range
     ("sphere", "Y2m3", None),  # |m| > l
     ("flat1", "sin0", None),  # a zero frequency has no sine mode
+    ("flat1", ",", None),  # no token at all
 ])
 def test_factor_token_grammar(tmp_path, model, token, names):
     code, out = run(tmp_path, "product", *MODEL_ARGS[model], "--factors", token)

@@ -1,4 +1,4 @@
-"""Generalized eigensolver and periodic Galerkin assembly."""
+"""Generalized eigensolver and the closed-form rev-torus Galerkin matrices."""
 
 import math
 
@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh
 
-from eigenprod.errors import FactorizationError, GeometryError, ParameterError
+from eigenprod.errors import FactorizationError, ParameterError
 from eigenprod.numerics import (
     SymmetricPencil,
-    assemble_periodic_galerkin,
+    circle_basis,
+    circle_basis_derivative,
+    rev_galerkin_terms,
     sym_generalized_eig,
 )
 
@@ -83,54 +85,79 @@ def test_asymmetric_stiffness_rejected():
         SymmetricPencil(np.array([[0.0, 1.0], [0.0, 0.0]]), np.eye(2))
 
 
-def one(s):
-    return np.ones_like(s)
-
-
 def test_flat_circle_galerkin_matrices():
-    pencil = assemble_periodic_galerkin(one, one, 0, 2)
-    assert np.max(np.abs(pencil.a - np.diag([0.0, 1.0, 1.0, 4.0, 4.0]))) <= 1e-12
-    assert np.max(np.abs(pencil.b - np.eye(5))) <= 1e-12
+    # f = 1: K = diag of squared frequencies, M_inv = B = identity
+    stiff, inv_weight, mass = rev_galerkin_terms(1.0, 0.0, 2)
+    assert np.max(np.abs(stiff - np.diag([0.0, 1.0, 1.0, 4.0, 4.0]))) <= 1e-12
+    assert np.max(np.abs(inv_weight - np.eye(5))) <= 1e-12
+    assert np.max(np.abs(mass - np.eye(5))) <= 1e-12
 
 
 def test_angular_term_shifts_by_m_squared():
-    flat = assemble_periodic_galerkin(one, one, 0, 3)
-    shifted = assemble_periodic_galerkin(one, one, 3, 3)
-    assert np.max(np.abs(shifted.a - (flat.a + 9.0 * flat.b))) <= 1e-12
+    stiff, inv_weight, mass = rev_galerkin_terms(1.0, 0.0, 3)
+    shifted = SymmetricPencil(stiff + 9.0 * inv_weight, mass)
+    assert np.max(np.abs(shifted.a - (stiff + 9.0 * mass))) <= 1e-12
     values, _ = sym_generalized_eig(shifted)
     expected = sorted(k * k + 9 for k in (0, 1, 1, 2, 2, 3, 3))
     assert values == pytest.approx(expected, abs=1e-12)
 
 
 def test_flat_circle_eigenvalues_exact():
-    pencil = assemble_periodic_galerkin(one, one, 0, 8)
-    values, _ = sym_generalized_eig(pencil)
+    stiff, _, mass = rev_galerkin_terms(1.0, 0.0, 8)
+    values, _ = sym_generalized_eig(SymmetricPencil(stiff, mass))
     expected = sorted([0.0] + [k * k for k in range(1, 9) for _ in (0, 1)])
     assert np.max(np.abs(values - np.array(expected, dtype=float))) <= 1e-12
 
 
 def test_cosine_weight_couplings_hand_integral():
-    # a = b = 1 + 0.3 cos s.  The constant basis function has zero
-    # derivative, so A[const, cos] = 0, while
+    # f = 1 + 0.3 cos s.  The constant basis function has zero
+    # derivative, so K[const, cos] = 0, while
     # B[const, cos] = int (1 + 0.3 cos s) cos s ds / (sqrt(2 pi) sqrt(pi))
     #              = 0.3 pi / (pi sqrt(2)) = 0.3/sqrt(2).
-    def weight(s):
-        return 1.0 + 0.3 * np.cos(s)
-
-    pencil = assemble_periodic_galerkin(weight, weight, 0, 8)
-    assert pencil.a[0, 1] == pytest.approx(0.0, abs=1e-13)
-    assert pencil.b[0, 1] == pytest.approx(0.3 / math.sqrt(2.0), abs=1e-13)
+    stiff, _, mass = rev_galerkin_terms(1.0, 0.3, 8)
+    assert stiff[0, 1] == pytest.approx(0.0, abs=1e-13)
+    assert mass[0, 1] == pytest.approx(0.3 / math.sqrt(2.0), abs=1e-13)
     # first off-diagonal coupling of the cos block is proportional to 0.15
-    assert pencil.b[1, 3] == pytest.approx(0.15, abs=1e-13)
+    assert mass[1, 3] == pytest.approx(0.15, abs=1e-13)
 
 
 def test_nonpositive_weight_rejected():
-    with pytest.raises(GeometryError):
-        assemble_periodic_galerkin(np.cos, one, 0, 4)
+    # 1 + cos s vanishes at s = pi
+    with pytest.raises(ParameterError):
+        rev_galerkin_terms(1.0, 1.0, 4)
 
 
 def test_invalid_truncation_rejected():
     with pytest.raises(ParameterError):
-        assemble_periodic_galerkin(one, one, 0, 1025)
+        rev_galerkin_terms(1.0, 0.0, 1025)
     with pytest.raises(ParameterError):
-        assemble_periodic_galerkin(one, one, -1, 4)
+        rev_galerkin_terms(1.0, 0.0, -1)
+
+
+def _quadrature_galerkin_terms(big, small, trunc):
+    """(K, M_inv, B) by the uniform rule on 4*trunc + 256 nodes: the
+    integrands have bandwidth 2*trunc plus that of 1/f, whose Fourier
+    coefficients fall like |rho|^n, so the aliasing error is below
+    |rho|^256."""
+    n = 4 * trunc + 256
+    s = 2.0 * math.pi * np.arange(n) / n
+    weights = np.full(n, 2.0 * math.pi / n)
+    f = big + small * np.cos(s)
+    basis = circle_basis(s, 2 * trunc + 1)
+    deriv = circle_basis_derivative(s, 2 * trunc + 1)
+    return ((deriv * (weights * f)[:, None]).T @ deriv,
+            (basis * (weights / f)[:, None]).T @ basis,
+            (basis * (weights * f)[:, None]).T @ basis)
+
+
+@pytest.mark.parametrize("big, small, trunc", [
+    (2.0, 1.0, 64), (1.8, 0.9, 64), (3.0, 1.0, 32), (2.0, 1.0, 128),
+])
+def test_closed_form_galerkin_terms_match_quadrature(big, small, trunc):
+    closed = rev_galerkin_terms(big, small, trunc)
+    oracle = _quadrature_galerkin_terms(big, small, trunc)
+    for name, ours, theirs in zip(("K", "M_inv", "B"), closed, oracle):
+        assert ours.shape == theirs.shape == (2 * trunc + 1,) * 2
+        assert np.array_equal(ours, ours.T), name
+        gap = np.max(np.abs(ours - theirs))
+        assert gap <= 1e-13 * np.max(np.abs(theirs)), (name, gap)

@@ -2,10 +2,14 @@
 
 import ast
 import hashlib
+import importlib
 import json
 import math
+import os
 import pathlib
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -250,6 +254,23 @@ def test_rev_torus_self_convergence():
     assert np.max(np.abs(coarse.lambdas() - fine.lambdas())) <= 1e-8
 
 
+def test_rev_torus_digest_does_not_depend_on_blas_threads():
+    # the digest covers every profile coefficient and the residual, so it
+    # is the bit-level check; each thread count runs in a fresh process
+    src = str(pathlib.Path(manifolds.__file__).parents[1])
+    probe = ("from eigenprod import RevTorus, basis_digest, build_basis; "
+             "print(*(basis_digest(build_basis(RevTorus(R, r), lam)) for R, r, lam "
+             "in ((2.0, 1.0, 6.0), (2.0, 1.0, 3.0), (1.8, 0.9, 4.5))))")
+    digests = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": src,
+               "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+        digests.append(subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                                      capture_output=True, text=True).stdout.split())
+    assert len(digests[0]) == 3
+    assert digests[0] == digests[1]
+
+
 def test_rev_torus_under_resolution_errors():
     with pytest.raises(UnderResolvedError, match="angular"):
         build_basis(RevTorus(2.0, 1.0), 40.0)
@@ -482,6 +503,16 @@ def test_model_isinstance_only_in_input_guards():
     for path in sorted(package.rglob("*.py")):
         visit(path.stem, ast.parse(path.read_text(encoding="utf-8")), "")
     assert found == guards
+
+
+def test_every_exported_name_resolves():
+    # a stale __all__ entry breaks ``from eigenprod.<module> import *``
+    package = pathlib.Path(manifolds.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        name = "eigenprod" if path.stem == "__init__" else f"eigenprod.{path.stem}"
+        module = importlib.import_module(name)
+        missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+        assert not missing, (name, missing)
 
 
 def test_model_validation():
