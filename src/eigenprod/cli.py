@@ -55,6 +55,7 @@ from .manifolds import (
     basis_to_json_dict,
     build_basis,
     load_basis,
+    model_descriptor,
     save_basis,
 )
 from .remez import (
@@ -82,10 +83,18 @@ __all__ = ["cli_main", "main", "run_config", "config_to_text", "config_from_text
 # configuration plumbing
 
 
+def _number(text: str, convert=float):
+    """``convert(text)``, with a malformed number a validation error (exit 2)."""
+    try:
+        return convert(text)
+    except ValueError as exc:
+        raise ParameterError(f"cannot read {text!r} as {convert.__name__}") from exc
+
+
 def _flat_config(args) -> dict:
     dim = args.dim or 1
     periods = [2.0 * math.pi] * dim if args.periods is None else args.periods.split(",")
-    return {"dim": dim, "periods": [float(p) for p in periods]}
+    return {"dim": dim, "periods": [_number(p) for p in periods]}
 
 
 def _flat_model(cfg: dict):
@@ -221,11 +230,9 @@ def _check_positional_ids(probe, basis, tokens, ids) -> None:
 
 
 def _cache_key(model, lambda_max: float, resolution: Resolution) -> str:
-    from .manifolds import _resolution_payload, model_descriptor
-
     blob = json.dumps({"model": model_descriptor(model),
                        "lambda_max": float(lambda_max).hex(),
-                       "resolution": _resolution_payload(resolution),
+                       "resolution": vars(resolution),
                        "version": CACHE_VERSION}, sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()[:24]
 
@@ -315,7 +322,7 @@ def config_from_text(text: str) -> dict:
             if key not in _MODEL_KEYS:
                 raise ParameterError(f"unknown key {key!r} in [model]")
             if key == "periods":
-                config["model"][key] = [float(p) for p in value.split(",")]
+                config["model"][key] = [_number(p) for p in value.split(",")]
             elif key == "kind":
                 config["model"][key] = value
             else:
@@ -346,11 +353,9 @@ def _series_results(series) -> dict:
 
 
 def _provenance(basis) -> dict:
-    sizes = [len(ax[0]) for ax in basis.grid.axes] if basis.grid.axes \
-        else [basis.grid.size]
     return {
         "basis_digest": basis_digest(basis),
-        "grid_axis_sizes": sizes,
+        "grid_axis_sizes": basis.axis_sizes(),
         "mode_count": basis.size,
         "basis_provenance": basis.provenance,
         "package_version": __version__,
@@ -371,17 +376,23 @@ def _cmd_product(config, cache_dir):
                                             cache_dir)
     series = expand_product(ProductSpec(basis, ids))
     results = _series_results(series)
-    artifacts = {}
-    if config["params"].get("csv"):
-        artifacts["csv"] = series_to_csv(series)
-    if config["params"].get("svg"):
-        positive = series.coeffs != 0.0
-        artifacts["svg"] = svg_coefficient_plot(
-            series.lams[positive], np.abs(series.coeffs[positive]),
-            title="coefficients")
+    artifacts = _series_artifacts(config["params"], series, "coefficients")
     summary = (f"product: {len(ids)} factors, parseval ratio "
                f"{results['parseval_ratio']:.9f}")
     return results, _provenance(basis), artifacts, summary
+
+
+def _series_artifacts(params, series, title: str, envelope=None) -> dict:
+    """The CSV and SVG views of a coefficient series that ``params`` ask for."""
+    artifacts = {}
+    if params.get("csv"):
+        artifacts["csv"] = series_to_csv(series)
+    if params.get("svg"):
+        positive = series.coeffs != 0.0
+        artifacts["svg"] = svg_coefficient_plot(
+            series.lams[positive], np.abs(series.coeffs[positive]),
+            envelope=envelope, title=title)
+    return artifacts
 
 
 def _cmd_decay(config, cache_dir):
@@ -405,16 +416,8 @@ def _cmd_decay(config, cache_dir):
         "n_bins": fit.n_bins,
         "n_entries": int(series.lams.size),
     }
-    artifacts = {}
-    if params.get("csv"):
-        artifacts["csv"] = series_to_csv(series)
-    if params.get("svg"):
-        positive = series.coeffs != 0.0
-        envelope = None if fit.band_limited else \
-            (fit.c_hat, fit.C_hat * spec.sum_lambda)
-        artifacts["svg"] = svg_coefficient_plot(
-            series.lams[positive], np.abs(series.coeffs[positive]),
-            envelope=envelope, title="decay")
+    envelope = None if fit.band_limited else (fit.c_hat, fit.C_hat * spec.sum_lambda)
+    artifacts = _series_artifacts(params, series, "decay", envelope)
     if fit.band_limited:
         summary = f"decay: band-limited, onset at lambda={fit.onset_lambda:g}"
     else:
@@ -451,13 +454,7 @@ def _cmd_lower_bound(config, cache_dir):
             range(int(params.get("l_min", 2)), int(params.get("l_max", 12)) + 1))
         provenance = {"package_version": __version__}
         summary = f"lower-bound: C3={fit.C3_hat:.3e} C4={fit.C4_hat:.4f}"
-        results = {
-            "C3_hat": fit.C3_hat,
-            "C4_hat": fit.C4_hat,
-            "n_factors": fit.n_factors,
-            "samples": [[s, n] for s, n in fit.samples],
-        }
-        return results, provenance, {}, summary
+        return _lower_bound_results(fit), provenance, {}, summary
     model_cfg = config["model"]
     if family == "self":
         k_lo = int(params.get("k_min", 1))
@@ -479,14 +476,17 @@ def _cmd_lower_bound(config, cache_dir):
     else:
         raise ParameterError(f"unknown family {family!r}")
     fit = lower_bound_experiment(basis, specs)
-    results = {
+    summary = f"lower-bound: C3={fit.C3_hat:.6e} C4={fit.C4_hat:.6f}"
+    return _lower_bound_results(fit), _provenance(basis), {}, summary
+
+
+def _lower_bound_results(fit) -> dict:
+    return {
         "C3_hat": fit.C3_hat,
         "C4_hat": fit.C4_hat,
         "n_factors": fit.n_factors,
         "samples": [[s, n] for s, n in fit.samples],
     }
-    summary = f"lower-bound: C3={fit.C3_hat:.6e} C4={fit.C4_hat:.6f}"
-    return results, _provenance(basis), {}, summary
 
 
 def _cmd_remark_s2(config, _cache_dir):
@@ -508,7 +508,7 @@ def _cmd_greens(config, cache_dir):
     basis, ids = _resolve_basis_and_factors(config["model"], params, cache_dir)
     series = expand_product(ProductSpec(basis, ids))
     extension_constants = compute_extension_params(basis.model)
-    heights = [float(h) for h in str(params.get("heights", "")).split(",") if h] \
+    heights = [_number(h) for h in str(params.get("heights", "")).split(",") if h] \
         or [extension_constants.T, extension_constants.T / 2.0]
     ext = harmonic_extension_flat(series, max(heights))
     per_height = []
@@ -557,7 +557,7 @@ def _function_from_config(config, cache_dir):
     if spec == "linear":
         return coordinate_function(), 1
     if spec.startswith("power:"):
-        return harmonic_power_function(int(spec.split(":", 1)[1])), 2
+        return harmonic_power_function(_number(spec.split(":", 1)[1], int)), 2
     if spec.startswith("mode:"):
         if config.get("model") is None:
             raise ParameterError("mode: functions need --model")
@@ -571,8 +571,7 @@ def _function_from_config(config, cache_dir):
 
 
 def _center_from_params(params, dim: int):
-    raw = str(params.get("center", "0"))
-    parts = [float(c) for c in raw.split(",")]
+    parts = [_number(c) for c in str(params.get("center", "0")).split(",")]
     if len(parts) == 1 and dim == 2:
         parts = parts * 2
     if len(parts) != dim:
@@ -681,6 +680,12 @@ def _build_parser() -> argparse.ArgumentParser:
                     "model analytic surfaces")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def add_sizing(p):
+        p.add_argument("--lambda-max", dest="lambda_max", type=float,
+                       default=None)
+        p.add_argument("--lambda-max-mult", dest="lambda_max_mult",
+                       type=float, default=None)
+
     def add_common(p, model=True, factors=False):
         p.add_argument("--out", default="out", help="output directory")
         p.add_argument("--cache", default=None,
@@ -698,10 +703,7 @@ def _build_parser() -> argparse.ArgumentParser:
         if factors:
             p.add_argument("--factors", default=None,
                            help="comma-separated mode ids or names (cos2, Y2m1, ...)")
-            p.add_argument("--lambda-max", dest="lambda_max", type=float,
-                           default=None)
-            p.add_argument("--lambda-max-mult", dest="lambda_max_mult",
-                           type=float, default=None)
+            add_sizing(p)
 
     p = sub.add_parser("basis");            add_common(p)
     p.add_argument("--lambda-max", dest="lambda_max", type=float, default=None)
@@ -716,7 +718,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("truncate");         add_common(p, factors=True)
     p.add_argument("--target", type=float, default=None)
     p.add_argument("--c2", type=float, default=None)
-    p = sub.add_parser("lower-bound");      add_common(p, factors=True)
+    p = sub.add_parser("lower-bound");      add_common(p); add_sizing(p)
     p.add_argument("--family", choices=["self", "pairs", "rotated-s2"],
                    default=None)
     p.add_argument("--k-min", dest="k_min", type=int, default=None)
@@ -730,7 +732,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("greens");           add_common(p, factors=True)
     p.add_argument("--heights", default=None, help="comma-separated heights")
     p = sub.add_parser("extension-params"); add_common(p)
-    p.add_argument("--R2", dest="r2", type=float, default=None)
+    p.add_argument("--R2", dest="R2", type=float, default=None)
     p = sub.add_parser("remez");            add_common(p)
     p.add_argument("--function", default=None,
                    help="linear | power:<k> | mode:<token>")
@@ -740,7 +742,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("doubling");         add_common(p)
     p.add_argument("--function", default=None)
     p.add_argument("--center", default=None)
-    p.add_argument("--radius", dest="r_value", type=float, default=None)
+    p.add_argument("--radius", dest="r", type=float, default=None)
     p = sub.add_parser("good-set");         add_common(p, factors=True)
     p.add_argument("--center", default=None)
     p.add_argument("--side", type=float, default=None)
@@ -753,23 +755,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_PARAM_FIELDS = {
-    "product": ("factors", "lambda_max", "lambda_max_mult", "csv", "svg"),
-    "decay": ("factors", "lambda_max", "lambda_max_mult", "window_lo_mult",
-              "csv", "svg"),
-    "truncate": ("factors", "lambda_max", "lambda_max_mult", "target", "c2"),
-    "lower-bound": ("family", "k_min", "k_max", "l_min", "l_max", "pairs",
-                    "lambda_max", "lambda_max_mult"),
-    "remark-s2": ("k_min", "k_max"),
-    "greens": ("factors", "lambda_max", "lambda_max_mult", "heights"),
-    "extension-params": ("r2",),
-    "remez": ("function", "center", "side", "csv"),
-    "doubling": ("function", "center", "r_value"),
-    "good-set": ("factors", "lambda_max", "lambda_max_mult", "center", "side"),
-    "basis": ("lambda_max",),
-}
-
-_PARAM_RENAME = {"r_value": "r", "r2": "R2"}
+# parsed arguments that are not run parameters: the I/O flags and the
+# [model] section
+_NON_PARAMS = {"command", "out", "cache", "config", "model", "dim", "periods",
+               "major", "minor"}
 
 
 def _config_from_args(args) -> dict:
@@ -782,13 +771,8 @@ def _config_from_args(args) -> dict:
                 f"config file is for {file_config['command']!r}, "
                 f"not {args.command!r}")
     params = dict(file_config["params"]) if file_config else {}
-    for field in _PARAM_FIELDS.get(args.command, ()):
-        value = getattr(args, field, None)
-        if isinstance(value, bool):
-            if value:
-                params[_PARAM_RENAME.get(field, field)] = True
-        elif value is not None:
-            params[_PARAM_RENAME.get(field, field)] = value
+    params.update((key, value) for key, value in vars(args).items()
+                  if key not in _NON_PARAMS and value is not None and value is not False)
     model = _model_config(args)
     if model is None and file_config:
         model = file_config.get("model")

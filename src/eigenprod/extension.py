@@ -139,22 +139,6 @@ class HarmonicExtension:
         heights: the mode matrix is built once, here."""
         return PointSample(self, self._mode_matrix(points))
 
-    def value(self, points, t: float) -> np.ndarray:
-        """H(x, t) at chart points."""
-        return self.at(points).value(t)
-
-    def dt_value(self, points, t: float) -> np.ndarray:
-        """dH/dt(x, t)."""
-        return self.at(points).dt_value(t)
-
-    def laplacian_x(self, points, t: float) -> np.ndarray:
-        """Laplacian_x H(x, t), from the modes' frequency vectors."""
-        return self.at(points).laplacian_x(t)
-
-    def dtt_value(self, points, t: float) -> np.ndarray:
-        """d^2H/dt^2(x, t), from the propagation rates lams."""
-        return self.at(points).dtt_value(t)
-
     def sup_bound(self, height: float | None = None) -> float:
         """sum |c| ||phi||_sup cosh(lambda T) dominates |H| on the slab."""
         t = self.T if height is None else height
@@ -175,7 +159,8 @@ class HarmonicExtension:
 class PointSample:
     """A harmonic extension restricted to fixed chart points: the mode
     matrix (modes x points) is held, so each height costs one
-    vector-matrix product."""
+    vector-matrix product.  H, dH/dt, Laplacian_x H (from the modes'
+    frequency vectors) and d^2H/dt^2 (from the propagation rates lams)."""
 
     def __init__(self, ext: HarmonicExtension, phi: np.ndarray):
         self.ext = ext

@@ -145,9 +145,7 @@ class SpectralBasis:
 
     @cached_property
     def profile_matrices(self) -> tuple:
-        grid = self.grid
-        nodes = tuple(ax[0] for ax in grid.axes) if grid.axes else (grid.nodes,)
-        return self.model.axis_factor_rows(self.modes, nodes)
+        return self.model.axis_factor_rows(self.modes, tuple(ax[0] for ax in self.grid.axes))
 
     @cached_property
     def target_bandwidth(self) -> np.ndarray:
@@ -182,9 +180,11 @@ class SpectralBasis:
         return np.multiply.outer(profiles[0], profiles[1]).reshape(-1)
 
     def axis_exactness(self) -> tuple:
-        if self.grid.axes:
-            return tuple(ax[2] for ax in self.grid.axes)
-        return (self.grid.exactness_degree,)
+        return tuple(ax[2] for ax in self.grid.axes)
+
+    def axis_sizes(self) -> list:
+        """Node count per grid axis, the grid input that is persisted."""
+        return [len(ax[0]) for ax in self.grid.axes]
 
 
 class _Surface:
@@ -746,31 +746,15 @@ def model_from_descriptor(desc: dict):
     return _MODELS[kind](**{k: _decode_field(v) for k, v in desc.items() if k != "kind"})
 
 
-def _resolution_payload(res: Resolution) -> dict:
-    return {
-        "max_product_factors": res.max_product_factors,
-        "margin": res.margin,
-        "torus_freq_cap": res.torus_freq_cap,
-        "sphere_l_cap": res.sphere_l_cap,
-        "rev_m_cap": res.rev_m_cap,
-        "rev_fourier_cap": res.rev_fourier_cap,
-        "rev_fourier_n": res.rev_fourier_n,
-    }
-
-
 def _basis_payload(basis: SpectralBasis) -> bytes:
-    if basis.grid.axes:
-        axis_sizes = [len(ax[0]) for ax in basis.grid.axes]
-    else:
-        axis_sizes = [basis.grid.size]
     model = basis.model
     order = model.payload_order
     body = {
         "model": model_descriptor(model),
         "lambda_max": basis.lambda_max.hex(),
-        "resolution": _resolution_payload(basis.resolution),
+        "resolution": vars(basis.resolution),
         "provenance": basis.provenance,
-        "grid_axis_sizes": axis_sizes,
+        "grid_axis_sizes": basis.axis_sizes(),
         "modes": [[m.id, m.lam.hex(), *[_encode_field(m.rep[i], float.hex) for i in order]]
                   for m in basis.modes],
     }

@@ -53,10 +53,11 @@ class QuadratureGrid:
     ``nodes`` has shape (n,) for one-dimensional rules and (n, dim) for
     tensor rules.  ``exactness_degree`` is the polynomial (Gauss) or
     trigonometric (uniform) degree integrated exactly; for tensor rules it
-    is the minimum over axes and the per-axis figures live in ``axes`` as
-    (nodes, weights, exactness) triples.  Metric volume factors, when a
-    grid integrates against a curved volume form, are folded into the
-    weights, so the weights always sum to the volume of the domain.
+    is the minimum over axes.  ``axes`` holds one (nodes, weights,
+    exactness) triple per axis; a one-dimensional rule fills in its own
+    single triple.  Metric volume factors, when a grid integrates against
+    a curved volume form, are folded into the weights, so the weights
+    always sum to the volume of the domain.
     """
 
     nodes: np.ndarray
@@ -72,6 +73,8 @@ class QuadratureGrid:
         object.__setattr__(self, "weights", weights)
         if weights.ndim != 1 or weights.shape[0] != nodes.shape[0]:
             raise ParameterError("need exactly one weight per node")
+        if not self.axes and nodes.ndim == 1:
+            object.__setattr__(self, "axes", ((nodes, weights, self.exactness_degree),))
         if not np.all(weights > 0.0):
             raise GeometryError("quadrature weights must be strictly positive")
         total = float(weights.sum())

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .analysis import _least_squares_line
 from .coefficients import ProductSpec
 from .errors import BreakdownError, GridExhaustedError, ParameterError
 from .manifolds import as_chart_function, evaluate
@@ -52,32 +53,23 @@ def _as_center(center) -> tuple:
     return tuple(float(c) for c in arr)
 
 
+def _lattice(axes) -> np.ndarray:
+    """The tensor lattice of 1-d coordinate arrays as (n, len(axes)) points."""
+    return np.column_stack([m.reshape(-1) for m in np.meshgrid(*axes, indexing="ij")])
+
+
 def _sup_lattice(center: tuple, half_side: float, per_axis: int) -> np.ndarray:
-    axes = [np.linspace(c - half_side, c + half_side, per_axis) for c in center]
-    if len(axes) == 1:
-        return axes[0].reshape(-1, 1)
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.column_stack([m.reshape(-1) for m in mesh])
+    return _lattice([np.linspace(c - half_side, c + half_side, per_axis) for c in center])
 
 
 def _cell_lattice(center: tuple, side: float, per_axis: int) -> np.ndarray:
-    axes = [
-        c - side / 2.0 + (np.arange(per_axis) + 0.5) * side / per_axis
-        for c in center
-    ]
-    if len(axes) == 1:
-        return axes[0].reshape(-1, 1)
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.column_stack([m.reshape(-1) for m in mesh])
+    return _lattice([c - side / 2.0 + (np.arange(per_axis) + 0.5) * side / per_axis
+                     for c in center])
 
 
 def _eval(fn, points: np.ndarray) -> np.ndarray:
     values = np.asarray(fn(points if points.shape[1] > 1 else points[:, 0]))
     return np.abs(values.reshape(-1))
-
-
-def _default_measure_axis(dim: int) -> int:
-    return 16384 if dim == 1 else 512
 
 
 @dataclass(frozen=True)
@@ -112,7 +104,7 @@ def doubling_index(fn, center, r: float, samples_per_axis: int = 129) -> Doublin
 def _measure_lattice(center: tuple, side: float, per_axis: int | None):
     """Cell-center lattice of the half-cube of (center, side) and the
     volume of one cell."""
-    per_axis = per_axis or _default_measure_axis(len(center))
+    per_axis = per_axis or (16384 if len(center) == 1 else 512)
     if per_axis < 256:
         raise ParameterError("need at least 256 cells per axis")
     points = _cell_lattice(center, side / 2.0, per_axis)
@@ -205,11 +197,7 @@ def remez_fit(fn, center, side: float, a_grid=None,
             or doubling <= 0.0:
         return RemezReport(center, float(side), tuple(grid.tolist()),
                            tuple(measures.tolist()), doubling, None, None, False)
-    xs = grid[clean]
-    ys = np.log(measures[clean])
-    x_mean, y_mean = float(np.mean(xs)), float(np.mean(ys))
-    sxx = float(np.sum((xs - x_mean) ** 2))
-    slope = float(np.sum((xs - x_mean) * (ys - y_mean))) / sxx
+    slope, _intercept, _r_squared = _least_squares_line(grid[clean], np.log(measures[clean]))
     beta_hat = -slope * doubling
     # lift so the bound dominates every sample, zeros included trivially
     positive = measures > 0.0
@@ -256,10 +244,10 @@ def good_set_experiment(basis, spec: ProductSpec, center, side: float,
         raise ParameterError("cube dimension must match the model chart")
     if spec.basis is not basis:
         raise ParameterError("product spec must reference the given basis")
+    if not (side > 0.0):
+        raise ParameterError("cube side must be positive")
     grid = default_a_grid() if a_grid is None else np.asarray(a_grid, dtype=float)
-    per_axis = samples_per_axis or _default_measure_axis(len(center))
-    points = _cell_lattice(center, side / 2.0, per_axis)
-    cell = (side / 2.0 / per_axis) ** len(center)
+    points, cell = _measure_lattice(center, side, samples_per_axis)
     total = points.shape[0]
     n = spec.n_factors
     budget = total / (2.0 * n)

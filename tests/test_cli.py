@@ -432,3 +432,55 @@ def test_positional_id_guard_rejects_a_mode_shift():
     shifted.modes = tuple(modes)
     with pytest.raises(ParameterError):
         cli._check_positional_ids(probe, shifted, ["2"], (2,))
+
+
+@pytest.mark.parametrize("argv, config_text", [
+    (("basis", "--model", "flat-torus", "--periods", "", "--lambda-max", "4"), None),
+    (("basis", "--model", "flat-torus", "--periods", "1,x", "--lambda-max", "4"), None),
+    (("truncate",), "[run]\ncommand = truncate\n[model]\nkind = flat-torus\n"
+                    "dim = 2\nperiods = 1,q\n[params]\nfactors = c1c0\n"),
+    (("remez", "--function", "linear", "--center", "x"), None),
+    (("greens", "--model", "flat-torus", "--dim", "1", "--factors", "cos2,cos3",
+      "--heights", "0.003,y"), None),
+    (("remez", "--function", "power:x"), None),
+], ids=["empty-period", "period", "config-period", "center", "height", "power"])
+def test_malformed_numbers_exit_2(tmp_path, capsys, argv, config_text):
+    if config_text is not None:
+        path = tmp_path / "run.cfg"
+        path.write_text(config_text)
+        argv = (*argv, "--config", str(path))
+    code, _ = run(tmp_path, *argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("side", ["0", "-2"])
+def test_good_set_rejects_a_nonpositive_side(tmp_path, side):
+    code, out = run(tmp_path, "good-set", "--model", "flat-torus", "--dim", "1",
+                    "--factors", "cos1,cos3", "--center", "0", f"--side={side}")
+    assert code == 2
+    assert not (out / "good-set.json").exists()
+
+
+def test_lower_bound_does_not_offer_factors(tmp_path):
+    code, _ = run(tmp_path, "lower-bound", "--model", "flat-torus", "--dim", "1",
+                  "--family", "self", "--factors", "cos1")
+    assert code == 2
+
+
+@pytest.mark.parametrize("argv, params", [
+    (("doubling", "--function", "power:3", "--center", "0,0", "--radius", "0.2"),
+     {"function": "power:3", "center": "0,0", "r": 0.2}),
+    (("extension-params", "--model", "flat-torus", "--dim", "1", "--R2", "0.3"),
+     {"R2": 0.3}),
+    (("product", "--model", "flat-torus", "--dim", "1", "--factors", "cos2,cos3"),
+     {"factors": "cos2,cos3"}),
+    (("decay", "--model", "flat-torus", "--dim", "1", "--factors", "cos2,cos3", "--csv"),
+     {"factors": "cos2,cos3", "csv": True}),
+], ids=["radius", "R2", "no-csv", "csv"])
+def test_report_config_records_exactly_the_flags_given(tmp_path, argv, params):
+    code, out = run(tmp_path, *argv)
+    assert code == 0
+    assert read(out, f"{argv[0]}.json")["config"]["params"] == params

@@ -76,7 +76,7 @@ def test_constant_product_extends_constantly(circle_basis):
     ext = harmonic_extension_flat(series, 0.01)
     xs = np.linspace(0.0, TWO_PI, 7)
     for t in (0.0, 0.005, 0.01):
-        assert ext.value(xs, t) == pytest.approx(
+        assert ext.at(xs).value(t) == pytest.approx(
             [1.0 / math.sqrt(TWO_PI)] * 7, abs=1e-15)
 
 
@@ -86,8 +86,8 @@ def test_cos_mode_extension_residual(circle_basis):
     xs = np.linspace(0.0, TWO_PI, 33)
     t = 0.03
     expected = np.cos(xs) / math.sqrt(math.pi) * math.cosh(t)
-    assert ext.value(xs, t) == pytest.approx(expected, abs=1e-14)
-    residual = ext.laplacian_x(xs, t) - ext.dtt_value(xs, t)
+    assert ext.at(xs).value(t) == pytest.approx(expected, abs=1e-14)
+    residual = ext.at(xs).laplacian_x(t) - ext.at(xs).dtt_value(t)
     assert np.max(np.abs(residual)) <= 1e-12
 
 
@@ -135,7 +135,7 @@ def test_product_extension_sup_bound(circle_basis):
     expected_sup = (math.cosh(height) + math.cosh(5.0 * height)) / TWO_PI
     assert ext.sup_bound() == pytest.approx(expected_sup, rel=1e-12)
     xs = np.linspace(0.0, TWO_PI, 2048, endpoint=False)
-    sampled = max(float(np.max(np.abs(ext.value(xs, t))))
+    sampled = max(float(np.max(np.abs(ext.at(xs).value(t))))
                   for t in (-height, 0.0, height))
     assert sampled <= ext.sup_bound() * (1.0 + 1e-12)
     assert sampled == pytest.approx(expected_sup, rel=1e-6)
