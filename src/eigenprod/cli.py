@@ -83,12 +83,22 @@ __all__ = ["cli_main", "main", "run_config", "config_to_text", "config_from_text
 # configuration plumbing
 
 
-def _number(text: str, convert=float):
+def _number(text, convert=float):
     """``convert(text)``, with a malformed number a validation error (exit 2)."""
     try:
         return convert(text)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ParameterError(f"cannot read {text!r} as {convert.__name__}") from exc
+
+
+def _param(section: dict, key: str, default=None, convert=float):
+    """``section[key]``, or ``default``, of a config section (flags, config
+    file or replayed report) read through :func:`_number`; a key that is
+    missing and has no default is a validation error (exit 2)."""
+    value = section.get(key, default)
+    if value is None:
+        raise ParameterError(f"missing --{key.replace('_', '-')}")
+    return _number(value, convert)
 
 
 def _flat_config(args) -> dict:
@@ -98,9 +108,9 @@ def _flat_config(args) -> dict:
 
 
 def _flat_model(cfg: dict):
-    dim = int(cfg["dim"])
+    dim = _param(cfg, "dim", convert=int)
     periods = cfg.get("periods") or [2.0 * math.pi] * dim
-    return FlatTorus(dim, tuple(float(p) for p in periods))
+    return FlatTorus(dim, tuple(_number(p) for p in periods))
 
 
 def _rev_config(args) -> dict:
@@ -116,7 +126,7 @@ _CLI_MODELS = {
     "flat-torus": (("dim", "periods"), _flat_config, _flat_model),
     "sphere": ((), lambda args: {}, lambda cfg: Sphere2()),
     "rev-torus": (("R", "r"), _rev_config,
-                  lambda cfg: RevTorus(float(cfg["R"]), float(cfg["r"]))),
+                  lambda cfg: RevTorus(_param(cfg, "R"), _param(cfg, "r"))),
 }
 _MODEL_KEYS = {"kind"}.union(*(keys for keys, _, _ in _CLI_MODELS.values()))
 
@@ -166,11 +176,11 @@ def _resolve_basis_and_factors(model_cfg: dict, params: dict, cache_dir: str):
     and the model has ``rep_lambda``; otherwise from a probe basis, the
     smallest of lambda 2, 4, ..., 128 that holds every factor."""
     model = _model_from_config(model_cfg)
-    tokens = [t for t in str(params["factors"]).split(",") if t]
+    tokens = [t for t in _param(params, "factors", convert=str).split(",") if t]
     if not tokens:
         raise ParameterError("--factors names no mode")
     explicit = params.get("lambda_max")
-    mult = float(params.get("lambda_max_mult", 2.0))
+    mult = _param(params, "lambda_max_mult", 2.0)
     keys = [_factor_key(model, t) for t in tokens]
     probe = None
     lams = _label_lambdas(model, keys)
@@ -190,7 +200,7 @@ def _resolve_basis_and_factors(model_cfg: dict, params: dict, cache_dir: str):
     # on the order of the tokens
     sum_lambda = float(sum(sorted(lams)))
     if explicit is not None:
-        lambda_max = float(explicit)
+        lambda_max = _number(explicit)
     else:
         lambda_max = max(mult * sum_lambda, max(lams) * 1.01)
     basis = _cached_basis(model, lambda_max, cache_dir)
@@ -364,7 +374,7 @@ def _provenance(basis) -> dict:
 
 def _cmd_basis(config, cache_dir):
     model = _model_from_config(config["model"])
-    lambda_max = float(config["params"]["lambda_max"])
+    lambda_max = _param(config["params"], "lambda_max")
     basis = _cached_basis(model, lambda_max, cache_dir)
     doc = basis_to_json_dict(basis)
     summary = f"basis: {basis.size} modes up to lambda_max={lambda_max:g}"
@@ -399,10 +409,10 @@ def _cmd_decay(config, cache_dir):
     params = config["params"]
     basis, ids = _resolve_basis_and_factors(config["model"], params, cache_dir)
     spec = ProductSpec(basis, ids)
-    mult = float(params.get("lambda_max_mult", 6.0))
+    mult = _param(params, "lambda_max_mult", 6.0)
     series = expand_product(spec).truncated(mult * spec.sum_lambda) \
         if params.get("lambda_max") is None else expand_product(spec)
-    lo_mult = float(params.get("window_lo_mult", 2.0))
+    lo_mult = _param(params, "window_lo_mult", 2.0)
     window = (lo_mult * spec.sum_lambda, float(series.lams[-1]))
     fit = fit_decay(series, window=window)
     results = {
@@ -429,9 +439,8 @@ def _cmd_truncate(config, cache_dir):
     params = config["params"]
     basis, ids = _resolve_basis_and_factors(config["model"], params, cache_dir)
     series = expand_product(ProductSpec(basis, ids))
-    target = float(params.get("target", 0.99))
-    result = find_truncation(series, target=target,
-                             c2=float(params.get("c2", 1.0)))
+    target = _param(params, "target", 0.99)
+    result = find_truncation(series, target=target, c2=_param(params, "c2", 1.0))
     results = {
         "sum_lambda": series.sum_lambda,
         "C5": result.c5,
@@ -451,20 +460,22 @@ def _cmd_lower_bound(config, cache_dir):
     family = params.get("family", "self")
     if family == "rotated-s2":
         fit = sphere_rotated_pair_experiment(
-            range(int(params.get("l_min", 2)), int(params.get("l_max", 12)) + 1))
+            range(_param(params, "l_min", 2, int), _param(params, "l_max", 12, int) + 1))
         provenance = {"package_version": __version__}
         summary = f"lower-bound: C3={fit.C3_hat:.3e} C4={fit.C4_hat:.4f}"
         return _lower_bound_results(fit), provenance, {}, summary
     model_cfg = config["model"]
     if family == "self":
-        k_lo = int(params.get("k_min", 1))
-        k_hi = int(params.get("k_max", 8))
+        k_lo = _param(params, "k_min", 1, int)
+        k_hi = _param(params, "k_max", 8, int)
         params_local = dict(params)
         params_local["factors"] = ",".join(f"cos{k}" for k in range(k_lo, k_hi + 1))
         basis, ids = _resolve_basis_and_factors(model_cfg, params_local, cache_dir)
         specs = [ProductSpec(basis, (i, i)) for i in ids]
     elif family == "pairs":
-        groups = [g for g in str(params["pairs"]).split(";") if g]
+        groups = [g for g in _param(params, "pairs", convert=str).split(";") if g]
+        if not groups:
+            raise ParameterError("--pairs names no pair")
         params_local = dict(params)
         params_local["factors"] = ",".join(groups[0].split(","))
         basis, _ = _resolve_basis_and_factors(model_cfg, params_local, cache_dir)
@@ -492,7 +503,7 @@ def _lower_bound_results(fit) -> dict:
 def _cmd_remark_s2(config, _cache_dir):
     params = config["params"]
     result = sphere_remark_experiment(
-        range(int(params.get("k_min", 2)), int(params.get("k_max", 20)) + 1))
+        range(_param(params, "k_min", 2, int), _param(params, "k_max", 20, int) + 1))
     results = {
         "samples": [[k, n] for k, n in result.samples],
         "log_slope": result.log_slope,
@@ -540,7 +551,7 @@ def _cmd_extension_params(config, _cache_dir):
     params = config["params"]
     model = _model_from_config(config["model"])
     r2 = params.get("R2")
-    out = compute_extension_params(model, None if r2 is None else float(r2))
+    out = compute_extension_params(model, None if r2 is None else _number(r2))
     results = {
         "dim": out.dim, "R1": out.R1, "R2": out.R2, "R3": out.R3,
         "delta0": out.delta0, "delta": out.delta, "T": out.T,
@@ -583,7 +594,7 @@ def _cmd_remez(config, cache_dir):
     params = config["params"]
     fn, dim = _function_from_config(config, cache_dir)
     center = _center_from_params(params, dim)
-    side = float(params.get("side", 2.0))
+    side = _param(params, "side", 2.0)
     report = remez_fit(fn, center, side)
     results = {
         "doubling": report.doubling,
@@ -607,7 +618,7 @@ def _cmd_doubling(config, cache_dir):
     params = config["params"]
     fn, dim = _function_from_config(config, cache_dir)
     center = _center_from_params(params, dim)
-    r = float(params.get("r", 0.25))
+    r = _param(params, "r", 0.25)
     report = doubling_index(fn, center, r)
     results = {
         "r": report.r, "sup_r": report.sup_r, "sup_2r": report.sup_2r,
@@ -622,7 +633,7 @@ def _cmd_good_set(config, cache_dir):
     basis, ids = _resolve_basis_and_factors(config["model"], params, cache_dir)
     spec = ProductSpec(basis, ids)
     center = _center_from_params(params, basis.model.chart_dim)
-    side = float(params.get("side", 2.0))
+    side = _param(params, "side", 2.0)
     result = good_set_experiment(basis, spec, center, side)
     results = {
         "thresholds": list(result.thresholds),

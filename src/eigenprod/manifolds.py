@@ -60,7 +60,7 @@ from .numerics import (
 COS, SIN = 0, 1
 
 CACHE_MAGIC = b"EPRD"
-CACHE_VERSION = 3
+CACHE_VERSION = 4
 
 __all__ = [
     "FlatTorus",
@@ -203,10 +203,14 @@ class _Surface:
     Optional: ``chart_axes``, ``parse_label(token)`` (the representation a
     CLI mode label names), ``rep_lambda(rep)`` (the mode's lambda in closed
     form; ``build`` computes lambda with it, and the CLI sizes a basis for
-    labelled factors from it without a probe basis) and ``payload_order``.
+    labelled factors from it without a probe basis) and ``rep_kinds``.
     """
 
-    payload_order = (0, 1)  # representation fields in persisted order
+    # how each representation field is persisted: "int" (an int or a tuple
+    # of ints: a header column), "float" (a column of the float block) or
+    # "floats" (a tuple of floats, at most one such field: a matrix at the
+    # end of the float block)
+    rep_kinds = ("int", "int")
 
     def chart_axes(self, arr: np.ndarray) -> list:
         """Per-axis coordinates of validated (n, chart_dim) chart points."""
@@ -509,7 +513,7 @@ class RevTorus(_Surface):
 
     kind = "rev-torus"
     rep_names = ("m", "theta_parity", "profile_coefficients")
-    payload_order = (0, 1, 3, 2)  # lambda before the profile coefficients
+    rep_kinds = ("int", "int", "floats", "float")
 
     def __post_init__(self):
         big, small = float(self.major_radius), float(self.minor_radius)
@@ -747,18 +751,62 @@ def model_from_descriptor(desc: dict):
 
 
 def _basis_payload(basis: SpectralBasis) -> bytes:
-    model = basis.model
-    order = model.payload_order
-    body = {
+    """The canonical body: a JSON header of ints and strings (sorted keys,
+    no whitespace), ``\\n``, then one little-endian float64 block holding
+    the lambda column, each "float" representation column and the
+    (modes x width) matrix of the "floats" field, row-major."""
+    model, modes = basis.model, basis.modes
+    kinds = model.rep_kinds
+    columns = [[m.lam for m in modes]]
+    columns += [[m.rep[i] for m in modes] for i, kind in enumerate(kinds) if kind == "float"]
+    block = np.array(columns, dtype="<f8").tobytes()
+    width = len(columns)
+    if "floats" in kinds:
+        matrix = np.array([m.rep[kinds.index("floats")] for m in modes], dtype="<f8")
+        width += matrix.shape[1]
+        block += matrix.tobytes()
+    header = {
         "model": model_descriptor(model),
         "lambda_max": basis.lambda_max.hex(),
         "resolution": vars(basis.resolution),
         "provenance": basis.provenance,
         "grid_axis_sizes": basis.axis_sizes(),
-        "modes": [[m.id, m.lam.hex(), *[_encode_field(m.rep[i], float.hex) for i in order]]
-                  for m in basis.modes],
+        "count": len(modes),
+        "floats_per_mode": width,
+        "columns": {model.rep_names[i]: [m.rep[i] for m in modes]
+                    for i, kind in enumerate(kinds) if kind == "int"},
     }
-    return json.dumps(body, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    text = json.dumps(header, sort_keys=True, separators=(",", ":"))
+    return text.encode("utf-8") + b"\n" + block
+
+
+def _modes_from_payload(model, header: dict, block: bytes) -> tuple:
+    """The modes :func:`_basis_payload` wrote; ValueError if the float
+    block or a header column does not match the header's mode count."""
+    kinds = model.rep_kinds
+    count, width = header["count"], header["floats_per_mode"]
+    n_columns = 1 + kinds.count("float")
+    if not (isinstance(count, int) and isinstance(width, int)) \
+            or len(block) != 8 * count * width \
+            or width < n_columns or (width > n_columns) != ("floats" in kinds):
+        raise ValueError("the float block does not match the header")
+    values = np.frombuffer(block, dtype="<f8").tolist()
+    scalars = (values[j * count:(j + 1) * count] for j in range(1, n_columns))
+    row, start = width - n_columns, n_columns * count
+    fields = []
+    for i, kind in enumerate(kinds):
+        if kind == "int":
+            fields.append([tuple(v) if isinstance(v, list) else v
+                           for v in header["columns"][model.rep_names[i]]])
+        elif kind == "float":
+            fields.append(next(scalars))
+        else:
+            fields.append([tuple(values[start + k * row:start + (k + 1) * row])
+                           for k in range(count)])
+    if any(len(column) != count for column in fields):
+        raise ValueError("a header column does not hold one entry per mode")
+    reps = zip(*fields)
+    return tuple(Mode(i, lam, rep) for i, (lam, rep) in enumerate(zip(values[:count], reps)))
 
 
 def basis_digest(basis: SpectralBasis) -> str:
@@ -797,19 +845,18 @@ def load_basis(path) -> SpectralBasis:
     body = blob[46:46 + length]
     if len(body) != length or hashlib.sha256(body).digest() != digest:
         raise CorruptionError(f"{path}: content digest mismatch")
+    header_text, separator, block = body.partition(b"\n")
     try:
-        payload = json.loads(body.decode("utf-8"))
-        model = model_from_descriptor(payload["model"])
-        res = Resolution(**payload["resolution"])
-        order = model.payload_order
-        columns = [2 + order.index(i) for i in range(len(order))]  # rep field i's column
-        modes = tuple(Mode(int(m[0]), float.fromhex(m[1]),
-                           tuple([_decode_field(m[c]) for c in columns]))
-                      for m in payload["modes"])
-        lambda_max = float.fromhex(payload["lambda_max"])
-        grid = model.quadrature_grid(payload["grid_axis_sizes"])
-        provenance = payload["provenance"]
-    except (KeyError, ValueError, TypeError) as exc:
+        if not separator:
+            raise ValueError("no header separator")
+        header = json.loads(header_text)
+        model = model_from_descriptor(header["model"])
+        res = Resolution(**header["resolution"])
+        modes = _modes_from_payload(model, header, block)
+        lambda_max = float.fromhex(header["lambda_max"])
+        grid = model.quadrature_grid(header["grid_axis_sizes"])
+        provenance = header["provenance"]
+    except (AttributeError, KeyError, ValueError, TypeError) as exc:
         raise CorruptionError(f"{path}: malformed basis payload ({exc})") from exc
     basis = SpectralBasis(model, lambda_max, modes, grid, provenance, res)
     basis._digest = digest.hex()  # the body is the canonical payload save_basis wrote

@@ -443,12 +443,42 @@ def test_positional_id_guard_rejects_a_mode_shift():
     (("greens", "--model", "flat-torus", "--dim", "1", "--factors", "cos2,cos3",
       "--heights", "0.003,y"), None),
     (("remez", "--function", "power:x"), None),
-], ids=["empty-period", "period", "config-period", "center", "height", "power"])
+    (("truncate",), "[run]\ncommand = truncate\n[model]\nkind = flat-torus\ndim = 1\n"
+                    "[params]\nfactors = cos2,cos3\ntarget = abc\n"),
+    (("remez",), "[run]\ncommand = remez\n[params]\nfunction = linear\nside = x\n"),
+    (("remark-s2",), "[run]\ncommand = remark-s2\n[params]\nk_min = x\n"),
+    (("basis",), "[run]\ncommand = basis\n[model]\nkind = flat-torus\ndim = x\n"
+                 "[params]\nlambda_max = 3\n"),
+    (("basis",), "[run]\ncommand = basis\n[model]\nkind = rev-torus\nR = x\nr = 1\n"
+                 "[params]\nlambda_max = 3\n"),
+    (("basis",), "[run]\ncommand = basis\n[model]\nkind = rev-torus\nR = 2\nr = q\n"
+                 "[params]\nlambda_max = 3\n"),
+], ids=["empty-period", "period", "config-period", "center", "height", "power",
+        "config-target", "config-side", "config-k-min", "config-dim", "config-R",
+        "config-r"])
 def test_malformed_numbers_exit_2(tmp_path, capsys, argv, config_text):
     if config_text is not None:
         path = tmp_path / "run.cfg"
         path.write_text(config_text)
         argv = (*argv, "--config", str(path))
+    code, _ = run(tmp_path, *argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("basis", "--model", "sphere"),
+    ("product", "--model", "flat-torus", "--dim", "1"),
+    ("decay", "--model", "flat-torus", "--dim", "1"),
+    ("truncate", "--model", "flat-torus", "--dim", "1"),
+    ("lower-bound", "--model", "flat-torus", "--dim", "1", "--family", "pairs"),
+    ("lower-bound", "--model", "flat-torus", "--dim", "1", "--family", "pairs",
+     "--pairs", ";"),
+], ids=["basis-lambda-max", "product-factors", "decay-factors", "truncate-factors",
+        "lower-bound-pairs", "lower-bound-empty-pairs"])
+def test_missing_required_params_exit_2(tmp_path, capsys, argv):
     code, _ = run(tmp_path, *argv)
     err = capsys.readouterr().err
     assert code == 2

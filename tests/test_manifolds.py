@@ -412,9 +412,9 @@ def test_json_export_shape(request, name):
 
 
 @pytest.mark.parametrize("name, digest", [
-    ("circle_basis_3", "5088d204d2c7518505af65b935a6af13fd8f11d525e1d78d0c365dae7f991e82"),
-    ("flat2_basis", "8010eea403c014cc9566daf547ffb18e40d42a5db6a565a51f2543ca36f5f880"),
-    ("sphere_basis_3", "00559b4fd93675faa07b610ddfbb86964d1ad691c99eea4e353b302aacf88bef"),
+    ("circle_basis_3", "b9172eb2a67ba5b2b74884b12bb95ab9de750fbec40f6e72a9f8286c05f84b48"),
+    ("flat2_basis", "951db2649ca176a3bc583ecd6e4727e207e4d2a2d68a9b47da24b610891b96a0"),
+    ("sphere_basis_3", "837570d8998588ada76b624197d75216a4e522dc5b30647eeb1f6bb38f88e6cb"),
 ])
 def test_cache_payload_is_pinned(request, name, digest):
     # the .eprd payload format is fixed: exact bases hash to known digests
@@ -422,16 +422,39 @@ def test_cache_payload_is_pinned(request, name, digest):
     assert hashlib.sha256(manifolds._basis_payload(basis)).hexdigest() == digest
 
 
+def split_payload(payload: bytes):
+    """(header dict, float64 values) of a version-4 body."""
+    header, _, block = payload.partition(b"\n")
+    return json.loads(header), np.frombuffer(block, dtype="<f8")
+
+
 def test_rev_mode_payload_layout(rev_basis_3):
-    # rev-torus bits depend on the BLAS build, so pin the layout instead:
-    # [id, lambda, m, theta parity, lambda, profile coefficients], floats as hex
-    payload = json.loads(manifolds._basis_payload(rev_basis_3))
-    assert payload["model"] == {"kind": "rev-torus", "major_radius": (2.0).hex(),
-                                "minor_radius": (1.0).hex()}
-    for entry, mode in zip(payload["modes"], rev_basis_3.modes):
-        m, theta_parity, coeffs, lam = mode.rep
-        assert entry == [mode.id, mode.lam.hex(), m, theta_parity, lam.hex(),
-                         [c.hex() for c in coeffs]]
+    # rev-torus bits depend on the BLAS build, so pin the layout instead: a
+    # canonical header with m and theta parity as columns, then the lambda
+    # column, the rep's lambda column and the profile coefficients, row-major
+    payload = manifolds._basis_payload(rev_basis_3)
+    header, values = split_payload(payload)
+    header_text = payload.partition(b"\n")[0]
+    assert header_text == json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    modes = rev_basis_3.modes
+    count, width = len(modes), len(modes[0].rep[2])
+    assert header["model"] == {"kind": "rev-torus", "major_radius": (2.0).hex(),
+                               "minor_radius": (1.0).hex()}
+    assert (header["count"], header["floats_per_mode"]) == (count, width + 2)
+    assert header["columns"] == {"m": [m.rep[0] for m in modes],
+                                 "theta_parity": [m.rep[1] for m in modes]}
+    assert header["lambda_max"] == (3.0).hex()
+    assert header["grid_axis_sizes"] == rev_basis_3.axis_sizes()
+    assert values.size == count * (width + 2)
+    assert values[:count].tolist() == [m.lam for m in modes]
+    assert values[count:2 * count].tolist() == [m.rep[3] for m in modes]
+    assert values[2 * count:].reshape(count, width).tolist() == [list(m.rep[2]) for m in modes]
+
+
+def write_body(path, body: bytes) -> None:
+    """A version-4 cache file around ``body`` with a valid digest."""
+    path.write_bytes(manifolds.CACHE_MAGIC + struct.pack("<H", manifolds.CACHE_VERSION)
+                     + hashlib.sha256(body).digest() + struct.pack("<Q", len(body)) + body)
 
 
 def test_non_models_fail_cleanly(tmp_path, circle_basis_3):
@@ -439,14 +462,56 @@ def test_non_models_fail_cleanly(tmp_path, circle_basis_3):
         build_basis(object(), 1.0)
     # a file with an unknown model kind but a valid digest: the kind check,
     # not the digest check, must reject it
-    payload = json.loads(manifolds._basis_payload(circle_basis_3))
-    payload["model"]["kind"] = "cube"
-    body = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    header, values = split_payload(manifolds._basis_payload(circle_basis_3))
+    header["model"]["kind"] = "cube"
     path = tmp_path / "cube.eprd"
-    path.write_bytes(manifolds.CACHE_MAGIC + struct.pack("<H", manifolds.CACHE_VERSION)
-                     + hashlib.sha256(body).digest() + struct.pack("<Q", len(body)) + body)
+    write_body(path, json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+               + b"\n" + values.tobytes())
     with pytest.raises(CorruptionError, match="unknown model kind 'cube'"):
         load_basis(path)
+
+
+def _no_separator(header, values):
+    return json.dumps(header).encode() + values.tobytes().replace(b"\n", b"")
+
+
+def _one_value_short(header, values):
+    return json.dumps(header).encode() + b"\n" + values[:-1].tobytes()
+
+
+def _count_off_by_one(header, values):
+    return json.dumps({**header, "count": header["count"] + 1}).encode() + b"\n" \
+        + values.tobytes()
+
+
+def _short_column(header, values):
+    columns = {k: v[:-1] for k, v in header["columns"].items()}
+    return json.dumps({**header, "columns": columns}).encode() + b"\n" + values.tobytes()
+
+
+@pytest.mark.parametrize("name", ["circle_basis_3", "rev_basis_3"])
+@pytest.mark.parametrize("damage", [_no_separator, _one_value_short, _count_off_by_one,
+                                    _short_column])
+def test_load_rejects_a_malformed_v4_body(tmp_path, request, name, damage):
+    # a body with a valid digest whose header and float block disagree
+    header, values = split_payload(manifolds._basis_payload(request.getfixturevalue(name)))
+    path = tmp_path / "bad.eprd"
+    write_body(path, damage(header, values))
+    with pytest.raises(CorruptionError, match="malformed basis payload"):
+        load_basis(path)
+
+
+@pytest.mark.parametrize("lambda_max", [4.5, 8.4])
+def test_rev_cache_file_is_raw_float64(tmp_path, lambda_max):
+    # every float is 8 bytes: the file is the float block plus a small
+    # header (at lambda 4.5 the hex-in-JSON body of version 3 is about 2.2
+    # times this bound)
+    basis = build_basis(RevTorus(2.0, 1.0), lambda_max)
+    path = tmp_path / "rev.eprd"
+    save_basis(basis, path)
+    width = len(basis.modes[0].rep[2])
+    assert path.stat().st_size <= 8 * basis.size * (width + 2) + 4096
+    assert basis_equal(load_basis(path), basis)
 
 
 def test_rev_evaluate_builds_the_circle_basis_at_distinct_s_only(monkeypatch, rev_basis_3):
