@@ -835,7 +835,8 @@ def _replay(args, out_dir: str, cache_dir: str) -> int:
         atomic_write_text(f"{stem}.{kind}", payload)
     differences = diff_paths(original.get("results"), report["results"])
     differences += diff_paths(original.get("provenance", {}).get("basis_digest"),
-                              report["provenance"].get("basis_digest"))
+                              report["provenance"].get("basis_digest"),
+                              "provenance.basis_digest")
     if differences:
         print(f"replay mismatch at {len(differences)} fields: "
               + ", ".join(differences[:5]), file=sys.stderr)

@@ -39,6 +39,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import (
+    ConvergenceError,
     CorruptionError,
     ParameterError,
     UnderResolvedError,
@@ -46,13 +47,14 @@ from .errors import (
 )
 from .numerics import (
     QuadratureGrid,
-    SymmetricPencil,
     TWO_PI,
     circle_basis,
     circle_basis_derivative,
     gauss_legendre,
+    inverse_cholesky,
+    reduce_congruent,
+    reduced_eig,
     rev_galerkin_terms,
-    sym_generalized_eig,
     tensor_grid,
     uniform_periodic,
 )
@@ -60,7 +62,9 @@ from .numerics import (
 COS, SIN = 0, 1
 
 CACHE_MAGIC = b"EPRD"
-CACHE_VERSION = 4
+CACHE_VERSION = 5
+# largest relative residual |A v - mu B v| / max|A| a rev-torus build accepts
+MAX_EIGEN_RESIDUAL = 1e-10
 
 __all__ = [
     "FlatTorus",
@@ -102,7 +106,9 @@ class Resolution:
 
     ``max_product_factors`` sizes the quadrature grid so that coefficient
     and norm integrands of products with that many eigenfunction factors
-    are within the grid's exactness.
+    are within the grid's exactness.  Every field is an integer;
+    ``rev_fourier_n`` may also be None, for the truncation chosen from
+    lambda_max.
     """
 
     max_product_factors: int = 3
@@ -114,10 +120,16 @@ class Resolution:
     rev_fourier_n: int | None = None
 
     def __post_init__(self):
-        if self.max_product_factors < 1:
-            raise ParameterError("max_product_factors must be >= 1")
-        if self.margin < 0:
-            raise ParameterError("margin must be >= 0")
+        for spec in fields(self):
+            value = getattr(self, spec.name)
+            if value is None and spec.name == "rev_fourier_n":
+                continue
+            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+                raise ParameterError(f"{spec.name} must be an integer, got {value!r}")
+            lowest = 1 if spec.name in ("max_product_factors", "rev_fourier_n") else 0
+            if value < lowest:
+                raise ParameterError(f"{spec.name} must be >= {lowest}, got {value}")
+            object.__setattr__(self, spec.name, int(value))
 
 
 @dataclass(eq=False)
@@ -547,27 +559,34 @@ class RevTorus(_Surface):
                 f"angular family m={m_scan} needed for lambda_max={lambda_max} "
                 f"(cap {res.rev_m_cap})")
         size = 2 * trunc + 1
-        even_idx, odd_idx = _rev_parity_indices(trunc)
         stiff, inv_weight, mass = rev_galerkin_terms(big, small, trunc)
+        # the full stiffness K + m^2 M_inv scales the zero-snap and the residual
+        a_maxes = [max(float(np.max(np.abs(stiff + (m * m) * inv_weight))), 1.0)
+                   for m in range(m_scan + 1)]
+        # only the eigenpairs below a slightly widened lambda_max are computed
+        upper = (lambda_max * (1.0 + 1e-9)) ** 2
         profiles = []  # (lam, m, s_parity, coeffs)
         worst_residual = 0.0
-        for m in range(m_scan + 1):
-            a = stiff + (m * m) * inv_weight
-            a_max = max(float(np.max(np.abs(a))), 1.0)
-            for s_parity, idx in ((COS, even_idx), (SIN, odd_idx)):
-                sub = SymmetricPencil(a[np.ix_(idx, idx)], mass[np.ix_(idx, idx)])
-                values, vectors = sym_generalized_eig(sub)
+        for s_parity, idx in zip((COS, SIN), _rev_parity_indices(trunc)):
+            # every family m solves (K + m^2 M_inv) v = mu B v on this block,
+            # so B is factored and K, M_inv are reduced once for all of them
+            grid = np.ix_(idx, idx)
+            k, w, b = stiff[grid], inv_weight[grid], mass[grid]
+            inv_lower = inverse_cholesky(b)
+            k_red, w_red = reduce_congruent(inv_lower, k), reduce_congruent(inv_lower, w)
+            for m, a_max in enumerate(a_maxes):
+                values, block = reduced_eig(k_red + (m * m) * w_red, inv_lower, upper)
                 lams = np.sqrt(np.where(values <= 1e-12 * a_max, 0.0, values))
                 kept = int(np.count_nonzero(lams <= lambda_max * (1.0 + 1e-12)))
                 if not kept:
                     continue
-                block = vectors[:, :kept]
+                block, values = block[:, :kept], values[:kept]
                 # einsum without ``optimize`` takes no BLAS path, so the
                 # residual (part of the digest) does not depend on the
                 # BLAS thread count
                 residuals = np.linalg.norm(
-                    np.einsum("ij,jk->ik", sub.a, block)
-                    - np.einsum("ij,jk->ik", sub.b, block) * values[:kept], axis=0)
+                    np.einsum("ij,jk->ik", k + (m * m) * w, block)
+                    - np.einsum("ij,jk->ik", b, block) * values, axis=0)
                 worst_residual = max(worst_residual, float(np.max(residuals)) / a_max)
                 for q in range(kept):
                     coeffs = np.zeros(size)
@@ -577,6 +596,9 @@ class RevTorus(_Surface):
                     else:
                         coeffs[idx] = block[:, q]
                     profiles.append((float(lams[q]), m, s_parity, tuple(coeffs.tolist())))
+        if worst_residual > MAX_EIGEN_RESIDUAL:
+            raise ConvergenceError(
+                f"rev-torus eigen-residual {worst_residual:.3e} exceeds {MAX_EIGEN_RESIDUAL:g}")
         entries = []
         for lam, m, s_parity, coeffs in profiles:
             for theta_parity in ((COS,) if m == 0 else (COS, SIN)):

@@ -1,14 +1,21 @@
 """Deterministic numerical kernels.
 
 Quadrature rules (Gauss-Legendre, uniform periodic), a dense symmetric
-generalized eigensolver (LAPACK ``dsygvd`` through scipy), and the
-Fourier-Galerkin matrices of the torus-of-revolution profile problem in
-closed form.
+generalized eigensolver, and the Fourier-Galerkin matrices of the
+torus-of-revolution profile problem in closed form.
+
+The eigensolver reduces a pencil (A, B) once: it factors B = L L^T
+(LAPACK ``dpotrf``, ``dtrtri``) and forms L^-1 A L^-T.  Each reduced
+matrix is solved by LAPACK ``dsyevr`` through :func:`scipy.linalg.eigh`,
+optionally for the eigenvalues below a bound only, and its vectors are
+mapped back by v = L^-T w.  Pencils that share B, such as the angular
+families of the torus of revolution, share one reduction.
 
 Every function here is a pure function of its arguments and safe to call
 from many threads.  Results are bit-reproducible for a fixed BLAS thread
-count.  Only the eigensolver's bits may change with it, and only for
-large pencils (the Galerkin matrices use no BLAS at all).
+count.  Only the LAPACK calls' bits may change with it, and only for
+large pencils: the Galerkin matrices, the congruence L^-1 A L^-T and the
+back-substitution use no BLAS at all.
 """
 
 from __future__ import annotations
@@ -19,6 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import eigh
+from scipy.linalg.lapack import dpotrf, dtrtri
 
 from .errors import (
     ConvergenceError,
@@ -40,6 +48,9 @@ __all__ = [
     "uniform_periodic",
     "tensor_grid",
     "sym_generalized_eig",
+    "inverse_cholesky",
+    "reduce_congruent",
+    "reduced_eig",
     "rev_galerkin_terms",
     "circle_basis",
     "circle_basis_derivative",
@@ -192,11 +203,13 @@ def tensor_grid(*axes: QuadratureGrid, volume: float | None = None) -> Quadratur
 @dataclass(frozen=True)
 class SymmetricPencil:
     """A dense symmetric pencil (A, B): A symmetric, B symmetric positive
-    definite, both of the same dimension."""
+    definite, both of the same dimension.  ``inv_lower`` is L^-1 for the
+    Cholesky factor B = L L^T."""
 
     a: np.ndarray
     b: np.ndarray
     dim: int = field(init=False)
+    inv_lower: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         a = np.array(self.a, dtype=float)
@@ -209,20 +222,17 @@ class SymmetricPencil:
             raise ParameterError("stiffness matrix is not symmetric")
         if b.size and np.max(np.abs(b - b.T)) > 1e-12:
             raise ParameterError("mass matrix is not symmetric")
-        try:
-            np.linalg.cholesky(b)
-        except np.linalg.LinAlgError as exc:
-            raise FactorizationError("mass matrix is not positive definite") from exc
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "dim", a.shape[0])
+        object.__setattr__(self, "inv_lower", inverse_cholesky(b))
 
 
 def sym_generalized_eig(pencil: SymmetricPencil):
     """Solve A v = mu B v for a symmetric pencil.
 
     Returns (eigenvalues ascending, eigenvectors as B-orthonormal columns),
-    computed by LAPACK ``dsygvd`` through :func:`scipy.linalg.eigh`.  Each
+    computed by :func:`reduced_eig` on the pencil's reduction.  Each
     column's sign is fixed so that its first entry above 1e-8 times the
     column's largest magnitude is positive.
     """
@@ -230,10 +240,49 @@ def sym_generalized_eig(pencil: SymmetricPencil):
         raise ParameterError(f"pencil dimension {pencil.dim} exceeds {MAX_PENCIL_DIM}")
     if pencil.dim == 0:
         return np.zeros(0), np.zeros((0, 0))
-    values, vectors = eigh(pencil.a, pencil.b, driver="gvd")
+    return reduced_eig(reduce_congruent(pencil.inv_lower, pencil.a), pencil.inv_lower)
+
+
+def inverse_cholesky(b: np.ndarray) -> np.ndarray:
+    """L^-1 for the Cholesky factor B = L L^T of a symmetric positive
+    definite B (lower triangular, zero above the diagonal).
+
+    Raises :class:`FactorizationError` when B is not positive definite.
+    """
+    if not b.size:
+        return np.zeros(b.shape)
+    lower, info = dpotrf(b, lower=1)
+    if info == 0:
+        inverse, info = dtrtri(lower, lower=1)
+    if info != 0:
+        raise FactorizationError("mass matrix is not positive definite")
+    return inverse
+
+
+def reduce_congruent(inv_lower: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """The symmetric matrix L^-1 A L^-T.
+
+    Two-operand ``np.einsum`` without ``optimize`` takes no BLAS path, so
+    the bits do not depend on the BLAS thread count.
+    """
+    half = np.einsum("ij,jk->ik", inv_lower, matrix)
+    out = np.einsum("ij,kj->ik", half, inv_lower)
+    return 0.5 * (out + out.T)
+
+
+def reduced_eig(matrix: np.ndarray, inv_lower: np.ndarray, upper: float | None = None):
+    """Eigenpairs of the pencil whose reduction is ``matrix`` = L^-1 A L^-T.
+
+    Returns (eigenvalues ascending, eigenvectors v = L^-T w as B-orthonormal
+    columns); with ``upper``, only the eigenvalues <= ``upper``.  Signs are
+    fixed as in :func:`sym_generalized_eig`.
+    """
+    bounds = None if upper is None else (-math.inf, upper)
+    values, reduced = eigh(matrix, subset_by_value=bounds, driver="evr")
+    vectors = np.einsum("ji,jk->ik", inv_lower, reduced)
     mags = np.abs(vectors)
     lead = np.argmax(mags > 1e-8 * np.maximum(mags.max(axis=0), 1e-300), axis=0)
-    flip = vectors[lead, np.arange(pencil.dim)] < 0.0
+    flip = vectors[lead, np.arange(vectors.shape[1])] < 0.0
     vectors[:, flip] = -vectors[:, flip]
     return values, vectors
 

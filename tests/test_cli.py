@@ -278,6 +278,19 @@ def test_replay_check_flags_tampering(tmp_path):
     assert code2 == 3
 
 
+def test_replay_names_a_mismatched_basis_digest(tmp_path, capsys):
+    code, out = run(tmp_path, "truncate", "--model", "flat-torus", "--dim", "1",
+                    "--factors", "cos2,cos3")
+    assert code == 0
+    doc = read(out, "truncate.json")
+    doc["provenance"]["basis_digest"] = "0" * 64
+    (out / "old-digest.json").write_text(json.dumps(doc))
+    capsys.readouterr()
+    code2, _ = run(tmp_path, "report", "--replay", str(out / "old-digest.json"), "--check")
+    assert code2 == 3
+    assert "replay mismatch at 1 fields: provenance.basis_digest" in capsys.readouterr().err
+
+
 def test_validation_exit_code(tmp_path):
     code, _ = run(tmp_path, "truncate", "--model", "flat-torus", "--dim", "1",
                   "--factors", "cos999")

@@ -11,6 +11,9 @@ from eigenprod.numerics import (
     SymmetricPencil,
     circle_basis,
     circle_basis_derivative,
+    inverse_cholesky,
+    reduce_congruent,
+    reduced_eig,
     rev_galerkin_terms,
     sym_generalized_eig,
 )
@@ -78,6 +81,38 @@ def test_eigenvalues_match_lapack_oracle():
 def test_indefinite_mass_matrix_rejected():
     with pytest.raises(FactorizationError):
         SymmetricPencil(np.eye(2), np.diag([1.0, -1.0]))
+
+
+def test_indefinite_mass_rejected_by_the_shared_reduction():
+    # the rev-torus build factors each parity block's mass matrix here
+    with pytest.raises(FactorizationError):
+        inverse_cholesky(np.diag([2.0, 0.5, -1.0]))
+    with pytest.raises(FactorizationError):
+        inverse_cholesky(np.array([[1.0, 2.0], [2.0, 1.0]]))
+    b = np.array([[4.0, 2.0], [2.0, 3.0]])
+    assert np.array_equal(SymmetricPencil(np.eye(2), b).inv_lower, inverse_cholesky(b))
+
+
+def test_kept_subset_matches_the_full_spectrum():
+    # a bound between two eigenvalues returns exactly the pairs below it,
+    # equal to the leading pairs of the full solve and of dsygvd
+    rng = np.random.default_rng(11)
+    raw = rng.normal(size=(30, 30))
+    a = 0.5 * (raw + raw.T)
+    root = rng.normal(size=(30, 30))
+    b = root @ root.T + 30.0 * np.eye(30)
+    pencil = SymmetricPencil(a, b)
+    full_values, full_vectors = sym_generalized_eig(pencil)
+    oracle_values = eigh(a, b, driver="gvd", eigvals_only=True)
+    reduced = reduce_congruent(pencil.inv_lower, a)
+    bounds = np.concatenate(([full_values[0] - 1.0],
+                             (full_values[:-1] + full_values[1:]) / 2, [math.inf]))
+    for kept in (0, 1, 7, 30):
+        upper = bounds[kept]
+        values, vectors = reduced_eig(reduced, pencil.inv_lower, upper)
+        assert values.shape == (kept,) and vectors.shape == (30, kept)
+        assert np.max(np.abs(values - oracle_values[:kept]), initial=0.0) <= 1e-11
+        assert np.max(np.abs(vectors - full_vectors[:, :kept]), initial=0.0) <= 1e-10
 
 
 def test_asymmetric_stiffness_rejected():

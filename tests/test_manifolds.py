@@ -13,9 +13,12 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.special import sph_harm_y
 
+from eigenprod.cli import cli_main
 from eigenprod.errors import (
+    ConvergenceError,
     CorruptionError,
     ParameterError,
     UnderResolvedError,
@@ -40,7 +43,7 @@ from eigenprod.manifolds import (
     rev_profile_derivatives,
     save_basis,
 )
-from eigenprod.numerics import uniform_periodic
+from eigenprod.numerics import rev_galerkin_terms, uniform_periodic
 
 TWO_PI = 2.0 * math.pi
 
@@ -269,6 +272,92 @@ def test_rev_torus_digest_does_not_depend_on_blas_threads():
                                       capture_output=True, text=True).stdout.split())
     assert len(digests[0]) == 3
     assert digests[0] == digests[1]
+
+
+def _gvd_rev_modes(model, lambda_max):
+    """(lam, m, theta parity, s parity, coefficients) of every kept mode,
+    sorted like a basis, from one full-spectrum dsygvd per family and
+    s-parity block: the reference for the reduced, kept-subset solver."""
+    big, small = model.major_radius, model.minor_radius
+    trunc = max(64, 4 * math.ceil(lambda_max * small))
+    stiff, inv_weight, mass = rev_galerkin_terms(big, small, trunc)
+    blocks = ((COS, np.array([0] + list(range(1, 2 * trunc, 2)))),
+              (SIN, np.arange(2, 2 * trunc + 1, 2)))
+    entries = []
+    for m in range(math.floor(lambda_max * (big + small) * (1.0 + 1e-12)) + 1):
+        a = stiff + (m * m) * inv_weight
+        a_max = max(float(np.max(np.abs(a))), 1.0)
+        for s_parity, idx in blocks:
+            grid = np.ix_(idx, idx)
+            values, vectors = scipy.linalg.eigh(a[grid], mass[grid], driver="gvd")
+            lams = np.sqrt(np.where(values <= 1e-12 * a_max, 0.0, values))
+            for q in np.flatnonzero(lams <= lambda_max * (1.0 + 1e-12)):
+                coeffs = np.zeros(2 * trunc + 1)
+                if lams[q] == 0.0:
+                    coeffs[0] = 1.0 / math.sqrt(big)
+                else:
+                    column = vectors[:, q]
+                    big_entries = np.abs(column) > 1e-8 * np.max(np.abs(column))
+                    coeffs[idx] = column * np.sign(column[np.argmax(big_entries)])
+                for theta_parity in ((COS,) if m == 0 else (COS, SIN)):
+                    entries.append((float(lams[q]), m, theta_parity, s_parity, coeffs))
+    entries.sort(key=lambda entry: entry[:4] + tuple(entry[4]))
+    return entries
+
+
+def _rev_cold_lambda(big, small):
+    # the rev-cold decay op: lambda_max = 5 * (lambda_1 + lambda_3)
+    probe = build_basis(RevTorus(big, small), 2.0)
+    return 5.0 * (probe.modes[1].lam + probe.modes[3].lam)
+
+
+@pytest.mark.parametrize("big, small, lambda_max", [
+    (2.0, 1.0, 6.0), (2.0, 1.0, 3.0), (1.8, 0.9, 4.5),
+    (1.8, 0.9, None), (2.3, 1.15, None),
+])
+def test_reduced_subset_solver_matches_full_dsygvd(big, small, lambda_max):
+    lambda_max = lambda_max or _rev_cold_lambda(big, small)
+    basis = build_basis(RevTorus(big, small), lambda_max)
+    oracle = _gvd_rev_modes(basis.model, lambda_max)
+    ours = [(mode.lam, mode.rep[0], mode.rep[1],
+             SIN if any(mode.rep[2][2::2]) else COS, np.array(mode.rep[2]))
+            for mode in basis.modes]
+    assert [entry[1:4] for entry in ours] == [entry[1:4] for entry in oracle]
+    assert max(abs(x[0] - y[0]) for x, y in zip(ours, oracle)) <= 1e-11
+    assert max(np.max(np.abs(x[4] - y[4])) for x, y in zip(ours, oracle)) <= 1e-12
+
+
+def test_rev_torus_residual_check_can_fail(tmp_path, monkeypatch):
+    solve = manifolds.reduced_eig
+
+    def perturbed(matrix, inv_lower, upper=None):
+        values, vectors = solve(matrix, inv_lower, upper)
+        return values, vectors + 1e-6
+    monkeypatch.setattr(manifolds, "reduced_eig", perturbed)
+    with pytest.raises(ConvergenceError, match="residual"):
+        build_basis(RevTorus(2.0, 1.0), 3.0)
+    code = cli_main(["basis", "--model", "rev-torus", "--R", "2", "--r", "1",
+                     "--lambda-max", "3", "--out", str(tmp_path / "out"),
+                     "--cache", str(tmp_path / "cache")])
+    assert code == 3
+
+
+@pytest.mark.parametrize("fields", [
+    {"rev_fourier_n": 0}, {"rev_fourier_n": -3}, {"rev_fourier_n": 2.5},
+    {"rev_fourier_n": True}, {"max_product_factors": 0}, {"max_product_factors": 2.0},
+    {"margin": -1}, {"margin": False}, {"torus_freq_cap": -1}, {"sphere_l_cap": -1},
+    {"rev_m_cap": -1}, {"rev_m_cap": "32"}, {"rev_fourier_cap": -1},
+    {"rev_fourier_cap": None}, {"margin": None},
+])
+def test_resolution_rejects_malformed_fields(fields):
+    with pytest.raises(ParameterError, match=next(iter(fields))):
+        Resolution(**fields)
+
+
+def test_resolution_accepts_integers():
+    res = Resolution(rev_fourier_n=np.int64(96), rev_m_cap=0)
+    assert res.rev_fourier_n == 96 and type(res.rev_fourier_n) is int
+    assert Resolution(rev_fourier_n=None).rev_fourier_n is None
 
 
 def test_rev_torus_under_resolution_errors():
