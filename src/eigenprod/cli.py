@@ -84,10 +84,12 @@ __all__ = ["cli_main", "main", "run_config", "config_to_text", "config_from_text
 
 
 def _number(text, convert=float):
-    """``convert(text)``, with a malformed number a validation error (exit 2)."""
+    """``convert(text)``; a malformed number or a fractional int exits 2."""
     try:
+        if convert is int and isinstance(text, float) and not text.is_integer():
+            raise ValueError("not an integer")
         return convert(text)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ParameterError(f"cannot read {text!r} as {convert.__name__}") from exc
 
 
@@ -139,6 +141,8 @@ def _model_config(args) -> dict | None:
 
 
 def _model_from_config(cfg: dict):
+    if not isinstance(cfg, dict):
+        raise ParameterError("missing --model")
     kind = cfg.get("kind")
     if kind not in _CLI_MODELS:
         raise ParameterError(f"unknown model kind {kind!r} in configuration")
@@ -225,13 +229,12 @@ def _label_lambdas(model, keys):
 def _check_positional_ids(probe, basis, tokens, ids) -> None:
     """A numeric factor id is resolved on the probe basis (to size the
     final one) and then on the final basis; both must name the same mode:
-    the same leading representation fields and lambda within 1e-9
-    relative."""
+    the same representation and lambda within 1e-9 relative."""
     for token, idx in zip(tokens, ids):
         if not token.strip().lstrip("-").isdigit():
             continue
         seen, used = probe.modes[idx], basis.modes[idx]
-        if seen.rep[:2] != used.rep[:2] or \
+        if seen.rep != used.rep or \
                 abs(seen.lam - used.lam) > 1e-9 * max(abs(seen.lam), abs(used.lam)):
             raise ParameterError(
                 f"mode id {idx} names different modes in the probe basis "
@@ -576,7 +579,7 @@ def _function_from_config(config, cache_dir):
         params_local["factors"] = spec.split(":", 1)[1]
         basis, ids = _resolve_basis_and_factors(config["model"], params_local,
                                                 cache_dir)
-        return (as_chart_function(basis.model, basis.modes[ids[0]]),
+        return (as_chart_function(basis, basis.modes[ids[0]]),
                 basis.model.chart_dim)
     raise ParameterError(f"unknown function spec {spec!r}")
 
@@ -775,8 +778,11 @@ _NON_PARAMS = {"command", "out", "cache", "config", "model", "dim", "periods",
 def _config_from_args(args) -> dict:
     file_config = None
     if getattr(args, "config", None):
-        with open(args.config, "r", encoding="utf-8") as handle:
-            file_config = config_from_text(handle.read())
+        try:
+            with open(args.config, "r", encoding="utf-8") as handle:
+                file_config = config_from_text(handle.read())
+        except (OSError, ValueError) as exc:
+            raise ParameterError(f"cannot read config file: {exc}") from exc
         if file_config["command"] != args.command:
             raise ParameterError(
                 f"config file is for {file_config['command']!r}, "
@@ -824,9 +830,13 @@ def cli_main(argv=None) -> int:
 
 
 def _replay(args, out_dir: str, cache_dir: str) -> int:
-    original = load_json(args.replay)
-    config = original.get("config")
-    if not isinstance(config, dict):
+    try:
+        original = load_json(args.replay)
+    except (OSError, ValueError) as exc:
+        raise ParameterError(f"cannot read report: {exc}") from exc
+    config = original.get("config") if isinstance(original, dict) else None
+    if not (isinstance(config, dict) and {"command", "model"} <= set(config)
+            and isinstance(config.get("params"), dict)):
         raise ParameterError(f"{args.replay} carries no embedded configuration")
     report, artifacts, summary = run_config(config, out_dir, cache_dir)
     stem = os.path.join(out_dir, f"replay-{config['command']}")

@@ -371,7 +371,8 @@ def _check_grid_resolution(spec: ProductSpec):
     exactness on each axis: phi_i times the product, and the product
     squared for its norm."""
     basis = spec.basis
-    factor_bw = np.sum([basis.model.bandwidth(m) for m in spec.factor_modes()], axis=0)
+    width = basis.coefficients.shape[1]
+    factor_bw = np.sum([basis.model.bandwidth(m, width) for m in spec.factor_modes()], axis=0)
     needed = np.maximum(factor_bw + basis.target_bandwidth, 2 * factor_bw)
     exact = basis.axis_exactness()
     if np.any(needed > exact):

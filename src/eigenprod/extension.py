@@ -132,7 +132,7 @@ class HarmonicExtension:
     def _mode_matrix(self, points: np.ndarray) -> np.ndarray:
         model = self.basis.model
         arr, _scalar = _normalize_points(points, model.chart_dim)
-        return model.values(self._modes, arr)
+        return model.values(self._modes, self.basis.coefficients[self.mode_ids], arr)
 
     def at(self, points) -> PointSample:
         """The extension at fixed chart points, for evaluation at many
@@ -219,7 +219,7 @@ def harmonic_extension_flat(series: CoefficientSeries, height: float,
     f_direct = np.ones(512)
     for i in series.product.factors:
         f_direct = f_direct * np.atleast_1d(
-            evaluate(model, ext.basis.modes[i], lattice))
+            evaluate(ext.basis, ext.basis.modes[i], lattice))
     boundary = ext.at(lattice)
     boundary_gap = float(np.max(np.abs(boundary.value(0.0) - f_direct)))
     f_sup = float(np.max(np.abs(f_direct)))

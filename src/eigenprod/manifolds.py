@@ -12,18 +12,20 @@ Three closed analytic models are supported:
   band-limited.
 
 Eigenvalues are written lambda^2 throughout; a mode stores lambda, the
-frequency.  Modes are ordered by ascending lambda with ties broken by the
-lexicographic order of their representation, so ids are reproducible.
+frequency, and an integer representation; per-mode floats are rows of
+``SpectralBasis.coefficients``.  Modes are ordered by ascending lambda
+with ties broken by their representation, so ids are reproducible.
 
 Everything that differs between models lives in the model's class, one
 section of this module each; ``build_basis``, ``evaluate``, persistence
 and the JSON view are model-agnostic.  A fourth model is a frozen
 dataclass derived from ``_Surface`` whose fields are its constructor
 arguments.  It implements the method set listed there (``build``,
-``quadrature_grid``, ``axis_factor_rows``, ``bandwidth``, and where it
-has them ``chart_axes``, ``parse_label`` and the closed-form
-``rep_lambda``) and joins ``_MODELS``; an exact oracle, if it has one,
-joins ``coefficients._EXACT_ORACLES``.
+``quadrature_grid``, ``axis_factor_rows(modes, coefficients,
+axis_points)``, ``bandwidth(mode, width)``, and where it has them
+``coefficients_name``, ``chart_axes``, ``parse_label`` and the
+closed-form ``rep_lambda``) and joins ``_MODELS``; an exact oracle, if it
+has one, joins ``coefficients._EXACT_ORACLES``.
 """
 
 from __future__ import annotations
@@ -62,7 +64,7 @@ from .numerics import (
 COS, SIN = 0, 1
 
 CACHE_MAGIC = b"EPRD"
-CACHE_VERSION = 5
+CACHE_VERSION = 6
 # largest relative residual |A v - mu B v| / max|A| a rev-torus build accepts
 MAX_EIGEN_RESIDUAL = 1e-10
 
@@ -87,12 +89,12 @@ __all__ = [
 @dataclass(frozen=True)
 class Mode:
     """One eigenfunction: ordinal id, frequency lambda, and a
-    manifold-specific representation.
+    manifold-specific representation of ints and tuples of ints.
 
     Representations: flat torus (freqs, parities) with parity 0=cos /
     1=sin per axis; sphere (l, m) of a real harmonic (m>0 cosine type,
-    m<0 sine type); torus of revolution (m, theta parity, profile
-    coefficients in the real Fourier s-basis, lambda).
+    m<0 sine type); torus of revolution (m, theta parity), whose profile
+    is row ``id`` of its basis's ``coefficients``.
     """
 
     id: int
@@ -137,6 +139,8 @@ class SpectralBasis:
     """All eigenfunctions with lambda <= lambda_max on one model, plus the
     quadrature grid every integral in the package runs on.
 
+    ``coefficients`` is the read-only (modes, width) float matrix whose
+    row i is mode i's rev-torus s-profile (width 0 on the other models).
     ``profile_matrices`` holds, per grid axis, the factor values of every
     mode on that axis's nodes as one (modes, nodes) array.  It is built in
     one shot on first use, so bases that are only loaded or saved (CLI
@@ -150,19 +154,25 @@ class SpectralBasis:
     model: object
     lambda_max: float
     modes: tuple
+    coefficients: np.ndarray
     grid: QuadratureGrid
     provenance: str
     resolution: Resolution
     _digest: str | None = field(default=None, init=False, repr=False)
 
+    def __post_init__(self):
+        self.coefficients.setflags(write=False)
+
     @cached_property
     def profile_matrices(self) -> tuple:
-        return self.model.axis_factor_rows(self.modes, tuple(ax[0] for ax in self.grid.axes))
+        return self.model.axis_factor_rows(self.modes, self.coefficients,
+                                           tuple(ax[0] for ax in self.grid.axes))
 
     @cached_property
     def target_bandwidth(self) -> np.ndarray:
         """Per-axis maximum of the model's ``bandwidth`` over all modes."""
-        return np.max([self.model.bandwidth(m) for m in self.modes], axis=0)
+        width = self.coefficients.shape[1]
+        return np.max([self.model.bandwidth(m, width) for m in self.modes], axis=0)
 
     def mode(self, mode_id: int) -> Mode:
         if not 0 <= mode_id < len(self.modes):
@@ -203,34 +213,30 @@ class _Surface:
     """The method set of a model; what is defined here is shared or a default.
 
     Required: ``kind`` (the persisted descriptor key), ``rep_names`` (the
-    JSON names of the representation fields), ``chart_dim``, ``volume``,
+    names of the int representation fields), ``chart_dim``, ``volume``,
     ``build(lambda_max, res)`` (the ordered basis),
-    ``quadrature_grid(sizes)`` (the grid from its per-axis node counts,
-    the persisted grid input), ``axis_factor_rows(modes, axis_points)``
-    (per grid axis, one (len(modes), len(points)) array at grid-axis
-    coordinates whose rows multiply to the modes' values) and
-    ``bandwidth(mode)`` (the per-axis degree, which sizes the exactness a
-    product's integrands need).
+    ``quadrature_grid(sizes)`` (the grid from its per-axis node counts),
+    ``axis_factor_rows(modes, coefficients, axis_points)`` (per grid axis,
+    one (len(modes), len(points)) array whose rows multiply to the values
+    of the modes, given with their coefficient rows) and
+    ``bandwidth(mode, width)`` (the per-axis degree, which sizes the
+    exactness a product's integrands need, at coefficient row width).
 
-    Optional: ``chart_axes``, ``parse_label(token)`` (the representation a
-    CLI mode label names), ``rep_lambda(rep)`` (the mode's lambda in closed
-    form; ``build`` computes lambda with it, and the CLI sizes a basis for
-    labelled factors from it without a probe basis) and ``rep_kinds``.
+    Optional: ``coefficients_name`` (the JSON name of a coefficient row;
+    None for empty rows), ``chart_axes``, ``parse_label(token)`` (the
+    representation a CLI mode label names) and ``rep_lambda(rep)`` (the
+    mode's lambda in closed form, with which ``build`` and the CLI size).
     """
 
-    # how each representation field is persisted: "int" (an int or a tuple
-    # of ints: a header column), "float" (a column of the float block) or
-    # "floats" (a tuple of floats, at most one such field: a matrix at the
-    # end of the float block)
-    rep_kinds = ("int", "int")
+    coefficients_name = None
 
     def chart_axes(self, arr: np.ndarray) -> list:
         """Per-axis coordinates of validated (n, chart_dim) chart points."""
         return list(arr.T)
 
-    def values(self, modes, arr: np.ndarray) -> np.ndarray:
+    def values(self, modes, coefficients: np.ndarray, arr: np.ndarray) -> np.ndarray:
         """Values of ``modes`` at validated chart points, one row per mode."""
-        rows = self.axis_factor_rows(modes, self.chart_axes(arr))
+        rows = self.axis_factor_rows(modes, coefficients, self.chart_axes(arr))
         out = rows[0]
         for axis_rows in rows[1:]:
             out *= axis_rows
@@ -300,14 +306,14 @@ class FlatTorus(_Surface):
         )
         sizes = [_round_up(2 * res.max_product_factors * max(kmax, 1) + res.margin + 1)
                  for kmax in kmaxes]
-        return SpectralBasis(self, float(lambda_max), modes, self.quadrature_grid(sizes),
-                             "exact", res)
+        return SpectralBasis(self, float(lambda_max), modes, np.empty((len(modes), 0)),
+                             self.quadrature_grid(sizes), "exact", res)
 
     def quadrature_grid(self, sizes) -> QuadratureGrid:
         axes = [uniform_periodic(n, p) for n, p in zip(sizes, self.periods)]
         return axes[0] if self.dim == 1 else tensor_grid(*axes)
 
-    def axis_factor_rows(self, modes, axis_points) -> tuple:
+    def axis_factor_rows(self, modes, coefficients, axis_points) -> tuple:
         return tuple(
             _trig_rows(np.array([m.rep[0][a] for m in modes]) * (TWO_PI / period),
                        [m.rep[1][a] for m in modes], axis_points[a],
@@ -315,7 +321,7 @@ class FlatTorus(_Surface):
             for a, period in enumerate(self.periods)
         )
 
-    def bandwidth(self, mode: Mode) -> tuple:
+    def bandwidth(self, mode: Mode, width: int) -> tuple:
         return mode.rep[0]
 
     def rep_lambda(self, rep: tuple) -> float:
@@ -410,7 +416,7 @@ class Sphere2(_Surface):
                 modes.append(Mode(len(modes), lam, (l, m)))
         degree_needed = 2 * res.max_product_factors * max(lmax, 1) + res.margin
         sizes = [_round_up((degree_needed + 2) // 2, 4), _round_up(degree_needed + 1)]
-        return SpectralBasis(self, float(lambda_max), tuple(modes),
+        return SpectralBasis(self, float(lambda_max), tuple(modes), np.empty((len(modes), 0)),
                              self.quadrature_grid(sizes), "exact", res)
 
     def quadrature_grid(self, sizes) -> QuadratureGrid:
@@ -431,7 +437,7 @@ class Sphere2(_Surface):
             raise ParameterError("polar angle must lie in [0, pi]")
         return [np.cos(theta), arr[:, 1]]
 
-    def axis_factor_rows(self, modes, axis_points) -> tuple:
+    def axis_factor_rows(self, modes, coefficients, axis_points) -> tuple:
         orders = [m.rep[1] for m in modes]
         return (
             _legendre_rows([m.rep for m in modes], np.asarray(axis_points[0], dtype=float)),
@@ -439,7 +445,7 @@ class Sphere2(_Surface):
                        axis_points[1], 1.0, math.sqrt(2.0)),
         )
 
-    def bandwidth(self, mode: Mode) -> tuple:
+    def bandwidth(self, mode: Mode, width: int) -> tuple:
         return (mode.rep[0], mode.rep[0])
 
     def rep_lambda(self, rep: tuple) -> float:
@@ -524,8 +530,8 @@ class RevTorus(_Surface):
     minor_radius: float
 
     kind = "rev-torus"
-    rep_names = ("m", "theta_parity", "profile_coefficients")
-    rep_kinds = ("int", "int", "floats", "float")
+    rep_names = ("m", "theta_parity")
+    coefficients_name = "profile_coefficients"
 
     def __post_init__(self):
         big, small = float(self.major_radius), float(self.minor_radius)
@@ -565,7 +571,7 @@ class RevTorus(_Surface):
                    for m in range(m_scan + 1)]
         # only the eigenpairs below a slightly widened lambda_max are computed
         upper = (lambda_max * (1.0 + 1e-9)) ** 2
-        profiles = []  # (lam, m, s_parity, coeffs)
+        profiles = []  # (lam, m, s_parity, coeffs in the real Fourier s-basis)
         worst_residual = 0.0
         for s_parity, idx in zip((COS, SIN), _rev_parity_indices(trunc)):
             # every family m solves (K + m^2 M_inv) v = mu B v on this block,
@@ -595,27 +601,24 @@ class RevTorus(_Surface):
                         coeffs[0] = 1.0 / math.sqrt(big)
                     else:
                         coeffs[idx] = block[:, q]
-                    profiles.append((float(lams[q]), m, s_parity, tuple(coeffs.tolist())))
+                    profiles.append((float(lams[q]), m, s_parity, coeffs))
         if worst_residual > MAX_EIGEN_RESIDUAL:
             raise ConvergenceError(
                 f"rev-torus eigen-residual {worst_residual:.3e} exceeds {MAX_EIGEN_RESIDUAL:g}")
-        entries = []
-        for lam, m, s_parity, coeffs in profiles:
-            for theta_parity in ((COS,) if m == 0 else (COS, SIN)):
-                entries.append((lam, m, theta_parity, s_parity, coeffs))
-        entries.sort()  # by lambda, then m, the parities and the coefficients
-        modes = tuple(
-            Mode(i, lam, (m, theta_parity, coeffs, lam))
-            for i, (lam, m, theta_parity, _sp, coeffs) in enumerate(entries)
-        )
+        # by lambda, then m, the parities and the solve order
+        entries = sorted((lam, m, theta_parity, s_parity, order)
+                         for order, (lam, m, s_parity, _c) in enumerate(profiles)
+                         for theta_parity in ((COS,) if m == 0 else (COS, SIN)))
+        modes = tuple(Mode(i, entry[0], entry[1:3]) for i, entry in enumerate(entries))
+        coefficients = np.array([profiles[e[-1]][-1] for e in entries]).reshape(-1, size)
         m_used = max((mode.rep[0] for mode in modes), default=0)
         mpf = res.max_product_factors
         stretch = max(mpf + 1, 2 * mpf)
         sizes = [_round_up(stretch * trunc + 2 + res.margin),
                  _round_up(stretch * max(m_used, 1) + 1 + res.margin)]
         provenance = f"numerical(residual={worst_residual:.3e})"
-        return SpectralBasis(self, float(lambda_max), modes, self.quadrature_grid(sizes),
-                             provenance, res)
+        return SpectralBasis(self, float(lambda_max), modes, coefficients,
+                             self.quadrature_grid(sizes), provenance, res)
 
     def quadrature_grid(self, sizes) -> QuadratureGrid:
         s_plain = uniform_periodic(sizes[0], TWO_PI)
@@ -626,22 +629,21 @@ class RevTorus(_Surface):
         theta_axis = uniform_periodic(sizes[1], TWO_PI)
         return tensor_grid(s_axis, theta_axis)
 
-    def axis_factor_rows(self, modes, axis_points) -> tuple:
+    def axis_factor_rows(self, modes, coefficients, axis_points) -> tuple:
         # the s profiles are evaluated at the distinct s values only: a
         # lattice of n points has about sqrt(n) of them
-        coeffs = np.array([m.rep[2] for m in modes])
         s_values, inverse = np.unique(np.asarray(axis_points[0], dtype=float),
                                       return_inverse=True)
-        s_rows = coeffs @ circle_basis(s_values, coeffs.shape[1]).T
+        s_rows = coefficients @ circle_basis(s_values, coefficients.shape[1]).T
         return (
             s_rows[:, inverse.reshape(-1)],
             _trig_rows([m.rep[0] for m in modes], [m.rep[1] for m in modes],
                        axis_points[1], 1.0 / math.sqrt(TWO_PI), 1.0 / math.sqrt(math.pi)),
         )
 
-    def bandwidth(self, mode: Mode) -> tuple:
+    def bandwidth(self, mode: Mode, width: int) -> tuple:
         # the s bandwidth is estimated by the Galerkin truncation per factor
-        return ((len(mode.rep[2]) - 1) // 2, mode.rep[0])
+        return ((width - 1) // 2, mode.rep[0])
 
 
 def _rev_parity_indices(trunc: int):
@@ -650,10 +652,10 @@ def _rev_parity_indices(trunc: int):
     return np.array(even), np.array(odd)
 
 
-def rev_profile_derivatives(mode: Mode, s: np.ndarray):
-    """(v, v', v'') of a revolution-torus s-profile, by coefficient
-    differentiation of the trigonometric expansion (exact)."""
-    coeffs = np.asarray(mode.rep[2], dtype=float)
+def rev_profile_derivatives(coeffs: np.ndarray, s: np.ndarray):
+    """(v, v', v'') of a revolution-torus s-profile (a coefficient row), by
+    coefficient differentiation of the trigonometric expansion (exact)."""
+    coeffs = np.asarray(coeffs, dtype=float)
     size = coeffs.shape[0]
     s = np.asarray(s, dtype=float)
     basis = circle_basis(s, size)
@@ -714,23 +716,26 @@ def _normalize_points(points, dim: int):
     return arr, scalar
 
 
-def evaluate(model, mode: Mode, points):
-    """Value of the L2-normalized eigenfunction at chart points.
+def evaluate(basis: SpectralBasis, mode: Mode, points):
+    """Value of the L2-normalized eigenfunction of ``basis`` at chart points.
 
     Charts: flat torus, x in R^d (periodic); sphere, (theta, phi) with
     theta in [0, pi]; torus of revolution, (s, theta), both periodic.
     Scalar-like input returns a float.
     """
+    if basis.mode(mode.id) != mode:
+        raise ParameterError(f"mode {mode.id} is not a mode of this basis")
+    model = basis.model
     arr, scalar = _normalize_points(points, model.chart_dim)
-    out = model.values((mode,), arr)[0]
+    out = model.values((mode,), basis.coefficients[mode.id:mode.id + 1], arr)[0]
     return float(out[0]) if scalar else out
 
 
-def as_chart_function(model, mode: Mode):
-    """Wrap a mode as a plain callable on (n, chart_dim) point arrays."""
+def as_chart_function(basis: SpectralBasis, mode: Mode):
+    """Wrap a mode of ``basis`` as a plain callable on (n, chart_dim) point arrays."""
 
     def fn(points):
-        return evaluate(model, mode, points)
+        return evaluate(basis, mode, points)
 
     return fn
 
@@ -774,19 +779,12 @@ def model_from_descriptor(desc: dict):
 
 def _basis_payload(basis: SpectralBasis) -> bytes:
     """The canonical body: a JSON header of ints and strings (sorted keys,
-    no whitespace), ``\\n``, then one little-endian float64 block holding
-    the lambda column, each "float" representation column and the
-    (modes x width) matrix of the "floats" field, row-major."""
+    no whitespace; the representation fields are its columns), ``\\n``,
+    then one little-endian float64 block holding the lambda column and the
+    (modes x width) coefficient matrix, row-major."""
     model, modes = basis.model, basis.modes
-    kinds = model.rep_kinds
-    columns = [[m.lam for m in modes]]
-    columns += [[m.rep[i] for m in modes] for i, kind in enumerate(kinds) if kind == "float"]
-    block = np.array(columns, dtype="<f8").tobytes()
-    width = len(columns)
-    if "floats" in kinds:
-        matrix = np.array([m.rep[kinds.index("floats")] for m in modes], dtype="<f8")
-        width += matrix.shape[1]
-        block += matrix.tobytes()
+    block = np.array([m.lam for m in modes], dtype="<f8").tobytes() \
+        + np.ascontiguousarray(basis.coefficients, dtype="<f8").tobytes()
     header = {
         "model": model_descriptor(model),
         "lambda_max": basis.lambda_max.hex(),
@@ -794,41 +792,30 @@ def _basis_payload(basis: SpectralBasis) -> bytes:
         "provenance": basis.provenance,
         "grid_axis_sizes": basis.axis_sizes(),
         "count": len(modes),
-        "floats_per_mode": width,
-        "columns": {model.rep_names[i]: [m.rep[i] for m in modes]
-                    for i, kind in enumerate(kinds) if kind == "int"},
+        "floats_per_mode": 1 + basis.coefficients.shape[1],
+        "columns": {name: [m.rep[i] for m in modes] for i, name in enumerate(model.rep_names)},
     }
     text = json.dumps(header, sort_keys=True, separators=(",", ":"))
     return text.encode("utf-8") + b"\n" + block
 
 
 def _modes_from_payload(model, header: dict, block: bytes) -> tuple:
-    """The modes :func:`_basis_payload` wrote; ValueError if the float
-    block or a header column does not match the header's mode count."""
-    kinds = model.rep_kinds
-    count, width = header["count"], header["floats_per_mode"]
-    n_columns = 1 + kinds.count("float")
-    if not (isinstance(count, int) and isinstance(width, int)) \
-            or len(block) != 8 * count * width \
-            or width < n_columns or (width > n_columns) != ("floats" in kinds):
+    """(modes, coefficients) as :func:`_basis_payload` wrote them; ValueError
+    if the block or a column does not match the mode count, or the width does
+    not fit the model (0 exactly when it has no ``coefficients_name``)."""
+    count, per_mode = header["count"], header["floats_per_mode"]
+    if not (isinstance(count, int) and isinstance(per_mode, int)) \
+            or per_mode < 1 or len(block) != 8 * count * per_mode \
+            or (per_mode > 1) != (model.coefficients_name is not None):
         raise ValueError("the float block does not match the header")
-    values = np.frombuffer(block, dtype="<f8").tolist()
-    scalars = (values[j * count:(j + 1) * count] for j in range(1, n_columns))
-    row, start = width - n_columns, n_columns * count
-    fields = []
-    for i, kind in enumerate(kinds):
-        if kind == "int":
-            fields.append([tuple(v) if isinstance(v, list) else v
-                           for v in header["columns"][model.rep_names[i]]])
-        elif kind == "float":
-            fields.append(next(scalars))
-        else:
-            fields.append([tuple(values[start + k * row:start + (k + 1) * row])
-                           for k in range(count)])
-    if any(len(column) != count for column in fields):
+    values = np.frombuffer(block, dtype="<f8")
+    columns = [[tuple(v) if isinstance(v, list) else v for v in header["columns"][name]]
+               for name in model.rep_names]
+    if any(len(column) != count for column in columns):
         raise ValueError("a header column does not hold one entry per mode")
-    reps = zip(*fields)
-    return tuple(Mode(i, lam, rep) for i, (lam, rep) in enumerate(zip(values[:count], reps)))
+    modes = tuple(Mode(i, lam, rep)
+                  for i, (lam, rep) in enumerate(zip(values[:count].tolist(), zip(*columns))))
+    return modes, values[count:].reshape(count, per_mode - 1)
 
 
 def basis_digest(basis: SpectralBasis) -> str:
@@ -874,13 +861,13 @@ def load_basis(path) -> SpectralBasis:
         header = json.loads(header_text)
         model = model_from_descriptor(header["model"])
         res = Resolution(**header["resolution"])
-        modes = _modes_from_payload(model, header, block)
+        modes, coefficients = _modes_from_payload(model, header, block)
         lambda_max = float.fromhex(header["lambda_max"])
         grid = model.quadrature_grid(header["grid_axis_sizes"])
         provenance = header["provenance"]
     except (AttributeError, KeyError, ValueError, TypeError) as exc:
         raise CorruptionError(f"{path}: malformed basis payload ({exc})") from exc
-    basis = SpectralBasis(model, lambda_max, modes, grid, provenance, res)
+    basis = SpectralBasis(model, lambda_max, modes, coefficients, grid, provenance, res)
     basis._digest = digest.hex()  # the body is the canonical payload save_basis wrote
     return basis
 
@@ -893,6 +880,7 @@ def basis_equal(one: SpectralBasis, other: SpectralBasis) -> bool:
         and one.provenance == other.provenance
         and one.resolution == other.resolution
         and one.modes == other.modes
+        and np.array_equal(one.coefficients, other.coefficients)
         and np.array_equal(one.grid.nodes, other.grid.nodes)
         and np.array_equal(one.grid.weights, other.grid.weights)
     )
@@ -900,10 +888,11 @@ def basis_equal(one: SpectralBasis, other: SpectralBasis) -> bool:
 
 def basis_to_json_dict(basis: SpectralBasis) -> dict:
     """Human-inspectable structured form (decimal floats, 17 digits)."""
-    model = basis.model
+    model, row_name = basis.model, basis.model.coefficients_name
     modes = [{"id": mode.id, "lambda": float(mode.lam),
-              **{name: _encode_field(v, float) for name, v in zip(model.rep_names, mode.rep)}}
-             for mode in basis.modes]
+              **{name: _encode_field(v, float) for name, v in zip(model.rep_names, mode.rep)},
+              **({row_name: row} if row_name else {})}
+             for mode, row in zip(basis.modes, basis.coefficients.tolist())]
     return {
         "model": _model_fields(model, float),
         "lambda_max": basis.lambda_max,

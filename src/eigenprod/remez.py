@@ -255,7 +255,7 @@ def good_set_experiment(basis, spec: ProductSpec, center, side: float,
     keep = np.ones(total, dtype=bool)
     factor_values = []
     for i in spec.factors:
-        values = np.abs(np.atleast_1d(evaluate(basis.model, basis.modes[i], points)))
+        values = np.abs(np.atleast_1d(evaluate(basis, basis.modes[i], points)))
         factor_values.append(values)
         chosen = None
         for a in grid:
@@ -288,12 +288,12 @@ def good_set_experiment(basis, spec: ProductSpec, center, side: float,
 # function factories
 
 
-def harmonic_lift(model, mode):
-    """phi(x) exp(lambda y): the degenerate-elliptic lift of a 1-d chart
-    mode, usable directly in doubling and sublevel probes."""
-    if model.chart_dim != 1:
+def harmonic_lift(basis, mode):
+    """phi(x) exp(lambda y): the degenerate-elliptic lift of a mode of a
+    1-d chart basis, usable directly in doubling and sublevel probes."""
+    if basis.model.chart_dim != 1:
         raise ParameterError("the lift factory expects a 1-d chart model")
-    base = as_chart_function(model, mode)
+    base = as_chart_function(basis, mode)
 
     def lifted(points):
         pts = np.asarray(points, dtype=float)

@@ -466,9 +466,12 @@ def test_positional_id_guard_rejects_a_mode_shift():
                  "[params]\nlambda_max = 3\n"),
     (("basis",), "[run]\ncommand = basis\n[model]\nkind = rev-torus\nR = 2\nr = q\n"
                  "[params]\nlambda_max = 3\n"),
+    (("remark-s2",), "[run]\ncommand = remark-s2\n[params]\nk_min = 1.7\n"),
+    (("basis",), "[run]\ncommand = basis\n[model]\nkind = flat-torus\ndim = 2.5\n"
+                 "[params]\nlambda_max = 3\n"),
 ], ids=["empty-period", "period", "config-period", "center", "height", "power",
         "config-target", "config-side", "config-k-min", "config-dim", "config-R",
-        "config-r"])
+        "config-r", "config-k-min-fraction", "config-dim-fraction"])
 def test_malformed_numbers_exit_2(tmp_path, capsys, argv, config_text):
     if config_text is not None:
         path = tmp_path / "run.cfg"
@@ -481,15 +484,43 @@ def test_malformed_numbers_exit_2(tmp_path, capsys, argv, config_text):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, content", [
+    (("product", "--config", "{path}"), None),
+    (("report", "--replay", "{path}"), None),
+    (("report", "--replay", "{tmp}"), None),
+    (("report", "--replay", "{path}"), b"not json"),
+    (("report", "--replay", "{path}"), b"\xff\xfe"),
+    (("report", "--replay", "{path}"), b"[1, 2]"),
+    (("report", "--replay", "{path}"), b'{"config": {"model": null, "params": {}}}'),
+    (("report", "--replay", "{path}"), b'{"config": {"command": "basis", "params": {}}}'),
+    (("report", "--replay", "{path}"), b'{"config": {"command": "basis", "model": null, '
+                                       b'"params": [1]}}'),
+    (("report", "--replay", "{path}"), b'{"config": {"command": "basis", "model": "sphere", '
+                                       b'"params": {"lambda_max": 2}}}'),
+], ids=["config-missing", "replay-missing", "replay-directory", "replay-not-json",
+        "replay-not-utf8", "replay-list", "replay-no-command", "replay-no-model",
+        "replay-params-list", "replay-model-string"])
+def test_unreadable_run_inputs_exit_2(tmp_path, capsys, argv, content):
+    path = tmp_path / "input"
+    if content is not None:
+        path.write_bytes(content)
+    code, _ = run(tmp_path, *(a.format(path=path, tmp=tmp_path) for a in argv))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("argv", [
     ("basis", "--model", "sphere"),
+    ("basis", "--lambda-max", "2"),
     ("product", "--model", "flat-torus", "--dim", "1"),
     ("decay", "--model", "flat-torus", "--dim", "1"),
     ("truncate", "--model", "flat-torus", "--dim", "1"),
     ("lower-bound", "--model", "flat-torus", "--dim", "1", "--family", "pairs"),
     ("lower-bound", "--model", "flat-torus", "--dim", "1", "--family", "pairs",
      "--pairs", ";"),
-], ids=["basis-lambda-max", "product-factors", "decay-factors", "truncate-factors",
+], ids=["basis-lambda-max", "basis-model", "product-factors", "decay-factors", "truncate-factors",
         "lower-bound-pairs", "lower-bound-empty-pairs"])
 def test_missing_required_params_exit_2(tmp_path, capsys, argv):
     code, _ = run(tmp_path, *argv)

@@ -84,10 +84,10 @@ def test_flat_circle_mode_table(circle_basis_3):
 def test_flat_circle_normalization(circle_basis_3):
     basis = circle_basis_3
     cos2 = basis.modes[3]
-    assert evaluate(basis.model, cos2, 0.0) == pytest.approx(
+    assert evaluate(basis, cos2, 0.0) == pytest.approx(
         0.5641895835477563, abs=1e-12)  # 1/sqrt(pi)
     const = basis.modes[0]
-    assert evaluate(basis.model, const, 1.234) == pytest.approx(
+    assert evaluate(basis, const, 1.234) == pytest.approx(
         1.0 / math.sqrt(TWO_PI), abs=1e-15)
 
 
@@ -114,18 +114,16 @@ def test_sphere_mode_table(sphere_basis_3):
 
 
 def test_sphere_point_values(sphere_basis_3):
-    model = sphere_basis_3.model
     y00 = sphere_basis_3.modes[0]
-    assert evaluate(model, y00, (1.0, 2.0)) == pytest.approx(
+    assert evaluate(sphere_basis_3, y00, (1.0, 2.0)) == pytest.approx(
         0.2820947917738781, abs=1e-12)  # 1/sqrt(4 pi)
     y10 = next(m for m in sphere_basis_3.modes if m.rep == (1, 0))
     # explicit Y_1^0 with Legendre normalization: sqrt(3/4pi) cos(theta)
-    assert evaluate(model, y10, (0.0, 0.0)) == pytest.approx(
+    assert evaluate(sphere_basis_3, y10, (0.0, 0.0)) == pytest.approx(
         0.4886025119029199, abs=1e-12)
 
 
 def test_sphere_matches_scipy_harmonics(sphere_basis_3):
-    model = sphere_basis_3.model
     rng = np.random.default_rng(5)
     theta = rng.uniform(0.05, math.pi - 0.05, size=12)
     phi = rng.uniform(0.0, TWO_PI, size=12)
@@ -139,7 +137,7 @@ def test_sphere_matches_scipy_harmonics(sphere_basis_3):
             expected = math.sqrt(2.0) * (-1.0) ** m * ref.real
         else:
             expected = math.sqrt(2.0) * (-1.0) ** m * ref.imag
-        assert evaluate(model, mode, pts) == pytest.approx(expected, abs=1e-12)
+        assert evaluate(sphere_basis_3, mode, pts) == pytest.approx(expected, abs=1e-12)
 
 
 def test_sphere_orthonormal_on_grid():
@@ -195,16 +193,16 @@ def test_rev_torus_constant_mode(rev_basis_3):
     assert const.id == 0
     assert const.lam == 0.0
     volume = basis.model.volume
-    assert evaluate(basis.model, const, (0.7, 1.9)) == pytest.approx(
+    assert evaluate(basis, const, (0.7, 1.9)) == pytest.approx(
         1.0 / math.sqrt(volume), abs=1e-15)
     assert basis.provenance.startswith("numerical(residual=")
 
 
 def test_rev_torus_angular_pairs_share_lambda(rev_basis_3):
     by_key = {}
-    for mode in rev_basis_3.modes:
-        m, parity, coeffs, lam = mode.rep
-        by_key.setdefault((m, coeffs), []).append((parity, lam))
+    for mode, coeffs in zip(rev_basis_3.modes, rev_basis_3.coefficients):
+        m, parity = mode.rep
+        by_key.setdefault((m, tuple(coeffs)), []).append((parity, mode.lam))
     for (m, _coeffs), entries in by_key.items():
         if m == 0:
             assert len(entries) == 1
@@ -225,7 +223,7 @@ def test_rev_torus_orthonormal_on_grid(rev_basis_3):
 def test_profile_matrices_match_pointwise_evaluation(request, fixture):
     basis = request.getfixturevalue(fixture)
     for mode in basis.modes:
-        pointwise = evaluate(basis.model, mode, basis.grid.nodes)
+        pointwise = evaluate(basis, mode, basis.grid.nodes)
         assert np.max(np.abs(basis.values_on_grid(mode) - pointwise)) <= 1e-13
 
 
@@ -240,7 +238,7 @@ def test_rev_torus_strong_form_residual(rev_basis_3):
     df = -model.minor_radius * np.sin(s)
     for mode in basis.modes:
         m = mode.rep[0]
-        v, dv, ddv = rev_profile_derivatives(mode, s)
+        v, dv, ddv = rev_profile_derivatives(basis.coefficients[mode.id], s)
         residual = -ddv - (df / f) * dv + (m * m) * v / (f * f) - (mode.lam**2) * v
         norm_sq = fine.weights @ (f * v * v)
         defect = math.sqrt(float(fine.weights @ (f * residual * residual)))
@@ -319,9 +317,8 @@ def test_reduced_subset_solver_matches_full_dsygvd(big, small, lambda_max):
     lambda_max = lambda_max or _rev_cold_lambda(big, small)
     basis = build_basis(RevTorus(big, small), lambda_max)
     oracle = _gvd_rev_modes(basis.model, lambda_max)
-    ours = [(mode.lam, mode.rep[0], mode.rep[1],
-             SIN if any(mode.rep[2][2::2]) else COS, np.array(mode.rep[2]))
-            for mode in basis.modes]
+    ours = [(mode.lam, mode.rep[0], mode.rep[1], SIN if any(coeffs[2::2]) else COS, coeffs)
+            for mode, coeffs in zip(basis.modes, basis.coefficients)]
     assert [entry[1:4] for entry in ours] == [entry[1:4] for entry in oracle]
     assert max(abs(x[0] - y[0]) for x, y in zip(ours, oracle)) <= 1e-11
     assert max(np.max(np.abs(x[4] - y[4])) for x, y in zip(ours, oracle)) <= 1e-12
@@ -387,11 +384,13 @@ def test_weyl_counting_flat_torus_2d():
 
 def test_evaluate_rejects_bad_points(sphere_basis_3, circle_basis_3):
     with pytest.raises(ParameterError):
-        evaluate(sphere_basis_3.model, sphere_basis_3.modes[0], (4.0, 0.0))
+        evaluate(sphere_basis_3, sphere_basis_3.modes[0], (4.0, 0.0))
     with pytest.raises(ParameterError):
-        evaluate(circle_basis_3.model, circle_basis_3.modes[0], float("nan"))
+        evaluate(circle_basis_3, circle_basis_3.modes[0], float("nan"))
     with pytest.raises(ParameterError):
         circle_basis_3.mode(99)
+    with pytest.raises(ParameterError, match="not a mode of this basis"):
+        evaluate(circle_basis_3, sphere_basis_3.modes[1], 0.5)
 
 
 def test_save_load_round_trip(tmp_path, circle_basis_3, flat2_basis, sphere_basis_3,
@@ -497,7 +496,21 @@ def test_json_export_shape(request, name):
         assert (entry["id"], entry["lambda"]) == (mode.id, mode.lam)
         for key, value in zip(mode_fields, mode.rep):
             assert entry[key] == (list(value) if isinstance(value, tuple) else value)
+        if "profile_coefficients" in mode_fields:
+            assert entry["profile_coefficients"] == basis.coefficients[mode.id].tolist()
     json.dumps(doc, allow_nan=False)
+
+
+@pytest.mark.parametrize("name", list(JSON_FIELDS))
+def test_mode_reps_hold_only_ints(request, name):
+    # per-mode floats live in basis.coefficients, never in a representation
+    basis = request.getfixturevalue(name)
+    assert basis.coefficients.shape[0] == basis.size
+    assert not basis.coefficients.flags.writeable
+    for mode in basis.modes:
+        for value in mode.rep:
+            assert type(value) is int or (
+                type(value) is tuple and all(type(v) is int for v in value)), mode
 
 
 @pytest.mark.parametrize("name, digest", [
@@ -512,7 +525,7 @@ def test_cache_payload_is_pinned(request, name, digest):
 
 
 def split_payload(payload: bytes):
-    """(header dict, float64 values) of a version-4 body."""
+    """(header dict, float64 values) of a cache body."""
     header, _, block = payload.partition(b"\n")
     return json.loads(header), np.frombuffer(block, dtype="<f8")
 
@@ -520,28 +533,28 @@ def split_payload(payload: bytes):
 def test_rev_mode_payload_layout(rev_basis_3):
     # rev-torus bits depend on the BLAS build, so pin the layout instead: a
     # canonical header with m and theta parity as columns, then the lambda
-    # column, the rep's lambda column and the profile coefficients, row-major
+    # column and the 2N+1 profile coefficients per mode, row-major
     payload = manifolds._basis_payload(rev_basis_3)
     header, values = split_payload(payload)
     header_text = payload.partition(b"\n")[0]
     assert header_text == json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
     modes = rev_basis_3.modes
-    count, width = len(modes), len(modes[0].rep[2])
+    count, width = len(modes), 2 * 64 + 1
     assert header["model"] == {"kind": "rev-torus", "major_radius": (2.0).hex(),
                                "minor_radius": (1.0).hex()}
-    assert (header["count"], header["floats_per_mode"]) == (count, width + 2)
+    assert rev_basis_3.coefficients.shape == (count, width)
+    assert (header["count"], header["floats_per_mode"]) == (count, width + 1)
     assert header["columns"] == {"m": [m.rep[0] for m in modes],
                                  "theta_parity": [m.rep[1] for m in modes]}
     assert header["lambda_max"] == (3.0).hex()
     assert header["grid_axis_sizes"] == rev_basis_3.axis_sizes()
-    assert values.size == count * (width + 2)
+    assert values.size == count * (width + 1)
     assert values[:count].tolist() == [m.lam for m in modes]
-    assert values[count:2 * count].tolist() == [m.rep[3] for m in modes]
-    assert values[2 * count:].reshape(count, width).tolist() == [list(m.rep[2]) for m in modes]
+    assert np.array_equal(values[count:].reshape(count, width), rev_basis_3.coefficients)
 
 
 def write_body(path, body: bytes) -> None:
-    """A version-4 cache file around ``body`` with a valid digest."""
+    """A current-version cache file around ``body`` with a valid digest."""
     path.write_bytes(manifolds.CACHE_MAGIC + struct.pack("<H", manifolds.CACHE_VERSION)
                      + hashlib.sha256(body).digest() + struct.pack("<Q", len(body)) + body)
 
@@ -578,9 +591,20 @@ def _short_column(header, values):
     return json.dumps({**header, "columns": columns}).encode() + b"\n" + values.tobytes()
 
 
+def _coefficient_width_flipped(header, values):
+    # a consistent block whose coefficient width does not fit the model:
+    # one coefficient per flat-torus mode, none per rev-torus mode
+    count = header["count"]
+    if header["floats_per_mode"] == 1:
+        header, values = {**header, "floats_per_mode": 2}, np.concatenate([values, values])
+    else:
+        header, values = {**header, "floats_per_mode": 1}, values[:count]
+    return json.dumps(header).encode() + b"\n" + values.tobytes()
+
+
 @pytest.mark.parametrize("name", ["circle_basis_3", "rev_basis_3"])
 @pytest.mark.parametrize("damage", [_no_separator, _one_value_short, _count_off_by_one,
-                                    _short_column])
+                                    _short_column, _coefficient_width_flipped])
 def test_load_rejects_a_malformed_v4_body(tmp_path, request, name, damage):
     # a body with a valid digest whose header and float block disagree
     header, values = split_payload(manifolds._basis_payload(request.getfixturevalue(name)))
@@ -598,8 +622,8 @@ def test_rev_cache_file_is_raw_float64(tmp_path, lambda_max):
     basis = build_basis(RevTorus(2.0, 1.0), lambda_max)
     path = tmp_path / "rev.eprd"
     save_basis(basis, path)
-    width = len(basis.modes[0].rep[2])
-    assert path.stat().st_size <= 8 * basis.size * (width + 2) + 4096
+    width = basis.coefficients.shape[1]
+    assert path.stat().st_size <= 8 * basis.size * (width + 1) + 4096
     assert basis_equal(load_basis(path), basis)
 
 
@@ -617,10 +641,10 @@ def test_rev_evaluate_builds_the_circle_basis_at_distinct_s_only(monkeypatch, re
     side = np.linspace(0.0, TWO_PI, 512, endpoint=False)
     s, theta = np.meshgrid(side, side + 0.1, indexing="ij")
     mode = rev_basis_3.modes[3]
-    values = evaluate(rev_basis_3.model, mode, np.column_stack([s.ravel(), theta.ravel()]))
+    values = evaluate(rev_basis_3, mode, np.column_stack([s.ravel(), theta.ravel()]))
     assert rows and max(rows) <= 512
-    m, theta_parity = mode.rep[:2]
-    profile = rev_profile_derivatives(mode, side)[0]
+    m, theta_parity = mode.rep
+    profile = rev_profile_derivatives(rev_basis_3.coefficients[mode.id], side)[0]
     if m == 0:
         angular = np.full(512, 1.0 / math.sqrt(TWO_PI))
     else:

@@ -138,7 +138,7 @@ def test_remez_measures_nonincreasing_in_report():
 def _flat2_mode_function():
     basis = build_basis(FlatTorus(2, (TWO_PI, TWO_PI)), 3.0)
     mode = next(m for m in basis.modes if m.rep == ((1, 2), (COS, SIN)))
-    return as_chart_function(basis.model, mode)
+    return as_chart_function(basis, mode)
 
 
 REMEZ_CASES = {
@@ -217,7 +217,7 @@ def test_good_set_two_cosines(circle_basis):
     grid = default_a_grid()
     dense = np.linspace(-0.5 + 1e-9, 0.5 - 1e-9, 100_001)
     for mode, got in zip((cos1, cos2), result.thresholds):
-        values = np.abs(as_chart_function(circle_basis.model, mode)(dense))
+        values = np.abs(as_chart_function(circle_basis, mode)(dense))
         budget = dense.size / 4.0  # 1/(2n) with n = 2
         brute = next(float(a) for a in grid
                      if np.count_nonzero(values < math.exp(-float(a))) <= budget)
@@ -236,10 +236,10 @@ def test_good_set_lower_bound_chain(circle_basis):
     centers = -0.5 + (np.arange(per_axis) + 0.5) / per_axis
     product = np.ones(per_axis)
     for mode in (cos1, cos2):
-        product *= as_chart_function(circle_basis.model, mode)(centers)
+        product *= as_chart_function(circle_basis, mode)(centers)
     keep = np.ones(per_axis, dtype=bool)
     for mode, a in zip((cos1, cos2), result.thresholds):
-        values = np.abs(as_chart_function(circle_basis.model, mode)(centers))
+        values = np.abs(as_chart_function(circle_basis, mode)(centers))
         keep &= values >= math.exp(-a)
     cell = 1.0 / per_axis
     norm_on_e = math.sqrt(float(np.sum(product[keep] ** 2)) * cell)
@@ -257,7 +257,7 @@ def test_good_set_grid_exhaustion(circle_basis):
 
 def test_harmonic_lift_factory(circle_basis):
     cos2 = next(m for m in circle_basis.modes if m.rep == ((2,), (COS,)))
-    lift = harmonic_lift(circle_basis.model, cos2)
+    lift = harmonic_lift(circle_basis, cos2)
     pts = np.array([[0.3, 0.1], [1.0, -0.2]])
     expected = (np.cos(2.0 * pts[:, 0]) / math.sqrt(math.pi)
                 * np.exp(cos2.lam * pts[:, 1]))
