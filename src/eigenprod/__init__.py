@@ -61,9 +61,7 @@ from .manifolds import (
 )
 from .numerics import (
     QuadratureGrid,
-    SymmetricPencil,
     gauss_legendre,
-    sym_generalized_eig,
     uniform_periodic,
 )
 from .remez import (
@@ -80,8 +78,7 @@ from .remez import (
 __all__ = [
     "__version__",
     # numerics
-    "QuadratureGrid", "SymmetricPencil", "gauss_legendre", "uniform_periodic",
-    "sym_generalized_eig",
+    "QuadratureGrid", "gauss_legendre", "uniform_periodic",
     # manifolds
     "FlatTorus", "Sphere2", "RevTorus", "Mode", "Resolution", "SpectralBasis",
     "build_basis", "evaluate", "as_chart_function", "save_basis", "load_basis",

@@ -838,13 +838,16 @@ def _replay(args, out_dir: str, cache_dir: str) -> int:
     if not (isinstance(config, dict) and {"command", "model"} <= set(config)
             and isinstance(config.get("params"), dict)):
         raise ParameterError(f"{args.replay} carries no embedded configuration")
+    provenance = original.get("provenance", {})
+    if not isinstance(provenance, dict):
+        raise ParameterError(f"{args.replay}: provenance must be a JSON object")
     report, artifacts, summary = run_config(config, out_dir, cache_dir)
     stem = os.path.join(out_dir, f"replay-{config['command']}")
     atomic_write_text(stem + ".json", canonical_json(report))
     for kind, payload in artifacts.items():
         atomic_write_text(f"{stem}.{kind}", payload)
     differences = diff_paths(original.get("results"), report["results"])
-    differences += diff_paths(original.get("provenance", {}).get("basis_digest"),
+    differences += diff_paths(provenance.get("basis_digest"),
                               report["provenance"].get("basis_digest"),
                               "provenance.basis_digest")
     if differences:

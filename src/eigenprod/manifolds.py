@@ -315,9 +315,9 @@ class FlatTorus(_Surface):
 
     def axis_factor_rows(self, modes, coefficients, axis_points) -> tuple:
         return tuple(
-            _trig_rows(np.array([m.rep[0][a] for m in modes]) * (TWO_PI / period),
-                       [m.rep[1][a] for m in modes], axis_points[a],
-                       1.0 / math.sqrt(period), math.sqrt(2.0 / period))
+            _trig_rows([m.rep[0][a] for m in modes], [m.rep[1][a] for m in modes],
+                       axis_points[a], 1.0 / math.sqrt(period), math.sqrt(2.0 / period),
+                       TWO_PI / period)
             for a, period in enumerate(self.periods)
         )
 
@@ -363,26 +363,24 @@ def _torus_freq_cap(period: float, lambda_max: float) -> int:
     return int(math.floor(lambda_max * period / TWO_PI * (1.0 + 1e-12)))
 
 
-def _trig_rows(freqs, parities, x, const: float, amp: float) -> np.ndarray:
-    """One row per (freq, parity): ``const`` where freq is 0, else
-    amp * cos(freq x) (parity COS) or amp * sin(freq x) (parity SIN).
-    Each distinct pair is evaluated once, in place in its first row."""
-    keys, inverse = np.unique(np.column_stack([np.asarray(freqs, dtype=float), parities]),
-                              axis=0, return_inverse=True)
-    inverse = inverse.reshape(-1)
+def _trig_rows(freqs, parities, x, const: float, amp: float, scale: float = 1.0) -> np.ndarray:
+    """One row per (freq, parity) with integer freq: ``const`` where freq
+    is 0, else amp * cos(scale freq x) (parity COS) or amp * sin(scale
+    freq x) (parity SIN).  Each distinct pair is evaluated once, keyed by
+    the integer 2 freq + parity."""
+    keys, inverse = np.unique(2 * np.asarray(freqs, dtype=np.int64) + np.asarray(parities),
+                              return_inverse=True)
     x = np.asarray(x, dtype=float)
-    out = np.empty((inverse.size, x.shape[0]))
-    for key, (freq, parity) in enumerate(keys):
-        rows = np.flatnonzero(inverse == key)
-        first = out[rows[0]]
-        if freq == 0.0:
-            first[:] = const
+    rows = np.empty((keys.size, x.shape[0]))
+    for row, key in zip(rows, keys.tolist()):
+        freq, parity = divmod(key, 2)
+        if freq == 0:
+            row[:] = const
         else:
-            np.multiply(freq, x, out=first)
-            (np.cos if parity == COS else np.sin)(first, out=first)
-            first *= amp
-        out[rows[1:]] = first
-    return out
+            np.multiply(freq * scale, x, out=row)
+            (np.cos if parity == COS else np.sin)(row, out=row)
+            row *= amp
+    return rows[inverse.reshape(-1)]
 
 
 # ---------------------------------------------------------------------------

@@ -4,12 +4,16 @@ Quadrature rules (Gauss-Legendre, uniform periodic), a dense symmetric
 generalized eigensolver, and the Fourier-Galerkin matrices of the
 torus-of-revolution profile problem in closed form.
 
-The eigensolver reduces a pencil (A, B) once: it factors B = L L^T
-(LAPACK ``dpotrf``, ``dtrtri``) and forms L^-1 A L^-T.  Each reduced
-matrix is solved by LAPACK ``dsyevr`` through :func:`scipy.linalg.eigh`,
-optionally for the eigenvalues below a bound only, and its vectors are
-mapped back by v = L^-T w.  Pencils that share B, such as the angular
-families of the torus of revolution, share one reduction.
+The eigensolver reduces a pencil (A, B) once: :func:`inverse_cholesky`
+factors B = L L^T (LAPACK ``dpotrf``, ``dtrtri``) and
+:func:`reduce_congruent` forms L^-1 A L^-T.  :func:`reduced_eig` solves
+each reduced matrix by LAPACK ``dsyevr`` through
+:func:`scipy.linalg.eigh`, optionally for the eigenvalues below a bound
+only, and maps its vectors back by v = L^-T w.  Pencils that share B,
+such as the angular families of the torus of revolution, share one
+reduction.  scipy is imported by the first of these LAPACK calls, not
+with this module, so a process that solves no eigenproblem never loads
+it.
 
 Every function here is a pure function of its arguments and safe to call
 from many threads.  Results are bit-reproducible for a fixed BLAS thread
@@ -22,11 +26,9 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh
-from scipy.linalg.lapack import dpotrf, dtrtri
 
 from .errors import (
     ConvergenceError,
@@ -39,15 +41,12 @@ TWO_PI = 2.0 * math.pi
 
 MAX_GAUSS_NODES = 512
 MAX_GALERKIN_TRUNCATION = 1024
-MAX_PENCIL_DIM = 4096
 
 __all__ = [
     "QuadratureGrid",
-    "SymmetricPencil",
     "gauss_legendre",
     "uniform_periodic",
     "tensor_grid",
-    "sym_generalized_eig",
     "inverse_cholesky",
     "reduce_congruent",
     "reduced_eig",
@@ -200,55 +199,17 @@ def tensor_grid(*axes: QuadratureGrid, volume: float | None = None) -> Quadratur
     return QuadratureGrid(nodes, weights, exact, vol, axes=meta)
 
 
-@dataclass(frozen=True)
-class SymmetricPencil:
-    """A dense symmetric pencil (A, B): A symmetric, B symmetric positive
-    definite, both of the same dimension.  ``inv_lower`` is L^-1 for the
-    Cholesky factor B = L L^T."""
-
-    a: np.ndarray
-    b: np.ndarray
-    dim: int = field(init=False)
-    inv_lower: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        a = np.array(self.a, dtype=float)
-        b = np.array(self.b, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ParameterError("stiffness matrix must be square")
-        if b.shape != a.shape:
-            raise ParameterError("mass matrix must match the stiffness matrix")
-        if a.size and np.max(np.abs(a - a.T)) > 1e-12:
-            raise ParameterError("stiffness matrix is not symmetric")
-        if b.size and np.max(np.abs(b - b.T)) > 1e-12:
-            raise ParameterError("mass matrix is not symmetric")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "dim", a.shape[0])
-        object.__setattr__(self, "inv_lower", inverse_cholesky(b))
-
-
-def sym_generalized_eig(pencil: SymmetricPencil):
-    """Solve A v = mu B v for a symmetric pencil.
-
-    Returns (eigenvalues ascending, eigenvectors as B-orthonormal columns),
-    computed by :func:`reduced_eig` on the pencil's reduction.  Each
-    column's sign is fixed so that its first entry above 1e-8 times the
-    column's largest magnitude is positive.
-    """
-    if pencil.dim > MAX_PENCIL_DIM:
-        raise ParameterError(f"pencil dimension {pencil.dim} exceeds {MAX_PENCIL_DIM}")
-    if pencil.dim == 0:
-        return np.zeros(0), np.zeros((0, 0))
-    return reduced_eig(reduce_congruent(pencil.inv_lower, pencil.a), pencil.inv_lower)
-
-
 def inverse_cholesky(b: np.ndarray) -> np.ndarray:
     """L^-1 for the Cholesky factor B = L L^T of a symmetric positive
     definite B (lower triangular, zero above the diagonal).
 
-    Raises :class:`FactorizationError` when B is not positive definite.
+    Raises :class:`ParameterError` when B is not symmetric to 1e-12 and
+    :class:`FactorizationError` when it is not positive definite.
     """
+    # imported here so that runs which solve no eigenproblem never load scipy
+    from scipy.linalg.lapack import dpotrf, dtrtri
+
+    _check_symmetric(b, "mass")
     if not b.size:
         return np.zeros(b.shape)
     lower, info = dpotrf(b, lower=1)
@@ -262,21 +223,34 @@ def inverse_cholesky(b: np.ndarray) -> np.ndarray:
 def reduce_congruent(inv_lower: np.ndarray, matrix: np.ndarray) -> np.ndarray:
     """The symmetric matrix L^-1 A L^-T.
 
+    Raises :class:`ParameterError` when A is not symmetric to 1e-12.
     Two-operand ``np.einsum`` without ``optimize`` takes no BLAS path, so
     the bits do not depend on the BLAS thread count.
     """
+    _check_symmetric(matrix, "stiffness")
     half = np.einsum("ij,jk->ik", inv_lower, matrix)
     out = np.einsum("ij,kj->ik", half, inv_lower)
     return 0.5 * (out + out.T)
+
+
+def _check_symmetric(matrix: np.ndarray, name: str) -> None:
+    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+        raise ParameterError(f"{name} matrix must be square")
+    if matrix.size and np.max(np.abs(matrix - matrix.T)) > 1e-12:
+        raise ParameterError(f"{name} matrix is not symmetric")
 
 
 def reduced_eig(matrix: np.ndarray, inv_lower: np.ndarray, upper: float | None = None):
     """Eigenpairs of the pencil whose reduction is ``matrix`` = L^-1 A L^-T.
 
     Returns (eigenvalues ascending, eigenvectors v = L^-T w as B-orthonormal
-    columns); with ``upper``, only the eigenvalues <= ``upper``.  Signs are
-    fixed as in :func:`sym_generalized_eig`.
+    columns); with ``upper``, only the eigenvalues <= ``upper``.  Each
+    column's sign is fixed so that its first entry above 1e-8 times the
+    column's largest magnitude is positive.
     """
+    # imported here so that runs which solve no eigenproblem never load scipy
+    from scipy.linalg import eigh
+
     bounds = None if upper is None else (-math.inf, upper)
     values, reduced = eigh(matrix, subset_by_value=bounds, driver="evr")
     vectors = np.einsum("ji,jk->ik", inv_lower, reduced)

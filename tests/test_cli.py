@@ -152,13 +152,20 @@ def test_label_factors_need_no_probe_basis(tmp_path, monkeypatch, model, factors
         assert read(out, "product.json")[key] == read(probed, "product.json")[key]
 
 
-def test_parser_is_built_once_and_not_on_import(tmp_path):
+SCIPY_LOADED = "sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))"
+
+
+def fresh_python(code):
+    """stdout lines of ``code`` run in a fresh interpreter on this checkout."""
     src = str(pathlib.Path(cli.__file__).parents[1])
-    probe = ("import eigenprod.cli as cli; "
-             "print(cli._build_parser.cache_info().misses)")
     env = {**os.environ, "PYTHONPATH": src}
-    assert subprocess.run([sys.executable, "-c", probe], env=env, check=True,
-                          capture_output=True, text=True).stdout.strip() == "0"
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True, timeout=120).stdout.splitlines()
+
+
+def test_parser_is_built_once_and_not_on_import(tmp_path):
+    assert fresh_python("import eigenprod.cli as cli; "
+                        "print(cli._build_parser.cache_info().misses)") == ["0"]
     cli._build_parser.cache_clear()
     assert run(tmp_path, "product", "--model", "flat-torus", "--no-such-flag")[0] == 2
     for _ in range(3):
@@ -166,6 +173,37 @@ def test_parser_is_built_once_and_not_on_import(tmp_path):
         assert code == 0
     assert read(out, "truncate.json")["results"]["C5"] == 1.0
     assert cli._build_parser.cache_info().misses == 1
+
+
+def test_import_loads_no_scipy():
+    # scipy is imported by the first eigensolve, not by the package
+    assert fresh_python(f"import sys, eigenprod, eigenprod.cli; print({SCIPY_LOADED})") \
+        == ["[]"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("product", *MODEL_ARGS["flat2"], "--factors", "c1s2,s2c0"),
+    ("product", *MODEL_ARGS["sphere"], "--factors", "Y2m1,Y1m0,Y2m1"),
+    # plain ids: the probe basis and the final basis both come from the cache
+    ("decay", *MODEL_ARGS["rev"], "--factors", "1,1", "--lambda-max-mult", "5"),
+], ids=["flat2-product", "sphere-product", "rev-decay"])
+def test_cache_hits_load_no_scipy(tmp_path, argv):
+    argv = [*argv, "--out", str(tmp_path / "out"), "--cache", str(tmp_path / "cache")]
+    assert cli_main(argv) == 0
+    filled = sorted((tmp_path / "cache").iterdir())
+    lines = fresh_python(f"import sys; from eigenprod.cli import cli_main; "
+                         f"code = cli_main({argv!r}); print(code); print({SCIPY_LOADED})")
+    assert lines[-2:] == ["0", "[]"]
+    assert sorted((tmp_path / "cache").iterdir()) == filled
+
+
+def test_rev_build_in_a_fresh_process_loads_scipy():
+    lines = fresh_python(
+        f"import sys; from eigenprod import RevTorus, basis_digest, build_basis; "
+        f"before = {SCIPY_LOADED}; digest = basis_digest(build_basis(RevTorus(2.0, 1.0), 3.0)); "
+        f"print(before); print('scipy.linalg' in sys.modules); print(digest)")
+    assert lines[:2] == ["[]", "True"]
+    assert lines[2] == basis_digest(build_basis(RevTorus(2.0, 1.0), 3.0))
 
 
 def test_extension_params_command(tmp_path):
@@ -497,9 +535,12 @@ def test_malformed_numbers_exit_2(tmp_path, capsys, argv, config_text):
                                        b'"params": [1]}}'),
     (("report", "--replay", "{path}"), b'{"config": {"command": "basis", "model": "sphere", '
                                        b'"params": {"lambda_max": 2}}}'),
+    (("report", "--replay", "{path}"), b'{"config": {"command": "basis", "model": '
+                                       b'{"kind": "sphere"}, "params": {"lambda_max": 2}}, '
+                                       b'"provenance": []}'),
 ], ids=["config-missing", "replay-missing", "replay-directory", "replay-not-json",
         "replay-not-utf8", "replay-list", "replay-no-command", "replay-no-model",
-        "replay-params-list", "replay-model-string"])
+        "replay-params-list", "replay-model-string", "replay-provenance-list"])
 def test_unreadable_run_inputs_exit_2(tmp_path, capsys, argv, content):
     path = tmp_path / "input"
     if content is not None:

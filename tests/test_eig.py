@@ -8,27 +8,29 @@ from scipy.linalg import eigh
 
 from eigenprod.errors import FactorizationError, ParameterError
 from eigenprod.numerics import (
-    SymmetricPencil,
     circle_basis,
     circle_basis_derivative,
     inverse_cholesky,
     reduce_congruent,
     reduced_eig,
     rev_galerkin_terms,
-    sym_generalized_eig,
 )
 
 
+def solve(a, b, upper=None):
+    """A v = mu B v through the one reduction the rev-torus build uses."""
+    inv_lower = inverse_cholesky(b)
+    return reduced_eig(reduce_congruent(inv_lower, a), inv_lower, upper)
+
+
 def test_identity_pencil():
-    pencil = SymmetricPencil(np.eye(2), np.eye(2))
-    values, vectors = sym_generalized_eig(pencil)
+    values, vectors = solve(np.eye(2), np.eye(2))
     assert values == pytest.approx([1.0, 1.0], abs=1e-14)
     assert np.max(np.abs(vectors.T @ vectors - np.eye(2))) <= 1e-14
 
 
 def test_diagonal_pencil_axis_eigenvectors():
-    pencil = SymmetricPencil(np.diag([1.0, 4.0]), np.eye(2))
-    values, vectors = sym_generalized_eig(pencil)
+    values, vectors = solve(np.diag([1.0, 4.0]), np.eye(2))
     assert values == pytest.approx([1.0, 4.0], abs=1e-14)
     assert abs(abs(vectors[0, 0]) - 1.0) <= 1e-14
     assert abs(abs(vectors[1, 1]) - 1.0) <= 1e-14
@@ -37,8 +39,7 @@ def test_diagonal_pencil_axis_eigenvectors():
 def test_two_by_two_hand_solution():
     # det([[2-t, 1], [1, 2-t]]) = (t-1)(t-3): eigenvalues 1 and 3 with
     # eigenvectors (1, -1)/sqrt(2) and (1, 1)/sqrt(2).
-    pencil = SymmetricPencil(np.array([[2.0, 1.0], [1.0, 2.0]]), np.eye(2))
-    values, vectors = sym_generalized_eig(pencil)
+    values, vectors = solve(np.array([[2.0, 1.0], [1.0, 2.0]]), np.eye(2))
     assert values == pytest.approx([1.0, 3.0], abs=1e-14)
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
     assert np.abs(vectors[:, 0]) == pytest.approx([inv_sqrt2, inv_sqrt2], abs=1e-12)
@@ -55,8 +56,7 @@ def test_random_pencils_residual_and_b_orthonormality():
         a = 0.5 * (raw + raw.T)
         root = rng.normal(size=(dim, dim))
         b = root @ root.T + dim * np.eye(dim)
-        pencil = SymmetricPencil(a, b)
-        values, vectors = sym_generalized_eig(pencil)
+        values, vectors = solve(a, b)
         assert np.all(np.diff(values) >= -1e-12)
         a_max = np.max(np.abs(a)) if dim else 1.0
         for j in range(dim):
@@ -73,14 +73,14 @@ def test_eigenvalues_match_lapack_oracle():
     a = 0.5 * (raw + raw.T)
     root = rng.normal(size=(40, 40))
     b = root @ root.T + 40.0 * np.eye(40)
-    ours, _ = sym_generalized_eig(SymmetricPencil(a, b))
+    ours, _ = solve(a, b)
     lapack = eigh(a, b, eigvals_only=True)
     assert ours == pytest.approx(lapack, abs=1e-9)
 
 
 def test_indefinite_mass_matrix_rejected():
     with pytest.raises(FactorizationError):
-        SymmetricPencil(np.eye(2), np.diag([1.0, -1.0]))
+        solve(np.eye(2), np.diag([1.0, -1.0]))
 
 
 def test_indefinite_mass_rejected_by_the_shared_reduction():
@@ -90,7 +90,9 @@ def test_indefinite_mass_rejected_by_the_shared_reduction():
     with pytest.raises(FactorizationError):
         inverse_cholesky(np.array([[1.0, 2.0], [2.0, 1.0]]))
     b = np.array([[4.0, 2.0], [2.0, 3.0]])
-    assert np.array_equal(SymmetricPencil(np.eye(2), b).inv_lower, inverse_cholesky(b))
+    inv_lower = inverse_cholesky(b)
+    assert np.array_equal(inv_lower, np.tril(inv_lower))
+    assert np.max(np.abs(inv_lower @ b @ inv_lower.T - np.eye(2))) <= 1e-14
 
 
 def test_kept_subset_matches_the_full_spectrum():
@@ -101,15 +103,15 @@ def test_kept_subset_matches_the_full_spectrum():
     a = 0.5 * (raw + raw.T)
     root = rng.normal(size=(30, 30))
     b = root @ root.T + 30.0 * np.eye(30)
-    pencil = SymmetricPencil(a, b)
-    full_values, full_vectors = sym_generalized_eig(pencil)
+    full_values, full_vectors = solve(a, b)
     oracle_values = eigh(a, b, driver="gvd", eigvals_only=True)
-    reduced = reduce_congruent(pencil.inv_lower, a)
+    inv_lower = inverse_cholesky(b)
+    reduced = reduce_congruent(inv_lower, a)
     bounds = np.concatenate(([full_values[0] - 1.0],
                              (full_values[:-1] + full_values[1:]) / 2, [math.inf]))
     for kept in (0, 1, 7, 30):
         upper = bounds[kept]
-        values, vectors = reduced_eig(reduced, pencil.inv_lower, upper)
+        values, vectors = reduced_eig(reduced, inv_lower, upper)
         assert values.shape == (kept,) and vectors.shape == (30, kept)
         assert np.max(np.abs(values - oracle_values[:kept]), initial=0.0) <= 1e-11
         assert np.max(np.abs(vectors - full_vectors[:, :kept]), initial=0.0) <= 1e-10
@@ -117,7 +119,13 @@ def test_kept_subset_matches_the_full_spectrum():
 
 def test_asymmetric_stiffness_rejected():
     with pytest.raises(ParameterError):
-        SymmetricPencil(np.array([[0.0, 1.0], [0.0, 0.0]]), np.eye(2))
+        solve(np.array([[0.0, 1.0], [0.0, 0.0]]), np.eye(2))
+    # the bound is 1e-12, as on the mass matrix
+    with pytest.raises(ParameterError):
+        reduce_congruent(np.eye(2), np.array([[1.0, 2e-12], [0.0, 1.0]]))
+    with pytest.raises(ParameterError):
+        inverse_cholesky(np.array([[4.0, 2e-12], [0.0, 4.0]]))
+    reduce_congruent(np.eye(2), np.array([[1.0, 5e-13], [0.0, 1.0]]))
 
 
 def test_flat_circle_galerkin_matrices():
@@ -130,16 +138,16 @@ def test_flat_circle_galerkin_matrices():
 
 def test_angular_term_shifts_by_m_squared():
     stiff, inv_weight, mass = rev_galerkin_terms(1.0, 0.0, 3)
-    shifted = SymmetricPencil(stiff + 9.0 * inv_weight, mass)
-    assert np.max(np.abs(shifted.a - (stiff + 9.0 * mass))) <= 1e-12
-    values, _ = sym_generalized_eig(shifted)
+    shifted = stiff + 9.0 * inv_weight
+    assert np.max(np.abs(shifted - (stiff + 9.0 * mass))) <= 1e-12
+    values, _ = solve(shifted, mass)
     expected = sorted(k * k + 9 for k in (0, 1, 1, 2, 2, 3, 3))
     assert values == pytest.approx(expected, abs=1e-12)
 
 
 def test_flat_circle_eigenvalues_exact():
     stiff, _, mass = rev_galerkin_terms(1.0, 0.0, 8)
-    values, _ = sym_generalized_eig(SymmetricPencil(stiff, mass))
+    values, _ = solve(stiff, mass)
     expected = sorted([0.0] + [k * k for k in range(1, 9) for _ in (0, 1)])
     assert np.max(np.abs(values - np.array(expected, dtype=float))) <= 1e-12
 

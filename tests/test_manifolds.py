@@ -227,6 +227,35 @@ def test_profile_matrices_match_pointwise_evaluation(request, fixture):
         assert np.max(np.abs(basis.values_on_grid(mode) - pointwise)) <= 1e-13
 
 
+def _direct_trig_row(freq, parity, x, const, amp):
+    if freq == 0:
+        return np.full(x.shape, const)
+    return amp * (np.cos if parity == COS else np.sin)(freq * x)
+
+
+def test_trig_rows_equal_direct_evaluation_bit_for_bit(flat2_basis, rev_basis_3):
+    # each distinct (freq, parity) row is evaluated once and gathered; the
+    # gathered rows are the per-mode cos/sin values to the last bit
+    model = flat2_basis.model
+    axes = model.chart_axes(flat2_basis.grid.nodes)
+    rows = model.axis_factor_rows(flat2_basis.modes, flat2_basis.coefficients, axes)
+    for a, period in enumerate(model.periods):
+        direct = np.stack([
+            _direct_trig_row(m.rep[0][a] * (TWO_PI / period), m.rep[1][a], axes[a],
+                             1.0 / math.sqrt(period), math.sqrt(2.0 / period))
+            for m in flat2_basis.modes])
+        assert np.array_equal(rows[a], direct)
+    axes = rev_basis_3.model.chart_axes(rev_basis_3.grid.nodes)
+    theta_rows = rev_basis_3.model.axis_factor_rows(
+        rev_basis_3.modes, rev_basis_3.coefficients, axes)[1]
+    direct = np.stack([
+        _direct_trig_row(m.rep[0], m.rep[1], axes[1],
+                         1.0 / math.sqrt(TWO_PI), 1.0 / math.sqrt(math.pi))
+        for m in rev_basis_3.modes])
+    assert len({(m.rep[0], m.rep[1]) for m in rev_basis_3.modes}) < rev_basis_3.size
+    assert np.array_equal(theta_rows, direct)
+
+
 def test_rev_torus_strong_form_residual(rev_basis_3):
     # apply the metric Laplacian -(1/f)(f v')' + m^2 v / f^2 through exact
     # coefficient differentiation and measure the L2 defect per mode
