@@ -48,7 +48,6 @@ from .extension import (
 from .manifolds import (
     FlatTorus,
     Mode,
-    Resolution,
     RevTorus,
     SpectralBasis,
     Sphere2,
@@ -80,7 +79,7 @@ __all__ = [
     # numerics
     "QuadratureGrid", "gauss_legendre", "uniform_periodic",
     # manifolds
-    "FlatTorus", "Sphere2", "RevTorus", "Mode", "Resolution", "SpectralBasis",
+    "FlatTorus", "Sphere2", "RevTorus", "Mode", "SpectralBasis",
     "build_basis", "evaluate", "as_chart_function", "save_basis", "load_basis",
     "basis_digest",
     # coefficients

@@ -47,7 +47,6 @@ from .extension import (
 from .manifolds import (
     CACHE_VERSION,
     FlatTorus,
-    Resolution,
     RevTorus,
     Sphere2,
     as_chart_function,
@@ -173,18 +172,26 @@ def _mode_id(basis, key, token: str) -> int:
     raise ParameterError(f"mode {token.strip()} exceeds the basis cutoff")
 
 
-def _resolve_basis_and_factors(model_cfg: dict, params: dict, cache_dir: str):
-    """Build (and cache) the basis sized from the factor frequency sum.
+def _factor_tokens(params: dict) -> list:
+    """The comma-separated tokens of the required ``factors`` param."""
+    return _param(params, "factors", convert=str).split(",")
+
+
+def _resolve_basis_and_factors(model_cfg: dict, params: dict, tokens: list, cache_dir: str,
+                               default_mult: float = 2.0):
+    """Build (and cache) the basis holding the factor ``tokens``, sized by
+    ``params``: ``lambda_max``, or else ``lambda_max_mult`` (the command's
+    ``default_mult`` when unset) times the factor frequency sum.
 
     The factors' lambdas come in closed form when every token is a label
     and the model has ``rep_lambda``; otherwise from a probe basis, the
     smallest of lambda 2, 4, ..., 128 that holds every factor."""
     model = _model_from_config(model_cfg)
-    tokens = [t for t in _param(params, "factors", convert=str).split(",") if t]
+    tokens = [t for t in tokens if t]
     if not tokens:
         raise ParameterError("--factors names no mode")
     explicit = params.get("lambda_max")
-    mult = _param(params, "lambda_max_mult", 2.0)
+    mult = _param(params, "lambda_max_mult", default_mult)
     keys = [_factor_key(model, t) for t in tokens]
     probe = None
     lams = _label_lambdas(model, keys)
@@ -242,27 +249,23 @@ def _check_positional_ids(probe, basis, tokens, ids) -> None:
                 "pass a mode label instead")
 
 
-def _cache_key(model, lambda_max: float, resolution: Resolution) -> str:
+def _cache_key(model, lambda_max: float) -> str:
     blob = json.dumps({"model": model_descriptor(model),
                        "lambda_max": float(lambda_max).hex(),
-                       "resolution": vars(resolution),
                        "version": CACHE_VERSION}, sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()[:24]
 
 
 def _cached_basis(model, lambda_max: float, cache_dir: str):
     """Load the basis from the disk cache, or build and store it.  A file
-    whose model, lambda_max or resolution differs from the request is a
-    miss: it is rebuilt and overwritten, never served."""
-    res = Resolution()
-    path = os.path.join(cache_dir, f"{_cache_key(model, lambda_max, res)}.eprd")
+    whose model or lambda_max differs from the request is a miss: it is
+    rebuilt and overwritten, never served."""
+    path = os.path.join(cache_dir, f"{_cache_key(model, lambda_max)}.eprd")
     if os.path.exists(path):
         basis = load_basis(path)
-        if basis.model == model and basis.lambda_max == float(lambda_max) \
-                and basis.resolution == res:
+        if basis.model == model and basis.lambda_max == float(lambda_max):
             return basis
-    basis = build_basis(model, lambda_max, res)
-    os.makedirs(cache_dir, exist_ok=True)
+    basis = build_basis(model, lambda_max)
     save_basis(basis, path)
     return basis
 
@@ -385,11 +388,12 @@ def _cmd_basis(config, cache_dir):
 
 
 def _cmd_product(config, cache_dir):
-    basis, ids = _resolve_basis_and_factors(config["model"], config["params"],
+    params = config["params"]
+    basis, ids = _resolve_basis_and_factors(config["model"], params, _factor_tokens(params),
                                             cache_dir)
     series = expand_product(ProductSpec(basis, ids))
     results = _series_results(series)
-    artifacts = _series_artifacts(config["params"], series, "coefficients")
+    artifacts = _series_artifacts(params, series, "coefficients")
     summary = (f"product: {len(ids)} factors, parseval ratio "
                f"{results['parseval_ratio']:.9f}")
     return results, _provenance(basis), artifacts, summary
@@ -410,9 +414,11 @@ def _series_artifacts(params, series, title: str, envelope=None) -> dict:
 
 def _cmd_decay(config, cache_dir):
     params = config["params"]
-    basis, ids = _resolve_basis_and_factors(config["model"], params, cache_dir)
-    spec = ProductSpec(basis, ids)
+    # the basis reaches the multiple the series is cut at
     mult = _param(params, "lambda_max_mult", 6.0)
+    basis, ids = _resolve_basis_and_factors(config["model"], params, _factor_tokens(params),
+                                            cache_dir, mult)
+    spec = ProductSpec(basis, ids)
     series = expand_product(spec).truncated(mult * spec.sum_lambda) \
         if params.get("lambda_max") is None else expand_product(spec)
     lo_mult = _param(params, "window_lo_mult", 2.0)
@@ -440,7 +446,8 @@ def _cmd_decay(config, cache_dir):
 
 def _cmd_truncate(config, cache_dir):
     params = config["params"]
-    basis, ids = _resolve_basis_and_factors(config["model"], params, cache_dir)
+    basis, ids = _resolve_basis_and_factors(config["model"], params, _factor_tokens(params),
+                                            cache_dir)
     series = expand_product(ProductSpec(basis, ids))
     target = _param(params, "target", 0.99)
     result = find_truncation(series, target=target, c2=_param(params, "c2", 1.0))
@@ -471,17 +478,15 @@ def _cmd_lower_bound(config, cache_dir):
     if family == "self":
         k_lo = _param(params, "k_min", 1, int)
         k_hi = _param(params, "k_max", 8, int)
-        params_local = dict(params)
-        params_local["factors"] = ",".join(f"cos{k}" for k in range(k_lo, k_hi + 1))
-        basis, ids = _resolve_basis_and_factors(model_cfg, params_local, cache_dir)
+        tokens = [f"cos{k}" for k in range(k_lo, k_hi + 1)]
+        basis, ids = _resolve_basis_and_factors(model_cfg, params, tokens, cache_dir)
         specs = [ProductSpec(basis, (i, i)) for i in ids]
     elif family == "pairs":
         groups = [g for g in _param(params, "pairs", convert=str).split(";") if g]
         if not groups:
             raise ParameterError("--pairs names no pair")
-        params_local = dict(params)
-        params_local["factors"] = ",".join(groups[0].split(","))
-        basis, _ = _resolve_basis_and_factors(model_cfg, params_local, cache_dir)
+        basis, _ = _resolve_basis_and_factors(model_cfg, params, groups[0].split(","),
+                                              cache_dir)
         specs = []
         for group in groups:
             ids = tuple(_mode_id(basis, _factor_key(basis.model, t), t)
@@ -519,7 +524,8 @@ def _cmd_remark_s2(config, _cache_dir):
 
 def _cmd_greens(config, cache_dir):
     params = config["params"]
-    basis, ids = _resolve_basis_and_factors(config["model"], params, cache_dir)
+    basis, ids = _resolve_basis_and_factors(config["model"], params, _factor_tokens(params),
+                                            cache_dir)
     series = expand_product(ProductSpec(basis, ids))
     extension_constants = compute_extension_params(basis.model)
     heights = [_number(h) for h in str(params.get("heights", "")).split(",") if h] \
@@ -575,10 +581,8 @@ def _function_from_config(config, cache_dir):
     if spec.startswith("mode:"):
         if config.get("model") is None:
             raise ParameterError("mode: functions need --model")
-        params_local = dict(params)
-        params_local["factors"] = spec.split(":", 1)[1]
-        basis, ids = _resolve_basis_and_factors(config["model"], params_local,
-                                                cache_dir)
+        basis, ids = _resolve_basis_and_factors(config["model"], params,
+                                                spec.split(":", 1)[1].split(","), cache_dir)
         return (as_chart_function(basis, basis.modes[ids[0]]),
                 basis.model.chart_dim)
     raise ParameterError(f"unknown function spec {spec!r}")
@@ -633,7 +637,8 @@ def _cmd_doubling(config, cache_dir):
 
 def _cmd_good_set(config, cache_dir):
     params = config["params"]
-    basis, ids = _resolve_basis_and_factors(config["model"], params, cache_dir)
+    basis, ids = _resolve_basis_and_factors(config["model"], params, _factor_tokens(params),
+                                            cache_dir)
     spec = ProductSpec(basis, ids)
     center = _center_from_params(params, basis.model.chart_dim)
     side = _param(params, "side", 2.0)

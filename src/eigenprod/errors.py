@@ -23,7 +23,7 @@ class GeometryError(ValidationError):
 
 
 class UnderResolvedError(ValidationError):
-    """The requested resolution cannot represent the requested spectrum."""
+    """The build caps cannot represent the requested spectrum."""
 
 
 class FormatError(ValidationError):

@@ -60,20 +60,33 @@ from .numerics import (
     tensor_grid,
     uniform_periodic,
 )
+from .reportio import atomic_write_bytes
 
 COS, SIN = 0, 1
 
 CACHE_MAGIC = b"EPRD"
-CACHE_VERSION = 6
+CACHE_VERSION = 7
 # largest relative residual |A v - mu B v| / max|A| a rev-torus build accepts
 MAX_EIGEN_RESIDUAL = 1e-10
+# Build caps.  Grids are exact for the coefficient and norm integrands of
+# products of up to GRID_PRODUCT_FACTORS eigenfunctions, with GRID_MARGIN
+# spare degrees.  A rev-torus s-truncation is N = max(REV_TRUNCATION_FLOOR,
+# 4 ceil(lambda_max r)).  Up to REV_TRUNCATION_CAP its digests were measured
+# equal at 1 and 2 BLAS threads; at N = 144 they differ.  REV_M_CAP keeps
+# lambda_max r below 16.5 (r < R), so N <= 68 unless the m cap is raised.
+GRID_PRODUCT_FACTORS = 3
+GRID_MARGIN = 8
+TORUS_FREQ_CAP = 128
+SPHERE_L_CAP = 64
+REV_M_CAP = 32
+REV_TRUNCATION_FLOOR = 64
+REV_TRUNCATION_CAP = 128
 
 __all__ = [
     "FlatTorus",
     "Sphere2",
     "RevTorus",
     "Mode",
-    "Resolution",
     "SpectralBasis",
     "build_basis",
     "evaluate",
@@ -102,38 +115,6 @@ class Mode:
     rep: tuple
 
 
-@dataclass(frozen=True)
-class Resolution:
-    """Caps and sizing knobs for basis construction.
-
-    ``max_product_factors`` sizes the quadrature grid so that coefficient
-    and norm integrands of products with that many eigenfunction factors
-    are within the grid's exactness.  Every field is an integer;
-    ``rev_fourier_n`` may also be None, for the truncation chosen from
-    lambda_max.
-    """
-
-    max_product_factors: int = 3
-    margin: int = 8
-    torus_freq_cap: int = 128
-    sphere_l_cap: int = 64
-    rev_m_cap: int = 32
-    rev_fourier_cap: int = 256
-    rev_fourier_n: int | None = None
-
-    def __post_init__(self):
-        for spec in fields(self):
-            value = getattr(self, spec.name)
-            if value is None and spec.name == "rev_fourier_n":
-                continue
-            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
-                raise ParameterError(f"{spec.name} must be an integer, got {value!r}")
-            lowest = 1 if spec.name in ("max_product_factors", "rev_fourier_n") else 0
-            if value < lowest:
-                raise ParameterError(f"{spec.name} must be >= {lowest}, got {value}")
-            object.__setattr__(self, spec.name, int(value))
-
-
 @dataclass(eq=False)
 class SpectralBasis:
     """All eigenfunctions with lambda <= lambda_max on one model, plus the
@@ -157,7 +138,6 @@ class SpectralBasis:
     coefficients: np.ndarray
     grid: QuadratureGrid
     provenance: str
-    resolution: Resolution
     _digest: str | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
@@ -214,7 +194,7 @@ class _Surface:
 
     Required: ``kind`` (the persisted descriptor key), ``rep_names`` (the
     names of the int representation fields), ``chart_dim``, ``volume``,
-    ``build(lambda_max, res)`` (the ordered basis),
+    ``build(lambda_max)`` (the ordered basis),
     ``quadrature_grid(sizes)`` (the grid from its per-axis node counts),
     ``axis_factor_rows(modes, coefficients, axis_points)`` (per grid axis,
     one (len(modes), len(points)) array whose rows multiply to the values
@@ -287,12 +267,12 @@ class FlatTorus(_Surface):
     def volume(self) -> float:
         return float(np.prod(self.periods))
 
-    def build(self, lambda_max: float, res: Resolution) -> SpectralBasis:
+    def build(self, lambda_max: float) -> SpectralBasis:
         kmaxes = tuple(_torus_freq_cap(p, lambda_max) for p in self.periods)
-        if max(kmaxes) > res.torus_freq_cap:
+        if max(kmaxes) > TORUS_FREQ_CAP:
             raise UnderResolvedError(
                 f"flat torus needs frequencies up to {max(kmaxes)} "
-                f"(cap {res.torus_freq_cap}) to reach lambda_max={lambda_max}")
+                f"(cap {TORUS_FREQ_CAP}) to reach lambda_max={lambda_max}")
         entries = []
         for freqs in itertools.product(*(range(kmax + 1) for kmax in kmaxes)):
             lam = self.rep_lambda((freqs, None))
@@ -304,10 +284,10 @@ class FlatTorus(_Surface):
         modes = tuple(
             Mode(i, lam, (freqs, pars)) for i, (lam, freqs, pars) in enumerate(entries)
         )
-        sizes = [_round_up(2 * res.max_product_factors * max(kmax, 1) + res.margin + 1)
+        sizes = [_round_up(2 * GRID_PRODUCT_FACTORS * max(kmax, 1) + GRID_MARGIN + 1)
                  for kmax in kmaxes]
         return SpectralBasis(self, float(lambda_max), modes, np.empty((len(modes), 0)),
-                             self.quadrature_grid(sizes), "exact", res)
+                             self.quadrature_grid(sizes), "exact")
 
     def quadrature_grid(self, sizes) -> QuadratureGrid:
         axes = [uniform_periodic(n, p) for n, p in zip(sizes, self.periods)]
@@ -402,20 +382,20 @@ class Sphere2(_Surface):
     def volume(self) -> float:
         return 4.0 * math.pi
 
-    def build(self, lambda_max: float, res: Resolution) -> SpectralBasis:
+    def build(self, lambda_max: float) -> SpectralBasis:
         lmax = _sphere_lmax(lambda_max)
-        if lmax > res.sphere_l_cap:
+        if lmax > SPHERE_L_CAP:
             raise UnderResolvedError(
-                f"sphere needs harmonics to degree {lmax} (cap {res.sphere_l_cap})")
+                f"sphere needs harmonics to degree {lmax} (cap {SPHERE_L_CAP})")
         modes = []
         for l in range(lmax + 1):
             lam = self.rep_lambda((l, 0))
             for m in range(-l, l + 1):
                 modes.append(Mode(len(modes), lam, (l, m)))
-        degree_needed = 2 * res.max_product_factors * max(lmax, 1) + res.margin
+        degree_needed = 2 * GRID_PRODUCT_FACTORS * max(lmax, 1) + GRID_MARGIN
         sizes = [_round_up((degree_needed + 2) // 2, 4), _round_up(degree_needed + 1)]
         return SpectralBasis(self, float(lambda_max), tuple(modes), np.empty((len(modes), 0)),
-                             self.quadrature_grid(sizes), "exact", res)
+                             self.quadrature_grid(sizes), "exact")
 
     def quadrature_grid(self, sizes) -> QuadratureGrid:
         x_axis = gauss_legendre(sizes[0])
@@ -549,19 +529,19 @@ class RevTorus(_Surface):
     def volume(self) -> float:
         return TWO_PI * TWO_PI * self.major_radius
 
-    def build(self, lambda_max: float, res: Resolution) -> SpectralBasis:
+    def build(self, lambda_max: float) -> SpectralBasis:
         big, small = self.major_radius, self.minor_radius
-        trunc = res.rev_fourier_n or max(64, 4 * int(math.ceil(lambda_max * small)))
-        if trunc > res.rev_fourier_cap:
-            raise UnderResolvedError(
-                f"s-profile truncation N={trunc} exceeds cap {res.rev_fourier_cap}")
         # Rayleigh bound: the m-family has lambda >= m / max(f), so angular
         # frequencies beyond lambda_max * (R + r) cannot contribute.
         m_scan = int(math.floor(lambda_max * (big + small) * (1.0 + 1e-12)))
-        if m_scan > res.rev_m_cap:
+        if m_scan > REV_M_CAP:
             raise UnderResolvedError(
                 f"angular family m={m_scan} needed for lambda_max={lambda_max} "
-                f"(cap {res.rev_m_cap})")
+                f"(cap {REV_M_CAP})")
+        trunc = max(REV_TRUNCATION_FLOOR, 4 * int(math.ceil(lambda_max * small)))
+        if trunc > REV_TRUNCATION_CAP:
+            raise UnderResolvedError(
+                f"s-profile truncation N={trunc} exceeds cap {REV_TRUNCATION_CAP}")
         size = 2 * trunc + 1
         stiff, inv_weight, mass = rev_galerkin_terms(big, small, trunc)
         # the full stiffness K + m^2 M_inv scales the zero-snap and the residual
@@ -610,13 +590,12 @@ class RevTorus(_Surface):
         modes = tuple(Mode(i, entry[0], entry[1:3]) for i, entry in enumerate(entries))
         coefficients = np.array([profiles[e[-1]][-1] for e in entries]).reshape(-1, size)
         m_used = max((mode.rep[0] for mode in modes), default=0)
-        mpf = res.max_product_factors
-        stretch = max(mpf + 1, 2 * mpf)
-        sizes = [_round_up(stretch * trunc + 2 + res.margin),
-                 _round_up(stretch * max(m_used, 1) + 1 + res.margin)]
+        stretch = max(GRID_PRODUCT_FACTORS + 1, 2 * GRID_PRODUCT_FACTORS)
+        sizes = [_round_up(stretch * trunc + 2 + GRID_MARGIN),
+                 _round_up(stretch * max(m_used, 1) + 1 + GRID_MARGIN)]
         provenance = f"numerical(residual={worst_residual:.3e})"
         return SpectralBasis(self, float(lambda_max), modes, coefficients,
-                             self.quadrature_grid(sizes), provenance, res)
+                             self.quadrature_grid(sizes), provenance)
 
     def quadrature_grid(self, sizes) -> QuadratureGrid:
         s_plain = uniform_periodic(sizes[0], TWO_PI)
@@ -680,12 +659,12 @@ def _surface(model):
 # construction and evaluation
 
 
-def build_basis(model, lambda_max: float, resolution: Resolution | None = None) -> SpectralBasis:
+def build_basis(model, lambda_max: float) -> SpectralBasis:
     """Construct the ordered eigenbasis with lambda <= lambda_max."""
     _surface(model)
     if not math.isfinite(lambda_max) or lambda_max < 0.0:
         raise ParameterError("lambda_max must be finite and >= 0")
-    return model.build(lambda_max, resolution or Resolution())
+    return model.build(lambda_max)
 
 
 def _normalize_points(points, dim: int):
@@ -786,7 +765,6 @@ def _basis_payload(basis: SpectralBasis) -> bytes:
     header = {
         "model": model_descriptor(model),
         "lambda_max": basis.lambda_max.hex(),
-        "resolution": vars(basis.resolution),
         "provenance": basis.provenance,
         "grid_axis_sizes": basis.axis_sizes(),
         "count": len(modes),
@@ -825,13 +803,13 @@ def basis_digest(basis: SpectralBasis) -> str:
 
 
 def save_basis(basis: SpectralBasis, path) -> str:
-    """Write the versioned binary cache file; returns the content digest."""
+    """Write the versioned binary cache file, creating its directory and
+    replacing any file at ``path`` atomically; returns the content digest."""
     body = _basis_payload(basis)
     digest = hashlib.sha256(body).digest()
     blob = CACHE_MAGIC + struct.pack("<H", CACHE_VERSION) + digest
     blob += struct.pack("<Q", len(body)) + body
-    with open(path, "wb") as handle:
-        handle.write(blob)
+    atomic_write_bytes(path, blob)
     basis._digest = digest.hex()
     return basis._digest
 
@@ -858,14 +836,13 @@ def load_basis(path) -> SpectralBasis:
             raise ValueError("no header separator")
         header = json.loads(header_text)
         model = model_from_descriptor(header["model"])
-        res = Resolution(**header["resolution"])
         modes, coefficients = _modes_from_payload(model, header, block)
         lambda_max = float.fromhex(header["lambda_max"])
         grid = model.quadrature_grid(header["grid_axis_sizes"])
         provenance = header["provenance"]
     except (AttributeError, KeyError, ValueError, TypeError) as exc:
         raise CorruptionError(f"{path}: malformed basis payload ({exc})") from exc
-    basis = SpectralBasis(model, lambda_max, modes, coefficients, grid, provenance, res)
+    basis = SpectralBasis(model, lambda_max, modes, coefficients, grid, provenance)
     basis._digest = digest.hex()  # the body is the canonical payload save_basis wrote
     return basis
 
@@ -876,7 +853,6 @@ def basis_equal(one: SpectralBasis, other: SpectralBasis) -> bool:
         one.model == other.model
         and one.lambda_max == other.lambda_max
         and one.provenance == other.provenance
-        and one.resolution == other.resolution
         and one.modes == other.modes
         and np.array_equal(one.coefficients, other.coefficients)
         and np.array_equal(one.grid.nodes, other.grid.nodes)

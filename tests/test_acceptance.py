@@ -39,8 +39,8 @@ from eigenprod.extension import (
 from eigenprod.manifolds import (
     COS,
     SIN,
+    REV_M_CAP,
     FlatTorus,
-    Resolution,
     RevTorus,
     Sphere2,
     build_basis,
@@ -87,8 +87,7 @@ def rev_setup():
     """Six two-factor products on the revolution torus, each with its
     coefficient series cut at six times its frequency sum."""
     model = RevTorus(2.0, 1.0)
-    res = Resolution()
-    lambda_cap = res.rev_m_cap / (model.major_radius + model.minor_radius)
+    lambda_cap = REV_M_CAP / (model.major_radius + model.minor_radius)
     probe = build_basis(model, 2.0)
     low = [m for m in probe.modes if m.lam > 0.0][:6]
     candidates = []

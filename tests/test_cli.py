@@ -20,7 +20,6 @@ from eigenprod.manifolds import (
     SIN,
     FlatTorus,
     Mode,
-    Resolution,
     RevTorus,
     basis_digest,
     build_basis,
@@ -434,12 +433,19 @@ def test_decay_command_rev_torus(tmp_path):
     assert (out / "decay.svg").exists()
 
 
-def test_cache_key_covers_the_resolution():
-    model = FlatTorus(1, (TWO_PI,))
-    default = cli._cache_key(model, 3.0, Resolution())
-    for changed in (Resolution(margin=9), Resolution(max_product_factors=4),
-                    Resolution(rev_fourier_n=64)):
-        assert cli._cache_key(model, 3.0, changed) != default
+@pytest.mark.parametrize("factors", ["1,3", "2,3"])
+def test_decay_sizes_its_basis_with_its_own_multiple(tmp_path, factors):
+    # without sizing flags the basis must reach the 6 x sum-lambda cut of
+    # the series, so the run equals one with the multiple given explicitly
+    head = ("decay", "--model", "rev-torus", "--R", "2", "--r", "1", "--factors", factors)
+    code, out = run(tmp_path / "default", *head)
+    assert code == 0
+    results = read(out, "decay.json")["results"]
+    assert results["c_hat"] > 0.0
+    assert results["r_squared"] >= 0.9
+    code, explicit = run(tmp_path / "explicit", *head, "--lambda-max-mult", "6")
+    assert code == 0
+    assert read(explicit, "decay.json")["results"] == results
 
 
 def test_cached_basis_serves_hits_and_rebuilds_mismatched_files(tmp_path, monkeypatch):

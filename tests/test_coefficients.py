@@ -289,10 +289,7 @@ def test_sphere_three_factor_exact_route():
 def test_sphere_four_factor_quadrature_route():
     # beyond three factors the sphere has no iterated oracle; quadrature
     # must still close the Parseval budget exactly for band-limited input
-    from eigenprod.manifolds import Resolution
-
-    basis = build_basis(Sphere2(), math.sqrt(8.0 * 9.0) + 1e-9,
-                        Resolution(max_product_factors=4))
+    basis = build_basis(Sphere2(), math.sqrt(8.0 * 9.0) + 1e-9)
     y11 = find_mode(basis, (1, 1))
     y20 = find_mode(basis, (2, 0))
     series = expand_product(ProductSpec(basis, (y11.id, y11.id, y20.id, y20.id)))

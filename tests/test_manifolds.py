@@ -30,7 +30,6 @@ from eigenprod.manifolds import (
     SIN,
     FlatTorus,
     Mode,
-    Resolution,
     RevTorus,
     Sphere2,
     basis_digest,
@@ -274,30 +273,37 @@ def test_rev_torus_strong_form_residual(rev_basis_3):
         assert defect <= 1e-6 * math.sqrt(float(norm_sq))
 
 
-def test_rev_torus_self_convergence():
+def test_rev_torus_self_convergence(monkeypatch):
     # doubling the Galerkin truncation moves no kept eigenvalue by > 1e-8
-    coarse = build_basis(RevTorus(2.0, 1.0), 3.0,
-                         Resolution(rev_fourier_n=64))
-    fine = build_basis(RevTorus(2.0, 1.0), 3.0,
-                       Resolution(rev_fourier_n=128))
+    coarse = build_basis(RevTorus(2.0, 1.0), 3.0)
+    monkeypatch.setattr(manifolds, "REV_TRUNCATION_FLOOR", 128)
+    fine = build_basis(RevTorus(2.0, 1.0), 3.0)
+    assert coarse.coefficients.shape[1] == 2 * 64 + 1
+    assert fine.coefficients.shape[1] == 2 * 128 + 1
     assert coarse.size == fine.size
     assert np.max(np.abs(coarse.lambdas() - fine.lambdas())) <= 1e-8
 
 
 def test_rev_torus_digest_does_not_depend_on_blas_threads():
     # the digest covers every profile coefficient and the residual, so it
-    # is the bit-level check; each thread count runs in a fresh process
+    # is the bit-level check; each thread count runs in a fresh process.
+    # The last input runs at the truncation cap, the widest pencil a build
+    # may solve.
     src = str(pathlib.Path(manifolds.__file__).parents[1])
-    probe = ("from eigenprod import RevTorus, basis_digest, build_basis; "
+    probe = ("from eigenprod import RevTorus, basis_digest, build_basis, manifolds; "
              "print(*(basis_digest(build_basis(RevTorus(R, r), lam)) for R, r, lam "
-             "in ((2.0, 1.0, 6.0), (2.0, 1.0, 3.0), (1.8, 0.9, 4.5))))")
+             "in ((2.0, 1.0, 6.0), (2.0, 1.0, 3.0), (1.8, 0.9, 4.5)))); "
+             "manifolds.REV_TRUNCATION_FLOOR = manifolds.REV_TRUNCATION_CAP; "
+             "capped = build_basis(RevTorus(2.0, 1.9), 3.0); "
+             "assert capped.coefficients.shape[1] == 2 * manifolds.REV_TRUNCATION_CAP + 1; "
+             "print(basis_digest(capped))")
     digests = []
     for threads in ("1", "2"):
         env = {**os.environ, "PYTHONPATH": src,
                "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
         digests.append(subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                                       capture_output=True, text=True).stdout.split())
-    assert len(digests[0]) == 3
+    assert len(digests[0]) == 4
     assert digests[0] == digests[1]
 
 
@@ -368,29 +374,13 @@ def test_rev_torus_residual_check_can_fail(tmp_path, monkeypatch):
     assert code == 3
 
 
-@pytest.mark.parametrize("fields", [
-    {"rev_fourier_n": 0}, {"rev_fourier_n": -3}, {"rev_fourier_n": 2.5},
-    {"rev_fourier_n": True}, {"max_product_factors": 0}, {"max_product_factors": 2.0},
-    {"margin": -1}, {"margin": False}, {"torus_freq_cap": -1}, {"sphere_l_cap": -1},
-    {"rev_m_cap": -1}, {"rev_m_cap": "32"}, {"rev_fourier_cap": -1},
-    {"rev_fourier_cap": None}, {"margin": None},
-])
-def test_resolution_rejects_malformed_fields(fields):
-    with pytest.raises(ParameterError, match=next(iter(fields))):
-        Resolution(**fields)
-
-
-def test_resolution_accepts_integers():
-    res = Resolution(rev_fourier_n=np.int64(96), rev_m_cap=0)
-    assert res.rev_fourier_n == 96 and type(res.rev_fourier_n) is int
-    assert Resolution(rev_fourier_n=None).rev_fourier_n is None
-
-
-def test_rev_torus_under_resolution_errors():
+def test_rev_torus_under_resolution_errors(monkeypatch):
     with pytest.raises(UnderResolvedError, match="angular"):
         build_basis(RevTorus(2.0, 1.0), 40.0)
-    with pytest.raises(UnderResolvedError, match="truncation"):
-        build_basis(RevTorus(2.0, 1.0), 12.0, Resolution(rev_m_cap=128, rev_fourier_n=512))
+    # at lambda 33 the angular scan needs m = 99 and the truncation N = 132
+    monkeypatch.setattr(manifolds, "REV_M_CAP", 99)
+    with pytest.raises(UnderResolvedError, match="truncation N=132 exceeds cap 128"):
+        build_basis(RevTorus(2.0, 1.0), 33.0)
 
 
 def test_torus_under_resolution_error():
@@ -430,6 +420,24 @@ def test_save_load_round_trip(tmp_path, circle_basis_3, flat2_basis, sphere_basi
         assert digest == basis_digest(basis)
         loaded = load_basis(path)
         assert basis_equal(basis, loaded)
+
+
+def test_interrupted_save_leaves_the_earlier_file(tmp_path, monkeypatch, circle_basis_3,
+                                                  sphere_basis_3):
+    # a writer killed before the rename leaves the old file whole and no
+    # partial one, so later loads of the key do not fail their digest check
+    path = tmp_path / "basis.eprd"
+    save_basis(circle_basis_3, path)
+    earlier = path.read_bytes()
+
+    def interrupted(_src, _dst):
+        raise OSError("interrupted")
+
+    monkeypatch.setattr(os, "replace", interrupted)
+    with pytest.raises(OSError, match="interrupted"):
+        save_basis(sphere_basis_3, path)
+    assert path.read_bytes() == earlier
+    assert [p.name for p in tmp_path.iterdir()] == ["basis.eprd"]
 
 
 @pytest.mark.parametrize("name", ["circle_basis_3", "flat2_basis",
@@ -543,10 +551,10 @@ def test_mode_reps_hold_only_ints(request, name):
 
 
 @pytest.mark.parametrize("name, digest", [
-    ("circle_basis_3", "b9172eb2a67ba5b2b74884b12bb95ab9de750fbec40f6e72a9f8286c05f84b48"),
-    ("flat2_basis", "951db2649ca176a3bc583ecd6e4727e207e4d2a2d68a9b47da24b610891b96a0"),
-    ("sphere_basis_3", "837570d8998588ada76b624197d75216a4e522dc5b30647eeb1f6bb38f88e6cb"),
-])
+    ("circle_basis_3", "7c2767f8b41b5898b2e640664228e7f6e74747842844d5a9bb4e77c4d69c0024"),
+    ("flat2_basis", "ba8cef88d5b12e355178effe32c210aefbcdb335b048dbe70abb32b639d45499"),
+    ("sphere_basis_3", "dead255fa4f8a34dc4de173ed3df35ce89b58b73c30b0226224bff5e7f058788"),
+], ids=["circle_basis_3", "flat2_basis", "sphere_basis_3"])
 def test_cache_payload_is_pinned(request, name, digest):
     # the .eprd payload format is fixed: exact bases hash to known digests
     basis = request.getfixturevalue(name)
