@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coefficients import CoefficientSeries, ProductSpec
+from .coefficients import CoefficientSeries, _check_grid_resolution, _product_values_by_axis
 from .errors import BreakdownError, ParameterError, UnderResolvedError
 from .manifolds import SpectralBasis
 from .numerics import TWO_PI, gauss_legendre, uniform_periodic
@@ -261,14 +261,13 @@ def lower_bound_experiment(basis: SpectralBasis, specs) -> LowerBoundFit:
     n_factors = {s.n_factors for s in specs}
     if len(n_factors) != 1:
         raise ParameterError("all products in a family must share the factor count")
-    weights = basis.grid.weights
+    weights = basis.grid_weights()
     samples = []
     for spec in specs:
         if spec.basis is not basis:
             raise ParameterError("product specs must reference the given basis")
-        values = np.ones(basis.grid.size)
-        for i in sorted(spec.factors):
-            values = values * basis.values_on_grid(basis.modes[i])
+        _check_grid_resolution(spec, targets=False)
+        values = _product_values_by_axis(spec).reshape(-1)
         norm = math.sqrt(float(weights @ (values * values)))
         samples.append((spec.sum_lambda, norm))
     fit = _norm_from_samples(samples)
@@ -298,6 +297,8 @@ def sphere_rotated_pair_experiment(l_values) -> LowerBoundFit:
     l_values = [int(l) for l in l_values]
     if len(l_values) < 4:
         raise ParameterError("need at least four degrees")
+    if min(l_values) < 0:
+        raise ParameterError("degrees must be >= 0")
     lmax = max(l_values)
     xs, ys, zs, weights = _sphere_cartesian(2 * lmax + 16, 4 * lmax + 16)
     samples = []

@@ -177,19 +177,22 @@ def _factor_tokens(params: dict) -> list:
     return _param(params, "factors", convert=str).split(",")
 
 
-def _resolve_basis_and_factors(model_cfg: dict, params: dict, tokens: list, cache_dir: str,
+def _resolve_basis_and_factors(model_cfg: dict, params: dict, groups: list, cache_dir: str,
                                default_mult: float = 2.0):
-    """Build (and cache) the basis holding the factor ``tokens``, sized by
-    ``params``: ``lambda_max``, or else ``lambda_max_mult`` (the command's
-    ``default_mult`` when unset) times the factor frequency sum.
+    """Build (and cache) the basis holding every factor of the token
+    ``groups`` (lists of tokens, one per product) and return it with each
+    group's mode ids.  It is sized by ``params``: ``lambda_max``, or else
+    ``lambda_max_mult`` (the command's ``default_mult`` when unset) times
+    the largest frequency sum of a group.
 
     The factors' lambdas come in closed form when every token is a label
     and the model has ``rep_lambda``; otherwise from a probe basis, the
     smallest of lambda 2, 4, ..., 128 that holds every factor."""
     model = _model_from_config(model_cfg)
-    tokens = [t for t in tokens if t]
-    if not tokens:
+    groups = [[t for t in group if t] for group in groups]
+    if not all(groups):
         raise ParameterError("--factors names no mode")
+    tokens = [t for group in groups for t in group]
     explicit = params.get("lambda_max")
     mult = _param(params, "lambda_max_mult", default_mult)
     keys = [_factor_key(model, t) for t in tokens]
@@ -207,9 +210,10 @@ def _resolve_basis_and_factors(model_cfg: dict, params: dict, tokens: list, cach
                     raise
                 probe_lambda *= 2.0
         lams = [probe.modes[i].lam for i in ids]
-    # ascending, the order of the modes, so the sum's bits do not depend
+    # ascending, the order of the modes, so a sum's bits do not depend
     # on the order of the tokens
-    sum_lambda = float(sum(sorted(lams)))
+    starts = np.cumsum([0] + [len(group) for group in groups]).tolist()
+    sum_lambda = max(float(sum(sorted(lams[a:b]))) for a, b in zip(starts, starts[1:]))
     if explicit is not None:
         lambda_max = _number(explicit)
     else:
@@ -218,7 +222,7 @@ def _resolve_basis_and_factors(model_cfg: dict, params: dict, tokens: list, cach
     ids = tuple(_mode_id(basis, key, t) for key, t in zip(keys, tokens))
     if probe is not None:
         _check_positional_ids(probe, basis, tokens, ids)
-    return basis, ids
+    return basis, [ids[a:b] for a, b in zip(starts, starts[1:])]
 
 
 def _label_lambdas(model, keys):
@@ -389,8 +393,8 @@ def _cmd_basis(config, cache_dir):
 
 def _cmd_product(config, cache_dir):
     params = config["params"]
-    basis, ids = _resolve_basis_and_factors(config["model"], params, _factor_tokens(params),
-                                            cache_dir)
+    basis, (ids,) = _resolve_basis_and_factors(config["model"], params,
+                                               [_factor_tokens(params)], cache_dir)
     series = expand_product(ProductSpec(basis, ids))
     results = _series_results(series)
     artifacts = _series_artifacts(params, series, "coefficients")
@@ -416,8 +420,8 @@ def _cmd_decay(config, cache_dir):
     params = config["params"]
     # the basis reaches the multiple the series is cut at
     mult = _param(params, "lambda_max_mult", 6.0)
-    basis, ids = _resolve_basis_and_factors(config["model"], params, _factor_tokens(params),
-                                            cache_dir, mult)
+    basis, (ids,) = _resolve_basis_and_factors(config["model"], params,
+                                               [_factor_tokens(params)], cache_dir, mult)
     spec = ProductSpec(basis, ids)
     series = expand_product(spec).truncated(mult * spec.sum_lambda) \
         if params.get("lambda_max") is None else expand_product(spec)
@@ -446,8 +450,8 @@ def _cmd_decay(config, cache_dir):
 
 def _cmd_truncate(config, cache_dir):
     params = config["params"]
-    basis, ids = _resolve_basis_and_factors(config["model"], params, _factor_tokens(params),
-                                            cache_dir)
+    basis, (ids,) = _resolve_basis_and_factors(config["model"], params,
+                                               [_factor_tokens(params)], cache_dir)
     series = expand_product(ProductSpec(basis, ids))
     target = _param(params, "target", 0.99)
     result = find_truncation(series, target=target, c2=_param(params, "c2", 1.0))
@@ -478,20 +482,18 @@ def _cmd_lower_bound(config, cache_dir):
     if family == "self":
         k_lo = _param(params, "k_min", 1, int)
         k_hi = _param(params, "k_max", 8, int)
+        if k_lo > k_hi:
+            raise ParameterError("--k-min must not exceed --k-max")
         tokens = [f"cos{k}" for k in range(k_lo, k_hi + 1)]
-        basis, ids = _resolve_basis_and_factors(model_cfg, params, tokens, cache_dir)
+        basis, (ids,) = _resolve_basis_and_factors(model_cfg, params, [tokens], cache_dir)
         specs = [ProductSpec(basis, (i, i)) for i in ids]
     elif family == "pairs":
-        groups = [g for g in _param(params, "pairs", convert=str).split(";") if g]
+        groups = [g for g in _param(params, "pairs", convert=str).split(";") if g.strip(",")]
         if not groups:
             raise ParameterError("--pairs names no pair")
-        basis, _ = _resolve_basis_and_factors(model_cfg, params, groups[0].split(","),
-                                              cache_dir)
-        specs = []
-        for group in groups:
-            ids = tuple(_mode_id(basis, _factor_key(basis.model, t), t)
-                        for t in group.split(","))
-            specs.append(ProductSpec(basis, ids))
+        basis, group_ids = _resolve_basis_and_factors(
+            model_cfg, params, [g.split(",") for g in groups], cache_dir)
+        specs = [ProductSpec(basis, ids) for ids in group_ids]
     else:
         raise ParameterError(f"unknown family {family!r}")
     fit = lower_bound_experiment(basis, specs)
@@ -524,8 +526,8 @@ def _cmd_remark_s2(config, _cache_dir):
 
 def _cmd_greens(config, cache_dir):
     params = config["params"]
-    basis, ids = _resolve_basis_and_factors(config["model"], params, _factor_tokens(params),
-                                            cache_dir)
+    basis, (ids,) = _resolve_basis_and_factors(config["model"], params,
+                                               [_factor_tokens(params)], cache_dir)
     series = expand_product(ProductSpec(basis, ids))
     extension_constants = compute_extension_params(basis.model)
     heights = [_number(h) for h in str(params.get("heights", "")).split(",") if h] \
@@ -581,8 +583,8 @@ def _function_from_config(config, cache_dir):
     if spec.startswith("mode:"):
         if config.get("model") is None:
             raise ParameterError("mode: functions need --model")
-        basis, ids = _resolve_basis_and_factors(config["model"], params,
-                                                spec.split(":", 1)[1].split(","), cache_dir)
+        basis, (ids,) = _resolve_basis_and_factors(config["model"], params,
+                                                   [spec.split(":", 1)[1].split(",")], cache_dir)
         return (as_chart_function(basis, basis.modes[ids[0]]),
                 basis.model.chart_dim)
     raise ParameterError(f"unknown function spec {spec!r}")
@@ -637,8 +639,8 @@ def _cmd_doubling(config, cache_dir):
 
 def _cmd_good_set(config, cache_dir):
     params = config["params"]
-    basis, ids = _resolve_basis_and_factors(config["model"], params, _factor_tokens(params),
-                                            cache_dir)
+    basis, (ids,) = _resolve_basis_and_factors(config["model"], params,
+                                               [_factor_tokens(params)], cache_dir)
     spec = ProductSpec(basis, ids)
     center = _center_from_params(params, basis.model.chart_dim)
     side = _param(params, "side", 2.0)

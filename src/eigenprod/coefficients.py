@@ -366,14 +366,16 @@ def parseval_report(series: CoefficientSeries):
 # quadrature route
 
 
-def _check_grid_resolution(spec: ProductSpec):
-    """Every integrand of the expansion must be within the grid's
-    exactness on each axis: phi_i times the product, and the product
-    squared for its norm."""
+def _check_grid_resolution(spec: ProductSpec, targets: bool = True):
+    """Every integrand must be within the grid's exactness on each axis:
+    the product squared for its norm and, with ``targets``, phi_i times
+    the product for the expansion."""
     basis = spec.basis
     width = basis.coefficients.shape[1]
     factor_bw = np.sum([basis.model.bandwidth(m, width) for m in spec.factor_modes()], axis=0)
-    needed = np.maximum(factor_bw + basis.target_bandwidth, 2 * factor_bw)
+    needed = 2 * factor_bw
+    if targets:
+        needed = np.maximum(factor_bw + basis.target_bandwidth, needed)
     exact = basis.axis_exactness()
     if np.any(needed > exact):
         raise UnderResolvedError(
@@ -404,13 +406,11 @@ def _quadrature_expansion(spec: ProductSpec):
     basis = spec.basis
     values = _product_values_by_axis(spec)
     if values.ndim == 1:
-        w = basis.grid.weights
+        w = basis.axes[0].weights
         f_norm_sq = float(w @ (values * values))
         (phi,) = basis.profile_matrices
         return phi @ (w * values), f_norm_sq
-    w1 = basis.grid.axes[0][1]
-    w2 = basis.grid.axes[1][1]
-    weighted = values * np.multiply.outer(w1, w2)
+    weighted = values * np.multiply.outer(basis.axes[0].weights, basis.axes[1].weights)
     f_norm_sq = float(np.sum(weighted * values))
     u, v = basis.profile_matrices
     return (u[:, None, :] @ weighted @ v[:, :, None])[:, 0, 0], f_norm_sq

@@ -147,8 +147,8 @@ class HarmonicExtension:
 
     def grid_boundary_values(self, t: float):
         """(H, dH/dt) on the basis quadrature grid at fixed height t."""
-        values = np.zeros(self.basis.grid.size)
-        slopes = np.zeros(self.basis.grid.size)
+        values = np.zeros(math.prod(self.basis.axis_sizes()))
+        slopes = np.zeros_like(values)
         for mode, lam, c in zip(self._modes, self.lams, self.coeffs):
             phi = self.basis.values_on_grid(mode)
             values += c * math.cosh(lam * t) * phi
@@ -250,7 +250,7 @@ def greens_coefficient(ext: HarmonicExtension, mode_id: int, height: float) -> f
         raise ParameterError("height must lie in (0, T] of the extension")
     values, slopes = ext.grid_boundary_values(height)
     phi = ext.basis.values_on_grid(mode)
-    integral = float(ext.basis.grid.weights @ (phi * (slopes + mode.lam * values)))
+    integral = float(ext.basis.grid_weights() @ (phi * (slopes + mode.lam * values)))
     return math.exp(-height * mode.lam) / mode.lam * integral
 
 

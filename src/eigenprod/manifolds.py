@@ -21,8 +21,9 @@ section of this module each; ``build_basis``, ``evaluate``, persistence
 and the JSON view are model-agnostic.  A fourth model is a frozen
 dataclass derived from ``_Surface`` whose fields are its constructor
 arguments.  It implements the method set listed there (``build``,
-``quadrature_grid``, ``axis_factor_rows(modes, coefficients,
-axis_points)``, ``bandwidth(mode, width)``, and where it has them
+``quadrature_grid`` (one one-dimensional rule per chart axis),
+``axis_factor_rows(modes, coefficients, axis_points)``,
+``bandwidth(mode, width)``, and where it has them
 ``coefficients_name``, ``chart_axes``, ``parse_label`` and the
 closed-form ``rep_lambda``) and joins ``_MODELS``; an exact oracle, if it
 has one, joins ``coefficients._EXACT_ORACLES``.
@@ -57,7 +58,6 @@ from .numerics import (
     reduce_congruent,
     reduced_eig,
     rev_galerkin_terms,
-    tensor_grid,
     uniform_periodic,
 )
 from .reportio import atomic_write_bytes
@@ -118,7 +118,10 @@ class Mode:
 @dataclass(eq=False)
 class SpectralBasis:
     """All eigenfunctions with lambda <= lambda_max on one model, plus the
-    quadrature grid every integral in the package runs on.
+    quadrature grid every integral in the package runs on: ``axes``, one
+    one-dimensional rule per chart axis, whose tensor product is the grid.
+    Integrals are sums over the axes; ``values_on_grid`` and
+    ``grid_weights`` give the flattened form where a caller needs it.
 
     ``coefficients`` is the read-only (modes, width) float matrix whose
     row i is mode i's rev-torus s-profile (width 0 on the other models).
@@ -136,7 +139,7 @@ class SpectralBasis:
     lambda_max: float
     modes: tuple
     coefficients: np.ndarray
-    grid: QuadratureGrid
+    axes: tuple
     provenance: str
     _digest: str | None = field(default=None, init=False, repr=False)
 
@@ -146,7 +149,7 @@ class SpectralBasis:
     @cached_property
     def profile_matrices(self) -> tuple:
         return self.model.axis_factor_rows(self.modes, self.coefficients,
-                                           tuple(ax[0] for ax in self.grid.axes))
+                                           tuple(ax.nodes for ax in self.axes))
 
     @cached_property
     def target_bandwidth(self) -> np.ndarray:
@@ -176,17 +179,24 @@ class SpectralBasis:
         return tuple(rows[mode.id] for rows in self.profile_matrices)
 
     def values_on_grid(self, mode: Mode) -> np.ndarray:
+        """The mode on the flattened grid (first axis varies slowest)."""
         profiles = self.axis_profiles(mode)
         if len(profiles) == 1:
             return profiles[0]
         return np.multiply.outer(profiles[0], profiles[1]).reshape(-1)
 
+    def grid_weights(self) -> np.ndarray:
+        """Weights of the flattened grid, in the order of ``values_on_grid``."""
+        if len(self.axes) == 1:
+            return self.axes[0].weights
+        return np.multiply.outer(self.axes[0].weights, self.axes[1].weights).reshape(-1)
+
     def axis_exactness(self) -> tuple:
-        return tuple(ax[2] for ax in self.grid.axes)
+        return tuple(ax.exactness_degree for ax in self.axes)
 
     def axis_sizes(self) -> list:
         """Node count per grid axis, the grid input that is persisted."""
-        return [len(ax[0]) for ax in self.grid.axes]
+        return [ax.size for ax in self.axes]
 
 
 class _Surface:
@@ -195,7 +205,8 @@ class _Surface:
     Required: ``kind`` (the persisted descriptor key), ``rep_names`` (the
     names of the int representation fields), ``chart_dim``, ``volume``,
     ``build(lambda_max)`` (the ordered basis),
-    ``quadrature_grid(sizes)`` (the grid from its per-axis node counts),
+    ``quadrature_grid(sizes)`` (one one-dimensional rule per chart axis,
+    from the per-axis node counts),
     ``axis_factor_rows(modes, coefficients, axis_points)`` (per grid axis,
     one (len(modes), len(points)) array whose rows multiply to the values
     of the modes, given with their coefficient rows) and
@@ -289,9 +300,8 @@ class FlatTorus(_Surface):
         return SpectralBasis(self, float(lambda_max), modes, np.empty((len(modes), 0)),
                              self.quadrature_grid(sizes), "exact")
 
-    def quadrature_grid(self, sizes) -> QuadratureGrid:
-        axes = [uniform_periodic(n, p) for n, p in zip(sizes, self.periods)]
-        return axes[0] if self.dim == 1 else tensor_grid(*axes)
+    def quadrature_grid(self, sizes) -> tuple:
+        return tuple(uniform_periodic(n, p) for n, p in zip(sizes, self.periods))
 
     def axis_factor_rows(self, modes, coefficients, axis_points) -> tuple:
         return tuple(
@@ -397,17 +407,9 @@ class Sphere2(_Surface):
         return SpectralBasis(self, float(lambda_max), tuple(modes), np.empty((len(modes), 0)),
                              self.quadrature_grid(sizes), "exact")
 
-    def quadrature_grid(self, sizes) -> QuadratureGrid:
-        x_axis = gauss_legendre(sizes[0])
-        phi_axis = uniform_periodic(sizes[1], TWO_PI)
-        grid = tensor_grid(x_axis, phi_axis)
-        # nodes are reported in chart coordinates (theta, phi); the x = cos(theta)
-        # Gauss axis already absorbs the sin(theta) volume factor.
-        theta = np.arccos(grid.nodes[:, 0])
-        nodes = np.stack([theta, grid.nodes[:, 1]], axis=-1)
-        return QuadratureGrid(nodes, grid.weights,
-                              min(2 * sizes[0] - 1, sizes[1] - 1),
-                              4.0 * math.pi, axes=grid.axes)
+    def quadrature_grid(self, sizes) -> tuple:
+        # the x = cos(theta) Gauss axis absorbs the sin(theta) volume factor
+        return gauss_legendre(sizes[0]), uniform_periodic(sizes[1], TWO_PI)
 
     def chart_axes(self, arr: np.ndarray) -> list:
         theta = arr[:, 0]
@@ -597,14 +599,13 @@ class RevTorus(_Surface):
         return SpectralBasis(self, float(lambda_max), modes, coefficients,
                              self.quadrature_grid(sizes), provenance)
 
-    def quadrature_grid(self, sizes) -> QuadratureGrid:
+    def quadrature_grid(self, sizes) -> tuple:
         s_plain = uniform_periodic(sizes[0], TWO_PI)
         s_axis = QuadratureGrid(
             s_plain.nodes, s_plain.weights * self.profile(s_plain.nodes),
             sizes[0] - 2,  # degree of g such that the integral of g * f ds is exact
             TWO_PI * self.major_radius)
-        theta_axis = uniform_periodic(sizes[1], TWO_PI)
-        return tensor_grid(s_axis, theta_axis)
+        return s_axis, uniform_periodic(sizes[1], TWO_PI)
 
     def axis_factor_rows(self, modes, coefficients, axis_points) -> tuple:
         # the s profiles are evaluated at the distinct s values only: a
@@ -838,11 +839,11 @@ def load_basis(path) -> SpectralBasis:
         model = model_from_descriptor(header["model"])
         modes, coefficients = _modes_from_payload(model, header, block)
         lambda_max = float.fromhex(header["lambda_max"])
-        grid = model.quadrature_grid(header["grid_axis_sizes"])
+        axes = model.quadrature_grid(header["grid_axis_sizes"])
         provenance = header["provenance"]
     except (AttributeError, KeyError, ValueError, TypeError) as exc:
         raise CorruptionError(f"{path}: malformed basis payload ({exc})") from exc
-    basis = SpectralBasis(model, lambda_max, modes, coefficients, grid, provenance)
+    basis = SpectralBasis(model, lambda_max, modes, coefficients, axes, provenance)
     basis._digest = digest.hex()  # the body is the canonical payload save_basis wrote
     return basis
 
@@ -855,8 +856,9 @@ def basis_equal(one: SpectralBasis, other: SpectralBasis) -> bool:
         and one.provenance == other.provenance
         and one.modes == other.modes
         and np.array_equal(one.coefficients, other.coefficients)
-        and np.array_equal(one.grid.nodes, other.grid.nodes)
-        and np.array_equal(one.grid.weights, other.grid.weights)
+        and len(one.axes) == len(other.axes)
+        and all(np.array_equal(a.nodes, b.nodes) and np.array_equal(a.weights, b.weights)
+                for a, b in zip(one.axes, other.axes))
     )
 
 

@@ -46,7 +46,6 @@ __all__ = [
     "QuadratureGrid",
     "gauss_legendre",
     "uniform_periodic",
-    "tensor_grid",
     "inverse_cholesky",
     "reduce_congruent",
     "reduced_eig",
@@ -58,33 +57,28 @@ __all__ = [
 
 @dataclass(frozen=True)
 class QuadratureGrid:
-    """Nodes and strictly positive weights integrating over a fixed domain.
+    """A one-dimensional rule: nodes and strictly positive weights, both
+    of shape (n,), integrating over a fixed interval or circle.
 
-    ``nodes`` has shape (n,) for one-dimensional rules and (n, dim) for
-    tensor rules.  ``exactness_degree`` is the polynomial (Gauss) or
-    trigonometric (uniform) degree integrated exactly; for tensor rules it
-    is the minimum over axes.  ``axes`` holds one (nodes, weights,
-    exactness) triple per axis; a one-dimensional rule fills in its own
-    single triple.  Metric volume factors, when a grid integrates against
-    a curved volume form, are folded into the weights, so the weights
-    always sum to the volume of the domain.
+    ``exactness_degree`` is the polynomial (Gauss) or trigonometric
+    (uniform) degree integrated exactly.  Metric volume factors, when a
+    rule integrates against a curved volume form, are folded into the
+    weights, so the weights always sum to the volume of the domain.  A
+    surface's grid is one rule per chart axis, never a flattened copy.
     """
 
     nodes: np.ndarray
     weights: np.ndarray
     exactness_degree: int
     volume: float
-    axes: tuple = ()
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
         weights = np.asarray(self.weights, dtype=float)
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "weights", weights)
-        if weights.ndim != 1 or weights.shape[0] != nodes.shape[0]:
-            raise ParameterError("need exactly one weight per node")
-        if not self.axes and nodes.ndim == 1:
-            object.__setattr__(self, "axes", ((nodes, weights, self.exactness_degree),))
+        if nodes.ndim != 1 or weights.shape != nodes.shape:
+            raise ParameterError("need one-dimensional nodes and exactly one weight per node")
         if not np.all(weights > 0.0):
             raise GeometryError("quadrature weights must be strictly positive")
         total = float(weights.sum())
@@ -180,23 +174,6 @@ def uniform_periodic(n: int, period: float) -> QuadratureGrid:
     nodes = period * np.arange(n, dtype=float) / n
     weights = np.full(n, period / n)
     return QuadratureGrid(nodes, weights, n - 1, period)
-
-
-def tensor_grid(*axes: QuadratureGrid, volume: float | None = None) -> QuadratureGrid:
-    """Tensor product of one-dimensional rules (first axis varies slowest)."""
-    if not axes or any(ax.nodes.ndim != 1 for ax in axes):
-        raise ParameterError("tensor_grid needs one or more 1-d grids")
-    node_axes = [ax.nodes for ax in axes]
-    mesh = np.meshgrid(*node_axes, indexing="ij")
-    nodes = np.stack([m.reshape(-1) for m in mesh], axis=-1)
-    weights = axes[0].weights
-    for ax in axes[1:]:
-        weights = np.multiply.outer(weights, ax.weights)
-    weights = weights.reshape(-1)
-    vol = float(np.prod([ax.volume for ax in axes])) if volume is None else volume
-    exact = min(ax.exactness_degree for ax in axes)
-    meta = tuple((ax.nodes, ax.weights, ax.exactness_degree) for ax in axes)
-    return QuadratureGrid(nodes, weights, exact, vol, axes=meta)
 
 
 def inverse_cholesky(b: np.ndarray) -> np.ndarray:

@@ -180,7 +180,7 @@ def test_acceptance_2_sphere_oracles(sphere12_basis):
     basis = sphere12_basis
     n = basis.size
     values = np.stack([basis.values_on_grid(m) for m in basis.modes])
-    weighted = values * basis.grid.weights
+    weighted = values * basis.grid_weights()
     exact = np.zeros((n, n, n))
     for ia in range(n):
         la, ma = basis.modes[ia].rep

@@ -173,6 +173,23 @@ def test_lower_bound_validation(circle_basis_24):
         lower_bound_experiment(circle_basis_24, mixed)
 
 
+def test_lower_bound_refuses_an_aliased_norm():
+    # cos8^4 has degree 64; the 64-node grid of the lambda=8 circle basis
+    # integrates through degree 63 only
+    basis = build_basis(FlatTorus(1, (TWO_PI,)), 8.0)
+    cos_ids = [m.id for m in basis.modes if m.rep[1] == (COS,) and m.rep[0][0] >= 5]
+    specs = [ProductSpec(basis, (i,) * 4) for i in cos_ids]
+    assert basis.axis_exactness() == (63,)
+    with pytest.raises(UnderResolvedError):
+        lower_bound_experiment(basis, specs)
+    lower_bound_experiment(basis, specs[:-1] + [ProductSpec(basis, (cos_ids[0],) * 4)])
+
+
+def test_sphere_rotated_pairs_reject_negative_degrees():
+    with pytest.raises(ParameterError):
+        sphere_rotated_pair_experiment(range(-6, -1))
+
+
 def test_sphere_rotated_pairs_decay():
     fit = sphere_rotated_pair_experiment(range(2, 13))
     assert all(norm > 0.0 for _s, norm in fit.samples)

@@ -421,6 +421,38 @@ def test_lower_bound_command_self_family(tmp_path):
         assert norm == pytest.approx(expected, abs=1e-10)
 
 
+@pytest.mark.parametrize("pairs", [
+    ("cos1,cos1", "cos2,cos2", "cos3,cos3", "cos9,cos9"),
+    ("1,1", "3,3", "5,5", "17,17"),  # the same modes by id, sized through the probe
+], ids=["labels", "ids"])
+def test_lower_bound_pairs_size_from_every_group(tmp_path, pairs):
+    docs = []
+    for name, order in (("last", pairs), ("first", pairs[-1:] + pairs[:-1])):
+        code, out = run(tmp_path / name, "lower-bound", "--model", "flat-torus", "--dim", "1",
+                        "--family", "pairs", "--pairs", ";".join(order))
+        assert code == 0
+        docs.append(read(out, "lower-bound.json"))
+    assert docs[0]["provenance"]["basis_digest"] == docs[1]["provenance"]["basis_digest"]
+    assert sorted(docs[0]["results"]["samples"]) == sorted(docs[1]["results"]["samples"])
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("--family", "self", "--k-min", "5", "--k-max", "2"), "--k-min must not exceed --k-max"),
+    (("--family", "pairs", "--pairs", ",;,"), "--pairs names no pair"),
+], ids=["k-range", "comma-pairs"])
+def test_lower_bound_errors_name_its_own_flags(tmp_path, capsys, argv, message):
+    code, _ = run(tmp_path, "lower-bound", "--model", "flat-torus", "--dim", "1", *argv)
+    assert code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_lower_bound_rotated_pairs_reject_negative_degrees(tmp_path):
+    code, out = run(tmp_path, "lower-bound", "--family", "rotated-s2",
+                    "--l-min", "-6", "--l-max", "-2")
+    assert code == 2
+    assert not (out / "lower-bound.json").exists()
+
+
 def test_decay_command_rev_torus(tmp_path):
     code, out = run(tmp_path, "decay", "--model", "rev-torus", "--R", "2",
                     "--r", "1", "--factors", "1,3", "--lambda-max-mult", "6",

@@ -156,7 +156,7 @@ def sphere_basis():
 
 def test_gaunt_matches_quadrature_to_l20(sphere_basis):
     basis = sphere_basis
-    w = basis.grid.weights
+    w = basis.grid_weights()
     rng = np.random.default_rng(42)
     mode_list = list(basis.modes)
     for _ in range(60):
@@ -321,10 +321,10 @@ def test_grid_resolution_check_covers_every_axis(model, lambda_max):
     basis = build_basis(model, lambda_max)
     factors = (basis.size - 1, basis.size - 1)
     quadrature_coefficients(ProductSpec(basis, factors))
-    sizes = [len(ax[0]) for ax in basis.grid.axes]
+    sizes = basis.axis_sizes()
     for axis in range(2):
         coarse = sizes[:axis] + [4] + sizes[axis + 1:]
-        thin = dataclasses.replace(basis, grid=model.quadrature_grid(coarse))
+        thin = dataclasses.replace(basis, axes=model.quadrature_grid(coarse))
         with pytest.raises(UnderResolvedError):
             quadrature_coefficients(ProductSpec(thin, factors))
 

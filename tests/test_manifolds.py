@@ -42,7 +42,7 @@ from eigenprod.manifolds import (
     rev_profile_derivatives,
     save_basis,
 )
-from eigenprod.numerics import rev_galerkin_terms, uniform_periodic
+from eigenprod.numerics import QuadratureGrid, rev_galerkin_terms, uniform_periodic
 
 TWO_PI = 2.0 * math.pi
 
@@ -65,6 +65,17 @@ def flat2_basis():
 @pytest.fixture(scope="module")
 def rev_basis_3():
     return build_basis(RevTorus(2.0, 1.0), 3.0)
+
+
+def grid_chart_points(basis):
+    """The grid nodes as chart points, first axis slowest: (n,) in 1-d,
+    (n, 2) in 2-d, with theta = arccos of the sphere's Gauss axis."""
+    nodes = [ax.nodes for ax in basis.axes]
+    if isinstance(basis.model, Sphere2):
+        nodes[0] = np.arccos(nodes[0])
+    if len(nodes) == 1:
+        return nodes[0]
+    return np.stack([m.reshape(-1) for m in np.meshgrid(*nodes, indexing="ij")], axis=-1)
 
 
 def test_flat_circle_mode_table(circle_basis_3):
@@ -101,7 +112,7 @@ def test_flat_torus_2d_mode_count():
 def test_flat_torus_orthonormal_on_grid(circle_basis_3):
     basis = circle_basis_3
     values = np.stack([basis.values_on_grid(m) for m in basis.modes])
-    gram = (values * basis.grid.weights) @ values.T
+    gram = (values * basis.grid_weights()) @ values.T
     assert np.max(np.abs(gram - np.eye(basis.size))) <= 1e-12
 
 
@@ -142,7 +153,7 @@ def test_sphere_matches_scipy_harmonics(sphere_basis_3):
 def test_sphere_orthonormal_on_grid():
     basis = build_basis(Sphere2(), math.sqrt(8.0 * 9.0) + 1e-9)  # l <= 8
     values = np.stack([basis.values_on_grid(m) for m in basis.modes])
-    gram = (values * basis.grid.weights) @ values.T
+    gram = (values * basis.grid_weights()) @ values.T
     assert np.max(np.abs(gram - np.eye(basis.size))) <= 1e-8
 
 
@@ -213,7 +224,7 @@ def test_rev_torus_angular_pairs_share_lambda(rev_basis_3):
 def test_rev_torus_orthonormal_on_grid(rev_basis_3):
     basis = rev_basis_3
     values = np.stack([basis.values_on_grid(m) for m in basis.modes])
-    gram = (values * basis.grid.weights) @ values.T
+    gram = (values * basis.grid_weights()) @ values.T
     assert np.max(np.abs(gram - np.eye(basis.size))) <= 1e-8
 
 
@@ -222,8 +233,22 @@ def test_rev_torus_orthonormal_on_grid(rev_basis_3):
 def test_profile_matrices_match_pointwise_evaluation(request, fixture):
     basis = request.getfixturevalue(fixture)
     for mode in basis.modes:
-        pointwise = evaluate(basis, mode, basis.grid.nodes)
+        pointwise = evaluate(basis, mode, grid_chart_points(basis))
         assert np.max(np.abs(basis.values_on_grid(mode) - pointwise)) <= 1e-13
+
+
+@pytest.mark.parametrize("fixture", ["circle_basis_3", "flat2_basis", "sphere_basis_3",
+                                     "rev_basis_3"])
+def test_grid_is_one_rule_per_chart_axis(request, fixture):
+    basis = request.getfixturevalue(fixture)
+    assert len(basis.axes) == basis.model.chart_dim
+    for ax in basis.axes:
+        assert isinstance(ax, QuadratureGrid)
+        assert ax.nodes.ndim == 1 and ax.weights.shape == ax.nodes.shape
+    assert basis.axis_sizes() == [ax.nodes.shape[0] for ax in basis.axes]
+    weights = basis.grid_weights()
+    assert weights.shape == (math.prod(basis.axis_sizes()),)
+    assert math.isclose(weights.sum(), basis.model.volume, rel_tol=1e-12)
 
 
 def _direct_trig_row(freq, parity, x, const, amp):
@@ -236,7 +261,7 @@ def test_trig_rows_equal_direct_evaluation_bit_for_bit(flat2_basis, rev_basis_3)
     # each distinct (freq, parity) row is evaluated once and gathered; the
     # gathered rows are the per-mode cos/sin values to the last bit
     model = flat2_basis.model
-    axes = model.chart_axes(flat2_basis.grid.nodes)
+    axes = model.chart_axes(grid_chart_points(flat2_basis))
     rows = model.axis_factor_rows(flat2_basis.modes, flat2_basis.coefficients, axes)
     for a, period in enumerate(model.periods):
         direct = np.stack([
@@ -244,7 +269,7 @@ def test_trig_rows_equal_direct_evaluation_bit_for_bit(flat2_basis, rev_basis_3)
                              1.0 / math.sqrt(period), math.sqrt(2.0 / period))
             for m in flat2_basis.modes])
         assert np.array_equal(rows[a], direct)
-    axes = rev_basis_3.model.chart_axes(rev_basis_3.grid.nodes)
+    axes = rev_basis_3.model.chart_axes(grid_chart_points(rev_basis_3))
     theta_rows = rev_basis_3.model.axis_factor_rows(
         rev_basis_3.modes, rev_basis_3.coefficients, axes)[1]
     direct = np.stack([

@@ -12,7 +12,6 @@ from eigenprod.numerics import (
     QuadratureGrid,
     circle_basis,
     gauss_legendre,
-    tensor_grid,
     uniform_periodic,
 )
 
@@ -153,13 +152,9 @@ def test_circle_basis_gram_is_identity():
     assert np.max(np.abs(gram - np.eye(size))) <= 1e-12
 
 
-def test_tensor_grid_volume_and_shape():
-    gx = gauss_legendre(5)
-    gphi = uniform_periodic(8, TWO_PI)
-    grid = tensor_grid(gx, gphi)
-    assert grid.nodes.shape == (40, 2)
-    assert grid.weights.sum() == pytest.approx(2.0 * TWO_PI, rel=1e-14)
-    assert len(grid.axes) == 2
+def test_quadrature_grid_is_one_dimensional():
+    with pytest.raises(ParameterError):
+        QuadratureGrid(np.zeros((2, 2)), np.ones(2), 1, 2.0)
 
 
 def test_quadrature_grid_rejects_nonpositive_weights():
