@@ -19,8 +19,7 @@ import numpy as np
 
 from .coefficients import CoefficientSeries, _check_grid_resolution, _product_values_by_axis
 from .errors import BreakdownError, ParameterError, UnderResolvedError
-from .manifolds import SpectralBasis
-from .numerics import TWO_PI, gauss_legendre, uniform_periodic
+from .manifolds import SpectralBasis, Sphere2
 
 NOISE_FLOOR_REL = 1e-12
 DEFAULT_BIN_WIDTH = 1.0
@@ -275,8 +274,7 @@ def lower_bound_experiment(basis: SpectralBasis, specs) -> LowerBoundFit:
 
 
 def _sphere_cartesian(n_gl: int, n_phi: int):
-    x_axis = gauss_legendre(n_gl)
-    phi_axis = uniform_periodic(n_phi, TWO_PI)
+    x_axis, phi_axis = Sphere2().quadrature_grid((n_gl, n_phi))
     cos_t = x_axis.nodes[:, None]
     sin_t = np.sqrt(np.maximum(0.0, 1.0 - cos_t * cos_t))
     phi = phi_axis.nodes[None, :]

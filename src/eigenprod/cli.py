@@ -804,6 +804,15 @@ def _config_from_args(args) -> dict:
     return config
 
 
+def _write_outputs(out_dir: str, name: str, report: dict, artifacts: dict) -> str:
+    """Write the report and each artifact under ``out_dir/name``; returns that stem."""
+    stem = os.path.join(out_dir, name)
+    atomic_write_text(stem + ".json", canonical_json(report))
+    for kind, payload in artifacts.items():
+        atomic_write_text(f"{stem}.{kind}", payload)
+    return stem
+
+
 def cli_main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     parser = _build_parser()
@@ -819,10 +828,7 @@ def cli_main(argv=None) -> int:
             return _replay(args, out_dir, cache_dir)
         config = _config_from_args(args)
         report, artifacts, summary = run_config(config, out_dir, cache_dir)
-        stem = os.path.join(out_dir, args.command)
-        atomic_write_text(stem + ".json", canonical_json(report))
-        for kind, payload in artifacts.items():
-            atomic_write_text(f"{stem}.{kind}", payload)
+        stem = _write_outputs(out_dir, args.command, report, artifacts)
         print(f"{summary} -> {stem}.json")
         return 0
     except ValidationError as exc:
@@ -849,10 +855,7 @@ def _replay(args, out_dir: str, cache_dir: str) -> int:
     if not isinstance(provenance, dict):
         raise ParameterError(f"{args.replay}: provenance must be a JSON object")
     report, artifacts, summary = run_config(config, out_dir, cache_dir)
-    stem = os.path.join(out_dir, f"replay-{config['command']}")
-    atomic_write_text(stem + ".json", canonical_json(report))
-    for kind, payload in artifacts.items():
-        atomic_write_text(f"{stem}.{kind}", payload)
+    stem = _write_outputs(out_dir, f"replay-{config['command']}", report, artifacts)
     differences = diff_paths(original.get("results"), report["results"])
     differences += diff_paths(provenance.get("basis_digest"),
                               report["provenance"].get("basis_digest"),

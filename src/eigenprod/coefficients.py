@@ -1,9 +1,8 @@
 """Expansion of eigenfunction products into the eigenbasis.
 
-Exact combinatorial oracles (frequency convolution on the flat torus,
-Wigner-3j / Gaunt contractions on the sphere) are cross-checked against
-quadrature whenever both are available; the torus of revolution is
-quadrature only.
+Exact combinatorial oracles (frequency convolution on the flat torus, a
+Gaunt fold on the sphere) cover products of any order and are checked
+against quadrature; the torus of revolution is quadrature only.
 
 The 3j kernel uses the three-term recursion in the third angular momentum,
 run from both ends of the admissible range and spliced in the classical
@@ -21,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import BreakdownError, ParameterError, UnderResolvedError
-from .manifolds import COS, SIN, FlatTorus, Mode, SpectralBasis, Sphere2
+from .manifolds import COS, SIN, FlatTorus, SpectralBasis, Sphere2
 
 FOUR_PI = 4.0 * math.pi
 
@@ -192,12 +191,13 @@ def _complex_weights(m: int):
 def gaunt_real(l1: int, m1: int, l2: int, m2: int, l3: int, m3: int) -> float:
     """Integral over the sphere of three real harmonics.
 
-    Built from :func:`wigner_3j` via the real-to-complex change of basis;
-    our real harmonics carry no Condon-Shortley phase, which contributes
-    the (-1)^mu factors below.
+    Built from the cached 3j recursion via the real-to-complex change of
+    basis, after one argument check; our real harmonics carry no
+    Condon-Shortley phase, which contributes the (-1)^mu factors below.
     """
     for l, m, label in ((l1, m1, "first"), (l2, m2, "second"), (l3, m3, "third")):
         _validate_lm(l, m, f"{label} harmonic")
+    l1, m1, l2, m2, l3, m3 = (int(v) for v in (l1, m1, l2, m2, l3, m3))
     total = l1 + l2 + l3
     if total % 2:
         return 0.0
@@ -205,7 +205,8 @@ def gaunt_real(l1: int, m1: int, l2: int, m2: int, l3: int, m3: int) -> float:
         return 0.0
     if (int(m1 < 0) + int(m2 < 0) + int(m3 < 0)) % 2:
         return 0.0
-    base = wigner_3j(l1, l2, l3, 0, 0, 0)
+    j_lo, values = _three_j_range(l1, l2, 0, 0)
+    base = values[l3 - j_lo]
     if base == 0.0:
         return 0.0
     prefactor = math.sqrt((2 * l1 + 1) * (2 * l2 + 1) * (2 * l3 + 1) / FOUR_PI)
@@ -216,7 +217,8 @@ def gaunt_real(l1: int, m1: int, l2: int, m2: int, l3: int, m3: int) -> float:
                 if mu1 + mu2 + mu3 != 0:
                     continue
                 phase = (-1.0) ** (max(mu1, 0) + max(mu2, 0) + max(mu3, 0))
-                acc += c1 * c2 * c3 * phase * wigner_3j(l1, l2, l3, mu1, mu2, mu3)
+                j_lo, values = _three_j_range(l1, l2, mu1, mu2)
+                acc += c1 * c2 * c3 * phase * values[l3 - j_lo]
     return float(acc.real) * prefactor * base
 
 
@@ -303,22 +305,21 @@ class CoefficientSeries:
 def expand_product(spec: ProductSpec) -> CoefficientSeries:
     """Expand f = prod of factor modes into the basis.
 
-    Runs the exact oracle when the model has one (flat torus any order,
-    sphere up to three factors) and always runs quadrature; the two must
-    agree to 1e-10 or the expansion aborts.
+    Runs the exact oracle when the model has one (flat torus and sphere,
+    any number of factors) and always runs quadrature; the two must agree
+    to 1e-10 or the expansion aborts.
     """
     basis = spec.basis
     _check_grid_resolution(spec)
     quad_coeffs, f_norm_sq = _quadrature_expansion(spec)
     oracle = _EXACT_ORACLES.get(type(basis.model))
-    exact = oracle(spec) if oracle else None
-    if exact is not None:
+    if oracle:
+        exact = oracle(spec)
         gap = float(np.max(np.abs(exact - quad_coeffs))) if exact.size else 0.0
         if gap > ORACLE_AGREEMENT_TOL:
             raise BreakdownError(
                 f"exact and quadrature coefficients disagree by {gap:.3e}")
-        coeffs = exact.copy()
-        coeffs[np.abs(coeffs) < EXACT_ZERO_SNAP] = 0.0
+        coeffs = np.where(np.abs(exact) < EXACT_ZERO_SNAP, 0.0, exact)
         method = "both"
     else:
         coeffs = quad_coeffs
@@ -501,42 +502,35 @@ def _torus_exact(spec: ProductSpec) -> np.ndarray:
     return coeffs
 
 
-def _sphere_pair_map(a: Mode, b: Mode) -> dict:
-    """Expansion of Y_a * Y_b over (l, m) pairs, exact through Gaunt."""
-    la, ma = a.rep
-    lb, mb = b.rep
-    out = {}
-    for l in range(abs(la - lb), la + lb + 1):
-        for m in range(-l, l + 1):
-            g = gaunt_real(la, ma, lb, mb, l, m)
-            if g != 0.0:
-                out[(l, m)] = g
-    return out
+def _harmonic_multiply(poly: dict, l: int, m: int, top: int) -> dict:
+    """poly * Y_lm for poly = {(l, m): coefficient}, exact through Gaunt, up
+    to degree ``top``.  Each term visits, in ascending (L, M), only the
+    targets the real-Gaunt rules allow: |l_a - l| <= L <= l_a + l with
+    l_a + l + L even, and |M| in {|m_a| + |m|, ||m_a| - |m||}, negative
+    exactly when one of m_a, m is."""
+    out: dict = {}
+    for (la, ma), weight in poly.items():
+        sign = -1 if (ma < 0) != (m < 0) else 1
+        orders = sorted({sign * o for o in (abs(ma) + abs(m), abs(abs(ma) - abs(m)))
+                         if o or sign > 0})
+        for big_l in range(abs(la - l), min(la + l, top) + 1, 2):
+            for big_m in (o for o in orders if abs(o) <= big_l):
+                g = gaunt_real(la, ma, l, m, big_l, big_m)
+                out[big_l, big_m] = out.get((big_l, big_m), 0.0) + weight * g
+    return {k: v for k, v in out.items() if v != 0.0}
 
 
-def _sphere_exact(spec: ProductSpec):
-    """Gaunt contraction; quadrature only beyond three factors."""
-    if spec.n_factors > 3:
-        return None
+def _sphere_exact(spec: ProductSpec) -> np.ndarray:
+    """Gaunt fold over the factors in id order, dropping degrees the rest
+    cannot bring back into the basis; then one lookup per basis mode."""
     basis = spec.basis
-    modes = [basis.modes[i] for i in sorted(spec.factors)]
-    coeffs = np.zeros(basis.size)
-    if len(modes) == 1:
-        coeffs[modes[0].id] = 1.0
-        return coeffs
-    pair = _sphere_pair_map(modes[0], modes[1])
-    if len(modes) == 2:
-        for i, mode in enumerate(basis.modes):
-            coeffs[i] = pair.get(mode.rep, 0.0)
-        return coeffs
-    lc, mc = modes[2].rep
-    for i, mode in enumerate(basis.modes):
-        li, mi = mode.rep
-        total = 0.0
-        for (l, m), weight in pair.items():
-            total += weight * gaunt_real(l, m, lc, mc, li, mi)
-        coeffs[i] = total
-    return coeffs
+    first, *rest = (basis.modes[i].rep for i in sorted(spec.factors))
+    top = max(mode.rep[0] for mode in basis.modes) + sum(l for l, _m in rest)
+    poly = {first: 1.0}
+    for l, m in rest:
+        top -= l
+        poly = _harmonic_multiply(poly, l, m, top)
+    return np.array([poly.get(mode.rep, 0.0) for mode in basis.modes])
 
 
 _EXACT_ORACLES = {FlatTorus: _torus_exact, Sphere2: _sphere_exact}

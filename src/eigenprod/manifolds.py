@@ -839,6 +839,8 @@ def load_basis(path) -> SpectralBasis:
         model = model_from_descriptor(header["model"])
         modes, coefficients = _modes_from_payload(model, header, block)
         lambda_max = float.fromhex(header["lambda_max"])
+        if len(header["grid_axis_sizes"]) != model.chart_dim:
+            raise ValueError(f"grid axis sizes do not match the {model.chart_dim} chart axes")
         axes = model.quadrature_grid(header["grid_axis_sizes"])
         provenance = header["provenance"]
     except (AttributeError, KeyError, ValueError, TypeError) as exc:

@@ -78,6 +78,32 @@ def test_product_command_csv_and_svg(tmp_path):
     assert doc["results"]["parseval_ratio"] == pytest.approx(1.0, abs=1e-12)
 
 
+def test_sphere_four_factor_product_is_exact(tmp_path):
+    code, out = run(tmp_path, "product", "--model", "sphere",
+                    "--factors", "Y1m1,Y1m1,Y2m0,Y2m0")
+    assert code == 0
+    results = read(out, "product.json")["results"]
+    assert results["method"] == "both"
+    assert results["parseval_ratio"] == pytest.approx(1.0, abs=1e-10)
+
+
+def test_cache_file_with_one_grid_size_exits_2(tmp_path, capsys):
+    # a sphere cache file whose header lists one grid size for two chart
+    # axes, under a matching digest, is corrupt: exit 2, no traceback
+    args = ("basis", "--model", "sphere", "--lambda-max", "2")
+    assert run(tmp_path, *args)[0] == 0
+    (path,) = (tmp_path / "cache").glob("*.eprd")
+    blob = path.read_bytes()
+    header_text, _, block = blob[46:].partition(b"\n")
+    header = json.loads(header_text)
+    header["grid_axis_sizes"] = header["grid_axis_sizes"][:1]
+    body = json.dumps(header, sort_keys=True, separators=(",", ":")).encode() + b"\n" + block
+    path.write_bytes(blob[:6] + hashlib.sha256(body).digest()
+                     + struct.pack("<Q", len(body)) + body)
+    assert run(tmp_path, *args)[0] == 2
+    assert "grid axis sizes" in capsys.readouterr().err
+
+
 def test_cache_warm_equals_cold(tmp_path):
     args = ("product", "--model", "flat-torus", "--dim", "1",
             "--factors", "cos2,cos3")

@@ -1,6 +1,7 @@
 """Wigner/Gaunt oracles and product expansion."""
 
 import dataclasses
+import hashlib
 import math
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from eigenprod import coefficients
 from eigenprod.coefficients import (
     CoefficientSeries,
     ProductSpec,
@@ -274,8 +276,13 @@ def test_sphere_product_y10_squared():
     assert ratio == pytest.approx(1.0, abs=1e-10)
 
 
-def test_sphere_three_factor_exact_route():
-    basis = build_basis(Sphere2(), math.sqrt(12.0 * 13.0) + 1e-9)  # l <= 12
+@pytest.fixture(scope="module")
+def sphere12_basis():
+    return build_basis(Sphere2(), math.sqrt(12.0 * 13.0) + 1e-9)  # l <= 12
+
+
+def test_sphere_three_factor_exact_route(sphere12_basis):
+    basis = sphere12_basis
     y22 = find_mode(basis, (2, 2))
     y31 = find_mode(basis, (3, 1))
     y43 = find_mode(basis, (4, -3))
@@ -286,16 +293,62 @@ def test_sphere_three_factor_exact_route():
             assert coeff == 0.0
 
 
-def test_sphere_four_factor_quadrature_route():
-    # beyond three factors the sphere has no iterated oracle; quadrature
-    # must still close the Parseval budget exactly for band-limited input
+@pytest.mark.parametrize("reps, digest", [
+    (((2, 2), (3, 1), (4, -3)),
+     "a74524bcdc9512c3731aa4d93b8e54a01d9d244c82d1c287bbb5f52c87f617c9"),
+    (((1, -1), (5, 0), (6, 4)),
+     "9daa6e28227e5cfd54603027d8a1464423893cf8e8b2fbd0eb7186215eea0d4d"),
+])
+def test_sphere_three_factor_bits_are_pinned(sphere12_basis, reps, digest):
+    # the Gaunt fold keeps the bits of the pairwise-then-contract route it
+    # replaced; the digests were recorded from that route
+    ids = tuple(find_mode(sphere12_basis, rep).id for rep in reps)
+    series = expand_product(ProductSpec(sphere12_basis, ids))
+    assert series.method == "both"
+    assert hashlib.sha256(series.coeffs.tobytes()).hexdigest() == digest
+
+
+def test_sphere_four_factor_exact_route():
+    # the Gaunt fold covers any number of factors; quadrature must still
+    # close the Parseval budget exactly for band-limited input
     basis = build_basis(Sphere2(), math.sqrt(8.0 * 9.0) + 1e-9)
     y11 = find_mode(basis, (1, 1))
     y20 = find_mode(basis, (2, 0))
     series = expand_product(ProductSpec(basis, (y11.id, y11.id, y20.id, y20.id)))
-    assert series.method == "quadrature"
+    assert series.method == "both"
     ratio, _ = parseval_report(series)  # degree 6 <= basis degree 8
     assert ratio == pytest.approx(1.0, abs=1e-10)
+
+
+def test_sphere_five_factor_support_is_exact(sphere12_basis):
+    reps = ((1, 1), (1, -1), (2, 0), (2, -2), (3, 2))  # degree sum 9
+    spec = ProductSpec(sphere12_basis, tuple(find_mode(sphere12_basis, r).id for r in reps))
+    series = expand_product(spec)
+    assert series.method == "both"
+    quad, _ = quadrature_coefficients(spec)
+    assert float(np.max(np.abs(series.coeffs - quad))) <= 1e-10
+    degrees = np.array([sphere12_basis.modes[i].rep[0] for i in series.ids])
+    assert np.all(series.coeffs[degrees > 9] == 0.0)
+    assert np.any(series.coeffs[degrees == 9] != 0.0)
+    ratio, _ = parseval_report(series)
+    assert ratio == pytest.approx(1.0, abs=1e-10)
+
+
+def test_sphere_oracle_gate_can_fail(sphere12_basis, monkeypatch):
+    # one Gaunt value off by 1e-8 must trip the agreement gate of a
+    # four-factor product, not be reported as exact
+    reps = ((1, 1), (1, 1), (2, 0), (2, 0))
+    spec = ProductSpec(sphere12_basis, tuple(find_mode(sphere12_basis, r).id for r in reps))
+    assert expand_product(spec).method == "both"
+    exact_gaunt = coefficients.gaunt_real
+    shifted = (1, 1, 1, 1, 2, 2)
+
+    def off_by_one_value(*args):
+        return exact_gaunt(*args) + (1e-8 if args == shifted else 0.0)
+
+    monkeypatch.setattr(coefficients, "gaunt_real", off_by_one_value)
+    with pytest.raises(BreakdownError, match="disagree"):
+        expand_product(spec)
 
 
 def test_rev_torus_product_parseval_tail():

@@ -664,9 +664,17 @@ def _coefficient_width_flipped(header, values):
     return json.dumps(header).encode() + b"\n" + values.tobytes()
 
 
+def _grid_sizes_miscounted(header, values):
+    # one size too few on the two-axis rev torus, one too many on the circle
+    sizes = header["grid_axis_sizes"]
+    sizes = sizes[:1] if len(sizes) == 2 else sizes + sizes
+    return json.dumps({**header, "grid_axis_sizes": sizes}).encode() + b"\n" + values.tobytes()
+
+
 @pytest.mark.parametrize("name", ["circle_basis_3", "rev_basis_3"])
 @pytest.mark.parametrize("damage", [_no_separator, _one_value_short, _count_off_by_one,
-                                    _short_column, _coefficient_width_flipped])
+                                    _short_column, _coefficient_width_flipped,
+                                    _grid_sizes_miscounted])
 def test_load_rejects_a_malformed_v4_body(tmp_path, request, name, damage):
     # a body with a valid digest whose header and float block disagree
     header, values = split_payload(manifolds._basis_payload(request.getfixturevalue(name)))
