@@ -1,8 +1,10 @@
 """Expansion of eigenfunction products into the eigenbasis.
 
-Exact combinatorial oracles (frequency convolution on the flat torus, a
-Gaunt fold on the sphere) cover products of any order and are checked
-against quadrature; the torus of revolution is quadrature only.
+Exact oracles cover products of any order on every model: frequency
+convolution on the flat torus, a Gaunt fold on the sphere, and on the
+torus of revolution product-to-sum in theta with a Fourier convolution in
+s.  Each is checked against quadrature, which is rank one per axis because
+a product of separable modes is separable.
 
 The 3j kernel uses the three-term recursion in the third angular momentum,
 run from both ends of the admissible range and spliced in the classical
@@ -20,7 +22,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import BreakdownError, ParameterError, UnderResolvedError
-from .manifolds import COS, SIN, FlatTorus, SpectralBasis, Sphere2
+from .manifolds import COS, SIN, FlatTorus, RevTorus, SpectralBasis, Sphere2
+from .numerics import TWO_PI
 
 FOUR_PI = 4.0 * math.pi
 
@@ -260,7 +263,9 @@ class CoefficientSeries:
     """Coefficients <f, phi_i> for every basis mode, with Parseval
     bookkeeping.  ``method`` records which route produced the stored
     values: "both" keeps the exact oracle after it agreed with quadrature
-    to 1e-10, "quadrature" keeps raw quadrature values."""
+    to 1e-10, "quadrature" keeps raw quadrature values.  ``oracle_gap`` is
+    the largest |exact - quadrature| over the expansion's modes, None
+    without an oracle."""
 
     product: ProductSpec
     ids: np.ndarray
@@ -269,6 +274,7 @@ class CoefficientSeries:
     f_norm_sq: float
     method: str
     mass_captured: float = field(init=False)
+    oracle_gap: float | None = None
 
     def __post_init__(self):
         ids = np.asarray(self.ids, dtype=int)
@@ -296,23 +302,27 @@ class CoefficientSeries:
 
     def truncated(self, lambda_max: float) -> "CoefficientSeries":
         """Sub-series of entries with lambda <= lambda_max (same product,
-        same quadrature norm)."""
+        same quadrature norm, same oracle gap)."""
         keep = self.lams <= lambda_max * (1.0 + 1e-12)
         return CoefficientSeries(self.product, self.ids[keep], self.lams[keep],
-                                 self.coeffs[keep], self.f_norm_sq, self.method)
+                                 self.coeffs[keep], self.f_norm_sq, self.method,
+                                 self.oracle_gap)
 
 
 def expand_product(spec: ProductSpec) -> CoefficientSeries:
     """Expand f = prod of factor modes into the basis.
 
-    Runs the exact oracle when the model has one (flat torus and sphere,
-    any number of factors) and always runs quadrature; the two must agree
-    to 1e-10 or the expansion aborts.
+    Runs the exact oracle when the model has one (all three models, any
+    number of factors) and always runs the rank-one quadrature of
+    :func:`_quadrature_expansion`; the two must agree to 1e-10 or the
+    expansion aborts, and the series keeps the gap.  The stored
+    coefficients are the oracle's, with magnitudes below 1e-15 snapped to 0.
     """
     basis = spec.basis
     _check_grid_resolution(spec)
     quad_coeffs, f_norm_sq = _quadrature_expansion(spec)
     oracle = _EXACT_ORACLES.get(type(basis.model))
+    gap = None
     if oracle:
         exact = oracle(spec)
         gap = float(np.max(np.abs(exact - quad_coeffs))) if exact.size else 0.0
@@ -325,7 +335,7 @@ def expand_product(spec: ProductSpec) -> CoefficientSeries:
         coeffs = quad_coeffs
         method = "quadrature"
     ids = np.arange(basis.size)
-    return CoefficientSeries(spec, ids, basis.lambdas(), coeffs, f_norm_sq, method)
+    return CoefficientSeries(spec, ids, basis.lambdas(), coeffs, f_norm_sq, method, gap)
 
 
 def quadrature_coefficients(spec: ProductSpec):
@@ -384,37 +394,51 @@ def _check_grid_resolution(spec: ProductSpec, targets: bool = True):
             f"exactness {exact}")
 
 
-def _product_values_by_axis(spec: ProductSpec):
-    """Pointwise product of the factors as a grid-shaped array."""
+def _factor_rows(spec: ProductSpec) -> tuple:
+    """Per grid axis, the factors' rows on that axis's nodes, in id order:
+    only the factor modes are evaluated."""
     basis = spec.basis
-    profiles = [basis.axis_profiles(basis.modes[i]) for i in sorted(spec.factors)]
-    if len(profiles[0]) == 1:
-        values = profiles[0][0].copy()
-        for prof in profiles[1:]:
-            values *= prof[0]
-        return values
-    values = np.multiply.outer(profiles[0][0], profiles[0][1])
-    for prof in profiles[1:]:
-        values *= np.multiply.outer(prof[0], prof[1])
+    ids = sorted(spec.factors)
+    return basis.model.axis_factor_rows([basis.modes[i] for i in ids], basis.coefficients[ids],
+                                        tuple(ax.nodes for ax in basis.axes))
+
+
+def _row_product(rows: np.ndarray) -> np.ndarray:
+    values = rows[0].copy()
+    for row in rows[1:]:
+        values *= row
+    return values
+
+
+def _product_values_by_axis(spec: ProductSpec, rows: tuple | None = None):
+    """Pointwise product of the factors as a grid-shaped array, from their
+    per-axis ``rows`` (by default :func:`_factor_rows`)."""
+    rows = _factor_rows(spec) if rows is None else rows
+    if len(rows) == 1:
+        return _row_product(rows[0])
+    values = np.multiply.outer(rows[0][0], rows[1][0])
+    for first, second in zip(rows[0][1:], rows[1][1:]):
+        values *= np.multiply.outer(first, second)
     return values
 
 
 def _quadrature_expansion(spec: ProductSpec):
-    """All coefficients in one contraction: Phi^T (w f) on one axis, and
-    u_i^T W v_i for every mode i on two, with W the weighted product
-    values.  The two-axis form is a stacked matmul, so each mode's value
-    has the bits of the single-mode product u_i @ W @ v_i."""
+    """All coefficients, rank one per axis.  A product of separable modes
+    is separable, so mode i's coefficient is the product over the axes of
+    u_i . a, where u_i is its factor row on that axis and a the axis
+    weights times the factors' rows there; the model's
+    ``axis_projections`` forms the sums.  The norm is the weighted sum of
+    the squared product over the whole grid."""
     basis = spec.basis
-    values = _product_values_by_axis(spec)
-    if values.ndim == 1:
-        w = basis.axes[0].weights
-        f_norm_sq = float(w @ (values * values))
-        (phi,) = basis.profile_matrices
-        return phi @ (w * values), f_norm_sq
+    rows = _factor_rows(spec)
+    axis_values = [_row_product(r) for r in rows]
+    coeffs = np.prod(basis.model.axis_projections(
+        basis, [ax.weights * v for ax, v in zip(basis.axes, axis_values)]), axis=0)
+    if len(rows) == 1:
+        return coeffs, float(basis.axes[0].weights @ (axis_values[0] * axis_values[0]))
+    values = _product_values_by_axis(spec, rows)
     weighted = values * np.multiply.outer(basis.axes[0].weights, basis.axes[1].weights)
-    f_norm_sq = float(np.sum(weighted * values))
-    u, v = basis.profile_matrices
-    return (u[:, None, :] @ weighted @ v[:, :, None])[:, 0, 0], f_norm_sq
+    return coeffs, float(np.sum(weighted * values))
 
 
 # ---------------------------------------------------------------------------
@@ -533,7 +557,53 @@ def _sphere_exact(spec: ProductSpec) -> np.ndarray:
     return np.array([poly.get(mode.rep, 0.0) for mode in basis.modes])
 
 
-_EXACT_ORACLES = {FlatTorus: _torus_exact, Sphere2: _sphere_exact}
+def _complex_fourier(row: np.ndarray) -> np.ndarray:
+    """Coefficients of e^{ins}, n = -N .. N, of the real series ``row`` in
+    the column layout of :func:`eigenprod.numerics.circle_basis`."""
+    half = (row[1::2] - 1j * row[2::2]) * (0.5 / math.sqrt(math.pi))
+    return np.concatenate((np.conj(half[::-1]), [row[0] / math.sqrt(TWO_PI)], half))
+
+
+def _rev_exact(spec: ProductSpec) -> np.ndarray:
+    """Product-to-sum in theta, a convolution of the factors' Fourier
+    series in s, then one dot per target row of the theta support.
+
+    The theta integral of the product against a family (m, parity) is its
+    coefficient in the exact trigonometric product of the factors' theta
+    parts, so only families in that support are nonzero.  The s integral
+    carries the weight f = R + r cos s, a convolution with [r/2, R, r/2];
+    it is the target's coefficient row dotted with the real Fourier
+    coefficients of f times the factors' s profiles.
+    """
+    basis = spec.basis
+    model: RevTorus = basis.model
+    width = basis.coefficients.shape[1]
+    theta = {(0, COS): 1.0}
+    s_series = np.ones(1, dtype=complex)
+    for i in sorted(spec.factors):
+        m, parity = basis.modes[i].rep
+        theta = _trig_multiply(theta, {(m, parity): _torus_axis_norm(TWO_PI, m)})
+        s_series = np.convolve(s_series, _complex_fourier(basis.coefficients[i]))
+    half_r = 0.5 * model.minor_radius
+    s_series = np.convolve(s_series, [half_r, model.major_radius, half_r])
+    centre = (s_series.size - 1) // 2
+    tail = s_series[centre + 1:centre + 1 + (width - 1) // 2]
+    weighted = np.empty(width)
+    weighted[0] = s_series[centre].real * math.sqrt(TWO_PI)
+    weighted[1::2] = (2.0 * math.sqrt(math.pi)) * tail.real
+    weighted[2::2] = (-2.0 * math.sqrt(math.pi)) * tail.imag
+    targets = [mode for mode in basis.modes if mode.rep in theta]
+    rows = [mode.id for mode in targets]
+    # a normalized theta factor norm * trig has <trig, norm * trig> = 1 / norm
+    theta_sums = [theta[mode.rep] / _torus_axis_norm(TWO_PI, mode.rep[0]) for mode in targets]
+    coeffs = np.zeros(basis.size)
+    # einsum without ``optimize`` takes no BLAS path, so the bits do not
+    # depend on the BLAS thread count
+    coeffs[rows] = np.einsum("ij,j->i", basis.coefficients[rows], weighted) * theta_sums
+    return coeffs
+
+
+_EXACT_ORACLES = {FlatTorus: _torus_exact, Sphere2: _sphere_exact, RevTorus: _rev_exact}
 
 
 # ---------------------------------------------------------------------------

@@ -24,9 +24,9 @@ arguments.  It implements the method set listed there (``build``,
 ``quadrature_grid`` (one one-dimensional rule per chart axis),
 ``axis_factor_rows(modes, coefficients, axis_points)``,
 ``bandwidth(mode, width)``, and where it has them
-``coefficients_name``, ``chart_axes``, ``parse_label`` and the
-closed-form ``rep_lambda``) and joins ``_MODELS``; an exact oracle, if it
-has one, joins ``coefficients._EXACT_ORACLES``.
+``coefficients_name``, ``chart_axes``, ``parse_label``, the closed-form
+``rep_lambda`` and a faster ``axis_projections``) and joins ``_MODELS``;
+an exact oracle, if it has one, joins ``coefficients._EXACT_ORACLES``.
 """
 
 from __future__ import annotations
@@ -128,8 +128,9 @@ class SpectralBasis:
     ``profile_matrices`` holds, per grid axis, the factor values of every
     mode on that axis's nodes as one (modes, nodes) array.  It is built in
     one shot on first use, so bases that are only loaded or saved (CLI
-    token probes) never pay for it, and it never changes afterwards; so
-    is ``target_bandwidth``, the per-axis bandwidth of the widest mode.
+    token probes) never pay for it, nor do rev-torus product expansions,
+    and it never changes afterwards; so is ``target_bandwidth``, the
+    per-axis bandwidth of the widest mode.
     The content digest is kept the same way: ``save_basis`` and
     ``load_basis`` record the digest they wrote or verified, and
     ``basis_digest`` serializes only bases that were never saved or loaded.
@@ -215,8 +216,11 @@ class _Surface:
 
     Optional: ``coefficients_name`` (the JSON name of a coefficient row;
     None for empty rows), ``chart_axes``, ``parse_label(token)`` (the
-    representation a CLI mode label names) and ``rep_lambda(rep)`` (the
-    mode's lambda in closed form, with which ``build`` and the CLI size).
+    representation a CLI mode label names), ``rep_lambda(rep)`` (the
+    mode's lambda in closed form, with which ``build`` and the CLI size)
+    and ``axis_projections(basis, weighted)`` (every mode's per-axis sums
+    against one vector per axis, the quadrature check of product
+    coefficients; the default reads ``profile_matrices``).
     """
 
     coefficients_name = None
@@ -240,6 +244,11 @@ class _Surface:
     def rep_lambda(self, rep: tuple) -> float | None:
         """Lambda of the mode ``rep`` names, or None: no closed form."""
         return None
+
+    def axis_projections(self, basis: SpectralBasis, weighted) -> tuple:
+        """Per grid axis, the sum of every mode's factor row of ``basis``
+        against ``weighted[axis]``, one value per mode."""
+        return tuple(rows @ values for rows, values in zip(basis.profile_matrices, weighted))
 
 
 def _round_up(n: int, mult: int = 16) -> int:
@@ -356,8 +365,15 @@ def _torus_freq_cap(period: float, lambda_max: float) -> int:
 def _trig_rows(freqs, parities, x, const: float, amp: float, scale: float = 1.0) -> np.ndarray:
     """One row per (freq, parity) with integer freq: ``const`` where freq
     is 0, else amp * cos(scale freq x) (parity COS) or amp * sin(scale
-    freq x) (parity SIN).  Each distinct pair is evaluated once, keyed by
-    the integer 2 freq + parity."""
+    freq x) (parity SIN)."""
+    rows, inverse = _distinct_trig_rows(freqs, parities, x, const, amp, scale)
+    return rows[inverse]
+
+
+def _distinct_trig_rows(freqs, parities, x, const: float, amp: float, scale: float = 1.0):
+    """(rows, inverse): the rows of :func:`_trig_rows`, each distinct
+    (freq, parity) pair evaluated once, keyed by the integer 2 freq +
+    parity, and the index of each pair's row."""
     keys, inverse = np.unique(2 * np.asarray(freqs, dtype=np.int64) + np.asarray(parities),
                               return_inverse=True)
     x = np.asarray(x, dtype=float)
@@ -370,7 +386,7 @@ def _trig_rows(freqs, parities, x, const: float, amp: float, scale: float = 1.0)
             np.multiply(freq * scale, x, out=row)
             (np.cos if parity == COS else np.sin)(row, out=row)
             row *= amp
-    return rows[inverse.reshape(-1)]
+    return rows, inverse.reshape(-1)
 
 
 # ---------------------------------------------------------------------------
@@ -613,15 +629,32 @@ class RevTorus(_Surface):
         s_values, inverse = np.unique(np.asarray(axis_points[0], dtype=float),
                                       return_inverse=True)
         s_rows = coefficients @ circle_basis(s_values, coefficients.shape[1]).T
-        return (
-            s_rows[:, inverse.reshape(-1)],
-            _trig_rows([m.rep[0] for m in modes], [m.rep[1] for m in modes],
-                       axis_points[1], 1.0 / math.sqrt(TWO_PI), 1.0 / math.sqrt(math.pi)),
-        )
+        theta_rows, theta_index = _rev_theta_rows(modes, axis_points[1])
+        return s_rows[:, inverse.reshape(-1)], theta_rows[theta_index]
+
+    def axis_projections(self, basis: SpectralBasis, weighted) -> tuple:
+        # The s sums are the coefficient rows against the s vector projected
+        # onto the Fourier basis: a real FFT, since quadrature_grid spaces
+        # the s nodes evenly from 0.  The theta sums take one dot per
+        # distinct (m, parity) row.  No (modes, nodes) array is formed.
+        half = basis.coefficients.shape[1] // 2
+        spectrum = np.fft.rfft(weighted[0])
+        projected = np.empty(2 * half + 1)
+        projected[0] = spectrum[0].real / math.sqrt(TWO_PI)
+        projected[1::2] = spectrum[1:half + 1].real / math.sqrt(math.pi)
+        projected[2::2] = spectrum[1:half + 1].imag / -math.sqrt(math.pi)
+        theta_rows, theta_index = _rev_theta_rows(basis.modes, basis.axes[1].nodes)
+        return basis.coefficients @ projected, (theta_rows @ weighted[1])[theta_index]
 
     def bandwidth(self, mode: Mode, width: int) -> tuple:
         # the s bandwidth is estimated by the Galerkin truncation per factor
         return ((width - 1) // 2, mode.rep[0])
+
+
+def _rev_theta_rows(modes, theta):
+    """The distinct normalized theta factors of ``modes`` and each mode's row."""
+    return _distinct_trig_rows([m.rep[0] for m in modes], [m.rep[1] for m in modes], theta,
+                               1.0 / math.sqrt(TWO_PI), 1.0 / math.sqrt(math.pi))
 
 
 def _rev_parity_indices(trunc: int):

@@ -180,10 +180,11 @@ def test_label_factors_need_no_probe_basis(tmp_path, monkeypatch, model, factors
 SCIPY_LOADED = "sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))"
 
 
-def fresh_python(code):
-    """stdout lines of ``code`` run in a fresh interpreter on this checkout."""
+def fresh_python(code, **env):
+    """stdout lines of ``code`` run in a fresh interpreter on this checkout,
+    with ``env`` added to the environment."""
     src = str(pathlib.Path(cli.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": src}
+    env = {**os.environ, "PYTHONPATH": src, **env}
     return subprocess.run([sys.executable, "-c", code], env=env, check=True,
                           capture_output=True, text=True, timeout=120).stdout.splitlines()
 
@@ -229,6 +230,24 @@ def test_rev_build_in_a_fresh_process_loads_scipy():
         f"print(before); print('scipy.linalg' in sys.modules); print(digest)")
     assert lines[:2] == ["[]", "True"]
     assert lines[2] == basis_digest(build_basis(RevTorus(2.0, 1.0), 3.0))
+
+
+def test_rev_product_results_do_not_depend_on_blas_threads(tmp_path):
+    # the rev oracle convolves and dots without BLAS; the whole report,
+    # norms included, must keep its bits at any thread count.  Each count
+    # builds its bases in a fresh process
+    results = []
+    for threads in ("1", "2"):
+        runs = [["product", *MODEL_ARGS["rev"], "--factors", factors,
+                 "--out", str(tmp_path / threads / factors),
+                 "--cache", str(tmp_path / threads / "cache")] for factors in ("1,3", "1,2,3")]
+        fresh_python(f"from eigenprod.cli import cli_main; "
+                     f"assert [cli_main(argv) for argv in {runs!r}] == [0, 0]",
+                     OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        results.append([read(tmp_path / threads / factors, "product.json")["results"]
+                        for factors in ("1,3", "1,2,3")])
+    assert [r["method"] for r in results[0]] == ["both", "both"]
+    assert results[0] == results[1]
 
 
 def test_extension_params_command(tmp_path):

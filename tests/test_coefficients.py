@@ -358,12 +358,69 @@ def test_rev_torus_product_parseval_tail():
     sum_lambda = spec.sum_lambda
     assert 3.0 * sum_lambda <= 4.0  # the basis reaches 3x the frequency sum
     series = expand_product(spec)
-    assert series.method == "quadrature"
+    assert series.method == "both"
     ratio, defect = parseval_report(series)
     assert ratio >= 0.999
     # mass below 3x the frequency sum already captures the 0.999
     sub = series.truncated(3.0 * sum_lambda)
     assert sub.mass_captured / series.f_norm_sq >= 0.999
+
+
+@pytest.fixture(scope="module", params=[(2.0, 1.0), (1.8, 0.9), (2.3, 1.15)],
+                ids=["2-1", "1.8-0.9", "2.3-1.15"])
+def rev_basis(request):
+    return build_basis(RevTorus(*request.param), 4.5)
+
+
+def theta_families(reps):
+    """Every (m, parity) the product-to-sum identities can reach from the
+    factors' theta parts: a superset of the exact support."""
+    families = {(0, COS)}
+    for m, parity in reps:
+        families = {(abs(k + sign * m), p ^ parity) for k, p in families for sign in (1, -1)}
+        families.discard((0, SIN))
+    return families
+
+
+@pytest.mark.parametrize("factors", [(1, 3), (2, 3), (1, 1), (1, 2, 3)])
+def test_rev_oracle_selection_rule(rev_basis, factors):
+    spec = ProductSpec(rev_basis, factors)
+    series = expand_product(spec)
+    assert series.method == "both"
+    # the check sums the factor rows only; no per-mode grid matrix is formed
+    assert "profile_matrices" not in vars(rev_basis)
+    families = theta_families([rev_basis.modes[i].rep for i in factors])
+    reached = np.array([mode.rep in families for mode in rev_basis.modes])
+    assert np.all(series.coeffs[~reached] == 0.0)
+    assert np.any(series.coeffs[reached] != 0.0)
+    quad, f_norm_sq = quadrature_coefficients(spec)
+    assert float(np.max(np.abs(series.coeffs - quad))) <= 1e-10
+    assert series.f_norm_sq == f_norm_sq
+    assert series.oracle_gap == float(np.max(np.abs(coefficients._rev_exact(spec) - quad)))
+    assert series.truncated(2.0).oracle_gap == series.oracle_gap
+
+
+def test_series_without_an_oracle_has_no_gap(rev_basis, monkeypatch):
+    monkeypatch.delitem(coefficients._EXACT_ORACLES, RevTorus)
+    spec = ProductSpec(rev_basis, (1, 3))
+    series = expand_product(spec)
+    assert series.method == "quadrature"
+    assert series.oracle_gap is None
+    assert np.array_equal(series.coeffs, quadrature_coefficients(spec)[0])
+
+
+@pytest.mark.parametrize("minor_radius", [1e-9, 1.0 + 1e-6],
+                         ids=["r-terms-dropped", "r-off-by-1e-6"])
+def test_rev_oracle_gate_can_fail(minor_radius):
+    # the quadrature sums with the weights of the basis's own grid, the
+    # oracle convolves with the model's f = R + r cos s: a model whose r/2
+    # terms are (almost) dropped, or r off by 1e-6, perturbs the oracle
+    # alone and must trip the agreement gate
+    basis = build_basis(RevTorus(2.0, 1.0), 4.5)
+    assert expand_product(ProductSpec(basis, (1, 3))).method == "both"
+    skewed = dataclasses.replace(basis, model=RevTorus(2.0, minor_radius))
+    with pytest.raises(BreakdownError, match="disagree"):
+        expand_product(ProductSpec(skewed, (1, 3)))
 
 
 @pytest.mark.parametrize("model, lambda_max", [

@@ -17,6 +17,7 @@ import scipy.linalg
 from scipy.special import sph_harm_y
 
 from eigenprod.cli import cli_main
+from eigenprod.coefficients import ProductSpec, _factor_rows
 from eigenprod.errors import (
     ConvergenceError,
     CorruptionError,
@@ -226,6 +227,20 @@ def test_rev_torus_orthonormal_on_grid(rev_basis_3):
     values = np.stack([basis.values_on_grid(m) for m in basis.modes])
     gram = (values * basis.grid_weights()) @ values.T
     assert np.max(np.abs(gram - np.eye(basis.size))) <= 1e-8
+
+
+@pytest.mark.parametrize("fixture", ["circle_basis_3", "flat2_basis", "sphere_basis_3"])
+def test_factor_rows_equal_profile_matrix_rows(request, fixture):
+    # a product evaluates only its factor modes; on the closed-form models
+    # those rows keep the bits of the per-mode matrices, and with them the
+    # bits of the product norm
+    basis = request.getfixturevalue(fixture)
+    top = basis.size - 1
+    for factors in ((0,), (2, 2), (top, 1, 2), (3, top, 3, 1)):
+        rows = _factor_rows(ProductSpec(basis, factors))
+        assert len(rows) == len(basis.profile_matrices)
+        for axis_rows, full in zip(rows, basis.profile_matrices):
+            assert np.array_equal(axis_rows, full[sorted(factors)])
 
 
 @pytest.mark.parametrize("fixture", ["circle_basis_3", "flat2_basis", "sphere_basis_3",
