@@ -130,15 +130,18 @@ def fit_decay(series: CoefficientSeries, window: tuple | None = None) -> DecayFi
     by the product's frequency sum.  The onset is the first unit bin from
     which the running per-bin maxima decrease all the way out.  A series
     whose tail past the frequency sum is identically zero (band-limited
-    models) returns the exact-zero verdict instead of a fit.
+    models) returns the exact-zero verdict instead of a fit; one whose
+    last lambda is not past the frequency sum has no tail and is refused.
     """
     sum_lambda = series.sum_lambda
     floor = NOISE_FLOOR_REL * math.sqrt(max(series.f_norm_sq, 0.0))
     mags = np.abs(series.coeffs)
     tail = series.lams > sum_lambda * (1.0 + 1e-12)
-    lam_hi = float(series.lams[-1]) if series.lams.size else sum_lambda
+    if not (series.lams.size and tail[-1]):
+        raise ParameterError(
+            f"the series must reach past the frequency sum {sum_lambda:g} to fit a decay")
     if window is None:
-        window = (2.0 * sum_lambda, lam_hi)
+        window = (2.0 * sum_lambda, float(series.lams[-1]))
     if not np.any(tail & (mags > floor)):
         return DecayFit(math.inf, 0.0, sum_lambda, 1.0, window,
                         band_limited=True, n_bins=0)

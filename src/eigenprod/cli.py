@@ -195,6 +195,8 @@ def _resolve_basis_and_factors(model_cfg: dict, params: dict, groups: list, cach
     tokens = [t for group in groups for t in group]
     explicit = params.get("lambda_max")
     mult = _param(params, "lambda_max_mult", default_mult)
+    if not mult > 0.0:
+        raise ParameterError("--lambda-max-mult must be > 0")
     keys = [_factor_key(model, t) for t in tokens]
     probe = None
     lams = _label_lambdas(model, keys)

@@ -128,6 +128,15 @@ class HarmonicExtension:
             sum((TWO_PI * k / p) ** 2 for k, p in zip(m.rep[0], periods))
             for m in self._modes
         ])
+        # per grid axis, every basis mode's row, once: greens_coefficient
+        # integrates any mode against the extension on the grid
+        self.grid_rows = basis.model.axis_factor_rows(
+            basis.modes, basis.coefficients, tuple(ax.nodes for ax in basis.axes))
+
+    def grid_values(self, mode_id: int) -> np.ndarray:
+        """Basis mode ``mode_id`` on the flattened grid, first axis slowest."""
+        rows = [axis_rows[mode_id] for axis_rows in self.grid_rows]
+        return rows[0] if len(rows) == 1 else np.multiply.outer(*rows).reshape(-1)
 
     def _mode_matrix(self, points: np.ndarray) -> np.ndarray:
         model = self.basis.model
@@ -149,8 +158,8 @@ class HarmonicExtension:
         """(H, dH/dt) on the basis quadrature grid at fixed height t."""
         values = np.zeros(math.prod(self.basis.axis_sizes()))
         slopes = np.zeros_like(values)
-        for mode, lam, c in zip(self._modes, self.lams, self.coeffs):
-            phi = self.basis.values_on_grid(mode)
+        for mode_id, lam, c in zip(self.mode_ids, self.lams, self.coeffs):
+            phi = self.grid_values(mode_id)
             values += c * math.cosh(lam * t) * phi
             slopes += c * lam * math.sinh(lam * t) * phi
         return values, slopes
@@ -249,7 +258,7 @@ def greens_coefficient(ext: HarmonicExtension, mode_id: int, height: float) -> f
     if not 0.0 < height <= ext.T * (1.0 + 1e-12):
         raise ParameterError("height must lie in (0, T] of the extension")
     values, slopes = ext.grid_boundary_values(height)
-    phi = ext.basis.values_on_grid(mode)
+    phi = ext.grid_values(mode.id)
     integral = float(ext.basis.grid_weights() @ (phi * (slopes + mode.lam * values)))
     return math.exp(-height * mode.lam) / mode.lam * integral
 

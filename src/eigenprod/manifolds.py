@@ -22,10 +22,11 @@ and the JSON view are model-agnostic.  A fourth model is a frozen
 dataclass derived from ``_Surface`` whose fields are its constructor
 arguments.  It implements the method set listed there (``build``,
 ``quadrature_grid`` (one one-dimensional rule per chart axis),
-``axis_factor_rows(modes, coefficients, axis_points)``,
-``bandwidth(mode, width)``, and where it has them
-``coefficients_name``, ``chart_axes``, ``parse_label``, the closed-form
-``rep_lambda`` and a faster ``axis_projections``) and joins ``_MODELS``;
+``axis_factor_rows(modes, coefficients, axis_points)`` (the values of
+the named modes), ``axis_projections`` (every mode's per-axis sums in
+the quadrature check), ``bandwidth(mode, width)``, and
+where it has them ``coefficients_name``, ``chart_axes``, ``parse_label``
+and the closed-form ``rep_lambda``) and joins ``_MODELS``;
 an exact oracle, if it has one, joins ``coefficients._EXACT_ORACLES``.
 """
 
@@ -120,17 +121,14 @@ class SpectralBasis:
     """All eigenfunctions with lambda <= lambda_max on one model, plus the
     quadrature grid every integral in the package runs on: ``axes``, one
     one-dimensional rule per chart axis, whose tensor product is the grid.
-    Integrals are sums over the axes; ``values_on_grid`` and
-    ``grid_weights`` give the flattened form where a caller needs it.
+    Integrals are sums over the axes; ``grid_weights`` gives the
+    flattened form where a caller needs it.  Mode values on the grid come
+    from the model's ``axis_factor_rows``, for the modes a caller needs.
 
     ``coefficients`` is the read-only (modes, width) float matrix whose
     row i is mode i's rev-torus s-profile (width 0 on the other models).
-    ``profile_matrices`` holds, per grid axis, the factor values of every
-    mode on that axis's nodes as one (modes, nodes) array.  It is built in
-    one shot on first use, so bases that are only loaded or saved (CLI
-    token probes) never pay for it, nor do rev-torus product expansions,
-    and it never changes afterwards; so is ``target_bandwidth``, the
-    per-axis bandwidth of the widest mode.
+    ``target_bandwidth``, the per-axis bandwidth of the widest mode, is
+    computed on first use and never changes afterwards.
     The content digest is kept the same way: ``save_basis`` and
     ``load_basis`` record the digest they wrote or verified, and
     ``basis_digest`` serializes only bases that were never saved or loaded.
@@ -146,11 +144,6 @@ class SpectralBasis:
 
     def __post_init__(self):
         self.coefficients.setflags(write=False)
-
-    @cached_property
-    def profile_matrices(self) -> tuple:
-        return self.model.axis_factor_rows(self.modes, self.coefficients,
-                                           tuple(ax.nodes for ax in self.axes))
 
     @cached_property
     def target_bandwidth(self) -> np.ndarray:
@@ -170,24 +163,8 @@ class SpectralBasis:
     def lambdas(self) -> np.ndarray:
         return np.array([m.lam for m in self.modes])
 
-    def axis_profiles(self, mode: Mode):
-        """Per-axis factor values of the mode on the grid axes (row views
-        of ``profile_matrices``).
-
-        Every model here has separable modes, which keeps coefficient
-        quadrature at matrix-vector cost instead of full tensor size.
-        """
-        return tuple(rows[mode.id] for rows in self.profile_matrices)
-
-    def values_on_grid(self, mode: Mode) -> np.ndarray:
-        """The mode on the flattened grid (first axis varies slowest)."""
-        profiles = self.axis_profiles(mode)
-        if len(profiles) == 1:
-            return profiles[0]
-        return np.multiply.outer(profiles[0], profiles[1]).reshape(-1)
-
     def grid_weights(self) -> np.ndarray:
-        """Weights of the flattened grid, in the order of ``values_on_grid``."""
+        """Weights of the flattened grid, first axis varying slowest."""
         if len(self.axes) == 1:
             return self.axes[0].weights
         return np.multiply.outer(self.axes[0].weights, self.axes[1].weights).reshape(-1)
@@ -210,17 +187,18 @@ class _Surface:
     from the per-axis node counts),
     ``axis_factor_rows(modes, coefficients, axis_points)`` (per grid axis,
     one (len(modes), len(points)) array whose rows multiply to the values
-    of the modes, given with their coefficient rows) and
+    of the modes, given with their coefficient rows),
+    ``axis_projections(basis, weighted)`` (per grid axis, the sum of every
+    mode's factor row against ``weighted[axis]``, one value per mode: the
+    quadrature check of product coefficients; a uniform periodic axis
+    takes one FFT, :func:`_fft_projections`) and
     ``bandwidth(mode, width)`` (the per-axis degree, which sizes the
     exactness a product's integrands need, at coefficient row width).
 
     Optional: ``coefficients_name`` (the JSON name of a coefficient row;
     None for empty rows), ``chart_axes``, ``parse_label(token)`` (the
-    representation a CLI mode label names), ``rep_lambda(rep)`` (the
-    mode's lambda in closed form, with which ``build`` and the CLI size)
-    and ``axis_projections(basis, weighted)`` (every mode's per-axis sums
-    against one vector per axis, the quadrature check of product
-    coefficients; the default reads ``profile_matrices``).
+    representation a CLI mode label names) and ``rep_lambda(rep)`` (the
+    mode's lambda in closed form, with which ``build`` and the CLI size).
     """
 
     coefficients_name = None
@@ -244,11 +222,6 @@ class _Surface:
     def rep_lambda(self, rep: tuple) -> float | None:
         """Lambda of the mode ``rep`` names, or None: no closed form."""
         return None
-
-    def axis_projections(self, basis: SpectralBasis, weighted) -> tuple:
-        """Per grid axis, the sum of every mode's factor row of ``basis``
-        against ``weighted[axis]``, one value per mode."""
-        return tuple(rows @ values for rows, values in zip(basis.profile_matrices, weighted))
 
 
 def _round_up(n: int, mult: int = 16) -> int:
@@ -288,11 +261,13 @@ class FlatTorus(_Surface):
         return float(np.prod(self.periods))
 
     def build(self, lambda_max: float) -> SpectralBasis:
-        kmaxes = tuple(_torus_freq_cap(p, lambda_max) for p in self.periods)
-        if max(kmaxes) > TORUS_FREQ_CAP:
+        # the cap is checked on the float reach, which may be inf
+        reach = [lambda_max * p / TWO_PI * (1.0 + 1e-12) for p in self.periods]
+        if max(reach) >= TORUS_FREQ_CAP + 1:
             raise UnderResolvedError(
-                f"flat torus needs frequencies up to {max(kmaxes)} "
-                f"(cap {TORUS_FREQ_CAP}) to reach lambda_max={lambda_max}")
+                f"flat torus needs frequencies past the cap {TORUS_FREQ_CAP} "
+                f"to reach lambda_max={lambda_max}")
+        kmaxes = tuple(int(math.floor(k)) for k in reach)
         entries = []
         for freqs in itertools.product(*(range(kmax + 1) for kmax in kmaxes)):
             lam = self.rep_lambda((freqs, None))
@@ -313,12 +288,18 @@ class FlatTorus(_Surface):
         return tuple(uniform_periodic(n, p) for n, p in zip(sizes, self.periods))
 
     def axis_factor_rows(self, modes, coefficients, axis_points) -> tuple:
-        return tuple(
-            _trig_rows([m.rep[0][a] for m in modes], [m.rep[1][a] for m in modes],
-                       axis_points[a], 1.0 / math.sqrt(period), math.sqrt(2.0 / period),
-                       TWO_PI / period)
-            for a, period in enumerate(self.periods)
-        )
+        return tuple(_trig_rows(axis_points[a], *self._axis_factors(modes, a), TWO_PI / period)
+                     for a, period in enumerate(self.periods))
+
+    def axis_projections(self, basis: SpectralBasis, weighted) -> tuple:
+        return tuple(_fft_projections(weighted[a], *self._axis_factors(basis.modes, a))
+                     for a in range(self.dim))
+
+    def _axis_factors(self, modes, axis: int) -> tuple:
+        """(freqs, parities, const, amp) of the modes' normalized factors on ``axis``."""
+        period = self.periods[axis]
+        return ([m.rep[0][axis] for m in modes], [m.rep[1][axis] for m in modes],
+                1.0 / math.sqrt(period), math.sqrt(2.0 / period))
 
     def bandwidth(self, mode: Mode, width: int) -> tuple:
         return mode.rep[0]
@@ -358,22 +339,11 @@ class FlatTorus(_Surface):
         return (freqs, parities)
 
 
-def _torus_freq_cap(period: float, lambda_max: float) -> int:
-    return int(math.floor(lambda_max * period / TWO_PI * (1.0 + 1e-12)))
-
-
-def _trig_rows(freqs, parities, x, const: float, amp: float, scale: float = 1.0) -> np.ndarray:
+def _trig_rows(x, freqs, parities, const: float, amp: float, scale: float = 1.0) -> np.ndarray:
     """One row per (freq, parity) with integer freq: ``const`` where freq
     is 0, else amp * cos(scale freq x) (parity COS) or amp * sin(scale
-    freq x) (parity SIN)."""
-    rows, inverse = _distinct_trig_rows(freqs, parities, x, const, amp, scale)
-    return rows[inverse]
-
-
-def _distinct_trig_rows(freqs, parities, x, const: float, amp: float, scale: float = 1.0):
-    """(rows, inverse): the rows of :func:`_trig_rows`, each distinct
-    (freq, parity) pair evaluated once, keyed by the integer 2 freq +
-    parity, and the index of each pair's row."""
+    freq x) (parity SIN).  Each distinct pair, keyed by the integer
+    2 freq + parity, is evaluated once."""
     keys, inverse = np.unique(2 * np.asarray(freqs, dtype=np.int64) + np.asarray(parities),
                               return_inverse=True)
     x = np.asarray(x, dtype=float)
@@ -386,7 +356,18 @@ def _distinct_trig_rows(freqs, parities, x, const: float, amp: float, scale: flo
             np.multiply(freq * scale, x, out=row)
             (np.cos if parity == COS else np.sin)(row, out=row)
             row *= amp
-    return rows, inverse.reshape(-1)
+    return rows[inverse.reshape(-1)]
+
+
+def _fft_projections(values, freqs, parities, const: float, amp: float) -> np.ndarray:
+    """Per (freq, parity), the sum of the :func:`_trig_rows` row against
+    ``values`` on a uniform periodic grid with a node at 0, where
+    scale freq x_j = 2 pi freq j / n: one bin of one DFT of ``values``,
+    exact for every freq below the node count n."""
+    freqs = np.asarray(freqs, dtype=np.int64)
+    picked = np.fft.fft(values)[freqs]
+    trig = amp * np.where(np.asarray(parities) == COS, picked.real, -picked.imag)
+    return np.where(freqs == 0, const * picked.real, trig)
 
 
 # ---------------------------------------------------------------------------
@@ -409,10 +390,12 @@ class Sphere2(_Surface):
         return 4.0 * math.pi
 
     def build(self, lambda_max: float) -> SpectralBasis:
-        lmax = _sphere_lmax(lambda_max)
-        if lmax > SPHERE_L_CAP:
+        # checked before the degree is computed, where 4 lambda^2 may overflow
+        if lambda_max * (1.0 + 1e-12) >= self.rep_lambda((SPHERE_L_CAP + 1, 0)):
             raise UnderResolvedError(
-                f"sphere needs harmonics to degree {lmax} (cap {SPHERE_L_CAP})")
+                f"sphere needs harmonics past degree {SPHERE_L_CAP} (its cap) "
+                f"to reach lambda_max={lambda_max}")
+        lmax = _sphere_lmax(lambda_max)
         modes = []
         for l in range(lmax + 1):
             lam = self.rep_lambda((l, 0))
@@ -434,12 +417,13 @@ class Sphere2(_Surface):
         return [np.cos(theta), arr[:, 1]]
 
     def axis_factor_rows(self, modes, coefficients, axis_points) -> tuple:
-        orders = [m.rep[1] for m in modes]
-        return (
-            _legendre_rows([m.rep for m in modes], np.asarray(axis_points[0], dtype=float)),
-            _trig_rows(np.abs(orders), [SIN if o < 0 else COS for o in orders],
-                       axis_points[1], 1.0, math.sqrt(2.0)),
-        )
+        return (_legendre_rows([m.rep for m in modes], np.asarray(axis_points[0], dtype=float)),
+                _trig_rows(axis_points[1], *_phi_factors(modes)))
+
+    def axis_projections(self, basis: SpectralBasis, weighted) -> tuple:
+        # the Gauss x-axis is not periodic: its Legendre rows are formed here
+        x_rows = _legendre_rows([m.rep for m in basis.modes], basis.axes[0].nodes)
+        return x_rows @ weighted[0], _fft_projections(weighted[1], *_phi_factors(basis.modes))
 
     def bandwidth(self, mode: Mode, width: int) -> tuple:
         return (mode.rep[0], mode.rep[0])
@@ -457,6 +441,12 @@ class Sphere2(_Surface):
                 raise ParameterError(f"factor token {token!r} names no harmonic: need |m| <= l")
             return (l, m)
         return super().parse_label(token)
+
+
+def _phi_factors(modes) -> tuple:
+    """(freqs, parities, const, amp) of the real harmonics' phi factors."""
+    orders = [m.rep[1] for m in modes]
+    return np.abs(orders), [SIN if o < 0 else COS for o in orders], 1.0, math.sqrt(2.0)
 
 
 def normalized_legendre(l: int, m: int, x: np.ndarray) -> np.ndarray:
@@ -629,32 +619,27 @@ class RevTorus(_Surface):
         s_values, inverse = np.unique(np.asarray(axis_points[0], dtype=float),
                                       return_inverse=True)
         s_rows = coefficients @ circle_basis(s_values, coefficients.shape[1]).T
-        theta_rows, theta_index = _rev_theta_rows(modes, axis_points[1])
-        return s_rows[:, inverse.reshape(-1)], theta_rows[theta_index]
+        return s_rows[:, inverse.reshape(-1)], _trig_rows(axis_points[1], *_theta_factors(modes))
 
     def axis_projections(self, basis: SpectralBasis, weighted) -> tuple:
         # The s sums are the coefficient rows against the s vector projected
-        # onto the Fourier basis: a real FFT, since quadrature_grid spaces
-        # the s nodes evenly from 0.  The theta sums take one dot per
-        # distinct (m, parity) row.  No (modes, nodes) array is formed.
-        half = basis.coefficients.shape[1] // 2
-        spectrum = np.fft.rfft(weighted[0])
-        projected = np.empty(2 * half + 1)
-        projected[0] = spectrum[0].real / math.sqrt(TWO_PI)
-        projected[1::2] = spectrum[1:half + 1].real / math.sqrt(math.pi)
-        projected[2::2] = spectrum[1:half + 1].imag / -math.sqrt(math.pi)
-        theta_rows, theta_index = _rev_theta_rows(basis.modes, basis.axes[1].nodes)
-        return basis.coefficients @ projected, (theta_rows @ weighted[1])[theta_index]
+        # onto the circle_basis columns (column c: freq (c + 1) // 2, cosine
+        # for odd c).  No (modes, nodes) array is formed.
+        columns = np.arange(basis.coefficients.shape[1])
+        projected = _fft_projections(weighted[0], (columns + 1) // 2, 1 - columns % 2,
+                                     1.0 / math.sqrt(TWO_PI), 1.0 / math.sqrt(math.pi))
+        return (basis.coefficients @ projected,
+                _fft_projections(weighted[1], *_theta_factors(basis.modes)))
 
     def bandwidth(self, mode: Mode, width: int) -> tuple:
         # the s bandwidth is estimated by the Galerkin truncation per factor
         return ((width - 1) // 2, mode.rep[0])
 
 
-def _rev_theta_rows(modes, theta):
-    """The distinct normalized theta factors of ``modes`` and each mode's row."""
-    return _distinct_trig_rows([m.rep[0] for m in modes], [m.rep[1] for m in modes], theta,
-                               1.0 / math.sqrt(TWO_PI), 1.0 / math.sqrt(math.pi))
+def _theta_factors(modes) -> tuple:
+    """(freqs, parities, const, amp) of the modes' normalized theta factors."""
+    return ([m.rep[0] for m in modes], [m.rep[1] for m in modes],
+            1.0 / math.sqrt(TWO_PI), 1.0 / math.sqrt(math.pi))
 
 
 def _rev_parity_indices(trunc: int):

@@ -42,7 +42,6 @@ from eigenprod.manifolds import (
     REV_M_CAP,
     FlatTorus,
     RevTorus,
-    Sphere2,
     build_basis,
 )
 from eigenprod.remez import (
@@ -75,11 +74,6 @@ def circle_basis():
 def torus2_basis():
     # covers tails of sampled pairs with per-axis frequencies to 8
     return build_basis(FlatTorus(2, (TWO_PI, TWO_PI)), 25.0)
-
-
-@pytest.fixture(scope="module")
-def sphere12_basis():
-    return build_basis(Sphere2(), math.sqrt(12.0 * 13.0) + 1e-9)
 
 
 @pytest.fixture(scope="module")
@@ -176,10 +170,10 @@ def test_acceptance_1_selection_rule(circle_basis, torus2_basis):
 # criterion 2: sphere oracle agreement
 
 
-def test_acceptance_2_sphere_oracles(sphere12_basis):
+def test_acceptance_2_sphere_oracles(sphere12_basis, grid_values):
     basis = sphere12_basis
     n = basis.size
-    values = np.stack([basis.values_on_grid(m) for m in basis.modes])
+    values = grid_values(basis)
     weighted = values * basis.grid_weights()
     exact = np.zeros((n, n, n))
     for ia in range(n):

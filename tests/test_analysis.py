@@ -56,6 +56,17 @@ def test_band_limited_verdict_on_cos2_cos3(circle_basis_24):
     assert envelope_dominates(series, fit)
 
 
+def test_fit_refuses_a_series_without_lambdas_past_the_sum(circle_basis_24):
+    basis = circle_basis_24
+    cos2 = next(m for m in basis.modes if m.rep == ((2,), (COS,)))
+    cos3 = next(m for m in basis.modes if m.rep == ((3,), (COS,)))
+    series = expand_product(ProductSpec(basis, (cos2.id, cos3.id)))
+    for cut in (5.0, 4.0, -1.0):  # at the sum, below it, empty
+        with pytest.raises(ParameterError, match="frequency sum"):
+            fit_decay(series.truncated(cut))
+    assert fit_decay(series.truncated(6.0)).band_limited
+
+
 def test_fit_requires_enough_tail(circle_basis_24):
     basis = circle_basis_24
     coeffs = np.zeros(basis.size)

@@ -525,6 +525,29 @@ def test_decay_sizes_its_basis_with_its_own_multiple(tmp_path, factors):
     assert read(explicit, "decay.json")["results"] == results
 
 
+@pytest.mark.parametrize("sizing", [("--lambda-max", "1.2"), ("--lambda-max-mult", "0.5"),
+                                    ("--lambda-max-mult", "-1")],
+                         ids=["below-sum", "mult-half", "mult-negative"])
+def test_decay_refuses_a_series_that_stops_at_the_frequency_sum(tmp_path, sizing):
+    # (1, 3) has sum lambda 1.39: a series cut at or below it has no tail,
+    # which is not a band limit
+    code, out = run(tmp_path, "decay", "--model", "rev-torus", "--R", "2", "--r", "1",
+                    "--factors", "1,3", *sizing)
+    assert code == 2
+    assert not (out / "decay.json").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("--model", "sphere", "--lambda-max", "1e200"),
+    ("--model", "flat-torus", "--dim", "1", "--periods", "1e10", "--lambda-max", "1e308"),
+], ids=["sphere", "flat1"])
+def test_basis_past_the_cap_at_huge_lambda_max_exits_2(tmp_path, argv, capsys):
+    code, out = run(tmp_path, "basis", *argv)
+    assert code == 2
+    assert "cap" in capsys.readouterr().err
+    assert not (out / "basis.json").exists()
+
+
 def test_cached_basis_serves_hits_and_rebuilds_mismatched_files(tmp_path, monkeypatch):
     model = FlatTorus(1, (TWO_PI,))
     cache = str(tmp_path / "cache")

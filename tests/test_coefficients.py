@@ -156,16 +156,15 @@ def sphere_basis():
     return build_basis(Sphere2(), math.sqrt(20.0 * 21.0) + 1e-9)  # l <= 20
 
 
-def test_gaunt_matches_quadrature_to_l20(sphere_basis):
+def test_gaunt_matches_quadrature_to_l20(sphere_basis, grid_values):
     basis = sphere_basis
     w = basis.grid_weights()
+    values = grid_values(basis)
     rng = np.random.default_rng(42)
     mode_list = list(basis.modes)
     for _ in range(60):
         a, b, c = (mode_list[int(rng.integers(0, len(mode_list)))] for _ in range(3))
-        quad = float(w @ (basis.values_on_grid(a)
-                          * basis.values_on_grid(b)
-                          * basis.values_on_grid(c)))
+        quad = float(w @ (values[a.id] * values[b.id] * values[c.id]))
         exact = gaunt_real(*a.rep, *b.rep, *c.rep)
         assert exact == pytest.approx(quad, abs=1e-10), (a.rep, b.rep, c.rep)
 
@@ -276,11 +275,6 @@ def test_sphere_product_y10_squared():
     assert ratio == pytest.approx(1.0, abs=1e-10)
 
 
-@pytest.fixture(scope="module")
-def sphere12_basis():
-    return build_basis(Sphere2(), math.sqrt(12.0 * 13.0) + 1e-9)  # l <= 12
-
-
 def test_sphere_three_factor_exact_route(sphere12_basis):
     basis = sphere12_basis
     y22 = find_mode(basis, (2, 2))
@@ -387,8 +381,6 @@ def test_rev_oracle_selection_rule(rev_basis, factors):
     spec = ProductSpec(rev_basis, factors)
     series = expand_product(spec)
     assert series.method == "both"
-    # the check sums the factor rows only; no per-mode grid matrix is formed
-    assert "profile_matrices" not in vars(rev_basis)
     families = theta_families([rev_basis.modes[i].rep for i in factors])
     reached = np.array([mode.rep in families for mode in rev_basis.modes])
     assert np.all(series.coeffs[~reached] == 0.0)
@@ -407,6 +399,52 @@ def test_series_without_an_oracle_has_no_gap(rev_basis, monkeypatch):
     assert series.method == "quadrature"
     assert series.oracle_gap is None
     assert np.array_equal(series.coeffs, quadrature_coefficients(spec)[0])
+
+
+@pytest.mark.parametrize("factors", [(1, 3), (2, 3), (1, 1), (1, 2, 3)])
+def test_rev_expansion_evaluates_only_factor_rows(rev_basis, factors, monkeypatch):
+    # the quadrature check evaluates the factor modes on the grid and sums
+    # every mode through axis_projections; no other mode is put on the grid
+    seen = []
+    original = RevTorus.axis_factor_rows
+
+    def counting(self, modes, coeffs, axis_points):
+        seen.extend(mode.id for mode in modes)
+        return original(self, modes, coeffs, axis_points)
+
+    monkeypatch.setattr(RevTorus, "axis_factor_rows", counting)
+    assert expand_product(ProductSpec(rev_basis, factors)).method == "both"
+    assert sorted(seen) == sorted(factors)
+
+
+@pytest.mark.parametrize("periods", [(TWO_PI,), (2.5, 4.0)], ids=["flat1", "flat2"])
+def test_flat_oracle_gate_can_fail(periods):
+    # the quadrature sums on the basis's own grid, the oracle normalizes by
+    # the model's periods: periods off by 1e-6 relative must trip the
+    # agreement gate
+    basis = build_basis(FlatTorus(len(periods), periods), 6.0)
+    factors = (1, 3, 4)
+    assert expand_product(ProductSpec(basis, factors)).method == "both"
+    skewed = dataclasses.replace(
+        basis, model=FlatTorus(len(periods), tuple(p * (1.0 + 1e-6) for p in periods)))
+    with pytest.raises(BreakdownError, match="disagree"):
+        expand_product(ProductSpec(skewed, factors))
+
+
+def test_quadrature_on_a_grid_coarser_than_twice_the_top_frequency():
+    # 10 nodes are exact to degree 9, enough for the constant times modes to
+    # frequency 8; those frequencies lie past n / 2, where a half-spectrum
+    # transform has no bin
+    model = FlatTorus(1, (TWO_PI,))
+    basis = build_basis(model, 8.0)
+    coarse = dataclasses.replace(basis, axes=model.quadrature_grid([10]))
+    assert max(m.rep[0][0] for m in basis.modes) == 8
+    series = expand_product(ProductSpec(coarse, (0,)))
+    assert series.method == "both"
+    quad, f_norm_sq = quadrature_coefficients(ProductSpec(coarse, (0,)))
+    assert quad[0] == pytest.approx(1.0, abs=1e-13)
+    assert float(np.max(np.abs(quad[1:]))) <= 1e-13
+    assert f_norm_sq == pytest.approx(1.0, abs=1e-13)
 
 
 @pytest.mark.parametrize("minor_radius", [1e-9, 1.0 + 1e-6],

@@ -1,6 +1,7 @@
 """Eigenbases on the three model surfaces."""
 
 import ast
+import dataclasses
 import hashlib
 import importlib
 import json
@@ -110,9 +111,9 @@ def test_flat_torus_2d_mode_count():
     assert lams == [0] + [1] * 4 + [2] * 4 + [4] * 4 + [5] * 8
 
 
-def test_flat_torus_orthonormal_on_grid(circle_basis_3):
+def test_flat_torus_orthonormal_on_grid(circle_basis_3, grid_values):
     basis = circle_basis_3
-    values = np.stack([basis.values_on_grid(m) for m in basis.modes])
+    values = grid_values(basis)
     gram = (values * basis.grid_weights()) @ values.T
     assert np.max(np.abs(gram - np.eye(basis.size))) <= 1e-12
 
@@ -151,9 +152,9 @@ def test_sphere_matches_scipy_harmonics(sphere_basis_3):
         assert evaluate(sphere_basis_3, mode, pts) == pytest.approx(expected, abs=1e-12)
 
 
-def test_sphere_orthonormal_on_grid():
+def test_sphere_orthonormal_on_grid(grid_values):
     basis = build_basis(Sphere2(), math.sqrt(8.0 * 9.0) + 1e-9)  # l <= 8
-    values = np.stack([basis.values_on_grid(m) for m in basis.modes])
+    values = grid_values(basis)
     gram = (values * basis.grid_weights()) @ values.T
     assert np.max(np.abs(gram - np.eye(basis.size))) <= 1e-8
 
@@ -222,9 +223,9 @@ def test_rev_torus_angular_pairs_share_lambda(rev_basis_3):
             assert entries[0][1] == entries[1][1]
 
 
-def test_rev_torus_orthonormal_on_grid(rev_basis_3):
+def test_rev_torus_orthonormal_on_grid(rev_basis_3, grid_values):
     basis = rev_basis_3
-    values = np.stack([basis.values_on_grid(m) for m in basis.modes])
+    values = grid_values(basis)
     gram = (values * basis.grid_weights()) @ values.T
     assert np.max(np.abs(gram - np.eye(basis.size))) <= 1e-8
 
@@ -232,24 +233,29 @@ def test_rev_torus_orthonormal_on_grid(rev_basis_3):
 @pytest.mark.parametrize("fixture", ["circle_basis_3", "flat2_basis", "sphere_basis_3"])
 def test_factor_rows_equal_profile_matrix_rows(request, fixture):
     # a product evaluates only its factor modes; on the closed-form models
-    # those rows keep the bits of the per-mode matrices, and with them the
-    # bits of the product norm
+    # those rows keep the bits of the rows of every mode on the grid (the
+    # profile matrices), and with them the bits of the product norm
     basis = request.getfixturevalue(fixture)
+    profile_matrices = basis.model.axis_factor_rows(
+        basis.modes, basis.coefficients, tuple(ax.nodes for ax in basis.axes))
     top = basis.size - 1
     for factors in ((0,), (2, 2), (top, 1, 2), (3, top, 3, 1)):
         rows = _factor_rows(ProductSpec(basis, factors))
-        assert len(rows) == len(basis.profile_matrices)
-        for axis_rows, full in zip(rows, basis.profile_matrices):
+        assert len(rows) == len(profile_matrices)
+        for axis_rows, full in zip(rows, profile_matrices):
             assert np.array_equal(axis_rows, full[sorted(factors)])
 
 
 @pytest.mark.parametrize("fixture", ["circle_basis_3", "flat2_basis", "sphere_basis_3",
                                      "rev_basis_3"])
-def test_profile_matrices_match_pointwise_evaluation(request, fixture):
+def test_profile_matrices_match_pointwise_evaluation(request, fixture, grid_values):
+    # every mode on the grid, from the per-axis rows, against evaluate at
+    # the grid's chart points
     basis = request.getfixturevalue(fixture)
+    values = grid_values(basis)
     for mode in basis.modes:
         pointwise = evaluate(basis, mode, grid_chart_points(basis))
-        assert np.max(np.abs(basis.values_on_grid(mode) - pointwise)) <= 1e-13
+        assert np.max(np.abs(values[mode.id] - pointwise)) <= 1e-13
 
 
 @pytest.mark.parametrize("fixture", ["circle_basis_3", "flat2_basis", "sphere_basis_3",
@@ -264,6 +270,31 @@ def test_grid_is_one_rule_per_chart_axis(request, fixture):
     weights = basis.grid_weights()
     assert weights.shape == (math.prod(basis.axis_sizes()),)
     assert math.isclose(weights.sum(), basis.model.volume, rel_tol=1e-12)
+
+
+@pytest.fixture(scope="module")
+def circle_basis_8_on_10_nodes():
+    # 10 nodes are exact to degree 9, enough for the constant times every
+    # mode; freqs 6 to 8 lie past n / 2, where a half spectrum has no bin
+    model = FlatTorus(1, (TWO_PI,))
+    return dataclasses.replace(build_basis(model, 8.0), axes=model.quadrature_grid([10]))
+
+
+@pytest.mark.parametrize("fixture", ["circle_basis_3", "flat2_basis", "sphere_basis_3",
+                                     "rev_basis_3", "circle_basis_8_on_10_nodes"])
+def test_axis_projections_equal_row_sums(request, fixture):
+    # per axis, every mode's factor row summed against one vector: the FFT
+    # bins (and the sphere's Legendre rows) against the rows themselves
+    basis = request.getfixturevalue(fixture)
+    rng = np.random.default_rng(11)
+    weighted = [ax.weights * rng.standard_normal(ax.size) for ax in basis.axes]
+    rows = basis.model.axis_factor_rows(basis.modes, basis.coefficients,
+                                        tuple(ax.nodes for ax in basis.axes))
+    sums = basis.model.axis_projections(basis, weighted)
+    assert len(sums) == len(rows) == basis.model.chart_dim
+    for axis_sums, axis_rows, values in zip(sums, rows, weighted):
+        assert axis_sums.shape == (basis.size,)
+        assert np.max(np.abs(axis_sums - axis_rows @ values)) <= 1e-13
 
 
 def _direct_trig_row(freq, parity, x, const, amp):
