@@ -185,9 +185,10 @@ def _resolve_basis_and_factors(model_cfg: dict, params: dict, groups: list, cach
     ``lambda_max_mult`` (the command's ``default_mult`` when unset) times
     the largest frequency sum of a group.
 
-    The factors' lambdas come in closed form when every token is a label
-    and the model has ``rep_lambda``; otherwise from a probe basis, the
-    smallest of lambda 2, 4, ..., 128 that holds every factor."""
+    Without ``lambda_max``, the factors' lambdas come in closed form when
+    every token is a label and the model has ``rep_lambda``; otherwise
+    from a probe basis, the smallest of lambda 2, 4, ..., 128 that holds
+    every factor."""
     model = _model_from_config(model_cfg)
     groups = [[t for t in group if t] for group in groups]
     if not all(groups):
@@ -198,27 +199,27 @@ def _resolve_basis_and_factors(model_cfg: dict, params: dict, groups: list, cach
     if not mult > 0.0:
         raise ParameterError("--lambda-max-mult must be > 0")
     keys = [_factor_key(model, t) for t in tokens]
-    probe = None
-    lams = _label_lambdas(model, keys)
-    if lams is None:
-        probe_lambda = 2.0
-        while True:
-            probe = _cached_basis(model, probe_lambda, cache_dir)
-            try:
-                ids = tuple(_mode_id(probe, key, t) for key, t in zip(keys, tokens))
-                break
-            except ParameterError:
-                if probe_lambda > 64.0:
-                    raise
-                probe_lambda *= 2.0
-        lams = [probe.modes[i].lam for i in ids]
-    # ascending, the order of the modes, so a sum's bits do not depend
-    # on the order of the tokens
     starts = np.cumsum([0] + [len(group) for group in groups]).tolist()
-    sum_lambda = max(float(sum(sorted(lams[a:b]))) for a, b in zip(starts, starts[1:]))
+    probe = None
     if explicit is not None:
         lambda_max = _number(explicit)
     else:
+        lams = _label_lambdas(model, keys)
+        if lams is None:
+            probe_lambda = 2.0
+            while True:
+                probe = _cached_basis(model, probe_lambda, cache_dir)
+                try:
+                    ids = tuple(_mode_id(probe, key, t) for key, t in zip(keys, tokens))
+                    break
+                except ParameterError:
+                    if probe_lambda > 64.0:
+                        raise
+                    probe_lambda *= 2.0
+            lams = [probe.modes[i].lam for i in ids]
+        # ascending, the order of the modes, so a sum's bits do not depend
+        # on the order of the tokens
+        sum_lambda = max(float(sum(sorted(lams[a:b]))) for a, b in zip(starts, starts[1:]))
         lambda_max = max(mult * sum_lambda, max(lams) * 1.01)
     basis = _cached_basis(model, lambda_max, cache_dir)
     ids = tuple(_mode_id(basis, key, t) for key, t in zip(keys, tokens))

@@ -1,10 +1,11 @@
 """Expansion of eigenfunction products into the eigenbasis.
 
-Exact oracles cover products of any order on every model: frequency
-convolution on the flat torus, a Gaunt fold on the sphere, and on the
-torus of revolution product-to-sum in theta with a Fourier convolution in
-s.  Each is checked against quadrature, which is rank one per axis because
-a product of separable modes is separable.
+Exact oracles cover products of any order on every model: a Gaunt fold
+on the sphere, and on every periodic axis (both flat axes, the rev-torus
+theta and s) the product of real Fourier series by
+:func:`eigenprod.numerics.circle_product`.  Each is checked against
+quadrature, which is rank one per axis because a product of separable
+modes is separable.
 
 The 3j kernel uses the three-term recursion in the third angular momentum,
 run from both ends of the admissible range and spliced in the classical
@@ -22,8 +23,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import BreakdownError, ParameterError, UnderResolvedError
-from .manifolds import COS, SIN, FlatTorus, RevTorus, SpectralBasis, Sphere2
-from .numerics import TWO_PI
+from .manifolds import FlatTorus, RevTorus, SpectralBasis, Sphere2
+from .numerics import TWO_PI, circle_columns, circle_frequencies, circle_norms, circle_product
 
 FOUR_PI = 4.0 * math.pi
 
@@ -357,8 +358,8 @@ def torus_support_lambda(spec: ProductSpec) -> float:
     if not isinstance(model, FlatTorus):
         raise ParameterError("support enumeration is exact on flat tori only")
     per_axis_max = [
-        max((k * (2.0 * math.pi / period) for (k, _p) in current), default=0.0)
-        for period, current in zip(model.periods, _torus_axis_products(spec))
+        float(circle_frequencies(np.flatnonzero(product)[-1])) * (TWO_PI / period)
+        for period, product in zip(model.periods, _torus_axis_products(spec))
     ]
     return math.hypot(*per_axis_max) if model.dim == 2 else per_axis_max[0]
 
@@ -445,84 +446,48 @@ def _quadrature_expansion(spec: ProductSpec):
 # exact routes
 
 
-def _trig_multiply(left: dict, right: dict) -> dict:
-    """Product of two 1-d trigonometric polynomials.
-
-    Keys are (frequency, parity) with parity 0 = cos, 1 = sin and
-    frequency >= 0; the product-to-sum identities keep the dictionary
-    exact (coefficients are halved, never approximated).
-    """
-    out: dict = {}
-
-    def add(k: int, parity: int, value: float):
-        if value == 0.0:
-            return
-        if k < 0:
-            k = -k
-            if parity == SIN:
-                value = -value
-        if k == 0 and parity == SIN:
-            return
-        key = (k, parity)
-        out[key] = out.get(key, 0.0) + value
-
-    for (ka, pa), ca in left.items():
-        for (kb, pb), cb in right.items():
-            half = 0.5 * ca * cb
-            if pa == COS and pb == COS:
-                add(ka - kb, COS, half)
-                add(ka + kb, COS, half)
-            elif pa == SIN and pb == SIN:
-                add(ka - kb, COS, half)
-                add(ka + kb, COS, -half)
-            elif pa == SIN and pb == COS:
-                add(ka - kb, SIN, half)
-                add(ka + kb, SIN, half)
-            else:  # cos * sin
-                add(kb - ka, SIN, half)
-                add(kb + ka, SIN, half)
-    return {k: v for k, v in out.items() if v != 0.0}
+def _axis_product(columns, scale: float) -> np.ndarray:
+    """Per column t of the product's band, the integral over one period of
+    the product of the axis factors ``scale`` col_c(2 pi x / period), c in
+    ``columns``, against ``scale`` col_t, where col is a
+    :func:`eigenprod.numerics.circle_basis` column and scale^2 = 2 pi /
+    period.  With amplitudes a = scale / circle_norms, the factors are a_c
+    times 1, cos or sin, and the integral is prod(a_c) T_t / a_t for the
+    product T of those unit series."""
+    rows = []
+    for column in columns:
+        row = np.zeros(column + 1 + column % 2)
+        row[column] = 1.0
+        rows.append(row)
+    product = circle_product(rows)
+    return np.prod(scale / circle_norms(columns)) * product / (
+        scale / circle_norms(np.arange(product.shape[0])))
 
 
-def _torus_axis_norm(period: float, k: int) -> float:
-    return 1.0 / math.sqrt(period) if k == 0 else math.sqrt(2.0 / period)
+def _gather(row: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """row[columns], 0 past the end of ``row``."""
+    return np.where(columns < row.shape[0], row[np.minimum(columns, row.shape[0] - 1)], 0.0)
+
+
+def _axis_columns(modes, axis: int) -> np.ndarray:
+    """The circle_basis column of each flat-torus mode's factor on ``axis``."""
+    return circle_columns([m.rep[0][axis] for m in modes], [m.rep[1][axis] for m in modes])
 
 
 def _torus_axis_products(spec: ProductSpec) -> list:
-    """Per axis, the flat-torus product's 1-d factor as an exact
-    trigonometric polynomial ({(frequency, parity): coefficient})."""
+    """Per axis, :func:`_axis_product` of the flat-torus product's factors;
+    a factor on an axis of period P is sqrt(2 pi / P) times a column."""
     basis = spec.basis
-    model: FlatTorus = basis.model
-    axis_dicts = []
-    for axis in range(model.dim):
-        current = {(0, COS): 1.0}
-        for i in sorted(spec.factors):
-            k = basis.modes[i].rep[0][axis]
-            parity = basis.modes[i].rep[1][axis]
-            norm = _torus_axis_norm(model.periods[axis], k)
-            current = _trig_multiply(current, {(k, parity): norm})
-        axis_dicts.append(current)
-    return axis_dicts
+    factors = [basis.modes[i] for i in sorted(spec.factors)]
+    return [_axis_product(_axis_columns(factors, axis), math.sqrt(TWO_PI / period))
+            for axis, period in enumerate(basis.model.periods)]
 
 
 def _torus_exact(spec: ProductSpec) -> np.ndarray:
     basis = spec.basis
-    model: FlatTorus = basis.model
-    axis_dicts = _torus_axis_products(spec)
-    coeffs = np.zeros(basis.size)
-    for i, mode in enumerate(basis.modes):
-        value = 1.0
-        for axis in range(model.dim):
-            k = mode.rep[0][axis]
-            parity = mode.rep[1][axis]
-            raw = axis_dicts[axis].get((k, parity), 0.0)
-            if raw == 0.0:
-                value = 0.0
-                break
-            period = model.periods[axis]
-            inner = period if k == 0 else 0.5 * period
-            value *= raw * inner * _torus_axis_norm(period, k)
-        coeffs[i] = value
+    coeffs = np.ones(basis.size)
+    for axis, product in enumerate(_torus_axis_products(spec)):
+        coeffs *= _gather(product, _axis_columns(basis.modes, axis))
     return coeffs
 
 
@@ -557,49 +522,37 @@ def _sphere_exact(spec: ProductSpec) -> np.ndarray:
     return np.array([poly.get(mode.rep, 0.0) for mode in basis.modes])
 
 
-def _complex_fourier(row: np.ndarray) -> np.ndarray:
-    """Coefficients of e^{ins}, n = -N .. N, of the real series ``row`` in
-    the column layout of :func:`eigenprod.numerics.circle_basis`."""
-    half = (row[1::2] - 1j * row[2::2]) * (0.5 / math.sqrt(math.pi))
-    return np.concatenate((np.conj(half[::-1]), [row[0] / math.sqrt(TWO_PI)], half))
-
-
 def _rev_exact(spec: ProductSpec) -> np.ndarray:
-    """Product-to-sum in theta, a convolution of the factors' Fourier
-    series in s, then one dot per target row of the theta support.
+    """The product of the factors' theta columns, the product of their s
+    profiles with f = R + r cos s, then one dot per target row of the
+    theta support.
 
-    The theta integral of the product against a family (m, parity) is its
-    coefficient in the exact trigonometric product of the factors' theta
-    parts, so only families in that support are nonzero.  The s integral
-    carries the weight f = R + r cos s, a convolution with [r/2, R, r/2];
-    it is the target's coefficient row dotted with the real Fourier
-    coefficients of f times the factors' s profiles.
+    Theta factors are circle_basis columns, so the theta integral of the
+    product against a family (m, parity) is the product's coefficient in
+    that column, and only families in the product's support are nonzero.
+    The s integral carries the weight f; it is the target's coefficient
+    row dotted with the circle_basis coefficients of f times the factors'
+    s profiles.
     """
     basis = spec.basis
     model: RevTorus = basis.model
-    width = basis.coefficients.shape[1]
-    theta = {(0, COS): 1.0}
-    s_series = np.ones(1, dtype=complex)
-    for i in sorted(spec.factors):
-        m, parity = basis.modes[i].rep
-        theta = _trig_multiply(theta, {(m, parity): _torus_axis_norm(TWO_PI, m)})
-        s_series = np.convolve(s_series, _complex_fourier(basis.coefficients[i]))
-    half_r = 0.5 * model.minor_radius
-    s_series = np.convolve(s_series, [half_r, model.major_radius, half_r])
-    centre = (s_series.size - 1) // 2
-    tail = s_series[centre + 1:centre + 1 + (width - 1) // 2]
-    weighted = np.empty(width)
-    weighted[0] = s_series[centre].real * math.sqrt(TWO_PI)
-    weighted[1::2] = (2.0 * math.sqrt(math.pi)) * tail.real
-    weighted[2::2] = (-2.0 * math.sqrt(math.pi)) * tail.imag
-    targets = [mode for mode in basis.modes if mode.rep in theta]
-    rows = [mode.id for mode in targets]
-    # a normalized theta factor norm * trig has <trig, norm * trig> = 1 / norm
-    theta_sums = [theta[mode.rep] / _torus_axis_norm(TWO_PI, mode.rep[0]) for mode in targets]
+    factors = sorted(spec.factors)
+    # a rev rep is (m, theta parity): the (freq, parity) of its theta column
+    theta_product = _axis_product(circle_columns(*zip(*(basis.modes[i].rep for i in factors))), 1.0)
+    theta = _gather(theta_product, circle_columns(*zip(*(mode.rep for mode in basis.modes))))
+    norms = circle_norms(np.arange(basis.coefficients.shape[1]))
+    # the profiles as series in 1, cos, sin: the constant divided by its
+    # norm, the other columns times the reciprocal norm, which keeps the
+    # bits this oracle has always had; f is the series R + r cos s
+    profiles = basis.coefficients[factors] * (1.0 / norms)
+    profiles[:, 0] = basis.coefficients[factors, 0] / norms[0]
+    weighted = circle_product([*profiles, [model.major_radius, model.minor_radius, 0.0]])
+    weighted = weighted[:norms.shape[0]] * norms
+    rows = np.flatnonzero(theta)
     coeffs = np.zeros(basis.size)
     # einsum without ``optimize`` takes no BLAS path, so the bits do not
     # depend on the BLAS thread count
-    coeffs[rows] = np.einsum("ij,j->i", basis.coefficients[rows], weighted) * theta_sums
+    coeffs[rows] = np.einsum("ij,j->i", basis.coefficients[rows], weighted) * theta[rows]
     return coeffs
 
 

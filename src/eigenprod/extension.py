@@ -20,10 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coefficients import CoefficientSeries, _torus_axis_norm
+from .coefficients import CoefficientSeries
 from .errors import BreakdownError, ParameterError
 from .manifolds import FlatTorus, _normalize_points, evaluate
-from .numerics import TWO_PI
+from .numerics import TWO_PI, circle_columns, circle_norms
 
 __all__ = [
     "ExtensionParams",
@@ -35,15 +35,6 @@ __all__ = [
     "greens_coefficient",
     "cauchy_estimate_check",
 ]
-
-
-def _torus_mode_sup(model: FlatTorus, mode) -> float:
-    """Sup norm of a normalized flat-torus mode: product over axes of
-    1/sqrt(P) for the constant and sqrt(2/P) for oscillating factors."""
-    out = 1.0
-    for period, k in zip(model.periods, mode.rep[0]):
-        out *= _torus_axis_norm(period, k)
-    return out
 
 
 @dataclass(frozen=True)
@@ -151,7 +142,12 @@ class HarmonicExtension:
     def sup_bound(self, height: float | None = None) -> float:
         """sum |c| ||phi||_sup cosh(lambda T) dominates |H| on the slab."""
         t = self.T if height is None else height
-        sups = np.array([_torus_mode_sup(self.basis.model, m) for m in self._modes])
+        # a mode's sup is the product over the axes of sqrt(2 pi / P) over
+        # the norm of its circle_basis column; cosine and sine columns share it
+        model = self.basis.model
+        freqs = np.array([m.rep[0] for m in self._modes]).reshape(-1, model.dim)
+        sups = np.prod(np.sqrt(TWO_PI / np.array(model.periods))
+                       / circle_norms(circle_columns(freqs, 0)), axis=1)
         return float((np.abs(self.coeffs) * sups) @ np.cosh(self.lams * t))
 
     def grid_boundary_values(self, t: float):

@@ -54,6 +54,9 @@ from .numerics import (
     TWO_PI,
     circle_basis,
     circle_basis_derivative,
+    circle_columns,
+    circle_frequencies,
+    circle_sums,
     gauss_legendre,
     inverse_cholesky,
     reduce_congruent,
@@ -191,7 +194,7 @@ class _Surface:
     ``axis_projections(basis, weighted)`` (per grid axis, the sum of every
     mode's factor row against ``weighted[axis]``, one value per mode: the
     quadrature check of product coefficients; a uniform periodic axis
-    takes one FFT, :func:`_fft_projections`) and
+    takes one FFT, :func:`_circle_projections`) and
     ``bandwidth(mode, width)`` (the per-axis degree, which sizes the
     exactness a product's integrands need, at coefficient row width).
 
@@ -288,18 +291,19 @@ class FlatTorus(_Surface):
         return tuple(uniform_periodic(n, p) for n, p in zip(sizes, self.periods))
 
     def axis_factor_rows(self, modes, coefficients, axis_points) -> tuple:
-        return tuple(_trig_rows(axis_points[a], *self._axis_factors(modes, a), TWO_PI / period)
+        return tuple(_trig_rows(axis_points[a], *self._axis_factors(modes, a),
+                                1.0 / math.sqrt(period), math.sqrt(2.0 / period), TWO_PI / period)
                      for a, period in enumerate(self.periods))
 
     def axis_projections(self, basis: SpectralBasis, weighted) -> tuple:
-        return tuple(_fft_projections(weighted[a], *self._axis_factors(basis.modes, a))
-                     for a in range(self.dim))
+        return tuple(_circle_projections(weighted[a], *self._axis_factors(basis.modes, a),
+                                         math.sqrt(TWO_PI / period))
+                     for a, period in enumerate(self.periods))
 
     def _axis_factors(self, modes, axis: int) -> tuple:
-        """(freqs, parities, const, amp) of the modes' normalized factors on ``axis``."""
-        period = self.periods[axis]
-        return ([m.rep[0][axis] for m in modes], [m.rep[1][axis] for m in modes],
-                1.0 / math.sqrt(period), math.sqrt(2.0 / period))
+        """(freqs, parities) of the modes' factors on ``axis``: each factor is
+        sqrt(2 pi / period) times a circle_basis column of 2 pi x / period."""
+        return [m.rep[0][axis] for m in modes], [m.rep[1][axis] for m in modes]
 
     def bandwidth(self, mode: Mode, width: int) -> tuple:
         return mode.rep[0]
@@ -343,7 +347,9 @@ def _trig_rows(x, freqs, parities, const: float, amp: float, scale: float = 1.0)
     """One row per (freq, parity) with integer freq: ``const`` where freq
     is 0, else amp * cos(scale freq x) (parity COS) or amp * sin(scale
     freq x) (parity SIN).  Each distinct pair, keyed by the integer
-    2 freq + parity, is evaluated once."""
+    2 freq + parity, is evaluated once.  ``const`` and ``amp`` are the
+    factor's scale over the circle_basis norms, written out so that a
+    row's bits do not depend on how that quotient rounds."""
     keys, inverse = np.unique(2 * np.asarray(freqs, dtype=np.int64) + np.asarray(parities),
                               return_inverse=True)
     x = np.asarray(x, dtype=float)
@@ -359,15 +365,13 @@ def _trig_rows(x, freqs, parities, const: float, amp: float, scale: float = 1.0)
     return rows[inverse.reshape(-1)]
 
 
-def _fft_projections(values, freqs, parities, const: float, amp: float) -> np.ndarray:
-    """Per (freq, parity), the sum of the :func:`_trig_rows` row against
-    ``values`` on a uniform periodic grid with a node at 0, where
-    scale freq x_j = 2 pi freq j / n: one bin of one DFT of ``values``,
-    exact for every freq below the node count n."""
-    freqs = np.asarray(freqs, dtype=np.int64)
-    picked = np.fft.fft(values)[freqs]
-    trig = amp * np.where(np.asarray(parities) == COS, picked.real, -picked.imag)
-    return np.where(freqs == 0, const * picked.real, trig)
+def _circle_projections(values, freqs, parities, scale: float = 1.0) -> np.ndarray:
+    """Per (freq, parity), the sum of the factor ``scale`` times its
+    circle_basis column against ``values`` on a uniform periodic grid with
+    a node at 0 (:func:`eigenprod.numerics.circle_sums`, one FFT), exact
+    for every freq below the node count."""
+    width = 2 * int(np.max(freqs, initial=0)) + 1
+    return scale * circle_sums(values, width)[circle_columns(freqs, parities)]
 
 
 # ---------------------------------------------------------------------------
@@ -418,12 +422,17 @@ class Sphere2(_Surface):
 
     def axis_factor_rows(self, modes, coefficients, axis_points) -> tuple:
         return (_legendre_rows([m.rep for m in modes], np.asarray(axis_points[0], dtype=float)),
-                _trig_rows(axis_points[1], *_phi_factors(modes)))
+                _trig_rows(axis_points[1], *_phi_factors(modes), 1.0, math.sqrt(2.0)))
 
     def axis_projections(self, basis: SpectralBasis, weighted) -> tuple:
-        # the Gauss x-axis is not periodic: its Legendre rows are formed here
-        x_rows = _legendre_rows([m.rep for m in basis.modes], basis.axes[0].nodes)
-        return x_rows @ weighted[0], _fft_projections(weighted[1], *_phi_factors(basis.modes))
+        # the Gauss x-axis is not periodic: its Legendre rows are formed
+        # here, once per distinct (l, |m|), keyed l^2 + |m| with |m| <= l
+        lms = np.abs([m.rep for m in basis.modes])
+        _keys, first, inverse = np.unique(lms[:, 0] ** 2 + lms[:, 1],
+                                          return_index=True, return_inverse=True)
+        x_sums = _legendre_rows(lms[first], basis.axes[0].nodes) @ weighted[0]
+        return (x_sums[inverse.reshape(-1)],
+                _circle_projections(weighted[1], *_phi_factors(basis.modes), math.sqrt(TWO_PI)))
 
     def bandwidth(self, mode: Mode, width: int) -> tuple:
         return (mode.rep[0], mode.rep[0])
@@ -444,9 +453,10 @@ class Sphere2(_Surface):
 
 
 def _phi_factors(modes) -> tuple:
-    """(freqs, parities, const, amp) of the real harmonics' phi factors."""
+    """(freqs, parities) of the real harmonics' phi factors: each is
+    sqrt(2 pi) times a circle_basis column."""
     orders = [m.rep[1] for m in modes]
-    return np.abs(orders), [SIN if o < 0 else COS for o in orders], 1.0, math.sqrt(2.0)
+    return np.abs(orders), [SIN if o < 0 else COS for o in orders]
 
 
 def normalized_legendre(l: int, m: int, x: np.ndarray) -> np.ndarray:
@@ -459,40 +469,43 @@ def normalized_legendre(l: int, m: int, x: np.ndarray) -> np.ndarray:
     """
     if l < 0 or m < 0 or m > l:
         raise ParameterError("need 0 <= m <= l")
-    return _legendre_ladder(m, l, np.asarray(x, dtype=float))[-1]
-
-
-def _legendre_ladder(m: int, l_max: int, x: np.ndarray) -> list:
-    """[P(m,m,x), P(m+1,m,x), ..., P(l_max,m,x)] from one run of the
-    recursion of :func:`normalized_legendre`."""
-    u = np.sqrt(np.maximum(0.0, 1.0 - x * x))
-    p_mm = np.full(x.shape, 1.0 / math.sqrt(4.0 * math.pi))
-    for j in range(1, m + 1):
-        p_mm = math.sqrt((2.0 * j + 1.0) / (2.0 * j)) * u * p_mm
-    ladder = [p_mm]
-    if l_max == m:
-        return ladder
-    p_prev = p_mm
-    p_cur = math.sqrt(2.0 * m + 3.0) * x * p_mm
-    ladder.append(p_cur)
-    for j in range(m + 2, l_max + 1):
-        a = math.sqrt((4.0 * j * j - 1.0) / (j * j - m * m))
-        b = math.sqrt(((j - 1.0) ** 2 - m * m) / (4.0 * (j - 1.0) ** 2 - 1.0))
-        p_cur, p_prev = a * (x * p_cur - b * p_prev), p_cur
-        ladder.append(p_cur)
-    return ladder
+    x = np.asarray(x, dtype=float)
+    return _legendre_rows([(l, m)], x.reshape(-1))[0].reshape(x.shape)
 
 
 def _legendre_rows(lms, x: np.ndarray) -> np.ndarray:
-    """P(l, |m|, x) for every (l, m) in ``lms``, one recursion per order."""
-    by_order: dict = {}
-    for row, (l, m) in enumerate(lms):
-        by_order.setdefault(abs(m), []).append((row, l))
-    out = np.empty((len(lms), x.shape[0]))
-    for order, wanted in by_order.items():
-        ladder = _legendre_ladder(order, max(l for _row, l in wanted), x)
-        for row, l in wanted:
-            out[row] = ladder[l - order]
+    """P(l, |m|, x) for every (l, m) in ``lms`` by the recursion of
+    :func:`normalized_legendre`, run for every order at once: pass t
+    steps each order m from degree m + t - 1 to m + t, so the passes
+    number the top degree, not the degree-order pairs."""
+    pairs = np.abs(np.asarray(lms, dtype=np.int64)).reshape(-1, 2)
+    out = np.empty((pairs.shape[0], x.shape[0]))
+    if not pairs.size:
+        return out
+    orders, slots = np.unique(pairs[:, 1], return_inverse=True)
+    steps = pairs[:, 0] - pairs[:, 1]
+    by_step = np.argsort(steps, kind="stable")
+    bounds = np.searchsorted(steps[by_step], np.arange(int(steps.max()) + 2)).tolist()
+    u = np.sqrt(np.maximum(0.0, 1.0 - x * x))
+    current = np.empty((orders.shape[0], x.shape[0]))
+    p_mm = np.full(x.shape, 1.0 / math.sqrt(4.0 * math.pi))
+    for slot, (low, high) in enumerate(zip([0, *orders[:-1].tolist()], orders.tolist())):
+        for j in range(low + 1, high + 1):
+            p_mm = math.sqrt((2.0 * j + 1.0) / (2.0 * j)) * u * p_mm
+        current[slot] = p_mm
+    # the recursion's coefficients at degree j = m + t, one row per pass t >= 2
+    m = orders
+    j = m + np.arange(2, len(bounds) - 1)[:, None]
+    a = np.sqrt((4.0 * j * j - 1.0) / (j * j - m * m))[:, :, None]
+    b = np.sqrt(((j - 1.0) ** 2 - m * m) / (4.0 * (j - 1.0) ** 2 - 1.0))[:, :, None]
+    previous = None
+    for t in range(len(bounds) - 1):
+        if t == 1:
+            previous, current = current, (np.sqrt(2.0 * m + 3.0)[:, None] * x) * current
+        elif t > 1:
+            previous, current = current, a[t - 2] * (x * current - b[t - 2] * previous)
+        rows = by_step[bounds[t]:bounds[t + 1]]
+        out[rows] = current[slots[rows]]
     return out
 
 
@@ -619,17 +632,14 @@ class RevTorus(_Surface):
         s_values, inverse = np.unique(np.asarray(axis_points[0], dtype=float),
                                       return_inverse=True)
         s_rows = coefficients @ circle_basis(s_values, coefficients.shape[1]).T
-        return s_rows[:, inverse.reshape(-1)], _trig_rows(axis_points[1], *_theta_factors(modes))
+        return s_rows[:, inverse.reshape(-1)], _trig_rows(
+            axis_points[1], *_theta_factors(modes), 1.0 / math.sqrt(TWO_PI), 1.0 / math.sqrt(math.pi))
 
     def axis_projections(self, basis: SpectralBasis, weighted) -> tuple:
-        # The s sums are the coefficient rows against the s vector projected
-        # onto the circle_basis columns (column c: freq (c + 1) // 2, cosine
-        # for odd c).  No (modes, nodes) array is formed.
-        columns = np.arange(basis.coefficients.shape[1])
-        projected = _fft_projections(weighted[0], (columns + 1) // 2, 1 - columns % 2,
-                                     1.0 / math.sqrt(TWO_PI), 1.0 / math.sqrt(math.pi))
-        return (basis.coefficients @ projected,
-                _fft_projections(weighted[1], *_theta_factors(basis.modes)))
+        # the s sums are the coefficient rows against the s vector's
+        # circle_basis sums: no (modes, nodes) array is formed
+        return (basis.coefficients @ circle_sums(weighted[0], basis.coefficients.shape[1]),
+                _circle_projections(weighted[1], *_theta_factors(basis.modes)))
 
     def bandwidth(self, mode: Mode, width: int) -> tuple:
         # the s bandwidth is estimated by the Galerkin truncation per factor
@@ -637,9 +647,9 @@ class RevTorus(_Surface):
 
 
 def _theta_factors(modes) -> tuple:
-    """(freqs, parities, const, amp) of the modes' normalized theta factors."""
-    return ([m.rep[0] for m in modes], [m.rep[1] for m in modes],
-            1.0 / math.sqrt(TWO_PI), 1.0 / math.sqrt(math.pi))
+    """(freqs, parities) of the modes' theta factors: each is a
+    circle_basis column."""
+    return [m.rep[0] for m in modes], [m.rep[1] for m in modes]
 
 
 def _rev_parity_indices(trunc: int):
@@ -656,12 +666,7 @@ def rev_profile_derivatives(coeffs: np.ndarray, s: np.ndarray):
     s = np.asarray(s, dtype=float)
     basis = circle_basis(s, size)
     deriv = circle_basis_derivative(s, size)
-    trunc = (size - 1) // 2
-    freqs = np.arange(1, trunc + 1, dtype=float)
-    dd_coeffs = coeffs.copy()
-    dd_coeffs[0] = 0.0
-    dd_coeffs[1::2] = -(freqs**2) * coeffs[1::2]
-    dd_coeffs[2::2] = -(freqs**2) * coeffs[2::2]
+    dd_coeffs = -(circle_frequencies(np.arange(size)) ** 2.0) * coeffs
     return basis @ coeffs, deriv @ coeffs, basis @ dd_coeffs
 
 

@@ -1,8 +1,16 @@
 """Deterministic numerical kernels.
 
 Quadrature rules (Gauss-Legendre, uniform periodic), a dense symmetric
-generalized eigensolver, and the Fourier-Galerkin matrices of the
-torus-of-revolution profile problem in closed form.
+generalized eigensolver, the Fourier-Galerkin matrices of the
+torus-of-revolution profile problem in closed form, and the real Fourier
+codec of every periodic axis.
+
+The codec owns the column layout of :func:`circle_basis` (column <->
+(freq, parity) and each column's normalization), the conversion of a row
+to e^{ins} coefficients and back, the product of rows
+(:func:`circle_product`, one ``np.convolve`` per factor) and the sums of
+every column against a vector on a uniform grid (:func:`circle_sums`, one
+``np.fft.fft``).  No other module calls ``np.convolve`` or ``np.fft``.
 
 The eigensolver reduces a pencil (A, B) once: :func:`inverse_cholesky`
 factors B = L L^T (LAPACK ``dpotrf``, ``dtrtri``) and
@@ -51,6 +59,13 @@ __all__ = [
     "reduced_eig",
     "rev_galerkin_terms",
     "circle_basis",
+    "circle_columns",
+    "circle_frequencies",
+    "circle_norms",
+    "to_exponential",
+    "from_exponential",
+    "circle_product",
+    "circle_sums",
     "circle_basis_derivative",
 ]
 
@@ -257,6 +272,75 @@ def circle_basis(s: np.ndarray, size: int) -> np.ndarray:
     return out
 
 
+def circle_columns(freqs, parities) -> np.ndarray:
+    """The :func:`circle_basis` column of each (freq, parity), parity 0 for
+    a cosine and 1 for a sine: 0 at freq 0, else 2 freq - 1 + parity."""
+    freqs = np.asarray(freqs, dtype=np.int64)
+    return np.where(freqs == 0, 0, 2 * freqs - 1 + np.asarray(parities, dtype=np.int64))
+
+
+def circle_frequencies(columns) -> np.ndarray:
+    """The frequency of each :func:`circle_basis` column."""
+    return (np.asarray(columns, dtype=np.int64) + 1) // 2
+
+
+def circle_norms(columns) -> np.ndarray:
+    """The L2 norm over one period of 1, cos(freq s) or sin(freq s):
+    :func:`circle_basis` column c is that function over circle_norms(c)."""
+    return np.where(np.asarray(columns) == 0, math.sqrt(TWO_PI), math.sqrt(math.pi))
+
+
+def to_exponential(row) -> np.ndarray:
+    """Coefficients of e^{ins}, n = -N .. N, of the real series whose
+    coefficients against 1, cos s, sin s, cos 2s, ... are ``row`` (length
+    2N+1, the column order of :func:`circle_basis` without its
+    normalization).  Only halving, so :func:`from_exponential` inverts it
+    exactly."""
+    row = np.asarray(row, dtype=float)
+    half = 0.5 * (row[1::2] - 1j * row[2::2])
+    return np.concatenate((np.conj(half[::-1]), row[:1], half))
+
+
+def from_exponential(coeffs) -> np.ndarray:
+    """The real series of :func:`to_exponential` from the e^{ins}
+    coefficients of a real function (length 2N+1, n = -N .. N)."""
+    coeffs = np.asarray(coeffs)
+    centre = (coeffs.shape[0] - 1) // 2
+    half = coeffs[centre + 1:]
+    row = np.empty(coeffs.shape[0])
+    row[0] = coeffs[centre].real
+    row[1::2] = 2.0 * half.real
+    row[2::2] = -2.0 * half.imag
+    return row
+
+
+def circle_product(rows) -> np.ndarray:
+    """The product of real series in the layout of :func:`to_exponential`
+    (each of odd length): the convolution of their e^{ins} coefficients,
+    of length sum(len(row) - 1) + 1."""
+    series = np.ones(1, dtype=complex)
+    for row in rows:
+        series = np.convolve(series, to_exponential(row))
+    return from_exponential(series)
+
+
+def circle_sums(values, width: int) -> np.ndarray:
+    """``circle_basis(nodes, width).T @ values`` on the uniform grid
+    nodes 2 pi j / n, n = len(values), from one FFT: the sum against
+    cos(k s) and sin(k s) is the real part and minus the imaginary part of
+    bin k.  Exact for every column up to width 2n - 1."""
+    values = np.asarray(values, dtype=float)
+    if width < 1 or width % 2 == 0 or width > 2 * values.shape[0] - 1:
+        raise ParameterError(
+            f"circle sums need an odd width <= {2 * values.shape[0] - 1}, got {width}")
+    bins = np.fft.fft(values)[:(width + 1) // 2]
+    sums = np.empty(width)
+    sums[0] = bins[0].real
+    sums[1::2] = bins[1:].real
+    sums[2::2] = -bins[1:].imag
+    return sums / circle_norms(np.arange(width))
+
+
 def circle_basis_derivative(s: np.ndarray, size: int) -> np.ndarray:
     """d/ds of :func:`circle_basis`, same column layout."""
     if size < 1 or size % 2 == 0:
@@ -302,7 +386,7 @@ def rev_galerkin_terms(big: float, small: float, trunc: int):
         raise ParameterError(
             f"profile {big!r} + {small!r} cos s must stay positive: need 0 <= small < big")
     size = 2 * trunc + 1
-    freq = np.concatenate(([0], np.repeat(np.arange(1, trunc + 1), 2)))
+    freq = circle_frequencies(np.arange(size))
     # +1 on cosine rows, -1 on sine rows: the sign of W_{k+l} in B
     sign = np.where((np.arange(size) % 2 == 0) & (freq > 0), -1.0, 1.0)[:, None]
     same = sign == sign.T

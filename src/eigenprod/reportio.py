@@ -1,22 +1,20 @@
 """Deterministic report serialization and atomic file output.
 
-JSON is the source-of-truth report format: keys sorted, floats printed
-with up to 17 significant digits (round-trip exact), no NaN or infinity
-ever serialized.  Identical in-memory reports therefore produce
-byte-identical files.
+JSON is the source-of-truth report format, written by ``json.dumps``:
+keys sorted, two-space indent, floats in their shortest round-trip
+``repr``, no NaN or infinity ever serialized.  Identical in-memory
+reports therefore produce byte-identical files.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import os
 import tempfile
 
 from .errors import ParameterError
 
 __all__ = [
-    "format_float",
     "canonical_json",
     "atomic_write_text",
     "atomic_write_bytes",
@@ -25,63 +23,14 @@ __all__ = [
 ]
 
 
-def format_float(value: float) -> str:
-    if math.isnan(value) or math.isinf(value):
-        raise ParameterError("refusing to serialize a non-finite float")
-    text = format(value, ".17g")
-    if "e" not in text and "E" not in text and "." not in text:
-        text += ".0"  # keep the value a float on reload
-    return text
-
-
-def _serialize(obj, pieces: list, indent: int):
-    pad = "  " * indent
-    if obj is None:
-        pieces.append("null")
-    elif obj is True:
-        pieces.append("true")
-    elif obj is False:
-        pieces.append("false")
-    elif isinstance(obj, int):
-        pieces.append(str(obj))
-    elif isinstance(obj, float):
-        pieces.append(format_float(obj))
-    elif isinstance(obj, str):
-        pieces.append(json.dumps(obj, ensure_ascii=True))
-    elif isinstance(obj, dict):
-        if not obj:
-            pieces.append("{}")
-            return
-        keys = sorted(obj)
-        if any(not isinstance(k, str) for k in keys):
-            raise ParameterError("report keys must be strings")
-        pieces.append("{\n")
-        for i, key in enumerate(keys):
-            pieces.append("  " * (indent + 1))
-            pieces.append(json.dumps(key, ensure_ascii=True))
-            pieces.append(": ")
-            _serialize(obj[key], pieces, indent + 1)
-            pieces.append(",\n" if i + 1 < len(keys) else "\n")
-        pieces.append(pad + "}")
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            pieces.append("[]")
-            return
-        pieces.append("[\n")
-        for i, item in enumerate(obj):
-            pieces.append("  " * (indent + 1))
-            _serialize(item, pieces, indent + 1)
-            pieces.append(",\n" if i + 1 < len(obj) else "\n")
-        pieces.append(pad + "]")
-    else:
-        raise ParameterError(f"cannot serialize {type(obj).__name__} into a report")
-
-
 def canonical_json(obj) -> str:
-    pieces: list = []
-    _serialize(obj, pieces, 0)
-    pieces.append("\n")
-    return "".join(pieces)
+    """``obj`` as indented JSON with sorted keys and a final newline.
+    Raises :class:`ParameterError` on a non-finite float or a value JSON
+    cannot hold."""
+    try:
+        return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    except (TypeError, ValueError) as exc:
+        raise ParameterError(f"cannot serialize the report: {exc}") from exc
 
 
 def atomic_write_text(path, text: str) -> None:

@@ -27,7 +27,7 @@ from eigenprod.manifolds import (
     model_descriptor,
     save_basis,
 )
-from eigenprod.reportio import canonical_json, diff_paths, format_float
+from eigenprod.reportio import canonical_json, diff_paths
 from eigenprod.svgplot import svg_coefficient_plot
 
 TWO_PI = 2.0 * math.pi
@@ -175,6 +175,18 @@ def test_label_factors_need_no_probe_basis(tmp_path, monkeypatch, model, factors
     assert len(list((tmp_path / "probed" / "cache").glob("*.eprd"))) >= 2
     for key in ("results", "provenance"):
         assert read(out, "product.json")[key] == read(probed, "product.json")[key]
+
+
+def test_explicit_lambda_max_builds_no_probe_basis(tmp_path, capsys):
+    # with --lambda-max, plain ids are resolved on the final basis alone
+    argv = ("product", *MODEL_ARGS["rev"], "--lambda-max", "4.5", "--factors")
+    code, _out = run(tmp_path / "held", *argv, "1,3")
+    assert code == 0
+    assert len(list((tmp_path / "held" / "cache").glob("*.eprd"))) == 1
+    code, _out = run(tmp_path / "missing", *argv, "1,999")
+    assert code == 2
+    assert "mode id 999" in capsys.readouterr().err
+    assert len(list((tmp_path / "missing" / "cache").glob("*.eprd"))) == 1
 
 
 SCIPY_LOADED = "sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))"
@@ -429,7 +441,7 @@ def test_canonical_json_is_deterministic_and_round_trip_safe():
     assert text1 == text2
     parsed = json.loads(text1)
     assert parsed["b"][2] == 12345.678901234567
-    assert format_float(0.1) == "0.10000000000000001"
+    assert parsed == payload
     with pytest.raises(ParameterError):
         canonical_json({"bad": float("inf")})
 

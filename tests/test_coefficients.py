@@ -18,6 +18,7 @@ from eigenprod.coefficients import (
     parseval_report,
     quadrature_coefficients,
     series_to_csv,
+    torus_support_lambda,
     wigner_3j,
 )
 from eigenprod.errors import BreakdownError, ParameterError, UnderResolvedError
@@ -222,6 +223,18 @@ def test_circle_three_factor_hand_values(circle_basis):
     assert set(nonzero) == set(expected)
     for mode_id, value in expected.items():
         assert nonzero[mode_id] == pytest.approx(value, abs=1e-13)
+
+
+def test_support_lambda_is_the_hypot_of_the_axis_frequency_sums():
+    # the top frequency of each axis product is the sum of the factors'
+    model = FlatTorus(2, (2.5, 4.0))
+    basis = build_basis(model, 6.0)
+    rng = np.random.default_rng(3)
+    for _ in range(40):
+        ids = tuple(int(i) for i in rng.integers(0, basis.size, size=rng.integers(1, 5)))
+        sums = np.sum([basis.modes[i].rep[0] for i in ids], axis=0)
+        expected = math.hypot(*(k * (TWO_PI / p) for k, p in zip(sums, model.periods)))
+        assert torus_support_lambda(ProductSpec(basis, ids)) == pytest.approx(expected, rel=1e-15)
 
 
 def test_expansion_permutation_invariance(circle_basis):

@@ -799,6 +799,19 @@ def test_model_isinstance_only_in_input_guards():
     assert found == guards
 
 
+def test_fft_and_convolve_only_in_numerics():
+    # the real Fourier codec of every periodic axis lives in numerics
+    found = set()
+    package = pathlib.Path(manifolds.__file__).parent
+    for path in sorted(package.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                name = ast.unparse(node.func)
+                if name == "np.convolve" or name.startswith("np.fft."):
+                    found.add(path.stem)
+    assert found == {"numerics"}
+
+
 def test_every_exported_name_resolves():
     # a stale __all__ entry breaks ``from eigenprod.<module> import *``
     package = pathlib.Path(manifolds.__file__).parent

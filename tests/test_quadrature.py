@@ -11,7 +11,11 @@ from eigenprod.errors import GeometryError, ParameterError
 from eigenprod.numerics import (
     QuadratureGrid,
     circle_basis,
+    circle_columns,
+    circle_sums,
+    from_exponential,
     gauss_legendre,
+    to_exponential,
     uniform_periodic,
 )
 
@@ -150,6 +154,52 @@ def test_circle_basis_gram_is_identity():
     basis = circle_basis(grid.nodes, size)
     gram = (basis * grid.weights[:, None]).T @ basis
     assert np.max(np.abs(gram - np.eye(size))) <= 1e-12
+
+
+def test_exponential_round_trip_is_exact():
+    rng = np.random.default_rng(5)
+    for width in (1, 3, 9, 65):
+        row = rng.standard_normal(width) * np.exp(rng.uniform(-30.0, 30.0, width))
+        assert np.array_equal(from_exponential(to_exponential(row)), row)
+
+
+def _unit(freq, parity):
+    row = np.zeros(2 * freq + 1)
+    row[circle_columns(freq, parity)] = 1.0
+    return row
+
+
+def test_convolved_unit_columns_are_the_product_to_sum_identities():
+    # rows hold coefficients of 1, cos(ks), sin(ks): the product of two
+    # unit columns is half the sum and difference columns, to the bit
+    units = [(f, p) for f in range(4) for p in (0, 1) if f or p == 0]
+    for fa, pa in units:
+        for fb, pb in units:
+            expected = np.zeros(2 * (fa + fb) + 1)
+            # cos a cos b, sin a sin b, sin a cos b, cos a sin b as
+            # (parity, sign of the difference term, sign of the sum term)
+            parity, diff, total = {(0, 0): (0, 0.5, 0.5), (1, 1): (0, 0.5, -0.5),
+                                   (1, 0): (1, 0.5, 0.5), (0, 1): (1, -0.5, 0.5)}[pa, pb]
+            for freq, value in ((fa - fb, diff), (fa + fb, total)):
+                if parity == 1 and freq < 0:
+                    freq, value = -freq, -value
+                if parity == 0 or freq:  # sin(0 s) vanishes
+                    expected[circle_columns(abs(freq), parity)] += value
+            product = from_exponential(np.convolve(to_exponential(_unit(fa, pa)),
+                                                   to_exponential(_unit(fb, pb))))
+            assert np.array_equal(product, expected), (fa, pa, fb, pb)
+
+
+@pytest.mark.parametrize("n", [1, 10, 16, 33])
+def test_circle_sums_are_the_column_sums(n):
+    grid = uniform_periodic(n, TWO_PI)
+    values = np.random.default_rng(n).standard_normal(n)
+    for width in range(1, 2 * n, 2):
+        expected = circle_basis(grid.nodes, width).T @ values
+        assert np.max(np.abs(circle_sums(values, width) - expected)) <= 1e-13
+    for width in (0, 2, 2 * n + 1):
+        with pytest.raises(ParameterError):
+            circle_sums(values, width)
 
 
 def test_quadrature_grid_is_one_dimensional():
