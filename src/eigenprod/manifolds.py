@@ -69,21 +69,24 @@ from .reportio import atomic_write_bytes
 COS, SIN = 0, 1
 
 CACHE_MAGIC = b"EPRD"
-CACHE_VERSION = 7
+CACHE_VERSION = 8
 # largest relative residual |A v - mu B v| / max|A| a rev-torus build accepts
 MAX_EIGEN_RESIDUAL = 1e-10
 # Build caps.  Grids are exact for the coefficient and norm integrands of
 # products of up to GRID_PRODUCT_FACTORS eigenfunctions, with GRID_MARGIN
-# spare degrees.  A rev-torus s-truncation is N = max(REV_TRUNCATION_FLOOR,
-# 4 ceil(lambda_max r)).  Up to REV_TRUNCATION_CAP its digests were measured
-# equal at 1 and 2 BLAS threads; at N = 144 they differ.  REV_M_CAP keeps
-# lambda_max r below 16.5 (r < R), so N <= 68 unless the m cap is raised.
+# spare degrees.  A rev-torus s-truncation is sized by the profile's
+# analyticity strip |Im s| < sigma = arccosh(R / r): past k = lambda a
+# mode's s-coefficients fall like exp(-sigma (k - lambda)), so
+# N = lambda_max + ceil(36 / sigma), rounded up to a multiple of 8
+# (_rev_truncation).  Up to REV_TRUNCATION_CAP its digests were measured
+# equal at 1 and 2 BLAS threads; at N = 144 they differ.  Thin necks
+# (R / r near 1, small sigma) pass the cap and are refused, not built
+# under-resolved.
 GRID_PRODUCT_FACTORS = 3
 GRID_MARGIN = 8
 TORUS_FREQ_CAP = 128
 SPHERE_L_CAP = 64
 REV_M_CAP = 32
-REV_TRUNCATION_FLOOR = 64
 REV_TRUNCATION_CAP = 128
 
 __all__ = [
@@ -559,7 +562,7 @@ class RevTorus(_Surface):
             raise UnderResolvedError(
                 f"angular family m={m_scan} needed for lambda_max={lambda_max} "
                 f"(cap {REV_M_CAP})")
-        trunc = max(REV_TRUNCATION_FLOOR, 4 * int(math.ceil(lambda_max * small)))
+        trunc = _rev_truncation(self, lambda_max)
         if trunc > REV_TRUNCATION_CAP:
             raise UnderResolvedError(
                 f"s-profile truncation N={trunc} exceeds cap {REV_TRUNCATION_CAP}")
@@ -650,6 +653,16 @@ def _theta_factors(modes) -> tuple:
     """(freqs, parities) of the modes' theta factors: each is a
     circle_basis column."""
     return [m.rep[0] for m in modes], [m.rep[1] for m in modes]
+
+
+def _rev_truncation(model: RevTorus, lambda_max: float) -> int:
+    """The s-truncation N of a rev-torus build to ``lambda_max``:
+    lambda_max + ceil(36 / sigma) with sigma = arccosh(R / r), rounded up
+    to a multiple of 8.  36 is about ln 2^52, so a mode's first dropped
+    coefficient lies near 2^-52 of its largest (at least 8, where R / r
+    overflows to an infinite strip)."""
+    sigma = math.acosh(model.major_radius / model.minor_radius)
+    return max(8, _round_up(math.ceil(lambda_max + math.ceil(36.0 / sigma)), 8))
 
 
 def _rev_parity_indices(trunc: int):

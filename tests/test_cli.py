@@ -560,6 +560,16 @@ def test_basis_past_the_cap_at_huge_lambda_max_exits_2(tmp_path, argv, capsys):
     assert not (out / "basis.json").exists()
 
 
+def test_basis_on_a_thin_neck_past_the_truncation_cap_exits_2(tmp_path, capsys):
+    # R / r = 1.02: the strip width arccosh(1.02) = 0.20 asks for N = 184
+    code, out = run(tmp_path, "basis", "--model", "rev-torus", "--R", "1.02", "--r", "1",
+                    "--lambda-max", "2")
+    assert code == 2
+    assert "truncation N=184 exceeds cap 128" in capsys.readouterr().err
+    assert not (out / "basis.json").exists()
+    assert not (tmp_path / "cache").exists() or not any((tmp_path / "cache").iterdir())
+
+
 def test_cached_basis_serves_hits_and_rebuilds_mismatched_files(tmp_path, monkeypatch):
     model = FlatTorus(1, (TWO_PI,))
     cache = str(tmp_path / "cache")

@@ -346,26 +346,69 @@ def test_rev_torus_strong_form_residual(rev_basis_3):
 
 def test_rev_torus_self_convergence(monkeypatch):
     # doubling the Galerkin truncation moves no kept eigenvalue by > 1e-8
-    coarse = build_basis(RevTorus(2.0, 1.0), 3.0)
-    monkeypatch.setattr(manifolds, "REV_TRUNCATION_FLOOR", 128)
-    fine = build_basis(RevTorus(2.0, 1.0), 3.0)
-    assert coarse.coefficients.shape[1] == 2 * 64 + 1
-    assert fine.coefficients.shape[1] == 2 * 128 + 1
+    model = RevTorus(2.0, 1.0)
+    coarse = build_basis(model, 3.0)
+    trunc = manifolds._rev_truncation(model, 3.0)
+    monkeypatch.setattr(manifolds, "_rev_truncation", lambda _model, _lam: 2 * trunc)
+    fine = build_basis(model, 3.0)
+    assert coarse.coefficients.shape[1] == 2 * 32 + 1
+    assert fine.coefficients.shape[1] == 2 * 64 + 1
     assert coarse.size == fine.size
     assert np.max(np.abs(coarse.lambdas() - fine.lambdas())) <= 1e-8
+
+
+@pytest.mark.parametrize("big, small, lambda_max, trunc", [
+    (5.0, 1.0, 3.0, 24), (2.0, 1.0, 3.0, 32), (2.0, 1.0, 4.5, 40), (1.3, 1.0, 4.0, 56),
+    (2.0, 1.9, 3.0, 120), (2.0, 1.9, 8.1, 128), (1.02, 1.0, 2.0, 184),
+    # R / r overflows to an infinite strip: the floor of 8 keeps a pencil
+    (1e300, 1e-10, 0.0, 8),
+])
+def test_rev_truncation_is_lambda_max_plus_the_strip_decay_length(big, small, lambda_max, trunc):
+    # N = lambda_max + ceil(36 / arccosh(R / r)), rounded up to a multiple of 8
+    assert manifolds._rev_truncation(RevTorus(big, small), lambda_max) == trunc
+
+
+def _profiles_by_family(basis):
+    """Each mode's coefficient row keyed by (m, theta parity, s parity, q),
+    with q counting the modes of one (m, theta parity, s parity) by lambda."""
+    families = {}
+    for mode, coeffs in zip(basis.modes, basis.coefficients):
+        families.setdefault((*mode.rep, SIN if any(coeffs[2::2]) else COS), []).append(coeffs)
+    return {(*key, q): row for key, rows in families.items() for q, row in enumerate(rows)}
+
+
+@pytest.mark.parametrize("big, small, lambda_max", [
+    (5.0, 1.0, 3.0), (2.0, 1.0, 3.0), (1.3, 1.0, 4.0), (2.0, 1.9, 3.0),
+], ids=["sigma2.29", "sigma1.32", "sigma0.76", "sigma0.32"])
+def test_rev_truncation_matches_a_wide_reference_across_the_strip_ladder(
+        monkeypatch, big, small, lambda_max):
+    # the strip rule's basis (N = 24, 32, 56, 120 here) against an N = 192
+    # build: every profile coefficient within 1e-12 after sign alignment
+    model = RevTorus(big, small)
+    ours = _profiles_by_family(build_basis(model, lambda_max))
+    monkeypatch.setattr(manifolds, "REV_TRUNCATION_CAP", 192)
+    monkeypatch.setattr(manifolds, "_rev_truncation", lambda _model, _lam: 192)
+    reference = _profiles_by_family(build_basis(model, lambda_max))
+    assert ours.keys() == reference.keys()
+    gap = 0.0
+    for key, row in reference.items():
+        padded = np.zeros_like(row)
+        padded[:ours[key].size] = ours[key]
+        sign = 1.0 if padded @ row >= 0.0 else -1.0
+        gap = max(gap, float(np.max(np.abs(sign * padded - row))))
+    assert gap <= 1e-12
 
 
 def test_rev_torus_digest_does_not_depend_on_blas_threads():
     # the digest covers every profile coefficient and the residual, so it
     # is the bit-level check; each thread count runs in a fresh process.
-    # The last input runs at the truncation cap, the widest pencil a build
-    # may solve.
+    # The last input, a thin neck just inside the angular cap, runs at the
+    # truncation cap, the widest pencil a build may solve.
     src = str(pathlib.Path(manifolds.__file__).parents[1])
     probe = ("from eigenprod import RevTorus, basis_digest, build_basis, manifolds; "
              "print(*(basis_digest(build_basis(RevTorus(R, r), lam)) for R, r, lam "
              "in ((2.0, 1.0, 6.0), (2.0, 1.0, 3.0), (1.8, 0.9, 4.5)))); "
-             "manifolds.REV_TRUNCATION_FLOOR = manifolds.REV_TRUNCATION_CAP; "
-             "capped = build_basis(RevTorus(2.0, 1.9), 3.0); "
+             "capped = build_basis(RevTorus(2.0, 1.9), 8.1); "
              "assert capped.coefficients.shape[1] == 2 * manifolds.REV_TRUNCATION_CAP + 1; "
              "print(basis_digest(capped))")
     digests = []
@@ -378,12 +421,14 @@ def test_rev_torus_digest_does_not_depend_on_blas_threads():
     assert digests[0] == digests[1]
 
 
-def _gvd_rev_modes(model, lambda_max):
-    """(lam, m, theta parity, s parity, coefficients) of every kept mode,
-    sorted like a basis, from one full-spectrum dsygvd per family and
-    s-parity block: the reference for the reduced, kept-subset solver."""
-    big, small = model.major_radius, model.minor_radius
-    trunc = max(64, 4 * math.ceil(lambda_max * small))
+def _gvd_rev_modes(basis):
+    """(lam, m, theta parity, s parity, coefficients) of every mode kept to
+    the basis's lambda_max at its s-truncation, sorted like a basis, from
+    one full-spectrum dsygvd per family and s-parity block: the reference
+    for the reduced, kept-subset solver."""
+    big, small = basis.model.major_radius, basis.model.minor_radius
+    lambda_max = basis.lambda_max
+    trunc = (basis.coefficients.shape[1] - 1) // 2
     stiff, inv_weight, mass = rev_galerkin_terms(big, small, trunc)
     blocks = ((COS, np.array([0] + list(range(1, 2 * trunc, 2)))),
               (SIN, np.arange(2, 2 * trunc + 1, 2)))
@@ -422,7 +467,7 @@ def _rev_cold_lambda(big, small):
 def test_reduced_subset_solver_matches_full_dsygvd(big, small, lambda_max):
     lambda_max = lambda_max or _rev_cold_lambda(big, small)
     basis = build_basis(RevTorus(big, small), lambda_max)
-    oracle = _gvd_rev_modes(basis.model, lambda_max)
+    oracle = _gvd_rev_modes(basis)
     ours = [(mode.lam, mode.rep[0], mode.rep[1], SIN if any(coeffs[2::2]) else COS, coeffs)
             for mode, coeffs in zip(basis.modes, basis.coefficients)]
     assert [entry[1:4] for entry in ours] == [entry[1:4] for entry in oracle]
@@ -445,13 +490,13 @@ def test_rev_torus_residual_check_can_fail(tmp_path, monkeypatch):
     assert code == 3
 
 
-def test_rev_torus_under_resolution_errors(monkeypatch):
+def test_rev_torus_under_resolution_errors():
     with pytest.raises(UnderResolvedError, match="angular"):
         build_basis(RevTorus(2.0, 1.0), 40.0)
-    # at lambda 33 the angular scan needs m = 99 and the truncation N = 132
-    monkeypatch.setattr(manifolds, "REV_M_CAP", 99)
-    with pytest.raises(UnderResolvedError, match="truncation N=132 exceeds cap 128"):
-        build_basis(RevTorus(2.0, 1.0), 33.0)
+    # a thin neck: sigma = arccosh(1.02) = 0.20 asks for N = 184 at
+    # lambda 1, far inside the angular cap (m <= 2)
+    with pytest.raises(UnderResolvedError, match="truncation N=184 exceeds cap 128"):
+        build_basis(RevTorus(1.02, 1.0), 1.0)
 
 
 def test_torus_under_resolution_error():
@@ -641,13 +686,14 @@ def split_payload(payload: bytes):
 def test_rev_mode_payload_layout(rev_basis_3):
     # rev-torus bits depend on the BLAS build, so pin the layout instead: a
     # canonical header with m and theta parity as columns, then the lambda
-    # column and the 2N+1 profile coefficients per mode, row-major
+    # column and the 2N+1 profile coefficients per mode, row-major, with
+    # N = 32 from the strip rule on (2, 1) at lambda 3
     payload = manifolds._basis_payload(rev_basis_3)
     header, values = split_payload(payload)
     header_text = payload.partition(b"\n")[0]
     assert header_text == json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
     modes = rev_basis_3.modes
-    count, width = len(modes), 2 * 64 + 1
+    count, width = len(modes), 2 * 32 + 1
     assert header["model"] == {"kind": "rev-torus", "major_radius": (2.0).hex(),
                                "minor_radius": (1.0).hex()}
     assert rev_basis_3.coefficients.shape == (count, width)
