@@ -43,6 +43,7 @@ from .extension import (
     cauchy_estimate_check,
     compute_extension_params,
     greens_coefficient,
+    greens_coefficients,
     harmonic_extension_flat,
 )
 from .manifolds import (
@@ -94,7 +95,7 @@ __all__ = [
     # extension
     "ExtensionParams", "HarmonicExtension", "CauchyCheck",
     "compute_extension_params", "harmonic_extension_flat",
-    "greens_coefficient", "cauchy_estimate_check",
+    "greens_coefficient", "greens_coefficients", "cauchy_estimate_check",
     # remez
     "DoublingReport", "RemezReport", "GoodSetResult", "doubling_index",
     "sublevel_measure", "remez_fit", "good_set_experiment", "harmonic_lift",

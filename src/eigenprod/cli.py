@@ -41,7 +41,7 @@ from .errors import (
 from .extension import (
     cauchy_estimate_check,
     compute_extension_params,
-    greens_coefficient,
+    greens_coefficients,
     harmonic_extension_flat,
 )
 from .manifolds import (
@@ -539,10 +539,8 @@ def _cmd_greens(config, cache_dir):
     per_height = []
     worst = 0.0
     for height in heights:
-        errs = [
-            abs(greens_coefficient(ext, mode.id, height) - series.coeffs[mode.id])
-            for mode in basis.modes if mode.lam > 0.0
-        ]
+        errs = [abs(c - series.coeffs[mode_id])
+                for mode_id, c in greens_coefficients(ext, height).items()]
         err = float(max(errs))
         worst = max(worst, err)
         per_height.append({"height": height, "max_error": err})

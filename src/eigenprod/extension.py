@@ -33,6 +33,7 @@ __all__ = [
     "compute_extension_params",
     "harmonic_extension_flat",
     "greens_coefficient",
+    "greens_coefficients",
     "cauchy_estimate_check",
 ]
 
@@ -139,6 +140,14 @@ class HarmonicExtension:
         heights: the mode matrix is built once, here."""
         return PointSample(self, self._mode_matrix(points))
 
+    def on_lattice(self, coords) -> PointSample:
+        """:meth:`at` on the tensor lattice of the per-axis chart
+        coordinates ``coords`` (first axis slowest), with the mode matrix
+        formed axis by axis: the same bits as :meth:`at` on the lattice's
+        points."""
+        return PointSample(self, self.basis.model.lattice_values(
+            self._modes, self.basis.coefficients[self.mode_ids], coords))
+
     def sup_bound(self, height: float | None = None) -> float:
         """sum |c| ||phi||_sup cosh(lambda T) dominates |H| on the slab."""
         t = self.T if height is None else height
@@ -165,27 +174,31 @@ class PointSample:
     """A harmonic extension restricted to fixed chart points: the mode
     matrix (modes x points) is held, so each height costs one
     vector-matrix product.  H, dH/dt, Laplacian_x H (from the modes'
-    frequency vectors) and d^2H/dt^2 (from the propagation rates lams)."""
+    frequency vectors) and d^2H/dt^2 (from the propagation rates lams).
+    A 1-d array of heights gives one row per height from one
+    matrix-matrix product, whose low bits may differ from the per-height
+    products."""
 
     def __init__(self, ext: HarmonicExtension, phi: np.ndarray):
         self.ext = ext
         self.phi = phi
 
-    def value(self, t: float) -> np.ndarray:
+    def value(self, t) -> np.ndarray:
         ext = self.ext
-        return (ext.coeffs * np.cosh(ext.lams * t)) @ self.phi
+        return (ext.coeffs * np.cosh(np.multiply.outer(t, ext.lams))) @ self.phi
 
-    def dt_value(self, t: float) -> np.ndarray:
+    def dt_value(self, t) -> np.ndarray:
         ext = self.ext
-        return (ext.coeffs * ext.lams * np.sinh(ext.lams * t)) @ self.phi
+        return (ext.coeffs * ext.lams * np.sinh(np.multiply.outer(t, ext.lams))) @ self.phi
 
-    def laplacian_x(self, t: float) -> np.ndarray:
+    def laplacian_x(self, t) -> np.ndarray:
         ext = self.ext
-        return (ext.coeffs * ext.laplacian_eigs * np.cosh(ext.lams * t)) @ self.phi
+        return (ext.coeffs * ext.laplacian_eigs * np.cosh(np.multiply.outer(t, ext.lams))) \
+            @ self.phi
 
-    def dtt_value(self, t: float) -> np.ndarray:
+    def dtt_value(self, t) -> np.ndarray:
         ext = self.ext
-        return (ext.coeffs * np.cosh(ext.lams * t) * ext.lams**2) @ self.phi
+        return (ext.coeffs * np.cosh(np.multiply.outer(t, ext.lams)) * ext.lams**2) @ self.phi
 
 
 def harmonic_extension_flat(series: CoefficientSeries, height: float,
@@ -197,9 +210,10 @@ def harmonic_extension_flat(series: CoefficientSeries, height: float,
     eigenvalue.  The residual is evaluated at 100 seeded random points of
     the slab, with the Laplacian taken from the frequency vectors and the
     time derivative from the series' lambdas, so a wrong lambda fails the
-    check.  The mode matrix of those points is built once and reused for
-    all 100 heights.  The Cauchy data are checked on a deterministic
-    boundary lattice, whose mode matrix is likewise built once.
+    check.  The mode matrix of those points is built once, and each term
+    takes one (heights x modes) @ (modes x points) product for all 100
+    heights.  The Cauchy data are checked on a deterministic boundary
+    lattice, whose mode matrix is likewise built once.
     """
     ext = HarmonicExtension(series, height)
     model: FlatTorus = ext.basis.model
@@ -212,10 +226,9 @@ def harmonic_extension_flat(series: CoefficientSeries, height: float,
     heights = rng.uniform(-ext.T, ext.T, size=100)
     scale = max(ext.sup_bound(), 1e-300)
     sample = ext.at(points)
-    for t in heights:
-        residual = sample.laplacian_x(float(t)) - sample.dtt_value(float(t))
-        if float(np.max(np.abs(residual))) > 1e-9 * scale:
-            raise BreakdownError("extension residual check failed")
+    residual = sample.laplacian_x(heights) - sample.dtt_value(heights)
+    if float(np.max(np.abs(residual))) > 1e-9 * scale:
+        raise BreakdownError("extension residual check failed")
     # boundary data: H(., 0) = f and dH/dt(., 0) = 0
     lattice = np.linspace(0.0, model.periods[0], 512, endpoint=False)
     if model.dim == 2:
@@ -251,12 +264,25 @@ def greens_coefficient(ext: HarmonicExtension, mode_id: int, height: float) -> f
     if mode.lam <= 0.0:
         raise ParameterError(
             "the boundary identity divides by lambda and needs lambda > 0")
+    return _greens_coefficients(ext, (mode,), height)[mode.id]
+
+
+def greens_coefficients(ext: HarmonicExtension, height: float) -> dict:
+    """:func:`greens_coefficient` of every basis mode with lambda > 0, by
+    mode id, from one evaluation of the boundary values at ``height``."""
+    return _greens_coefficients(ext, [m for m in ext.basis.modes if m.lam > 0.0], height)
+
+
+def _greens_coefficients(ext: HarmonicExtension, modes, height: float) -> dict:
     if not 0.0 < height <= ext.T * (1.0 + 1e-12):
         raise ParameterError("height must lie in (0, T] of the extension")
     values, slopes = ext.grid_boundary_values(height)
-    phi = ext.grid_values(mode.id)
-    integral = float(ext.basis.grid_weights() @ (phi * (slopes + mode.lam * values)))
-    return math.exp(-height * mode.lam) / mode.lam * integral
+    weights = ext.basis.grid_weights()
+    coefficients = {}
+    for mode in modes:
+        integral = float(weights @ (ext.grid_values(mode.id) * (slopes + mode.lam * values)))
+        coefficients[mode.id] = math.exp(-height * mode.lam) / mode.lam * integral
+    return coefficients
 
 
 @dataclass(frozen=True)
@@ -277,17 +303,10 @@ def cauchy_estimate_check(ext: HarmonicExtension, radius: float, delta: float,
     if radius * delta > 2.0 * ext.T * (1.0 + 1e-12):
         raise ParameterError(
             "slab [-R delta, R delta] exceeds the extension's domain")
-    model: FlatTorus = ext.basis.model
-    axis = [np.linspace(0.0, p, points_per_axis, endpoint=False)
-            for p in model.periods]
-    if model.dim == 1:
-        points = axis[0]
-    else:
-        mesh = np.meshgrid(*axis, indexing="ij")
-        points = np.column_stack([m.reshape(-1) for m in mesh])
+    sample = ext.on_lattice([np.linspace(0.0, p, points_per_axis, endpoint=False)
+                             for p in ext.basis.model.periods])
     half = np.linspace(-radius * delta / 2.0, radius * delta / 2.0, t_levels)
     full = np.linspace(-radius * delta, radius * delta, t_levels)
-    sample = ext.at(points)
     lhs = max(float(np.max(np.abs(sample.dt_value(float(t))))) for t in half)
     rhs_sup = max(float(np.max(np.abs(sample.value(float(t))))) for t in full)
     rhs = 2.0 / (delta * radius) * rhs_sup

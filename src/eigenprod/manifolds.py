@@ -202,23 +202,49 @@ class _Surface:
     exactness a product's integrands need, at coefficient row width).
 
     Optional: ``coefficients_name`` (the JSON name of a coefficient row;
-    None for empty rows), ``chart_axes``, ``parse_label(token)`` (the
-    representation a CLI mode label names) and ``rep_lambda(rep)`` (the
-    mode's lambda in closed form, with which ``build`` and the CLI size).
+    None for empty rows), ``chart_axes(coords)`` (the grid-axis
+    coordinates of a list of per-axis chart coordinates, and their range
+    check), ``parse_label(token)`` (the representation a CLI mode label
+    names) and ``rep_lambda(rep)`` (the mode's lambda in closed form, with
+    which ``build`` and the CLI size).
+
+    Shared: ``values`` at scattered chart points and ``lattice_values`` on
+    a tensor lattice, which evaluates the factor rows on each axis's own
+    coordinates.
     """
 
     coefficients_name = None
 
-    def chart_axes(self, arr: np.ndarray) -> list:
-        """Per-axis coordinates of validated (n, chart_dim) chart points."""
-        return list(arr.T)
+    def chart_axes(self, coords: list) -> list:
+        """The grid-axis coordinates of validated per-axis chart coordinates."""
+        return coords
 
     def values(self, modes, coefficients: np.ndarray, arr: np.ndarray) -> np.ndarray:
         """Values of ``modes`` at validated chart points, one row per mode."""
-        rows = self.axis_factor_rows(modes, coefficients, self.chart_axes(arr))
+        rows = self.axis_factor_rows(modes, coefficients, self.chart_axes(list(arr.T)))
         out = rows[0]
         for axis_rows in rows[1:]:
             out *= axis_rows
+        return out
+
+    def lattice_values(self, modes, coefficients: np.ndarray, coords) -> np.ndarray:
+        """Values of ``modes`` on the tensor lattice of the per-axis chart
+        coordinates ``coords`` (first axis slowest, as ``meshgrid`` with
+        ``indexing="ij"``), one row per mode.  The factor rows are formed
+        on each axis's own coordinates and multiplied as an outer product,
+        so each value is the product :meth:`values` forms at that lattice
+        point, bit for bit.  On the torus of revolution pass one mode per
+        call: several s rows come from one matrix product, whose bits
+        differ from the one-row product :func:`evaluate` takes."""
+        if len(coords) != self.chart_dim:
+            raise ParameterError(f"points must have {self.chart_dim} chart coordinates")
+        coords = [np.asarray(c, dtype=float).reshape(-1) for c in coords]
+        if not all(np.all(np.isfinite(c)) for c in coords):
+            raise ParameterError("points must be finite chart coordinates")
+        rows = self.axis_factor_rows(modes, coefficients, self.chart_axes(coords))
+        out = rows[0]
+        for axis_rows in rows[1:]:
+            out = (out[:, :, None] * axis_rows[:, None, :]).reshape(out.shape[0], -1)
         return out
 
     def parse_label(self, token: str) -> tuple:
@@ -417,11 +443,11 @@ class Sphere2(_Surface):
         # the x = cos(theta) Gauss axis absorbs the sin(theta) volume factor
         return gauss_legendre(sizes[0]), uniform_periodic(sizes[1], TWO_PI)
 
-    def chart_axes(self, arr: np.ndarray) -> list:
-        theta = arr[:, 0]
+    def chart_axes(self, coords: list) -> list:
+        theta = coords[0]
         if np.any(theta < 0.0) or np.any(theta > math.pi):
             raise ParameterError("polar angle must lie in [0, pi]")
-        return [np.cos(theta), arr[:, 1]]
+        return [np.cos(theta), coords[1]]
 
     def axis_factor_rows(self, modes, coefficients, axis_points) -> tuple:
         return (_legendre_rows([m.rep for m in modes], np.asarray(axis_points[0], dtype=float)),

@@ -16,7 +16,7 @@ import numpy as np
 from .analysis import _least_squares_line
 from .coefficients import ProductSpec
 from .errors import BreakdownError, GridExhaustedError, ParameterError
-from .manifolds import as_chart_function, evaluate
+from .manifolds import as_chart_function
 
 DEFAULT_A_GRID_STEP = 0.25
 DEFAULT_A_GRID_STOP = 12.0
@@ -62,11 +62,6 @@ def _sup_lattice(center: tuple, half_side: float, per_axis: int) -> np.ndarray:
     return _lattice([np.linspace(c - half_side, c + half_side, per_axis) for c in center])
 
 
-def _cell_lattice(center: tuple, side: float, per_axis: int) -> np.ndarray:
-    return _lattice([c - side / 2.0 + (np.arange(per_axis) + 0.5) * side / per_axis
-                     for c in center])
-
-
 def _eval(fn, points: np.ndarray) -> np.ndarray:
     values = np.asarray(fn(points if points.shape[1] > 1 else points[:, 0]))
     return np.abs(values.reshape(-1))
@@ -101,15 +96,15 @@ def doubling_index(fn, center, r: float, samples_per_axis: int = 129) -> Doublin
                           math.log(sup_2r / sup_r))
 
 
-def _measure_lattice(center: tuple, side: float, per_axis: int | None):
-    """Cell-center lattice of the half-cube of (center, side) and the
-    volume of one cell."""
+def _measure_axes(center: tuple, side: float, per_axis: int | None):
+    """Per-axis cell centers of the half-cube of (center, side), whose
+    tensor lattice the measures count, and the volume of one cell."""
     per_axis = per_axis or (16384 if len(center) == 1 else 512)
     if per_axis < 256:
         raise ParameterError("need at least 256 cells per axis")
-    points = _cell_lattice(center, side / 2.0, per_axis)
-    cell = (side / 2.0 / per_axis) ** len(center)
-    return points, cell
+    half = side / 2.0
+    cell = (half / per_axis) ** len(center)
+    return [c - half / 2.0 + (np.arange(per_axis) + 0.5) * half / per_axis for c in center], cell
 
 
 def _counts_below(values: np.ndarray, a_values) -> list:
@@ -135,8 +130,8 @@ def sublevel_measure(fn, center, side: float, a: float,
     center = _as_center(center)
     if not (side > 0.0):
         raise ParameterError("cube side must be positive")
-    points, cell = _measure_lattice(center, side, samples_per_axis)
-    count = int(np.count_nonzero(_eval(fn, points) < math.exp(-a)))
+    axes, cell = _measure_axes(center, side, samples_per_axis)
+    count = int(np.count_nonzero(_eval(fn, _lattice(axes)) < math.exp(-a)))
     return count * cell
 
 
@@ -187,8 +182,8 @@ def remez_fit(fn, center, side: float, a_grid=None,
     sup_2q = float(np.max(_eval(fn, _sup_lattice(center, side, sup_axis))))
     doubling = math.log(sup_2q / sup_q)
 
-    points, cell = _measure_lattice(center, side, samples_per_axis)
-    values = _eval(fn, points) / sup_q
+    axes, cell = _measure_axes(center, side, samples_per_axis)
+    values = _eval(fn, _lattice(axes)) / sup_q
     half_measure = (side / 2.0) ** dim
     measures = np.array([count * cell for count in _counts_below(values, grid)])
     clean = (measures >= QUANTIZATION_CELLS * cell) & \
@@ -237,7 +232,10 @@ def good_set_experiment(basis, spec: ProductSpec, center, side: float,
     intersection of the complements then covers at least half of it.
 
     Counting runs on one shared lattice, so the 1/2 guarantee is exact
-    cell arithmetic, not an approximation.
+    cell arithmetic, not an approximation.  Each factor is evaluated on
+    the lattice axis by axis (``lattice_values``), one mode per call, so
+    its values are :func:`eigenprod.manifolds.evaluate`'s at the lattice
+    points, bit for bit.
     """
     center = _as_center(center)
     if len(center) != basis.model.chart_dim:
@@ -247,15 +245,16 @@ def good_set_experiment(basis, spec: ProductSpec, center, side: float,
     if not (side > 0.0):
         raise ParameterError("cube side must be positive")
     grid = default_a_grid() if a_grid is None else np.asarray(a_grid, dtype=float)
-    points, cell = _measure_lattice(center, side, samples_per_axis)
-    total = points.shape[0]
+    axes, cell = _measure_axes(center, side, samples_per_axis)
+    total = math.prod(axis.size for axis in axes)
     n = spec.n_factors
     budget = total / (2.0 * n)
     thresholds = []
     keep = np.ones(total, dtype=bool)
     factor_values = []
     for i in spec.factors:
-        values = np.abs(np.atleast_1d(evaluate(basis, basis.modes[i], points)))
+        values = np.abs(basis.model.lattice_values(
+            (basis.modes[i],), basis.coefficients[i:i + 1], axes)[0])
         factor_values.append(values)
         chosen = None
         for a in grid:

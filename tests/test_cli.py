@@ -707,6 +707,17 @@ def test_good_set_rejects_a_nonpositive_side(tmp_path, side):
     assert not (out / "good-set.json").exists()
 
 
+@pytest.mark.parametrize("center", ["0.1,1", "nan,1"], ids=["theta-below-0", "nan"])
+def test_good_set_on_the_sphere_rejects_a_bad_half_cube(tmp_path, capsys, center):
+    # the half-cube of side 0.5 about theta = 0.1 reaches theta < 0, outside
+    # the chart's [0, pi]; a nan center is no chart point at all
+    code, out = run(tmp_path, "good-set", "--model", "sphere", "--lambda-max", "4",
+                    "--factors", "Y1m0,Y2m1", "--side", "1", "--center", center)
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not (out / "good-set.json").exists()
+
+
 def test_lower_bound_does_not_offer_factors(tmp_path):
     code, _ = run(tmp_path, "lower-bound", "--model", "flat-torus", "--dim", "1",
                   "--family", "self", "--factors", "cos1")

@@ -13,6 +13,7 @@ from eigenprod.extension import (
     cauchy_estimate_check,
     compute_extension_params,
     greens_coefficient,
+    greens_coefficients,
     harmonic_extension_flat,
 )
 from eigenprod.manifolds import COS, FlatTorus, RevTorus, build_basis
@@ -199,6 +200,27 @@ def test_greens_reconstruction_2d():
         expected = series.coeffs[mode.id]
         got = greens_coefficient(ext, mode.id, params.T)
         assert got == pytest.approx(expected, abs=1e-8 * max(1.0, abs(expected)))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_greens_coefficients_equal_the_single_mode_recovery(monkeypatch, dim):
+    # every mode of positive lambda, bit for bit, with the boundary values
+    # formed once per height instead of once per mode
+    basis = build_basis(FlatTorus(dim, (TWO_PI,) * dim), 4.0)
+    ext = harmonic_extension_flat(expand_product(ProductSpec(basis, (1, 3))), 0.005)
+    single = {m.id: greens_coefficient(ext, m.id, 0.004) for m in basis.modes if m.lam > 0.0}
+    heights = []
+    original = HarmonicExtension.grid_boundary_values
+
+    def counted(self, t):
+        heights.append(t)
+        return original(self, t)
+
+    monkeypatch.setattr(HarmonicExtension, "grid_boundary_values", counted)
+    assert greens_coefficients(ext, 0.004) == single
+    assert heights == [0.004]
+    with pytest.raises(ParameterError):
+        greens_coefficients(ext, 0.006)  # above the slab
 
 
 def test_extension_requires_exact_series(circle_basis):

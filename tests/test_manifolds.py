@@ -297,6 +297,30 @@ def test_axis_projections_equal_row_sums(request, fixture):
         assert np.max(np.abs(axis_sums - axis_rows @ values)) <= 1e-13
 
 
+@pytest.mark.parametrize("fixture", ["circle_basis_3", "flat2_basis", "sphere_basis_3",
+                                     "rev_basis_3"])
+def test_lattice_values_equal_pointwise_evaluation(request, fixture):
+    # rows formed on each axis's own coordinates and multiplied as an outer
+    # product give evaluate's value at every lattice point, bit for bit
+    basis = request.getfixturevalue(fixture)
+    model = basis.model
+    coords = [np.linspace(0.1, 3.0, 37), np.linspace(-1.0, 7.0, 29)][:model.chart_dim]
+    points = np.stack([m.reshape(-1) for m in np.meshgrid(*coords, indexing="ij")], axis=-1)
+    for mode in basis.modes:
+        got = model.lattice_values((mode,), basis.coefficients[mode.id:mode.id + 1], coords)
+        assert np.array_equal(got[0], evaluate(basis, mode, points[:, 0] if model.chart_dim == 1
+                                                else points))
+    if not isinstance(model, RevTorus):  # several s rows are one gemm, not one gemv
+        every = model.lattice_values(basis.modes, basis.coefficients, coords)
+        assert np.array_equal(every, np.stack([evaluate(basis, m, points) for m in basis.modes]))
+    bad = [[coords[0][:1]] * (model.chart_dim + 1),
+           [np.array([np.nan])] + coords[1:],
+           *([[np.array([-0.1]), coords[1]]] if isinstance(model, Sphere2) else [])]
+    for wrong in bad:
+        with pytest.raises(ParameterError):
+            model.lattice_values(basis.modes[:1], basis.coefficients[:1], wrong)
+
+
 def _direct_trig_row(freq, parity, x, const, amp):
     if freq == 0:
         return np.full(x.shape, const)
@@ -307,7 +331,7 @@ def test_trig_rows_equal_direct_evaluation_bit_for_bit(flat2_basis, rev_basis_3)
     # each distinct (freq, parity) row is evaluated once and gathered; the
     # gathered rows are the per-mode cos/sin values to the last bit
     model = flat2_basis.model
-    axes = model.chart_axes(grid_chart_points(flat2_basis))
+    axes = model.chart_axes(list(grid_chart_points(flat2_basis).T))
     rows = model.axis_factor_rows(flat2_basis.modes, flat2_basis.coefficients, axes)
     for a, period in enumerate(model.periods):
         direct = np.stack([
@@ -315,7 +339,7 @@ def test_trig_rows_equal_direct_evaluation_bit_for_bit(flat2_basis, rev_basis_3)
                              1.0 / math.sqrt(period), math.sqrt(2.0 / period))
             for m in flat2_basis.modes])
         assert np.array_equal(rows[a], direct)
-    axes = rev_basis_3.model.chart_axes(grid_chart_points(rev_basis_3))
+    axes = rev_basis_3.model.chart_axes(list(grid_chart_points(rev_basis_3).T))
     theta_rows = rev_basis_3.model.axis_factor_rows(
         rev_basis_3.modes, rev_basis_3.coefficients, axes)[1]
     direct = np.stack([

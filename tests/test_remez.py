@@ -8,8 +8,18 @@ import pytest
 from eigenprod import remez
 from eigenprod.coefficients import ProductSpec
 from eigenprod.errors import BreakdownError, GridExhaustedError, ParameterError
-from eigenprod.manifolds import COS, SIN, FlatTorus, as_chart_function, build_basis
+from eigenprod.manifolds import (
+    COS,
+    SIN,
+    FlatTorus,
+    RevTorus,
+    Sphere2,
+    as_chart_function,
+    build_basis,
+    evaluate,
+)
 from eigenprod.remez import (
+    GoodSetResult,
     coordinate_function,
     default_a_grid,
     doubling_index,
@@ -253,6 +263,72 @@ def test_good_set_grid_exhaustion(circle_basis):
         # thresholds capped far too low for any sublevel set to shrink
         good_set_experiment(circle_basis, spec, 0.0, 2.0,
                             a_grid=np.array([1e-6, 2e-6, 3e-6, 4e-6, 5e-6]))
+
+
+def _pointwise_good_set(basis, spec, center, side):
+    """The good-set construction with each factor evaluated pointwise by
+    ``evaluate`` on the (n, d) cell-lattice points of the half-cube."""
+    axes, cell = remez._measure_axes(center, side, None)
+    points = remez._lattice(axes)
+    budget = points.shape[0] / (2.0 * spec.n_factors)
+    thresholds, factor_values = [], []
+    keep = np.ones(points.shape[0], dtype=bool)
+    for i in spec.factors:
+        values = np.abs(evaluate(basis, basis.modes[i], points))
+        a = next(float(a) for a in default_a_grid()
+                 if np.count_nonzero(values < math.exp(-float(a))) <= budget)
+        thresholds.append(a)
+        keep &= values >= math.exp(-a)
+        factor_values.append(values)
+    product = np.ones(int(np.count_nonzero(keep)))
+    for values in factor_values:
+        product = product * values[keep]
+    return GoodSetResult(tuple(thresholds), float(np.count_nonzero(keep)) * cell,
+                         points.shape[0] * cell, float(np.min(product)))
+
+
+# (model, lambda_max, factor ids, center, side) on every 2-d chart
+GOOD_SET_CASES = {
+    "flat2": (FlatTorus(2, (TWO_PI, 3.0)), 4.0, (2, 5), (0.5, 0.5), 1.0),
+    "sphere": (Sphere2(), 3.0, (6, 2, 3), (1.5, 2.0), 1.0),
+    "rev-torus": (RevTorus(2.0, 1.0), 2.5, (1, 3), (2.0, 2.0), 1.0),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(GOOD_SET_CASES))
+def good_set_case(request):
+    model, lambda_max, factors, center, side = GOOD_SET_CASES[request.param]
+    basis = build_basis(model, lambda_max)
+    return basis, ProductSpec(basis, factors), center, side
+
+
+def test_good_set_equals_pointwise_evaluation(good_set_case):
+    # each factor's lattice values are formed axis by axis; thresholds,
+    # measures and the product floor equal the pointwise construction's
+    basis, spec, center, side = good_set_case
+    assert len({basis.modes[i].lam for i in spec.factors}) > 1
+    result = good_set_experiment(basis, spec, center, side)
+    assert result == _pointwise_good_set(basis, spec, center, side)
+
+
+def test_good_set_evaluates_factors_on_axes_only(monkeypatch, good_set_case, circle_basis):
+    # axis_factor_rows sees one axis's coordinates (512 per axis in 2-d,
+    # 16384 in 1-d), never the 262144 points of the lattice
+    seen = []
+    for basis, spec, center, side, per_axis in (
+            (*good_set_case, 512), (circle_basis, ProductSpec(circle_basis, (1, 2)), 0.0, 2.0, 16384)):
+        model_type = type(basis.model)
+        original = model_type.axis_factor_rows
+
+        def recording(self, modes, coefficients, axis_points, original=original):
+            seen.append([len(points) for points in axis_points])
+            return original(self, modes, coefficients, axis_points)
+
+        monkeypatch.setattr(model_type, "axis_factor_rows", recording)
+        seen.clear()
+        good_set_experiment(basis, spec, center, side)
+        assert seen == [[per_axis] * basis.model.chart_dim] * spec.n_factors
+        monkeypatch.undo()
 
 
 def test_harmonic_lift_factory(circle_basis):
