@@ -57,10 +57,10 @@ from .numerics import (
     circle_columns,
     circle_frequencies,
     circle_sums,
+    family_eigs,
     gauss_legendre,
     inverse_cholesky,
     reduce_congruent,
-    reduced_eig,
     rev_galerkin_terms,
     uniform_periodic,
 )
@@ -594,22 +594,30 @@ class RevTorus(_Surface):
                 f"s-profile truncation N={trunc} exceeds cap {REV_TRUNCATION_CAP}")
         size = 2 * trunc + 1
         stiff, inv_weight, mass = rev_galerkin_terms(big, small, trunc)
-        # the full stiffness K + m^2 M_inv scales the zero-snap and the residual
-        a_maxes = [max(float(np.max(np.abs(stiff + (m * m) * inv_weight))), 1.0)
-                   for m in range(m_scan + 1)]
+        weights = np.arange(m_scan + 1) ** 2
+        # every family m solves (K + m^2 M_inv) v = mu B v on each s-parity
+        # block, so B is factored and K, M_inv are reduced once per block
+        blocks = []
+        for s_parity, idx in zip((COS, SIN), _rev_parity_indices(trunc)):
+            grid = np.ix_(idx, idx)
+            k, w = stiff[grid], inv_weight[grid]
+            blocks.append((s_parity, idx, k, w, mass[grid],
+                           k + weights[:, None, None] * w))
+        # the full stiffness K + m^2 M_inv scales the zero-snap and the
+        # residual; its entries outside the parity blocks are exactly 0
+        a_maxes = np.maximum(np.max([np.abs(block[-1]).max(axis=(1, 2)) for block in blocks],
+                                    axis=0), 1.0).tolist()
         # only the eigenpairs below a slightly widened lambda_max are computed
         upper = (lambda_max * (1.0 + 1e-9)) ** 2
-        profiles = []  # (lam, m, s_parity, coeffs in the real Fourier s-basis)
+        profiles = []  # (lam, m, s_parity) in solve order
+        kept_vectors = []  # per block: (its indices, its kept columns in solve order)
         worst_residual = 0.0
-        for s_parity, idx in zip((COS, SIN), _rev_parity_indices(trunc)):
-            # every family m solves (K + m^2 M_inv) v = mu B v on this block,
-            # so B is factored and K, M_inv are reduced once for all of them
-            grid = np.ix_(idx, idx)
-            k, w, b = stiff[grid], inv_weight[grid], mass[grid]
+        for s_parity, idx, k, w, b, families in blocks:
             inv_lower = inverse_cholesky(b)
-            k_red, w_red = reduce_congruent(inv_lower, k), reduce_congruent(inv_lower, w)
-            for m, a_max in enumerate(a_maxes):
-                values, block = reduced_eig(k_red + (m * m) * w_red, inv_lower, upper)
+            solved = family_eigs(reduce_congruent(inv_lower, k), reduce_congruent(inv_lower, w),
+                                 inv_lower, weights, upper)
+            columns = []
+            for m, (a_max, (values, block)) in enumerate(zip(a_maxes, solved)):
                 lams = np.sqrt(np.where(values <= 1e-12 * a_max, 0.0, values))
                 kept = int(np.count_nonzero(lams <= lambda_max * (1.0 + 1e-12)))
                 if not kept:
@@ -619,26 +627,32 @@ class RevTorus(_Surface):
                 # residual (part of the digest) does not depend on the
                 # BLAS thread count
                 residuals = np.linalg.norm(
-                    np.einsum("ij,jk->ik", k + (m * m) * w, block)
+                    np.einsum("ij,jk->ik", families[m], block)
                     - np.einsum("ij,jk->ik", b, block) * values, axis=0)
                 worst_residual = max(worst_residual, float(np.max(residuals)) / a_max)
-                for q in range(kept):
-                    coeffs = np.zeros(size)
-                    if m == 0 and lams[q] == 0.0:
-                        # the constant: v = e_0 / sqrt(R), exact by inspection
-                        coeffs[0] = 1.0 / math.sqrt(big)
-                    else:
-                        coeffs[idx] = block[:, q]
-                    profiles.append((float(lams[q]), m, s_parity, coeffs))
+                columns.append(block)
+                profiles.extend((float(lam), m, s_parity) for lam in lams[:kept])
+            kept_vectors.append((idx, np.concatenate(columns, axis=1) if columns
+                                 else np.zeros((idx.shape[0], 0))))
         if worst_residual > MAX_EIGEN_RESIDUAL:
             raise ConvergenceError(
                 f"rev-torus eigen-residual {worst_residual:.3e} exceeds {MAX_EIGEN_RESIDUAL:g}")
         # by lambda, then m, the parities and the solve order
         entries = sorted((lam, m, theta_parity, s_parity, order)
-                         for order, (lam, m, s_parity, _c) in enumerate(profiles)
+                         for order, (lam, m, s_parity) in enumerate(profiles)
                          for theta_parity in ((COS,) if m == 0 else (COS, SIN)))
         modes = tuple(Mode(i, entry[0], entry[1:3]) for i, entry in enumerate(entries))
-        coefficients = np.array([profiles[e[-1]][-1] for e in entries]).reshape(-1, size)
+        coefficients = np.zeros((len(entries), size))
+        source = np.array([entry[-1] for entry in entries], dtype=np.int64)
+        first = 0
+        for idx, columns in kept_vectors:
+            rows = np.flatnonzero((source >= first) & (source < first + columns.shape[1]))
+            coefficients[rows[:, None], idx] = columns[:, source[rows] - first].T
+            first += columns.shape[1]
+        # the constant: v = e_0 / sqrt(R), exact by inspection
+        constant = [i for i, entry in enumerate(entries) if entry[1] == 0 and entry[0] == 0.0]
+        coefficients[constant] = 0.0
+        coefficients[constant, 0] = 1.0 / math.sqrt(big)
         m_used = max((mode.rep[0] for mode in modes), default=0)
         stretch = max(GRID_PRODUCT_FACTORS + 1, 2 * GRID_PRODUCT_FACTORS)
         sizes = [_round_up(stretch * trunc + 2 + GRID_MARGIN),

@@ -14,14 +14,14 @@ every column against a vector on a uniform grid (:func:`circle_sums`, one
 
 The eigensolver reduces a pencil (A, B) once: :func:`inverse_cholesky`
 factors B = L L^T (LAPACK ``dpotrf``, ``dtrtri``) and
-:func:`reduce_congruent` forms L^-1 A L^-T.  :func:`reduced_eig` solves
-each reduced matrix by LAPACK ``dsyevr`` through
-:func:`scipy.linalg.eigh`, optionally for the eigenvalues below a bound
-only, and maps its vectors back by v = L^-T w.  Pencils that share B,
-such as the angular families of the torus of revolution, share one
-reduction.  scipy is imported by the first of these LAPACK calls, not
-with this module, so a process that solves no eigenproblem never loads
-it.
+:func:`reduce_congruent` forms L^-1 A L^-T.  Pencils that share B, such
+as the angular families K + m^2 M of the torus of revolution, share one
+reduction, and :func:`family_eigs` solves all of them: one ``dsyevr``
+workspace query, then one direct ``dsyevr`` call per family, optionally
+for the eigenvalues below a bound only, and one back-transform
+v = L^-T w of every family's vectors.  scipy is imported by the first of
+these LAPACK calls, not with this module, so a process that solves no
+eigenproblem never loads it.
 
 Every function here is a pure function of its arguments and safe to call
 from many threads.  Results are bit-reproducible for a fixed BLAS thread
@@ -56,7 +56,7 @@ __all__ = [
     "uniform_periodic",
     "inverse_cholesky",
     "reduce_congruent",
-    "reduced_eig",
+    "family_eigs",
     "rev_galerkin_terms",
     "circle_basis",
     "circle_columns",
@@ -232,25 +232,56 @@ def _check_symmetric(matrix: np.ndarray, name: str) -> None:
         raise ParameterError(f"{name} matrix is not symmetric")
 
 
-def reduced_eig(matrix: np.ndarray, inv_lower: np.ndarray, upper: float | None = None):
-    """Eigenpairs of the pencil whose reduction is ``matrix`` = L^-1 A L^-T.
+def family_eigs(k_red: np.ndarray, w_red: np.ndarray, inv_lower: np.ndarray,
+                weights, upper: float | None = None) -> list:
+    """Eigenpairs of the pencils (K + w M, B), one per weight w, whose
+    reductions are ``k_red`` = L^-1 K L^-T and ``w_red`` = L^-1 M L^-T.
 
-    Returns (eigenvalues ascending, eigenvectors v = L^-T w as B-orthonormal
-    columns); with ``upper``, only the eigenvalues <= ``upper``.  Each
-    column's sign is fixed so that its first entry above 1e-8 times the
-    column's largest magnitude is positive.
+    Returns one (eigenvalues ascending, eigenvectors v = L^-T u as
+    B-orthonormal columns) per weight, each a C-contiguous array; with
+    ``upper``, only the eigenvalues <= ``upper``.  Each column's sign is
+    fixed so that its first entry above 1e-8 times the column's largest
+    magnitude is positive.  Raises :class:`ParameterError` when an entry
+    of some K + w M could be infinite or NaN and
+    :class:`ConvergenceError` when LAPACK reports a failure.
     """
     # imported here so that runs which solve no eigenproblem never load scipy
-    from scipy.linalg import eigh
+    from scipy.linalg.lapack import dsyevr, dsyevr_lwork
 
-    bounds = None if upper is None else (-math.inf, upper)
-    values, reduced = eigh(matrix, subset_by_value=bounds, driver="evr")
-    vectors = np.einsum("ji,jk->ik", inv_lower, reduced)
+    weights = list(weights)
+    n = k_red.shape[0]
+    if not n or not weights:
+        return [(np.zeros(0), np.zeros((0, 0))) for _ in weights]
+    # |k + w m| <= |k| + |w| |m| entrywise, so one finite bound covers
+    # every entry of every family, and any NaN makes it NaN
+    bound = (float(np.max(np.abs(k_red)))
+             + max(abs(w) for w in weights) * float(np.max(np.abs(w_red))))
+    if not math.isfinite(bound):
+        raise ParameterError("the reduced family matrices must be finite")
+    # the workspace sizes scipy.linalg.eigh would query for each call
+    work, iwork, info = dsyevr_lwork(n, lower=1)
+    if info != 0:
+        raise ConvergenceError(f"dsyevr workspace query failed (info={info})")
+    options = {"range": "A"} if upper is None else {"range": "V", "vl": -math.inf, "vu": upper}
+    values, columns = [], []
+    for w in weights:
+        # the matrix is exactly symmetric, so its transpose hands LAPACK
+        # the same entries in column-major order, with no copy
+        vals, vecs, count, _support, info = dsyevr(
+            (k_red + w * w_red).T, lower=1, overwrite_a=1,
+            lwork=int(work), liwork=int(iwork), **options)
+        if info != 0:
+            raise ConvergenceError(f"dsyevr failed (info={info})")
+        values.append(vals[:count])
+        columns.append(vecs[:, :count])
+    vectors = np.einsum("ji,jk->ik", inv_lower, np.concatenate(columns, axis=1))
     mags = np.abs(vectors)
     lead = np.argmax(mags > 1e-8 * np.maximum(mags.max(axis=0), 1e-300), axis=0)
     flip = vectors[lead, np.arange(vectors.shape[1])] < 0.0
     vectors[:, flip] = -vectors[:, flip]
-    return values, vectors
+    splits = np.cumsum([vals.shape[0] for vals in values])[:-1]
+    return [(vals, np.ascontiguousarray(block))
+            for vals, block in zip(values, np.split(vectors, splits, axis=1))]
 
 
 def circle_basis(s: np.ndarray, size: int) -> np.ndarray:
@@ -374,7 +405,8 @@ def rev_galerkin_terms(big: float, small: float, trunc: int):
     d = sqrt(big^2 - small^2) and rho = -small / (big + d), so M_inv is
     Toeplitz plus Hankel.  Every entry is a gathered moment times scalars:
     no reduction, so the bits do not depend on the BLAS thread count and
-    the matrices are exactly symmetric.
+    the matrices are exactly symmetric.  Raises :class:`ParameterError`
+    when 2 pi big or d overflows.
     """
     if not isinstance(trunc, (int, np.integer)) or isinstance(trunc, bool):
         raise ParameterError("truncation must be an integer")
@@ -398,6 +430,9 @@ def rev_galerkin_terms(big: float, small: float, trunc: int):
     f_moments = np.zeros(2 * trunc + 2)
     f_moments[:2] = TWO_PI * big, math.pi * small
     d = math.sqrt((big - small) * (big + small))
+    if not (math.isfinite(f_moments[0]) and math.isfinite(d)):
+        raise ParameterError(
+            f"major radius {big!r} is too large: the moments of the profile overflow")
     inv_moments = (TWO_PI / d) * (-small / (big + d)) ** np.arange(2 * trunc + 2)
 
     def gather(moments, hankel_sign):

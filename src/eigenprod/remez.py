@@ -249,6 +249,10 @@ def good_set_experiment(basis, spec: ProductSpec, center, side: float,
     total = math.prod(axis.size for axis in axes)
     n = spec.n_factors
     budget = total / (2.0 * n)
+    # count(values < t) <= budget exactly when t <= the floor(budget)-th
+    # smallest value (from 0), so one partition per factor replaces a
+    # count per grid step; floor(budget) < total because n >= 1
+    rank = math.floor(budget)
     thresholds = []
     keep = np.ones(total, dtype=bool)
     factor_values = []
@@ -256,9 +260,10 @@ def good_set_experiment(basis, spec: ProductSpec, center, side: float,
         values = np.abs(basis.model.lattice_values(
             (basis.modes[i],), basis.coefficients[i:i + 1], axes)[0])
         factor_values.append(values)
+        bound = float(np.partition(values, rank)[rank])
         chosen = None
         for a in grid:
-            if int(np.count_nonzero(values < math.exp(-float(a)))) <= budget:
+            if math.exp(-float(a)) <= bound:
                 chosen = float(a)
                 break
         if chosen is None:

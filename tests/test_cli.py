@@ -570,6 +570,15 @@ def test_basis_on_a_thin_neck_past_the_truncation_cap_exits_2(tmp_path, capsys):
     assert not (tmp_path / "cache").exists() or not any((tmp_path / "cache").iterdir())
 
 
+def test_basis_with_an_overflowing_radius_exits_2(tmp_path, capsys):
+    # 2 pi R overflows: the geometry is refused before any solve
+    code, out = run(tmp_path, "basis", "--model", "rev-torus", "--R", "1e308", "--r", "1",
+                    "--lambda-max", "0")
+    assert code == 2
+    assert "major radius 1e+308" in capsys.readouterr().err
+    assert not (out / "basis.json").exists()
+
+
 def test_cached_basis_serves_hits_and_rebuilds_mismatched_files(tmp_path, monkeypatch):
     model = FlatTorus(1, (TWO_PI,))
     cache = str(tmp_path / "cache")

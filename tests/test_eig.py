@@ -7,20 +7,26 @@ import pytest
 from scipy.linalg import eigh
 
 from eigenprod.errors import FactorizationError, ParameterError
+from eigenprod.manifolds import RevTorus, _rev_parity_indices, _rev_truncation
 from eigenprod.numerics import (
     circle_basis,
     circle_basis_derivative,
+    family_eigs,
     inverse_cholesky,
     reduce_congruent,
-    reduced_eig,
     rev_galerkin_terms,
 )
+
+
+def solve_reduced(reduced, inv_lower, upper=None):
+    """The pencil whose reduction is ``reduced``, as a family of one."""
+    return family_eigs(reduced, np.zeros_like(reduced), inv_lower, [0], upper)[0]
 
 
 def solve(a, b, upper=None):
     """A v = mu B v through the one reduction the rev-torus build uses."""
     inv_lower = inverse_cholesky(b)
-    return reduced_eig(reduce_congruent(inv_lower, a), inv_lower, upper)
+    return solve_reduced(reduce_congruent(inv_lower, a), inv_lower, upper)
 
 
 def test_identity_pencil():
@@ -111,10 +117,77 @@ def test_kept_subset_matches_the_full_spectrum():
                              (full_values[:-1] + full_values[1:]) / 2, [math.inf]))
     for kept in (0, 1, 7, 30):
         upper = bounds[kept]
-        values, vectors = reduced_eig(reduced, inv_lower, upper)
+        values, vectors = solve_reduced(reduced, inv_lower, upper)
         assert values.shape == (kept,) and vectors.shape == (30, kept)
         assert np.max(np.abs(values - oracle_values[:kept]), initial=0.0) <= 1e-11
         assert np.max(np.abs(vectors - full_vectors[:, :kept]), initial=0.0) <= 1e-10
+
+
+def _eigh_families(k_red, w_red, inv_lower, weights, upper):
+    """One ``scipy.linalg.eigh`` (dsyevr) per family, then the back-transform
+    and the sign rule: the per-family solve that family_eigs replaces."""
+    bounds = None if upper is None else (-math.inf, upper)
+    out = []
+    for w in weights:
+        values, reduced = eigh(k_red + w * w_red, subset_by_value=bounds, driver="evr")
+        vectors = np.einsum("ji,jk->ik", inv_lower, reduced)
+        mags = np.abs(vectors)
+        lead = np.argmax(mags > 1e-8 * np.maximum(mags.max(axis=0), 1e-300), axis=0)
+        flip = vectors[lead, np.arange(vectors.shape[1])] < 0.0
+        vectors[:, flip] = -vectors[:, flip]
+        out.append((values, vectors))
+    return out
+
+
+def _rev_family_pencils():
+    """(K, M_inv, B, weights m^2, upper) on both s-parity blocks of (2, 1)
+    at lambda 6.954, as the rev-torus build solves them."""
+    lambda_max = 6.954
+    trunc = _rev_truncation(RevTorus(2.0, 1.0), lambda_max)
+    stiff, inv_weight, mass = rev_galerkin_terms(2.0, 1.0, trunc)
+    weights = [m * m for m in range(math.floor(lambda_max * 3.0) + 1)]
+    for idx in _rev_parity_indices(trunc):
+        grid = np.ix_(idx, idx)
+        yield stiff[grid], inv_weight[grid], mass[grid], weights, (lambda_max * (1.0 + 1e-9)) ** 2
+
+
+def _random_family_pencils():
+    rng = np.random.default_rng(97)
+    for dim in (9, 33, 64):
+        k, w = (0.5 * (raw + raw.T) for raw in rng.normal(size=(2, dim, dim)))
+        root = rng.normal(size=(dim, dim))
+        yield k, w, root @ root.T + dim * np.eye(dim), [0, 1, 2.5, 16], 0.0
+
+
+@pytest.mark.parametrize("bounded", [True, False], ids=["upper", "all"])
+@pytest.mark.parametrize("pencils", [_rev_family_pencils, _random_family_pencils],
+                         ids=["rev-2-1", "random"])
+def test_family_eigs_equals_one_eigh_per_family(pencils, bounded):
+    # the direct dsyevr loop gives every bit of one scipy.linalg.eigh per
+    # family; each family's vectors are a C-contiguous array of their own
+    for k, w, b, weights, upper in pencils():
+        upper = upper if bounded else None
+        inv_lower = inverse_cholesky(b)
+        k_red, w_red = reduce_congruent(inv_lower, k), reduce_congruent(inv_lower, w)
+        ours = family_eigs(k_red, w_red, inv_lower, weights, upper)
+        reference = _eigh_families(k_red, w_red, inv_lower, weights, upper)
+        assert len(ours) == len(weights)
+        assert sum(values.shape[0] for values, _ in ours) > 0
+        for (values, vectors), (ref_values, ref_vectors) in zip(ours, reference):
+            assert vectors.flags.c_contiguous
+            assert np.array_equal(values, ref_values)
+            assert np.array_equal(vectors, ref_vectors)
+
+
+def test_family_eigs_rejects_non_finite_matrices():
+    inv_lower = np.eye(3)
+    k_red = np.diag([1.0, 2.0, 3.0])
+    k_red[0, 0] = math.nan
+    with pytest.raises(ParameterError, match="finite"):
+        family_eigs(k_red, np.eye(3), inv_lower, [0, 1])
+    # finite reductions whose family K + w M overflows
+    with pytest.raises(ParameterError, match="finite"):
+        family_eigs(np.eye(3), np.full((3, 3), 1e300), inv_lower, [1e10])
 
 
 def test_asymmetric_stiffness_rejected():

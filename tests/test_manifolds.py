@@ -500,12 +500,11 @@ def test_reduced_subset_solver_matches_full_dsygvd(big, small, lambda_max):
 
 
 def test_rev_torus_residual_check_can_fail(tmp_path, monkeypatch):
-    solve = manifolds.reduced_eig
+    solve = manifolds.family_eigs
 
-    def perturbed(matrix, inv_lower, upper=None):
-        values, vectors = solve(matrix, inv_lower, upper)
-        return values, vectors + 1e-6
-    monkeypatch.setattr(manifolds, "reduced_eig", perturbed)
+    def perturbed(*args):
+        return [(values, vectors + 1e-6) for values, vectors in solve(*args)]
+    monkeypatch.setattr(manifolds, "family_eigs", perturbed)
     with pytest.raises(ConvergenceError, match="residual"):
         build_basis(RevTorus(2.0, 1.0), 3.0)
     code = cli_main(["basis", "--model", "rev-torus", "--R", "2", "--r", "1",
@@ -880,6 +879,30 @@ def test_fft_and_convolve_only_in_numerics():
                 if name == "np.convolve" or name.startswith("np.fft."):
                     found.add(path.stem)
     assert found == {"numerics"}
+
+
+def test_scipy_imported_only_inside_numerics_functions():
+    # scipy is loaded by the first LAPACK call, never with a module, and
+    # numerics owns every LAPACK call
+    found = set()
+
+    def visit(module, node, in_function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Import):
+                imported = [alias.name for alias in child.names]
+            elif isinstance(child, ast.ImportFrom):
+                imported = [child.module or ""]
+            else:
+                imported = []
+            if any(name == "scipy" or name.startswith("scipy.") for name in imported):
+                found.add((module, in_function))
+            visit(module, child, in_function or isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)))
+
+    package = pathlib.Path(manifolds.__file__).parent
+    for path in sorted(package.rglob("*.py")):
+        visit(path.stem, ast.parse(path.read_text(encoding="utf-8")), False)
+    assert found == {("numerics", True)}
 
 
 def test_every_exported_name_resolves():

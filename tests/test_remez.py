@@ -331,6 +331,41 @@ def test_good_set_evaluates_factors_on_axes_only(monkeypatch, good_set_case, cir
         monkeypatch.undo()
 
 
+# (model, lambda_max, factor ids, center, side): budgets 16384 / 4 = 4096
+# (an exact integer), 262144 / 6 and 262144 / 6
+PARTITION_CASES = {
+    "flat1": (FlatTorus(1, (TWO_PI,)), 4.0, (1, 2), (0.0,), 2.0),
+    "flat2": (FlatTorus(2, (TWO_PI, 3.0)), 4.0, (2, 5, 1), (0.5, 0.5), 1.0),
+    "sphere": (Sphere2(), 3.0, (6, 2, 3), (1.5, 2.0), 1.0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PARTITION_CASES))
+def test_good_set_thresholds_equal_the_linear_scan(case):
+    # the partition bound picks the grid a the count-per-step scan picks,
+    # also on a grid whose exp(-a) straddle the values around the budget
+    model, lambda_max, factors, center, side = PARTITION_CASES[case]
+    basis = build_basis(model, lambda_max)
+    spec = ProductSpec(basis, factors)
+    axes, _cell = remez._measure_axes(center, side, None)
+    total = math.prod(axis.size for axis in axes)
+    budget = total / (2.0 * spec.n_factors)
+    factor_values = [np.abs(model.lattice_values((basis.modes[i],),
+                                                 basis.coefficients[i:i + 1], axes)[0])
+                     for i in factors]
+    straddle = []
+    for values in factor_values:
+        near = np.sort(values)[int(budget) - 2:int(budget) + 3]
+        a_near = -np.log(near)
+        straddle.extend([*a_near, *np.nextafter(a_near, -np.inf), *np.nextafter(a_near, np.inf)])
+    for grid in (default_a_grid(), np.unique(np.concatenate((default_a_grid(), straddle)))):
+        scanned = tuple(next(float(a) for a in grid
+                             if np.count_nonzero(values < math.exp(-float(a))) <= budget)
+                        for values in factor_values)
+        result = good_set_experiment(basis, spec, center, side, a_grid=grid)
+        assert result.thresholds == scanned
+
+
 def test_harmonic_lift_factory(circle_basis):
     cos2 = next(m for m in circle_basis.modes if m.rep == ((2,), (COS,)))
     lift = harmonic_lift(circle_basis, cos2)
