@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import BreakdownError, ParameterError, UnderResolvedError
 from .manifolds import FlatTorus, RevTorus, SpectralBasis, Sphere2
-from .numerics import TWO_PI, circle_columns, circle_frequencies, circle_norms, circle_product
+from .numerics import TWO_PI, circle_frequencies, circle_norms, circle_product
 
 FOUR_PI = 4.0 * math.pi
 
@@ -232,20 +232,21 @@ def gaunt_real(l1: int, m1: int, l2: int, m2: int, l3: int, m3: int) -> float:
 
 @dataclass(frozen=True)
 class ProductSpec:
-    """A finite product of basis eigenfunctions, identified by mode ids
-    (repetition allowed)."""
+    """A finite product of basis eigenfunctions, identified by integer
+    mode ids (repetition allowed)."""
 
     basis: SpectralBasis
     factors: tuple
 
     def __post_init__(self):
-        factors = tuple(int(i) for i in self.factors)
-        if len(factors) < 1:
+        if len(self.factors) < 1:
             raise ParameterError("a product needs at least one factor")
-        for i in factors:
+        for i in self.factors:
+            if not isinstance(i, (int, np.integer)) or isinstance(i, bool):
+                raise ParameterError(f"mode id {i!r} is not an integer")
             if not 0 <= i < self.basis.size:
                 raise ParameterError(f"unknown mode id {i}")
-        object.__setattr__(self, "factors", factors)
+        object.__setattr__(self, "factors", tuple(int(i) for i in self.factors))
 
     @property
     def n_factors(self) -> int:
@@ -254,9 +255,6 @@ class ProductSpec:
     @property
     def sum_lambda(self) -> float:
         return float(sum(self.basis.modes[i].lam for i in sorted(self.factors)))
-
-    def factor_modes(self):
-        return tuple(self.basis.modes[i] for i in self.factors)
 
 
 @dataclass(frozen=True)
@@ -336,7 +334,7 @@ def expand_product(spec: ProductSpec) -> CoefficientSeries:
         coeffs = quad_coeffs
         method = "quadrature"
     ids = np.arange(basis.size)
-    return CoefficientSeries(spec, ids, basis.lambdas(), coeffs, f_norm_sq, method, gap)
+    return CoefficientSeries(spec, ids, basis.lams, coeffs, f_norm_sq, method, gap)
 
 
 def quadrature_coefficients(spec: ProductSpec):
@@ -383,8 +381,7 @@ def _check_grid_resolution(spec: ProductSpec, targets: bool = True):
     the product squared for its norm and, with ``targets``, phi_i times
     the product for the expansion."""
     basis = spec.basis
-    width = basis.coefficients.shape[1]
-    factor_bw = np.sum([basis.model.bandwidth(m, width) for m in spec.factor_modes()], axis=0)
+    factor_bw = basis.bandwidths[list(spec.factors)].sum(axis=0)
     needed = 2 * factor_bw
     if targets:
         needed = np.maximum(factor_bw + basis.target_bandwidth, needed)
@@ -399,8 +396,7 @@ def _factor_rows(spec: ProductSpec) -> tuple:
     """Per grid axis, the factors' rows on that axis's nodes, in id order:
     only the factor modes are evaluated."""
     basis = spec.basis
-    ids = sorted(spec.factors)
-    return basis.model.axis_factor_rows([basis.modes[i] for i in ids], basis.coefficients[ids],
+    return basis.model.axis_factor_rows(basis, sorted(spec.factors),
                                         tuple(ax.nodes for ax in basis.axes))
 
 
@@ -469,25 +465,20 @@ def _gather(row: np.ndarray, columns: np.ndarray) -> np.ndarray:
     return np.where(columns < row.shape[0], row[np.minimum(columns, row.shape[0] - 1)], 0.0)
 
 
-def _axis_columns(modes, axis: int) -> np.ndarray:
-    """The circle_basis column of each flat-torus mode's factor on ``axis``."""
-    return circle_columns([m.rep[0][axis] for m in modes], [m.rep[1][axis] for m in modes])
-
-
 def _torus_axis_products(spec: ProductSpec) -> list:
     """Per axis, :func:`_axis_product` of the flat-torus product's factors;
     a factor on an axis of period P is sqrt(2 pi / P) times a column."""
     basis = spec.basis
-    factors = [basis.modes[i] for i in sorted(spec.factors)]
-    return [_axis_product(_axis_columns(factors, axis), math.sqrt(TWO_PI / period))
-            for axis, period in enumerate(basis.model.periods)]
+    factors = sorted(spec.factors)
+    return [_axis_product(columns[factors], math.sqrt(TWO_PI / period))
+            for columns, period in zip(basis.axis_columns, basis.model.periods)]
 
 
 def _torus_exact(spec: ProductSpec) -> np.ndarray:
     basis = spec.basis
     coeffs = np.ones(basis.size)
-    for axis, product in enumerate(_torus_axis_products(spec)):
-        coeffs *= _gather(product, _axis_columns(basis.modes, axis))
+    for columns, product in zip(basis.axis_columns, _torus_axis_products(spec)):
+        coeffs *= _gather(product, columns)
     return coeffs
 
 
@@ -511,15 +502,19 @@ def _harmonic_multiply(poly: dict, l: int, m: int, top: int) -> dict:
 
 def _sphere_exact(spec: ProductSpec) -> np.ndarray:
     """Gaunt fold over the factors in id order, dropping degrees the rest
-    cannot bring back into the basis; then one lookup per basis mode."""
+    cannot bring back into the basis; then one table lookup of every
+    basis mode, keyed l (l + 1) + m, which is unique per harmonic."""
     basis = spec.basis
-    first, *rest = (basis.modes[i].rep for i in sorted(spec.factors))
-    top = max(mode.rep[0] for mode in basis.modes) + sum(l for l, _m in rest)
+    degrees, orders = basis.reps["l"], basis.reps["m"]
+    first, *rest = ((int(degrees[i]), int(orders[i])) for i in sorted(spec.factors))
+    top = int(degrees.max()) + sum(l for l, _m in rest)
     poly = {first: 1.0}
     for l, m in rest:
         top -= l
         poly = _harmonic_multiply(poly, l, m, top)
-    return np.array([poly.get(mode.rep, 0.0) for mode in basis.modes])
+    table = np.zeros((top + 1) ** 2)
+    table[[l * (l + 1) + m for l, m in poly]] = list(poly.values())
+    return table[degrees * (degrees + 1) + orders]
 
 
 def _rev_exact(spec: ProductSpec) -> np.ndarray:
@@ -537,9 +532,8 @@ def _rev_exact(spec: ProductSpec) -> np.ndarray:
     basis = spec.basis
     model: RevTorus = basis.model
     factors = sorted(spec.factors)
-    # a rev rep is (m, theta parity): the (freq, parity) of its theta column
-    theta_product = _axis_product(circle_columns(*zip(*(basis.modes[i].rep for i in factors))), 1.0)
-    theta = _gather(theta_product, circle_columns(*zip(*(mode.rep for mode in basis.modes))))
+    columns = basis.axis_columns[1]
+    theta = _gather(_axis_product(columns[factors], 1.0), columns)
     norms = circle_norms(np.arange(basis.coefficients.shape[1]))
     # the profiles as series in 1, cos, sin: the constant divided by its
     # norm, the other columns times the reciprocal norm, which keeps the

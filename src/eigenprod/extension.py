@@ -23,7 +23,7 @@ import numpy as np
 from .coefficients import CoefficientSeries
 from .errors import BreakdownError, ParameterError
 from .manifolds import FlatTorus, _normalize_points, evaluate
-from .numerics import TWO_PI, circle_columns, circle_norms
+from .numerics import TWO_PI, circle_frequencies, circle_norms
 
 __all__ = [
     "ExtensionParams",
@@ -112,18 +112,15 @@ class HarmonicExtension:
         self.mode_ids = series.ids[keep]
         self.lams = series.lams[keep]
         self.coeffs = series.coeffs[keep]
-        self._modes = [basis.modes[i] for i in self.mode_ids]
         # Laplacian eigenvalues from the frequency vectors, independent of
         # the lams the cosh propagation uses, so the residual check can fail
-        periods = basis.model.periods
-        self.laplacian_eigs = np.array([
-            sum((TWO_PI * k / p) ** 2 for k, p in zip(m.rep[0], periods))
-            for m in self._modes
-        ])
+        self.laplacian_eigs = sum(
+            (TWO_PI * circle_frequencies(columns[self.mode_ids]) / period) ** 2
+            for columns, period in zip(basis.axis_columns, basis.model.periods))
         # per grid axis, every basis mode's row, once: greens_coefficient
         # integrates any mode against the extension on the grid
         self.grid_rows = basis.model.axis_factor_rows(
-            basis.modes, basis.coefficients, tuple(ax.nodes for ax in basis.axes))
+            basis, np.arange(basis.size), tuple(ax.nodes for ax in basis.axes))
 
     def grid_values(self, mode_id: int) -> np.ndarray:
         """Basis mode ``mode_id`` on the flattened grid, first axis slowest."""
@@ -133,7 +130,7 @@ class HarmonicExtension:
     def _mode_matrix(self, points: np.ndarray) -> np.ndarray:
         model = self.basis.model
         arr, _scalar = _normalize_points(points, model.chart_dim)
-        return model.values(self._modes, self.basis.coefficients[self.mode_ids], arr)
+        return model.values(self.basis, self.mode_ids, arr)
 
     def at(self, points) -> PointSample:
         """The extension at fixed chart points, for evaluation at many
@@ -145,18 +142,17 @@ class HarmonicExtension:
         coordinates ``coords`` (first axis slowest), with the mode matrix
         formed axis by axis: the same bits as :meth:`at` on the lattice's
         points."""
-        return PointSample(self, self.basis.model.lattice_values(
-            self._modes, self.basis.coefficients[self.mode_ids], coords))
+        return PointSample(self, self.basis.model.lattice_values(self.basis, self.mode_ids,
+                                                                 coords))
 
     def sup_bound(self, height: float | None = None) -> float:
         """sum |c| ||phi||_sup cosh(lambda T) dominates |H| on the slab."""
         t = self.T if height is None else height
         # a mode's sup is the product over the axes of sqrt(2 pi / P) over
-        # the norm of its circle_basis column; cosine and sine columns share it
-        model = self.basis.model
-        freqs = np.array([m.rep[0] for m in self._modes]).reshape(-1, model.dim)
-        sups = np.prod(np.sqrt(TWO_PI / np.array(model.periods))
-                       / circle_norms(circle_columns(freqs, 0)), axis=1)
+        # the norm of its circle_basis column
+        sups = np.prod([math.sqrt(TWO_PI / period) / circle_norms(columns[self.mode_ids])
+                        for columns, period in zip(self.basis.axis_columns,
+                                                   self.basis.model.periods)], axis=0)
         return float((np.abs(self.coeffs) * sups) @ np.cosh(self.lams * t))
 
     def grid_boundary_values(self, t: float):

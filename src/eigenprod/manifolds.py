@@ -14,20 +14,18 @@ Three closed analytic models are supported:
 Eigenvalues are written lambda^2 throughout; a mode stores lambda, the
 frequency, and an integer representation; per-mode floats are rows of
 ``SpectralBasis.coefficients``.  Modes are ordered by ascending lambda
-with ties broken by their representation, so ids are reproducible.
+with ties broken by their representation, so ids are reproducible.  A
+basis builds its per-mode arrays (representation columns, lambdas,
+bandwidths, circle columns) once; outside this module the package reads
+those arrays, never a ``Mode.rep``.
 
 Everything that differs between models lives in the model's class, one
 section of this module each; ``build_basis``, ``evaluate``, persistence
 and the JSON view are model-agnostic.  A fourth model is a frozen
 dataclass derived from ``_Surface`` whose fields are its constructor
-arguments.  It implements the method set listed there (``build``,
-``quadrature_grid`` (one one-dimensional rule per chart axis),
-``axis_factor_rows(modes, coefficients, axis_points)`` (the values of
-the named modes), ``axis_projections`` (every mode's per-axis sums in
-the quadrature check), ``bandwidth(mode, width)``, and
-where it has them ``coefficients_name``, ``chart_axes``, ``parse_label``
-and the closed-form ``rep_lambda``) and joins ``_MODELS``;
-an exact oracle, if it has one, joins ``coefficients._EXACT_ORACLES``.
+arguments.  It implements the method set listed there and joins
+``_MODELS``; an exact oracle, if it has one, joins
+``coefficients._EXACT_ORACLES``.
 """
 
 from __future__ import annotations
@@ -38,7 +36,6 @@ import json
 import math
 import struct
 from dataclasses import dataclass, field, fields
-from functools import cached_property
 
 import numpy as np
 
@@ -133,11 +130,14 @@ class SpectralBasis:
 
     ``coefficients`` is the read-only (modes, width) float matrix whose
     row i is mode i's rev-torus s-profile (width 0 on the other models).
-    ``target_bandwidth``, the per-axis bandwidth of the widest mode, is
-    computed on first use and never changes afterwards.
-    The content digest is kept the same way: ``save_basis`` and
-    ``load_basis`` record the digest they wrote or verified, and
-    ``basis_digest`` serializes only bases that were never saved or loaded.
+    Construction (``build`` or ``load_basis``) adds read-only arrays by
+    mode id: ``reps``, one int64 column per name in the model's
+    ``rep_names`` (the columns a cache header stores; the flat torus's
+    are (modes, d)), ``lams``, the model's (modes, axes) ``bandwidths``
+    with their column maximum ``target_bandwidth``, and the model's
+    ``axis_columns``.  ``save_basis`` and ``load_basis`` record the
+    content digest they wrote or verified, and ``basis_digest``
+    serializes only bases that were never saved or loaded.
     """
 
     model: object
@@ -146,16 +146,24 @@ class SpectralBasis:
     coefficients: np.ndarray
     axes: tuple
     provenance: str
+    reps: dict = field(init=False, repr=False)
+    lams: np.ndarray = field(init=False, repr=False)
+    bandwidths: np.ndarray = field(init=False, repr=False)
+    target_bandwidth: np.ndarray = field(init=False, repr=False)
+    axis_columns: tuple = field(init=False, repr=False)
     _digest: str | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        self.coefficients.setflags(write=False)
-
-    @cached_property
-    def target_bandwidth(self) -> np.ndarray:
-        """Per-axis maximum of the model's ``bandwidth`` over all modes."""
-        width = self.coefficients.shape[1]
-        return np.max([self.model.bandwidth(m, width) for m in self.modes], axis=0)
+        columns = zip(*(m.rep for m in self.modes))
+        self.reps = {name: np.array(column, dtype=np.int64)
+                     for name, column in zip(self.model.rep_names, columns)}
+        self.lams = np.array([m.lam for m in self.modes])
+        self.bandwidths = self.model.bandwidths(self.reps, self.coefficients.shape[1])
+        self.target_bandwidth = self.bandwidths.max(axis=0)
+        self.axis_columns = self.model.axis_columns(self.reps)
+        for array in (self.coefficients, self.lams, self.bandwidths, self.target_bandwidth,
+                      *self.reps.values(), *(c for c in self.axis_columns if c is not None)):
+            array.setflags(write=False)
 
     def mode(self, mode_id: int) -> Mode:
         if not 0 <= mode_id < len(self.modes):
@@ -165,9 +173,6 @@ class SpectralBasis:
     @property
     def size(self) -> int:
         return len(self.modes)
-
-    def lambdas(self) -> np.ndarray:
-        return np.array([m.lam for m in self.modes])
 
     def grid_weights(self) -> np.ndarray:
         """Weights of the flattened grid, first axis varying slowest."""
@@ -191,15 +196,18 @@ class _Surface:
     ``build(lambda_max)`` (the ordered basis),
     ``quadrature_grid(sizes)`` (one one-dimensional rule per chart axis,
     from the per-axis node counts),
-    ``axis_factor_rows(modes, coefficients, axis_points)`` (per grid axis,
-    one (len(modes), len(points)) array whose rows multiply to the values
-    of the modes, given with their coefficient rows),
+    ``axis_columns(reps)`` (per chart axis, each mode's circle_basis
+    column as an int array, None where a factor is not one column: the
+    one place a model maps its representation columns to circle columns),
+    ``bandwidths(reps, width)`` (the (modes, axes) per-axis degrees that
+    size the exactness a product's integrands need, at row width ``width``),
+    ``axis_factor_rows(basis, ids, axis_points)`` (per grid axis, one
+    (len(ids), len(points)) array whose rows multiply to the values of the
+    modes ``ids``) and
     ``axis_projections(basis, weighted)`` (per grid axis, the sum of every
     mode's factor row against ``weighted[axis]``, one value per mode: the
     quadrature check of product coefficients; a uniform periodic axis
-    takes one FFT, :func:`_circle_projections`) and
-    ``bandwidth(mode, width)`` (the per-axis degree, which sizes the
-    exactness a product's integrands need, at coefficient row width).
+    takes one FFT, :func:`_circle_projections`).
 
     Optional: ``coefficients_name`` (the JSON name of a coefficient row;
     None for empty rows), ``chart_axes(coords)`` (the grid-axis
@@ -219,29 +227,29 @@ class _Surface:
         """The grid-axis coordinates of validated per-axis chart coordinates."""
         return coords
 
-    def values(self, modes, coefficients: np.ndarray, arr: np.ndarray) -> np.ndarray:
-        """Values of ``modes`` at validated chart points, one row per mode."""
-        rows = self.axis_factor_rows(modes, coefficients, self.chart_axes(list(arr.T)))
+    def values(self, basis: SpectralBasis, ids, arr: np.ndarray) -> np.ndarray:
+        """Values of the modes ``ids`` of ``basis`` at validated chart points, one per row."""
+        rows = self.axis_factor_rows(basis, ids, self.chart_axes(list(arr.T)))
         out = rows[0]
         for axis_rows in rows[1:]:
             out *= axis_rows
         return out
 
-    def lattice_values(self, modes, coefficients: np.ndarray, coords) -> np.ndarray:
-        """Values of ``modes`` on the tensor lattice of the per-axis chart
-        coordinates ``coords`` (first axis slowest, as ``meshgrid`` with
-        ``indexing="ij"``), one row per mode.  The factor rows are formed
-        on each axis's own coordinates and multiplied as an outer product,
-        so each value is the product :meth:`values` forms at that lattice
-        point, bit for bit.  On the torus of revolution pass one mode per
-        call: several s rows come from one matrix product, whose bits
-        differ from the one-row product :func:`evaluate` takes."""
+    def lattice_values(self, basis: SpectralBasis, ids, coords) -> np.ndarray:
+        """Values of the modes ``ids`` of ``basis`` on the tensor lattice of
+        the per-axis chart coordinates ``coords`` (first axis slowest, as
+        ``meshgrid`` with ``indexing="ij"``), one row per mode.  The factor
+        rows are formed on each axis's own coordinates and multiplied as an
+        outer product, so each value is the product :meth:`values` forms at
+        that lattice point, bit for bit.  On the torus of revolution pass
+        one mode per call: several s rows come from one matrix product,
+        whose bits differ from the one-row product :func:`evaluate` takes."""
         if len(coords) != self.chart_dim:
             raise ParameterError(f"points must have {self.chart_dim} chart coordinates")
         coords = [np.asarray(c, dtype=float).reshape(-1) for c in coords]
         if not all(np.all(np.isfinite(c)) for c in coords):
             raise ParameterError("points must be finite chart coordinates")
-        rows = self.axis_factor_rows(modes, coefficients, self.chart_axes(coords))
+        rows = self.axis_factor_rows(basis, ids, self.chart_axes(coords))
         out = rows[0]
         for axis_rows in rows[1:]:
             out = (out[:, :, None] * axis_rows[:, None, :]).reshape(out.shape[0], -1)
@@ -319,23 +327,24 @@ class FlatTorus(_Surface):
     def quadrature_grid(self, sizes) -> tuple:
         return tuple(uniform_periodic(n, p) for n, p in zip(sizes, self.periods))
 
-    def axis_factor_rows(self, modes, coefficients, axis_points) -> tuple:
-        return tuple(_trig_rows(axis_points[a], *self._axis_factors(modes, a),
+    def axis_columns(self, reps: dict) -> tuple:
+        # a factor on an axis of period P is sqrt(2 pi / P) times a
+        # circle_basis column of 2 pi x / P
+        return tuple(circle_columns(reps["freqs"][:, a], reps["parities"][:, a])
+                     for a in range(self.dim))
+
+    def bandwidths(self, reps: dict, width: int) -> np.ndarray:
+        return reps["freqs"]
+
+    def axis_factor_rows(self, basis: SpectralBasis, ids, axis_points) -> tuple:
+        return tuple(_trig_rows(axis_points[a], basis.axis_columns[a][ids],
                                 1.0 / math.sqrt(period), math.sqrt(2.0 / period), TWO_PI / period)
                      for a, period in enumerate(self.periods))
 
     def axis_projections(self, basis: SpectralBasis, weighted) -> tuple:
-        return tuple(_circle_projections(weighted[a], *self._axis_factors(basis.modes, a),
+        return tuple(_circle_projections(weighted[a], basis.axis_columns[a],
                                          math.sqrt(TWO_PI / period))
                      for a, period in enumerate(self.periods))
-
-    def _axis_factors(self, modes, axis: int) -> tuple:
-        """(freqs, parities) of the modes' factors on ``axis``: each factor is
-        sqrt(2 pi / period) times a circle_basis column of 2 pi x / period."""
-        return [m.rep[0][axis] for m in modes], [m.rep[1][axis] for m in modes]
-
-    def bandwidth(self, mode: Mode, width: int) -> tuple:
-        return mode.rep[0]
 
     def rep_lambda(self, rep: tuple) -> float:
         """|k| with k_a = 2 pi freqs[a] / periods[a]; the parities do not enter."""
@@ -372,35 +381,34 @@ class FlatTorus(_Surface):
         return (freqs, parities)
 
 
-def _trig_rows(x, freqs, parities, const: float, amp: float, scale: float = 1.0) -> np.ndarray:
-    """One row per (freq, parity) with integer freq: ``const`` where freq
-    is 0, else amp * cos(scale freq x) (parity COS) or amp * sin(scale
-    freq x) (parity SIN).  Each distinct pair, keyed by the integer
-    2 freq + parity, is evaluated once.  ``const`` and ``amp`` are the
-    factor's scale over the circle_basis norms, written out so that a
-    row's bits do not depend on how that quotient rounds."""
-    keys, inverse = np.unique(2 * np.asarray(freqs, dtype=np.int64) + np.asarray(parities),
-                              return_inverse=True)
+def _trig_rows(x, columns, const: float, amp: float, scale: float = 1.0) -> np.ndarray:
+    """One row per circle_basis column, of frequency freq: ``const`` for
+    column 0, else amp * cos(scale freq x) (odd columns) or amp *
+    sin(scale freq x) (even columns).  Each distinct column is evaluated
+    once.  ``const`` and ``amp`` are the factor's scale over the
+    circle_basis norms, written out so that a row's bits do not depend on
+    how that quotient rounds."""
+    keys, inverse = np.unique(columns, return_inverse=True)
     x = np.asarray(x, dtype=float)
     rows = np.empty((keys.size, x.shape[0]))
-    for row, key in zip(rows, keys.tolist()):
-        freq, parity = divmod(key, 2)
+    for row, column in zip(rows, keys.tolist()):
+        freq = (column + 1) // 2
         if freq == 0:
             row[:] = const
         else:
             np.multiply(freq * scale, x, out=row)
-            (np.cos if parity == COS else np.sin)(row, out=row)
+            (np.cos if column % 2 else np.sin)(row, out=row)
             row *= amp
     return rows[inverse.reshape(-1)]
 
 
-def _circle_projections(values, freqs, parities, scale: float = 1.0) -> np.ndarray:
-    """Per (freq, parity), the sum of the factor ``scale`` times its
-    circle_basis column against ``values`` on a uniform periodic grid with
-    a node at 0 (:func:`eigenprod.numerics.circle_sums`, one FFT), exact
-    for every freq below the node count."""
-    width = 2 * int(np.max(freqs, initial=0)) + 1
-    return scale * circle_sums(values, width)[circle_columns(freqs, parities)]
+def _circle_projections(values, columns, scale: float = 1.0) -> np.ndarray:
+    """Per circle_basis column, the sum of the factor ``scale`` times that
+    column against ``values`` on a uniform periodic grid with a node at 0
+    (:func:`eigenprod.numerics.circle_sums`, one FFT), exact for every
+    frequency below the node count."""
+    width = 2 * int(circle_frequencies(np.max(columns, initial=0))) + 1
+    return scale * circle_sums(values, width)[columns]
 
 
 # ---------------------------------------------------------------------------
@@ -449,22 +457,29 @@ class Sphere2(_Surface):
             raise ParameterError("polar angle must lie in [0, pi]")
         return [np.cos(theta), coords[1]]
 
-    def axis_factor_rows(self, modes, coefficients, axis_points) -> tuple:
-        return (_legendre_rows([m.rep for m in modes], np.asarray(axis_points[0], dtype=float)),
-                _trig_rows(axis_points[1], *_phi_factors(modes), 1.0, math.sqrt(2.0)))
+    def axis_columns(self, reps: dict) -> tuple:
+        # the Gauss x-axis holds Legendre rows; a phi factor is sqrt(2 pi)
+        # times the column of frequency |m|, a sine where m < 0
+        orders = reps["m"]
+        return None, circle_columns(np.abs(orders), orders < 0)
+
+    def bandwidths(self, reps: dict, width: int) -> np.ndarray:
+        return np.column_stack((reps["l"], reps["l"]))
+
+    def axis_factor_rows(self, basis: SpectralBasis, ids, axis_points) -> tuple:
+        lms = np.column_stack((basis.reps["l"][ids], basis.reps["m"][ids]))
+        return (_legendre_rows(lms, np.asarray(axis_points[0], dtype=float)),
+                _trig_rows(axis_points[1], basis.axis_columns[1][ids], 1.0, math.sqrt(2.0)))
 
     def axis_projections(self, basis: SpectralBasis, weighted) -> tuple:
         # the Gauss x-axis is not periodic: its Legendre rows are formed
         # here, once per distinct (l, |m|), keyed l^2 + |m| with |m| <= l
-        lms = np.abs([m.rep for m in basis.modes])
+        lms = np.column_stack((basis.reps["l"], np.abs(basis.reps["m"])))
         _keys, first, inverse = np.unique(lms[:, 0] ** 2 + lms[:, 1],
                                           return_index=True, return_inverse=True)
         x_sums = _legendre_rows(lms[first], basis.axes[0].nodes) @ weighted[0]
         return (x_sums[inverse.reshape(-1)],
-                _circle_projections(weighted[1], *_phi_factors(basis.modes), math.sqrt(TWO_PI)))
-
-    def bandwidth(self, mode: Mode, width: int) -> tuple:
-        return (mode.rep[0], mode.rep[0])
+                _circle_projections(weighted[1], basis.axis_columns[1], math.sqrt(TWO_PI)))
 
     def rep_lambda(self, rep: tuple) -> float:
         """sqrt(l (l + 1)); the order m does not enter."""
@@ -479,13 +494,6 @@ class Sphere2(_Surface):
                 raise ParameterError(f"factor token {token!r} names no harmonic: need |m| <= l")
             return (l, m)
         return super().parse_label(token)
-
-
-def _phi_factors(modes) -> tuple:
-    """(freqs, parities) of the real harmonics' phi factors: each is
-    sqrt(2 pi) times a circle_basis column."""
-    orders = [m.rep[1] for m in modes]
-    return np.abs(orders), [SIN if o < 0 else COS for o in orders]
 
 
 def normalized_legendre(l: int, m: int, x: np.ndarray) -> np.ndarray:
@@ -669,30 +677,31 @@ class RevTorus(_Surface):
             TWO_PI * self.major_radius)
         return s_axis, uniform_periodic(sizes[1], TWO_PI)
 
-    def axis_factor_rows(self, modes, coefficients, axis_points) -> tuple:
+    def axis_columns(self, reps: dict) -> tuple:
+        # the s factor is a coefficient row; the theta factor is a
+        # circle_basis column
+        return None, circle_columns(reps["m"], reps["theta_parity"])
+
+    def bandwidths(self, reps: dict, width: int) -> np.ndarray:
+        # the s bandwidth is estimated by the Galerkin truncation per factor
+        return np.column_stack((np.full(reps["m"].shape, (width - 1) // 2), reps["m"]))
+
+    def axis_factor_rows(self, basis: SpectralBasis, ids, axis_points) -> tuple:
         # the s profiles are evaluated at the distinct s values only: a
         # lattice of n points has about sqrt(n) of them
+        coefficients = basis.coefficients[ids]
         s_values, inverse = np.unique(np.asarray(axis_points[0], dtype=float),
                                       return_inverse=True)
         s_rows = coefficients @ circle_basis(s_values, coefficients.shape[1]).T
         return s_rows[:, inverse.reshape(-1)], _trig_rows(
-            axis_points[1], *_theta_factors(modes), 1.0 / math.sqrt(TWO_PI), 1.0 / math.sqrt(math.pi))
+            axis_points[1], basis.axis_columns[1][ids],
+            1.0 / math.sqrt(TWO_PI), 1.0 / math.sqrt(math.pi))
 
     def axis_projections(self, basis: SpectralBasis, weighted) -> tuple:
         # the s sums are the coefficient rows against the s vector's
         # circle_basis sums: no (modes, nodes) array is formed
         return (basis.coefficients @ circle_sums(weighted[0], basis.coefficients.shape[1]),
-                _circle_projections(weighted[1], *_theta_factors(basis.modes)))
-
-    def bandwidth(self, mode: Mode, width: int) -> tuple:
-        # the s bandwidth is estimated by the Galerkin truncation per factor
-        return ((width - 1) // 2, mode.rep[0])
-
-
-def _theta_factors(modes) -> tuple:
-    """(freqs, parities) of the modes' theta factors: each is a
-    circle_basis column."""
-    return [m.rep[0] for m in modes], [m.rep[1] for m in modes]
+                _circle_projections(weighted[1], basis.axis_columns[1]))
 
 
 def _rev_truncation(model: RevTorus, lambda_max: float) -> int:
@@ -781,7 +790,7 @@ def evaluate(basis: SpectralBasis, mode: Mode, points):
         raise ParameterError(f"mode {mode.id} is not a mode of this basis")
     model = basis.model
     arr, scalar = _normalize_points(points, model.chart_dim)
-    out = model.values((mode,), basis.coefficients[mode.id:mode.id + 1], arr)[0]
+    out = model.values(basis, [mode.id], arr)[0]
     return float(out[0]) if scalar else out
 
 
@@ -836,17 +845,17 @@ def _basis_payload(basis: SpectralBasis) -> bytes:
     no whitespace; the representation fields are its columns), ``\\n``,
     then one little-endian float64 block holding the lambda column and the
     (modes x width) coefficient matrix, row-major."""
-    model, modes = basis.model, basis.modes
-    block = np.array([m.lam for m in modes], dtype="<f8").tobytes() \
+    model = basis.model
+    block = basis.lams.astype("<f8").tobytes() \
         + np.ascontiguousarray(basis.coefficients, dtype="<f8").tobytes()
     header = {
         "model": model_descriptor(model),
         "lambda_max": basis.lambda_max.hex(),
         "provenance": basis.provenance,
         "grid_axis_sizes": basis.axis_sizes(),
-        "count": len(modes),
+        "count": basis.size,
         "floats_per_mode": 1 + basis.coefficients.shape[1],
-        "columns": {name: [m.rep[i] for m in modes] for i, name in enumerate(model.rep_names)},
+        "columns": {name: basis.reps[name].tolist() for name in model.rep_names},
     }
     text = json.dumps(header, sort_keys=True, separators=(",", ":"))
     return text.encode("utf-8") + b"\n" + block
@@ -918,10 +927,11 @@ def load_basis(path) -> SpectralBasis:
         if len(header["grid_axis_sizes"]) != model.chart_dim:
             raise ValueError(f"grid axis sizes do not match the {model.chart_dim} chart axes")
         axes = model.quadrature_grid(header["grid_axis_sizes"])
-        provenance = header["provenance"]
+        # the representation columns become arrays here: ragged or empty ones fail
+        basis = SpectralBasis(model, lambda_max, modes, coefficients, axes,
+                              header["provenance"])
     except (AttributeError, KeyError, ValueError, TypeError) as exc:
         raise CorruptionError(f"{path}: malformed basis payload ({exc})") from exc
-    basis = SpectralBasis(model, lambda_max, modes, coefficients, axes, provenance)
     basis._digest = digest.hex()  # the body is the canonical payload save_basis wrote
     return basis
 

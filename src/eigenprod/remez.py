@@ -257,8 +257,7 @@ def good_set_experiment(basis, spec: ProductSpec, center, side: float,
     keep = np.ones(total, dtype=bool)
     factor_values = []
     for i in spec.factors:
-        values = np.abs(basis.model.lattice_values(
-            (basis.modes[i],), basis.coefficients[i:i + 1], axes)[0])
+        values = np.abs(basis.model.lattice_values(basis, [i], axes)[0])
         factor_values.append(values)
         bound = float(np.partition(values, rank)[rank])
         chosen = None

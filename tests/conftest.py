@@ -12,7 +12,7 @@ def _grid_values(basis) -> np.ndarray:
     """Every mode of ``basis`` on its flattened quadrature grid, one row per
     mode (first axis slowest, the order of ``grid_weights``), from the
     model's ``axis_factor_rows``."""
-    rows = basis.model.axis_factor_rows(basis.modes, basis.coefficients,
+    rows = basis.model.axis_factor_rows(basis, np.arange(basis.size),
                                         tuple(ax.nodes for ax in basis.axes))
     if len(rows) == 1:
         return rows[0]

@@ -280,6 +280,9 @@ def test_acceptance_5_truncation(rev_setup, circle_basis):
         c5_star = max(c5_star, result.c5)
     ratios = [captured_norm_ratio(series, c5_star) for _s, series in chosen]
     assert all(r >= 0.99 for r in ratios)
+    # the paper's claim is a finite C5 shared by the family; 1.1 is
+    # measured on these six (2, 1) products, so a slower capture fails
+    assert c5_star <= 1.2
     # band-limited models: C5 = 1.0 suffices exactly (cumulative sums)
     series1 = expand_product(ProductSpec(circle_basis, (3, 6)))
     flat = find_truncation(series1, target=0.99)

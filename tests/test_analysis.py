@@ -30,12 +30,12 @@ def synthetic_series(basis, coeffs, factors=(1, 2), f_norm_sq=None):
     coeffs = np.asarray(coeffs, dtype=float)
     norm = float(coeffs @ coeffs) if f_norm_sq is None else f_norm_sq
     return CoefficientSeries(ProductSpec(basis, factors), np.arange(basis.size),
-                             basis.lambdas(), coeffs, norm, "quadrature")
+                             basis.lams, coeffs, norm, "quadrature")
 
 
 def test_fit_recovers_exact_exponential(circle_basis_24):
     basis = circle_basis_24
-    coeffs = np.exp(-0.5 * basis.lambdas())
+    coeffs = np.exp(-0.5 * basis.lams)
     series = synthetic_series(basis, coeffs)  # sum_lambda = 2
     fit = fit_decay(series)
     assert not fit.band_limited
@@ -79,7 +79,7 @@ def test_fit_requires_enough_tail(circle_basis_24):
 
 def test_onset_detects_decay_start(circle_basis_24):
     basis = circle_basis_24
-    lams = basis.lambdas()
+    lams = basis.lams
     coeffs = np.where(lams <= 6.0, 0.5, np.exp(-1.0 * (lams - 6.0)))
     series = synthetic_series(basis, coeffs)
     fit = fit_decay(series, window=(8.0, 24.0))
@@ -103,7 +103,7 @@ def test_truncation_band_limited_case(circle_basis_24):
 def test_truncation_synthetic_mass_batches(circle_basis_24):
     # hand cumulative sums: 0.9 at the frequency sum, 0.995 at twice it
     basis = circle_basis_24
-    lams = basis.lambdas()
+    lams = basis.lams
     coeffs = np.zeros(basis.size)
     coeffs[np.argmax(lams == 2.0)] = math.sqrt(0.9)
     coeffs[np.argmax(lams == 4.0)] = math.sqrt(0.095)

@@ -421,9 +421,9 @@ def test_rev_expansion_evaluates_only_factor_rows(rev_basis, factors, monkeypatc
     seen = []
     original = RevTorus.axis_factor_rows
 
-    def counting(self, modes, coeffs, axis_points):
-        seen.extend(mode.id for mode in modes)
-        return original(self, modes, coeffs, axis_points)
+    def counting(self, basis, ids, axis_points):
+        seen.extend(ids)
+        return original(self, basis, ids, axis_points)
 
     monkeypatch.setattr(RevTorus, "axis_factor_rows", counting)
     assert expand_product(ProductSpec(rev_basis, factors)).method == "both"
@@ -503,6 +503,14 @@ def test_product_spec_validation(circle_basis):
         ProductSpec(circle_basis, ())
     with pytest.raises(ParameterError):
         ProductSpec(circle_basis, (99,))
+
+
+@pytest.mark.parametrize("factor", [1.7, True, "3"], ids=["float", "bool", "str"])
+def test_product_spec_refuses_non_integer_ids(circle_basis, factor):
+    # ids index the basis arrays: they are never rounded or parsed
+    with pytest.raises(ParameterError, match="not an integer"):
+        ProductSpec(circle_basis, (factor, 2))
+    assert ProductSpec(circle_basis, (np.int64(1), 2)).factors == (1, 2)
 
 
 def test_csv_dump(circle_basis):

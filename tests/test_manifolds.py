@@ -107,7 +107,7 @@ def test_flat_torus_2d_mode_count():
     basis = build_basis(FlatTorus(2, (TWO_PI, TWO_PI)), 2.5)
     # lambda^2 values: 0 (x1), 1 (x4), 2 (x4), 4 (x4), 5 (x8)
     assert basis.size == 21
-    lams = np.round(basis.lambdas() ** 2).astype(int).tolist()
+    lams = np.round(basis.lams ** 2).astype(int).tolist()
     assert lams == [0] + [1] * 4 + [2] * 4 + [4] * 4 + [5] * 8
 
 
@@ -122,7 +122,7 @@ def test_sphere_mode_table(sphere_basis_3):
     basis = sphere_basis_3
     assert basis.size == 16  # (l+1)^2 for l <= 3
     expected = [math.sqrt(l * (l + 1.0)) for l in range(4) for _ in range(2 * l + 1)]
-    assert basis.lambdas() == pytest.approx(expected, abs=1e-15)
+    assert basis.lams == pytest.approx(expected, abs=1e-15)
 
 
 def test_sphere_point_values(sphere_basis_3):
@@ -237,7 +237,7 @@ def test_factor_rows_equal_profile_matrix_rows(request, fixture):
     # profile matrices), and with them the bits of the product norm
     basis = request.getfixturevalue(fixture)
     profile_matrices = basis.model.axis_factor_rows(
-        basis.modes, basis.coefficients, tuple(ax.nodes for ax in basis.axes))
+        basis, np.arange(basis.size), tuple(ax.nodes for ax in basis.axes))
     top = basis.size - 1
     for factors in ((0,), (2, 2), (top, 1, 2), (3, top, 3, 1)):
         rows = _factor_rows(ProductSpec(basis, factors))
@@ -288,7 +288,7 @@ def test_axis_projections_equal_row_sums(request, fixture):
     basis = request.getfixturevalue(fixture)
     rng = np.random.default_rng(11)
     weighted = [ax.weights * rng.standard_normal(ax.size) for ax in basis.axes]
-    rows = basis.model.axis_factor_rows(basis.modes, basis.coefficients,
+    rows = basis.model.axis_factor_rows(basis, np.arange(basis.size),
                                         tuple(ax.nodes for ax in basis.axes))
     sums = basis.model.axis_projections(basis, weighted)
     assert len(sums) == len(rows) == basis.model.chart_dim
@@ -307,18 +307,18 @@ def test_lattice_values_equal_pointwise_evaluation(request, fixture):
     coords = [np.linspace(0.1, 3.0, 37), np.linspace(-1.0, 7.0, 29)][:model.chart_dim]
     points = np.stack([m.reshape(-1) for m in np.meshgrid(*coords, indexing="ij")], axis=-1)
     for mode in basis.modes:
-        got = model.lattice_values((mode,), basis.coefficients[mode.id:mode.id + 1], coords)
+        got = model.lattice_values(basis, [mode.id], coords)
         assert np.array_equal(got[0], evaluate(basis, mode, points[:, 0] if model.chart_dim == 1
                                                 else points))
     if not isinstance(model, RevTorus):  # several s rows are one gemm, not one gemv
-        every = model.lattice_values(basis.modes, basis.coefficients, coords)
+        every = model.lattice_values(basis, np.arange(basis.size), coords)
         assert np.array_equal(every, np.stack([evaluate(basis, m, points) for m in basis.modes]))
     bad = [[coords[0][:1]] * (model.chart_dim + 1),
            [np.array([np.nan])] + coords[1:],
            *([[np.array([-0.1]), coords[1]]] if isinstance(model, Sphere2) else [])]
     for wrong in bad:
         with pytest.raises(ParameterError):
-            model.lattice_values(basis.modes[:1], basis.coefficients[:1], wrong)
+            model.lattice_values(basis, [0], wrong)
 
 
 def _direct_trig_row(freq, parity, x, const, amp):
@@ -332,7 +332,7 @@ def test_trig_rows_equal_direct_evaluation_bit_for_bit(flat2_basis, rev_basis_3)
     # gathered rows are the per-mode cos/sin values to the last bit
     model = flat2_basis.model
     axes = model.chart_axes(list(grid_chart_points(flat2_basis).T))
-    rows = model.axis_factor_rows(flat2_basis.modes, flat2_basis.coefficients, axes)
+    rows = model.axis_factor_rows(flat2_basis, np.arange(flat2_basis.size), axes)
     for a, period in enumerate(model.periods):
         direct = np.stack([
             _direct_trig_row(m.rep[0][a] * (TWO_PI / period), m.rep[1][a], axes[a],
@@ -341,7 +341,7 @@ def test_trig_rows_equal_direct_evaluation_bit_for_bit(flat2_basis, rev_basis_3)
         assert np.array_equal(rows[a], direct)
     axes = rev_basis_3.model.chart_axes(list(grid_chart_points(rev_basis_3).T))
     theta_rows = rev_basis_3.model.axis_factor_rows(
-        rev_basis_3.modes, rev_basis_3.coefficients, axes)[1]
+        rev_basis_3, np.arange(rev_basis_3.size), axes)[1]
     direct = np.stack([
         _direct_trig_row(m.rep[0], m.rep[1], axes[1],
                          1.0 / math.sqrt(TWO_PI), 1.0 / math.sqrt(math.pi))
@@ -378,7 +378,29 @@ def test_rev_torus_self_convergence(monkeypatch):
     assert coarse.coefficients.shape[1] == 2 * 32 + 1
     assert fine.coefficients.shape[1] == 2 * 64 + 1
     assert coarse.size == fine.size
-    assert np.max(np.abs(coarse.lambdas() - fine.lambdas())) <= 1e-8
+    assert np.max(np.abs(coarse.lams - fine.lams)) <= 1e-8
+
+
+def test_rev_torus_equal_sigma_families_match():
+    # (4, 2) is (2, 1) with f doubled: the pencil of its family 2m is twice
+    # that of family m on (2, 1), so each (2, 1) mode (m, parity) has a
+    # (4, 2) twin (2m, parity) with its lambda and 1/sqrt(2) times its row
+    small, large = (build_basis(RevTorus(*radii), 5.0) for radii in ((2.0, 1.0), (4.0, 2.0)))
+    assert small.coefficients.shape[1] == large.coefficients.shape[1]
+    families = [{}, {}]
+    for basis, family in zip((small, large), families):
+        for mode in basis.modes:
+            family.setdefault(mode.rep, []).append(mode.id)
+    matched = 0
+    for (m, parity), ids in families[0].items():
+        twins = families[1][(2 * m, parity)]
+        assert len(twins) >= len(ids)
+        for i, j in zip(ids, twins):
+            assert abs(small.lams[i] - large.lams[j]) <= 1e-12 * small.lams[i]
+            assert np.max(np.abs(small.coefficients[i]
+                                 - math.sqrt(2.0) * large.coefficients[j])) <= 1e-12
+            matched += 1
+    assert matched == small.size > 100
 
 
 @pytest.mark.parametrize("big, small, lambda_max, trunc", [
@@ -531,7 +553,7 @@ def test_torus_under_resolution_error():
 
 def test_weyl_counting_flat_torus_2d():
     basis = build_basis(FlatTorus(2, (TWO_PI, TWO_PI)), 20.0)
-    lams = basis.lambdas()
+    lams = basis.lams
     volume = basis.model.volume
     counts = [int(np.count_nonzero(lams <= lam)) for lam in (10.0, 15.0, 20.0)]
     assert counts == sorted(counts)
@@ -689,6 +711,26 @@ def test_mode_reps_hold_only_ints(request, name):
                 type(value) is tuple and all(type(v) is int for v in value)), mode
 
 
+@pytest.mark.parametrize("name", list(JSON_FIELDS))
+def test_basis_arrays_are_read_only(request, name, tmp_path):
+    # build and load make the same per-mode arrays, once, and no caller
+    # can write to them
+    built = request.getfixturevalue(name)
+    save_basis(built, tmp_path / "basis.eprd")
+    loaded = load_basis(tmp_path / "basis.eprd")
+    for basis in (built, loaded):
+        assert set(basis.reps) == set(basis.model.rep_names)
+        assert basis.bandwidths.shape == (basis.size, basis.model.chart_dim)
+        assert len(basis.axis_columns) == basis.model.chart_dim
+        arrays = [basis.lams, basis.bandwidths, basis.target_bandwidth, *basis.reps.values(),
+                  *(c for c in basis.axis_columns if c is not None)]
+        assert not any(array.flags.writeable for array in arrays)
+    for field in built.model.rep_names:
+        assert np.array_equal(built.reps[field], loaded.reps[field])
+    assert np.array_equal(built.lams, loaded.lams)
+    assert np.array_equal(built.bandwidths, loaded.bandwidths)
+
+
 @pytest.mark.parametrize("name, digest", [
     ("circle_basis_3", "7c2767f8b41b5898b2e640664228e7f6e74747842844d5a9bb4e77c4d69c0024"),
     ("flat2_basis", "ba8cef88d5b12e355178effe32c210aefbcdb335b048dbe70abb32b639d45499"),
@@ -768,6 +810,19 @@ def _short_column(header, values):
     return json.dumps({**header, "columns": columns}).encode() + b"\n" + values.tobytes()
 
 
+def _ragged_column(header, values):
+    # one representation entry nested deeper than the rest of its column
+    name = sorted(header["columns"])[0]
+    column = header["columns"][name]
+    columns = {**header["columns"], name: [[column[0]], *column[1:]]}
+    return json.dumps({**header, "columns": columns}).encode() + b"\n" + values.tobytes()
+
+
+def _no_modes(header, values):
+    columns = {name: [] for name in header["columns"]}
+    return json.dumps({**header, "count": 0, "columns": columns}).encode() + b"\n"
+
+
 def _coefficient_width_flipped(header, values):
     # a consistent block whose coefficient width does not fit the model:
     # one coefficient per flat-torus mode, none per rev-torus mode
@@ -788,8 +843,8 @@ def _grid_sizes_miscounted(header, values):
 
 @pytest.mark.parametrize("name", ["circle_basis_3", "rev_basis_3"])
 @pytest.mark.parametrize("damage", [_no_separator, _one_value_short, _count_off_by_one,
-                                    _short_column, _coefficient_width_flipped,
-                                    _grid_sizes_miscounted])
+                                    _short_column, _ragged_column, _no_modes,
+                                    _coefficient_width_flipped, _grid_sizes_miscounted])
 def test_load_rejects_a_malformed_v4_body(tmp_path, request, name, damage):
     # a body with a valid digest whose header and float block disagree
     header, values = split_payload(manifolds._basis_payload(request.getfixturevalue(name)))
@@ -879,6 +934,18 @@ def test_fft_and_convolve_only_in_numerics():
                 if name == "np.convolve" or name.startswith("np.fft."):
                     found.add(path.stem)
     assert found == {"numerics"}
+
+
+def test_mode_rep_read_only_in_manifolds_and_cli():
+    # the representation layout is a manifolds decision: the computing
+    # modules read the basis arrays; the CLI keeps its label lookup
+    found = set()
+    package = pathlib.Path(manifolds.__file__).parent
+    for path in sorted(package.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr == "rep":
+                found.add(path.stem)
+    assert found == {"manifolds", "cli"}
 
 
 def test_scipy_imported_only_inside_numerics_functions():

@@ -320,9 +320,9 @@ def test_good_set_evaluates_factors_on_axes_only(monkeypatch, good_set_case, cir
         model_type = type(basis.model)
         original = model_type.axis_factor_rows
 
-        def recording(self, modes, coefficients, axis_points, original=original):
+        def recording(self, basis, ids, axis_points, original=original):
             seen.append([len(points) for points in axis_points])
-            return original(self, modes, coefficients, axis_points)
+            return original(self, basis, ids, axis_points)
 
         monkeypatch.setattr(model_type, "axis_factor_rows", recording)
         seen.clear()
@@ -350,9 +350,7 @@ def test_good_set_thresholds_equal_the_linear_scan(case):
     axes, _cell = remez._measure_axes(center, side, None)
     total = math.prod(axis.size for axis in axes)
     budget = total / (2.0 * spec.n_factors)
-    factor_values = [np.abs(model.lattice_values((basis.modes[i],),
-                                                 basis.coefficients[i:i + 1], axes)[0])
-                     for i in factors]
+    factor_values = [np.abs(model.lattice_values(basis, [i], axes)[0]) for i in factors]
     straddle = []
     for values in factor_values:
         near = np.sort(values)[int(budget) - 2:int(budget) + 3]
