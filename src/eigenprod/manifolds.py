@@ -154,8 +154,10 @@ class SpectralBasis:
     _digest: str | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
+        # a column of int tuples converts fastest one tuple position at a time
         columns = zip(*(m.rep for m in self.modes))
-        self.reps = {name: np.array(column, dtype=np.int64)
+        self.reps = {name: np.array(list(zip(*column, strict=True)), dtype=np.int64).T.copy()
+                     if isinstance(column[0], tuple) else np.array(column, dtype=np.int64)
                      for name, column in zip(self.model.rep_names, columns)}
         self.lams = np.array([m.lam for m in self.modes])
         self.bandwidths = self.model.bandwidths(self.reps, self.coefficients.shape[1])
@@ -795,10 +797,19 @@ def evaluate(basis: SpectralBasis, mode: Mode, points):
 
 
 def as_chart_function(basis: SpectralBasis, mode: Mode):
-    """Wrap a mode of ``basis`` as a plain callable on (n, chart_dim) point arrays."""
+    """Wrap a mode of ``basis`` as a chart function: ``fn(*coords)`` gives
+    the mode on the tensor lattice of one coordinate array per chart axis
+    (:meth:`_Surface.lattice_values`, one mode per call, so the values are
+    :func:`evaluate`'s, bit for bit), shaped (x.size, y.size) on a plane and
+    as x on a line, which is what the open mesh of :mod:`eigenprod.remez`
+    broadcasts to."""
+    if basis.mode(mode.id) != mode:
+        raise ParameterError(f"mode {mode.id} is not a mode of this basis")
 
-    def fn(points):
-        return evaluate(basis, mode, points)
+    def fn(*coords):
+        values = basis.model.lattice_values(basis, [mode.id], coords)[0]
+        sizes = tuple(map(np.size, coords))
+        return values.reshape(np.shape(coords[0]) if len(coords) == 1 else sizes)
 
     return fn
 

@@ -4,6 +4,12 @@ Everything samples deterministic lattices: sups are taken over
 endpoint-inclusive grids (so homogeneous scaling is exact in floating
 point), measures count cell centers (so measures are exactly
 nonincreasing as the threshold tightens).
+
+A function receives each lattice's per-axis coordinates in open-mesh form
+(``np.meshgrid(..., indexing="ij", sparse=True)``): ``fn(x)``, x (n,), on
+a line and ``fn(x, y)``, x (n, 1) and y (1, m), on a plane, as the
+factories below do.  Values that do not broadcast to the lattice shape
+raise ``ParameterError``.
 """
 
 from __future__ import annotations
@@ -53,18 +59,20 @@ def _as_center(center) -> tuple:
     return tuple(float(c) for c in arr)
 
 
-def _lattice(axes) -> np.ndarray:
-    """The tensor lattice of 1-d coordinate arrays as (n, len(axes)) points."""
-    return np.column_stack([m.reshape(-1) for m in np.meshgrid(*axes, indexing="ij")])
+def _eval(fn, axes) -> np.ndarray:
+    """|fn| on the tensor lattice of the 1-d arrays ``axes``, one array axis each."""
+    shape = tuple(axis.size for axis in axes)
+    values = np.asarray(fn(*np.meshgrid(*axes, indexing="ij", sparse=True)))
+    try:
+        return np.abs(np.broadcast_to(values, shape))
+    except ValueError:
+        raise ParameterError(f"values {values.shape} do not broadcast to {shape}") from None
 
 
-def _sup_lattice(center: tuple, half_side: float, per_axis: int) -> np.ndarray:
-    return _lattice([np.linspace(c - half_side, c + half_side, per_axis) for c in center])
-
-
-def _eval(fn, points: np.ndarray) -> np.ndarray:
-    values = np.asarray(fn(points if points.shape[1] > 1 else points[:, 0]))
-    return np.abs(values.reshape(-1))
+def _sup(fn, center: tuple, half_side: float, per_axis: int) -> float:
+    """Sampled sup of |fn| on the endpoint-inclusive lattice of the cube."""
+    axes = [np.linspace(c - half_side, c + half_side, per_axis) for c in center]
+    return float(np.max(_eval(fn, axes)))
 
 
 @dataclass(frozen=True)
@@ -88,8 +96,8 @@ def doubling_index(fn, center, r: float, samples_per_axis: int = 129) -> Doublin
     center = _as_center(center)
     if not (r > 0.0) or samples_per_axis < 64:
         raise ParameterError("need r > 0 and at least 64 samples per axis")
-    sup_r = float(np.max(_eval(fn, _sup_lattice(center, r, samples_per_axis))))
-    sup_2r = float(np.max(_eval(fn, _sup_lattice(center, 2.0 * r, samples_per_axis))))
+    sup_r = _sup(fn, center, r, samples_per_axis)
+    sup_2r = _sup(fn, center, 2.0 * r, samples_per_axis)
     if sup_r < 1e-300:
         raise BreakdownError("sampled sup vanished; the index is undefined")
     return DoublingReport(center, float(r), sup_r, sup_2r,
@@ -115,7 +123,7 @@ def _counts_below(values: np.ndarray, a_values) -> list:
     ``sublevel_measure`` does.  For a single threshold that comparison is
     cheaper than the sort.
     """
-    ordered = np.sort(values)
+    ordered = np.sort(values, axis=None)
     thresholds = [math.exp(-float(a)) for a in a_values]
     return np.searchsorted(ordered, thresholds, side="left").tolist()
 
@@ -131,7 +139,7 @@ def sublevel_measure(fn, center, side: float, a: float,
     if not (side > 0.0):
         raise ParameterError("cube side must be positive")
     axes, cell = _measure_axes(center, side, samples_per_axis)
-    count = int(np.count_nonzero(_eval(fn, _lattice(axes)) < math.exp(-a)))
+    count = int(np.count_nonzero(_eval(fn, axes) < math.exp(-a)))
     return count * cell
 
 
@@ -176,14 +184,14 @@ def remez_fit(fn, center, side: float, a_grid=None,
     if grid.size < 5 or np.any(np.diff(grid) <= 0.0):
         raise ParameterError("threshold grid must be ascending with >= 5 points")
     sup_axis = 4097 if dim == 1 else 257
-    sup_q = float(np.max(_eval(fn, _sup_lattice(center, side / 2.0, sup_axis))))
+    sup_q = _sup(fn, center, side / 2.0, sup_axis)
     if sup_q < 1e-300:
         raise BreakdownError("function vanishes on the cube")
-    sup_2q = float(np.max(_eval(fn, _sup_lattice(center, side, sup_axis))))
+    sup_2q = _sup(fn, center, side, sup_axis)
     doubling = math.log(sup_2q / sup_q)
 
     axes, cell = _measure_axes(center, side, samples_per_axis)
-    values = _eval(fn, _lattice(axes)) / sup_q
+    values = _eval(fn, axes) / sup_q
     half_measure = (side / 2.0) ** dim
     measures = np.array([count * cell for count in _counts_below(values, grid)])
     clean = (measures >= QUANTIZATION_CELLS * cell) & \
@@ -255,10 +263,10 @@ def good_set_experiment(basis, spec: ProductSpec, center, side: float,
     rank = math.floor(budget)
     thresholds = []
     keep = np.ones(total, dtype=bool)
-    factor_values = []
+    product = 1.0  # the factors multiplied in order (1.0 * v is exact)
     for i in spec.factors:
         values = np.abs(basis.model.lattice_values(basis, [i], axes)[0])
-        factor_values.append(values)
+        product = product * values
         bound = float(np.partition(values, rank)[rank])
         chosen = None
         for a in grid:
@@ -274,15 +282,9 @@ def good_set_experiment(basis, spec: ProductSpec, center, side: float,
     half_measure = total * cell
     if measure_e < 0.5 * half_measure - 1e-12:
         raise BreakdownError("good-set measure fell below half the half-cube")
-    product_floor = math.exp(-float(np.sum(thresholds)))
-    if np.any(keep):
-        product_on_e = np.ones(int(np.count_nonzero(keep)))
-        for values in factor_values:
-            product_on_e = product_on_e * values[keep]
-        min_product = float(np.min(product_on_e))
-    else:  # pragma: no cover - keep is at least half the lattice
-        min_product = product_floor
-    if min_product < product_floor * (1.0 - 1e-12):
+    # E holds at least half the lattice here, so the minimum is finite
+    min_product = float(np.min(product, where=keep, initial=np.inf))
+    if min_product < math.exp(-float(np.sum(thresholds))) * (1.0 - 1e-12):
         raise BreakdownError("pointwise product bound violated on the good set")
     return GoodSetResult(tuple(thresholds), measure_e, half_measure, min_product)
 
@@ -297,34 +299,16 @@ def harmonic_lift(basis, mode):
     if basis.model.chart_dim != 1:
         raise ParameterError("the lift factory expects a 1-d chart model")
     base = as_chart_function(basis, mode)
-
-    def lifted(points):
-        pts = np.asarray(points, dtype=float)
-        if pts.ndim != 2 or pts.shape[1] != 2:
-            raise ParameterError("lift expects (n, 2) points")
-        return np.atleast_1d(base(pts[:, 0])) * np.exp(mode.lam * pts[:, 1])
-
-    return lifted
+    return lambda x, y: base(x) * np.exp(mode.lam * y)
 
 
 def coordinate_function():
     """u(x) = x on the line."""
-
-    def fn(points):
-        return np.asarray(points, dtype=float)
-
-    return fn
+    return lambda x: np.asarray(x, dtype=float)
 
 
 def harmonic_power_function(k: int):
     """Re((x + iy)^k): harmonic and homogeneous of degree k on the plane."""
     if k < 0:
         raise ParameterError("exponent must be nonnegative")
-
-    def fn(points):
-        pts = np.asarray(points, dtype=float)
-        if pts.ndim != 2 or pts.shape[1] != 2:
-            raise ParameterError("expected (n, 2) points")
-        return np.real((pts[:, 0] + 1j * pts[:, 1]) ** k)
-
-    return fn
+    return lambda x, y: np.real((x + 1j * y) ** k)

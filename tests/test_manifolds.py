@@ -731,6 +731,21 @@ def test_basis_arrays_are_read_only(request, name, tmp_path):
     assert np.array_equal(built.bandwidths, loaded.bandwidths)
 
 
+@pytest.mark.parametrize("name", list(JSON_FIELDS))
+def test_rep_arrays_equal_the_whole_column_conversion(request, name, tmp_path):
+    # the per-position conversion of tuple columns gives the arrays that
+    # converting each whole column of reps gives, built and loaded
+    built = request.getfixturevalue(name)
+    save_basis(built, tmp_path / "basis.eprd")
+    for basis in (built, load_basis(tmp_path / "basis.eprd")):
+        for k, field in enumerate(basis.model.rep_names):
+            expected = np.array([mode.rep[k] for mode in basis.modes], dtype=np.int64)
+            got = basis.reps[field]
+            assert (got.dtype, got.shape) == (expected.dtype, expected.shape)
+            assert np.array_equal(got, expected)
+            assert got.flags.c_contiguous
+
+
 @pytest.mark.parametrize("name, digest", [
     ("circle_basis_3", "7c2767f8b41b5898b2e640664228e7f6e74747842844d5a9bb4e77c4d69c0024"),
     ("flat2_basis", "ba8cef88d5b12e355178effe32c210aefbcdb335b048dbe70abb32b639d45499"),

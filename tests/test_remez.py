@@ -61,7 +61,7 @@ def test_doubling_against_dense_oracle():
 def test_doubling_additivity_for_homogeneous_products():
     u = harmonic_power_function(2)
     v = harmonic_power_function(3)
-    product = lambda pts: u(pts) * v(pts)
+    product = lambda x, y: u(x, y) * v(x, y)
     n_u = doubling_index(u, (0.0, 0.0), 0.3).index
     n_v = doubling_index(v, (0.0, 0.0), 0.3).index
     n_uv = doubling_index(product, (0.0, 0.0), 0.3).index
@@ -168,8 +168,8 @@ def test_remez_measures_equal_per_threshold_sublevel_measures(name):
     report = remez_fit(fn, center, side)
     cube = remez._as_center(center)
     sup_axis = 4097 if len(cube) == 1 else 257
-    sup_q = float(np.max(remez._eval(fn, remez._sup_lattice(cube, side / 2.0, sup_axis))))
-    normalized = lambda pts: np.asarray(fn(pts)) / sup_q
+    sup_q = remez._sup(fn, cube, side / 2.0, sup_axis)
+    normalized = lambda *axes: np.asarray(fn(*axes)) / sup_q
     expected = [sublevel_measure(normalized, center, side, float(a))
                 for a in default_a_grid()]
     assert [m.hex() for m in report.measures] == [m.hex() for m in expected]
@@ -191,9 +191,9 @@ def test_remez_fit_evaluates_three_lattices():
     fn = harmonic_power_function(4)
     sizes = []
 
-    def counted(points):
-        sizes.append(len(points))
-        return fn(points)
+    def counted(x, y):
+        sizes.append(math.prod(np.broadcast_shapes(x.shape, y.shape)))
+        return fn(x, y)
 
     remez_fit(counted, (0.0, 0.0), 2.0)
     assert sizes == [257 * 257, 257 * 257, 512 * 512]
@@ -269,7 +269,7 @@ def _pointwise_good_set(basis, spec, center, side):
     """The good-set construction with each factor evaluated pointwise by
     ``evaluate`` on the (n, d) cell-lattice points of the half-cube."""
     axes, cell = remez._measure_axes(center, side, None)
-    points = remez._lattice(axes)
+    points = np.column_stack([m.reshape(-1) for m in np.meshgrid(*axes, indexing="ij")])
     budget = points.shape[0] / (2.0 * spec.n_factors)
     thresholds, factor_values = [], []
     keep = np.ones(points.shape[0], dtype=bool)
@@ -370,9 +370,124 @@ def test_harmonic_lift_factory(circle_basis):
     pts = np.array([[0.3, 0.1], [1.0, -0.2]])
     expected = (np.cos(2.0 * pts[:, 0]) / math.sqrt(math.pi)
                 * np.exp(cos2.lam * pts[:, 1]))
-    assert lift(pts) == pytest.approx(expected, rel=1e-14)
+    assert lift(pts[:, 0], pts[:, 1]) == pytest.approx(expected, rel=1e-14)
     report = doubling_index(lift, (0.0, 0.0), 0.2)
     assert report.index >= 0.0
+
+
+def _lattices(center, side):
+    """The sup lattice and the cell lattice remez_fit samples for (center, side)."""
+    sup_axes = [np.linspace(c - side / 2.0, c + side / 2.0, 257) for c in center]
+    return [sup_axes, remez._measure_axes(center, side, None)[0]]
+
+
+def _open_mesh_and_points(axes):
+    """The open mesh a chart function receives, the lattice shape, and the
+    (n, d) lattice points in the same (ij) order."""
+    mesh = np.meshgrid(*axes, indexing="ij", sparse=True)
+    points = np.column_stack([m.reshape(-1) for m in np.meshgrid(*axes, indexing="ij")])
+    return mesh, tuple(axis.size for axis in axes), points
+
+
+@pytest.mark.parametrize("center", [(0.0, 0.0), (0.3, -0.7)])
+@pytest.mark.parametrize("side", [0.5, 1.0, 2.0])
+def test_power_function_open_mesh_equals_pointwise(center, side):
+    # Re((x + iy)^k) on the open mesh is the pointwise formula on the
+    # (n, 2) lattice points, bit for bit, for every exponent the CLI uses
+    for axes in _lattices(center, side):
+        mesh, shape, points = _open_mesh_and_points(axes)
+        for k in range(9):
+            got = np.broadcast_to(harmonic_power_function(k)(*mesh), shape).reshape(-1)
+            assert np.array_equal(got, np.real((points[:, 0] + 1j * points[:, 1]) ** k)), k
+
+
+def test_line_factories_open_mesh_equal_pointwise(circle_basis):
+    cos2 = next(m for m in circle_basis.modes if m.rep == ((2,), (COS,)))
+    lift = harmonic_lift(circle_basis, cos2)
+    for axes in _lattices((0.3,), 2.0):
+        (x,), _shape, points = _open_mesh_and_points(axes)
+        assert np.array_equal(coordinate_function()(x), points[:, 0])
+    for axes in _lattices((0.3, -0.2), 1.0):
+        mesh, shape, points = _open_mesh_and_points(axes)
+        expected = evaluate(circle_basis, cos2, points[:, 0]) * np.exp(cos2.lam * points[:, 1])
+        assert np.array_equal(np.broadcast_to(lift(*mesh), shape).reshape(-1), expected)
+
+
+# (model, lambda_max, center, side) on every chart
+CHART_CASES = {
+    "flat1": (FlatTorus(1, (TWO_PI,)), 4.0, (0.3,), 2.0),
+    "flat2": (FlatTorus(2, (TWO_PI, 3.0)), 4.0, (0.5, 0.5), 1.0),
+    "sphere": (Sphere2(), 3.0, (1.5, 2.0), 1.0),
+    "rev-torus": (RevTorus(2.0, 1.0), 2.5, (2.0, 2.0), 1.0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CHART_CASES))
+def test_mode_function_open_mesh_equals_evaluate(case):
+    # a mode: function on the open mesh gives evaluate's values at the
+    # lattice points, bit for bit; any other layout of the same coordinates
+    # gives the same lattice
+    model, lambda_max, center, side = CHART_CASES[case]
+    basis = build_basis(model, lambda_max)
+    for i in (0, basis.size // 2, basis.size - 1):
+        mode = basis.modes[i]
+        fn = as_chart_function(basis, mode)
+        for axes in _lattices(center, side):
+            mesh, shape, points = _open_mesh_and_points(axes)
+            values = fn(*mesh)
+            assert values.shape == shape
+            expected = evaluate(basis, mode, points if len(axes) > 1 else points[:, 0])
+            assert np.array_equal(values.reshape(-1), expected), i
+    if model.chart_dim == 2:
+        x, y = np.meshgrid(*_lattices(center, side)[0], indexing="ij", sparse=True)
+        for layout in ((x.T, y.T), (x.reshape(-1), y.reshape(-1)), (x, y.T)):
+            assert np.array_equal(fn(*layout), fn(x, y))
+
+
+# (function, center) on a line and on the plane
+LATTICE_CALLS = {
+    "line": (coordinate_function(), 0.3),
+    "plane": (harmonic_power_function(3), (0.3, -0.2)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LATTICE_CALLS))
+def test_functions_receive_per_axis_arrays_only(case):
+    # every lattice reaches the function as one coordinate array per axis,
+    # axis i varying along array axis i only: never as (n, d) points
+    fn, center = LATTICE_CALLS[case]
+    dim = len(np.atleast_1d(center))
+    seen = []
+
+    def recording(*axes):
+        seen.append([np.shape(axis) for axis in axes])
+        return fn(*axes)
+
+    remez_fit(recording, center, 2.0)
+    doubling_index(recording, center, 0.3)
+    sublevel_measure(recording, center, 2.0, 1.0)
+    assert len(seen) == 6
+    for shapes in seen:
+        assert len(shapes) == dim
+        for i, shape in enumerate(shapes):
+            assert len(shape) == dim and shape[i] >= 64
+            assert all(n == 1 for j, n in enumerate(shape) if j != i)
+
+
+def test_function_values_must_broadcast_to_the_lattice():
+    # a wrong-length output is refused, not counted; values that broadcast
+    # (a function of one coordinate only) are taken as they are
+    wrong = {1: (lambda x: np.ones(x.size + 1), 0.0),
+             2: (lambda x, y: np.ones((x.size, y.size + 1)), (0.0, 0.0))}
+    for fn, center in wrong.values():
+        with pytest.raises(ParameterError, match="broadcast"):
+            remez_fit(fn, center, 2.0)
+        with pytest.raises(ParameterError, match="broadcast"):
+            doubling_index(fn, center, 0.3)
+        with pytest.raises(ParameterError, match="broadcast"):
+            sublevel_measure(fn, center, 2.0, 1.0)
+    report = doubling_index(lambda x, y: x, (0.0, 0.0), 0.3)
+    assert report.index == pytest.approx(math.log(2.0), abs=1e-12)
 
 
 def test_lattice_parameter_validation():
