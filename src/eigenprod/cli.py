@@ -166,10 +166,11 @@ def _mode_id(basis, key, token: str) -> int:
         if not 0 <= key < basis.size:
             raise ParameterError(f"mode id {key} not in the basis")
         return key
-    for mode in basis.modes:
-        if mode.rep == key:
-            return mode.id
-    raise ParameterError(f"mode {token.strip()} exceeds the basis cutoff")
+    table = np.column_stack([basis.reps[name] for name in basis.model.rep_names])
+    (found,) = np.nonzero(np.all(table == np.hstack(key), axis=1))
+    if not found.size:
+        raise ParameterError(f"mode {token.strip()} exceeds the basis cutoff")
+    return int(found[0])
 
 
 def _factor_tokens(params: dict) -> list:
@@ -216,7 +217,7 @@ def _resolve_basis_and_factors(model_cfg: dict, params: dict, groups: list, cach
                     if probe_lambda > 64.0:
                         raise
                     probe_lambda *= 2.0
-            lams = [probe.modes[i].lam for i in ids]
+            lams = probe.lams[list(ids)].tolist()
         # ascending, the order of the modes, so a sum's bits do not depend
         # on the order of the tokens
         sum_lambda = max(float(sum(sorted(lams[a:b]))) for a, b in zip(starts, starts[1:]))
@@ -247,12 +248,13 @@ def _check_positional_ids(probe, basis, tokens, ids) -> None:
     for token, idx in zip(tokens, ids):
         if not token.strip().lstrip("-").isdigit():
             continue
-        seen, used = probe.modes[idx], basis.modes[idx]
-        if seen.rep != used.rep or \
-                abs(seen.lam - used.lam) > 1e-9 * max(abs(seen.lam), abs(used.lam)):
+        seen, used = float(probe.lams[idx]), float(basis.lams[idx])
+        if any(not np.array_equal(probe.reps[name][idx], column[idx])
+               for name, column in basis.reps.items()) or \
+                abs(seen - used) > 1e-9 * max(abs(seen), abs(used)):
             raise ParameterError(
                 f"mode id {idx} names different modes in the probe basis "
-                f"(lambda={seen.lam!r}) and the final basis (lambda={used.lam!r}); "
+                f"(lambda={seen!r}) and the final basis (lambda={used!r}); "
                 "pass a mode label instead")
 
 
@@ -515,8 +517,10 @@ def _lower_bound_results(fit) -> dict:
 
 def _cmd_remark_s2(config, _cache_dir):
     params = config["params"]
-    result = sphere_remark_experiment(
-        range(_param(params, "k_min", 2, int), _param(params, "k_max", 20, int) + 1))
+    k_lo, k_hi = _param(params, "k_min", 2, int), _param(params, "k_max", 20, int)
+    if k_lo > k_hi:
+        raise ParameterError("--k-min must not exceed --k-max")
+    result = sphere_remark_experiment(range(k_lo, k_hi + 1))
     results = {
         "samples": [[k, n] for k, n in result.samples],
         "log_slope": result.log_slope,
@@ -586,7 +590,7 @@ def _function_from_config(config, cache_dir):
             raise ParameterError("mode: functions need --model")
         basis, (ids,) = _resolve_basis_and_factors(config["model"], params,
                                                    [spec.split(":", 1)[1].split(",")], cache_dir)
-        return (as_chart_function(basis, basis.modes[ids[0]]),
+        return (as_chart_function(basis, basis.mode(ids[0])),
                 basis.model.chart_dim)
     raise ParameterError(f"unknown function spec {spec!r}")
 

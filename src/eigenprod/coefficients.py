@@ -254,7 +254,7 @@ class ProductSpec:
 
     @property
     def sum_lambda(self) -> float:
-        return float(sum(self.basis.modes[i].lam for i in sorted(self.factors)))
+        return float(sum(self.basis.lams[sorted(self.factors)].tolist()))
 
 
 @dataclass(frozen=True)

@@ -233,7 +233,7 @@ def harmonic_extension_flat(series: CoefficientSeries, height: float,
     f_direct = np.ones(512)
     for i in series.product.factors:
         f_direct = f_direct * np.atleast_1d(
-            evaluate(ext.basis, ext.basis.modes[i], lattice))
+            evaluate(ext.basis, ext.basis.mode(i), lattice))
     boundary = ext.at(lattice)
     boundary_gap = float(np.max(np.abs(boundary.value(0.0) - f_direct)))
     f_sup = float(np.max(np.abs(f_direct)))
@@ -256,28 +256,26 @@ def greens_coefficient(ext: HarmonicExtension, mode_id: int, height: float) -> f
     The identity holds for every positive height inside the slab, so the
     returned value must not depend on it.
     """
-    mode = ext.basis.mode(mode_id)
-    if mode.lam <= 0.0:
-        raise ParameterError(
-            "the boundary identity divides by lambda and needs lambda > 0")
-    return _greens_coefficients(ext, (mode,), height)[mode.id]
+    if ext.basis.mode(mode_id).lam <= 0.0:
+        raise ParameterError("the boundary identity divides by lambda and needs lambda > 0")
+    return _greens_coefficients(ext, [int(mode_id)], height)[int(mode_id)]
 
 
 def greens_coefficients(ext: HarmonicExtension, height: float) -> dict:
     """:func:`greens_coefficient` of every basis mode with lambda > 0, by
     mode id, from one evaluation of the boundary values at ``height``."""
-    return _greens_coefficients(ext, [m for m in ext.basis.modes if m.lam > 0.0], height)
+    return _greens_coefficients(ext, np.flatnonzero(ext.basis.lams > 0.0).tolist(), height)
 
 
-def _greens_coefficients(ext: HarmonicExtension, modes, height: float) -> dict:
+def _greens_coefficients(ext: HarmonicExtension, ids: list, height: float) -> dict:
     if not 0.0 < height <= ext.T * (1.0 + 1e-12):
         raise ParameterError("height must lie in (0, T] of the extension")
     values, slopes = ext.grid_boundary_values(height)
     weights = ext.basis.grid_weights()
     coefficients = {}
-    for mode in modes:
-        integral = float(weights @ (ext.grid_values(mode.id) * (slopes + mode.lam * values)))
-        coefficients[mode.id] = math.exp(-height * mode.lam) / mode.lam * integral
+    for i, lam in zip(ids, ext.basis.lams[ids].tolist()):
+        integral = float(weights @ (ext.grid_values(i) * (slopes + lam * values)))
+        coefficients[i] = math.exp(-height * lam) / lam * integral
     return coefficients
 
 

@@ -11,13 +11,12 @@ Three closed analytic models are supported:
   closed form; this is the one model whose eigenfunction products are not
   band-limited.
 
-Eigenvalues are written lambda^2 throughout; a mode stores lambda, the
-frequency, and an integer representation; per-mode floats are rows of
+Eigenvalues are written lambda^2 throughout.  A basis is its arrays by
+mode id: ``lams``, the frequencies lambda, and ``reps``, the integer
+representation columns; per-mode floats are rows of
 ``SpectralBasis.coefficients``.  Modes are ordered by ascending lambda
-with ties broken by their representation, so ids are reproducible.  A
-basis builds its per-mode arrays (representation columns, lambdas,
-bandwidths, circle columns) once; outside this module the package reads
-those arrays, never a ``Mode.rep``.
+with ties broken by their representation, so ids are reproducible.
+Outside this module the package reads those arrays, never a ``Mode.rep``.
 
 Everything that differs between models lives in the model's class, one
 section of this module each; ``build_basis``, ``evaluate``, persistence
@@ -105,7 +104,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Mode:
-    """One eigenfunction: ordinal id, frequency lambda, and a
+    """One eigenfunction as a value, made on request by
+    :meth:`SpectralBasis.mode`: ordinal id, frequency lambda, and a
     manifold-specific representation of ints and tuples of ints.
 
     Representations: flat torus (freqs, parities) with parity 0=cos /
@@ -128,38 +128,31 @@ class SpectralBasis:
     flattened form where a caller needs it.  Mode values on the grid come
     from the model's ``axis_factor_rows``, for the modes a caller needs.
 
-    ``coefficients`` is the read-only (modes, width) float matrix whose
-    row i is mode i's rev-torus s-profile (width 0 on the other models).
-    Construction (``build`` or ``load_basis``) adds read-only arrays by
-    mode id: ``reps``, one int64 column per name in the model's
-    ``rep_names`` (the columns a cache header stores; the flat torus's
-    are (modes, d)), ``lams``, the model's (modes, axes) ``bandwidths``
-    with their column maximum ``target_bandwidth``, and the model's
-    ``axis_columns``.  ``save_basis`` and ``load_basis`` record the
-    content digest they wrote or verified, and ``basis_digest``
-    serializes only bases that were never saved or loaded.
+    A basis is its modes' read-only arrays by mode id: ``lams`` (float64),
+    ``reps`` (one int64 column per name in the model's ``rep_names``, the
+    columns a cache header stores; the flat torus's are (modes, d)) and
+    ``coefficients`` (row i is mode i's rev-torus s-profile; width 0 on
+    the other models).  Construction adds the model's (modes, axes)
+    ``bandwidths``, their column maximum ``target_bandwidth``, and the
+    model's ``axis_columns``; ``mode(i)`` makes mode i as a :class:`Mode`.
+    ``save_basis`` and ``load_basis`` record the content digest they wrote
+    or verified, and ``basis_digest`` serializes only bases that were
+    never saved or loaded.
     """
 
     model: object
     lambda_max: float
-    modes: tuple
+    lams: np.ndarray
+    reps: dict
     coefficients: np.ndarray
     axes: tuple
     provenance: str
-    reps: dict = field(init=False, repr=False)
-    lams: np.ndarray = field(init=False, repr=False)
     bandwidths: np.ndarray = field(init=False, repr=False)
     target_bandwidth: np.ndarray = field(init=False, repr=False)
     axis_columns: tuple = field(init=False, repr=False)
     _digest: str | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        # a column of int tuples converts fastest one tuple position at a time
-        columns = zip(*(m.rep for m in self.modes))
-        self.reps = {name: np.array(list(zip(*column, strict=True)), dtype=np.int64).T.copy()
-                     if isinstance(column[0], tuple) else np.array(column, dtype=np.int64)
-                     for name, column in zip(self.model.rep_names, columns)}
-        self.lams = np.array([m.lam for m in self.modes])
         self.bandwidths = self.model.bandwidths(self.reps, self.coefficients.shape[1])
         self.target_bandwidth = self.bandwidths.max(axis=0)
         self.axis_columns = self.model.axis_columns(self.reps)
@@ -168,13 +161,15 @@ class SpectralBasis:
             array.setflags(write=False)
 
     def mode(self, mode_id: int) -> Mode:
-        if not 0 <= mode_id < len(self.modes):
+        if not 0 <= mode_id < self.size:
             raise ParameterError(f"unknown mode id {mode_id}")
-        return self.modes[mode_id]
+        rep = (self.reps[name][mode_id].tolist() for name in self.model.rep_names)
+        return Mode(int(mode_id), float(self.lams[mode_id]),
+                    tuple(tuple(v) if isinstance(v, list) else v for v in rep))
 
     @property
     def size(self) -> int:
-        return len(self.modes)
+        return self.lams.shape[0]
 
     def grid_weights(self) -> np.ndarray:
         """Weights of the flattened grid, first axis varying slowest."""
@@ -310,21 +305,20 @@ class FlatTorus(_Surface):
                 f"flat torus needs frequencies past the cap {TORUS_FREQ_CAP} "
                 f"to reach lambda_max={lambda_max}")
         kmaxes = tuple(int(math.floor(k)) for k in reach)
-        entries = []
-        for freqs in itertools.product(*(range(kmax + 1) for kmax in kmaxes)):
-            lam = self.rep_lambda((freqs, None))
-            if lam > lambda_max * (1.0 + 1e-12):
-                continue
-            for pars in itertools.product(*((COS,) if k == 0 else (COS, SIN) for k in freqs)):
-                entries.append((lam, freqs, pars))
-        entries.sort(key=lambda e: (e[0], e[1], e[2]))
-        modes = tuple(
-            Mode(i, lam, (freqs, pars)) for i, (lam, freqs, pars) in enumerate(entries)
-        )
+        # per axis every (frequency, parity) factor: a zero frequency has no sine
+        factors = [[(k, p) for k in range(kmax + 1) for p in ((COS,) if k == 0 else (COS, SIN))]
+                   for kmax in kmaxes]
+        pairs = np.array(list(itertools.product(*factors)), dtype=np.int64)
+        lams = np.array([self.rep_lambda((f, None)) for f in pairs[:, :, 0].tolist()])
+        kept = lams <= lambda_max * (1.0 + 1e-12)
+        freqs, pars, lams = pairs[kept, :, 0], pairs[kept, :, 1], lams[kept]
+        # by lambda, then the frequencies and the parities, axis by axis
+        order = np.lexsort((*pars.T[::-1], *freqs.T[::-1], lams))
         sizes = [_round_up(2 * GRID_PRODUCT_FACTORS * max(kmax, 1) + GRID_MARGIN + 1)
                  for kmax in kmaxes]
-        return SpectralBasis(self, float(lambda_max), modes, np.empty((len(modes), 0)),
-                             self.quadrature_grid(sizes), "exact")
+        return SpectralBasis(self, float(lambda_max), lams[order],
+                             {"freqs": freqs[order], "parities": pars[order]},
+                             np.empty((order.shape[0], 0)), self.quadrature_grid(sizes), "exact")
 
     def quadrature_grid(self, sizes) -> tuple:
         return tuple(uniform_periodic(n, p) for n, p in zip(sizes, self.periods))
@@ -439,15 +433,13 @@ class Sphere2(_Surface):
                 f"sphere needs harmonics past degree {SPHERE_L_CAP} (its cap) "
                 f"to reach lambda_max={lambda_max}")
         lmax = _sphere_lmax(lambda_max)
-        modes = []
-        for l in range(lmax + 1):
-            lam = self.rep_lambda((l, 0))
-            for m in range(-l, l + 1):
-                modes.append(Mode(len(modes), lam, (l, m)))
+        degrees = np.arange(lmax + 1, dtype=np.int64)
+        l = np.repeat(degrees, 2 * degrees + 1)
+        m = np.arange(l.shape[0]) - l * (l + 1)  # degree l holds the ids l^2 .. l^2 + 2l
         degree_needed = 2 * GRID_PRODUCT_FACTORS * max(lmax, 1) + GRID_MARGIN
         sizes = [_round_up((degree_needed + 2) // 2, 4), _round_up(degree_needed + 1)]
-        return SpectralBasis(self, float(lambda_max), tuple(modes), np.empty((len(modes), 0)),
-                             self.quadrature_grid(sizes), "exact")
+        return SpectralBasis(self, float(lambda_max), np.sqrt(l * (l + 1.0)), {"l": l, "m": m},
+                             np.empty((l.shape[0], 0)), self.quadrature_grid(sizes), "exact")
 
     def quadrature_grid(self, sizes) -> tuple:
         # the x = cos(theta) Gauss axis absorbs the sin(theta) volume factor
@@ -628,8 +620,8 @@ class RevTorus(_Surface):
                                  inv_lower, weights, upper)
             columns = []
             for m, (a_max, (values, block)) in enumerate(zip(a_maxes, solved)):
-                lams = np.sqrt(np.where(values <= 1e-12 * a_max, 0.0, values))
-                kept = int(np.count_nonzero(lams <= lambda_max * (1.0 + 1e-12)))
+                roots = np.sqrt(np.where(values <= 1e-12 * a_max, 0.0, values))
+                kept = int(np.count_nonzero(roots <= lambda_max * (1.0 + 1e-12)))
                 if not kept:
                     continue
                 block, values = block[:, :kept], values[:kept]
@@ -641,35 +633,37 @@ class RevTorus(_Surface):
                     - np.einsum("ij,jk->ik", b, block) * values, axis=0)
                 worst_residual = max(worst_residual, float(np.max(residuals)) / a_max)
                 columns.append(block)
-                profiles.extend((float(lam), m, s_parity) for lam in lams[:kept])
+                profiles.extend((lam, m, s_parity) for lam in roots[:kept].tolist())
             kept_vectors.append((idx, np.concatenate(columns, axis=1) if columns
                                  else np.zeros((idx.shape[0], 0))))
         if worst_residual > MAX_EIGEN_RESIDUAL:
             raise ConvergenceError(
                 f"rev-torus eigen-residual {worst_residual:.3e} exceeds {MAX_EIGEN_RESIDUAL:g}")
-        # by lambda, then m, the parities and the solve order
-        entries = sorted((lam, m, theta_parity, s_parity, order)
-                         for order, (lam, m, s_parity) in enumerate(profiles)
-                         for theta_parity in ((COS,) if m == 0 else (COS, SIN)))
-        modes = tuple(Mode(i, entry[0], entry[1:3]) for i, entry in enumerate(entries))
-        coefficients = np.zeros((len(entries), size))
-        source = np.array([entry[-1] for entry in entries], dtype=np.int64)
+        # each profile gives a cosine mode in theta, and a sine mode where
+        # m > 0: by lambda, then m, the parities and the solve order
+        lams, ms, s_parities = np.array(profiles).T
+        source = np.concatenate((np.arange(lams.shape[0]), np.flatnonzero(ms > 0)))
+        theta_parities = np.where(np.arange(source.shape[0]) < lams.shape[0], COS, SIN)
+        order = np.lexsort((source, s_parities[source], theta_parities, ms[source], lams[source]))
+        source, theta_parities = source[order], theta_parities[order]
+        lams, ms = lams[source], ms[source].astype(np.int64)
+        coefficients = np.zeros((source.shape[0], size))
         first = 0
         for idx, columns in kept_vectors:
             rows = np.flatnonzero((source >= first) & (source < first + columns.shape[1]))
             coefficients[rows[:, None], idx] = columns[:, source[rows] - first].T
             first += columns.shape[1]
         # the constant: v = e_0 / sqrt(R), exact by inspection
-        constant = [i for i, entry in enumerate(entries) if entry[1] == 0 and entry[0] == 0.0]
+        constant = np.flatnonzero((ms == 0) & (lams == 0.0))
         coefficients[constant] = 0.0
         coefficients[constant, 0] = 1.0 / math.sqrt(big)
-        m_used = max((mode.rep[0] for mode in modes), default=0)
         stretch = max(GRID_PRODUCT_FACTORS + 1, 2 * GRID_PRODUCT_FACTORS)
         sizes = [_round_up(stretch * trunc + 2 + GRID_MARGIN),
-                 _round_up(stretch * max(m_used, 1) + 1 + GRID_MARGIN)]
+                 _round_up(stretch * max(int(ms.max()), 1) + 1 + GRID_MARGIN)]
         provenance = f"numerical(residual={worst_residual:.3e})"
-        return SpectralBasis(self, float(lambda_max), modes, coefficients,
-                             self.quadrature_grid(sizes), provenance)
+        return SpectralBasis(self, float(lambda_max), lams,
+                             {"m": ms, "theta_parity": theta_parities},
+                             coefficients, self.quadrature_grid(sizes), provenance)
 
     def quadrature_grid(self, sizes) -> tuple:
         s_plain = uniform_periodic(sizes[0], TWO_PI)
@@ -819,19 +813,18 @@ def as_chart_function(basis: SpectralBasis, mode: Mode):
 
 
 def _encode_field(value, number):
-    """A model or representation field (a scalar or a flat sequence of
-    scalars of one type) with floats mapped through ``number``
-    (``float.hex`` to persist, ``float`` for JSON), sequences as lists."""
-    if isinstance(value, (list, tuple)):
-        return list(map(number, value)) if value and isinstance(value[0], float) else list(value)
+    """A model field (a scalar or a tuple of floats) with floats mapped
+    through ``number`` (``float.hex`` to persist, ``float`` for JSON),
+    tuples as lists."""
+    if isinstance(value, tuple):
+        return list(map(number, value))
     return number(value) if isinstance(value, float) else value
 
 
 def _decode_field(value):
     """Inverse of persisting through :func:`_encode_field`, lists back as tuples."""
     if isinstance(value, list):
-        return tuple(map(float.fromhex, value)) if value and isinstance(value[0], str) \
-            else tuple(value)
+        return tuple(map(float.fromhex, value))
     return float.fromhex(value) if isinstance(value, str) else value
 
 
@@ -872,23 +865,20 @@ def _basis_payload(basis: SpectralBasis) -> bytes:
     return text.encode("utf-8") + b"\n" + block
 
 
-def _modes_from_payload(model, header: dict, block: bytes) -> tuple:
-    """(modes, coefficients) as :func:`_basis_payload` wrote them; ValueError
-    if the block or a column does not match the mode count, or the width does
-    not fit the model (0 exactly when it has no ``coefficients_name``)."""
+def _arrays_from_payload(model, header: dict, block: bytes) -> tuple:
+    """(lams, reps, coefficients) as :func:`_basis_payload` wrote them;
+    ValueError if the block or a column does not match the mode count, or the
+    width does not fit the model (0 exactly when it has no ``coefficients_name``)."""
     count, per_mode = header["count"], header["floats_per_mode"]
     if not (isinstance(count, int) and isinstance(per_mode, int)) \
             or per_mode < 1 or len(block) != 8 * count * per_mode \
             or (per_mode > 1) != (model.coefficients_name is not None):
         raise ValueError("the float block does not match the header")
     values = np.frombuffer(block, dtype="<f8")
-    columns = [[tuple(v) if isinstance(v, list) else v for v in header["columns"][name]]
-               for name in model.rep_names]
-    if any(len(column) != count for column in columns):
+    reps = {name: np.array(header["columns"][name], dtype=np.int64) for name in model.rep_names}
+    if any(column.shape[:1] != (count,) for column in reps.values()):
         raise ValueError("a header column does not hold one entry per mode")
-    modes = tuple(Mode(i, lam, rep)
-                  for i, (lam, rep) in enumerate(zip(values[:count].tolist(), zip(*columns))))
-    return modes, values[count:].reshape(count, per_mode - 1)
+    return values[:count], reps, values[count:].reshape(count, per_mode - 1)
 
 
 def basis_digest(basis: SpectralBasis) -> str:
@@ -933,15 +923,14 @@ def load_basis(path) -> SpectralBasis:
             raise ValueError("no header separator")
         header = json.loads(header_text)
         model = model_from_descriptor(header["model"])
-        modes, coefficients = _modes_from_payload(model, header, block)
+        lams, reps, coefficients = _arrays_from_payload(model, header, block)
         lambda_max = float.fromhex(header["lambda_max"])
         if len(header["grid_axis_sizes"]) != model.chart_dim:
             raise ValueError(f"grid axis sizes do not match the {model.chart_dim} chart axes")
         axes = model.quadrature_grid(header["grid_axis_sizes"])
-        # the representation columns become arrays here: ragged or empty ones fail
-        basis = SpectralBasis(model, lambda_max, modes, coefficients, axes,
+        basis = SpectralBasis(model, lambda_max, lams, reps, coefficients, axes,
                               header["provenance"])
-    except (AttributeError, KeyError, ValueError, TypeError) as exc:
+    except (AttributeError, IndexError, KeyError, ValueError, TypeError) as exc:
         raise CorruptionError(f"{path}: malformed basis payload ({exc})") from exc
     basis._digest = digest.hex()  # the body is the canonical payload save_basis wrote
     return basis
@@ -953,7 +942,8 @@ def basis_equal(one: SpectralBasis, other: SpectralBasis) -> bool:
         one.model == other.model
         and one.lambda_max == other.lambda_max
         and one.provenance == other.provenance
-        and one.modes == other.modes
+        and np.array_equal(one.lams, other.lams)
+        and all(np.array_equal(one.reps[name], other.reps[name]) for name in one.model.rep_names)
         and np.array_equal(one.coefficients, other.coefficients)
         and len(one.axes) == len(other.axes)
         and all(np.array_equal(a.nodes, b.nodes) and np.array_equal(a.weights, b.weights)
@@ -964,10 +954,11 @@ def basis_equal(one: SpectralBasis, other: SpectralBasis) -> bool:
 def basis_to_json_dict(basis: SpectralBasis) -> dict:
     """Human-inspectable structured form (decimal floats, 17 digits)."""
     model, row_name = basis.model, basis.model.coefficients_name
-    modes = [{"id": mode.id, "lambda": float(mode.lam),
-              **{name: _encode_field(v, float) for name, v in zip(model.rep_names, mode.rep)},
+    columns = [basis.reps[name].tolist() for name in model.rep_names]
+    modes = [{"id": i, "lambda": lam, **dict(zip(model.rep_names, rep)),
               **({row_name: row} if row_name else {})}
-             for mode, row in zip(basis.modes, basis.coefficients.tolist())]
+             for i, (lam, row, *rep) in enumerate(zip(basis.lams.tolist(),
+                                                      basis.coefficients.tolist(), *columns))]
     return {
         "model": _model_fields(model, float),
         "lambda_max": basis.lambda_max,

@@ -239,10 +239,12 @@ def family_eigs(k_red: np.ndarray, w_red: np.ndarray, inv_lower: np.ndarray,
 
     Returns one (eigenvalues ascending, eigenvectors v = L^-T u as
     B-orthonormal columns) per weight, each a C-contiguous array; with
-    ``upper``, only the eigenvalues <= ``upper``.  Each column's sign is
-    fixed so that its first entry above 1e-8 times the column's largest
-    magnitude is positive.  Raises :class:`ParameterError` when an entry
-    of some K + w M could be infinite or NaN and
+    ``upper``, only the eigenvalues <= ``upper``.  The weights ascend and
+    M is positive definite, so K + w M rises with w: the families after the
+    first that keeps no eigenvalue keep none and are not solved.  Each
+    column's sign is fixed so that its first entry above 1e-8 times the
+    column's largest magnitude is positive.  Raises :class:`ParameterError`
+    when an entry of some K + w M could be infinite or NaN and
     :class:`ConvergenceError` when LAPACK reports a failure.
     """
     # imported here so that runs which solve no eigenproblem never load scipy
@@ -274,6 +276,9 @@ def family_eigs(k_red: np.ndarray, w_red: np.ndarray, inv_lower: np.ndarray,
             raise ConvergenceError(f"dsyevr failed (info={info})")
         values.append(vals[:count])
         columns.append(vecs[:, :count])
+        if not count:
+            break
+    values += [np.zeros(0) for _ in range(len(weights) - len(values))]
     vectors = np.einsum("ji,jk->ik", inv_lower, np.concatenate(columns, axis=1))
     mags = np.abs(vectors)
     lead = np.argmax(mags > 1e-8 * np.maximum(mags.max(axis=0), 1e-300), axis=0)

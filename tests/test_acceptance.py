@@ -83,7 +83,7 @@ def rev_setup():
     model = RevTorus(2.0, 1.0)
     lambda_cap = REV_M_CAP / (model.major_radius + model.minor_radius)
     probe = build_basis(model, 2.0)
-    low = [m for m in probe.modes if m.lam > 0.0][:6]
+    low = [m for m in map(probe.mode, range(probe.size)) if m.lam > 0.0][:6]
     candidates = []
     for i in range(len(low)):
         for j in range(i, len(low)):
@@ -108,8 +108,8 @@ def rev_setup():
 
 def torus_modes_up_to(basis, freq_cap):
     if basis.model.dim == 1:
-        return [m for m in basis.modes if m.rep[0][0] <= freq_cap]
-    return [m for m in basis.modes if max(m.rep[0]) <= freq_cap]
+        return [m for m in map(basis.mode, range(basis.size)) if m.rep[0][0] <= freq_cap]
+    return [m for m in map(basis.mode, range(basis.size)) if max(m.rep[0]) <= freq_cap]
 
 
 # ---------------------------------------------------------------------------
@@ -176,12 +176,13 @@ def test_acceptance_2_sphere_oracles(sphere12_basis, grid_values):
     values = grid_values(basis)
     weighted = values * basis.grid_weights()
     exact = np.zeros((n, n, n))
+    reps = [basis.mode(i).rep for i in range(n)]
     for ia in range(n):
-        la, ma = basis.modes[ia].rep
+        la, ma = reps[ia]
         for ib in range(ia, n):
-            lb, mb = basis.modes[ib].rep
+            lb, mb = reps[ib]
             for ic in range(ib, n):
-                lc, mc = basis.modes[ic].rep
+                lc, mc = reps[ic]
                 g = gaunt_real(la, ma, lb, mb, lc, mc)
                 if g != 0.0:
                     for i, j, k in set(itertools.permutations((ia, ib, ic))):
@@ -227,7 +228,8 @@ def test_acceptance_3_parseval(circle_basis, torus2_basis, sphere12_basis,
         _ratio, defect = parseval_report(series)
         worst_defect = max(worst_defect, abs(defect))
         band_limited_count += 1
-    sphere_modes = [m for m in sphere12_basis.modes if m.rep[0] <= 6]
+    sphere_modes = [m for m in map(sphere12_basis.mode, range(sphere12_basis.size))
+                    if m.rep[0] <= 6]
     for a, b in [(sphere_modes[1], sphere_modes[4]),
                  (sphere_modes[-1], sphere_modes[-2])]:
         series = expand_product(ProductSpec(sphere12_basis, (a.id, b.id)))
@@ -304,14 +306,14 @@ def test_acceptance_6_green_identity(circle_basis):
     for freqs in one_d_pairs:
         ids = []
         for (k,) in freqs:
-            ids.append(next(m.id for m in circle_basis.modes
+            ids.append(next(m.id for m in map(circle_basis.mode, range(circle_basis.size))
                             if m.rep == ((k,), (COS,))))
         spec = ProductSpec(circle_basis, tuple(ids))
         assert spec.sum_lambda <= 10.0
         series = expand_product(spec)
         ext = harmonic_extension_flat(series, params1.T)
         for height in (params1.T, params1.T / 2.0):
-            for mode in circle_basis.modes:
+            for mode in map(circle_basis.mode, range(circle_basis.size)):
                 if mode.lam <= 0.0:
                     continue
                 err = abs(greens_coefficient(ext, mode.id, height)
@@ -324,14 +326,14 @@ def test_acceptance_6_green_identity(circle_basis):
         (((1, 0), (COS, COS)), ((0, 2), (COS, COS))),
         (((2, 1), (COS, SIN)), ((1, 2), (SIN, COS))),
     ]:
-        a = next(m.id for m in torus2.modes if m.rep == rep_a)
-        b = next(m.id for m in torus2.modes if m.rep == rep_b)
+        a = next(m.id for m in map(torus2.mode, range(torus2.size)) if m.rep == rep_a)
+        b = next(m.id for m in map(torus2.mode, range(torus2.size)) if m.rep == rep_b)
         spec = ProductSpec(torus2, (a, b))
         assert spec.sum_lambda <= 10.0
         series = expand_product(spec)
         ext = harmonic_extension_flat(series, params2.T)
         for height in (params2.T, params2.T / 2.0):
-            for mode in torus2.modes:
+            for mode in map(torus2.mode, range(torus2.size)):
                 if mode.lam <= 0.0:
                     continue
                 err = abs(greens_coefficient(ext, mode.id, height)
@@ -369,7 +371,7 @@ def test_acceptance_7_extension_parameters():
 
 def test_acceptance_8_lower_bounds(circle_basis, rev_setup):
     expected = math.sqrt(3.0) / (2.0 * math.sqrt(math.pi))
-    cos_ids = [m.id for m in circle_basis.modes
+    cos_ids = [m.id for m in map(circle_basis.mode, range(circle_basis.size))
                if m.rep[1] == (COS,) and 1 <= m.rep[0][0] <= 8]
     self_fit = lower_bound_experiment(
         circle_basis, [ProductSpec(circle_basis, (i, i)) for i in cos_ids])

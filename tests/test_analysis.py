@@ -21,6 +21,10 @@ from eigenprod.manifolds import COS, FlatTorus, RevTorus, build_basis
 TWO_PI = 2.0 * math.pi
 
 
+def find_mode(basis, rep):
+    return next(m for m in map(basis.mode, range(basis.size)) if m.rep == rep)
+
+
 @pytest.fixture(scope="module")
 def circle_basis_24():
     return build_basis(FlatTorus(1, (TWO_PI,)), 24.0)
@@ -46,8 +50,8 @@ def test_fit_recovers_exact_exponential(circle_basis_24):
 
 def test_band_limited_verdict_on_cos2_cos3(circle_basis_24):
     basis = circle_basis_24
-    cos2 = next(m for m in basis.modes if m.rep == ((2,), (COS,)))
-    cos3 = next(m for m in basis.modes if m.rep == ((3,), (COS,)))
+    cos2 = find_mode(basis, ((2,), (COS,)))
+    cos3 = find_mode(basis, ((3,), (COS,)))
     series = expand_product(ProductSpec(basis, (cos2.id, cos3.id)))
     fit = fit_decay(series)
     assert fit.band_limited
@@ -58,8 +62,8 @@ def test_band_limited_verdict_on_cos2_cos3(circle_basis_24):
 
 def test_fit_refuses_a_series_without_lambdas_past_the_sum(circle_basis_24):
     basis = circle_basis_24
-    cos2 = next(m for m in basis.modes if m.rep == ((2,), (COS,)))
-    cos3 = next(m for m in basis.modes if m.rep == ((3,), (COS,)))
+    cos2 = find_mode(basis, ((2,), (COS,)))
+    cos3 = find_mode(basis, ((3,), (COS,)))
     series = expand_product(ProductSpec(basis, (cos2.id, cos3.id)))
     for cut in (5.0, 4.0, -1.0):  # at the sum, below it, empty
         with pytest.raises(ParameterError, match="frequency sum"):
@@ -88,8 +92,8 @@ def test_onset_detects_decay_start(circle_basis_24):
 
 def test_truncation_band_limited_case(circle_basis_24):
     basis = circle_basis_24
-    cos2 = next(m for m in basis.modes if m.rep == ((2,), (COS,)))
-    cos3 = next(m for m in basis.modes if m.rep == ((3,), (COS,)))
+    cos2 = find_mode(basis, ((2,), (COS,)))
+    cos3 = find_mode(basis, ((3,), (COS,)))
     series = expand_product(ProductSpec(basis, (cos2.id, cos3.id)))
     result = find_truncation(series, target=0.99)
     assert result.c5 == pytest.approx(1.0, abs=1e-12)
@@ -97,7 +101,7 @@ def test_truncation_band_limited_case(circle_basis_24):
     kept_lams = [series.lams[list(series.ids).index(i)] for i in result.kept_ids]
     assert max(kept_lams) <= 5.0 + 1e-12
     assert set(result.kept_ids) == {
-        m.id for m in basis.modes if m.lam <= 5.0 + 1e-12}
+        m.id for m in map(basis.mode, range(basis.size)) if m.lam <= 5.0 + 1e-12}
 
 
 def test_truncation_synthetic_mass_batches(circle_basis_24):
@@ -141,7 +145,7 @@ def test_lower_bound_self_products(circle_basis_24):
     # int cos^4 = 3 pi / 4 by hand: every self-product norm is
     # sqrt(3)/(2 sqrt(pi)), so the fitted decay rate is zero.
     basis = circle_basis_24
-    cos_ids = [m.id for m in basis.modes
+    cos_ids = [m.id for m in map(basis.mode, range(basis.size))
                if m.rep[1] == (COS,) and 1 <= m.rep[0][0] <= 8]
     specs = [ProductSpec(basis, (i, i)) for i in cos_ids]
     fit = lower_bound_experiment(basis, specs)
@@ -188,7 +192,8 @@ def test_lower_bound_refuses_an_aliased_norm():
     # cos8^4 has degree 64; the 64-node grid of the lambda=8 circle basis
     # integrates through degree 63 only
     basis = build_basis(FlatTorus(1, (TWO_PI,)), 8.0)
-    cos_ids = [m.id for m in basis.modes if m.rep[1] == (COS,) and m.rep[0][0] >= 5]
+    cos_ids = [m.id for m in map(basis.mode, range(basis.size))
+               if m.rep[1] == (COS,) and m.rep[0][0] >= 5]
     specs = [ProductSpec(basis, (i,) * 4) for i in cos_ids]
     assert basis.axis_exactness() == (63,)
     with pytest.raises(UnderResolvedError):
@@ -250,7 +255,7 @@ def test_rev_torus_decay_smoke():
     # square the lowest nonconstant mode: the product spreads over two
     # angular families, which keeps the tail populated
     basis = build_basis(RevTorus(2.0, 1.0), 5.1)
-    lowest = next(m for m in basis.modes if m.lam > 0.0)
+    lowest = next(m for m in map(basis.mode, range(basis.size)) if m.lam > 0.0)
     spec = ProductSpec(basis, (lowest.id, lowest.id))
     assert 5.0 * spec.sum_lambda <= 5.1
     series = expand_product(spec).truncated(5.0 * spec.sum_lambda)

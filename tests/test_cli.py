@@ -1,5 +1,6 @@
 """Command-line surface: reports, exit codes, caching, replay, SVG."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -19,7 +20,6 @@ from eigenprod.manifolds import (
     COS,
     SIN,
     FlatTorus,
-    Mode,
     RevTorus,
     basis_digest,
     build_basis,
@@ -153,7 +153,7 @@ def test_factor_token_grammar(tmp_path, model, token, names):
                 if basis_digest(b) == digest]
     # a one-factor product is its factor: one unit coefficient
     mode_id = max(doc["results"]["entries"], key=lambda e: abs(e[2]))[0]
-    mode = basis.modes[mode_id]
+    mode = basis.mode(mode_id)
     assert (mode.id if isinstance(names, int) else mode.rep) == names
 
 
@@ -493,12 +493,18 @@ def test_lower_bound_pairs_size_from_every_group(tmp_path, pairs):
     assert sorted(docs[0]["results"]["samples"]) == sorted(docs[1]["results"]["samples"])
 
 
+LOWER_BOUND = ("lower-bound", "--model", "flat-torus", "--dim", "1")
+
+
 @pytest.mark.parametrize("argv, message", [
-    (("--family", "self", "--k-min", "5", "--k-max", "2"), "--k-min must not exceed --k-max"),
-    (("--family", "pairs", "--pairs", ",;,"), "--pairs names no pair"),
-], ids=["k-range", "comma-pairs"])
+    ((*LOWER_BOUND, "--family", "self", "--k-min", "5", "--k-max", "2"),
+     "--k-min must not exceed --k-max"),
+    ((*LOWER_BOUND, "--family", "pairs", "--pairs", ",;,"), "--pairs names no pair"),
+    # remark-s2 words its exponent range as lower-bound does
+    (("remark-s2", "--k-min", "5", "--k-max", "3"), "--k-min must not exceed --k-max"),
+], ids=["k-range", "comma-pairs", "remark-s2-k-range"])
 def test_lower_bound_errors_name_its_own_flags(tmp_path, capsys, argv, message):
-    code, _ = run(tmp_path, "lower-bound", "--model", "flat-torus", "--dim", "1", *argv)
+    code, _ = run(tmp_path, *argv)
     assert code == 2
     assert message in capsys.readouterr().err
 
@@ -579,6 +585,10 @@ def test_basis_with_an_overflowing_radius_exits_2(tmp_path, capsys):
     assert not (out / "basis.json").exists()
 
 
+def _modes(basis) -> list:
+    return [basis.mode(i) for i in range(basis.size)]
+
+
 def test_cached_basis_serves_hits_and_rebuilds_mismatched_files(tmp_path, monkeypatch):
     model = FlatTorus(1, (TWO_PI,))
     cache = str(tmp_path / "cache")
@@ -590,13 +600,13 @@ def test_cached_basis_serves_hits_and_rebuilds_mismatched_files(tmp_path, monkey
 
     with monkeypatch.context() as patch:
         patch.setattr(cli, "build_basis", no_build)
-        assert cli._cached_basis(model, 3.0, cache).modes == first.modes
+        assert _modes(cli._cached_basis(model, 3.0, cache)) == _modes(first)
     # a file under the right key that holds another request is a miss
     for stale in (build_basis(model, 5.0), build_basis(FlatTorus(1, (3.0,)), 3.0)):
         save_basis(stale, path)
         served = cli._cached_basis(model, 3.0, cache)
         assert served.model == model and served.lambda_max == 3.0
-        assert served.modes == first.modes
+        assert _modes(served) == _modes(first)
         assert load_basis(path).lambda_max == 3.0  # overwritten with the rebuild
 
 
@@ -606,18 +616,16 @@ def test_positional_id_guard_rejects_a_mode_shift():
     final = build_basis(model, 3.0)
     cli._check_positional_ids(probe, final, ["1", "2"], (1, 2))
     # the same ids against a final basis whose modes 1 and 2 swapped places
-    modes = list(final.modes)
-    modes[1], modes[2] = (Mode(1, modes[2].lam, modes[2].rep),
-                          Mode(2, modes[1].lam, modes[1].rep))
-    shifted = build_basis(model, 3.0)
-    shifted.modes = tuple(modes)
-    assert probe.modes[1].rep[:2] != shifted.modes[1].rep[:2]
+    swap = np.array([0, 2, 1, *range(3, final.size)])
+    shifted = dataclasses.replace(final, lams=final.lams[swap],
+                                  reps={name: column[swap] for name, column in final.reps.items()})
+    assert probe.mode(1).rep[:2] != shifted.mode(1).rep[:2]
     with pytest.raises(ParameterError):
         cli._check_positional_ids(probe, shifted, ["1", "2"], (1, 2))
     # same representation, lambda off by more than 1e-9 relative
-    modes = list(final.modes)
-    modes[2] = Mode(2, modes[2].lam * (1.0 + 1e-8), modes[2].rep)
-    shifted.modes = tuple(modes)
+    lams = final.lams.copy()
+    lams[2] *= 1.0 + 1e-8
+    shifted = dataclasses.replace(final, lams=lams)
     with pytest.raises(ParameterError):
         cli._check_positional_ids(probe, shifted, ["2"], (2,))
 

@@ -162,7 +162,7 @@ def test_gaunt_matches_quadrature_to_l20(sphere_basis, grid_values):
     w = basis.grid_weights()
     values = grid_values(basis)
     rng = np.random.default_rng(42)
-    mode_list = list(basis.modes)
+    mode_list = list(map(basis.mode, range(basis.size)))
     for _ in range(60):
         a, b, c = (mode_list[int(rng.integers(0, len(mode_list)))] for _ in range(3))
         quad = float(w @ (values[a.id] * values[b.id] * values[c.id]))
@@ -176,7 +176,7 @@ def circle_basis():
 
 
 def find_mode(basis, rep):
-    for mode in basis.modes:
+    for mode in map(basis.mode, range(basis.size)):
         if mode.rep == rep:
             return mode
     raise AssertionError(f"mode {rep} not in basis")
@@ -232,7 +232,7 @@ def test_support_lambda_is_the_hypot_of_the_axis_frequency_sums():
     rng = np.random.default_rng(3)
     for _ in range(40):
         ids = tuple(int(i) for i in rng.integers(0, basis.size, size=rng.integers(1, 5)))
-        sums = np.sum([basis.modes[i].rep[0] for i in ids], axis=0)
+        sums = np.sum([basis.mode(i).rep[0] for i in ids], axis=0)
         expected = math.hypot(*(k * (TWO_PI / p) for k, p in zip(sums, model.periods)))
         assert torus_support_lambda(ProductSpec(basis, ids)) == pytest.approx(expected, rel=1e-15)
 
@@ -334,7 +334,7 @@ def test_sphere_five_factor_support_is_exact(sphere12_basis):
     assert series.method == "both"
     quad, _ = quadrature_coefficients(spec)
     assert float(np.max(np.abs(series.coeffs - quad))) <= 1e-10
-    degrees = np.array([sphere12_basis.modes[i].rep[0] for i in series.ids])
+    degrees = np.array([sphere12_basis.mode(i).rep[0] for i in series.ids])
     assert np.all(series.coeffs[degrees > 9] == 0.0)
     assert np.any(series.coeffs[degrees == 9] != 0.0)
     ratio, _ = parseval_report(series)
@@ -360,7 +360,7 @@ def test_sphere_oracle_gate_can_fail(sphere12_basis, monkeypatch):
 
 def test_rev_torus_product_parseval_tail():
     basis = build_basis(RevTorus(2.0, 1.0), 4.0)
-    lowest = [m for m in basis.modes if m.lam > 0.0][:2]
+    lowest = [m for m in map(basis.mode, range(basis.size)) if m.lam > 0.0][:2]
     spec = ProductSpec(basis, (lowest[0].id, lowest[1].id))
     sum_lambda = spec.sum_lambda
     assert 3.0 * sum_lambda <= 4.0  # the basis reaches 3x the frequency sum
@@ -394,8 +394,9 @@ def test_rev_oracle_selection_rule(rev_basis, factors):
     spec = ProductSpec(rev_basis, factors)
     series = expand_product(spec)
     assert series.method == "both"
-    families = theta_families([rev_basis.modes[i].rep for i in factors])
-    reached = np.array([mode.rep in families for mode in rev_basis.modes])
+    families = theta_families([rev_basis.mode(i).rep for i in factors])
+    reached = np.array([mode.rep in families
+                        for mode in map(rev_basis.mode, range(rev_basis.size))])
     assert np.all(series.coeffs[~reached] == 0.0)
     assert np.any(series.coeffs[reached] != 0.0)
     quad, f_norm_sq = quadrature_coefficients(spec)
@@ -451,7 +452,7 @@ def test_quadrature_on_a_grid_coarser_than_twice_the_top_frequency():
     model = FlatTorus(1, (TWO_PI,))
     basis = build_basis(model, 8.0)
     coarse = dataclasses.replace(basis, axes=model.quadrature_grid([10]))
-    assert max(m.rep[0][0] for m in basis.modes) == 8
+    assert max(m.rep[0][0] for m in map(basis.mode, range(basis.size))) == 8
     series = expand_product(ProductSpec(coarse, (0,)))
     assert series.method == "both"
     quad, f_norm_sq = quadrature_coefficients(ProductSpec(coarse, (0,)))

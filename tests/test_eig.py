@@ -141,14 +141,17 @@ def _eigh_families(k_red, w_red, inv_lower, weights, upper):
 
 def _rev_family_pencils():
     """(K, M_inv, B, weights m^2, upper) on both s-parity blocks of (2, 1)
-    at lambda 6.954, as the rev-torus build solves them."""
+    at lambda 6.954, as the rev-torus build solves them, and then with the
+    bound of lambda 3, which keeps no pair from m = 9 (s-cosine block) and
+    m = 7 (s-sine block) on."""
     lambda_max = 6.954
     trunc = _rev_truncation(RevTorus(2.0, 1.0), lambda_max)
     stiff, inv_weight, mass = rev_galerkin_terms(2.0, 1.0, trunc)
     weights = [m * m for m in range(math.floor(lambda_max * 3.0) + 1)]
-    for idx in _rev_parity_indices(trunc):
-        grid = np.ix_(idx, idx)
-        yield stiff[grid], inv_weight[grid], mass[grid], weights, (lambda_max * (1.0 + 1e-9)) ** 2
+    for bound in (lambda_max, 3.0):
+        for idx in _rev_parity_indices(trunc):
+            grid = np.ix_(idx, idx)
+            yield stiff[grid], inv_weight[grid], mass[grid], weights, (bound * (1.0 + 1e-9)) ** 2
 
 
 def _random_family_pencils():

@@ -4,6 +4,7 @@ import ast
 import dataclasses
 import hashlib
 import importlib
+import itertools
 import json
 import math
 import os
@@ -11,6 +12,7 @@ import pathlib
 import struct
 import subprocess
 import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -31,7 +33,6 @@ from eigenprod.manifolds import (
     COS,
     SIN,
     FlatTorus,
-    Mode,
     RevTorus,
     Sphere2,
     basis_digest,
@@ -83,9 +84,9 @@ def grid_chart_points(basis):
 def test_flat_circle_mode_table(circle_basis_3):
     basis = circle_basis_3
     assert basis.size == 7
-    assert [m.lam for m in basis.modes] == [0.0, 1.0, 1.0, 2.0, 2.0, 3.0, 3.0]
+    assert basis.lams.tolist() == [0.0, 1.0, 1.0, 2.0, 2.0, 3.0, 3.0]
     # cos precedes sin at each frequency
-    assert [m.rep for m in basis.modes] == [
+    assert [m.rep for m in map(basis.mode, range(basis.size))] == [
         ((0,), (COS,)),
         ((1,), (COS,)), ((1,), (SIN,)),
         ((2,), (COS,)), ((2,), (SIN,)),
@@ -93,12 +94,39 @@ def test_flat_circle_mode_table(circle_basis_3):
     ]
 
 
+def _tuple_sorted_modes(model, lambda_max):
+    """(lam, rep) of every mode, from one loop per frequency or degree and
+    a sort of the (lam, rep) tuples: the reference for the array builds."""
+    if isinstance(model, Sphere2):
+        return [(model.rep_lambda((l, 0)), (l, m))
+                for l in range(manifolds._sphere_lmax(lambda_max) + 1) for m in range(-l, l + 1)]
+    entries = []
+    kmax = int(lambda_max * max(model.periods) / TWO_PI) + 1
+    for freqs in itertools.product(range(kmax + 1), repeat=model.dim):
+        lam = model.rep_lambda((freqs, None))
+        if lam <= lambda_max * (1.0 + 1e-12):
+            entries += [(lam, (freqs, pars)) for pars in
+                        itertools.product(*((COS,) if k == 0 else (COS, SIN) for k in freqs))]
+    return sorted(entries)
+
+
+@pytest.mark.parametrize("model, lambda_max", [
+    (FlatTorus(1, (TWO_PI,)), 16.0), (FlatTorus(1, (0.7,)), 60.0),
+    (FlatTorus(2, (TWO_PI, TWO_PI)), 9.0), (FlatTorus(2, (1.0, 2.0)), 16.0),
+    (FlatTorus(2, (TWO_PI, 3.1)), 8.0), (Sphere2(), 30.0),
+], ids=["circle", "short-circle", "square", "oblong", "mixed", "sphere"])
+def test_exact_builds_order_modes_like_a_tuple_sort(model, lambda_max):
+    basis = build_basis(model, lambda_max)
+    assert [(m.lam, m.rep) for m in map(basis.mode, range(basis.size))] \
+        == _tuple_sorted_modes(model, lambda_max)
+
+
 def test_flat_circle_normalization(circle_basis_3):
     basis = circle_basis_3
-    cos2 = basis.modes[3]
+    cos2 = basis.mode(3)
     assert evaluate(basis, cos2, 0.0) == pytest.approx(
         0.5641895835477563, abs=1e-12)  # 1/sqrt(pi)
-    const = basis.modes[0]
+    const = basis.mode(0)
     assert evaluate(basis, const, 1.234) == pytest.approx(
         1.0 / math.sqrt(TWO_PI), abs=1e-15)
 
@@ -126,10 +154,11 @@ def test_sphere_mode_table(sphere_basis_3):
 
 
 def test_sphere_point_values(sphere_basis_3):
-    y00 = sphere_basis_3.modes[0]
+    y00 = sphere_basis_3.mode(0)
     assert evaluate(sphere_basis_3, y00, (1.0, 2.0)) == pytest.approx(
         0.2820947917738781, abs=1e-12)  # 1/sqrt(4 pi)
-    y10 = next(m for m in sphere_basis_3.modes if m.rep == (1, 0))
+    y10 = next(m for m in map(sphere_basis_3.mode, range(sphere_basis_3.size))
+               if m.rep == (1, 0))
     # explicit Y_1^0 with Legendre normalization: sqrt(3/4pi) cos(theta)
     assert evaluate(sphere_basis_3, y10, (0.0, 0.0)) == pytest.approx(
         0.4886025119029199, abs=1e-12)
@@ -140,7 +169,7 @@ def test_sphere_matches_scipy_harmonics(sphere_basis_3):
     theta = rng.uniform(0.05, math.pi - 0.05, size=12)
     phi = rng.uniform(0.0, TWO_PI, size=12)
     pts = np.stack([theta, phi], axis=-1)
-    for mode in sphere_basis_3.modes:
+    for mode in map(sphere_basis_3.mode, range(sphere_basis_3.size)):
         l, m = mode.rep
         ref = sph_harm_y(l, abs(m), theta, phi)
         if m == 0:
@@ -179,7 +208,7 @@ def test_normalized_legendre_l2_norm():
 def test_rep_lambda_is_the_built_lambda(model, lambda_max):
     basis = build_basis(model, lambda_max)
     assert basis.size > 15
-    for mode in basis.modes:
+    for mode in map(basis.mode, range(basis.size)):
         assert model.rep_lambda(mode.rep).hex() == mode.lam.hex()
 
 
@@ -196,12 +225,12 @@ def test_labels_that_name_no_mode_are_refused(model, token):
 
 
 def test_rev_torus_has_no_closed_form_lambda(rev_basis_3):
-    assert rev_basis_3.model.rep_lambda(rev_basis_3.modes[1].rep) is None
+    assert rev_basis_3.model.rep_lambda(rev_basis_3.mode(1).rep) is None
 
 
 def test_rev_torus_constant_mode(rev_basis_3):
     basis = rev_basis_3
-    const = basis.modes[0]
+    const = basis.mode(0)
     assert const.id == 0
     assert const.lam == 0.0
     volume = basis.model.volume
@@ -212,7 +241,8 @@ def test_rev_torus_constant_mode(rev_basis_3):
 
 def test_rev_torus_angular_pairs_share_lambda(rev_basis_3):
     by_key = {}
-    for mode, coeffs in zip(rev_basis_3.modes, rev_basis_3.coefficients):
+    for mode, coeffs in zip(map(rev_basis_3.mode, range(rev_basis_3.size)),
+                            rev_basis_3.coefficients):
         m, parity = mode.rep
         by_key.setdefault((m, tuple(coeffs)), []).append((parity, mode.lam))
     for (m, _coeffs), entries in by_key.items():
@@ -253,7 +283,7 @@ def test_profile_matrices_match_pointwise_evaluation(request, fixture, grid_valu
     # the grid's chart points
     basis = request.getfixturevalue(fixture)
     values = grid_values(basis)
-    for mode in basis.modes:
+    for mode in map(basis.mode, range(basis.size)):
         pointwise = evaluate(basis, mode, grid_chart_points(basis))
         assert np.max(np.abs(values[mode.id] - pointwise)) <= 1e-13
 
@@ -306,13 +336,14 @@ def test_lattice_values_equal_pointwise_evaluation(request, fixture):
     model = basis.model
     coords = [np.linspace(0.1, 3.0, 37), np.linspace(-1.0, 7.0, 29)][:model.chart_dim]
     points = np.stack([m.reshape(-1) for m in np.meshgrid(*coords, indexing="ij")], axis=-1)
-    for mode in basis.modes:
+    for mode in map(basis.mode, range(basis.size)):
         got = model.lattice_values(basis, [mode.id], coords)
         assert np.array_equal(got[0], evaluate(basis, mode, points[:, 0] if model.chart_dim == 1
                                                 else points))
     if not isinstance(model, RevTorus):  # several s rows are one gemm, not one gemv
         every = model.lattice_values(basis, np.arange(basis.size), coords)
-        assert np.array_equal(every, np.stack([evaluate(basis, m, points) for m in basis.modes]))
+        assert np.array_equal(every, np.stack([evaluate(basis, m, points)
+                                               for m in map(basis.mode, range(basis.size))]))
     bad = [[coords[0][:1]] * (model.chart_dim + 1),
            [np.array([np.nan])] + coords[1:],
            *([[np.array([-0.1]), coords[1]]] if isinstance(model, Sphere2) else [])]
@@ -337,7 +368,7 @@ def test_trig_rows_equal_direct_evaluation_bit_for_bit(flat2_basis, rev_basis_3)
         direct = np.stack([
             _direct_trig_row(m.rep[0][a] * (TWO_PI / period), m.rep[1][a], axes[a],
                              1.0 / math.sqrt(period), math.sqrt(2.0 / period))
-            for m in flat2_basis.modes])
+            for m in map(flat2_basis.mode, range(flat2_basis.size))])
         assert np.array_equal(rows[a], direct)
     axes = rev_basis_3.model.chart_axes(list(grid_chart_points(rev_basis_3).T))
     theta_rows = rev_basis_3.model.axis_factor_rows(
@@ -345,8 +376,9 @@ def test_trig_rows_equal_direct_evaluation_bit_for_bit(flat2_basis, rev_basis_3)
     direct = np.stack([
         _direct_trig_row(m.rep[0], m.rep[1], axes[1],
                          1.0 / math.sqrt(TWO_PI), 1.0 / math.sqrt(math.pi))
-        for m in rev_basis_3.modes])
-    assert len({(m.rep[0], m.rep[1]) for m in rev_basis_3.modes}) < rev_basis_3.size
+        for m in map(rev_basis_3.mode, range(rev_basis_3.size))])
+    assert len({(m.rep[0], m.rep[1]) for m in map(rev_basis_3.mode, range(rev_basis_3.size))}) \
+        < rev_basis_3.size
     assert np.array_equal(theta_rows, direct)
 
 
@@ -359,7 +391,7 @@ def test_rev_torus_strong_form_residual(rev_basis_3):
     s = fine.nodes
     f = model.profile(s)
     df = -model.minor_radius * np.sin(s)
-    for mode in basis.modes:
+    for mode in map(basis.mode, range(basis.size)):
         m = mode.rep[0]
         v, dv, ddv = rev_profile_derivatives(basis.coefficients[mode.id], s)
         residual = -ddv - (df / f) * dv + (m * m) * v / (f * f) - (mode.lam**2) * v
@@ -389,7 +421,7 @@ def test_rev_torus_equal_sigma_families_match():
     assert small.coefficients.shape[1] == large.coefficients.shape[1]
     families = [{}, {}]
     for basis, family in zip((small, large), families):
-        for mode in basis.modes:
+        for mode in map(basis.mode, range(basis.size)):
             family.setdefault(mode.rep, []).append(mode.id)
     matched = 0
     for (m, parity), ids in families[0].items():
@@ -418,7 +450,7 @@ def _profiles_by_family(basis):
     """Each mode's coefficient row keyed by (m, theta parity, s parity, q),
     with q counting the modes of one (m, theta parity, s parity) by lambda."""
     families = {}
-    for mode, coeffs in zip(basis.modes, basis.coefficients):
+    for mode, coeffs in zip(map(basis.mode, range(basis.size)), basis.coefficients):
         families.setdefault((*mode.rep, SIN if any(coeffs[2::2]) else COS), []).append(coeffs)
     return {(*key, q): row for key, rows in families.items() for q, row in enumerate(rows)}
 
@@ -448,22 +480,42 @@ def test_rev_truncation_matches_a_wide_reference_across_the_strip_ladder(
 def test_rev_torus_digest_does_not_depend_on_blas_threads():
     # the digest covers every profile coefficient and the residual, so it
     # is the bit-level check; each thread count runs in a fresh process.
-    # The last input, a thin neck just inside the angular cap, runs at the
-    # truncation cap, the widest pencil a build may solve.
+    # The fourth input, a thin neck just inside the angular cap, runs at
+    # the truncation cap, the widest pencil a build may solve.  Then each
+    # rev-torus product or decay report gives the sha256 of its canonical
+    # results and its basis digest.
     src = str(pathlib.Path(manifolds.__file__).parents[1])
-    probe = ("from eigenprod import RevTorus, basis_digest, build_basis, manifolds; "
-             "print(*(basis_digest(build_basis(RevTorus(R, r), lam)) for R, r, lam "
-             "in ((2.0, 1.0, 6.0), (2.0, 1.0, 3.0), (1.8, 0.9, 4.5)))); "
-             "capped = build_basis(RevTorus(2.0, 1.9), 8.1); "
-             "assert capped.coefficients.shape[1] == 2 * manifolds.REV_TRUNCATION_CAP + 1; "
-             "print(basis_digest(capped))")
+    probe = textwrap.dedent("""\
+        import contextlib, hashlib, io, pathlib, tempfile
+        from eigenprod import RevTorus, basis_digest, build_basis, manifolds
+        from eigenprod.cli import cli_main
+        from eigenprod.reportio import canonical_json, load_json
+        print(*(basis_digest(build_basis(RevTorus(R, r), lam)) for R, r, lam
+                in ((2.0, 1.0, 6.0), (2.0, 1.0, 3.0), (1.8, 0.9, 4.5))))
+        capped = build_basis(RevTorus(2.0, 1.9), 8.1)
+        assert capped.coefficients.shape[1] == 2 * manifolds.REV_TRUNCATION_CAP + 1
+        print(basis_digest(capped))
+        with tempfile.TemporaryDirectory() as tmp:
+            for k, (command, big, small, *args) in enumerate((
+                    ("product", "2", "1", "--factors", "1,3"),
+                    ("product", "3", "1", "--factors", "2,5"),
+                    ("decay", "2", "1", "--factors", "1,3", "--lambda-max-mult", "6"))):
+                out = pathlib.Path(tmp, str(k))
+                with contextlib.redirect_stdout(io.StringIO()):
+                    code = cli_main([command, "--model", "rev-torus", "--R", big, "--r", small,
+                                     *args, "--out", str(out), "--cache", tmp])
+                assert code == 0
+                doc = load_json(out / f"{command}.json")
+                print(hashlib.sha256(canonical_json(doc["results"]).encode()).hexdigest(),
+                      doc["provenance"]["basis_digest"])
+        """)
     digests = []
     for threads in ("1", "2"):
         env = {**os.environ, "PYTHONPATH": src,
                "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
         digests.append(subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                                       capture_output=True, text=True).stdout.split())
-    assert len(digests[0]) == 4
+    assert len(digests[0]) == 4 + 2 * 3
     assert digests[0] == digests[1]
 
 
@@ -503,7 +555,7 @@ def _gvd_rev_modes(basis):
 def _rev_cold_lambda(big, small):
     # the rev-cold decay op: lambda_max = 5 * (lambda_1 + lambda_3)
     probe = build_basis(RevTorus(big, small), 2.0)
-    return 5.0 * (probe.modes[1].lam + probe.modes[3].lam)
+    return 5.0 * (probe.mode(1).lam + probe.mode(3).lam)
 
 
 @pytest.mark.parametrize("big, small, lambda_max", [
@@ -515,7 +567,7 @@ def test_reduced_subset_solver_matches_full_dsygvd(big, small, lambda_max):
     basis = build_basis(RevTorus(big, small), lambda_max)
     oracle = _gvd_rev_modes(basis)
     ours = [(mode.lam, mode.rep[0], mode.rep[1], SIN if any(coeffs[2::2]) else COS, coeffs)
-            for mode, coeffs in zip(basis.modes, basis.coefficients)]
+            for mode, coeffs in zip(map(basis.mode, range(basis.size)), basis.coefficients)]
     assert [entry[1:4] for entry in ours] == [entry[1:4] for entry in oracle]
     assert max(abs(x[0] - y[0]) for x, y in zip(ours, oracle)) <= 1e-11
     assert max(np.max(np.abs(x[4] - y[4])) for x, y in zip(ours, oracle)) <= 1e-12
@@ -564,13 +616,13 @@ def test_weyl_counting_flat_torus_2d():
 
 def test_evaluate_rejects_bad_points(sphere_basis_3, circle_basis_3):
     with pytest.raises(ParameterError):
-        evaluate(sphere_basis_3, sphere_basis_3.modes[0], (4.0, 0.0))
+        evaluate(sphere_basis_3, sphere_basis_3.mode(0), (4.0, 0.0))
     with pytest.raises(ParameterError):
-        evaluate(circle_basis_3, circle_basis_3.modes[0], float("nan"))
+        evaluate(circle_basis_3, circle_basis_3.mode(0), float("nan"))
     with pytest.raises(ParameterError):
         circle_basis_3.mode(99)
     with pytest.raises(ParameterError, match="not a mode of this basis"):
-        evaluate(circle_basis_3, sphere_basis_3.modes[1], 0.5)
+        evaluate(circle_basis_3, sphere_basis_3.mode(1), 0.5)
 
 
 def test_save_load_round_trip(tmp_path, circle_basis_3, flat2_basis, sphere_basis_3,
@@ -689,7 +741,7 @@ def test_json_export_shape(request, name):
         value = getattr(basis.model, key)
         assert doc["model"][key] == (list(value) if isinstance(value, tuple) else value)
     assert doc["mode_count"] == basis.size == len(doc["modes"])
-    for entry, mode in zip(doc["modes"], basis.modes):
+    for entry, mode in zip(doc["modes"], map(basis.mode, range(basis.size))):
         assert set(entry) == {"id", "lambda", *mode_fields}
         assert (entry["id"], entry["lambda"]) == (mode.id, mode.lam)
         for key, value in zip(mode_fields, mode.rep):
@@ -705,7 +757,7 @@ def test_mode_reps_hold_only_ints(request, name):
     basis = request.getfixturevalue(name)
     assert basis.coefficients.shape[0] == basis.size
     assert not basis.coefficients.flags.writeable
-    for mode in basis.modes:
+    for mode in map(basis.mode, range(basis.size)):
         for value in mode.rep:
             assert type(value) is int or (
                 type(value) is tuple and all(type(v) is int for v in value)), mode
@@ -733,13 +785,14 @@ def test_basis_arrays_are_read_only(request, name, tmp_path):
 
 @pytest.mark.parametrize("name", list(JSON_FIELDS))
 def test_rep_arrays_equal_the_whole_column_conversion(request, name, tmp_path):
-    # the per-position conversion of tuple columns gives the arrays that
-    # converting each whole column of reps gives, built and loaded
+    # each rep array is the column of mode(i).rep, in dtype, shape, C order
+    # and values, built and loaded
     built = request.getfixturevalue(name)
     save_basis(built, tmp_path / "basis.eprd")
     for basis in (built, load_basis(tmp_path / "basis.eprd")):
         for k, field in enumerate(basis.model.rep_names):
-            expected = np.array([mode.rep[k] for mode in basis.modes], dtype=np.int64)
+            expected = np.array([basis.mode(i).rep[k] for i in range(basis.size)],
+                                dtype=np.int64)
             got = basis.reps[field]
             assert (got.dtype, got.shape) == (expected.dtype, expected.shape)
             assert np.array_equal(got, expected)
@@ -772,7 +825,7 @@ def test_rev_mode_payload_layout(rev_basis_3):
     header, values = split_payload(payload)
     header_text = payload.partition(b"\n")[0]
     assert header_text == json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-    modes = rev_basis_3.modes
+    modes = list(map(rev_basis_3.mode, range(rev_basis_3.size)))
     count, width = len(modes), 2 * 32 + 1
     assert header["model"] == {"kind": "rev-torus", "major_radius": (2.0).hex(),
                                "minor_radius": (1.0).hex()}
@@ -895,7 +948,7 @@ def test_rev_evaluate_builds_the_circle_basis_at_distinct_s_only(monkeypatch, re
     monkeypatch.setattr(manifolds, "circle_basis", recorded)
     side = np.linspace(0.0, TWO_PI, 512, endpoint=False)
     s, theta = np.meshgrid(side, side + 0.1, indexing="ij")
-    mode = rev_basis_3.modes[3]
+    mode = rev_basis_3.mode(3)
     values = evaluate(rev_basis_3, mode, np.column_stack([s.ravel(), theta.ravel()]))
     assert rows and max(rows) <= 512
     m, theta_parity = mode.rep
@@ -952,15 +1005,23 @@ def test_fft_and_convolve_only_in_numerics():
 
 
 def test_mode_rep_read_only_in_manifolds_and_cli():
-    # the representation layout is a manifolds decision: the computing
-    # modules read the basis arrays; the CLI keeps its label lookup
-    found = set()
+    # the representation layout is a manifolds decision: the package reads
+    # the basis arrays, keeps no per-mode tuple, and makes a Mode value
+    # only in SpectralBasis.mode
+    found, modes, makers = set(), set(), set()
     package = pathlib.Path(manifolds.__file__).parent
     for path in sorted(package.rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Attribute) and node.attr == "rep":
                 found.add(path.stem)
-    assert found == {"manifolds", "cli"}
+            if isinstance(node, ast.Attribute) and node.attr == "modes":
+                modes.add(path.stem)
+            if isinstance(node, ast.FunctionDef):
+                makers.update((path.stem, node.name) for call in ast.walk(node)
+                              if isinstance(call, ast.Call) and ast.unparse(call.func) == "Mode")
+    assert found <= {"manifolds"}
+    assert not modes
+    assert makers == {("manifolds", "mode")}
 
 
 def test_scipy_imported_only_inside_numerics_functions():

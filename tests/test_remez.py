@@ -34,6 +34,10 @@ from eigenprod.remez import (
 TWO_PI = 2.0 * math.pi
 
 
+def find_mode(basis, rep):
+    return next(m for m in map(basis.mode, range(basis.size)) if m.rep == rep)
+
+
 @pytest.mark.parametrize("k", range(1, 9))
 def test_doubling_of_homogeneous_powers(k):
     # |u| on the 2r cube is 2^k times |u| on the r cube for degree-k
@@ -147,7 +151,7 @@ def test_remez_measures_nonincreasing_in_report():
 
 def _flat2_mode_function():
     basis = build_basis(FlatTorus(2, (TWO_PI, TWO_PI)), 3.0)
-    mode = next(m for m in basis.modes if m.rep == ((1, 2), (COS, SIN)))
+    mode = find_mode(basis, ((1, 2), (COS, SIN)))
     return as_chart_function(basis, mode)
 
 
@@ -217,8 +221,8 @@ def test_good_set_constant_mode(circle_basis):
 
 
 def test_good_set_two_cosines(circle_basis):
-    cos1 = next(m for m in circle_basis.modes if m.rep == ((1,), (COS,)))
-    cos2 = next(m for m in circle_basis.modes if m.rep == ((2,), (COS,)))
+    cos1 = find_mode(circle_basis, ((1,), (COS,)))
+    cos2 = find_mode(circle_basis, ((2,), (COS,)))
     spec = ProductSpec(circle_basis, (cos1.id, cos2.id))
     result = good_set_experiment(circle_basis, spec, 0.0, 2.0)
     assert result.measure_e >= 0.5 * result.measure_half_cube
@@ -237,8 +241,8 @@ def test_good_set_two_cosines(circle_basis):
 def test_good_set_lower_bound_chain(circle_basis):
     # ||prod phi||_{L2(E)} >= mu(E)^{1/2} prod exp(-a_j): the mechanism
     # behind the norm lower bound, verified by direct lattice sums
-    cos1 = next(m for m in circle_basis.modes if m.rep == ((1,), (COS,)))
-    cos2 = next(m for m in circle_basis.modes if m.rep == ((2,), (COS,)))
+    cos1 = find_mode(circle_basis, ((1,), (COS,)))
+    cos2 = find_mode(circle_basis, ((2,), (COS,)))
     spec = ProductSpec(circle_basis, (cos1.id, cos2.id))
     per_axis = 16384
     result = good_set_experiment(circle_basis, spec, 0.0, 2.0,
@@ -274,7 +278,7 @@ def _pointwise_good_set(basis, spec, center, side):
     thresholds, factor_values = [], []
     keep = np.ones(points.shape[0], dtype=bool)
     for i in spec.factors:
-        values = np.abs(evaluate(basis, basis.modes[i], points))
+        values = np.abs(evaluate(basis, basis.mode(i), points))
         a = next(float(a) for a in default_a_grid()
                  if np.count_nonzero(values < math.exp(-float(a))) <= budget)
         thresholds.append(a)
@@ -306,7 +310,7 @@ def test_good_set_equals_pointwise_evaluation(good_set_case):
     # each factor's lattice values are formed axis by axis; thresholds,
     # measures and the product floor equal the pointwise construction's
     basis, spec, center, side = good_set_case
-    assert len({basis.modes[i].lam for i in spec.factors}) > 1
+    assert len({basis.mode(i).lam for i in spec.factors}) > 1
     result = good_set_experiment(basis, spec, center, side)
     assert result == _pointwise_good_set(basis, spec, center, side)
 
@@ -365,7 +369,7 @@ def test_good_set_thresholds_equal_the_linear_scan(case):
 
 
 def test_harmonic_lift_factory(circle_basis):
-    cos2 = next(m for m in circle_basis.modes if m.rep == ((2,), (COS,)))
+    cos2 = find_mode(circle_basis, ((2,), (COS,)))
     lift = harmonic_lift(circle_basis, cos2)
     pts = np.array([[0.3, 0.1], [1.0, -0.2]])
     expected = (np.cos(2.0 * pts[:, 0]) / math.sqrt(math.pi)
@@ -402,7 +406,7 @@ def test_power_function_open_mesh_equals_pointwise(center, side):
 
 
 def test_line_factories_open_mesh_equal_pointwise(circle_basis):
-    cos2 = next(m for m in circle_basis.modes if m.rep == ((2,), (COS,)))
+    cos2 = find_mode(circle_basis, ((2,), (COS,)))
     lift = harmonic_lift(circle_basis, cos2)
     for axes in _lattices((0.3,), 2.0):
         (x,), _shape, points = _open_mesh_and_points(axes)
@@ -430,7 +434,7 @@ def test_mode_function_open_mesh_equals_evaluate(case):
     model, lambda_max, center, side = CHART_CASES[case]
     basis = build_basis(model, lambda_max)
     for i in (0, basis.size // 2, basis.size - 1):
-        mode = basis.modes[i]
+        mode = basis.mode(i)
         fn = as_chart_function(basis, mode)
         for axes in _lattices(center, side):
             mesh, shape, points = _open_mesh_and_points(axes)
