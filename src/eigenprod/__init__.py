@@ -42,13 +42,11 @@ from .extension import (
     HarmonicExtension,
     cauchy_estimate_check,
     compute_extension_params,
-    greens_coefficient,
     greens_coefficients,
     harmonic_extension_flat,
 )
 from .manifolds import (
     FlatTorus,
-    Mode,
     RevTorus,
     SpectralBasis,
     Sphere2,
@@ -80,7 +78,7 @@ __all__ = [
     # numerics
     "QuadratureGrid", "gauss_legendre", "uniform_periodic",
     # manifolds
-    "FlatTorus", "Sphere2", "RevTorus", "Mode", "SpectralBasis",
+    "FlatTorus", "Sphere2", "RevTorus", "SpectralBasis",
     "build_basis", "evaluate", "as_chart_function", "save_basis", "load_basis",
     "basis_digest",
     # coefficients
@@ -95,7 +93,7 @@ __all__ = [
     # extension
     "ExtensionParams", "HarmonicExtension", "CauchyCheck",
     "compute_extension_params", "harmonic_extension_flat",
-    "greens_coefficient", "greens_coefficients", "cauchy_estimate_check",
+    "greens_coefficients", "cauchy_estimate_check",
     # remez
     "DoublingReport", "RemezReport", "GoodSetResult", "doubling_index",
     "sublevel_measure", "remez_fit", "good_set_experiment", "harmonic_lift",

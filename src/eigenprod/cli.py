@@ -590,8 +590,7 @@ def _function_from_config(config, cache_dir):
             raise ParameterError("mode: functions need --model")
         basis, (ids,) = _resolve_basis_and_factors(config["model"], params,
                                                    [spec.split(":", 1)[1].split(",")], cache_dir)
-        return (as_chart_function(basis, basis.mode(ids[0])),
-                basis.model.chart_dim)
+        return as_chart_function(basis, ids[0]), basis.model.chart_dim
     raise ParameterError(f"unknown function spec {spec!r}")
 
 

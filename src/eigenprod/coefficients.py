@@ -241,12 +241,7 @@ class ProductSpec:
     def __post_init__(self):
         if len(self.factors) < 1:
             raise ParameterError("a product needs at least one factor")
-        for i in self.factors:
-            if not isinstance(i, (int, np.integer)) or isinstance(i, bool):
-                raise ParameterError(f"mode id {i!r} is not an integer")
-            if not 0 <= i < self.basis.size:
-                raise ParameterError(f"unknown mode id {i}")
-        object.__setattr__(self, "factors", tuple(int(i) for i in self.factors))
+        object.__setattr__(self, "factors", tuple(map(self.basis.checked_id, self.factors)))
 
     @property
     def n_factors(self) -> int:

@@ -32,7 +32,6 @@ __all__ = [
     "CauchyCheck",
     "compute_extension_params",
     "harmonic_extension_flat",
-    "greens_coefficient",
     "greens_coefficients",
     "cauchy_estimate_check",
 ]
@@ -94,7 +93,7 @@ def compute_extension_params(model: FlatTorus, r2_override: float | None = None,
 
 
 class HarmonicExtension:
-    """Mode-wise cosh propagation of an exactly-expanded flat-torus product."""
+    """Per-mode cosh propagation of an exactly-expanded flat-torus product."""
 
     def __init__(self, series: CoefficientSeries, height: float):
         basis = series.product.basis
@@ -117,8 +116,8 @@ class HarmonicExtension:
         self.laplacian_eigs = sum(
             (TWO_PI * circle_frequencies(columns[self.mode_ids]) / period) ** 2
             for columns, period in zip(basis.axis_columns, basis.model.periods))
-        # per grid axis, every basis mode's row, once: greens_coefficient
-        # integrates any mode against the extension on the grid
+        # per grid axis, every basis mode's row, once: greens_coefficients
+        # integrates every mode against the extension on the grid
         self.grid_rows = basis.model.axis_factor_rows(
             basis, np.arange(basis.size), tuple(ax.nodes for ax in basis.axes))
 
@@ -232,8 +231,7 @@ def harmonic_extension_flat(series: CoefficientSeries, height: float,
             lattice, np.linspace(0.0, model.periods[1], 512, endpoint=False)])
     f_direct = np.ones(512)
     for i in series.product.factors:
-        f_direct = f_direct * np.atleast_1d(
-            evaluate(ext.basis, ext.basis.mode(i), lattice))
+        f_direct = f_direct * np.atleast_1d(evaluate(ext.basis, i, lattice))
     boundary = ext.at(lattice)
     boundary_gap = float(np.max(np.abs(boundary.value(0.0) - f_direct)))
     f_sup = float(np.max(np.abs(f_direct)))
@@ -247,33 +245,24 @@ def harmonic_extension_flat(series: CoefficientSeries, height: float,
     return ext
 
 
-def greens_coefficient(ext: HarmonicExtension, mode_id: int, height: float) -> float:
-    """Recover c_i from the boundary integral at the slab top:
+def greens_coefficients(ext: HarmonicExtension, height: float) -> dict:
+    """Recover c_i, by mode id, for every basis mode with lambda_i > 0
+    from the boundary integral at a height t in the slab:
 
-        c_i = exp(-T lambda_i) / lambda_i *
-              int_M phi_i (dH/dt + lambda_i H)|_{t=T}.
+        c_i = exp(-t lambda_i) / lambda_i *
+              int_M phi_i (dH/dt + lambda_i H)|_t.
 
     The identity holds for every positive height inside the slab, so the
-    returned value must not depend on it.
+    returned values must not depend on it.  The boundary values are
+    formed once, for all modes.
     """
-    if ext.basis.mode(mode_id).lam <= 0.0:
-        raise ParameterError("the boundary identity divides by lambda and needs lambda > 0")
-    return _greens_coefficients(ext, [int(mode_id)], height)[int(mode_id)]
-
-
-def greens_coefficients(ext: HarmonicExtension, height: float) -> dict:
-    """:func:`greens_coefficient` of every basis mode with lambda > 0, by
-    mode id, from one evaluation of the boundary values at ``height``."""
-    return _greens_coefficients(ext, np.flatnonzero(ext.basis.lams > 0.0).tolist(), height)
-
-
-def _greens_coefficients(ext: HarmonicExtension, ids: list, height: float) -> dict:
     if not 0.0 < height <= ext.T * (1.0 + 1e-12):
         raise ParameterError("height must lie in (0, T] of the extension")
     values, slopes = ext.grid_boundary_values(height)
     weights = ext.basis.grid_weights()
+    ids = np.flatnonzero(ext.basis.lams > 0.0)
     coefficients = {}
-    for i, lam in zip(ids, ext.basis.lams[ids].tolist()):
+    for i, lam in zip(ids.tolist(), ext.basis.lams[ids].tolist()):
         integral = float(weights @ (ext.grid_values(i) * (slopes + lam * values)))
         coefficients[i] = math.exp(-height * lam) / lam * integral
     return coefficients

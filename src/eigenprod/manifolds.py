@@ -16,7 +16,7 @@ mode id: ``lams``, the frequencies lambda, and ``reps``, the integer
 representation columns; per-mode floats are rows of
 ``SpectralBasis.coefficients``.  Modes are ordered by ascending lambda
 with ties broken by their representation, so ids are reproducible.
-Outside this module the package reads those arrays, never a ``Mode.rep``.
+A mode is named by its id everywhere in the package.
 
 Everything that differs between models lives in the model's class, one
 section of this module each; ``build_basis``, ``evaluate``, persistence
@@ -89,7 +89,6 @@ __all__ = [
     "FlatTorus",
     "Sphere2",
     "RevTorus",
-    "Mode",
     "SpectralBasis",
     "build_basis",
     "evaluate",
@@ -102,39 +101,26 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Mode:
-    """One eigenfunction as a value, made on request by
-    :meth:`SpectralBasis.mode`: ordinal id, frequency lambda, and a
-    manifold-specific representation of ints and tuples of ints.
-
-    Representations: flat torus (freqs, parities) with parity 0=cos /
-    1=sin per axis; sphere (l, m) of a real harmonic (m>0 cosine type,
-    m<0 sine type); torus of revolution (m, theta parity), whose profile
-    is row ``id`` of its basis's ``coefficients``.
-    """
-
-    id: int
-    lam: float
-    rep: tuple
-
-
 @dataclass(eq=False)
 class SpectralBasis:
     """All eigenfunctions with lambda <= lambda_max on one model, plus the
     quadrature grid every integral in the package runs on: ``axes``, one
     one-dimensional rule per chart axis, whose tensor product is the grid.
     Integrals are sums over the axes; ``grid_weights`` gives the
-    flattened form where a caller needs it.  Mode values on the grid come
-    from the model's ``axis_factor_rows``, for the modes a caller needs.
+    flattened form where a caller needs it.  The values on the grid of
+    the modes a caller needs come from the model's ``axis_factor_rows``.
 
     A basis is its modes' read-only arrays by mode id: ``lams`` (float64),
     ``reps`` (one int64 column per name in the model's ``rep_names``, the
-    columns a cache header stores; the flat torus's are (modes, d)) and
-    ``coefficients`` (row i is mode i's rev-torus s-profile; width 0 on
-    the other models).  Construction adds the model's (modes, axes)
+    columns a cache header stores) and ``coefficients`` (row i is mode
+    i's rev-torus s-profile; width 0 on the other models).  The
+    representations: flat torus ``freqs`` and ``parities``, (modes, d),
+    parity 0=cos / 1=sin per axis; sphere ``l`` and ``m`` of a real
+    harmonic (m>0 cosine type, m<0 sine type); torus of revolution ``m``
+    and ``theta_parity``.  Construction adds the model's (modes, axes)
     ``bandwidths``, their column maximum ``target_bandwidth``, and the
-    model's ``axis_columns``; ``mode(i)`` makes mode i as a :class:`Mode`.
+    model's ``axis_columns``; ``checked_id(i)`` is the check every
+    function that takes a mode id runs.
     ``save_basis`` and ``load_basis`` record the content digest they wrote
     or verified, and ``basis_digest`` serializes only bases that were
     never saved or loaded.
@@ -160,12 +146,14 @@ class SpectralBasis:
                       *self.reps.values(), *(c for c in self.axis_columns if c is not None)):
             array.setflags(write=False)
 
-    def mode(self, mode_id: int) -> Mode:
+    def checked_id(self, mode_id) -> int:
+        """``mode_id`` as an int; ParameterError unless it is an integer
+        (not a bool) naming a mode of this basis."""
+        if not isinstance(mode_id, (int, np.integer)) or isinstance(mode_id, bool):
+            raise ParameterError(f"mode id {mode_id!r} is not an integer")
         if not 0 <= mode_id < self.size:
             raise ParameterError(f"unknown mode id {mode_id}")
-        rep = (self.reps[name][mode_id].tolist() for name in self.model.rep_names)
-        return Mode(int(mode_id), float(self.lams[mode_id]),
-                    tuple(tuple(v) if isinstance(v, list) else v for v in rep))
+        return int(mode_id)
 
     @property
     def size(self) -> int:
@@ -189,7 +177,7 @@ class _Surface:
     """The method set of a model; what is defined here is shared or a default.
 
     Required: ``kind`` (the persisted descriptor key), ``rep_names`` (the
-    names of the int representation fields), ``chart_dim``, ``volume``,
+    names of the int representation columns), ``chart_dim``, ``volume``,
     ``build(lambda_max)`` (the ordered basis),
     ``quadrature_grid(sizes)`` (one one-dimensional rule per chart axis,
     from the per-axis node counts),
@@ -207,11 +195,12 @@ class _Surface:
     takes one FFT, :func:`_circle_projections`).
 
     Optional: ``coefficients_name`` (the JSON name of a coefficient row;
-    None for empty rows), ``chart_axes(coords)`` (the grid-axis
-    coordinates of a list of per-axis chart coordinates, and their range
-    check), ``parse_label(token)`` (the representation a CLI mode label
-    names) and ``rep_lambda(rep)`` (the mode's lambda in closed form, with
-    which ``build`` and the CLI size).
+    None for empty rows), ``rep_shape`` (the shape of one mode's entry in
+    a representation column; () for a scalar), ``chart_axes(coords)``
+    (the grid-axis coordinates of a list of per-axis chart coordinates,
+    and their range check), ``parse_label(token)`` (the representation a
+    CLI mode label names) and ``rep_lambda(rep)`` (the mode's lambda in
+    closed form, with which ``build`` and the CLI size).
 
     Shared: ``values`` at scattered chart points and ``lattice_values`` on
     a tensor lattice, which evaluates the factor rows on each axis's own
@@ -219,6 +208,7 @@ class _Surface:
     """
 
     coefficients_name = None
+    rep_shape = ()
 
     def chart_axes(self, coords: list) -> list:
         """The grid-axis coordinates of validated per-axis chart coordinates."""
@@ -238,9 +228,8 @@ class _Surface:
         ``meshgrid`` with ``indexing="ij"``), one row per mode.  The factor
         rows are formed on each axis's own coordinates and multiplied as an
         outer product, so each value is the product :meth:`values` forms at
-        that lattice point, bit for bit.  On the torus of revolution pass
-        one mode per call: several s rows come from one matrix product,
-        whose bits differ from the one-row product :func:`evaluate` takes."""
+        that lattice point, bit for bit, however many modes one call asks
+        for."""
         if len(coords) != self.chart_dim:
             raise ParameterError(f"points must have {self.chart_dim} chart coordinates")
         coords = [np.asarray(c, dtype=float).reshape(-1) for c in coords]
@@ -292,6 +281,10 @@ class FlatTorus(_Surface):
     @property
     def chart_dim(self) -> int:
         return self.dim
+
+    @property
+    def rep_shape(self) -> tuple:
+        return (self.dim,)
 
     @property
     def volume(self) -> float:
@@ -684,11 +677,14 @@ class RevTorus(_Surface):
 
     def axis_factor_rows(self, basis: SpectralBasis, ids, axis_points) -> tuple:
         # the s profiles are evaluated at the distinct s values only: a
-        # lattice of n points has about sqrt(n) of them
+        # lattice of n points has about sqrt(n) of them.  einsum without
+        # ``optimize`` takes no BLAS path, so a row's bits depend neither
+        # on how many modes one call asks for nor on the BLAS thread count
         coefficients = basis.coefficients[ids]
         s_values, inverse = np.unique(np.asarray(axis_points[0], dtype=float),
                                       return_inverse=True)
-        s_rows = coefficients @ circle_basis(s_values, coefficients.shape[1]).T
+        s_rows = np.einsum("ij,kj->ik", coefficients,
+                           circle_basis(s_values, coefficients.shape[1]))
         return s_rows[:, inverse.reshape(-1)], _trig_rows(
             axis_points[1], basis.axis_columns[1][ids],
             1.0 / math.sqrt(TWO_PI), 1.0 / math.sqrt(math.pi))
@@ -775,33 +771,32 @@ def _normalize_points(points, dim: int):
     return arr, scalar
 
 
-def evaluate(basis: SpectralBasis, mode: Mode, points):
-    """Value of the L2-normalized eigenfunction of ``basis`` at chart points.
+def evaluate(basis: SpectralBasis, mode_id: int, points):
+    """Value of the L2-normalized eigenfunction ``mode_id`` of ``basis`` at
+    chart points.
 
     Charts: flat torus, x in R^d (periodic); sphere, (theta, phi) with
     theta in [0, pi]; torus of revolution, (s, theta), both periodic.
     Scalar-like input returns a float.
     """
-    if basis.mode(mode.id) != mode:
-        raise ParameterError(f"mode {mode.id} is not a mode of this basis")
+    mode_id = basis.checked_id(mode_id)
     model = basis.model
     arr, scalar = _normalize_points(points, model.chart_dim)
-    out = model.values(basis, [mode.id], arr)[0]
+    out = model.values(basis, [mode_id], arr)[0]
     return float(out[0]) if scalar else out
 
 
-def as_chart_function(basis: SpectralBasis, mode: Mode):
-    """Wrap a mode of ``basis`` as a chart function: ``fn(*coords)`` gives
-    the mode on the tensor lattice of one coordinate array per chart axis
-    (:meth:`_Surface.lattice_values`, one mode per call, so the values are
-    :func:`evaluate`'s, bit for bit), shaped (x.size, y.size) on a plane and
-    as x on a line, which is what the open mesh of :mod:`eigenprod.remez`
-    broadcasts to."""
-    if basis.mode(mode.id) != mode:
-        raise ParameterError(f"mode {mode.id} is not a mode of this basis")
+def as_chart_function(basis: SpectralBasis, mode_id: int):
+    """Wrap the mode ``mode_id`` of ``basis`` as a chart function:
+    ``fn(*coords)`` gives the mode on the tensor lattice of one coordinate
+    array per chart axis (:meth:`_Surface.lattice_values`, so the values
+    are :func:`evaluate`'s, bit for bit), shaped (x.size, y.size) on a
+    plane and as x on a line, which is what the open mesh of
+    :mod:`eigenprod.remez` broadcasts to."""
+    mode_id = basis.checked_id(mode_id)
 
     def fn(*coords):
-        values = basis.model.lattice_values(basis, [mode.id], coords)[0]
+        values = basis.model.lattice_values(basis, [mode_id], coords)[0]
         sizes = tuple(map(np.size, coords))
         return values.reshape(np.shape(coords[0]) if len(coords) == 1 else sizes)
 
@@ -867,8 +862,9 @@ def _basis_payload(basis: SpectralBasis) -> bytes:
 
 def _arrays_from_payload(model, header: dict, block: bytes) -> tuple:
     """(lams, reps, coefficients) as :func:`_basis_payload` wrote them;
-    ValueError if the block or a column does not match the mode count, or the
-    width does not fit the model (0 exactly when it has no ``coefficients_name``)."""
+    ValueError if the block or a column does not match the mode count and
+    the model's ``rep_shape``, or the width does not fit the model (0
+    exactly when it has no ``coefficients_name``)."""
     count, per_mode = header["count"], header["floats_per_mode"]
     if not (isinstance(count, int) and isinstance(per_mode, int)) \
             or per_mode < 1 or len(block) != 8 * count * per_mode \
@@ -876,8 +872,8 @@ def _arrays_from_payload(model, header: dict, block: bytes) -> tuple:
         raise ValueError("the float block does not match the header")
     values = np.frombuffer(block, dtype="<f8")
     reps = {name: np.array(header["columns"][name], dtype=np.int64) for name in model.rep_names}
-    if any(column.shape[:1] != (count,) for column in reps.values()):
-        raise ValueError("a header column does not hold one entry per mode")
+    if any(column.shape != (count, *model.rep_shape) for column in reps.values()):
+        raise ValueError("a header column does not hold one entry of the model's shape per mode")
     return values[:count], reps, values[count:].reshape(count, per_mode - 1)
 
 

@@ -241,9 +241,9 @@ def good_set_experiment(basis, spec: ProductSpec, center, side: float,
 
     Counting runs on one shared lattice, so the 1/2 guarantee is exact
     cell arithmetic, not an approximation.  Each factor is evaluated on
-    the lattice axis by axis (``lattice_values``), one mode per call, so
-    its values are :func:`eigenprod.manifolds.evaluate`'s at the lattice
-    points, bit for bit.
+    the lattice axis by axis (``lattice_values``), so its values are
+    :func:`eigenprod.manifolds.evaluate`'s at the lattice points, bit for
+    bit; one factor's lattice is held at a time.
     """
     center = _as_center(center)
     if len(center) != basis.model.chart_dim:
@@ -293,13 +293,15 @@ def good_set_experiment(basis, spec: ProductSpec, center, side: float,
 # function factories
 
 
-def harmonic_lift(basis, mode):
-    """phi(x) exp(lambda y): the degenerate-elliptic lift of a mode of a
-    1-d chart basis, usable directly in doubling and sublevel probes."""
+def harmonic_lift(basis, mode_id: int):
+    """phi(x) exp(lambda y): the degenerate-elliptic lift of the mode
+    ``mode_id`` of a 1-d chart basis, usable directly in doubling and
+    sublevel probes."""
     if basis.model.chart_dim != 1:
         raise ParameterError("the lift factory expects a 1-d chart model")
-    base = as_chart_function(basis, mode)
-    return lambda x, y: base(x) * np.exp(mode.lam * y)
+    base = as_chart_function(basis, mode_id)
+    lam = float(basis.lams[mode_id])
+    return lambda x, y: base(x) * np.exp(lam * y)
 
 
 def coordinate_function():

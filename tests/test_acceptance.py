@@ -33,7 +33,7 @@ from eigenprod.coefficients import (
 )
 from eigenprod.extension import (
     compute_extension_params,
-    greens_coefficient,
+    greens_coefficients,
     harmonic_extension_flat,
 )
 from eigenprod.manifolds import (
@@ -83,13 +83,13 @@ def rev_setup():
     model = RevTorus(2.0, 1.0)
     lambda_cap = REV_M_CAP / (model.major_radius + model.minor_radius)
     probe = build_basis(model, 2.0)
-    low = [m for m in map(probe.mode, range(probe.size)) if m.lam > 0.0][:6]
+    low = np.flatnonzero(probe.lams > 0.0)[:6].tolist()
     candidates = []
     for i in range(len(low)):
         for j in range(i, len(low)):
-            sum_lambda = low[i].lam + low[j].lam
+            sum_lambda = float(probe.lams[low[i]]) + float(probe.lams[low[j]])
             if 6.0 * sum_lambda <= lambda_cap:
-                candidates.append(((low[i].id, low[j].id), sum_lambda))
+                candidates.append(((low[i], low[j]), sum_lambda))
     candidates.sort(key=lambda entry: (entry[1], entry[0]))
     basis = build_basis(model, 6.0 * max(s for _ids, s in candidates))
     chosen = []
@@ -106,10 +106,16 @@ def rev_setup():
     return basis, chosen
 
 
+def mode_reps(basis) -> list:
+    """Each mode's representation by id: its entries of the ``basis.reps``
+    columns as ints, a flat torus's rows as tuples."""
+    columns = [basis.reps[name].tolist() for name in basis.model.rep_names]
+    return [tuple(tuple(v) if isinstance(v, list) else v for v in rep) for rep in zip(*columns)]
+
+
 def torus_modes_up_to(basis, freq_cap):
-    if basis.model.dim == 1:
-        return [m for m in map(basis.mode, range(basis.size)) if m.rep[0][0] <= freq_cap]
-    return [m for m in map(basis.mode, range(basis.size)) if max(m.rep[0]) <= freq_cap]
+    """Ids of the flat-torus modes with every frequency <= ``freq_cap``."""
+    return np.flatnonzero(basis.reps["freqs"].max(axis=1) <= freq_cap).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -120,8 +126,7 @@ def test_acceptance_1_selection_rule(circle_basis, torus2_basis):
     checked_exact = 0
     worst_quad_tail = 0.0
     # dimension one: fully exhaustive, both routes, frequencies <= 8
-    modes1 = torus_modes_up_to(circle_basis, 8)
-    ids1 = [m.id for m in modes1]
+    ids1 = torus_modes_up_to(circle_basis, 8)
     for count in (2, 3):
         for combo in itertools.combinations_with_replacement(ids1, count):
             spec = ProductSpec(circle_basis, combo)
@@ -135,13 +140,13 @@ def test_acceptance_1_selection_rule(circle_basis, torus2_basis):
     assert worst_quad_tail <= 1e-12
     # dimension two: exhaustive exact-support scan (pairs to frequency 8,
     # triples to 4), plus a deterministic quadrature subsample
-    modes2_pairs = [m.id for m in torus_modes_up_to(torus2_basis, 8)]
+    modes2_pairs = torus_modes_up_to(torus2_basis, 8)
     checked_support = 0
     for combo in itertools.combinations_with_replacement(modes2_pairs, 2):
         spec = ProductSpec(torus2_basis, combo)
         assert torus_support_lambda(spec) <= spec.sum_lambda * (1.0 + 1e-12)
         checked_support += 1
-    modes2_triples = [m.id for m in torus_modes_up_to(torus2_basis, 4)]
+    modes2_triples = torus_modes_up_to(torus2_basis, 4)
     for combo in itertools.combinations_with_replacement(modes2_triples, 3):
         spec = ProductSpec(torus2_basis, combo)
         assert torus_support_lambda(spec) <= spec.sum_lambda * (1.0 + 1e-12)
@@ -176,7 +181,7 @@ def test_acceptance_2_sphere_oracles(sphere12_basis, grid_values):
     values = grid_values(basis)
     weighted = values * basis.grid_weights()
     exact = np.zeros((n, n, n))
-    reps = [basis.mode(i).rep for i in range(n)]
+    reps = mode_reps(basis)
     for ia in range(n):
         la, ma = reps[ia]
         for ib in range(ia, n):
@@ -216,7 +221,7 @@ def test_acceptance_3_parseval(circle_basis, torus2_basis, sphere12_basis,
                                rev_setup):
     worst_defect = 0.0
     band_limited_count = 0
-    modes1 = [m.id for m in torus_modes_up_to(circle_basis, 8)]
+    modes1 = torus_modes_up_to(circle_basis, 8)
     for combo in [(1, 2), (3, 4), (7, 8), (modes1[-1], modes1[-2]),
                   (1, 2, 3), (5, 9, 13)]:
         series = expand_product(ProductSpec(circle_basis, combo))
@@ -228,11 +233,10 @@ def test_acceptance_3_parseval(circle_basis, torus2_basis, sphere12_basis,
         _ratio, defect = parseval_report(series)
         worst_defect = max(worst_defect, abs(defect))
         band_limited_count += 1
-    sphere_modes = [m for m in map(sphere12_basis.mode, range(sphere12_basis.size))
-                    if m.rep[0] <= 6]
+    sphere_modes = np.flatnonzero(sphere12_basis.reps["l"] <= 6).tolist()
     for a, b in [(sphere_modes[1], sphere_modes[4]),
                  (sphere_modes[-1], sphere_modes[-2])]:
-        series = expand_product(ProductSpec(sphere12_basis, (a.id, b.id)))
+        series = expand_product(ProductSpec(sphere12_basis, (a, b)))
         _ratio, defect = parseval_report(series)
         worst_defect = max(worst_defect, abs(defect))
         band_limited_count += 1
@@ -304,21 +308,16 @@ def test_acceptance_6_green_identity(circle_basis):
     params1 = compute_extension_params(circle_basis.model)
     one_d_pairs = [((2,), (3,)), ((1,), (7,)), ((4,), (5,)), ((1,), (2,), (3,))]
     for freqs in one_d_pairs:
-        ids = []
-        for (k,) in freqs:
-            ids.append(next(m.id for m in map(circle_basis.mode, range(circle_basis.size))
-                            if m.rep == ((k,), (COS,))))
+        ids = [mode_reps(circle_basis).index(((k,), (COS,))) for (k,) in freqs]
         spec = ProductSpec(circle_basis, tuple(ids))
         assert spec.sum_lambda <= 10.0
         series = expand_product(spec)
         ext = harmonic_extension_flat(series, params1.T)
         for height in (params1.T, params1.T / 2.0):
-            for mode in map(circle_basis.mode, range(circle_basis.size)):
-                if mode.lam <= 0.0:
-                    continue
-                err = abs(greens_coefficient(ext, mode.id, height)
-                          - series.coeffs[mode.id])
-                worst = max(worst, err)
+            recovered = greens_coefficients(ext, height)
+            assert sorted(recovered) == np.flatnonzero(circle_basis.lams > 0.0).tolist()
+            for mode, c in recovered.items():
+                worst = max(worst, abs(c - series.coeffs[mode]))
             cases += 1
     torus2 = build_basis(FlatTorus(2, (TWO_PI, TWO_PI)), 8.0)
     params2 = compute_extension_params(torus2.model)
@@ -326,19 +325,16 @@ def test_acceptance_6_green_identity(circle_basis):
         (((1, 0), (COS, COS)), ((0, 2), (COS, COS))),
         (((2, 1), (COS, SIN)), ((1, 2), (SIN, COS))),
     ]:
-        a = next(m.id for m in map(torus2.mode, range(torus2.size)) if m.rep == rep_a)
-        b = next(m.id for m in map(torus2.mode, range(torus2.size)) if m.rep == rep_b)
-        spec = ProductSpec(torus2, (a, b))
+        spec = ProductSpec(torus2, (mode_reps(torus2).index(rep_a),
+                                    mode_reps(torus2).index(rep_b)))
         assert spec.sum_lambda <= 10.0
         series = expand_product(spec)
         ext = harmonic_extension_flat(series, params2.T)
         for height in (params2.T, params2.T / 2.0):
-            for mode in map(torus2.mode, range(torus2.size)):
-                if mode.lam <= 0.0:
-                    continue
-                err = abs(greens_coefficient(ext, mode.id, height)
-                          - series.coeffs[mode.id])
-                worst = max(worst, err)
+            recovered = greens_coefficients(ext, height)
+            assert sorted(recovered) == np.flatnonzero(torus2.lams > 0.0).tolist()
+            for mode, c in recovered.items():
+                worst = max(worst, abs(c - series.coeffs[mode]))
             cases += 1
     assert worst <= 1e-8
     print(f"\nACCEPTANCE 6 PASS: boundary-integral recovery error <= "
@@ -371,8 +367,8 @@ def test_acceptance_7_extension_parameters():
 
 def test_acceptance_8_lower_bounds(circle_basis, rev_setup):
     expected = math.sqrt(3.0) / (2.0 * math.sqrt(math.pi))
-    cos_ids = [m.id for m in map(circle_basis.mode, range(circle_basis.size))
-               if m.rep[1] == (COS,) and 1 <= m.rep[0][0] <= 8]
+    cos_ids = [i for i, (freqs, parities) in enumerate(mode_reps(circle_basis))
+               if parities == (COS,) and 1 <= freqs[0] <= 8]
     self_fit = lower_bound_experiment(
         circle_basis, [ProductSpec(circle_basis, (i, i)) for i in cos_ids])
     for _s, norm in self_fit.samples:

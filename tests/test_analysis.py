@@ -22,7 +22,10 @@ TWO_PI = 2.0 * math.pi
 
 
 def find_mode(basis, rep):
-    return next(m for m in map(basis.mode, range(basis.size)) if m.rep == rep)
+    """The id of the mode whose ``basis.reps`` entries are ``rep``."""
+    match = [np.all(basis.reps[name].reshape(basis.size, -1) == np.reshape(value, (1, -1)), axis=1)
+             for name, value in zip(basis.model.rep_names, rep)]
+    return int(np.flatnonzero(np.logical_and.reduce(match))[0])
 
 
 @pytest.fixture(scope="module")
@@ -52,7 +55,7 @@ def test_band_limited_verdict_on_cos2_cos3(circle_basis_24):
     basis = circle_basis_24
     cos2 = find_mode(basis, ((2,), (COS,)))
     cos3 = find_mode(basis, ((3,), (COS,)))
-    series = expand_product(ProductSpec(basis, (cos2.id, cos3.id)))
+    series = expand_product(ProductSpec(basis, (cos2, cos3)))
     fit = fit_decay(series)
     assert fit.band_limited
     assert fit.onset_lambda == pytest.approx(5.0, abs=1e-12)
@@ -64,7 +67,7 @@ def test_fit_refuses_a_series_without_lambdas_past_the_sum(circle_basis_24):
     basis = circle_basis_24
     cos2 = find_mode(basis, ((2,), (COS,)))
     cos3 = find_mode(basis, ((3,), (COS,)))
-    series = expand_product(ProductSpec(basis, (cos2.id, cos3.id)))
+    series = expand_product(ProductSpec(basis, (cos2, cos3)))
     for cut in (5.0, 4.0, -1.0):  # at the sum, below it, empty
         with pytest.raises(ParameterError, match="frequency sum"):
             fit_decay(series.truncated(cut))
@@ -94,14 +97,13 @@ def test_truncation_band_limited_case(circle_basis_24):
     basis = circle_basis_24
     cos2 = find_mode(basis, ((2,), (COS,)))
     cos3 = find_mode(basis, ((3,), (COS,)))
-    series = expand_product(ProductSpec(basis, (cos2.id, cos3.id)))
+    series = expand_product(ProductSpec(basis, (cos2, cos3)))
     result = find_truncation(series, target=0.99)
     assert result.c5 == pytest.approx(1.0, abs=1e-12)
     assert result.captured_ratio == pytest.approx(1.0, abs=1e-10)
     kept_lams = [series.lams[list(series.ids).index(i)] for i in result.kept_ids]
     assert max(kept_lams) <= 5.0 + 1e-12
-    assert set(result.kept_ids) == {
-        m.id for m in map(basis.mode, range(basis.size)) if m.lam <= 5.0 + 1e-12}
+    assert set(result.kept_ids) == set(np.flatnonzero(basis.lams <= 5.0 + 1e-12).tolist())
 
 
 def test_truncation_synthetic_mass_batches(circle_basis_24):
@@ -145,8 +147,8 @@ def test_lower_bound_self_products(circle_basis_24):
     # int cos^4 = 3 pi / 4 by hand: every self-product norm is
     # sqrt(3)/(2 sqrt(pi)), so the fitted decay rate is zero.
     basis = circle_basis_24
-    cos_ids = [m.id for m in map(basis.mode, range(basis.size))
-               if m.rep[1] == (COS,) and 1 <= m.rep[0][0] <= 8]
+    freqs, parities = basis.reps["freqs"][:, 0], basis.reps["parities"][:, 0]
+    cos_ids = np.flatnonzero((parities == COS) & (freqs >= 1) & (freqs <= 8)).tolist()
     specs = [ProductSpec(basis, (i, i)) for i in cos_ids]
     fit = lower_bound_experiment(basis, specs)
     expected = 0.4886025119029199  # sqrt(3)/(2 sqrt(pi))
@@ -192,8 +194,8 @@ def test_lower_bound_refuses_an_aliased_norm():
     # cos8^4 has degree 64; the 64-node grid of the lambda=8 circle basis
     # integrates through degree 63 only
     basis = build_basis(FlatTorus(1, (TWO_PI,)), 8.0)
-    cos_ids = [m.id for m in map(basis.mode, range(basis.size))
-               if m.rep[1] == (COS,) and m.rep[0][0] >= 5]
+    freqs, parities = basis.reps["freqs"][:, 0], basis.reps["parities"][:, 0]
+    cos_ids = np.flatnonzero((parities == COS) & (freqs >= 5)).tolist()
     specs = [ProductSpec(basis, (i,) * 4) for i in cos_ids]
     assert basis.axis_exactness() == (63,)
     with pytest.raises(UnderResolvedError):
@@ -255,8 +257,8 @@ def test_rev_torus_decay_smoke():
     # square the lowest nonconstant mode: the product spreads over two
     # angular families, which keeps the tail populated
     basis = build_basis(RevTorus(2.0, 1.0), 5.1)
-    lowest = next(m for m in map(basis.mode, range(basis.size)) if m.lam > 0.0)
-    spec = ProductSpec(basis, (lowest.id, lowest.id))
+    lowest = int(np.flatnonzero(basis.lams > 0.0)[0])
+    spec = ProductSpec(basis, (lowest, lowest))
     assert 5.0 * spec.sum_lambda <= 5.1
     series = expand_product(spec).truncated(5.0 * spec.sum_lambda)
     fit = fit_decay(series, window=(2.0 * spec.sum_lambda, 5.0 * spec.sum_lambda))

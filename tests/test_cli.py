@@ -125,6 +125,13 @@ MODEL_ARGS = {
 }
 
 
+def mode_rep(basis, mode_id) -> tuple:
+    """Mode ``mode_id``'s entries of the ``basis.reps`` columns as ints, a
+    flat torus's rows as tuples."""
+    rep = (basis.reps[name][mode_id].tolist() for name in basis.model.rep_names)
+    return tuple(tuple(v) if isinstance(v, list) else v for v in rep)
+
+
 @pytest.mark.parametrize("model, token, names", [
     ("flat1", "const", ((0,), (COS,))),
     ("flat1", "sin2", ((2,), (SIN,))),
@@ -153,8 +160,7 @@ def test_factor_token_grammar(tmp_path, model, token, names):
                 if basis_digest(b) == digest]
     # a one-factor product is its factor: one unit coefficient
     mode_id = max(doc["results"]["entries"], key=lambda e: abs(e[2]))[0]
-    mode = basis.mode(mode_id)
-    assert (mode.id if isinstance(names, int) else mode.rep) == names
+    assert (mode_id if isinstance(names, int) else mode_rep(basis, mode_id)) == names
 
 
 @pytest.mark.parametrize("model, factors, files", [
@@ -245,20 +251,24 @@ def test_rev_build_in_a_fresh_process_loads_scipy():
 
 
 def test_rev_product_results_do_not_depend_on_blas_threads(tmp_path):
-    # the rev oracle convolves and dots without BLAS; the whole report,
-    # norms included, must keep its bits at any thread count.  Each count
-    # builds its bases in a fresh process
+    # the rev oracle convolves and dots without BLAS, and so do the s rows
+    # of a lattice; the whole report, norms included, must keep its bits
+    # at any thread count.  Each count builds its bases in a fresh process
     results = []
     for threads in ("1", "2"):
+        cache = ["--cache", str(tmp_path / threads / "cache")]
         runs = [["product", *MODEL_ARGS["rev"], "--factors", factors,
-                 "--out", str(tmp_path / threads / factors),
-                 "--cache", str(tmp_path / threads / "cache")] for factors in ("1,3", "1,2,3")]
+                 "--out", str(tmp_path / threads / factors), *cache]
+                for factors in ("1,3", "1,2,3")]
+        runs.append(["good-set", *MODEL_ARGS["rev"], "--factors", "1,2,3", "--center", "2,2",
+                     "--side", "1", "--out", str(tmp_path / threads / "good-set"), *cache])
         fresh_python(f"from eigenprod.cli import cli_main; "
-                     f"assert [cli_main(argv) for argv in {runs!r}] == [0, 0]",
+                     f"assert [cli_main(argv) for argv in {runs!r}] == [0, 0, 0]",
                      OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
         results.append([read(tmp_path / threads / factors, "product.json")["results"]
-                        for factors in ("1,3", "1,2,3")])
-    assert [r["method"] for r in results[0]] == ["both", "both"]
+                        for factors in ("1,3", "1,2,3")]
+                       + [read(tmp_path / threads / "good-set", "good-set.json")["results"]])
+    assert [r["method"] for r in results[0][:2]] == ["both", "both"]
     assert results[0] == results[1]
 
 
@@ -586,7 +596,7 @@ def test_basis_with_an_overflowing_radius_exits_2(tmp_path, capsys):
 
 
 def _modes(basis) -> list:
-    return [basis.mode(i) for i in range(basis.size)]
+    return [(float(basis.lams[i]), mode_rep(basis, i)) for i in range(basis.size)]
 
 
 def test_cached_basis_serves_hits_and_rebuilds_mismatched_files(tmp_path, monkeypatch):
@@ -619,7 +629,7 @@ def test_positional_id_guard_rejects_a_mode_shift():
     swap = np.array([0, 2, 1, *range(3, final.size)])
     shifted = dataclasses.replace(final, lams=final.lams[swap],
                                   reps={name: column[swap] for name, column in final.reps.items()})
-    assert probe.mode(1).rep[:2] != shifted.mode(1).rep[:2]
+    assert mode_rep(probe, 1) != mode_rep(shifted, 1)
     with pytest.raises(ParameterError):
         cli._check_positional_ids(probe, shifted, ["1", "2"], (1, 2))
     # same representation, lambda off by more than 1e-9 relative

@@ -162,12 +162,12 @@ def test_gaunt_matches_quadrature_to_l20(sphere_basis, grid_values):
     w = basis.grid_weights()
     values = grid_values(basis)
     rng = np.random.default_rng(42)
-    mode_list = list(map(basis.mode, range(basis.size)))
+    lms = np.column_stack((basis.reps["l"], basis.reps["m"])).tolist()
     for _ in range(60):
-        a, b, c = (mode_list[int(rng.integers(0, len(mode_list)))] for _ in range(3))
-        quad = float(w @ (values[a.id] * values[b.id] * values[c.id]))
-        exact = gaunt_real(*a.rep, *b.rep, *c.rep)
-        assert exact == pytest.approx(quad, abs=1e-10), (a.rep, b.rep, c.rep)
+        a, b, c = (int(rng.integers(0, basis.size)) for _ in range(3))
+        quad = float(w @ (values[a] * values[b] * values[c]))
+        exact = gaunt_real(*lms[a], *lms[b], *lms[c])
+        assert exact == pytest.approx(quad, abs=1e-10), (lms[a], lms[b], lms[c])
 
 
 @pytest.fixture(scope="module")
@@ -176,25 +176,28 @@ def circle_basis():
 
 
 def find_mode(basis, rep):
-    for mode in map(basis.mode, range(basis.size)):
-        if mode.rep == rep:
-            return mode
-    raise AssertionError(f"mode {rep} not in basis")
+    """The id of the mode whose ``basis.reps`` entries are ``rep``."""
+    match = [np.all(basis.reps[name].reshape(basis.size, -1) == np.reshape(value, (1, -1)), axis=1)
+             for name, value in zip(basis.model.rep_names, rep)]
+    hits = np.flatnonzero(np.logical_and.reduce(match))
+    if not hits.size:
+        raise AssertionError(f"mode {rep} not in basis")
+    return int(hits[0])
 
 
 def test_circle_product_cos2_cos3(circle_basis):
     basis = circle_basis
     cos2 = find_mode(basis, ((2,), (COS,)))
     cos3 = find_mode(basis, ((3,), (COS,)))
-    series = expand_product(ProductSpec(basis, (cos2.id, cos3.id)))
+    series = expand_product(ProductSpec(basis, (cos2, cos3)))
     assert series.method == "both"
     expected = 1.0 / (2.0 * math.sqrt(math.pi))  # 0.28209479...
     nonzero = {i: c for i, _lam, c in series.entries() if c != 0.0}
     cos1 = find_mode(basis, ((1,), (COS,)))
     cos5 = find_mode(basis, ((5,), (COS,)))
-    assert set(nonzero) == {cos1.id, cos5.id}
-    assert nonzero[cos1.id] == pytest.approx(expected, abs=1e-13)
-    assert nonzero[cos5.id] == pytest.approx(expected, abs=1e-13)
+    assert set(nonzero) == {cos1, cos5}
+    assert nonzero[cos1] == pytest.approx(expected, abs=1e-13)
+    assert nonzero[cos5] == pytest.approx(expected, abs=1e-13)
     # every coefficient past the frequency sum is identically zero
     for _i, lam, coeff in series.entries():
         if lam > 5.0:
@@ -210,15 +213,15 @@ def test_circle_three_factor_hand_values(circle_basis):
     # cos1 cos2 cos3 / pi^{3/2} = (1 + cos2x + cos4x + cos6x)/(4 pi^{3/2});
     # coefficients: sqrt(2)/(4 pi) on the constant, 1/(4 pi) on each cosine
     basis = circle_basis
-    ids = tuple(find_mode(basis, ((k,), (COS,))).id for k in (1, 2, 3))
+    ids = tuple(find_mode(basis, ((k,), (COS,))) for k in (1, 2, 3))
     series = expand_product(ProductSpec(basis, ids))
     nonzero = {i: c for i, _lam, c in series.entries() if c != 0.0}
     const = find_mode(basis, ((0,), (COS,)))
     expected = {
-        const.id: math.sqrt(2.0) / (4.0 * math.pi),
-        find_mode(basis, ((2,), (COS,))).id: 1.0 / (4.0 * math.pi),
-        find_mode(basis, ((4,), (COS,))).id: 1.0 / (4.0 * math.pi),
-        find_mode(basis, ((6,), (COS,))).id: 1.0 / (4.0 * math.pi),
+        const: math.sqrt(2.0) / (4.0 * math.pi),
+        find_mode(basis, ((2,), (COS,))): 1.0 / (4.0 * math.pi),
+        find_mode(basis, ((4,), (COS,))): 1.0 / (4.0 * math.pi),
+        find_mode(basis, ((6,), (COS,))): 1.0 / (4.0 * math.pi),
     }
     assert set(nonzero) == set(expected)
     for mode_id, value in expected.items():
@@ -232,7 +235,7 @@ def test_support_lambda_is_the_hypot_of_the_axis_frequency_sums():
     rng = np.random.default_rng(3)
     for _ in range(40):
         ids = tuple(int(i) for i in rng.integers(0, basis.size, size=rng.integers(1, 5)))
-        sums = np.sum([basis.mode(i).rep[0] for i in ids], axis=0)
+        sums = basis.reps["freqs"][list(ids)].sum(axis=0).tolist()
         expected = math.hypot(*(k * (TWO_PI / p) for k, p in zip(sums, model.periods)))
         assert torus_support_lambda(ProductSpec(basis, ids)) == pytest.approx(expected, rel=1e-15)
 
@@ -265,9 +268,9 @@ def test_torus_2d_product_selection_rule():
     basis = build_basis(FlatTorus(2, (TWO_PI, TWO_PI)), 6.0)
     a = find_mode(basis, ((1, 2), (COS, SIN)))
     b = find_mode(basis, ((2, 1), (SIN, SIN)))
-    series = expand_product(ProductSpec(basis, (a.id, b.id)))
+    series = expand_product(ProductSpec(basis, (a, b)))
     assert series.method == "both"
-    limit = a.lam + b.lam
+    limit = float(basis.lams[a]) + float(basis.lams[b])
     support = [lam for _i, lam, c in series.entries() if c != 0.0]
     assert support and max(support) <= limit + 1e-12
     ratio, _ = parseval_report(series)
@@ -277,13 +280,13 @@ def test_torus_2d_product_selection_rule():
 def test_sphere_product_y10_squared():
     basis = build_basis(Sphere2(), math.sqrt(6.0) + 1e-9)  # l <= 2
     y10 = find_mode(basis, (1, 0))
-    series = expand_product(ProductSpec(basis, (y10.id, y10.id)))
+    series = expand_product(ProductSpec(basis, (y10, y10)))
     assert series.method == "both"
     y00 = find_mode(basis, (0, 0))
     y20 = find_mode(basis, (2, 0))
     coeffs = dict((i, c) for i, _lam, c in series.entries())
-    assert coeffs[y00.id] == pytest.approx(0.2820947917738781, abs=1e-12)
-    assert coeffs[y20.id] == pytest.approx(0.25231325220201604, abs=1e-12)
+    assert coeffs[y00] == pytest.approx(0.2820947917738781, abs=1e-12)
+    assert coeffs[y20] == pytest.approx(0.25231325220201604, abs=1e-12)
     ratio, _ = parseval_report(series)
     assert ratio == pytest.approx(1.0, abs=1e-10)
 
@@ -293,7 +296,7 @@ def test_sphere_three_factor_exact_route(sphere12_basis):
     y22 = find_mode(basis, (2, 2))
     y31 = find_mode(basis, (3, 1))
     y43 = find_mode(basis, (4, -3))
-    series = expand_product(ProductSpec(basis, (y22.id, y31.id, y43.id)))
+    series = expand_product(ProductSpec(basis, (y22, y31, y43)))
     assert series.method == "both"  # iterated Gaunt agreed with quadrature
     for _i, lam, coeff in series.entries():
         if lam > math.sqrt(9.0 * 10.0) + 1e-9:  # l > 2+3+4 is out of support
@@ -309,7 +312,7 @@ def test_sphere_three_factor_exact_route(sphere12_basis):
 def test_sphere_three_factor_bits_are_pinned(sphere12_basis, reps, digest):
     # the Gaunt fold keeps the bits of the pairwise-then-contract route it
     # replaced; the digests were recorded from that route
-    ids = tuple(find_mode(sphere12_basis, rep).id for rep in reps)
+    ids = tuple(find_mode(sphere12_basis, rep) for rep in reps)
     series = expand_product(ProductSpec(sphere12_basis, ids))
     assert series.method == "both"
     assert hashlib.sha256(series.coeffs.tobytes()).hexdigest() == digest
@@ -321,7 +324,7 @@ def test_sphere_four_factor_exact_route():
     basis = build_basis(Sphere2(), math.sqrt(8.0 * 9.0) + 1e-9)
     y11 = find_mode(basis, (1, 1))
     y20 = find_mode(basis, (2, 0))
-    series = expand_product(ProductSpec(basis, (y11.id, y11.id, y20.id, y20.id)))
+    series = expand_product(ProductSpec(basis, (y11, y11, y20, y20)))
     assert series.method == "both"
     ratio, _ = parseval_report(series)  # degree 6 <= basis degree 8
     assert ratio == pytest.approx(1.0, abs=1e-10)
@@ -329,12 +332,12 @@ def test_sphere_four_factor_exact_route():
 
 def test_sphere_five_factor_support_is_exact(sphere12_basis):
     reps = ((1, 1), (1, -1), (2, 0), (2, -2), (3, 2))  # degree sum 9
-    spec = ProductSpec(sphere12_basis, tuple(find_mode(sphere12_basis, r).id for r in reps))
+    spec = ProductSpec(sphere12_basis, tuple(find_mode(sphere12_basis, r) for r in reps))
     series = expand_product(spec)
     assert series.method == "both"
     quad, _ = quadrature_coefficients(spec)
     assert float(np.max(np.abs(series.coeffs - quad))) <= 1e-10
-    degrees = np.array([sphere12_basis.mode(i).rep[0] for i in series.ids])
+    degrees = sphere12_basis.reps["l"][series.ids]
     assert np.all(series.coeffs[degrees > 9] == 0.0)
     assert np.any(series.coeffs[degrees == 9] != 0.0)
     ratio, _ = parseval_report(series)
@@ -345,7 +348,7 @@ def test_sphere_oracle_gate_can_fail(sphere12_basis, monkeypatch):
     # one Gaunt value off by 1e-8 must trip the agreement gate of a
     # four-factor product, not be reported as exact
     reps = ((1, 1), (1, 1), (2, 0), (2, 0))
-    spec = ProductSpec(sphere12_basis, tuple(find_mode(sphere12_basis, r).id for r in reps))
+    spec = ProductSpec(sphere12_basis, tuple(find_mode(sphere12_basis, r) for r in reps))
     assert expand_product(spec).method == "both"
     exact_gaunt = coefficients.gaunt_real
     shifted = (1, 1, 1, 1, 2, 2)
@@ -360,8 +363,7 @@ def test_sphere_oracle_gate_can_fail(sphere12_basis, monkeypatch):
 
 def test_rev_torus_product_parseval_tail():
     basis = build_basis(RevTorus(2.0, 1.0), 4.0)
-    lowest = [m for m in map(basis.mode, range(basis.size)) if m.lam > 0.0][:2]
-    spec = ProductSpec(basis, (lowest[0].id, lowest[1].id))
+    spec = ProductSpec(basis, tuple(np.flatnonzero(basis.lams > 0.0)[:2].tolist()))
     sum_lambda = spec.sum_lambda
     assert 3.0 * sum_lambda <= 4.0  # the basis reaches 3x the frequency sum
     series = expand_product(spec)
@@ -394,9 +396,9 @@ def test_rev_oracle_selection_rule(rev_basis, factors):
     spec = ProductSpec(rev_basis, factors)
     series = expand_product(spec)
     assert series.method == "both"
-    families = theta_families([rev_basis.mode(i).rep for i in factors])
-    reached = np.array([mode.rep in families
-                        for mode in map(rev_basis.mode, range(rev_basis.size))])
+    reps = list(zip(rev_basis.reps["m"].tolist(), rev_basis.reps["theta_parity"].tolist()))
+    families = theta_families([reps[i] for i in factors])
+    reached = np.array([rep in families for rep in reps])
     assert np.all(series.coeffs[~reached] == 0.0)
     assert np.any(series.coeffs[reached] != 0.0)
     quad, f_norm_sq = quadrature_coefficients(spec)
@@ -452,7 +454,7 @@ def test_quadrature_on_a_grid_coarser_than_twice_the_top_frequency():
     model = FlatTorus(1, (TWO_PI,))
     basis = build_basis(model, 8.0)
     coarse = dataclasses.replace(basis, axes=model.quadrature_grid([10]))
-    assert max(m.rep[0][0] for m in map(basis.mode, range(basis.size))) == 8
+    assert basis.reps["freqs"].max() == 8
     series = expand_product(ProductSpec(coarse, (0,)))
     assert series.method == "both"
     quad, f_norm_sq = quadrature_coefficients(ProductSpec(coarse, (0,)))

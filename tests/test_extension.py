@@ -12,11 +12,10 @@ from eigenprod.extension import (
     HarmonicExtension,
     cauchy_estimate_check,
     compute_extension_params,
-    greens_coefficient,
     greens_coefficients,
     harmonic_extension_flat,
 )
-from eigenprod.manifolds import COS, FlatTorus, RevTorus, build_basis
+from eigenprod.manifolds import COS, FlatTorus, RevTorus, build_basis, evaluate
 
 TWO_PI = 2.0 * math.pi
 
@@ -27,7 +26,10 @@ def circle_basis():
 
 
 def find_mode(basis, rep):
-    return next(m for m in map(basis.mode, range(basis.size)) if m.rep == rep)
+    """The id of the mode whose ``basis.reps`` entries are ``rep``."""
+    match = [np.all(basis.reps[name].reshape(basis.size, -1) == np.reshape(value, (1, -1)), axis=1)
+             for name, value in zip(basis.model.rep_names, rep)]
+    return int(np.flatnonzero(np.logical_and.reduce(match))[0])
 
 
 def test_extension_params_dim1():
@@ -97,10 +99,10 @@ def test_extension_residual_check_catches_a_wrong_lambda(circle_basis):
     # series' lambdas: a planted wrong lambda must fail the check
     cos2 = find_mode(circle_basis, ((2,), (COS,)))
     cos3 = find_mode(circle_basis, ((3,), (COS,)))
-    series = expand_product(ProductSpec(circle_basis, (cos2.id, cos3.id)))
+    series = expand_product(ProductSpec(circle_basis, (cos2, cos3)))
     harmonic_extension_flat(series, 0.05)
     lams = series.lams.copy()
-    cos5 = int(np.flatnonzero(series.ids == find_mode(circle_basis, ((5,), (COS,))).id)[0])
+    cos5 = int(np.flatnonzero(series.ids == find_mode(circle_basis, ((5,), (COS,))))[0])
     lams[cos5] = 5.0 * (1.0 - 1e-3)  # stays sorted: below sin5, above sin4
     planted = dataclasses.replace(series, lams=lams)
     with pytest.raises(BreakdownError):
@@ -128,7 +130,7 @@ def test_extension_check_builds_each_mode_matrix_once(monkeypatch, dim):
 def test_product_extension_sup_bound(circle_basis):
     cos2 = find_mode(circle_basis, ((2,), (COS,)))
     cos3 = find_mode(circle_basis, ((3,), (COS,)))
-    series = expand_product(ProductSpec(circle_basis, (cos2.id, cos3.id)))
+    series = expand_product(ProductSpec(circle_basis, (cos2, cos3)))
     params = compute_extension_params(circle_basis.model)
     ext = harmonic_extension_flat(series, params.T)
     # H = (cos x cosh t + cos 5x cosh 5t) / (2 pi): the sup over the slab
@@ -147,69 +149,80 @@ def test_greens_recovers_cos5_coefficient(circle_basis):
     cos3 = find_mode(circle_basis, ((3,), (COS,)))
     cos5 = find_mode(circle_basis, ((5,), (COS,)))
     cos4 = find_mode(circle_basis, ((4,), (COS,)))
-    series = expand_product(ProductSpec(circle_basis, (cos2.id, cos3.id)))
+    series = expand_product(ProductSpec(circle_basis, (cos2, cos3)))
     ext = harmonic_extension_flat(series, 0.0064)
     expected = 1.0 / (2.0 * math.sqrt(math.pi))
-    got = greens_coefficient(ext, cos5.id, 0.006)
-    assert got == pytest.approx(expected, abs=1e-10)
-    assert greens_coefficient(ext, cos4.id, 0.006) == pytest.approx(0.0, abs=1e-12)
+    got = greens_coefficients(ext, 0.006)
+    assert got[cos5] == pytest.approx(expected, abs=1e-10)
+    assert got[cos4] == pytest.approx(0.0, abs=1e-12)
     # the identity is exact in the height, so two heights must agree
-    low = greens_coefficient(ext, cos5.id, 0.003)
-    assert low == pytest.approx(got, rel=1e-10)
+    low = greens_coefficients(ext, 0.003)
+    assert low[cos5] == pytest.approx(got[cos5], rel=1e-10)
 
 
 def test_greens_reconstruction_exhaustive_pairs():
     # pairs with frequencies <= 8 need a basis reaching the frequency sum 16
     basis = build_basis(FlatTorus(1, (TWO_PI,)), 16.0)
     params = compute_extension_params(basis.model)
-    cos_sin = [m for m in map(basis.mode, range(basis.size)) if 1 <= m.rep[0][0] <= 8]
+    freqs = basis.reps["freqs"][:, 0]
+    cos_sin = np.flatnonzero((freqs >= 1) & (freqs <= 8)).tolist()
     worst = 0.0
     for i in range(0, len(cos_sin), 3):
         for j in range(i, len(cos_sin), 3):
-            spec = ProductSpec(basis, (cos_sin[i].id, cos_sin[j].id))
+            spec = ProductSpec(basis, (cos_sin[i], cos_sin[j]))
             series = expand_product(spec)
             ext = harmonic_extension_flat(series, params.T)
-            for mode in map(basis.mode, range(basis.size)):
-                if mode.lam <= 0.0:
-                    continue
-                err = abs(greens_coefficient(ext, mode.id, params.T)
-                          - series.coeffs[mode.id])
-                worst = max(worst, err / max(1.0, abs(series.coeffs[mode.id])))
+            recovered = greens_coefficients(ext, params.T)
+            assert sorted(recovered) == np.flatnonzero(basis.lams > 0.0).tolist()
+            for mode, c in recovered.items():
+                err = abs(c - series.coeffs[mode])
+                worst = max(worst, err / max(1.0, abs(series.coeffs[mode])))
     assert worst <= 1e-8
 
 
 def test_greens_rejects_constant_mode(circle_basis):
+    # the boundary identity divides by lambda: the constant mode is left
+    # out, and a height outside (0, T] is refused
     series = expand_product(ProductSpec(circle_basis, (1, 2)))
     ext = harmonic_extension_flat(series, 0.01)
-    with pytest.raises(ParameterError):
-        greens_coefficient(ext, 0, 0.005)
-    with pytest.raises(ParameterError):
-        greens_coefficient(ext, 1, 0.02)  # above the slab
+    assert sorted(greens_coefficients(ext, 0.005)) == list(range(1, circle_basis.size))
+    for height in (0.02, 0.0):  # above the slab, and t = 0
+        with pytest.raises(ParameterError):
+            greens_coefficients(ext, height)
 
 
 def test_greens_reconstruction_2d():
     basis = build_basis(FlatTorus(2, (TWO_PI, TWO_PI)), 4.0)
     a = find_mode(basis, ((1, 0), (COS, COS)))
     b = find_mode(basis, ((0, 2), (COS, COS)))
-    series = expand_product(ProductSpec(basis, (a.id, b.id)))
+    series = expand_product(ProductSpec(basis, (a, b)))
     params = compute_extension_params(basis.model)
     ext = harmonic_extension_flat(series, params.T)
-    for mode in map(basis.mode, range(basis.size)):
-        if mode.lam <= 0.0:
-            continue
-        expected = series.coeffs[mode.id]
-        got = greens_coefficient(ext, mode.id, params.T)
+    recovered = greens_coefficients(ext, params.T)
+    assert sorted(recovered) == np.flatnonzero(basis.lams > 0.0).tolist()
+    for mode, got in recovered.items():
+        expected = series.coeffs[mode]
         assert got == pytest.approx(expected, abs=1e-8 * max(1.0, abs(expected)))
 
 
 @pytest.mark.parametrize("dim", [1, 2])
 def test_greens_coefficients_equal_the_single_mode_recovery(monkeypatch, dim):
     # every mode of positive lambda, bit for bit, with the boundary values
-    # formed once per height instead of once per mode
+    # formed once per height instead of once per mode; the single-mode
+    # recovery evaluates its mode pointwise at the grid's chart points
     basis = build_basis(FlatTorus(dim, (TWO_PI,) * dim), 4.0)
     ext = harmonic_extension_flat(expand_product(ProductSpec(basis, (1, 3))), 0.005)
-    single = {m.id: greens_coefficient(ext, m.id, 0.004)
-              for m in map(basis.mode, range(basis.size)) if m.lam > 0.0}
+    nodes = np.meshgrid(*(ax.nodes for ax in basis.axes), indexing="ij")
+    points = np.column_stack([m.reshape(-1) for m in nodes])
+
+    def recovered(mode, t):
+        values, slopes = ext.grid_boundary_values(t)
+        lam = float(basis.lams[mode])
+        phi = evaluate(basis, mode, points[:, 0] if dim == 1 else points)
+        integral = float(basis.grid_weights() @ (phi * (slopes + lam * values)))
+        return math.exp(-t * lam) / lam * integral
+
+    single = {i: recovered(i, 0.004) for i in np.flatnonzero(basis.lams > 0.0).tolist()}
     heights = []
     original = HarmonicExtension.grid_boundary_values
 
@@ -245,7 +258,7 @@ def test_cauchy_check_cosine_closed_form(circle_basis):
     # sinh(R delta / 2) and (2/(delta R)) cosh(R delta), up to the common
     # mode normalization
     cos1 = find_mode(circle_basis, ((1,), (COS,)))
-    series = expand_product(ProductSpec(circle_basis, (cos1.id,)))
+    series = expand_product(ProductSpec(circle_basis, (cos1,)))
     ext = harmonic_extension_flat(series, 0.01)
     radius, delta = math.pi / 16.0, 0.065
     report = cauchy_estimate_check(ext, radius, delta)
@@ -260,7 +273,7 @@ def test_cauchy_check_cosine_closed_form(circle_basis):
 def test_cauchy_check_product_extension(circle_basis):
     cos2 = find_mode(circle_basis, ((2,), (COS,)))
     cos3 = find_mode(circle_basis, ((3,), (COS,)))
-    series = expand_product(ProductSpec(circle_basis, (cos2.id, cos3.id)))
+    series = expand_product(ProductSpec(circle_basis, (cos2, cos3)))
     params = compute_extension_params(circle_basis.model)
     ext = harmonic_extension_flat(series, params.T)
     report = cauchy_estimate_check(ext, params.R3, params.delta)

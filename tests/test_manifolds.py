@@ -35,6 +35,7 @@ from eigenprod.manifolds import (
     FlatTorus,
     RevTorus,
     Sphere2,
+    as_chart_function,
     basis_digest,
     basis_equal,
     basis_to_json_dict,
@@ -46,6 +47,7 @@ from eigenprod.manifolds import (
     save_basis,
 )
 from eigenprod.numerics import QuadratureGrid, rev_galerkin_terms, uniform_periodic
+from eigenprod.remez import harmonic_lift
 
 TWO_PI = 2.0 * math.pi
 
@@ -81,12 +83,19 @@ def grid_chart_points(basis):
     return np.stack([m.reshape(-1) for m in np.meshgrid(*nodes, indexing="ij")], axis=-1)
 
 
+def mode_reps(basis) -> list:
+    """Each mode's representation by id: its entries of the ``basis.reps``
+    columns as ints, a flat torus's rows as tuples."""
+    columns = [basis.reps[name].tolist() for name in basis.model.rep_names]
+    return [tuple(tuple(v) if isinstance(v, list) else v for v in rep) for rep in zip(*columns)]
+
+
 def test_flat_circle_mode_table(circle_basis_3):
     basis = circle_basis_3
     assert basis.size == 7
     assert basis.lams.tolist() == [0.0, 1.0, 1.0, 2.0, 2.0, 3.0, 3.0]
     # cos precedes sin at each frequency
-    assert [m.rep for m in map(basis.mode, range(basis.size))] == [
+    assert mode_reps(basis) == [
         ((0,), (COS,)),
         ((1,), (COS,)), ((1,), (SIN,)),
         ((2,), (COS,)), ((2,), (SIN,)),
@@ -117,17 +126,15 @@ def _tuple_sorted_modes(model, lambda_max):
 ], ids=["circle", "short-circle", "square", "oblong", "mixed", "sphere"])
 def test_exact_builds_order_modes_like_a_tuple_sort(model, lambda_max):
     basis = build_basis(model, lambda_max)
-    assert [(m.lam, m.rep) for m in map(basis.mode, range(basis.size))] \
+    assert list(zip(basis.lams.tolist(), mode_reps(basis))) \
         == _tuple_sorted_modes(model, lambda_max)
 
 
 def test_flat_circle_normalization(circle_basis_3):
     basis = circle_basis_3
-    cos2 = basis.mode(3)
-    assert evaluate(basis, cos2, 0.0) == pytest.approx(
-        0.5641895835477563, abs=1e-12)  # 1/sqrt(pi)
-    const = basis.mode(0)
-    assert evaluate(basis, const, 1.234) == pytest.approx(
+    assert evaluate(basis, 3, 0.0) == pytest.approx(
+        0.5641895835477563, abs=1e-12)  # 1/sqrt(pi), mode 3 is cos 2x
+    assert evaluate(basis, 0, 1.234) == pytest.approx(
         1.0 / math.sqrt(TWO_PI), abs=1e-15)
 
 
@@ -154,11 +161,9 @@ def test_sphere_mode_table(sphere_basis_3):
 
 
 def test_sphere_point_values(sphere_basis_3):
-    y00 = sphere_basis_3.mode(0)
-    assert evaluate(sphere_basis_3, y00, (1.0, 2.0)) == pytest.approx(
-        0.2820947917738781, abs=1e-12)  # 1/sqrt(4 pi)
-    y10 = next(m for m in map(sphere_basis_3.mode, range(sphere_basis_3.size))
-               if m.rep == (1, 0))
+    assert evaluate(sphere_basis_3, 0, (1.0, 2.0)) == pytest.approx(
+        0.2820947917738781, abs=1e-12)  # 1/sqrt(4 pi), mode 0 is Y00
+    y10 = mode_reps(sphere_basis_3).index((1, 0))
     # explicit Y_1^0 with Legendre normalization: sqrt(3/4pi) cos(theta)
     assert evaluate(sphere_basis_3, y10, (0.0, 0.0)) == pytest.approx(
         0.4886025119029199, abs=1e-12)
@@ -169,8 +174,7 @@ def test_sphere_matches_scipy_harmonics(sphere_basis_3):
     theta = rng.uniform(0.05, math.pi - 0.05, size=12)
     phi = rng.uniform(0.0, TWO_PI, size=12)
     pts = np.stack([theta, phi], axis=-1)
-    for mode in map(sphere_basis_3.mode, range(sphere_basis_3.size)):
-        l, m = mode.rep
+    for mode, (l, m) in enumerate(mode_reps(sphere_basis_3)):
         ref = sph_harm_y(l, abs(m), theta, phi)
         if m == 0:
             expected = ref.real
@@ -208,8 +212,8 @@ def test_normalized_legendre_l2_norm():
 def test_rep_lambda_is_the_built_lambda(model, lambda_max):
     basis = build_basis(model, lambda_max)
     assert basis.size > 15
-    for mode in map(basis.mode, range(basis.size)):
-        assert model.rep_lambda(mode.rep).hex() == mode.lam.hex()
+    for lam, rep in zip(basis.lams.tolist(), mode_reps(basis)):
+        assert model.rep_lambda(rep).hex() == lam.hex()
 
 
 @pytest.mark.parametrize("model, token", [
@@ -225,26 +229,23 @@ def test_labels_that_name_no_mode_are_refused(model, token):
 
 
 def test_rev_torus_has_no_closed_form_lambda(rev_basis_3):
-    assert rev_basis_3.model.rep_lambda(rev_basis_3.mode(1).rep) is None
+    assert rev_basis_3.model.rep_lambda(mode_reps(rev_basis_3)[1]) is None
 
 
 def test_rev_torus_constant_mode(rev_basis_3):
     basis = rev_basis_3
-    const = basis.mode(0)
-    assert const.id == 0
-    assert const.lam == 0.0
+    assert basis.lams[0] == 0.0
     volume = basis.model.volume
-    assert evaluate(basis, const, (0.7, 1.9)) == pytest.approx(
+    assert evaluate(basis, 0, (0.7, 1.9)) == pytest.approx(
         1.0 / math.sqrt(volume), abs=1e-15)
     assert basis.provenance.startswith("numerical(residual=")
 
 
 def test_rev_torus_angular_pairs_share_lambda(rev_basis_3):
     by_key = {}
-    for mode, coeffs in zip(map(rev_basis_3.mode, range(rev_basis_3.size)),
-                            rev_basis_3.coefficients):
-        m, parity = mode.rep
-        by_key.setdefault((m, tuple(coeffs)), []).append((parity, mode.lam))
+    for lam, (m, parity), coeffs in zip(rev_basis_3.lams.tolist(), mode_reps(rev_basis_3),
+                                        rev_basis_3.coefficients):
+        by_key.setdefault((m, tuple(coeffs)), []).append((parity, lam))
     for (m, _coeffs), entries in by_key.items():
         if m == 0:
             assert len(entries) == 1
@@ -283,9 +284,9 @@ def test_profile_matrices_match_pointwise_evaluation(request, fixture, grid_valu
     # the grid's chart points
     basis = request.getfixturevalue(fixture)
     values = grid_values(basis)
-    for mode in map(basis.mode, range(basis.size)):
+    for mode in range(basis.size):
         pointwise = evaluate(basis, mode, grid_chart_points(basis))
-        assert np.max(np.abs(values[mode.id] - pointwise)) <= 1e-13
+        assert np.max(np.abs(values[mode] - pointwise)) <= 1e-13
 
 
 @pytest.mark.parametrize("fixture", ["circle_basis_3", "flat2_basis", "sphere_basis_3",
@@ -336,14 +337,13 @@ def test_lattice_values_equal_pointwise_evaluation(request, fixture):
     model = basis.model
     coords = [np.linspace(0.1, 3.0, 37), np.linspace(-1.0, 7.0, 29)][:model.chart_dim]
     points = np.stack([m.reshape(-1) for m in np.meshgrid(*coords, indexing="ij")], axis=-1)
-    for mode in map(basis.mode, range(basis.size)):
-        got = model.lattice_values(basis, [mode.id], coords)
-        assert np.array_equal(got[0], evaluate(basis, mode, points[:, 0] if model.chart_dim == 1
-                                                else points))
-    if not isinstance(model, RevTorus):  # several s rows are one gemm, not one gemv
-        every = model.lattice_values(basis, np.arange(basis.size), coords)
-        assert np.array_equal(every, np.stack([evaluate(basis, m, points)
-                                               for m in map(basis.mode, range(basis.size))]))
+    pointwise = np.stack([evaluate(basis, mode, points[:, 0] if model.chart_dim == 1
+                                   else points) for mode in range(basis.size)])
+    for mode in range(basis.size):
+        assert np.array_equal(model.lattice_values(basis, [mode], coords)[0], pointwise[mode])
+    # several modes in one call: each row keeps its one-mode bits
+    every = model.lattice_values(basis, np.arange(basis.size), coords)
+    assert np.array_equal(every, pointwise)
     bad = [[coords[0][:1]] * (model.chart_dim + 1),
            [np.array([np.nan])] + coords[1:],
            *([[np.array([-0.1]), coords[1]]] if isinstance(model, Sphere2) else [])]
@@ -366,19 +366,17 @@ def test_trig_rows_equal_direct_evaluation_bit_for_bit(flat2_basis, rev_basis_3)
     rows = model.axis_factor_rows(flat2_basis, np.arange(flat2_basis.size), axes)
     for a, period in enumerate(model.periods):
         direct = np.stack([
-            _direct_trig_row(m.rep[0][a] * (TWO_PI / period), m.rep[1][a], axes[a],
+            _direct_trig_row(freqs[a] * (TWO_PI / period), parities[a], axes[a],
                              1.0 / math.sqrt(period), math.sqrt(2.0 / period))
-            for m in map(flat2_basis.mode, range(flat2_basis.size))])
+            for freqs, parities in mode_reps(flat2_basis)])
         assert np.array_equal(rows[a], direct)
     axes = rev_basis_3.model.chart_axes(list(grid_chart_points(rev_basis_3).T))
     theta_rows = rev_basis_3.model.axis_factor_rows(
         rev_basis_3, np.arange(rev_basis_3.size), axes)[1]
     direct = np.stack([
-        _direct_trig_row(m.rep[0], m.rep[1], axes[1],
-                         1.0 / math.sqrt(TWO_PI), 1.0 / math.sqrt(math.pi))
-        for m in map(rev_basis_3.mode, range(rev_basis_3.size))])
-    assert len({(m.rep[0], m.rep[1]) for m in map(rev_basis_3.mode, range(rev_basis_3.size))}) \
-        < rev_basis_3.size
+        _direct_trig_row(m, parity, axes[1], 1.0 / math.sqrt(TWO_PI), 1.0 / math.sqrt(math.pi))
+        for m, parity in mode_reps(rev_basis_3)])
+    assert len(set(mode_reps(rev_basis_3))) < rev_basis_3.size
     assert np.array_equal(theta_rows, direct)
 
 
@@ -391,10 +389,9 @@ def test_rev_torus_strong_form_residual(rev_basis_3):
     s = fine.nodes
     f = model.profile(s)
     df = -model.minor_radius * np.sin(s)
-    for mode in map(basis.mode, range(basis.size)):
-        m = mode.rep[0]
-        v, dv, ddv = rev_profile_derivatives(basis.coefficients[mode.id], s)
-        residual = -ddv - (df / f) * dv + (m * m) * v / (f * f) - (mode.lam**2) * v
+    for lam, m, coeffs in zip(basis.lams.tolist(), basis.reps["m"].tolist(), basis.coefficients):
+        v, dv, ddv = rev_profile_derivatives(coeffs, s)
+        residual = -ddv - (df / f) * dv + (m * m) * v / (f * f) - (lam**2) * v
         norm_sq = fine.weights @ (f * v * v)
         defect = math.sqrt(float(fine.weights @ (f * residual * residual)))
         assert defect <= 1e-6 * math.sqrt(float(norm_sq))
@@ -421,8 +418,8 @@ def test_rev_torus_equal_sigma_families_match():
     assert small.coefficients.shape[1] == large.coefficients.shape[1]
     families = [{}, {}]
     for basis, family in zip((small, large), families):
-        for mode in map(basis.mode, range(basis.size)):
-            family.setdefault(mode.rep, []).append(mode.id)
+        for mode, rep in enumerate(mode_reps(basis)):
+            family.setdefault(rep, []).append(mode)
     matched = 0
     for (m, parity), ids in families[0].items():
         twins = families[1][(2 * m, parity)]
@@ -450,8 +447,8 @@ def _profiles_by_family(basis):
     """Each mode's coefficient row keyed by (m, theta parity, s parity, q),
     with q counting the modes of one (m, theta parity, s parity) by lambda."""
     families = {}
-    for mode, coeffs in zip(map(basis.mode, range(basis.size)), basis.coefficients):
-        families.setdefault((*mode.rep, SIN if any(coeffs[2::2]) else COS), []).append(coeffs)
+    for rep, coeffs in zip(mode_reps(basis), basis.coefficients):
+        families.setdefault((*rep, SIN if any(coeffs[2::2]) else COS), []).append(coeffs)
     return {(*key, q): row for key, rows in families.items() for q, row in enumerate(rows)}
 
 
@@ -555,7 +552,7 @@ def _gvd_rev_modes(basis):
 def _rev_cold_lambda(big, small):
     # the rev-cold decay op: lambda_max = 5 * (lambda_1 + lambda_3)
     probe = build_basis(RevTorus(big, small), 2.0)
-    return 5.0 * (probe.mode(1).lam + probe.mode(3).lam)
+    return 5.0 * (float(probe.lams[1]) + float(probe.lams[3]))
 
 
 @pytest.mark.parametrize("big, small, lambda_max", [
@@ -566,8 +563,9 @@ def test_reduced_subset_solver_matches_full_dsygvd(big, small, lambda_max):
     lambda_max = lambda_max or _rev_cold_lambda(big, small)
     basis = build_basis(RevTorus(big, small), lambda_max)
     oracle = _gvd_rev_modes(basis)
-    ours = [(mode.lam, mode.rep[0], mode.rep[1], SIN if any(coeffs[2::2]) else COS, coeffs)
-            for mode, coeffs in zip(map(basis.mode, range(basis.size)), basis.coefficients)]
+    ours = [(lam, m, parity, SIN if any(coeffs[2::2]) else COS, coeffs)
+            for lam, (m, parity), coeffs in zip(basis.lams.tolist(), mode_reps(basis),
+                                                basis.coefficients)]
     assert [entry[1:4] for entry in ours] == [entry[1:4] for entry in oracle]
     assert max(abs(x[0] - y[0]) for x, y in zip(ours, oracle)) <= 1e-11
     assert max(np.max(np.abs(x[4] - y[4])) for x, y in zip(ours, oracle)) <= 1e-12
@@ -616,13 +614,26 @@ def test_weyl_counting_flat_torus_2d():
 
 def test_evaluate_rejects_bad_points(sphere_basis_3, circle_basis_3):
     with pytest.raises(ParameterError):
-        evaluate(sphere_basis_3, sphere_basis_3.mode(0), (4.0, 0.0))
+        evaluate(sphere_basis_3, 0, (4.0, 0.0))
     with pytest.raises(ParameterError):
-        evaluate(circle_basis_3, circle_basis_3.mode(0), float("nan"))
-    with pytest.raises(ParameterError):
-        circle_basis_3.mode(99)
-    with pytest.raises(ParameterError, match="not a mode of this basis"):
-        evaluate(circle_basis_3, sphere_basis_3.mode(1), 0.5)
+        evaluate(circle_basis_3, 0, float("nan"))
+
+
+@pytest.mark.parametrize("mode_id", [True, 1.0, np.float64(1.0), "1", -1, 7, np.int64(7)])
+def test_mode_id_takers_refuse_what_names_no_mode(circle_basis_3, mode_id):
+    # evaluate and the chart-function factories run the id check that
+    # ProductSpec runs (test_product_spec_refuses_non_integer_ids)
+    for call in (lambda: evaluate(circle_basis_3, mode_id, 0.5),
+                 lambda: as_chart_function(circle_basis_3, mode_id),
+                 lambda: harmonic_lift(circle_basis_3, mode_id)):
+        with pytest.raises(ParameterError, match="mode id"):
+            call()
+
+
+def test_mode_id_takers_accept_numpy_ints(circle_basis_3):
+    point = evaluate(circle_basis_3, 3, 0.5)
+    assert evaluate(circle_basis_3, np.int64(3), 0.5) == point
+    assert as_chart_function(circle_basis_3, np.int32(3))(np.array([0.5]))[0] == point
 
 
 def test_save_load_round_trip(tmp_path, circle_basis_3, flat2_basis, sphere_basis_3,
@@ -741,13 +752,14 @@ def test_json_export_shape(request, name):
         value = getattr(basis.model, key)
         assert doc["model"][key] == (list(value) if isinstance(value, tuple) else value)
     assert doc["mode_count"] == basis.size == len(doc["modes"])
-    for entry, mode in zip(doc["modes"], map(basis.mode, range(basis.size))):
+    for mode, (entry, lam, rep) in enumerate(zip(doc["modes"], basis.lams.tolist(),
+                                                 mode_reps(basis))):
         assert set(entry) == {"id", "lambda", *mode_fields}
-        assert (entry["id"], entry["lambda"]) == (mode.id, mode.lam)
-        for key, value in zip(mode_fields, mode.rep):
+        assert (entry["id"], entry["lambda"]) == (mode, lam)
+        for key, value in zip(mode_fields, rep):
             assert entry[key] == (list(value) if isinstance(value, tuple) else value)
         if "profile_coefficients" in mode_fields:
-            assert entry["profile_coefficients"] == basis.coefficients[mode.id].tolist()
+            assert entry["profile_coefficients"] == basis.coefficients[mode].tolist()
     json.dumps(doc, allow_nan=False)
 
 
@@ -757,8 +769,8 @@ def test_mode_reps_hold_only_ints(request, name):
     basis = request.getfixturevalue(name)
     assert basis.coefficients.shape[0] == basis.size
     assert not basis.coefficients.flags.writeable
-    for mode in map(basis.mode, range(basis.size)):
-        for value in mode.rep:
+    for mode, rep in enumerate(mode_reps(basis)):
+        for value in rep:
             assert type(value) is int or (
                 type(value) is tuple and all(type(v) is int for v in value)), mode
 
@@ -785,14 +797,13 @@ def test_basis_arrays_are_read_only(request, name, tmp_path):
 
 @pytest.mark.parametrize("name", list(JSON_FIELDS))
 def test_rep_arrays_equal_the_whole_column_conversion(request, name, tmp_path):
-    # each rep array is the column of mode(i).rep, in dtype, shape, C order
-    # and values, built and loaded
+    # each rep array is the column of the per-mode entries, in dtype,
+    # shape, C order and values, built and loaded
     built = request.getfixturevalue(name)
     save_basis(built, tmp_path / "basis.eprd")
     for basis in (built, load_basis(tmp_path / "basis.eprd")):
         for k, field in enumerate(basis.model.rep_names):
-            expected = np.array([basis.mode(i).rep[k] for i in range(basis.size)],
-                                dtype=np.int64)
+            expected = np.array([rep[k] for rep in mode_reps(basis)], dtype=np.int64)
             got = basis.reps[field]
             assert (got.dtype, got.shape) == (expected.dtype, expected.shape)
             assert np.array_equal(got, expected)
@@ -825,18 +836,18 @@ def test_rev_mode_payload_layout(rev_basis_3):
     header, values = split_payload(payload)
     header_text = payload.partition(b"\n")[0]
     assert header_text == json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-    modes = list(map(rev_basis_3.mode, range(rev_basis_3.size)))
-    count, width = len(modes), 2 * 32 + 1
+    reps = mode_reps(rev_basis_3)
+    count, width = len(reps), 2 * 32 + 1
     assert header["model"] == {"kind": "rev-torus", "major_radius": (2.0).hex(),
                                "minor_radius": (1.0).hex()}
     assert rev_basis_3.coefficients.shape == (count, width)
     assert (header["count"], header["floats_per_mode"]) == (count, width + 1)
-    assert header["columns"] == {"m": [m.rep[0] for m in modes],
-                                 "theta_parity": [m.rep[1] for m in modes]}
+    assert header["columns"] == {"m": [rep[0] for rep in reps],
+                                 "theta_parity": [rep[1] for rep in reps]}
     assert header["lambda_max"] == (3.0).hex()
     assert header["grid_axis_sizes"] == rev_basis_3.axis_sizes()
     assert values.size == count * (width + 1)
-    assert values[:count].tolist() == [m.lam for m in modes]
+    assert values[:count].tolist() == rev_basis_3.lams.tolist()
     assert np.array_equal(values[count:].reshape(count, width), rev_basis_3.coefficients)
 
 
@@ -886,6 +897,18 @@ def _ragged_column(header, values):
     return json.dumps({**header, "columns": columns}).encode() + b"\n" + values.tobytes()
 
 
+def _widened_column(position):
+    """Damage that gives every entry of one column one more element: a
+    flat torus row one int wider, a scalar a one-element list."""
+    def damage(header, values):
+        name = sorted(header["columns"])[position]
+        columns = {**header["columns"], name: [entry + [0] if isinstance(entry, list) else [entry]
+                                               for entry in header["columns"][name]]}
+        return json.dumps({**header, "columns": columns}).encode() + b"\n" + values.tobytes()
+    damage.__name__ = f"_widened_column_{position}"
+    return damage
+
+
 def _no_modes(header, values):
     columns = {name: [] for name in header["columns"]}
     return json.dumps({**header, "count": 0, "columns": columns}).encode() + b"\n"
@@ -911,7 +934,8 @@ def _grid_sizes_miscounted(header, values):
 
 @pytest.mark.parametrize("name", ["circle_basis_3", "rev_basis_3"])
 @pytest.mark.parametrize("damage", [_no_separator, _one_value_short, _count_off_by_one,
-                                    _short_column, _ragged_column, _no_modes,
+                                    _short_column, _ragged_column, _widened_column(0),
+                                    _widened_column(1), _no_modes,
                                     _coefficient_width_flipped, _grid_sizes_miscounted])
 def test_load_rejects_a_malformed_v4_body(tmp_path, request, name, damage):
     # a body with a valid digest whose header and float block disagree
@@ -948,11 +972,10 @@ def test_rev_evaluate_builds_the_circle_basis_at_distinct_s_only(monkeypatch, re
     monkeypatch.setattr(manifolds, "circle_basis", recorded)
     side = np.linspace(0.0, TWO_PI, 512, endpoint=False)
     s, theta = np.meshgrid(side, side + 0.1, indexing="ij")
-    mode = rev_basis_3.mode(3)
-    values = evaluate(rev_basis_3, mode, np.column_stack([s.ravel(), theta.ravel()]))
+    values = evaluate(rev_basis_3, 3, np.column_stack([s.ravel(), theta.ravel()]))
     assert rows and max(rows) <= 512
-    m, theta_parity = mode.rep
-    profile = rev_profile_derivatives(rev_basis_3.coefficients[mode.id], side)[0]
+    m, theta_parity = mode_reps(rev_basis_3)[3]
+    profile = rev_profile_derivatives(rev_basis_3.coefficients[3], side)[0]
     if m == 0:
         angular = np.full(512, 1.0 / math.sqrt(TWO_PI))
     else:
@@ -1004,24 +1027,24 @@ def test_fft_and_convolve_only_in_numerics():
     assert found == {"numerics"}
 
 
-def test_mode_rep_read_only_in_manifolds_and_cli():
-    # the representation layout is a manifolds decision: the package reads
-    # the basis arrays, keeps no per-mode tuple, and makes a Mode value
-    # only in SpectralBasis.mode
-    found, modes, makers = set(), set(), set()
+def test_no_module_makes_or_reads_a_mode_value():
+    # a mode is its id in the basis arrays: no package module defines or
+    # builds a Mode, asks a basis for ``.mode(``, or reads ``.rep`` or
+    # ``.modes``
+    found = set()
     package = pathlib.Path(manifolds.__file__).parent
     for path in sorted(package.rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Attribute) and node.attr == "rep":
-                found.add(path.stem)
-            if isinstance(node, ast.Attribute) and node.attr == "modes":
-                modes.add(path.stem)
-            if isinstance(node, ast.FunctionDef):
-                makers.update((path.stem, node.name) for call in ast.walk(node)
-                              if isinstance(call, ast.Call) and ast.unparse(call.func) == "Mode")
-    assert found <= {"manifolds"}
-    assert not modes
-    assert makers == {("manifolds", "mode")}
+            if isinstance(node, ast.ClassDef) and node.name == "Mode":
+                found.add((path.stem, "class Mode"))
+            if isinstance(node, ast.Name) and node.id == "Mode":
+                found.add((path.stem, "Mode"))
+            if isinstance(node, ast.Attribute) and node.attr in ("rep", "modes", "Mode"):
+                found.add((path.stem, f".{node.attr}"))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                    and node.func.attr == "mode":
+                found.add((path.stem, ".mode("))
+    assert not found
 
 
 def test_scipy_imported_only_inside_numerics_functions():

@@ -35,7 +35,10 @@ TWO_PI = 2.0 * math.pi
 
 
 def find_mode(basis, rep):
-    return next(m for m in map(basis.mode, range(basis.size)) if m.rep == rep)
+    """The id of the mode whose ``basis.reps`` entries are ``rep``."""
+    match = [np.all(basis.reps[name].reshape(basis.size, -1) == np.reshape(value, (1, -1)), axis=1)
+             for name, value in zip(basis.model.rep_names, rep)]
+    return int(np.flatnonzero(np.logical_and.reduce(match))[0])
 
 
 @pytest.mark.parametrize("k", range(1, 9))
@@ -223,7 +226,7 @@ def test_good_set_constant_mode(circle_basis):
 def test_good_set_two_cosines(circle_basis):
     cos1 = find_mode(circle_basis, ((1,), (COS,)))
     cos2 = find_mode(circle_basis, ((2,), (COS,)))
-    spec = ProductSpec(circle_basis, (cos1.id, cos2.id))
+    spec = ProductSpec(circle_basis, (cos1, cos2))
     result = good_set_experiment(circle_basis, spec, 0.0, 2.0)
     assert result.measure_e >= 0.5 * result.measure_half_cube
     assert result.min_product_bound >= math.exp(-sum(result.thresholds))
@@ -243,7 +246,7 @@ def test_good_set_lower_bound_chain(circle_basis):
     # behind the norm lower bound, verified by direct lattice sums
     cos1 = find_mode(circle_basis, ((1,), (COS,)))
     cos2 = find_mode(circle_basis, ((2,), (COS,)))
-    spec = ProductSpec(circle_basis, (cos1.id, cos2.id))
+    spec = ProductSpec(circle_basis, (cos1, cos2))
     per_axis = 16384
     result = good_set_experiment(circle_basis, spec, 0.0, 2.0,
                                  samples_per_axis=per_axis)
@@ -278,7 +281,7 @@ def _pointwise_good_set(basis, spec, center, side):
     thresholds, factor_values = [], []
     keep = np.ones(points.shape[0], dtype=bool)
     for i in spec.factors:
-        values = np.abs(evaluate(basis, basis.mode(i), points))
+        values = np.abs(evaluate(basis, i, points))
         a = next(float(a) for a in default_a_grid()
                  if np.count_nonzero(values < math.exp(-float(a))) <= budget)
         thresholds.append(a)
@@ -310,7 +313,7 @@ def test_good_set_equals_pointwise_evaluation(good_set_case):
     # each factor's lattice values are formed axis by axis; thresholds,
     # measures and the product floor equal the pointwise construction's
     basis, spec, center, side = good_set_case
-    assert len({basis.mode(i).lam for i in spec.factors}) > 1
+    assert len(set(basis.lams[list(spec.factors)].tolist())) > 1
     result = good_set_experiment(basis, spec, center, side)
     assert result == _pointwise_good_set(basis, spec, center, side)
 
@@ -373,7 +376,7 @@ def test_harmonic_lift_factory(circle_basis):
     lift = harmonic_lift(circle_basis, cos2)
     pts = np.array([[0.3, 0.1], [1.0, -0.2]])
     expected = (np.cos(2.0 * pts[:, 0]) / math.sqrt(math.pi)
-                * np.exp(cos2.lam * pts[:, 1]))
+                * np.exp(circle_basis.lams[cos2] * pts[:, 1]))
     assert lift(pts[:, 0], pts[:, 1]) == pytest.approx(expected, rel=1e-14)
     report = doubling_index(lift, (0.0, 0.0), 0.2)
     assert report.index >= 0.0
@@ -413,7 +416,8 @@ def test_line_factories_open_mesh_equal_pointwise(circle_basis):
         assert np.array_equal(coordinate_function()(x), points[:, 0])
     for axes in _lattices((0.3, -0.2), 1.0):
         mesh, shape, points = _open_mesh_and_points(axes)
-        expected = evaluate(circle_basis, cos2, points[:, 0]) * np.exp(cos2.lam * points[:, 1])
+        expected = evaluate(circle_basis, cos2, points[:, 0]) \
+            * np.exp(float(circle_basis.lams[cos2]) * points[:, 1])
         assert np.array_equal(np.broadcast_to(lift(*mesh), shape).reshape(-1), expected)
 
 
@@ -434,13 +438,12 @@ def test_mode_function_open_mesh_equals_evaluate(case):
     model, lambda_max, center, side = CHART_CASES[case]
     basis = build_basis(model, lambda_max)
     for i in (0, basis.size // 2, basis.size - 1):
-        mode = basis.mode(i)
-        fn = as_chart_function(basis, mode)
+        fn = as_chart_function(basis, i)
         for axes in _lattices(center, side):
             mesh, shape, points = _open_mesh_and_points(axes)
             values = fn(*mesh)
             assert values.shape == shape
-            expected = evaluate(basis, mode, points if len(axes) > 1 else points[:, 0])
+            expected = evaluate(basis, i, points if len(axes) > 1 else points[:, 0])
             assert np.array_equal(values.reshape(-1), expected), i
     if model.chart_dim == 2:
         x, y = np.meshgrid(*_lattices(center, side)[0], indexing="ij", sparse=True)
