@@ -229,7 +229,9 @@ class _Surface:
         rows are formed on each axis's own coordinates and multiplied as an
         outer product, so each value is the product :meth:`values` forms at
         that lattice point, bit for bit, however many modes one call asks
-        for."""
+        for.  The array is fresh, shared with nothing, so callers may
+        write into it (``good_set_experiment`` takes its absolute values
+        in place)."""
         if len(coords) != self.chart_dim:
             raise ParameterError(f"points must have {self.chart_dim} chart coordinates")
         coords = [np.asarray(c, dtype=float).reshape(-1) for c in coords]
@@ -863,15 +865,24 @@ def _basis_payload(basis: SpectralBasis) -> bytes:
 def _arrays_from_payload(model, header: dict, block: bytes) -> tuple:
     """(lams, reps, coefficients) as :func:`_basis_payload` wrote them;
     ValueError if the block or a column does not match the mode count and
-    the model's ``rep_shape``, or the width does not fit the model (0
-    exactly when it has no ``coefficients_name``)."""
+    the model's ``rep_shape``, a column entry is not an int (a float or a
+    JSON boolean), or the width does not fit the model (0 exactly when it
+    has no ``coefficients_name``); OverflowError for an int past int64."""
     count, per_mode = header["count"], header["floats_per_mode"]
     if not (isinstance(count, int) and isinstance(per_mode, int)) \
             or per_mode < 1 or len(block) != 8 * count * per_mode \
             or (per_mode > 1) != (model.coefficients_name is not None):
         raise ValueError("the float block does not match the header")
     values = np.frombuffer(block, dtype="<f8")
-    reps = {name: np.array(header["columns"][name], dtype=np.int64) for name in model.rep_names}
+    reps = {}
+    for name in model.rep_names:
+        column = header["columns"][name]
+        if model.rep_shape and not set(map(len, column)) <= {model.rep_shape[0]}:
+            raise ValueError(f"header column {name!r} holds an entry of the wrong length")
+        entries = list(itertools.chain.from_iterable(column)) if model.rep_shape else column
+        if not set(map(type, entries)) <= {int}:
+            raise ValueError(f"header column {name!r} holds an entry that is not an int")
+        reps[name] = np.array(entries, dtype=np.int64).reshape(-1, *model.rep_shape)
     if any(column.shape != (count, *model.rep_shape) for column in reps.values()):
         raise ValueError("a header column does not hold one entry of the model's shape per mode")
     return values[:count], reps, values[count:].reshape(count, per_mode - 1)
@@ -926,7 +937,7 @@ def load_basis(path) -> SpectralBasis:
         axes = model.quadrature_grid(header["grid_axis_sizes"])
         basis = SpectralBasis(model, lambda_max, lams, reps, coefficients, axes,
                               header["provenance"])
-    except (AttributeError, IndexError, KeyError, ValueError, TypeError) as exc:
+    except (AttributeError, IndexError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise CorruptionError(f"{path}: malformed basis payload ({exc})") from exc
     basis._digest = digest.hex()  # the body is the canonical payload save_basis wrote
     return basis

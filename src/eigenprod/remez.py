@@ -5,11 +5,16 @@ endpoint-inclusive grids (so homogeneous scaling is exact in floating
 point), measures count cell centers (so measures are exactly
 nonincreasing as the threshold tightens).
 
-A function receives each lattice's per-axis coordinates in open-mesh form
+A function receives a lattice's per-axis coordinates in open-mesh form
 (``np.meshgrid(..., indexing="ij", sparse=True)``): ``fn(x)``, x (n,), on
 a line and ``fn(x, y)``, x (n, 1) and y (1, m), on a plane, as the
-factories below do.  Values that do not broadcast to the lattice shape
-raise ``ParameterError``.
+factories below do.  It is called on row blocks of the lattice, about
+BLOCK_CELLS cells each (consecutive rows of the first axis with every
+point of the others), so it must be pointwise: each value may depend on
+its own lattice point only.  Sups take the maximum of the block maxima
+and measures add the block counts, so neither depends on the blocking.
+Values that do not broadcast to the block's shape raise
+``ParameterError``.
 """
 
 from __future__ import annotations
@@ -27,6 +32,9 @@ from .manifolds import as_chart_function
 DEFAULT_A_GRID_STEP = 0.25
 DEFAULT_A_GRID_STOP = 12.0
 QUANTIZATION_CELLS = 4  # measures under this many cells are fit-excluded
+# cells per row block (64 rows of the 512^2 cell lattice): a block's
+# complex temporaries stay near 512 KB, in cache
+BLOCK_CELLS = 32768
 
 __all__ = [
     "DoublingReport",
@@ -59,8 +67,20 @@ def _as_center(center) -> tuple:
     return tuple(float(c) for c in arr)
 
 
+def _checked_grid(a_grid, min_points: int) -> np.ndarray:
+    """The threshold grid (the default one for None): finite, strictly
+    ascending, with at least ``min_points`` points."""
+    grid = default_a_grid() if a_grid is None else np.asarray(a_grid, dtype=float)
+    if grid.ndim != 1 or grid.size < min_points or not np.all(np.isfinite(grid)) \
+            or np.any(np.diff(grid) <= 0.0):
+        raise ParameterError(
+            f"threshold grid must be finite and ascending with >= {min_points} points")
+    return grid
+
+
 def _eval(fn, axes) -> np.ndarray:
-    """|fn| on the tensor lattice of the 1-d arrays ``axes``, one array axis each."""
+    """|fn| on the tensor lattice of the 1-d arrays ``axes``, one array axis
+    each, as a fresh array; the function's own arrays are freed on return."""
     shape = tuple(axis.size for axis in axes)
     values = np.asarray(fn(*np.meshgrid(*axes, indexing="ij", sparse=True)))
     try:
@@ -69,10 +89,20 @@ def _eval(fn, axes) -> np.ndarray:
         raise ParameterError(f"values {values.shape} do not broadcast to {shape}") from None
 
 
+def _blocks(fn, axes):
+    """:func:`_eval` on near-equal row blocks of the first axis, about
+    BLOCK_CELLS cells each, in order."""
+    rest = axes[1:]
+    row_cells = math.prod(axis.size for axis in rest)
+    n_blocks = min(axes[0].size, -(-axes[0].size * row_cells // BLOCK_CELLS))
+    return (_eval(fn, [rows, *rest]) for rows in np.array_split(axes[0], n_blocks))
+
+
 def _sup(fn, center: tuple, half_side: float, per_axis: int) -> float:
-    """Sampled sup of |fn| on the endpoint-inclusive lattice of the cube."""
+    """Sampled sup of |fn| on the endpoint-inclusive lattice of the cube
+    (NaN if any sample is NaN, as ``np.max``)."""
     axes = [np.linspace(c - half_side, c + half_side, per_axis) for c in center]
-    return float(np.max(_eval(fn, axes)))
+    return float(np.max([np.max(block) for block in _blocks(fn, axes)]))
 
 
 @dataclass(frozen=True)
@@ -139,7 +169,8 @@ def sublevel_measure(fn, center, side: float, a: float,
     if not (side > 0.0):
         raise ParameterError("cube side must be positive")
     axes, cell = _measure_axes(center, side, samples_per_axis)
-    count = int(np.count_nonzero(_eval(fn, axes) < math.exp(-a)))
+    threshold = math.exp(-a)
+    count = sum(int(np.count_nonzero(block < threshold)) for block in _blocks(fn, axes))
     return count * cell
 
 
@@ -167,8 +198,9 @@ def remez_fit(fn, center, side: float, a_grid=None,
     """Fit log measure against the threshold exponent.
 
     The function is normalized internally so sup over the cube is 1.  It
-    is evaluated three times in all: on the two sup lattices and once on
-    the half-cube's cell lattice, whose sorted values give the count of
+    is evaluated once on each of three lattices, block by block: the two
+    sup lattices and the half-cube's cell lattice, where each block is
+    divided by the sup in place and its sorted values give the count of
     every threshold; each measure equals ``sublevel_measure`` of the
     normalized function at that threshold, bit for bit.  The
     least-squares fit skips saturated samples (the sublevel set filled the
@@ -180,9 +212,7 @@ def remez_fit(fn, center, side: float, a_grid=None,
     dim = len(center)
     if not (side > 0.0):
         raise ParameterError("cube side must be positive")
-    grid = default_a_grid() if a_grid is None else np.asarray(a_grid, dtype=float)
-    if grid.size < 5 or np.any(np.diff(grid) <= 0.0):
-        raise ParameterError("threshold grid must be ascending with >= 5 points")
+    grid = _checked_grid(a_grid, 5)
     sup_axis = 4097 if dim == 1 else 257
     sup_q = _sup(fn, center, side / 2.0, sup_axis)
     if sup_q < 1e-300:
@@ -191,9 +221,12 @@ def remez_fit(fn, center, side: float, a_grid=None,
     doubling = math.log(sup_2q / sup_q)
 
     axes, cell = _measure_axes(center, side, samples_per_axis)
-    values = _eval(fn, axes) / sup_q
+    counts = np.zeros(grid.size, dtype=np.int64)
+    for block in _blocks(fn, axes):
+        block /= sup_q
+        counts += _counts_below(block, grid)
     half_measure = (side / 2.0) ** dim
-    measures = np.array([count * cell for count in _counts_below(values, grid)])
+    measures = counts * cell
     clean = (measures >= QUANTIZATION_CELLS * cell) & \
             (measures <= half_measure * (1.0 - 1e-9))
     if not np.any(measures > 0.0) or int(np.count_nonzero(clean)) < 2 \
@@ -243,7 +276,8 @@ def good_set_experiment(basis, spec: ProductSpec, center, side: float,
     cell arithmetic, not an approximation.  Each factor is evaluated on
     the lattice axis by axis (``lattice_values``), so its values are
     :func:`eigenprod.manifolds.evaluate`'s at the lattice points, bit for
-    bit; one factor's lattice is held at a time.
+    bit.  The work runs in place: one factor's lattice, one scratch copy
+    of it for the partition and the running product are held at a time.
     """
     center = _as_center(center)
     if len(center) != basis.model.chart_dim:
@@ -252,7 +286,7 @@ def good_set_experiment(basis, spec: ProductSpec, center, side: float,
         raise ParameterError("product spec must reference the given basis")
     if not (side > 0.0):
         raise ParameterError("cube side must be positive")
-    grid = default_a_grid() if a_grid is None else np.asarray(a_grid, dtype=float)
+    grid = _checked_grid(a_grid, 1)
     axes, cell = _measure_axes(center, side, samples_per_axis)
     total = math.prod(axis.size for axis in axes)
     n = spec.n_factors
@@ -263,11 +297,15 @@ def good_set_experiment(basis, spec: ProductSpec, center, side: float,
     rank = math.floor(budget)
     thresholds = []
     keep = np.ones(total, dtype=bool)
-    product = 1.0  # the factors multiplied in order (1.0 * v is exact)
+    above = np.empty(total, dtype=bool)
+    scratch = np.empty(total)
+    product = None  # the factors multiplied in order
     for i in spec.factors:
-        values = np.abs(basis.model.lattice_values(basis, [i], axes)[0])
-        product = product * values
-        bound = float(np.partition(values, rank)[rank])
+        values = basis.model.lattice_values(basis, [i], axes)[0]
+        np.abs(values, out=values)
+        np.copyto(scratch, values)
+        scratch.partition(rank)
+        bound = float(scratch[rank])
         chosen = None
         for a in grid:
             if math.exp(-float(a)) <= bound:
@@ -277,7 +315,12 @@ def good_set_experiment(basis, spec: ProductSpec, center, side: float,
             raise GridExhaustedError(
                 f"no grid threshold tames the sublevel set of mode {i}")
         thresholds.append(chosen)
-        keep &= values >= math.exp(-chosen)
+        np.greater_equal(values, math.exp(-chosen), out=above)
+        keep &= above
+        if product is None:
+            product = values
+        else:
+            product *= values
     measure_e = float(np.count_nonzero(keep)) * cell
     half_measure = total * cell
     if measure_e < 0.5 * half_measure - 1e-12:

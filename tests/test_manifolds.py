@@ -909,6 +909,24 @@ def _widened_column(position):
     return damage
 
 
+def _non_int_entry(convert):
+    """Damage that converts the last int of one column's last entry: a
+    float or a JSON boolean, which int64 conversion would accept, or an
+    int past int64."""
+    def damage(header, values):
+        name = sorted(header["columns"])[0]
+        *head, last = header["columns"][name]
+        last = [*last[:-1], convert(last[-1])] if isinstance(last, list) else convert(last)
+        columns = {**header["columns"], name: [*head, last]}
+        return json.dumps({**header, "columns": columns}).encode() + b"\n" + values.tobytes()
+    damage.__name__ = f"_non_int_entry_{convert.__name__}"
+    return damage
+
+
+def _past_int64(value):
+    return value + 2 ** 63
+
+
 def _no_modes(header, values):
     columns = {name: [] for name in header["columns"]}
     return json.dumps({**header, "count": 0, "columns": columns}).encode() + b"\n"
@@ -936,7 +954,9 @@ def _grid_sizes_miscounted(header, values):
 @pytest.mark.parametrize("damage", [_no_separator, _one_value_short, _count_off_by_one,
                                     _short_column, _ragged_column, _widened_column(0),
                                     _widened_column(1), _no_modes,
-                                    _coefficient_width_flipped, _grid_sizes_miscounted])
+                                    _coefficient_width_flipped, _grid_sizes_miscounted,
+                                    _non_int_entry(float), _non_int_entry(bool),
+                                    _non_int_entry(_past_int64)])
 def test_load_rejects_a_malformed_v4_body(tmp_path, request, name, damage):
     # a body with a valid digest whose header and float block disagree
     header, values = split_payload(manifolds._basis_payload(request.getfixturevalue(name)))
@@ -944,6 +964,26 @@ def test_load_rejects_a_malformed_v4_body(tmp_path, request, name, damage):
     write_body(path, damage(header, values))
     with pytest.raises(CorruptionError, match="malformed basis payload"):
         load_basis(path)
+
+
+def test_load_refuses_fractional_and_boolean_rep_entries(tmp_path, circle_basis_3):
+    # a circle lambda 3 file with freqs 0.7, 1.7, 1.7, 2.7, ... and parities
+    # written as true/false, under a recomputed digest: int64 conversion
+    # would truncate both back to the original basis
+    header, values = split_payload(manifolds._basis_payload(circle_basis_3))
+    columns = header["columns"]
+    freqs = [[k + 0.7 for k in entry] for entry in columns["freqs"]]
+    parities = [[bool(p) for p in entry] for entry in columns["parities"]]
+    assert [entry[0] for entry in freqs[:4]] == [0.7, 1.7, 1.7, 2.7]
+    path = tmp_path / "bad.eprd"
+    for damaged in ({"freqs": freqs, "parities": parities}, {**columns, "freqs": freqs},
+                    {**columns, "parities": parities}):
+        write_body(path, json.dumps({**header, "columns": damaged}).encode()
+                   + b"\n" + values.tobytes())
+        with pytest.raises(CorruptionError, match="not an int"):
+            load_basis(path)
+    write_body(path, json.dumps(header).encode() + b"\n" + values.tobytes())
+    assert basis_equal(load_basis(path), circle_basis_3)
 
 
 @pytest.mark.parametrize("lambda_max", [4.5, 8.4])

@@ -1,6 +1,7 @@
 """Doubling indices, sublevel measures, Remez-type fits, good sets."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -193,17 +194,51 @@ def test_counts_below_are_strict_comparisons():
     assert remez._counts_below(values, grid) == expected
 
 
+def _cube_axes(center, half_side, per_axis):
+    """The per-axis points of an endpoint-inclusive sup lattice."""
+    return [np.linspace(c - half_side, c + half_side, per_axis) for c in center]
+
+
+def _assert_row_blocks_tile(calls, lattices):
+    """The recorded open meshes, in call order, are row blocks that tile
+    each lattice (a list of per-axis arrays) exactly once: consecutive
+    rows of the first axis with every point of the others, axis i varying
+    along array axis i only, at most BLOCK_CELLS cells per block."""
+    calls = iter(calls)
+    for axes in lattices:
+        rows = []
+        row_cells = math.prod(axis.size for axis in axes[1:])
+        while sum(block.size for block in rows) < axes[0].size:
+            mesh = next(calls)
+            assert len(mesh) == len(axes)
+            for i, coords in enumerate(mesh):
+                assert coords.ndim == len(axes)
+                assert all(n == 1 for j, n in enumerate(coords.shape) if j != i)
+            for coords, axis in zip(mesh[1:], axes[1:]):
+                assert np.array_equal(coords.reshape(-1), axis)
+            rows.append(mesh[0].reshape(-1))
+            assert 0 < rows[-1].size * row_cells <= remez.BLOCK_CELLS
+        assert np.array_equal(np.concatenate(rows), axes[0])
+    assert next(calls, None) is None
+
+
+def _recording(fn, calls):
+    def recording(*mesh):
+        calls.append([np.array(coords) for coords in mesh])
+        return fn(*mesh)
+    return recording
+
+
 def test_remez_fit_evaluates_three_lattices():
-    # two sup lattices and one measure lattice, whatever the grid length
-    fn = harmonic_power_function(4)
-    sizes = []
-
-    def counted(x, y):
-        sizes.append(math.prod(np.broadcast_shapes(x.shape, y.shape)))
-        return fn(x, y)
-
-    remez_fit(counted, (0.0, 0.0), 2.0)
-    assert sizes == [257 * 257, 257 * 257, 512 * 512]
+    # two sup lattices and one measure lattice, whatever the grid length:
+    # the row blocks the function sees tile each exactly once, and the
+    # 512^2 measure lattice takes more than one block
+    calls = []
+    remez_fit(_recording(harmonic_power_function(4), calls), (0.0, 0.0), 2.0)
+    measure_axes = remez._measure_axes((0.0, 0.0), 2.0, None)[0]
+    _assert_row_blocks_tile(calls, [_cube_axes((0.0, 0.0), 1.0, 257),
+                                    _cube_axes((0.0, 0.0), 2.0, 257), measure_axes])
+    assert len(calls) > 3
 
 
 @pytest.fixture(scope="module")
@@ -272,6 +307,41 @@ def test_good_set_grid_exhaustion(circle_basis):
                             a_grid=np.array([1e-6, 2e-6, 3e-6, 4e-6, 5e-6]))
 
 
+BAD_GRIDS = {
+    "nan-first": [np.nan, 1.0, 2.0, 3.0, 4.0],
+    "nan-inside": [0.25, 0.5, np.nan, 1.0, 1.25],
+    "inf-last": [0.25, 0.5, 0.75, 1.0, np.inf],
+    "minus-inf-first": [-np.inf, 0.5, 0.75, 1.0, 1.25],
+    "descending": default_a_grid()[::-1],
+    "repeated": [0.25, 0.5, 0.5, 0.75, 1.0],
+    "two-dimensional": default_a_grid().reshape(8, 6),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_GRIDS))
+def test_threshold_grids_must_be_finite_and_ascending(circle_basis, name):
+    # a NaN would read as an empty step and a descending grid would pick
+    # its first, largest, a: both functions refuse such grids (exit 2)
+    grid = BAD_GRIDS[name]
+    with pytest.raises(ParameterError, match="threshold grid"):
+        remez_fit(coordinate_function(), 0.0, 2.0, a_grid=grid)
+    with pytest.raises(ParameterError, match="threshold grid"):
+        good_set_experiment(circle_basis, ProductSpec(circle_basis, (1, 2)), 0.0, 2.0,
+                            a_grid=grid)
+
+
+def test_grid_minimum_lengths(circle_basis):
+    # a fit needs five grid points; a good set needs one
+    spec = ProductSpec(circle_basis, (1, 2))
+    assert good_set_experiment(circle_basis, spec, 0.0, 2.0).thresholds == (0.75, 2.75)
+    assert good_set_experiment(circle_basis, spec, 0.0, 2.0, a_grid=[12.0]).thresholds == \
+        (12.0, 12.0)
+    with pytest.raises(ParameterError, match="threshold grid"):
+        good_set_experiment(circle_basis, spec, 0.0, 2.0, a_grid=[])
+    with pytest.raises(ParameterError, match=">= 5 points"):
+        remez_fit(coordinate_function(), 0.0, 2.0, a_grid=default_a_grid()[:4])
+
+
 def _pointwise_good_set(basis, spec, center, side):
     """The good-set construction with each factor evaluated pointwise by
     ``evaluate`` on the (n, d) cell-lattice points of the half-cube."""
@@ -294,8 +364,9 @@ def _pointwise_good_set(basis, spec, center, side):
                          points.shape[0] * cell, float(np.min(product)))
 
 
-# (model, lambda_max, factor ids, center, side) on every 2-d chart
+# (model, lambda_max, factor ids, center, side) on every chart
 GOOD_SET_CASES = {
+    "flat1": (FlatTorus(1, (TWO_PI,)), 16.0, (1, 3, 6), (0.2,), 1.0),
     "flat2": (FlatTorus(2, (TWO_PI, 3.0)), 4.0, (2, 5), (0.5, 0.5), 1.0),
     "sphere": (Sphere2(), 3.0, (6, 2, 3), (1.5, 2.0), 1.0),
     "rev-torus": (RevTorus(2.0, 1.0), 2.5, (1, 3), (2.0, 2.0), 1.0),
@@ -310,8 +381,9 @@ def good_set_case(request):
 
 
 def test_good_set_equals_pointwise_evaluation(good_set_case):
-    # each factor's lattice values are formed axis by axis; thresholds,
-    # measures and the product floor equal the pointwise construction's
+    # each factor's lattice values are formed axis by axis and worked on in
+    # place; thresholds, measures and the product floor equal the
+    # pointwise construction's
     basis, spec, center, side = good_set_case
     assert len(set(basis.lams[list(spec.factors)].tolist())) > 1
     result = good_set_experiment(basis, spec, center, side)
@@ -322,8 +394,9 @@ def test_good_set_evaluates_factors_on_axes_only(monkeypatch, good_set_case, cir
     # axis_factor_rows sees one axis's coordinates (512 per axis in 2-d,
     # 16384 in 1-d), never the 262144 points of the lattice
     seen = []
-    for basis, spec, center, side, per_axis in (
-            (*good_set_case, 512), (circle_basis, ProductSpec(circle_basis, (1, 2)), 0.0, 2.0, 16384)):
+    for basis, spec, center, side in (
+            good_set_case, (circle_basis, ProductSpec(circle_basis, (1, 2)), 0.0, 2.0)):
+        per_axis = 512 if basis.model.chart_dim == 2 else 16384
         model_type = type(basis.model)
         original = model_type.axis_factor_rows
 
@@ -384,8 +457,7 @@ def test_harmonic_lift_factory(circle_basis):
 
 def _lattices(center, side):
     """The sup lattice and the cell lattice remez_fit samples for (center, side)."""
-    sup_axes = [np.linspace(c - side / 2.0, c + side / 2.0, 257) for c in center]
-    return [sup_axes, remez._measure_axes(center, side, None)[0]]
+    return [_cube_axes(center, side / 2.0, 257), remez._measure_axes(center, side, None)[0]]
 
 
 def _open_mesh_and_points(axes):
@@ -460,25 +532,136 @@ LATTICE_CALLS = {
 
 @pytest.mark.parametrize("case", sorted(LATTICE_CALLS))
 def test_functions_receive_per_axis_arrays_only(case):
-    # every lattice reaches the function as one coordinate array per axis,
-    # axis i varying along array axis i only: never as (n, d) points
+    # every lattice reaches the function as row blocks that tile it once,
+    # each one coordinate array per axis, axis i varying along array axis
+    # i only: never as (n, d) points
     fn, center = LATTICE_CALLS[case]
-    dim = len(np.atleast_1d(center))
-    seen = []
-
-    def recording(*axes):
-        seen.append([np.shape(axis) for axis in axes])
-        return fn(*axes)
-
+    cube = remez._as_center(center)
+    sup_axis = 4097 if len(cube) == 1 else 257
+    measure_axes = remez._measure_axes(cube, 2.0, None)[0]
+    calls = []
+    recording = _recording(fn, calls)
     remez_fit(recording, center, 2.0)
     doubling_index(recording, center, 0.3)
     sublevel_measure(recording, center, 2.0, 1.0)
-    assert len(seen) == 6
-    for shapes in seen:
-        assert len(shapes) == dim
-        for i, shape in enumerate(shapes):
-            assert len(shape) == dim and shape[i] >= 64
-            assert all(n == 1 for j, n in enumerate(shape) if j != i)
+    _assert_row_blocks_tile(calls, [_cube_axes(cube, 1.0, sup_axis), _cube_axes(cube, 2.0, sup_axis),
+                                    measure_axes, _cube_axes(cube, 0.3, 129),
+                                    _cube_axes(cube, 0.6, 129), measure_axes])
+
+
+def _circle_lift():
+    basis = build_basis(FlatTorus(1, (TWO_PI,)), 4.0)
+    return harmonic_lift(basis, find_mode(basis, ((2,), (COS,))))
+
+
+def _chart_mode(case, which):
+    def factory():
+        model, lambda_max, _center, _side = CHART_CASES[case]
+        basis = build_basis(model, lambda_max)
+        return as_chart_function(basis, (1, basis.size - 1)[which])
+    return factory
+
+
+# (factory, center, side, cells per axis of the measure lattice, or None
+# for the default): every kind of chart function the CLI offers, on every
+# chart; a line takes several blocks only past BLOCK_CELLS points, so the
+# 1-d cases use 65537 (blocks of 21846, 21846 and 21845 points)
+BLOCKED_CASES = {
+    **{f"power:{k}@{center}": (lambda k=k: harmonic_power_function(k), center, side, None)
+       for k in range(9) for center, side in (((0.0, 0.0), 1.0), ((0.3, -0.7), 2.0))},
+    "linear": (coordinate_function, (0.3,), 2.0, 65537),
+    "harmonic-lift": (_circle_lift, (0.3, -0.2), 1.0, None),
+    **{f"mode:{case}-{which}": (_chart_mode(case, which), CHART_CASES[case][2], CHART_CASES[case][3],
+                                65537 if case == "flat1" else None)
+       for case in sorted(CHART_CASES) for which in (0, 1)},
+}
+
+
+def _lattice_reports(fn, center, side, per_axis):
+    """repr of every lattice result on (center, side): the Remez fit, two
+    doubling indices (the 2-d one on 257-point axes, whose last row block
+    is shorter than the others) and one sublevel measure."""
+    doubling_axis = per_axis or 257
+    return [repr(remez_fit(fn, center, side, samples_per_axis=per_axis)),
+            repr(doubling_index(fn, center, side / 4.0)),
+            repr(doubling_index(fn, center, side / 4.0, samples_per_axis=doubling_axis)),
+            sublevel_measure(fn, center, side, 1.5, samples_per_axis=per_axis).hex()]
+
+
+@pytest.mark.parametrize("case", sorted(BLOCKED_CASES))
+def test_row_blocks_change_no_bit(monkeypatch, case):
+    # fits, doubling indices and measures over row blocks equal, bit for
+    # bit, one evaluation of each whole lattice (BLOCK_CELLS at the
+    # largest lattice's size)
+    factory, center, side, per_axis = BLOCKED_CASES[case]
+    fn = factory()
+    calls = []
+    blocked = _lattice_reports(_recording(fn, calls), center, side, per_axis)
+    assert len(calls) > 8
+    largest = (per_axis or 512) ** len(center)
+    monkeypatch.setattr(remez, "BLOCK_CELLS", largest)
+    calls.clear()
+    whole = _lattice_reports(_recording(fn, calls), center, side, per_axis)
+    assert len(calls) == 8  # one call per lattice
+    assert blocked == whole
+
+
+@pytest.mark.parametrize("row", [0, 85, 86, 171, 172, 256])
+def test_sup_is_nan_when_one_block_holds_a_nan(monkeypatch, row):
+    # a NaN at one point of one row block (the first and last rows of
+    # each block of a 257-point axis) makes the sup NaN, as np.max over
+    # the whole lattice does, whichever block it sits in
+    axes = _cube_axes((0.0, 0.0), 0.5, 257)
+    nan_x, nan_y = axes[0][row], axes[1][3]
+    fn = lambda x, y: np.where((x == nan_x) & (y == nan_y), np.nan, 1.0 + x * y)
+    calls = []
+    assert math.isnan(remez._sup(_recording(fn, calls), (0.0, 0.0), 0.5, 257))
+    assert len(calls) == 3
+    monkeypatch.setattr(remez, "BLOCK_CELLS", 257 * 257)
+    assert math.isnan(remez._sup(fn, (0.0, 0.0), 0.5, 257))
+
+
+# remez --function power:3 --center 0,0 --side 1 from one evaluation of
+# each whole lattice: the measures are cell counts times 2^-20
+POWER3_DOUBLING = "0x1.0a2b23f3bab73p+1"
+POWER3_MEASURES = (
+    ["0x1.0000000000000p-2"] * 8
+    + ["0x1.f8dc000000000p-3", "0x1.e4f4000000000p-3", "0x1.cbe8000000000p-3",
+       "0x1.aa36000000000p-3", "0x1.8376000000000p-3", "0x1.5c32000000000p-3",
+       "0x1.3648000000000p-3", "0x1.12a6000000000p-3", "0x1.e380000000000p-4",
+       "0x1.a7d0000000000p-4", "0x1.71e8000000000p-4", "0x1.41f8000000000p-4",
+       "0x1.1718000000000p-4", "0x1.e328000000000p-5", "0x1.a1a0000000000p-5",
+       "0x1.67e8000000000p-5", "0x1.35b8000000000p-5", "0x1.0a08000000000p-5",
+       "0x1.c900000000000p-6", "0x1.86c0000000000p-6", "0x1.4ed0000000000p-6",
+       "0x1.1dd0000000000p-6", "0x1.ea20000000000p-7", "0x1.a2e0000000000p-7",
+       "0x1.6440000000000p-7", "0x1.2e40000000000p-7", "0x1.00c0000000000p-7",
+       "0x1.b400000000000p-8", "0x1.71c0000000000p-8", "0x1.3900000000000p-8",
+       "0x1.0840000000000p-8", "0x1.c080000000000p-9", "0x1.7c80000000000p-9",
+       "0x1.4480000000000p-9", "0x1.1200000000000p-9", "0x1.cf00000000000p-10",
+       "0x1.8800000000000p-10", "0x1.4900000000000p-10", "0x1.1700000000000p-10",
+       "0x1.d200000000000p-11"])
+
+
+def test_remez_power3_report_is_pinned():
+    report = remez_fit(harmonic_power_function(3), (0.0, 0.0), 1.0)
+    assert report.doubling.hex() == POWER3_DOUBLING
+    assert [m.hex() for m in report.measures] == POWER3_MEASURES
+    assert (report.beta_hat.hex(), report.cr_hat.hex()) == \
+        ("0x1.3f61ee045b330p+0", "0x1.9b881794e03c4p+0")
+
+
+def test_remez_fit_peaks_below_one_lattice():
+    # row blocks keep remez_fit's arrays below one 512^2 float64 lattice
+    # (2 MB); one evaluation of the whole lattice peaked at 8 MB
+    fn = harmonic_power_function(4)
+    remez_fit(fn, (0.0, 0.0), 2.0)
+    tracemalloc.start()
+    try:
+        remez_fit(fn, (0.0, 0.0), 2.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 512 * 512 * 8
 
 
 def test_function_values_must_broadcast_to_the_lattice():
