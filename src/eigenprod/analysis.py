@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coefficients import CoefficientSeries, _check_grid_resolution, _product_values_by_axis
+from .coefficients import CoefficientSeries, product_norm_sq
 from .errors import BreakdownError, ParameterError, UnderResolvedError
 from .manifolds import SpectralBasis, Sphere2
 
@@ -236,7 +236,7 @@ def find_truncation(series: CoefficientSeries, target: float = 0.99,
 # lower bounds
 
 
-def _norm_from_samples(samples) -> LowerBoundFit:
+def _norm_from_samples(samples, n_factors: int) -> LowerBoundFit:
     sums = np.array([s for s, _n in samples])
     norms = np.array([n for _s, n in samples])
     if np.any(norms <= 1e-13):
@@ -250,30 +250,27 @@ def _norm_from_samples(samples) -> LowerBoundFit:
     c4 = -slope
     log_c3 = float(np.min(np.log(norms) + c4 * sums))
     return LowerBoundFit(math.exp(log_c3), c4, tuple((float(s), float(n))
-                                                     for s, n in samples), 0)
+                                                     for s, n in samples), n_factors)
 
 
 def lower_bound_experiment(basis: SpectralBasis, specs) -> LowerBoundFit:
     """Measure ||prod phi|| over a family of products and fit the
     from-below exponential envelope (least squares on log norms, then
-    shifted down until it touches the weakest sample)."""
+    shifted down until it touches the weakest sample).  Each norm is the
+    square root of :func:`eigenprod.coefficients.product_norm_sq`, the
+    norm :func:`eigenprod.coefficients.expand_product` divides by."""
     specs = list(specs)
     if len(specs) < 4:
         raise ParameterError("need at least four products to fit an envelope")
     n_factors = {s.n_factors for s in specs}
     if len(n_factors) != 1:
         raise ParameterError("all products in a family must share the factor count")
-    weights = basis.grid_weights()
     samples = []
     for spec in specs:
         if spec.basis is not basis:
             raise ParameterError("product specs must reference the given basis")
-        _check_grid_resolution(spec, targets=False)
-        values = _product_values_by_axis(spec).reshape(-1)
-        norm = math.sqrt(float(weights @ (values * values)))
-        samples.append((spec.sum_lambda, norm))
-    fit = _norm_from_samples(samples)
-    return LowerBoundFit(fit.C3_hat, fit.C4_hat, fit.samples, next(iter(n_factors)))
+        samples.append((spec.sum_lambda, math.sqrt(product_norm_sq(spec))))
+    return _norm_from_samples(samples, next(iter(n_factors)))
 
 
 def _sphere_cartesian(n_gl: int, n_phi: int):
@@ -312,8 +309,7 @@ def sphere_rotated_pair_experiment(l_values) -> LowerBoundFit:
         norm = math.sqrt(float(np.sum(weights * product * product)))
         lam = math.sqrt(l * (l + 1.0))
         samples.append((2.0 * lam, norm))
-    fit = _norm_from_samples(samples)
-    return LowerBoundFit(fit.C3_hat, fit.C4_hat, fit.samples, 2)
+    return _norm_from_samples(samples, 2)
 
 
 def sphere_remark_experiment(k_range) -> RemarkDecay:

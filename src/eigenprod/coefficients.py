@@ -5,7 +5,9 @@ on the sphere, and on every periodic axis (both flat axes, the rev-torus
 theta and s) the product of real Fourier series by
 :func:`eigenprod.numerics.circle_product`.  Each is checked against
 quadrature, which is rank one per axis because a product of separable
-modes is separable.
+modes is separable: so is the product's squared norm
+(:func:`product_norm_sq`), the Parseval denominator and the lower-bound
+sample alike.
 
 The 3j kernel uses the three-term recursion in the third angular momentum,
 run from both ends of the admissible range and spliced in the classical
@@ -36,6 +38,7 @@ __all__ = [
     "CoefficientSeries",
     "expand_product",
     "quadrature_coefficients",
+    "product_norm_sq",
     "torus_support_lambda",
     "parseval_report",
     "wigner_3j",
@@ -402,35 +405,32 @@ def _row_product(rows: np.ndarray) -> np.ndarray:
     return values
 
 
-def _product_values_by_axis(spec: ProductSpec, rows: tuple | None = None):
-    """Pointwise product of the factors as a grid-shaped array, from their
-    per-axis ``rows`` (by default :func:`_factor_rows`)."""
-    rows = _factor_rows(spec) if rows is None else rows
-    if len(rows) == 1:
-        return _row_product(rows[0])
-    values = np.multiply.outer(rows[0][0], rows[1][0])
-    for first, second in zip(rows[0][1:], rows[1][1:]):
-        values *= np.multiply.outer(first, second)
-    return values
+def product_norm_sq(spec: ProductSpec, axis_values: list | None = None) -> float:
+    """||f||^2 of the product, rank one per axis like its coefficients:
+    the product over the chart axes of w_a . (F_a * F_a), where F_a is the
+    factors' rows on axis a multiplied together and w_a the axis weights.
+    Without ``axis_values`` (the F_a, as :func:`_quadrature_expansion`
+    forms them) the grid is checked to resolve f^2 and the F_a are formed
+    here."""
+    if axis_values is None:
+        _check_grid_resolution(spec, targets=False)
+        axis_values = [_row_product(r) for r in _factor_rows(spec)]
+    return math.prod(float(ax.weights @ (v * v))
+                     for ax, v in zip(spec.basis.axes, axis_values))
 
 
 def _quadrature_expansion(spec: ProductSpec):
-    """All coefficients, rank one per axis.  A product of separable modes
-    is separable, so mode i's coefficient is the product over the axes of
-    u_i . a, where u_i is its factor row on that axis and a the axis
-    weights times the factors' rows there; the model's
-    ``axis_projections`` forms the sums.  The norm is the weighted sum of
-    the squared product over the whole grid."""
+    """All coefficients and the norm, rank one per axis.  A product of
+    separable modes is separable, so mode i's coefficient is the product
+    over the axes of u_i . a, where u_i is its factor row on that axis and
+    a the axis weights times the factors' rows there; the model's
+    ``axis_projections`` forms the sums.  The norm is
+    :func:`product_norm_sq` of the same per-axis products."""
     basis = spec.basis
-    rows = _factor_rows(spec)
-    axis_values = [_row_product(r) for r in rows]
+    axis_values = [_row_product(r) for r in _factor_rows(spec)]
     coeffs = np.prod(basis.model.axis_projections(
         basis, [ax.weights * v for ax, v in zip(basis.axes, axis_values)]), axis=0)
-    if len(rows) == 1:
-        return coeffs, float(basis.axes[0].weights @ (axis_values[0] * axis_values[0]))
-    values = _product_values_by_axis(spec, rows)
-    weighted = values * np.multiply.outer(basis.axes[0].weights, basis.axes[1].weights)
-    return coeffs, float(np.sum(weighted * values))
+    return coeffs, product_norm_sq(spec, axis_values)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,9 @@ domain height T and the stretch factor delta come from the quantitative
 Cauchy-problem constants for a flat metric; the boundary-integral
 identity at height T recovers each coefficient c_i with the factor
 exp(-T lambda_i), and a Cauchy-estimate-style inequality bounds dH/dt by
-the sup of H on a slightly larger slab.
+the sup of H on a slightly larger slab.  The identity evaluates every
+basis mode on the quadrature grid once per height, by one
+``lattice_values`` call, and sums H and dH/dt there mode by mode.
 """
 
 from __future__ import annotations
@@ -116,15 +118,6 @@ class HarmonicExtension:
         self.laplacian_eigs = sum(
             (TWO_PI * circle_frequencies(columns[self.mode_ids]) / period) ** 2
             for columns, period in zip(basis.axis_columns, basis.model.periods))
-        # per grid axis, every basis mode's row, once: greens_coefficients
-        # integrates every mode against the extension on the grid
-        self.grid_rows = basis.model.axis_factor_rows(
-            basis, np.arange(basis.size), tuple(ax.nodes for ax in basis.axes))
-
-    def grid_values(self, mode_id: int) -> np.ndarray:
-        """Basis mode ``mode_id`` on the flattened grid, first axis slowest."""
-        rows = [axis_rows[mode_id] for axis_rows in self.grid_rows]
-        return rows[0] if len(rows) == 1 else np.multiply.outer(*rows).reshape(-1)
 
     def _mode_matrix(self, points: np.ndarray) -> np.ndarray:
         model = self.basis.model
@@ -153,16 +146,6 @@ class HarmonicExtension:
                         for columns, period in zip(self.basis.axis_columns,
                                                    self.basis.model.periods)], axis=0)
         return float((np.abs(self.coeffs) * sups) @ np.cosh(self.lams * t))
-
-    def grid_boundary_values(self, t: float):
-        """(H, dH/dt) on the basis quadrature grid at fixed height t."""
-        values = np.zeros(math.prod(self.basis.axis_sizes()))
-        slopes = np.zeros_like(values)
-        for mode_id, lam, c in zip(self.mode_ids, self.lams, self.coeffs):
-            phi = self.grid_values(mode_id)
-            values += c * math.cosh(lam * t) * phi
-            slopes += c * lam * math.sinh(lam * t) * phi
-        return values, slopes
 
 
 class PointSample:
@@ -196,23 +179,22 @@ class PointSample:
         return (ext.coeffs * np.cosh(np.multiply.outer(t, ext.lams)) * ext.lams**2) @ self.phi
 
 
-def harmonic_extension_flat(series: CoefficientSeries, height: float,
-                            seed: int = 0) -> HarmonicExtension:
+def harmonic_extension_flat(series: CoefficientSeries, height: float) -> HarmonicExtension:
     """Build the extension and verify it really solves the problem.
 
     Term-wise, Laplacian_x [phi cosh(lambda t)] equals
     d^2/dt^2 [phi cosh(lambda t)] exactly when lambda^2 is phi's Laplacian
-    eigenvalue.  The residual is evaluated at 100 seeded random points of
-    the slab, with the Laplacian taken from the frequency vectors and the
-    time derivative from the series' lambdas, so a wrong lambda fails the
-    check.  The mode matrix of those points is built once, and each term
+    eigenvalue.  The residual is evaluated at 100 pseudo-random points of
+    the slab (seed 0), with the Laplacian taken from the frequency vectors
+    and the time derivative from the series' lambdas, so a wrong lambda
+    fails the check.  The mode matrix of those points is built once, and each term
     takes one (heights x modes) @ (modes x points) product for all 100
     heights.  The Cauchy data are checked on a deterministic boundary
     lattice, whose mode matrix is likewise built once.
     """
     ext = HarmonicExtension(series, height)
     model: FlatTorus = ext.basis.model
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     points = np.column_stack([
         rng.uniform(0.0, p, size=100) for p in model.periods
     ])
@@ -253,17 +235,26 @@ def greens_coefficients(ext: HarmonicExtension, height: float) -> dict:
               int_M phi_i (dH/dt + lambda_i H)|_t.
 
     The identity holds for every positive height inside the slab, so the
-    returned values must not depend on it.  The boundary values are
-    formed once, for all modes.
+    returned values must not depend on it.  Every basis mode is evaluated
+    on the quadrature grid once, by one ``lattice_values`` call; the
+    boundary values H and dH/dt at the height are summed from those rows
+    mode by mode, once for all modes.
     """
     if not 0.0 < height <= ext.T * (1.0 + 1e-12):
         raise ParameterError("height must lie in (0, T] of the extension")
-    values, slopes = ext.grid_boundary_values(height)
-    weights = ext.basis.grid_weights()
-    ids = np.flatnonzero(ext.basis.lams > 0.0)
+    basis = ext.basis
+    phi = basis.model.lattice_values(basis, np.arange(basis.size),
+                                     [ax.nodes for ax in basis.axes])
+    values = np.zeros(phi.shape[1])
+    slopes = np.zeros_like(values)
+    for mode_id, lam, c in zip(ext.mode_ids, ext.lams, ext.coeffs):
+        values += c * math.cosh(lam * height) * phi[mode_id]
+        slopes += c * lam * math.sinh(lam * height) * phi[mode_id]
+    weights = basis.grid_weights()
+    ids = np.flatnonzero(basis.lams > 0.0)
     coefficients = {}
-    for i, lam in zip(ids.tolist(), ext.basis.lams[ids].tolist()):
-        integral = float(weights @ (ext.grid_values(i) * (slopes + lam * values)))
+    for i, lam in zip(ids.tolist(), basis.lams[ids].tolist()):
+        integral = float(weights @ (phi[i] * (slopes + lam * values)))
         coefficients[i] = math.exp(-height * lam) / lam * integral
     return coefficients
 
@@ -275,21 +266,21 @@ class CauchyCheck:
     ok: bool
 
 
-def cauchy_estimate_check(ext: HarmonicExtension, radius: float, delta: float,
-                          points_per_axis: int = 257,
-                          t_levels: int = 33) -> CauchyCheck:
+def cauchy_estimate_check(ext: HarmonicExtension, radius: float,
+                          delta: float) -> CauchyCheck:
     """Real-slab shadow of the derivative estimate
     sup |dH/dt| on M x [-R delta/2, R delta/2]
-    <= (2/(delta R)) sup |H| on M x [-R delta, R delta]."""
+    <= (2/(delta R)) sup |H| on M x [-R delta, R delta],
+    with the sups sampled on 257 points per chart axis and 33 heights."""
     if not (radius > 0.0 and delta > 0.0):
         raise ParameterError("radius and delta must be positive")
     if radius * delta > 2.0 * ext.T * (1.0 + 1e-12):
         raise ParameterError(
             "slab [-R delta, R delta] exceeds the extension's domain")
-    sample = ext.on_lattice([np.linspace(0.0, p, points_per_axis, endpoint=False)
+    sample = ext.on_lattice([np.linspace(0.0, p, 257, endpoint=False)
                              for p in ext.basis.model.periods])
-    half = np.linspace(-radius * delta / 2.0, radius * delta / 2.0, t_levels)
-    full = np.linspace(-radius * delta, radius * delta, t_levels)
+    half = np.linspace(-radius * delta / 2.0, radius * delta / 2.0, 33)
+    full = np.linspace(-radius * delta, radius * delta, 33)
     lhs = max(float(np.max(np.abs(sample.dt_value(float(t))))) for t in half)
     rhs_sup = max(float(np.max(np.abs(sample.value(float(t))))) for t in full)
     rhs = 2.0 / (delta * radius) * rhs_sup

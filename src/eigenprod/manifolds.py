@@ -607,13 +607,12 @@ class RevTorus(_Surface):
         # only the eigenpairs below a slightly widened lambda_max are computed
         upper = (lambda_max * (1.0 + 1e-9)) ** 2
         profiles = []  # (lam, m, s_parity) in solve order
-        kept_vectors = []  # per block: (its indices, its kept columns in solve order)
+        rows = []  # their coefficient rows, full width, in solve order
         worst_residual = 0.0
         for s_parity, idx, k, w, b, families in blocks:
             inv_lower = inverse_cholesky(b)
             solved = family_eigs(reduce_congruent(inv_lower, k), reduce_congruent(inv_lower, w),
                                  inv_lower, weights, upper)
-            columns = []
             for m, (a_max, (values, block)) in enumerate(zip(a_maxes, solved)):
                 roots = np.sqrt(np.where(values <= 1e-12 * a_max, 0.0, values))
                 kept = int(np.count_nonzero(roots <= lambda_max * (1.0 + 1e-12)))
@@ -627,10 +626,9 @@ class RevTorus(_Surface):
                     np.einsum("ij,jk->ik", families[m], block)
                     - np.einsum("ij,jk->ik", b, block) * values, axis=0)
                 worst_residual = max(worst_residual, float(np.max(residuals)) / a_max)
-                columns.append(block)
+                rows.append(np.zeros((kept, size)))
+                rows[-1][:, idx] = block.T
                 profiles.extend((lam, m, s_parity) for lam in roots[:kept].tolist())
-            kept_vectors.append((idx, np.concatenate(columns, axis=1) if columns
-                                 else np.zeros((idx.shape[0], 0))))
         if worst_residual > MAX_EIGEN_RESIDUAL:
             raise ConvergenceError(
                 f"rev-torus eigen-residual {worst_residual:.3e} exceeds {MAX_EIGEN_RESIDUAL:g}")
@@ -642,12 +640,7 @@ class RevTorus(_Surface):
         order = np.lexsort((source, s_parities[source], theta_parities, ms[source], lams[source]))
         source, theta_parities = source[order], theta_parities[order]
         lams, ms = lams[source], ms[source].astype(np.int64)
-        coefficients = np.zeros((source.shape[0], size))
-        first = 0
-        for idx, columns in kept_vectors:
-            rows = np.flatnonzero((source >= first) & (source < first + columns.shape[1]))
-            coefficients[rows[:, None], idx] = columns[:, source[rows] - first].T
-            first += columns.shape[1]
+        coefficients = np.concatenate(rows)[source]
         # the constant: v = e_0 / sqrt(R), exact by inspection
         constant = np.flatnonzero((ms == 0) & (lams == 0.0))
         coefficients[constant] = 0.0

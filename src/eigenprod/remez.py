@@ -14,7 +14,8 @@ point of the others), so it must be pointwise: each value may depend on
 its own lattice point only.  Sups take the maximum of the block maxima
 and measures add the block counts, so neither depends on the blocking.
 Values that do not broadcast to the block's shape raise
-``ParameterError``.
+``ParameterError``, and so does a NaN or infinite sup, where it is
+taken: before any measure lattice is evaluated.
 """
 
 from __future__ import annotations
@@ -99,10 +100,15 @@ def _blocks(fn, axes):
 
 
 def _sup(fn, center: tuple, half_side: float, per_axis: int) -> float:
-    """Sampled sup of |fn| on the endpoint-inclusive lattice of the cube
-    (NaN if any sample is NaN, as ``np.max``)."""
+    """Sampled sup of |fn| on the endpoint-inclusive lattice of the cube;
+    ParameterError if it is NaN (some sample is) or infinite."""
     axes = [np.linspace(c - half_side, c + half_side, per_axis) for c in center]
-    return float(np.max([np.max(block) for block in _blocks(fn, axes)]))
+    sup = float(np.max([np.max(block) for block in _blocks(fn, axes)]))
+    if not math.isfinite(sup):
+        raise ParameterError(
+            f"the function's sampled sup on the cube of half-side {half_side:g} "
+            f"about {center} is {sup}: it must be finite there")
+    return sup
 
 
 @dataclass(frozen=True)

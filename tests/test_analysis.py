@@ -16,7 +16,7 @@ from eigenprod.analysis import (
 )
 from eigenprod.coefficients import CoefficientSeries, ProductSpec, expand_product
 from eigenprod.errors import BreakdownError, ParameterError, UnderResolvedError
-from eigenprod.manifolds import COS, FlatTorus, RevTorus, build_basis
+from eigenprod.manifolds import COS, FlatTorus, RevTorus, Sphere2, build_basis
 
 TWO_PI = 2.0 * math.pi
 
@@ -177,6 +177,23 @@ def test_lower_bound_envelope_touches_and_dominates_from_below(circle_basis_24):
     norms = [n for _s, n in fit.samples]
     assert all(b <= n * (1.0 + 1e-12) for b, n in zip(bounds, norms))
     assert any(abs(b - n) <= 1e-12 * n for b, n in zip(bounds, norms))
+
+
+@pytest.mark.parametrize("model, lambda_max", [
+    (FlatTorus(1, (TWO_PI,)), 8.0),
+    (FlatTorus(2, (TWO_PI, 1.7)), 6.0),
+    (Sphere2(), 6.0),
+    (RevTorus(2.0, 1.0), 4.5),
+], ids=["flat1", "flat2", "sphere", "rev"])
+def test_lower_bound_samples_are_the_parseval_norms(model, lambda_max):
+    # one product norm: each sample is the square root of the f_norm_sq
+    # that expand_product divides the captured mass by, bit for bit
+    basis = build_basis(model, lambda_max)
+    for n_factors in (2, 3):
+        specs = [ProductSpec(basis, tuple(range(i, i + n_factors))) for i in range(1, 9)]
+        fit = lower_bound_experiment(basis, specs)
+        assert [n for _s, n in fit.samples] == \
+            [math.sqrt(expand_product(spec).f_norm_sq) for spec in specs]
 
 
 def test_lower_bound_validation(circle_basis_24):

@@ -13,7 +13,7 @@ import sys
 import numpy as np
 import pytest
 
-from eigenprod import cli
+from eigenprod import cli, remez
 from eigenprod.cli import cli_main, config_from_text, config_to_text
 from eigenprod.errors import ParameterError
 from eigenprod.manifolds import (
@@ -346,6 +346,25 @@ def test_remez_command_linear(tmp_path):
     assert code == 0
     doc = read(out, "remez.json")
     assert doc["results"]["beta_hat"] == pytest.approx(math.log(2.0), rel=0.02)
+
+
+@pytest.mark.parametrize("argv", [
+    ("remez", "--function", "power:1100", "--center", "0,0", "--side", "4"),
+    ("doubling", "--function", "power:1100", "--center", "0,0", "--radius", "2"),
+])
+def test_non_finite_sup_exits_2_before_the_measures(tmp_path, monkeypatch, capsys, argv):
+    # (x + iy)^1100 overflows on the outer cube: the command stops where
+    # that sup is taken, naming it, and evaluates no measure lattice
+    def measure_axes(*args):
+        raise AssertionError("a measure lattice was evaluated")
+
+    monkeypatch.setattr(remez, "_measure_axes", measure_axes)
+    with np.errstate(all="ignore"):
+        code, out = run(tmp_path, *argv)
+    assert code == 2
+    assert "sampled sup on the cube of half-side 2 about (0.0, 0.0) is inf" \
+        in capsys.readouterr().err
+    assert not (out / f"{argv[0]}.json").exists()
 
 
 def test_good_set_command(tmp_path):

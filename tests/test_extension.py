@@ -207,32 +207,39 @@ def test_greens_reconstruction_2d():
 
 @pytest.mark.parametrize("dim", [1, 2])
 def test_greens_coefficients_equal_the_single_mode_recovery(monkeypatch, dim):
-    # every mode of positive lambda, bit for bit, with the boundary values
-    # formed once per height instead of once per mode; the single-mode
-    # recovery evaluates its mode pointwise at the grid's chart points
+    # every mode of positive lambda, bit for bit, with every mode put on the
+    # grid by one lattice_values call per greens_coefficients call; the
+    # single-mode recovery evaluates each mode pointwise at the grid's
+    # chart points and forms the boundary values from those itself
     basis = build_basis(FlatTorus(dim, (TWO_PI,) * dim), 4.0)
     ext = harmonic_extension_flat(expand_product(ProductSpec(basis, (1, 3))), 0.005)
     nodes = np.meshgrid(*(ax.nodes for ax in basis.axes), indexing="ij")
     points = np.column_stack([m.reshape(-1) for m in nodes])
 
+    def phi(mode):
+        return evaluate(basis, mode, points[:, 0] if dim == 1 else points)
+
     def recovered(mode, t):
-        values, slopes = ext.grid_boundary_values(t)
+        values = np.zeros(points.shape[0])
+        slopes = np.zeros_like(values)
+        for mode_id, lam, c in zip(ext.mode_ids, ext.lams, ext.coeffs):
+            values += c * math.cosh(lam * t) * phi(mode_id)
+            slopes += c * lam * math.sinh(lam * t) * phi(mode_id)
         lam = float(basis.lams[mode])
-        phi = evaluate(basis, mode, points[:, 0] if dim == 1 else points)
-        integral = float(basis.grid_weights() @ (phi * (slopes + lam * values)))
+        integral = float(basis.grid_weights() @ (phi(mode) * (slopes + lam * values)))
         return math.exp(-t * lam) / lam * integral
 
     single = {i: recovered(i, 0.004) for i in np.flatnonzero(basis.lams > 0.0).tolist()}
-    heights = []
-    original = HarmonicExtension.grid_boundary_values
+    calls = []
+    original = FlatTorus.lattice_values
 
-    def counted(self, t):
-        heights.append(t)
-        return original(self, t)
+    def counted(self, basis, ids, coords):
+        calls.append(len(ids))
+        return original(self, basis, ids, coords)
 
-    monkeypatch.setattr(HarmonicExtension, "grid_boundary_values", counted)
+    monkeypatch.setattr(FlatTorus, "lattice_values", counted)
     assert greens_coefficients(ext, 0.004) == single
-    assert heights == [0.004]
+    assert calls == [basis.size]
     with pytest.raises(ParameterError):
         greens_coefficients(ext, 0.006)  # above the slab
 

@@ -610,15 +610,36 @@ def test_row_blocks_change_no_bit(monkeypatch, case):
 def test_sup_is_nan_when_one_block_holds_a_nan(monkeypatch, row):
     # a NaN at one point of one row block (the first and last rows of
     # each block of a 257-point axis) makes the sup NaN, as np.max over
-    # the whole lattice does, whichever block it sits in
+    # the whole lattice does, whichever block it sits in; a NaN sup is
+    # refused, naming it
     axes = _cube_axes((0.0, 0.0), 0.5, 257)
     nan_x, nan_y = axes[0][row], axes[1][3]
     fn = lambda x, y: np.where((x == nan_x) & (y == nan_y), np.nan, 1.0 + x * y)
     calls = []
-    assert math.isnan(remez._sup(_recording(fn, calls), (0.0, 0.0), 0.5, 257))
+    with pytest.raises(ParameterError, match="sup .* is nan"):
+        remez._sup(_recording(fn, calls), (0.0, 0.0), 0.5, 257)
     assert len(calls) == 3
     monkeypatch.setattr(remez, "BLOCK_CELLS", 257 * 257)
-    assert math.isnan(remez._sup(fn, (0.0, 0.0), 0.5, 257))
+    with pytest.raises(ParameterError, match="sup .* is nan"):
+        remez._sup(fn, (0.0, 0.0), 0.5, 257)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("center", [(0.0,), (0.0, 0.0)])
+def test_non_finite_sup_is_refused_before_any_measure(monkeypatch, bad, center):
+    # a function that is NaN or infinite on the sup lattice is refused
+    # where the sup is taken, naming the sup: remez_fit evaluates no
+    # measure lattice and doubling_index returns no index
+    def measure_axes(*args):
+        raise AssertionError("a measure lattice was evaluated")
+
+    monkeypatch.setattr(remez, "_measure_axes", measure_axes)
+    fn = (lambda x: bad + 0.0 * x) if len(center) == 1 else (lambda x, y: bad + 0.0 * x * y)
+    match = f"sampled sup .* is {bad}: it must be finite"
+    with pytest.raises(ParameterError, match=match):
+        remez_fit(fn, center, 1.0)
+    with pytest.raises(ParameterError, match=match):
+        doubling_index(fn, center, 0.25)
 
 
 # remez --function power:3 --center 0,0 --side 1 from one evaluation of
