@@ -533,10 +533,12 @@ def _cmd_remark_s2(config, _cache_dir):
 
 def _cmd_greens(config, cache_dir):
     params = config["params"]
+    # a model without the extension's constants is refused before any
+    # basis is loaded or built
+    extension_constants = compute_extension_params(_model_from_config(config["model"]))
     basis, (ids,) = _resolve_basis_and_factors(config["model"], params,
                                                [_factor_tokens(params)], cache_dir)
     series = expand_product(ProductSpec(basis, ids))
-    extension_constants = compute_extension_params(basis.model)
     heights = [_number(h) for h in str(params.get("heights", "")).split(",") if h] \
         or [extension_constants.T, extension_constants.T / 2.0]
     ext = harmonic_extension_flat(series, max(heights))

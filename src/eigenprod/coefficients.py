@@ -337,7 +337,8 @@ def expand_product(spec: ProductSpec) -> CoefficientSeries:
 
 def quadrature_coefficients(spec: ProductSpec):
     """Raw quadrature coefficients and the product norm, bypassing the
-    exact oracle (used to test the two routes against each other)."""
+    exact oracle: for one factor, the grid integrals of that mode against
+    every basis mode, with which ``greens_coefficients`` integrates."""
     _check_grid_resolution(spec)
     return _quadrature_expansion(spec)
 

@@ -10,9 +10,12 @@ domain height T and the stretch factor delta come from the quantitative
 Cauchy-problem constants for a flat metric; the boundary-integral
 identity at height T recovers each coefficient c_i with the factor
 exp(-T lambda_i), and a Cauchy-estimate-style inequality bounds dH/dt by
-the sup of H on a slightly larger slab.  The identity evaluates every
-basis mode on the quadrature grid once per height, by one
-``lattice_values`` call, and sums H and dH/dt there mode by mode.
+the sup of H on a slightly larger slab.  The identity runs on the
+basis's own quadrature: by linearity, each kept mode's integrals against
+every basis mode are the quadrature coefficients of that one-mode
+product, so no array of modes on the grid is formed.  The PDE residual
+is bounded term by term over the whole slab, and H(., 0) = f is checked
+on a tensor lattice.
 """
 
 from __future__ import annotations
@@ -22,9 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coefficients import CoefficientSeries
+from .coefficients import CoefficientSeries, ProductSpec, quadrature_coefficients
 from .errors import BreakdownError, ParameterError
-from .manifolds import FlatTorus, _normalize_points, evaluate
+from .manifolds import FlatTorus
 from .numerics import TWO_PI, circle_frequencies, circle_norms
 
 __all__ = [
@@ -118,44 +121,31 @@ class HarmonicExtension:
         self.laplacian_eigs = sum(
             (TWO_PI * circle_frequencies(columns[self.mode_ids]) / period) ** 2
             for columns, period in zip(basis.axis_columns, basis.model.periods))
-
-    def _mode_matrix(self, points: np.ndarray) -> np.ndarray:
-        model = self.basis.model
-        arr, _scalar = _normalize_points(points, model.chart_dim)
-        return model.values(self.basis, self.mode_ids, arr)
-
-    def at(self, points) -> PointSample:
-        """The extension at fixed chart points, for evaluation at many
-        heights: the mode matrix is built once, here."""
-        return PointSample(self, self._mode_matrix(points))
+        # a mode's sup is the product over the axes of sqrt(2 pi / P) over
+        # the norm of its circle_basis column
+        self.sups = np.prod([math.sqrt(TWO_PI / period) / circle_norms(columns[self.mode_ids])
+                             for columns, period in zip(basis.axis_columns,
+                                                        basis.model.periods)], axis=0)
 
     def on_lattice(self, coords) -> PointSample:
-        """:meth:`at` on the tensor lattice of the per-axis chart
+        """The extension on the tensor lattice of the per-axis chart
         coordinates ``coords`` (first axis slowest), with the mode matrix
-        formed axis by axis: the same bits as :meth:`at` on the lattice's
-        points."""
+        formed axis by axis by one ``lattice_values`` call."""
         return PointSample(self, self.basis.model.lattice_values(self.basis, self.mode_ids,
                                                                  coords))
 
     def sup_bound(self, height: float | None = None) -> float:
         """sum |c| ||phi||_sup cosh(lambda T) dominates |H| on the slab."""
         t = self.T if height is None else height
-        # a mode's sup is the product over the axes of sqrt(2 pi / P) over
-        # the norm of its circle_basis column
-        sups = np.prod([math.sqrt(TWO_PI / period) / circle_norms(columns[self.mode_ids])
-                        for columns, period in zip(self.basis.axis_columns,
-                                                   self.basis.model.periods)], axis=0)
-        return float((np.abs(self.coeffs) * sups) @ np.cosh(self.lams * t))
+        return float((np.abs(self.coeffs) * self.sups) @ np.cosh(self.lams * t))
 
 
 class PointSample:
     """A harmonic extension restricted to fixed chart points: the mode
     matrix (modes x points) is held, so each height costs one
-    vector-matrix product.  H, dH/dt, Laplacian_x H (from the modes'
-    frequency vectors) and d^2H/dt^2 (from the propagation rates lams).
-    A 1-d array of heights gives one row per height from one
-    matrix-matrix product, whose low bits may differ from the per-height
-    products."""
+    vector-matrix product for H or dH/dt.  A 1-d array of heights gives
+    one row per height from one matrix-matrix product, whose low bits may
+    differ from the per-height products."""
 
     def __init__(self, ext: HarmonicExtension, phi: np.ndarray):
         self.ext = ext
@@ -169,61 +159,34 @@ class PointSample:
         ext = self.ext
         return (ext.coeffs * ext.lams * np.sinh(np.multiply.outer(t, ext.lams))) @ self.phi
 
-    def laplacian_x(self, t) -> np.ndarray:
-        ext = self.ext
-        return (ext.coeffs * ext.laplacian_eigs * np.cosh(np.multiply.outer(t, ext.lams))) \
-            @ self.phi
-
-    def dtt_value(self, t) -> np.ndarray:
-        ext = self.ext
-        return (ext.coeffs * np.cosh(np.multiply.outer(t, ext.lams)) * ext.lams**2) @ self.phi
-
 
 def harmonic_extension_flat(series: CoefficientSeries, height: float) -> HarmonicExtension:
     """Build the extension and verify it really solves the problem.
 
-    Term-wise, Laplacian_x [phi cosh(lambda t)] equals
-    d^2/dt^2 [phi cosh(lambda t)] exactly when lambda^2 is phi's Laplacian
-    eigenvalue.  The residual is evaluated at 100 pseudo-random points of
-    the slab (seed 0), with the Laplacian taken from the frequency vectors
-    and the time derivative from the series' lambdas, so a wrong lambda
-    fails the check.  The mode matrix of those points is built once, and each term
-    takes one (heights x modes) @ (modes x points) product for all 100
-    heights.  The Cauchy data are checked on a deterministic boundary
-    lattice, whose mode matrix is likewise built once.
+    Term-wise, (Laplacian_x - d^2/dt^2) [phi cosh(lambda t)] equals
+    (kappa - lambda^2) phi cosh(lambda t), with kappa phi's Laplacian
+    eigenvalue from its frequency vector and lambda the series' rate.  So
+    sum |c| |kappa - lambda^2| ||phi||_sup cosh(lambda T) bounds the
+    residual on the whole slab, and it must stay within 1e-9 of
+    :meth:`HarmonicExtension.sup_bound`: a wrong lambda fails the check.
+    dH/dt(., 0) = 0 holds term by term, cosh being even.  H(., 0) = f is
+    checked on a tensor lattice (512 points on a line, 32 x 32 on a
+    plane), against the product of the factors' lattice values.
     """
     ext = HarmonicExtension(series, height)
     model: FlatTorus = ext.basis.model
-    rng = np.random.default_rng(0)
-    points = np.column_stack([
-        rng.uniform(0.0, p, size=100) for p in model.periods
-    ])
-    if model.dim == 1:
-        points = points[:, 0]
-    heights = rng.uniform(-ext.T, ext.T, size=100)
     scale = max(ext.sup_bound(), 1e-300)
-    sample = ext.at(points)
-    residual = sample.laplacian_x(heights) - sample.dtt_value(heights)
-    if float(np.max(np.abs(residual))) > 1e-9 * scale:
+    residual = float((np.abs(ext.coeffs * (ext.laplacian_eigs - ext.lams**2)) * ext.sups)
+                     @ np.cosh(ext.lams * ext.T))
+    if residual > 1e-9 * scale:
         raise BreakdownError("extension residual check failed")
-    # boundary data: H(., 0) = f and dH/dt(., 0) = 0
-    lattice = np.linspace(0.0, model.periods[0], 512, endpoint=False)
-    if model.dim == 2:
-        lattice = np.column_stack([
-            lattice, np.linspace(0.0, model.periods[1], 512, endpoint=False)])
-    f_direct = np.ones(512)
-    for i in series.product.factors:
-        f_direct = f_direct * np.atleast_1d(evaluate(ext.basis, i, lattice))
-    boundary = ext.at(lattice)
-    boundary_gap = float(np.max(np.abs(boundary.value(0.0) - f_direct)))
-    f_sup = float(np.max(np.abs(f_direct)))
-    if boundary_gap > 1e-12 * max(f_sup, 1e-300):
+    lattice = [np.linspace(0.0, period, 512 if model.dim == 1 else 32, endpoint=False)
+               for period in model.periods]
+    f_direct = np.prod(model.lattice_values(ext.basis, list(series.product.factors), lattice),
+                       axis=0)
+    boundary_gap = float(np.max(np.abs(ext.on_lattice(lattice).value(0.0) - f_direct)))
+    if boundary_gap > 1e-12 * max(float(np.max(np.abs(f_direct))), 1e-300):
         raise BreakdownError("extension does not reproduce the product at t=0")
-    step = 1e-4
-    odd_gap = float(np.max(np.abs(
-        (boundary.value(step) - boundary.value(-step)) / (2.0 * step))))
-    if odd_gap > 1e-8 * max(scale, 1.0):
-        raise BreakdownError("extension time-derivative does not vanish at t=0")
     return ext
 
 
@@ -235,28 +198,26 @@ def greens_coefficients(ext: HarmonicExtension, height: float) -> dict:
               int_M phi_i (dH/dt + lambda_i H)|_t.
 
     The identity holds for every positive height inside the slab, so the
-    returned values must not depend on it.  Every basis mode is evaluated
-    on the quadrature grid once, by one ``lattice_values`` call; the
-    boundary values H and dH/dt at the height are summed from those rows
-    mode by mode, once for all modes.
+    returned values must not depend on it.  The integrals run on the
+    basis's quadrature by linearity: H and dH/dt at the height are sums
+    over the kept modes j, and the integrals of phi_j against every basis
+    mode are :func:`eigenprod.coefficients.quadrature_coefficients` of
+    the one-factor product j, which the model's ``axis_projections``
+    forms.  No array of modes on the grid is formed.
     """
     if not 0.0 < height <= ext.T * (1.0 + 1e-12):
         raise ParameterError("height must lie in (0, T] of the extension")
     basis = ext.basis
-    phi = basis.model.lattice_values(basis, np.arange(basis.size),
-                                     [ax.nodes for ax in basis.axes])
-    values = np.zeros(phi.shape[1])
+    values = np.zeros(basis.size)
     slopes = np.zeros_like(values)
-    for mode_id, lam, c in zip(ext.mode_ids, ext.lams, ext.coeffs):
-        values += c * math.cosh(lam * height) * phi[mode_id]
-        slopes += c * lam * math.sinh(lam * height) * phi[mode_id]
-    weights = basis.grid_weights()
+    for mode_id, lam, c in zip(ext.mode_ids.tolist(), ext.lams.tolist(), ext.coeffs.tolist()):
+        projections, _norm = quadrature_coefficients(ProductSpec(basis, (mode_id,)))
+        values += c * math.cosh(lam * height) * projections
+        slopes += c * lam * math.sinh(lam * height) * projections
     ids = np.flatnonzero(basis.lams > 0.0)
-    coefficients = {}
-    for i, lam in zip(ids.tolist(), basis.lams[ids].tolist()):
-        integral = float(weights @ (phi[i] * (slopes + lam * values)))
-        coefficients[i] = math.exp(-height * lam) / lam * integral
-    return coefficients
+    lams = basis.lams[ids]
+    recovered = np.exp(-height * lams) / lams * (slopes[ids] + lams * values[ids])
+    return dict(zip(ids.tolist(), recovered.tolist()))
 
 
 @dataclass(frozen=True)

@@ -299,6 +299,18 @@ def test_greens_replay_check_passes(tmp_path):
         read(out, "greens.json")["results"]
 
 
+@pytest.mark.parametrize("model", [("--model", "rev-torus", "--R", "2", "--r", "1"),
+                                   ("--model", "sphere")], ids=["rev", "sphere"])
+def test_greens_refuses_a_curved_model_before_any_basis(tmp_path, capsys, model):
+    code, out = run(tmp_path, "greens", *model, "--factors",
+                    "1,3" if "rev-torus" in model else "Y1m0,Y2m1")
+    assert code == 2
+    assert capsys.readouterr().err == \
+        "error: the explicit cosh extension exists only on the flat torus\n"
+    assert not (out / "greens.json").exists()
+    assert not (tmp_path / "cache").exists() or not any((tmp_path / "cache").iterdir())
+
+
 def _write_version1_cache(cache_dir, model, lambda_max, stale):
     """Store ``stale`` as a format-1 file under the key of the format-1
     CLI, which hashed only the model descriptor and lambda_max."""

@@ -2,20 +2,25 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from eigenprod.coefficients import CoefficientSeries, ProductSpec, expand_product
+from eigenprod.coefficients import (
+    CoefficientSeries,
+    ProductSpec,
+    expand_product,
+    quadrature_coefficients,
+)
 from eigenprod.errors import BreakdownError, ParameterError
 from eigenprod.extension import (
-    HarmonicExtension,
     cauchy_estimate_check,
     compute_extension_params,
     greens_coefficients,
     harmonic_extension_flat,
 )
-from eigenprod.manifolds import COS, FlatTorus, RevTorus, build_basis, evaluate
+from eigenprod.manifolds import COS, FlatTorus, RevTorus, build_basis
 
 TWO_PI = 2.0 * math.pi
 
@@ -79,7 +84,7 @@ def test_constant_product_extends_constantly(circle_basis):
     ext = harmonic_extension_flat(series, 0.01)
     xs = np.linspace(0.0, TWO_PI, 7)
     for t in (0.0, 0.005, 0.01):
-        assert ext.at(xs).value(t) == pytest.approx(
+        assert ext.on_lattice([xs]).value(t) == pytest.approx(
             [1.0 / math.sqrt(TWO_PI)] * 7, abs=1e-15)
 
 
@@ -89,9 +94,13 @@ def test_cos_mode_extension_residual(circle_basis):
     xs = np.linspace(0.0, TWO_PI, 33)
     t = 0.03
     expected = np.cos(xs) / math.sqrt(math.pi) * math.cosh(t)
-    assert ext.at(xs).value(t) == pytest.approx(expected, abs=1e-14)
-    residual = ext.at(xs).laplacian_x(t) - ext.at(xs).dtt_value(t)
-    assert np.max(np.abs(residual)) <= 1e-12
+    assert ext.on_lattice([xs]).value(t) == pytest.approx(expected, abs=1e-14)
+    # the term-by-term bound on the residual over the whole slab, with the
+    # mode's sup 1 / sqrt(pi) in closed form
+    assert ext.sups == pytest.approx([1.0 / math.sqrt(math.pi)], rel=1e-15)
+    bound = float(np.sum(np.abs(ext.coeffs) * np.abs(ext.laplacian_eigs - ext.lams**2)
+                         * ext.sups * np.cosh(ext.lams * ext.T)))
+    assert bound <= 1e-12
 
 
 def test_extension_residual_check_catches_a_wrong_lambda(circle_basis):
@@ -111,20 +120,36 @@ def test_extension_residual_check_catches_a_wrong_lambda(circle_basis):
 
 @pytest.mark.parametrize("dim", [1, 2])
 def test_extension_check_builds_each_mode_matrix_once(monkeypatch, dim):
-    # one matrix for the 100 residual points, reused at all 100 heights,
-    # and one for the boundary lattice, reused for its three values
+    # the residual bound evaluates no mode; the t = 0 check puts the kept
+    # modes and the factors on one boundary lattice, one lattice_values
+    # call each: 512 points on a line, 32 x 32 on a plane
     basis = build_basis(FlatTorus(dim, (TWO_PI,) * dim), 4.0)
     series = expand_product(ProductSpec(basis, (1, 2)))
     built = []
-    original = HarmonicExtension._mode_matrix
+    original = FlatTorus.lattice_values
 
-    def counted(self, points):
-        built.append(len(points))
-        return original(self, points)
+    def counted(self, basis, ids, coords):
+        built.append((len(ids), tuple(len(c) for c in coords)))
+        return original(self, basis, ids, coords)
 
-    monkeypatch.setattr(HarmonicExtension, "_mode_matrix", counted)
-    harmonic_extension_flat(series, 0.05)
-    assert built == [100, 512]
+    monkeypatch.setattr(FlatTorus, "lattice_values", counted)
+    ext = harmonic_extension_flat(series, 0.05)
+    lattice = (512,) if dim == 1 else (32, 32)
+    assert built == [(2, lattice), (len(ext.mode_ids), lattice)]
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_boundary_check_catches_a_planted_coefficient(dim):
+    # H(., 0) = f on the boundary lattice fails when one coefficient of
+    # the exact series is off by a relative 1e-6
+    basis = build_basis(FlatTorus(dim, (TWO_PI,) * dim), 4.0)
+    series = expand_product(ProductSpec(basis, (1, 3)))
+    harmonic_extension_flat(series, 0.005)
+    coeffs = series.coeffs.copy()
+    coeffs[np.flatnonzero(coeffs)[-1]] *= 1.0 - 1e-6
+    planted = dataclasses.replace(series, coeffs=coeffs)
+    with pytest.raises(BreakdownError, match="does not reproduce the product at t=0"):
+        harmonic_extension_flat(planted, 0.005)
 
 
 def test_product_extension_sup_bound(circle_basis):
@@ -138,7 +163,7 @@ def test_product_extension_sup_bound(circle_basis):
     expected_sup = (math.cosh(height) + math.cosh(5.0 * height)) / TWO_PI
     assert ext.sup_bound() == pytest.approx(expected_sup, rel=1e-12)
     xs = np.linspace(0.0, TWO_PI, 2048, endpoint=False)
-    sampled = max(float(np.max(np.abs(ext.at(xs).value(t))))
+    sampled = max(float(np.max(np.abs(ext.on_lattice([xs]).value(t))))
                   for t in (-height, 0.0, height))
     assert sampled <= ext.sup_bound() * (1.0 + 1e-12)
     assert sampled == pytest.approx(expected_sup, rel=1e-6)
@@ -207,41 +232,51 @@ def test_greens_reconstruction_2d():
 
 @pytest.mark.parametrize("dim", [1, 2])
 def test_greens_coefficients_equal_the_single_mode_recovery(monkeypatch, dim):
-    # every mode of positive lambda, bit for bit, with every mode put on the
-    # grid by one lattice_values call per greens_coefficients call; the
-    # single-mode recovery evaluates each mode pointwise at the grid's
-    # chart points and forms the boundary values from those itself
+    # every mode of positive lambda, bit for bit, against a recovery that
+    # sums each mode's integrals of H and dH/dt itself, kept mode by kept
+    # mode, from their quadrature_coefficients; greens puts no mode on a
+    # lattice
     basis = build_basis(FlatTorus(dim, (TWO_PI,) * dim), 4.0)
     ext = harmonic_extension_flat(expand_product(ProductSpec(basis, (1, 3))), 0.005)
-    nodes = np.meshgrid(*(ax.nodes for ax in basis.axes), indexing="ij")
-    points = np.column_stack([m.reshape(-1) for m in nodes])
+    positive = np.flatnonzero(basis.lams > 0.0)
+    t = 0.004
+    decay = np.exp(-t * basis.lams[positive])
+    projections = {j: quadrature_coefficients(ProductSpec(basis, (j,)))[0]
+                   for j in ext.mode_ids.tolist()}
 
-    def phi(mode):
-        return evaluate(basis, mode, points[:, 0] if dim == 1 else points)
-
-    def recovered(mode, t):
-        values = np.zeros(points.shape[0])
-        slopes = np.zeros_like(values)
-        for mode_id, lam, c in zip(ext.mode_ids, ext.lams, ext.coeffs):
-            values += c * math.cosh(lam * t) * phi(mode_id)
-            slopes += c * lam * math.sinh(lam * t) * phi(mode_id)
+    def recovered(k):
+        mode = int(positive[k])
+        value = slope = 0.0
+        for j, lam, c in zip(ext.mode_ids.tolist(), ext.lams.tolist(), ext.coeffs.tolist()):
+            value += c * math.cosh(lam * t) * float(projections[j][mode])
+            slope += c * lam * math.sinh(lam * t) * float(projections[j][mode])
         lam = float(basis.lams[mode])
-        integral = float(basis.grid_weights() @ (phi(mode) * (slopes + lam * values)))
-        return math.exp(-t * lam) / lam * integral
+        return float(decay[k] / lam * (slope + lam * value))
 
-    single = {i: recovered(i, 0.004) for i in np.flatnonzero(basis.lams > 0.0).tolist()}
-    calls = []
-    original = FlatTorus.lattice_values
+    single = {int(i): recovered(k) for k, i in enumerate(positive)}
 
-    def counted(self, basis, ids, coords):
-        calls.append(len(ids))
-        return original(self, basis, ids, coords)
+    def refused(*_args):
+        raise AssertionError("greens_coefficients put modes on a lattice")
 
-    monkeypatch.setattr(FlatTorus, "lattice_values", counted)
-    assert greens_coefficients(ext, 0.004) == single
-    assert calls == [basis.size]
+    monkeypatch.setattr(FlatTorus, "lattice_values", refused)
+    assert greens_coefficients(ext, t) == single
     with pytest.raises(ParameterError):
         greens_coefficients(ext, 0.006)  # above the slab
+
+
+def test_greens_coefficients_form_no_grid_array():
+    # on the flat 2-torus at lambda 12 (441 modes, a 96 x 96 grid) an
+    # array of every mode on the grid would take 32 MB
+    basis = build_basis(FlatTorus(2, (TWO_PI, TWO_PI)), 12.0)
+    params = compute_extension_params(basis.model)
+    ext = harmonic_extension_flat(expand_product(ProductSpec(basis, (1, 3))), params.T)
+    tracemalloc.start()
+    try:
+        greens_coefficients(ext, params.T)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_extension_requires_exact_series(circle_basis):
