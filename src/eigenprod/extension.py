@@ -15,7 +15,7 @@ basis's own quadrature: by linearity, each kept mode's integrals against
 every basis mode are the quadrature coefficients of that one-mode
 product, so no array of modes on the grid is formed.  The PDE residual
 is bounded term by term over the whole slab, and H(., 0) = f is checked
-on a tensor lattice.
+on the tensor lattice of the basis's quadrature nodes.
 """
 
 from __future__ import annotations
@@ -170,8 +170,9 @@ def harmonic_extension_flat(series: CoefficientSeries, height: float) -> Harmoni
     residual on the whole slab, and it must stay within 1e-9 of
     :meth:`HarmonicExtension.sup_bound`: a wrong lambda fails the check.
     dH/dt(., 0) = 0 holds term by term, cosh being even.  H(., 0) = f is
-    checked on a tensor lattice (512 points on a line, 32 x 32 on a
-    plane), against the product of the factors' lattice values.
+    checked on the tensor lattice of the basis's quadrature nodes, against
+    the product of the factors' lattice values: every basis mode is
+    sampled there without aliasing, so an error in any coefficient shows.
     """
     ext = HarmonicExtension(series, height)
     model: FlatTorus = ext.basis.model
@@ -180,8 +181,7 @@ def harmonic_extension_flat(series: CoefficientSeries, height: float) -> Harmoni
                      @ np.cosh(ext.lams * ext.T))
     if residual > 1e-9 * scale:
         raise BreakdownError("extension residual check failed")
-    lattice = [np.linspace(0.0, period, 512 if model.dim == 1 else 32, endpoint=False)
-               for period in model.periods]
+    lattice = [ax.nodes for ax in ext.basis.axes]
     f_direct = np.prod(model.lattice_values(ext.basis, list(series.product.factors), lattice),
                        axis=0)
     boundary_gap = float(np.max(np.abs(ext.on_lattice(lattice).value(0.0) - f_direct)))

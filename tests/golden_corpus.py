@@ -1,13 +1,15 @@
 """The golden corpus: CLI invocations whose report results are pinned.
 
 ``golden/corpus.json`` records, for each invocation in
-:data:`INVOCATIONS`, its argv, the sha256 of its report's canonical
-``results``, its ``basis_digest`` (None for commands without a basis)
-and the results themselves, together with the numpy version that made
-it.  ``test_golden.py`` reruns every invocation in process through
-``cli_main`` with one shared cache.  Under the recorded numpy version
-the digests must match; under another build the numbers must agree to
-1e-12 relative, and the digests are not compared.
+:data:`INVOCATIONS`, its argv, its ``basis_digest`` (None for commands
+without a basis) and its report's ``results``, together with the numpy
+version and the BLAS build that made it (:func:`blas_build`: OpenBLAS
+picks its kernels by CPU, so the low bits of a BLAS product can differ
+between machines running one numpy wheel).  ``test_golden.py`` reruns
+every invocation in process through ``cli_main`` with one shared cache.
+Under the recorded numpy and BLAS the canonical JSON of the results and
+the basis digests must match exactly; under another build the numbers
+must agree to 1e-12 relative, and the digests are not compared.
 
 Regenerate the corpus, and print every entry that moved, with::
 
@@ -17,6 +19,7 @@ Regenerate the corpus, and print every entry that moved, with::
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import hashlib
 import io
 import json
@@ -102,7 +105,6 @@ def run_invocation(name: str, work: pathlib.Path, cache: pathlib.Path) -> dict:
     results = report["results"]
     return {
         "argv": list(INVOCATIONS[name]),
-        "results_sha256": hashlib.sha256(canonical_json(results).encode()).hexdigest(),
         "basis_digest": report["provenance"].get("basis_digest"),
         "results": results,
     }
@@ -112,6 +114,32 @@ def run_all(work: pathlib.Path) -> dict:
     """Every invocation in order, sharing one cache under ``work``."""
     cache = work / "cache"
     return {name: run_invocation(name, work, cache) for name in INVOCATIONS}
+
+
+def blas_build() -> str | None:
+    """The loaded OpenBLAS's runtime configuration: its version and the
+    CPU core whose kernels it picked.  None when numpy's bundled OpenBLAS
+    is not found: the kernels are then unknown, and no digest is compared."""
+    libs = pathlib.Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for lib_path in sorted(libs.glob("*openblas*")) if libs.is_dir() else ():
+        lib = ctypes.CDLL(str(lib_path))
+        for symbol in ("scipy_openblas_get_config64_", "openblas_get_config64_",
+                       "openblas_get_config"):
+            if hasattr(lib, symbol):
+                getter = getattr(lib, symbol)
+                getter.restype = ctypes.c_char_p
+                return " ".join(getter().decode().split())
+    return None
+
+
+def same_build(corpus: dict) -> bool:
+    """Whether this process runs the numpy and BLAS build that made ``corpus``."""
+    blas = blas_build()
+    return corpus["numpy"] == np.__version__ and blas is not None and corpus.get("blas") == blas
+
+
+def _short_digest(results) -> str:
+    return hashlib.sha256(canonical_json(results).encode()).hexdigest()[:12]
 
 
 def _numbers(value):
@@ -149,10 +177,10 @@ def numbers_agree(want, got, rel: float = RELATIVE_TOL) -> bool:
 
 
 def moved_entries(corpus: dict, records: dict) -> list:
-    """Names whose record differs from the corpus, with a reason each: a
-    changed digest under the corpus's numpy version, else numbers off by
-    more than 1e-12 relative."""
-    same_build = corpus["numpy"] == np.__version__
+    """Names whose record differs from the corpus, with a reason each:
+    changed results or basis digest under the corpus's build, else numbers
+    off by more than 1e-12 relative."""
+    exact = same_build(corpus)
     moved = []
     for name, want in corpus["entries"].items():
         got = records.get(name)
@@ -160,12 +188,12 @@ def moved_entries(corpus: dict, records: dict) -> list:
             moved.append(f"{name}: not run")
         elif got["argv"] != want["argv"]:
             moved.append(f"{name}: argv changed")
-        elif same_build and (got["results_sha256"], got["basis_digest"]) != \
-                (want["results_sha256"], want["basis_digest"]):
-            moved.append(f"{name}: digest {want['results_sha256'][:12]} -> "
-                         f"{got['results_sha256'][:12]}, basis "
+        elif exact and (canonical_json(got["results"]), got["basis_digest"]) != \
+                (canonical_json(want["results"]), want["basis_digest"]):
+            moved.append(f"{name}: results {_short_digest(want['results'])} -> "
+                         f"{_short_digest(got['results'])}, basis "
                          f"{str(want['basis_digest'])[:12]} -> {str(got['basis_digest'])[:12]}")
-        elif not same_build and not numbers_agree(want["results"], got["results"]):
+        elif not exact and not numbers_agree(want["results"], got["results"]):
             moved.append(f"{name}: numbers moved by more than {RELATIVE_TOL:g} relative")
     moved += [f"{name}: new entry" for name in records if name not in corpus["entries"]]
     return moved
@@ -173,15 +201,16 @@ def moved_entries(corpus: dict, records: dict) -> list:
 
 def main() -> int:
     old = json.loads(CORPUS.read_text(encoding="utf-8")) if CORPUS.exists() \
-        else {"numpy": np.__version__, "entries": {}}
+        else {"numpy": np.__version__, "blas": blas_build(), "entries": {}}
     with tempfile.TemporaryDirectory(prefix="eigenprod-golden-") as work:
         records = run_all(pathlib.Path(work))
     for line in moved_entries(old, records):
         print(line)
     CORPUS.parent.mkdir(exist_ok=True)
-    CORPUS.write_text(canonical_json({"numpy": np.__version__, "entries": records}),
-                      encoding="utf-8")
-    print(f"wrote {len(records)} entries to {CORPUS} (numpy {np.__version__})")
+    CORPUS.write_text(canonical_json({"numpy": np.__version__, "blas": blas_build(),
+                                      "entries": records}), encoding="utf-8")
+    print(f"wrote {len(records)} entries to {CORPUS} "
+          f"(numpy {np.__version__}, BLAS {blas_build()})")
     return 0
 
 

@@ -20,7 +20,7 @@ from eigenprod.extension import (
     greens_coefficients,
     harmonic_extension_flat,
 )
-from eigenprod.manifolds import COS, FlatTorus, RevTorus, build_basis
+from eigenprod.manifolds import COS, SIN, FlatTorus, RevTorus, build_basis
 
 TWO_PI = 2.0 * math.pi
 
@@ -121,8 +121,8 @@ def test_extension_residual_check_catches_a_wrong_lambda(circle_basis):
 @pytest.mark.parametrize("dim", [1, 2])
 def test_extension_check_builds_each_mode_matrix_once(monkeypatch, dim):
     # the residual bound evaluates no mode; the t = 0 check puts the kept
-    # modes and the factors on one boundary lattice, one lattice_values
-    # call each: 512 points on a line, 32 x 32 on a plane
+    # modes and the factors on the basis's quadrature nodes, one
+    # lattice_values call each
     basis = build_basis(FlatTorus(dim, (TWO_PI,) * dim), 4.0)
     series = expand_product(ProductSpec(basis, (1, 2)))
     built = []
@@ -134,22 +134,34 @@ def test_extension_check_builds_each_mode_matrix_once(monkeypatch, dim):
 
     monkeypatch.setattr(FlatTorus, "lattice_values", counted)
     ext = harmonic_extension_flat(series, 0.05)
-    lattice = (512,) if dim == 1 else (32, 32)
+    lattice = tuple(basis.axis_sizes())
     assert built == [(2, lattice), (len(ext.mode_ids), lattice)]
 
 
-@pytest.mark.parametrize("dim", [1, 2])
-def test_boundary_check_catches_a_planted_coefficient(dim):
-    # H(., 0) = f on the boundary lattice fails when one coefficient of
-    # the exact series is off by a relative 1e-6
-    basis = build_basis(FlatTorus(dim, (TWO_PI,) * dim), 4.0)
-    series = expand_product(ProductSpec(basis, (1, 3)))
+# (dim, lambda_max, factors, planted mode): the last case, s9c0 * c7c0 on
+# (2 pi, 2 pi), is a combination of sin 2x and sin 16x, and sin 16x
+# vanishes on a 32 x 32 lattice but not on the basis's quadrature nodes
+PLANTED_CASES = {
+    "1": (1, 4.0, [((1,), (COS,)), ((2,), (COS,))], ((3,), (COS,))),
+    "2": (2, 4.0, [((0, 1), (COS, COS)), ((1, 0), (COS, COS))], ((1, 1), (COS, COS))),
+    "sin16": (2, 16.0, [((9, 0), (SIN, COS)), ((7, 0), (COS, COS))], ((16, 0), (SIN, COS))),
+}
+
+
+@pytest.mark.parametrize("case", list(PLANTED_CASES))
+def test_boundary_check_catches_a_planted_coefficient(case):
+    # H(., 0) = f on the boundary lattice holds for the exact series and
+    # fails when its top coefficient is off by a relative 1e-6
+    dim, lambda_max, factors, planted = PLANTED_CASES[case]
+    basis = build_basis(FlatTorus(dim, (TWO_PI,) * dim), lambda_max)
+    series = expand_product(ProductSpec(basis, tuple(find_mode(basis, r) for r in factors)))
     harmonic_extension_flat(series, 0.005)
+    top = find_mode(basis, planted)
+    assert np.flatnonzero(series.coeffs)[-1] == top
     coeffs = series.coeffs.copy()
-    coeffs[np.flatnonzero(coeffs)[-1]] *= 1.0 - 1e-6
-    planted = dataclasses.replace(series, coeffs=coeffs)
+    coeffs[top] *= 1.0 - 1e-6
     with pytest.raises(BreakdownError, match="does not reproduce the product at t=0"):
-        harmonic_extension_flat(planted, 0.005)
+        harmonic_extension_flat(dataclasses.replace(series, coeffs=coeffs), 0.005)
 
 
 def test_product_extension_sup_bound(circle_basis):
@@ -243,6 +255,10 @@ def test_greens_coefficients_equal_the_single_mode_recovery(monkeypatch, dim):
     decay = np.exp(-t * basis.lams[positive])
     projections = {j: quadrature_coefficients(ProductSpec(basis, (j,)))[0]
                    for j in ext.mode_ids.tolist()}
+    # apart from greens: each one-mode projection is the unit vector e_j,
+    # the basis being orthonormal on its grid
+    for j, row in projections.items():
+        np.testing.assert_allclose(row, np.eye(basis.size)[j], rtol=0.0, atol=1e-14)
 
     def recovered(k):
         mode = int(positive[k])
