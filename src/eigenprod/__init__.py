@@ -7,7 +7,9 @@ a product of eigenfunctions into it with cross-checked oracles
 bounds (`analysis`), replay the harmonic-extension/boundary-integral
 machinery on the flat torus (`extension`), and probe doubling indices and
 sublevel sets (`remez`).  `cli` wraps everything with deterministic JSON
-reports.
+reports.  Three exports no command runs are the references the tests
+compare against: `evaluate` (pointwise mode values), `sublevel_measure`
+(one threshold's measure) and `wigner_3j`.
 """
 
 __version__ = "0.1.0"
@@ -18,7 +20,6 @@ from .analysis import (
     RemarkDecay,
     TruncationResult,
     captured_norm_ratio,
-    envelope_dominates,
     find_truncation,
     fit_decay,
     lower_bound_experiment,
@@ -33,7 +34,6 @@ from .coefficients import (
     parseval_report,
     quadrature_coefficients,
     series_to_csv,
-    torus_support_lambda,
     wigner_3j,
 )
 from .extension import (
@@ -68,7 +68,6 @@ from .remez import (
     RemezReport,
     doubling_index,
     good_set_experiment,
-    harmonic_lift,
     remez_fit,
     sublevel_measure,
 )
@@ -83,12 +82,11 @@ __all__ = [
     "basis_digest",
     # coefficients
     "ProductSpec", "CoefficientSeries", "expand_product",
-    "quadrature_coefficients", "torus_support_lambda", "parseval_report",
+    "quadrature_coefficients", "parseval_report",
     "wigner_3j", "gaunt_real", "series_to_csv",
     # analysis
     "DecayFit", "TruncationResult", "LowerBoundFit", "RemarkDecay",
-    "fit_decay", "find_truncation", "captured_norm_ratio",
-    "envelope_dominates", "lower_bound_experiment",
+    "fit_decay", "find_truncation", "captured_norm_ratio", "lower_bound_experiment",
     "sphere_rotated_pair_experiment", "sphere_remark_experiment",
     # extension
     "ExtensionParams", "HarmonicExtension", "CauchyCheck",
@@ -96,5 +94,5 @@ __all__ = [
     "greens_coefficients", "cauchy_estimate_check",
     # remez
     "DoublingReport", "RemezReport", "GoodSetResult", "doubling_index",
-    "sublevel_measure", "remez_fit", "good_set_experiment", "harmonic_lift",
+    "sublevel_measure", "remez_fit", "good_set_experiment",
 ]

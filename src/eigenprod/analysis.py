@@ -184,17 +184,6 @@ def _onset_lambda(series: CoefficientSeries, floor: float) -> float:
     return float(xs[start])
 
 
-def envelope_dominates(series: CoefficientSeries, fit: DecayFit) -> bool:
-    """Check |c_i| <= exp(-c_hat lambda_i + C_hat sum_lambda) on the window."""
-    if fit.band_limited:
-        tail = series.lams > series.sum_lambda * (1.0 + 1e-12)
-        return bool(np.all(series.coeffs[tail] == 0.0))
-    lo, hi = fit.window
-    mask = (series.lams >= lo) & (series.lams <= hi)
-    bound = np.exp(-fit.c_hat * series.lams[mask] + fit.C_hat * series.sum_lambda)
-    return bool(np.all(np.abs(series.coeffs[mask]) <= bound * (1.0 + 1e-9)))
-
-
 def captured_norm_ratio(series: CoefficientSeries, c5: float) -> float:
     """||sum over A of c_i phi_i|| / ||f|| with A = {lambda <= c5 * sum lambda}."""
     cutoff = c5 * series.sum_lambda

@@ -75,7 +75,7 @@ COMMANDS = (
     "greens", "extension-params", "remez", "doubling", "good-set", "report",
 )
 
-__all__ = ["cli_main", "main", "run_config", "config_to_text", "config_from_text"]
+__all__ = ["cli_main", "main", "run_config", "config_from_text"]
 
 
 # ---------------------------------------------------------------------------
@@ -277,26 +277,6 @@ def _cached_basis(model, lambda_max: float, cache_dir: str):
     basis = build_basis(model, lambda_max)
     save_basis(basis, path)
     return basis
-
-
-def config_to_text(config: dict) -> str:
-    """Flat key = value rendering with sections, strict round trip."""
-    lines = ["[run]", f"command = {config['command']}"]
-    model = config.get("model")
-    if model:
-        lines.append("[model]")
-        for key in sorted(model):
-            value = model[key]
-            if isinstance(value, list):
-                value = ",".join(repr(v) if isinstance(v, float) else str(v)
-                                 for v in value)
-            lines.append(f"{key} = {value}")
-    params = config.get("params", {})
-    if params:
-        lines.append("[params]")
-        for key in sorted(params):
-            lines.append(f"{key} = {params[key]}")
-    return "\n".join(lines) + "\n"
 
 
 def _parse_scalar(text: str):
@@ -574,7 +554,6 @@ def _cmd_extension_params(config, _cache_dir):
         "dim": out.dim, "R1": out.R1, "R2": out.R2, "R3": out.R3,
         "delta0": out.delta0, "delta": out.delta, "T": out.T,
         "coeff_sup": out.coeff_sup, "C8": out.C8,
-        "C6": out.C6, "C7": out.C7,
     }
     summary = f"extension-params: delta0={out.delta0:.6f} T={out.T:.7f}"
     return results, {"package_version": __version__}, {}, summary

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import BreakdownError, ParameterError, UnderResolvedError
 from .manifolds import FlatTorus, RevTorus, SpectralBasis, Sphere2
-from .numerics import TWO_PI, circle_frequencies, circle_norms, circle_product
+from .numerics import TWO_PI, circle_norms, circle_product
 
 FOUR_PI = 4.0 * math.pi
 
@@ -39,7 +39,6 @@ __all__ = [
     "expand_product",
     "quadrature_coefficients",
     "product_norm_sq",
-    "torus_support_lambda",
     "parseval_report",
     "wigner_3j",
     "gaunt_real",
@@ -259,10 +258,10 @@ class ProductSpec:
 class CoefficientSeries:
     """Coefficients <f, phi_i> for every basis mode, with Parseval
     bookkeeping.  ``method`` records which route produced the stored
-    values: "both" keeps the exact oracle after it agreed with quadrature
-    to 1e-10, "quadrature" keeps raw quadrature values.  ``oracle_gap`` is
-    the largest |exact - quadrature| over the expansion's modes, None
-    without an oracle."""
+    values: :func:`expand_product` stores "both", the exact oracle after it
+    agreed with quadrature to 1e-10, and ``oracle_gap``, the largest
+    |exact - quadrature| over the expansion's modes; a series built by
+    hand names its own method and may carry no gap."""
 
     product: ProductSpec
     ids: np.ndarray
@@ -309,30 +308,23 @@ class CoefficientSeries:
 def expand_product(spec: ProductSpec) -> CoefficientSeries:
     """Expand f = prod of factor modes into the basis.
 
-    Runs the exact oracle when the model has one (all three models, any
-    number of factors) and always runs the rank-one quadrature of
-    :func:`_quadrature_expansion`; the two must agree to 1e-10 or the
-    expansion aborts, and the series keeps the gap.  The stored
-    coefficients are the oracle's, with magnitudes below 1e-15 snapped to 0.
+    Runs the model's exact oracle (every model has one, for any number of
+    factors) and the rank-one quadrature of :func:`_quadrature_expansion`;
+    the two must agree to 1e-10 or the expansion aborts, and the series
+    keeps the gap.  The stored coefficients are the oracle's, with
+    magnitudes below 1e-15 snapped to 0.
     """
     basis = spec.basis
     _check_grid_resolution(spec)
     quad_coeffs, f_norm_sq = _quadrature_expansion(spec)
-    oracle = _EXACT_ORACLES.get(type(basis.model))
-    gap = None
-    if oracle:
-        exact = oracle(spec)
-        gap = float(np.max(np.abs(exact - quad_coeffs))) if exact.size else 0.0
-        if gap > ORACLE_AGREEMENT_TOL:
-            raise BreakdownError(
-                f"exact and quadrature coefficients disagree by {gap:.3e}")
-        coeffs = np.where(np.abs(exact) < EXACT_ZERO_SNAP, 0.0, exact)
-        method = "both"
-    else:
-        coeffs = quad_coeffs
-        method = "quadrature"
+    exact = _EXACT_ORACLES[type(basis.model)](spec)
+    gap = float(np.max(np.abs(exact - quad_coeffs))) if exact.size else 0.0
+    if gap > ORACLE_AGREEMENT_TOL:
+        raise BreakdownError(
+            f"exact and quadrature coefficients disagree by {gap:.3e}")
+    coeffs = np.where(np.abs(exact) < EXACT_ZERO_SNAP, 0.0, exact)
     ids = np.arange(basis.size)
-    return CoefficientSeries(spec, ids, basis.lams, coeffs, f_norm_sq, method, gap)
+    return CoefficientSeries(spec, ids, basis.lams, coeffs, f_norm_sq, "both", gap)
 
 
 def quadrature_coefficients(spec: ProductSpec):
@@ -341,24 +333,6 @@ def quadrature_coefficients(spec: ProductSpec):
     every basis mode, with which ``greens_coefficients`` integrates."""
     _check_grid_resolution(spec)
     return _quadrature_expansion(spec)
-
-
-def torus_support_lambda(spec: ProductSpec) -> float:
-    """Largest frequency in the exact expansion support of a flat-torus
-    product: the product's band limit.
-
-    The product of separable modes is separable, so the support is the
-    cartesian product of the per-axis supports and its largest frequency
-    is reached at the per-axis maxima.
-    """
-    model = spec.basis.model
-    if not isinstance(model, FlatTorus):
-        raise ParameterError("support enumeration is exact on flat tori only")
-    per_axis_max = [
-        float(circle_frequencies(np.flatnonzero(product)[-1])) * (TWO_PI / period)
-        for period, product in zip(model.periods, _torus_axis_products(spec))
-    ]
-    return math.hypot(*per_axis_max) if model.dim == 2 else per_axis_max[0]
 
 
 def parseval_report(series: CoefficientSeries):

@@ -33,7 +33,6 @@ from .numerics import TWO_PI, circle_frequencies, circle_norms
 __all__ = [
     "ExtensionParams",
     "HarmonicExtension",
-    "PointSample",
     "CauchyCheck",
     "compute_extension_params",
     "harmonic_extension_flat",
@@ -49,8 +48,7 @@ class ExtensionParams:
     delta0 = 2 (2^{d+1} e)^2 * sup sum |a_alpha| (2 R3)^{2-|alpha|}, where
     for the flat Laplacian the coefficient sum is just d; delta is its
     inverse square root and T = R3 delta / 2 is the extension height.
-    C6/C7 are optional externally-supplied sup-norm constants carried for
-    reports; C8 = 1/(2^{2d+1} e^2) + 1 is explicit.
+    C8 = 1/(2^{2d+1} e^2) + 1 is explicit.
     """
 
     dim: int
@@ -62,13 +60,10 @@ class ExtensionParams:
     T: float
     coeff_sup: float
     C8: float
-    C6: float | None = None
-    C7: float | None = None
 
 
-def compute_extension_params(model: FlatTorus, r2_override: float | None = None,
-                             c6: float | None = None,
-                             c7: float | None = None) -> ExtensionParams:
+def compute_extension_params(model: FlatTorus,
+                             r2_override: float | None = None) -> ExtensionParams:
     """Evaluate the flat-metric constants.
 
     R1 is half the polydisk radius fitting inside a normal chart
@@ -93,8 +88,7 @@ def compute_extension_params(model: FlatTorus, r2_override: float | None = None,
     delta = 1.0 / math.sqrt(delta0)
     height = r3 * delta / 2.0
     c8 = 1.0 / (2.0 ** (2 * d + 1) * math.e**2) + 1.0
-    return ExtensionParams(d, r1, r2, r3, delta0, delta, height, coeff_sup,
-                           c8, c6, c7)
+    return ExtensionParams(d, r1, r2, r3, delta0, delta, height, coeff_sup, c8)
 
 
 class HarmonicExtension:
@@ -110,7 +104,6 @@ class HarmonicExtension:
         if not (height > 0.0) or not math.isfinite(height):
             raise ParameterError("extension height must be positive and finite")
         keep = series.coeffs != 0.0
-        self.series = series
         self.basis = basis
         self.T = float(height)
         self.mode_ids = series.ids[keep]
@@ -127,37 +120,27 @@ class HarmonicExtension:
                              for columns, period in zip(basis.axis_columns,
                                                         basis.model.periods)], axis=0)
 
-    def on_lattice(self, coords) -> PointSample:
-        """The extension on the tensor lattice of the per-axis chart
-        coordinates ``coords`` (first axis slowest), with the mode matrix
-        formed axis by axis by one ``lattice_values`` call."""
-        return PointSample(self, self.basis.model.lattice_values(self.basis, self.mode_ids,
-                                                                 coords))
+    def on_lattice(self, coords) -> np.ndarray:
+        """The kept modes on the tensor lattice of the per-axis chart
+        coordinates ``coords`` (first axis slowest), (modes x points),
+        formed axis by axis by one ``lattice_values`` call: the ``phi`` of
+        :meth:`value` and :meth:`dt_value`."""
+        return self.basis.model.lattice_values(self.basis, self.mode_ids, coords)
 
-    def sup_bound(self, height: float | None = None) -> float:
+    def value(self, t, phi: np.ndarray) -> np.ndarray:
+        """H at height t on the points of the mode matrix ``phi``: one
+        vector-matrix product.  A 1-d array of heights gives one row per
+        height from one matrix-matrix product, whose low bits may differ
+        from the per-height products (as for :meth:`dt_value`)."""
+        return (self.coeffs * np.cosh(np.multiply.outer(t, self.lams))) @ phi
+
+    def dt_value(self, t, phi: np.ndarray) -> np.ndarray:
+        """dH/dt at height t on the points of the mode matrix ``phi``."""
+        return (self.coeffs * self.lams * np.sinh(np.multiply.outer(t, self.lams))) @ phi
+
+    def sup_bound(self) -> float:
         """sum |c| ||phi||_sup cosh(lambda T) dominates |H| on the slab."""
-        t = self.T if height is None else height
-        return float((np.abs(self.coeffs) * self.sups) @ np.cosh(self.lams * t))
-
-
-class PointSample:
-    """A harmonic extension restricted to fixed chart points: the mode
-    matrix (modes x points) is held, so each height costs one
-    vector-matrix product for H or dH/dt.  A 1-d array of heights gives
-    one row per height from one matrix-matrix product, whose low bits may
-    differ from the per-height products."""
-
-    def __init__(self, ext: HarmonicExtension, phi: np.ndarray):
-        self.ext = ext
-        self.phi = phi
-
-    def value(self, t) -> np.ndarray:
-        ext = self.ext
-        return (ext.coeffs * np.cosh(np.multiply.outer(t, ext.lams))) @ self.phi
-
-    def dt_value(self, t) -> np.ndarray:
-        ext = self.ext
-        return (ext.coeffs * ext.lams * np.sinh(np.multiply.outer(t, ext.lams))) @ self.phi
+        return float((np.abs(self.coeffs) * self.sups) @ np.cosh(self.lams * self.T))
 
 
 def harmonic_extension_flat(series: CoefficientSeries, height: float) -> HarmonicExtension:
@@ -184,7 +167,7 @@ def harmonic_extension_flat(series: CoefficientSeries, height: float) -> Harmoni
     lattice = [ax.nodes for ax in ext.basis.axes]
     f_direct = np.prod(model.lattice_values(ext.basis, list(series.product.factors), lattice),
                        axis=0)
-    boundary_gap = float(np.max(np.abs(ext.on_lattice(lattice).value(0.0) - f_direct)))
+    boundary_gap = float(np.max(np.abs(ext.value(0.0, ext.on_lattice(lattice)) - f_direct)))
     if boundary_gap > 1e-12 * max(float(np.max(np.abs(f_direct))), 1e-300):
         raise BreakdownError("extension does not reproduce the product at t=0")
     return ext
@@ -238,11 +221,11 @@ def cauchy_estimate_check(ext: HarmonicExtension, radius: float,
     if radius * delta > 2.0 * ext.T * (1.0 + 1e-12):
         raise ParameterError(
             "slab [-R delta, R delta] exceeds the extension's domain")
-    sample = ext.on_lattice([np.linspace(0.0, p, 257, endpoint=False)
-                             for p in ext.basis.model.periods])
+    phi = ext.on_lattice([np.linspace(0.0, p, 257, endpoint=False)
+                          for p in ext.basis.model.periods])
     half = np.linspace(-radius * delta / 2.0, radius * delta / 2.0, 33)
     full = np.linspace(-radius * delta, radius * delta, 33)
-    lhs = max(float(np.max(np.abs(sample.dt_value(float(t))))) for t in half)
-    rhs_sup = max(float(np.max(np.abs(sample.value(float(t))))) for t in full)
+    lhs = max(float(np.max(np.abs(ext.dt_value(float(t), phi)))) for t in half)
+    rhs_sup = max(float(np.max(np.abs(ext.value(float(t), phi)))) for t in full)
     rhs = 2.0 / (delta * radius) * rhs_sup
     return CauchyCheck(lhs, rhs, lhs <= rhs * (1.0 + 1e-9))

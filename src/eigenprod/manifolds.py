@@ -23,8 +23,7 @@ section of this module each; ``build_basis``, ``evaluate``, persistence
 and the JSON view are model-agnostic.  A fourth model is a frozen
 dataclass derived from ``_Surface`` whose fields are its constructor
 arguments.  It implements the method set listed there and joins
-``_MODELS``; an exact oracle, if it has one, joins
-``coefficients._EXACT_ORACLES``.
+``_MODELS``, and its exact oracle joins ``coefficients._EXACT_ORACLES``.
 """
 
 from __future__ import annotations
@@ -49,7 +48,6 @@ from .numerics import (
     QuadratureGrid,
     TWO_PI,
     circle_basis,
-    circle_basis_derivative,
     circle_columns,
     circle_frequencies,
     circle_sums,
@@ -97,7 +95,6 @@ __all__ = [
     "load_basis",
     "basis_digest",
     "basis_to_json_dict",
-    "normalized_legendre",
 ]
 
 
@@ -106,9 +103,8 @@ class SpectralBasis:
     """All eigenfunctions with lambda <= lambda_max on one model, plus the
     quadrature grid every integral in the package runs on: ``axes``, one
     one-dimensional rule per chart axis, whose tensor product is the grid.
-    Integrals are sums over the axes; ``grid_weights`` gives the
-    flattened form where a caller needs it.  The values on the grid of
-    the modes a caller needs come from the model's ``axis_factor_rows``.
+    Integrals are sums over the axes.  The values on the grid of the
+    modes a caller needs come from the model's ``axis_factor_rows``.
 
     A basis is its modes' read-only arrays by mode id: ``lams`` (float64),
     ``reps`` (one int64 column per name in the model's ``rep_names``, the
@@ -158,12 +154,6 @@ class SpectralBasis:
     @property
     def size(self) -> int:
         return self.lams.shape[0]
-
-    def grid_weights(self) -> np.ndarray:
-        """Weights of the flattened grid, first axis varying slowest."""
-        if len(self.axes) == 1:
-            return self.axes[0].weights
-        return np.multiply.outer(self.axes[0].weights, self.axes[1].weights).reshape(-1)
 
     def axis_exactness(self) -> tuple:
         return tuple(ax.exactness_degree for ax in self.axes)
@@ -485,25 +475,15 @@ class Sphere2(_Surface):
         return super().parse_label(token)
 
 
-def normalized_legendre(l: int, m: int, x: np.ndarray) -> np.ndarray:
-    """Orthonormalized associated Legendre values without the
-    Condon-Shortley phase.
-
-    Normalized so that the real harmonics Y_{l,0} = P(l,0,cos theta) and
-    Y_{l,+-m} = sqrt(2) P(l,m,cos theta) {cos,sin}(m phi) have unit L2
-    norm on the sphere.  Stable three-term recursion, values stay O(1).
-    """
-    if l < 0 or m < 0 or m > l:
-        raise ParameterError("need 0 <= m <= l")
-    x = np.asarray(x, dtype=float)
-    return _legendre_rows([(l, m)], x.reshape(-1))[0].reshape(x.shape)
-
-
 def _legendre_rows(lms, x: np.ndarray) -> np.ndarray:
-    """P(l, |m|, x) for every (l, m) in ``lms`` by the recursion of
-    :func:`normalized_legendre`, run for every order at once: pass t
-    steps each order m from degree m + t - 1 to m + t, so the passes
-    number the top degree, not the degree-order pairs."""
+    """P(l, |m|, x) for every (l, m) in ``lms``: orthonormalized
+    associated Legendre values without the Condon-Shortley phase, so that
+    the real harmonics Y_{l,0} = P(l,0,cos theta) and Y_{l,+-m} =
+    sqrt(2) P(l,m,cos theta) {cos,sin}(m phi) have unit L2 norm on the
+    sphere.  A stable three-term recursion keeps the values O(1); it runs
+    for every order at once: pass t steps each order m from degree
+    m + t - 1 to m + t, so the passes number the top degree, not the
+    degree-order pairs."""
     pairs = np.abs(np.asarray(lms, dtype=np.int64)).reshape(-1, 2)
     out = np.empty((pairs.shape[0], x.shape[0]))
     if not pairs.size:
@@ -705,18 +685,6 @@ def _rev_parity_indices(trunc: int):
     even = [0] + [2 * k - 1 for k in range(1, trunc + 1)]
     odd = [2 * k for k in range(1, trunc + 1)]
     return np.array(even), np.array(odd)
-
-
-def rev_profile_derivatives(coeffs: np.ndarray, s: np.ndarray):
-    """(v, v', v'') of a revolution-torus s-profile (a coefficient row), by
-    coefficient differentiation of the trigonometric expansion (exact)."""
-    coeffs = np.asarray(coeffs, dtype=float)
-    size = coeffs.shape[0]
-    s = np.asarray(s, dtype=float)
-    basis = circle_basis(s, size)
-    deriv = circle_basis_derivative(s, size)
-    dd_coeffs = -(circle_frequencies(np.arange(size)) ** 2.0) * coeffs
-    return basis @ coeffs, deriv @ coeffs, basis @ dd_coeffs
 
 
 _MODELS = {cls.kind: cls for cls in (FlatTorus, Sphere2, RevTorus)}
@@ -934,21 +902,6 @@ def load_basis(path) -> SpectralBasis:
         raise CorruptionError(f"{path}: malformed basis payload ({exc})") from exc
     basis._digest = digest.hex()  # the body is the canonical payload save_basis wrote
     return basis
-
-
-def basis_equal(one: SpectralBasis, other: SpectralBasis) -> bool:
-    """Bit-exact comparison of every persisted field."""
-    return (
-        one.model == other.model
-        and one.lambda_max == other.lambda_max
-        and one.provenance == other.provenance
-        and np.array_equal(one.lams, other.lams)
-        and all(np.array_equal(one.reps[name], other.reps[name]) for name in one.model.rep_names)
-        and np.array_equal(one.coefficients, other.coefficients)
-        and len(one.axes) == len(other.axes)
-        and all(np.array_equal(a.nodes, b.nodes) and np.array_equal(a.weights, b.weights)
-                for a, b in zip(one.axes, other.axes))
-    )
 
 
 def basis_to_json_dict(basis: SpectralBasis) -> dict:

@@ -66,7 +66,6 @@ __all__ = [
     "from_exponential",
     "circle_product",
     "circle_sums",
-    "circle_basis_derivative",
 ]
 
 
@@ -105,13 +104,6 @@ class QuadratureGrid:
     @property
     def size(self) -> int:
         return self.weights.shape[0]
-
-    def integrate(self, values) -> float:
-        """Weighted sum of point values; the constant 1 returns the volume."""
-        values = np.asarray(values, dtype=float)
-        if values.shape != self.weights.shape:
-            raise ParameterError("values must match the node count")
-        return float(self.weights @ values)
 
 
 def gauss_legendre(n: int) -> QuadratureGrid:
@@ -375,21 +367,6 @@ def circle_sums(values, width: int) -> np.ndarray:
     sums[1::2] = bins[1:].real
     sums[2::2] = -bins[1:].imag
     return sums / circle_norms(np.arange(width))
-
-
-def circle_basis_derivative(s: np.ndarray, size: int) -> np.ndarray:
-    """d/ds of :func:`circle_basis`, same column layout."""
-    if size < 1 or size % 2 == 0:
-        raise ParameterError("circle basis size must be odd (2N+1)")
-    s = np.asarray(s, dtype=float)
-    n_max = (size - 1) // 2
-    out = np.zeros((s.shape[0], size))
-    if n_max:
-        freqs = np.arange(1, n_max + 1, dtype=float)
-        ks = np.outer(s, freqs)
-        out[:, 1::2] = -freqs * np.sin(ks) / math.sqrt(math.pi)
-        out[:, 2::2] = freqs * np.cos(ks) / math.sqrt(math.pi)
-    return out
 
 
 def rev_galerkin_terms(big: float, small: float, trunc: int):

@@ -28,7 +28,6 @@ import numpy as np
 from .analysis import _least_squares_line
 from .coefficients import ProductSpec
 from .errors import BreakdownError, GridExhaustedError, ParameterError
-from .manifolds import as_chart_function
 
 DEFAULT_A_GRID_STEP = 0.25
 DEFAULT_A_GRID_STOP = 12.0
@@ -46,7 +45,6 @@ __all__ = [
     "sublevel_measure",
     "remez_fit",
     "good_set_experiment",
-    "harmonic_lift",
     "coordinate_function",
     "harmonic_power_function",
 ]
@@ -127,13 +125,15 @@ def doubling_index(fn, center, r: float, samples_per_axis: int = 129) -> Doublin
     """Sampled-sup doubling index on endpoint-inclusive lattices.
 
     Both cubes use the same relative lattice, so for homogeneous functions
-    the ratio (and hence the index k log 2 for degree k) is exact.
+    the ratio (and hence the index k log 2 for degree k) is exact.  The
+    two lattices do not nest, but both lie in the 2r cube, so its sup is
+    taken over both: the index is never negative.
     """
     center = _as_center(center)
     if not (r > 0.0) or samples_per_axis < 64:
         raise ParameterError("need r > 0 and at least 64 samples per axis")
     sup_r = _sup(fn, center, r, samples_per_axis)
-    sup_2r = _sup(fn, center, 2.0 * r, samples_per_axis)
+    sup_2r = max(_sup(fn, center, 2.0 * r, samples_per_axis), sup_r)
     if sup_r < 1e-300:
         raise BreakdownError("sampled sup vanished; the index is undefined")
     return DoublingReport(center, float(r), sup_r, sup_2r,
@@ -251,15 +251,6 @@ def remez_fit(fn, center, side: float, a_grid=None,
                        math.exp(log_cr), True)
 
 
-def remez_bound_values(report: RemezReport) -> np.ndarray:
-    """The fitted bound evaluated on the report's threshold grid."""
-    if not report.defined:
-        raise ParameterError("report has no fitted bound")
-    grid = np.asarray(report.a_grid)
-    return report.cr_hat * np.exp(-report.beta_hat * grid / report.doubling) \
-        * report.side ** len(report.center)
-
-
 @dataclass(frozen=True)
 class GoodSetResult:
     """Per-factor thresholds a_j and the set E where every factor stays
@@ -340,17 +331,6 @@ def good_set_experiment(basis, spec: ProductSpec, center, side: float,
 
 # ---------------------------------------------------------------------------
 # function factories
-
-
-def harmonic_lift(basis, mode_id: int):
-    """phi(x) exp(lambda y): the degenerate-elliptic lift of the mode
-    ``mode_id`` of a 1-d chart basis, usable directly in doubling and
-    sublevel probes."""
-    if basis.model.chart_dim != 1:
-        raise ParameterError("the lift factory expects a 1-d chart model")
-    base = as_chart_function(basis, mode_id)
-    lam = float(basis.lams[mode_id])
-    return lambda x, y: base(x) * np.exp(lam * y)
 
 
 def coordinate_function():

@@ -81,6 +81,10 @@ INVOCATIONS = {
                        "--radius", "0.3"),
     "doubling-mode-flat1": ("doubling", *FLAT1, "--function", "mode:cos3", "--center", "0.2",
                             "--radius", "0.25"),
+    "doubling-mode-flat2": ("doubling", *FLAT2, "--function", "mode:c3c0", "--center", "0.2,0.5",
+                            "--radius", "0.25"),
+    "doubling-mode-sphere": ("doubling", *SPHERE, "--function", "mode:Y3m1", "--center", "1,2",
+                             "--radius", "0.2"),
     "good-set-flat1": ("good-set", *FLAT1, "--factors", "cos1,cos2", "--center", "0",
                        "--side", "2"),
     "good-set-flat2": ("good-set", *FLAT2, "--factors", "c1c0,s1s1", "--center", "1,1",

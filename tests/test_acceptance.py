@@ -14,7 +14,6 @@ import pytest
 
 from eigenprod.analysis import (
     captured_norm_ratio,
-    envelope_dominates,
     find_truncation,
     fit_decay,
     lower_bound_experiment,
@@ -28,7 +27,6 @@ from eigenprod.coefficients import (
     gaunt_real,
     parseval_report,
     quadrature_coefficients,
-    torus_support_lambda,
     wigner_3j,
 )
 from eigenprod.extension import (
@@ -54,6 +52,7 @@ from eigenprod.remez import (
     sublevel_measure,
 )
 from eigenprod.reportio import diff_paths, load_json
+from reference import envelope_dominates, grid_weights, mode_reps, torus_support_lambda
 
 TWO_PI = 2.0 * math.pi
 NOISE_FLOOR_REL = 1e-12
@@ -104,13 +103,6 @@ def rev_setup():
             break
     assert len(chosen) == 6, "could not assemble six admissible products"
     return basis, chosen
-
-
-def mode_reps(basis) -> list:
-    """Each mode's representation by id: its entries of the ``basis.reps``
-    columns as ints, a flat torus's rows as tuples."""
-    columns = [basis.reps[name].tolist() for name in basis.model.rep_names]
-    return [tuple(tuple(v) if isinstance(v, list) else v for v in rep) for rep in zip(*columns)]
 
 
 def torus_modes_up_to(basis, freq_cap):
@@ -179,7 +171,7 @@ def test_acceptance_2_sphere_oracles(sphere12_basis, grid_values):
     basis = sphere12_basis
     n = basis.size
     values = grid_values(basis)
-    weighted = values * basis.grid_weights()
+    weighted = values * grid_weights(basis)
     exact = np.zeros((n, n, n))
     reps = mode_reps(basis)
     for ia in range(n):

@@ -7,7 +7,6 @@ import pytest
 
 from eigenprod.analysis import (
     captured_norm_ratio,
-    envelope_dominates,
     find_truncation,
     fit_decay,
     lower_bound_experiment,
@@ -17,15 +16,9 @@ from eigenprod.analysis import (
 from eigenprod.coefficients import CoefficientSeries, ProductSpec, expand_product
 from eigenprod.errors import BreakdownError, ParameterError, UnderResolvedError
 from eigenprod.manifolds import COS, FlatTorus, RevTorus, Sphere2, build_basis
+from reference import envelope_dominates, find_mode
 
 TWO_PI = 2.0 * math.pi
-
-
-def find_mode(basis, rep):
-    """The id of the mode whose ``basis.reps`` entries are ``rep``."""
-    match = [np.all(basis.reps[name].reshape(basis.size, -1) == np.reshape(value, (1, -1)), axis=1)
-             for name, value in zip(basis.model.rep_names, rep)]
-    return int(np.flatnonzero(np.logical_and.reduce(match))[0])
 
 
 @pytest.fixture(scope="module")

@@ -18,7 +18,6 @@ from eigenprod.coefficients import (
     parseval_report,
     quadrature_coefficients,
     series_to_csv,
-    torus_support_lambda,
     wigner_3j,
 )
 from eigenprod.errors import BreakdownError, ParameterError, UnderResolvedError
@@ -31,6 +30,7 @@ from eigenprod.manifolds import (
     build_basis,
     evaluate,
 )
+from reference import find_mode, grid_weights, torus_support_lambda
 
 TWO_PI = 2.0 * math.pi
 
@@ -159,7 +159,7 @@ def sphere_basis():
 
 def test_gaunt_matches_quadrature_to_l20(sphere_basis, grid_values):
     basis = sphere_basis
-    w = basis.grid_weights()
+    w = grid_weights(basis)
     values = grid_values(basis)
     rng = np.random.default_rng(42)
     lms = np.column_stack((basis.reps["l"], basis.reps["m"])).tolist()
@@ -173,16 +173,6 @@ def test_gaunt_matches_quadrature_to_l20(sphere_basis, grid_values):
 @pytest.fixture(scope="module")
 def circle_basis():
     return build_basis(FlatTorus(1, (TWO_PI,)), 8.0)
-
-
-def find_mode(basis, rep):
-    """The id of the mode whose ``basis.reps`` entries are ``rep``."""
-    match = [np.all(basis.reps[name].reshape(basis.size, -1) == np.reshape(value, (1, -1)), axis=1)
-             for name, value in zip(basis.model.rep_names, rep)]
-    hits = np.flatnonzero(np.logical_and.reduce(match))
-    if not hits.size:
-        raise AssertionError(f"mode {rep} not in basis")
-    return int(hits[0])
 
 
 def test_circle_product_cos2_cos3(circle_basis):
@@ -406,15 +396,6 @@ def test_rev_oracle_selection_rule(rev_basis, factors):
     assert series.f_norm_sq == f_norm_sq
     assert series.oracle_gap == float(np.max(np.abs(coefficients._rev_exact(spec) - quad)))
     assert series.truncated(2.0).oracle_gap == series.oracle_gap
-
-
-def test_series_without_an_oracle_has_no_gap(rev_basis, monkeypatch):
-    monkeypatch.delitem(coefficients._EXACT_ORACLES, RevTorus)
-    spec = ProductSpec(rev_basis, (1, 3))
-    series = expand_product(spec)
-    assert series.method == "quadrature"
-    assert series.oracle_gap is None
-    assert np.array_equal(series.coeffs, quadrature_coefficients(spec)[0])
 
 
 @pytest.mark.parametrize("factors", [(1, 3), (2, 3), (1, 1), (1, 2, 3)])

@@ -10,12 +10,12 @@ from eigenprod.errors import FactorizationError, ParameterError
 from eigenprod.manifolds import RevTorus, _rev_parity_indices, _rev_truncation
 from eigenprod.numerics import (
     circle_basis,
-    circle_basis_derivative,
     family_eigs,
     inverse_cholesky,
     reduce_congruent,
     rev_galerkin_terms,
 )
+from reference import circle_basis_derivative
 
 
 def solve_reduced(reduced, inv_lower, upper=None):

@@ -21,6 +21,7 @@ from eigenprod.extension import (
     harmonic_extension_flat,
 )
 from eigenprod.manifolds import COS, SIN, FlatTorus, RevTorus, build_basis
+from reference import find_mode
 
 TWO_PI = 2.0 * math.pi
 
@@ -28,13 +29,6 @@ TWO_PI = 2.0 * math.pi
 @pytest.fixture(scope="module")
 def circle_basis():
     return build_basis(FlatTorus(1, (TWO_PI,)), 8.0)
-
-
-def find_mode(basis, rep):
-    """The id of the mode whose ``basis.reps`` entries are ``rep``."""
-    match = [np.all(basis.reps[name].reshape(basis.size, -1) == np.reshape(value, (1, -1)), axis=1)
-             for name, value in zip(basis.model.rep_names, rep)]
-    return int(np.flatnonzero(np.logical_and.reduce(match))[0])
 
 
 def test_extension_params_dim1():
@@ -84,7 +78,7 @@ def test_constant_product_extends_constantly(circle_basis):
     ext = harmonic_extension_flat(series, 0.01)
     xs = np.linspace(0.0, TWO_PI, 7)
     for t in (0.0, 0.005, 0.01):
-        assert ext.on_lattice([xs]).value(t) == pytest.approx(
+        assert ext.value(t, ext.on_lattice([xs])) == pytest.approx(
             [1.0 / math.sqrt(TWO_PI)] * 7, abs=1e-15)
 
 
@@ -94,7 +88,7 @@ def test_cos_mode_extension_residual(circle_basis):
     xs = np.linspace(0.0, TWO_PI, 33)
     t = 0.03
     expected = np.cos(xs) / math.sqrt(math.pi) * math.cosh(t)
-    assert ext.on_lattice([xs]).value(t) == pytest.approx(expected, abs=1e-14)
+    assert ext.value(t, ext.on_lattice([xs])) == pytest.approx(expected, abs=1e-14)
     # the term-by-term bound on the residual over the whole slab, with the
     # mode's sup 1 / sqrt(pi) in closed form
     assert ext.sups == pytest.approx([1.0 / math.sqrt(math.pi)], rel=1e-15)
@@ -175,7 +169,7 @@ def test_product_extension_sup_bound(circle_basis):
     expected_sup = (math.cosh(height) + math.cosh(5.0 * height)) / TWO_PI
     assert ext.sup_bound() == pytest.approx(expected_sup, rel=1e-12)
     xs = np.linspace(0.0, TWO_PI, 2048, endpoint=False)
-    sampled = max(float(np.max(np.abs(ext.on_lattice([xs]).value(t))))
+    sampled = max(float(np.max(np.abs(ext.value(t, ext.on_lattice([xs])))))
                   for t in (-height, 0.0, height))
     assert sampled <= ext.sup_bound() * (1.0 + 1e-12)
     assert sampled == pytest.approx(expected_sup, rel=1e-6)

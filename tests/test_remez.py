@@ -21,25 +21,27 @@ from eigenprod.manifolds import (
 )
 from eigenprod.remez import (
     GoodSetResult,
+    RemezReport,
     coordinate_function,
     default_a_grid,
     doubling_index,
     good_set_experiment,
-    harmonic_lift,
     harmonic_power_function,
-    remez_bound_values,
     remez_fit,
     sublevel_measure,
 )
+from reference import find_mode
 
 TWO_PI = 2.0 * math.pi
 
 
-def find_mode(basis, rep):
-    """The id of the mode whose ``basis.reps`` entries are ``rep``."""
-    match = [np.all(basis.reps[name].reshape(basis.size, -1) == np.reshape(value, (1, -1)), axis=1)
-             for name, value in zip(basis.model.rep_names, rep)]
-    return int(np.flatnonzero(np.logical_and.reduce(match))[0])
+def remez_bound_values(report: RemezReport) -> np.ndarray:
+    """The fitted bound evaluated on the report's threshold grid."""
+    if not report.defined:
+        raise ParameterError("report has no fitted bound")
+    grid = np.asarray(report.a_grid)
+    return report.cr_hat * np.exp(-report.beta_hat * grid / report.doubling) \
+        * report.side ** len(report.center)
 
 
 @pytest.mark.parametrize("k", range(1, 9))
@@ -64,6 +66,30 @@ def test_doubling_against_dense_oracle():
     xs_2r = np.linspace(-0.2, 0.2, dense)
     oracle = math.log(np.max(np.abs(fn(xs_2r))) / np.max(np.abs(fn(xs_r))))
     assert report.index == pytest.approx(oracle, abs=1e-4)
+
+
+def test_doubling_of_cos3_off_centre_is_not_negative():
+    # the r and 2r lattices do not nest: about 0.2 at r = 0.25 the 2r
+    # lattice alone samples cos 3x below sup_r, an index of -4.1e-5
+    basis = build_basis(FlatTorus(1, (TWO_PI,)), 3.0)
+    fn = as_chart_function(basis, find_mode(basis, ((3,), (COS,))))
+    report = doubling_index(fn, 0.2, 0.25)
+    assert report.sup_2r == report.sup_r == remez._sup(fn, (0.2,), 0.25, 129)
+    assert report.index == 0.0
+
+
+@pytest.mark.parametrize("model", [FlatTorus(1, (TWO_PI,)), FlatTorus(2, (TWO_PI, TWO_PI)),
+                                   Sphere2()], ids=["flat1", "flat2", "sphere"])
+def test_doubling_of_modes_is_never_negative(model):
+    # the sup over the 2r cube covers both lattices, so it dominates sup_r
+    basis = build_basis(model, 5.0)
+    rng = np.random.default_rng(11)
+    for _ in range(12):
+        mode_id = int(rng.integers(1, basis.size))
+        center = tuple(rng.uniform(0.5, 2.5, size=model.chart_dim).tolist())
+        r = float(rng.uniform(0.05, 0.4))
+        report = doubling_index(as_chart_function(basis, mode_id), center, r)
+        assert report.sup_2r >= report.sup_r and report.index >= 0.0, (mode_id, center, r)
 
 
 def test_doubling_additivity_for_homogeneous_products():
@@ -444,17 +470,6 @@ def test_good_set_thresholds_equal_the_linear_scan(case):
         assert result.thresholds == scanned
 
 
-def test_harmonic_lift_factory(circle_basis):
-    cos2 = find_mode(circle_basis, ((2,), (COS,)))
-    lift = harmonic_lift(circle_basis, cos2)
-    pts = np.array([[0.3, 0.1], [1.0, -0.2]])
-    expected = (np.cos(2.0 * pts[:, 0]) / math.sqrt(math.pi)
-                * np.exp(circle_basis.lams[cos2] * pts[:, 1]))
-    assert lift(pts[:, 0], pts[:, 1]) == pytest.approx(expected, rel=1e-14)
-    report = doubling_index(lift, (0.0, 0.0), 0.2)
-    assert report.index >= 0.0
-
-
 def _lattices(center, side):
     """The sup lattice and the cell lattice remez_fit samples for (center, side)."""
     return [_cube_axes(center, side / 2.0, 257), remez._measure_axes(center, side, None)[0]]
@@ -482,7 +497,8 @@ def test_power_function_open_mesh_equals_pointwise(center, side):
 
 def test_line_factories_open_mesh_equal_pointwise(circle_basis):
     cos2 = find_mode(circle_basis, ((2,), (COS,)))
-    lift = harmonic_lift(circle_basis, cos2)
+    base, lam = as_chart_function(circle_basis, cos2), float(circle_basis.lams[cos2])
+    lift = lambda x, y: base(x) * np.exp(lam * y)
     for axes in _lattices((0.3,), 2.0):
         (x,), _shape, points = _open_mesh_and_points(axes)
         assert np.array_equal(coordinate_function()(x), points[:, 0])
@@ -551,7 +567,9 @@ def test_functions_receive_per_axis_arrays_only(case):
 
 def _circle_lift():
     basis = build_basis(FlatTorus(1, (TWO_PI,)), 4.0)
-    return harmonic_lift(basis, find_mode(basis, ((2,), (COS,))))
+    cos2 = find_mode(basis, ((2,), (COS,)))
+    base, lam = as_chart_function(basis, cos2), float(basis.lams[cos2])
+    return lambda x, y: base(x) * np.exp(lam * y)
 
 
 def _chart_mode(case, which):
