@@ -14,6 +14,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -33,7 +34,6 @@ from .coefficients import (
     series_to_csv,
 )
 from .errors import (
-    EigenprodError,
     NumericalError,
     ParameterError,
     ValidationError,
@@ -69,11 +69,6 @@ from .svgplot import svg_coefficient_plot
 
 SCHEMA = "eigenprod-report/1"
 CACHE_ENV = "EIGENPROD_CACHE"
-
-COMMANDS = (
-    "basis", "product", "decay", "truncate", "lower-bound", "remark-s2",
-    "greens", "extension-params", "remez", "doubling", "good-set", "report",
-)
 
 __all__ = ["cli_main", "main", "run_config", "config_from_text"]
 
@@ -129,34 +124,31 @@ _CLI_MODELS = {
     "rev-torus": (("R", "r"), _rev_config,
                   lambda cfg: RevTorus(_param(cfg, "R"), _param(cfg, "r"))),
 }
-_MODEL_KEYS = {"kind"}.union(*(keys for keys, _, _ in _CLI_MODELS.values()))
-
-
-def _model_config(args) -> dict | None:
-    kind = getattr(args, "model", None)
-    if kind is None:
-        return None
-    return {"kind": kind, **_CLI_MODELS[kind][1](args)}
 
 
 def _model_from_config(cfg: dict):
+    """The surface a [model] section names; a key its kind does not take
+    is a validation error (exit 2)."""
     if not isinstance(cfg, dict):
         raise ParameterError("missing --model")
     kind = cfg.get("kind")
-    if kind not in _CLI_MODELS:
+    if not isinstance(kind, str) or kind not in _CLI_MODELS:
         raise ParameterError(f"unknown model kind {kind!r} in configuration")
-    return _CLI_MODELS[kind][2](cfg)
+    keys, _from_args, surface = _CLI_MODELS[kind]
+    unknown = sorted(set(cfg) - {"kind", *keys})
+    if unknown:
+        raise ParameterError(f"model {kind} takes no key {unknown[0]!r}")
+    return surface(cfg)
 
 
 def _factor_key(model, token: str):
     """A factor token parsed once, independent of any basis: a numeric
-    mode id (int) or the representation a model label names (tuple)."""
+    mode id (int; ASCII digits with an optional minus sign) or the
+    representation a model label names (tuple)."""
     token = token.strip()
-    if token.lstrip("-").isdigit():
-        return int(token)
     try:
-        return model.parse_label(token)
-    except ValueError as exc:
+        return int(token) if re.fullmatch(r"-?[0-9]+", token) else model.parse_label(token)
+    except ValueError as exc:  # past int's digit limit
         raise ParameterError(f"cannot parse factor token {token!r} for this model") from exc
 
 
@@ -173,9 +165,13 @@ def _mode_id(basis, key, token: str) -> int:
     return int(found[0])
 
 
-def _factor_tokens(params: dict) -> list:
-    """The comma-separated tokens of the required ``factors`` param."""
-    return _param(params, "factors", convert=str).split(",")
+def _product_basis(config: dict, cache_dir: str, default_mult: float = 2.0):
+    """The basis and the mode ids of the product that the required
+    ``factors`` param (comma-separated tokens) names."""
+    tokens = _param(config["params"], "factors", convert=str).split(",")
+    basis, (ids,) = _resolve_basis_and_factors(config["model"], config["params"], [tokens],
+                                               cache_dir, default_mult)
+    return basis, ids
 
 
 def _resolve_basis_and_factors(model_cfg: dict, params: dict, groups: list, cache_dir: str,
@@ -225,7 +221,7 @@ def _resolve_basis_and_factors(model_cfg: dict, params: dict, groups: list, cach
     basis = _cached_basis(model, lambda_max, cache_dir)
     ids = tuple(_mode_id(basis, key, t) for key, t in zip(keys, tokens))
     if probe is not None:
-        _check_positional_ids(probe, basis, tokens, ids)
+        _check_positional_ids(probe, basis, keys, ids)
     return basis, [ids[a:b] for a, b in zip(starts, starts[1:])]
 
 
@@ -241,12 +237,12 @@ def _label_lambdas(model, keys):
     return None if None in lams else lams
 
 
-def _check_positional_ids(probe, basis, tokens, ids) -> None:
-    """A numeric factor id is resolved on the probe basis (to size the
-    final one) and then on the final basis; both must name the same mode:
-    the same representation and lambda within 1e-9 relative."""
-    for token, idx in zip(tokens, ids):
-        if not token.strip().lstrip("-").isdigit():
+def _check_positional_ids(probe, basis, keys, ids) -> None:
+    """A numeric factor id (an int key) is resolved on the probe basis (to
+    size the final one) and then on the final basis; both must name the
+    same mode: the same representation and lambda within 1e-9 relative."""
+    for key, idx in zip(keys, ids):
+        if not isinstance(key, int):
             continue
         seen, used = float(probe.lams[idx]), float(basis.lams[idx])
         if any(not np.array_equal(probe.reps[name][idx], column[idx])
@@ -298,7 +294,10 @@ def _parse_scalar(text: str):
 
 
 def config_from_text(text: str) -> dict:
-    """Parse the sectioned key = value format; unknown keys are rejected."""
+    """Parse the sectioned key = value format.  An unknown section, [run]
+    key or command is rejected here; [params] keys are checked against the
+    command's flags and [model] keys against the model kind when the
+    configuration runs (:func:`run_config`)."""
     section = None
     config: dict = {"command": None, "model": None, "params": {}}
     for raw in text.splitlines():
@@ -320,12 +319,10 @@ def config_from_text(text: str) -> dict:
         if section == "run":
             if key != "command":
                 raise ParameterError(f"unknown key {key!r} in [run]")
-            if value not in COMMANDS:
+            if value not in _SUBCOMMANDS:
                 raise ParameterError(f"unknown command {value!r}")
             config["command"] = value
         elif section == "model":
-            if key not in _MODEL_KEYS:
-                raise ParameterError(f"unknown key {key!r} in [model]")
             if key == "periods":
                 config["model"][key] = [_number(p) for p in value.split(",")]
             elif key == "kind":
@@ -357,7 +354,10 @@ def _series_results(series) -> dict:
     }
 
 
-def _provenance(basis) -> dict:
+def _provenance(basis=None) -> dict:
+    """The package version, and what identifies the basis a run read."""
+    if basis is None:
+        return {"package_version": __version__}
     return {
         "basis_digest": basis_digest(basis),
         "grid_axis_sizes": basis.axis_sizes(),
@@ -378,8 +378,7 @@ def _cmd_basis(config, cache_dir):
 
 def _cmd_product(config, cache_dir):
     params = config["params"]
-    basis, (ids,) = _resolve_basis_and_factors(config["model"], params,
-                                               [_factor_tokens(params)], cache_dir)
+    basis, ids = _product_basis(config, cache_dir)
     series = expand_product(ProductSpec(basis, ids))
     results = _series_results(series)
     artifacts = _series_artifacts(params, series, "coefficients")
@@ -405,8 +404,7 @@ def _cmd_decay(config, cache_dir):
     params = config["params"]
     # the basis reaches the multiple the series is cut at
     mult = _param(params, "lambda_max_mult", 6.0)
-    basis, (ids,) = _resolve_basis_and_factors(config["model"], params,
-                                               [_factor_tokens(params)], cache_dir, mult)
+    basis, ids = _product_basis(config, cache_dir, mult)
     spec = ProductSpec(basis, ids)
     series = expand_product(spec).truncated(mult * spec.sum_lambda) \
         if params.get("lambda_max") is None else expand_product(spec)
@@ -435,8 +433,7 @@ def _cmd_decay(config, cache_dir):
 
 def _cmd_truncate(config, cache_dir):
     params = config["params"]
-    basis, (ids,) = _resolve_basis_and_factors(config["model"], params,
-                                               [_factor_tokens(params)], cache_dir)
+    basis, ids = _product_basis(config, cache_dir)
     series = expand_product(ProductSpec(basis, ids))
     target = _param(params, "target", 0.99)
     result = find_truncation(series, target=target, c2=_param(params, "c2", 1.0))
@@ -460,9 +457,8 @@ def _cmd_lower_bound(config, cache_dir):
     if family == "rotated-s2":
         fit = sphere_rotated_pair_experiment(
             range(_param(params, "l_min", 2, int), _param(params, "l_max", 12, int) + 1))
-        provenance = {"package_version": __version__}
         summary = f"lower-bound: C3={fit.C3_hat:.3e} C4={fit.C4_hat:.4f}"
-        return _lower_bound_results(fit), provenance, {}, summary
+        return _lower_bound_results(fit), _provenance(), {}, summary
     model_cfg = config["model"]
     if family == "self":
         k_lo = _param(params, "k_min", 1, int)
@@ -508,7 +504,7 @@ def _cmd_remark_s2(config, _cache_dir):
     }
     summary = (f"remark-s2: slope={result.log_slope:.4f} "
                f"r2={result.r_squared:.4f}")
-    return results, {"package_version": __version__}, {}, summary
+    return results, _provenance(), {}, summary
 
 
 def _cmd_greens(config, cache_dir):
@@ -516,8 +512,7 @@ def _cmd_greens(config, cache_dir):
     # a model without the extension's constants is refused before any
     # basis is loaded or built
     extension_constants = compute_extension_params(_model_from_config(config["model"]))
-    basis, (ids,) = _resolve_basis_and_factors(config["model"], params,
-                                               [_factor_tokens(params)], cache_dir)
+    basis, ids = _product_basis(config, cache_dir)
     series = expand_product(ProductSpec(basis, ids))
     heights = [_number(h) for h in str(params.get("heights", "")).split(",") if h] \
         or [extension_constants.T, extension_constants.T / 2.0]
@@ -556,22 +551,22 @@ def _cmd_extension_params(config, _cache_dir):
         "coeff_sup": out.coeff_sup, "C8": out.C8,
     }
     summary = f"extension-params: delta0={out.delta0:.6f} T={out.T:.7f}"
-    return results, {"package_version": __version__}, {}, summary
+    return results, _provenance(), {}, summary
 
 
 def _function_from_config(config, cache_dir):
+    """The chart function ``function`` names, its chart dimension, and the
+    basis it was drawn from (None for the closed-form functions)."""
     params = config["params"]
     spec = str(params.get("function", "linear"))
     if spec == "linear":
-        return coordinate_function(), 1
+        return coordinate_function(), 1, None
     if spec.startswith("power:"):
-        return harmonic_power_function(_number(spec.split(":", 1)[1], int)), 2
+        return harmonic_power_function(_number(spec.split(":", 1)[1], int)), 2, None
     if spec.startswith("mode:"):
-        if config.get("model") is None:
-            raise ParameterError("mode: functions need --model")
         basis, (ids,) = _resolve_basis_and_factors(config["model"], params,
                                                    [spec.split(":", 1)[1].split(",")], cache_dir)
-        return as_chart_function(basis, ids[0]), basis.model.chart_dim
+        return as_chart_function(basis, ids[0]), basis.model.chart_dim, basis
     raise ParameterError(f"unknown function spec {spec!r}")
 
 
@@ -586,7 +581,7 @@ def _center_from_params(params, dim: int):
 
 def _cmd_remez(config, cache_dir):
     params = config["params"]
-    fn, dim = _function_from_config(config, cache_dir)
+    fn, dim, basis = _function_from_config(config, cache_dir)
     center = _center_from_params(params, dim)
     side = _param(params, "side", 2.0)
     report = remez_fit(fn, center, side)
@@ -605,12 +600,12 @@ def _cmd_remez(config, cache_dir):
         artifacts["csv"] = "\n".join(lines) + "\n"
     beta_text = "undefined" if report.beta_hat is None else f"{report.beta_hat:.4f}"
     summary = f"remez: N={report.doubling:.4f} beta={beta_text}"
-    return results, {"package_version": __version__}, artifacts, summary
+    return results, _provenance(basis), artifacts, summary
 
 
 def _cmd_doubling(config, cache_dir):
     params = config["params"]
-    fn, dim = _function_from_config(config, cache_dir)
+    fn, dim, basis = _function_from_config(config, cache_dir)
     center = _center_from_params(params, dim)
     r = _param(params, "r", 0.25)
     report = doubling_index(fn, center, r)
@@ -619,13 +614,12 @@ def _cmd_doubling(config, cache_dir):
         "index": report.index,
     }
     summary = f"doubling: N={report.index:.6f}"
-    return results, {"package_version": __version__}, {}, summary
+    return results, _provenance(basis), {}, summary
 
 
 def _cmd_good_set(config, cache_dir):
     params = config["params"]
-    basis, (ids,) = _resolve_basis_and_factors(config["model"], params,
-                                               [_factor_tokens(params)], cache_dir)
+    basis, ids = _product_basis(config, cache_dir)
     spec = ProductSpec(basis, ids)
     center = _center_from_params(params, basis.model.chart_dim)
     side = _param(params, "side", 2.0)
@@ -641,27 +635,75 @@ def _cmd_good_set(config, cache_dir):
     return results, _provenance(basis), {}, summary
 
 
-_HANDLERS = {
-    "basis": _cmd_basis,
-    "product": _cmd_product,
-    "decay": _cmd_decay,
-    "truncate": _cmd_truncate,
-    "lower-bound": _cmd_lower_bound,
-    "remark-s2": _cmd_remark_s2,
-    "greens": _cmd_greens,
-    "extension-params": _cmd_extension_params,
-    "remez": _cmd_remez,
-    "doubling": _cmd_doubling,
-    "good-set": _cmd_good_set,
+# ---------------------------------------------------------------------------
+# the commands and their flags
+
+
+_LAMBDA_MAX = ("--lambda-max", float, None)
+_SIZING = (_LAMBDA_MAX, ("--lambda-max-mult", float, None))
+_FACTORS = (("--factors", str, "comma-separated mode ids or names (cos2, Y2m1, ...)"),
+            *_SIZING)
+_VIEWS = (("--csv", bool, None), ("--svg", bool, None))
+_K_RANGE = (("--k-min", int, None), ("--k-max", int, None))
+_CENTER = ("--center", str, None)
+# read into a [model] section by _config_from_args, never into params
+_MODEL_FLAGS = (("--model", tuple(_CLI_MODELS), None), ("--dim", int, None),
+                ("--periods", str, "comma-separated periods for the flat torus"),
+                ("--R", float, None), ("--r", float, None))
+_DESTS = {"--R": "major", "--r": "minor", "--radius": "r"}
+
+# Each command that runs an experiment, once (``report`` replays a report:
+# see _replay): its handler, whether it takes --model and the model flags,
+# and its own flags as (flag, type or choices, help), where bool makes a
+# switch.  Only a command's own flags are run parameters, so their dests
+# are the params keys a config file or a replayed report may set.
+_SUBCOMMANDS = {
+    "basis": (_cmd_basis, True, (_LAMBDA_MAX,)),
+    "product": (_cmd_product, True, (*_FACTORS, *_VIEWS)),
+    "decay": (_cmd_decay, True, (*_FACTORS, *_VIEWS, ("--window-lo-mult", float, None))),
+    "truncate": (_cmd_truncate, True,
+                 (*_FACTORS, ("--target", float, None), ("--c2", float, None))),
+    "lower-bound": (_cmd_lower_bound, True, (
+        *_SIZING, ("--family", ("self", "pairs", "rotated-s2"), None), *_K_RANGE,
+        ("--l-min", int, None), ("--l-max", int, None),
+        ("--pairs", str, "semicolon-separated id pairs"))),
+    "remark-s2": (_cmd_remark_s2, False, _K_RANGE),
+    "greens": (_cmd_greens, True, (*_FACTORS, ("--heights", str, "comma-separated heights"))),
+    "extension-params": (_cmd_extension_params, True, (("--R2", float, None),)),
+    "remez": (_cmd_remez, True, (("--function", str, "linear | power:<k> | mode:<token>"),
+                                 _CENTER, ("--side", float, None), ("--csv", bool, None))),
+    "doubling": (_cmd_doubling, True,
+                 (("--function", str, None), _CENTER, ("--radius", float, None))),
+    "good-set": (_cmd_good_set, True, (*_FACTORS, _CENTER, ("--side", float, None))),
 }
 
 
+def _dest(flag: str) -> str:
+    """The parsed-argument name of a flag: its name with "_" for "-", except
+    that the rev torus's ``--R``/``--r`` set ``major``/``minor``, so that
+    ``doubling --radius`` can set the run parameter ``r``."""
+    return _DESTS.get(flag) or flag[2:].replace("-", "_")
+
+
 def run_config(config: dict, out_dir: str, cache_dir: str):
-    """Execute a canonical configuration; returns (report, artifacts, summary)."""
+    """Execute a canonical configuration; returns (report, artifacts, summary).
+
+    Argv, config files and replayed reports all run through here: a params
+    key that no flag of the command sets, a model for a command without
+    model flags, or a model key its kind does not take exits 2, even where
+    the run reads no model (``remez --function linear``)."""
     command = config["command"]
-    if command not in _HANDLERS:
+    if not isinstance(command, str) or command not in _SUBCOMMANDS:
         raise ParameterError(f"unknown command {command!r}")
-    results, provenance, artifacts, summary = _HANDLERS[command](config, cache_dir)
+    handler, takes_model, flags = _SUBCOMMANDS[command]
+    unknown = sorted(set(config["params"]) - {_dest(flag) for flag, _, _ in flags})
+    if unknown:
+        raise ParameterError(f"{command} has no flag for param {unknown[0]!r}")
+    if config["model"] is not None:
+        if not takes_model:
+            raise ParameterError(f"{command} takes no model")
+        _model_from_config(config["model"])
+    results, provenance, artifacts, summary = handler(config, cache_dir)
     report = {
         "schema": SCHEMA,
         "command": command,
@@ -685,73 +727,18 @@ def _build_parser() -> argparse.ArgumentParser:
         description="spectral coefficients of eigenfunction products on "
                     "model analytic surfaces")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_sizing(p):
-        p.add_argument("--lambda-max", dest="lambda_max", type=float,
-                       default=None)
-        p.add_argument("--lambda-max-mult", dest="lambda_max_mult",
-                       type=float, default=None)
-
-    def add_common(p, model=True, factors=False):
+    for name, (_handler, takes_model, flags) in _SUBCOMMANDS.items():
+        p = sub.add_parser(name)
         p.add_argument("--out", default="out", help="output directory")
         p.add_argument("--cache", default=None,
                        help=f"basis cache directory (default ${CACHE_ENV} "
                             f"or <out>/cache)")
         p.add_argument("--config", default=None,
                        help="sectioned key=value config file; explicit flags win")
-        if model:
-            p.add_argument("--model", choices=list(_CLI_MODELS))
-            p.add_argument("--dim", type=int, default=None)
-            p.add_argument("--periods", default=None,
-                           help="comma-separated periods for the flat torus")
-            p.add_argument("--R", dest="major", type=float, default=None)
-            p.add_argument("--r", dest="minor", type=float, default=None)
-        if factors:
-            p.add_argument("--factors", default=None,
-                           help="comma-separated mode ids or names (cos2, Y2m1, ...)")
-            add_sizing(p)
-
-    p = sub.add_parser("basis");            add_common(p)
-    p.add_argument("--lambda-max", dest="lambda_max", type=float, default=None)
-    p = sub.add_parser("product");          add_common(p, factors=True)
-    p.add_argument("--csv", action="store_true")
-    p.add_argument("--svg", action="store_true")
-    p = sub.add_parser("decay");            add_common(p, factors=True)
-    p.add_argument("--csv", action="store_true")
-    p.add_argument("--svg", action="store_true")
-    p.add_argument("--window-lo-mult", dest="window_lo_mult", type=float,
-                   default=None)
-    p = sub.add_parser("truncate");         add_common(p, factors=True)
-    p.add_argument("--target", type=float, default=None)
-    p.add_argument("--c2", type=float, default=None)
-    p = sub.add_parser("lower-bound");      add_common(p); add_sizing(p)
-    p.add_argument("--family", choices=["self", "pairs", "rotated-s2"],
-                   default=None)
-    p.add_argument("--k-min", dest="k_min", type=int, default=None)
-    p.add_argument("--k-max", dest="k_max", type=int, default=None)
-    p.add_argument("--l-min", dest="l_min", type=int, default=None)
-    p.add_argument("--l-max", dest="l_max", type=int, default=None)
-    p.add_argument("--pairs", default=None, help="semicolon-separated id pairs")
-    p = sub.add_parser("remark-s2");        add_common(p, model=False)
-    p.add_argument("--k-min", dest="k_min", type=int, default=None)
-    p.add_argument("--k-max", dest="k_max", type=int, default=None)
-    p = sub.add_parser("greens");           add_common(p, factors=True)
-    p.add_argument("--heights", default=None, help="comma-separated heights")
-    p = sub.add_parser("extension-params"); add_common(p)
-    p.add_argument("--R2", dest="R2", type=float, default=None)
-    p = sub.add_parser("remez");            add_common(p)
-    p.add_argument("--function", default=None,
-                   help="linear | power:<k> | mode:<token>")
-    p.add_argument("--center", default=None)
-    p.add_argument("--side", type=float, default=None)
-    p.add_argument("--csv", action="store_true")
-    p = sub.add_parser("doubling");         add_common(p)
-    p.add_argument("--function", default=None)
-    p.add_argument("--center", default=None)
-    p.add_argument("--radius", dest="r", type=float, default=None)
-    p = sub.add_parser("good-set");         add_common(p, factors=True)
-    p.add_argument("--center", default=None)
-    p.add_argument("--side", type=float, default=None)
+        for flag, kind, help_text in (_MODEL_FLAGS if takes_model else ()) + flags:
+            how = {"action": "store_true"} if kind is bool else \
+                {"choices": kind} if isinstance(kind, tuple) else {"type": kind}
+            p.add_argument(flag, dest=_dest(flag), help=help_text, **how)
     p = sub.add_parser("report")
     p.add_argument("--replay", required=True, help="existing report to re-run")
     p.add_argument("--out", default="out")
@@ -761,15 +748,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# parsed arguments that are not run parameters: the I/O flags and the
-# [model] section
-_NON_PARAMS = {"command", "out", "cache", "config", "model", "dim", "periods",
-               "major", "minor"}
-
-
 def _config_from_args(args) -> dict:
+    _handler, takes_model, flags = _SUBCOMMANDS[args.command]
     file_config = None
-    if getattr(args, "config", None):
+    if args.config:
         try:
             with open(args.config, "r", encoding="utf-8") as handle:
                 file_config = config_from_text(handle.read())
@@ -780,13 +762,15 @@ def _config_from_args(args) -> dict:
                 f"config file is for {file_config['command']!r}, "
                 f"not {args.command!r}")
     params = dict(file_config["params"]) if file_config else {}
-    params.update((key, value) for key, value in vars(args).items()
-                  if key not in _NON_PARAMS and value is not None and value is not False)
-    model = _model_config(args)
-    if model is None and file_config:
-        model = file_config.get("model")
-    config = {"command": args.command, "model": model, "params": params}
-    return config
+    for flag, _kind, _help in flags:
+        value = getattr(args, _dest(flag))
+        if value is not None and value is not False:
+            params[_dest(flag)] = value
+    if takes_model and args.model is not None:
+        model = {"kind": args.model, **_CLI_MODELS[args.model][1](args)}
+    else:
+        model = file_config["model"] if file_config else None
+    return {"command": args.command, "model": model, "params": params}
 
 
 def _write_outputs(out_dir: str, name: str, report: dict, artifacts: dict) -> str:
@@ -821,9 +805,6 @@ def cli_main(argv=None) -> int:
         return 2
     except NumericalError as exc:
         print(f"numerical breakdown: {exc}", file=sys.stderr)
-        return 3
-    except EigenprodError as exc:  # pragma: no cover - catch-all mapping
-        print(f"error: {exc}", file=sys.stderr)
         return 3
 
 

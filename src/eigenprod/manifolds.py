@@ -32,6 +32,7 @@ import hashlib
 import itertools
 import json
 import math
+import re
 import struct
 from dataclasses import dataclass, field, fields
 
@@ -333,29 +334,16 @@ class FlatTorus(_Surface):
 
     def parse_label(self, token: str) -> tuple:
         """``const``, ``cos<k>``, ``sin<k>`` in 1-d; ``<p><k1><p><k2>`` with
-        p in {c, s} (for example ``c1s2``) in 2-d."""
-        if self.dim == 1:
-            if token == "const":
-                return ((0,), (COS,))
-            for name, parity in (("cos", COS), ("sin", SIN)):
-                if token.startswith(name):
-                    return self._checked_rep(token, (int(token[len(name):]),), (parity,))
-        elif len(token) >= 4:
-            parities = {"c": COS, "s": SIN}
-            head, tail = token[0], token[1:]
-            for split in range(1, len(tail)):
-                if tail[split] in parities and head in parities:
-                    try:
-                        k1 = int(tail[:split])
-                        k2 = int(tail[split + 1:])
-                    except ValueError:
-                        continue
-                    return self._checked_rep(token, (k1, k2),
-                                             (parities[head], parities[tail[split]]))
-        return super().parse_label(token)
-
-    @staticmethod
-    def _checked_rep(token: str, freqs: tuple, parities: tuple) -> tuple:
+        p in {c, s} (for example ``c1s2``) in 2-d; each k is ASCII digits
+        with an optional minus sign."""
+        if self.dim == 1 and token == "const":
+            return ((0,), (COS,))
+        match = re.fullmatch(r"(cos|sin)(-?[0-9]+)" if self.dim == 1
+                             else r"([cs])(-?[0-9]+)([cs])(-?[0-9]+)", token)
+        if match is None:
+            return super().parse_label(token)
+        parities = tuple(SIN if p[0] == "s" else COS for p in match.groups()[::2])
+        freqs = tuple(int(k) for k in match.groups()[1::2])
         # frequencies are >= 0, and a zero frequency has only the cosine factor
         if any(k < 0 or (k == 0 and p == SIN) for k, p in zip(freqs, parities)):
             raise ParameterError(f"factor token {token!r} names no mode of the flat torus")
@@ -465,10 +453,11 @@ class Sphere2(_Surface):
         return math.sqrt(rep[0] * (rep[0] + 1.0))
 
     def parse_label(self, token: str) -> tuple:
-        """``Y<l>m<m>`` with |m| <= l, for example ``Y2m-1``."""
-        if token.startswith("Y") and "m" in token:
-            l_text, m_text = token[1:].split("m", 1)
-            l, m = int(l_text), int(m_text)
+        """``Y<l>m<m>`` with |m| <= l, for example ``Y2m-1``; l and m are
+        ASCII digits with an optional minus sign."""
+        match = re.fullmatch(r"Y(-?[0-9]+)m(-?[0-9]+)", token)
+        if match:
+            l, m = int(match[1]), int(match[2])
             if abs(m) > l:
                 raise ParameterError(f"factor token {token!r} names no harmonic: need |m| <= l")
             return (l, m)

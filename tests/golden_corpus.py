@@ -39,6 +39,8 @@ FLAT1 = ("--model", "flat-torus", "--dim", "1")
 FLAT2 = ("--model", "flat-torus", "--dim", "2")
 FLAT2_RECT = ("--model", "flat-torus", "--dim", "2", "--periods", "6.283185307179586,4")
 SPHERE = ("--model", "sphere")
+# the rev-torus basis of the cli-warm benchmark
+REV = ("--model", "rev-torus", "--R", "2", "--r", "1", "--lambda-max", "4.5")
 
 # name -> argv without --out and --cache; "{work}" is the directory whose
 # subdirectory <name> holds each invocation's output, so a replay can read
@@ -93,6 +95,15 @@ INVOCATIONS = {
                         "--side", "0.5"),
     "report-replay-greens": ("report", "--replay", "{work}/greens-flat1/greens.json",
                              "--check"),
+    "product-rev-1-1": ("product", *REV, "--factors", "1,1"),
+    "product-rev-2-2": ("product", *REV, "--factors", "2,2"),
+    "truncate-rev-1-1": ("truncate", *REV, "--factors", "1,1", "--target", "0.99"),
+    "truncate-rev-2-2": ("truncate", *REV, "--factors", "2,2", "--target", "0.99"),
+    "decay-rev-1-1": ("decay", *REV, "--factors", "1,1"),
+    "decay-rev-2-2": ("decay", *REV, "--factors", "2,2"),
+    # a rev-cold op: plain ids sized on the lambda=2 probe basis
+    "decay-rev-probe": ("decay", "--model", "rev-torus", "--R", "1.8", "--r", "0.9",
+                        "--factors", "1,3", "--lambda-max-mult", "5"),
 }
 
 

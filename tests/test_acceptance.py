@@ -6,7 +6,6 @@ calibration.
 """
 
 import itertools
-import json
 import math
 
 import numpy as np

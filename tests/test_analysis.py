@@ -14,7 +14,7 @@ from eigenprod.analysis import (
     sphere_rotated_pair_experiment,
 )
 from eigenprod.coefficients import CoefficientSeries, ProductSpec, expand_product
-from eigenprod.errors import BreakdownError, ParameterError, UnderResolvedError
+from eigenprod.errors import ParameterError, UnderResolvedError
 from eigenprod.manifolds import COS, FlatTorus, RevTorus, Sphere2, build_basis
 from reference import envelope_dominates, find_mode
 

@@ -467,10 +467,75 @@ def test_config_file_drives_run(tmp_path):
 def test_config_rejects_unknown_keys():
     with pytest.raises(ParameterError):
         config_from_text("[run]\ncommand = truncate\n[params2]\nx = 1\n")
+    # [model] keys are checked against the kind when the section is read
     with pytest.raises(ParameterError):
-        config_from_text("[run]\ncommand = truncate\n[model]\nbogus = 1\n")
+        cli._model_from_config(config_from_text(
+            "[run]\ncommand = truncate\n[model]\nbogus = 1\n")["model"])
     with pytest.raises(ParameterError):
         config_from_text("[run]\ncommand = not-a-command\n")
+
+
+@pytest.mark.parametrize("command, config_text, named", [
+    # a misspelt flag dest would otherwise run on the default-sized basis
+    ("truncate", "[run]\ncommand = truncate\n[model]\nkind = flat-torus\ndim = 1\n"
+                 "[params]\nfactors = cos2,cos3\nlamda_max = 40\n", "'lamda_max'"),
+    # a real flag of another command
+    ("product", "[run]\ncommand = product\n[model]\nkind = flat-torus\ndim = 1\n"
+                "[params]\nfactors = cos2,cos3\ntarget = 0.5\n", "'target'"),
+    ("truncate", "[run]\ncommand = truncate\n[model]\nkind = sphere\nR = 2\n"
+                 "[params]\nfactors = Y1m0,Y1m1\n", "'R'"),
+    ("truncate", "[run]\ncommand = truncate\n[model]\nkind = flat-torus\ndim = 1\n"
+                 "r = 1\n[params]\nfactors = cos2,cos3\n", "'r'"),
+    ("remark-s2", "[run]\ncommand = remark-s2\n[model]\nkind = sphere\n", "takes no model"),
+    # checked although a closed-form function never reads the model
+    ("remez", "[run]\ncommand = remez\n[model]\nkind = sphere\nR = 2\n"
+              "[params]\nfunction = linear\n", "'R'"),
+], ids=["misspelt", "another-commands-flag", "sphere-R", "flat-r", "model-free-command",
+        "unread-model"])
+def test_config_keys_the_command_or_model_does_not_take_exit_2(tmp_path, capsys, command,
+                                                                config_text, named):
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(config_text)
+    code, out = run(tmp_path, command, "--config", str(cfg_path))
+    assert code == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("params", "lamda_max", 40.0),
+    ("params", "replay", "x.json"),
+    ("model", "R", 2.0),
+], ids=["misspelt", "report-flag", "sphere-R"])
+def test_replay_of_a_key_the_run_does_not_take_exits_2(tmp_path, capsys, section, key, value):
+    code, out = run(tmp_path, "truncate", "--model", "sphere", "--factors", "Y1m0,Y1m1")
+    assert code == 0
+    doc = read(out, "truncate.json")
+    doc["config"][section][key] = value
+    (tmp_path / "edited.json").write_text(json.dumps(doc))
+    capsys.readouterr()
+    code2, _ = run(tmp_path, "report", "--replay", str(tmp_path / "edited.json"), "--check")
+    assert code2 == 2
+    assert repr(key) in capsys.readouterr().err
+    assert not (out / "replay-truncate.json").exists()
+
+
+@pytest.mark.parametrize("argv, token", [
+    (("--model", "flat-torus", "--dim", "1", "--factors", "\u00b2,1"), "\u00b2"),
+    (("--model", "flat-torus", "--dim", "1", "--factors=--1,1"), "--1"),
+    (("--model", "flat-torus", "--dim", "1", "--factors", "cos1_0,cos1"), "cos1_0"),
+    (("--model", "flat-torus", "--dim", "1", "--factors", "cos\u0663,cos1"), "cos\u0663"),
+    (("--model", "flat-torus", "--dim", "2", "--factors", "c 1s2,c1c1"), "c 1s2"),
+    (("--model", "sphere", "--factors", "Y+2m-1,Y1m0"), "Y+2m-1"),
+    # more digits than int() reads
+    (("--model", "sphere", "--factors", "1" * 5000), "1" * 5000),
+], ids=["superscript", "double-minus", "underscore", "arabic-indic", "space", "plus",
+        "digit-limit"])
+def test_factor_tokens_outside_the_ascii_grammar_exit_2(tmp_path, capsys, argv, token):
+    code, out = run(tmp_path, "product", *argv)
+    assert code == 2
+    assert f"cannot parse factor token {token!r}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_canonical_json_is_deterministic_and_round_trip_safe():
@@ -653,20 +718,20 @@ def test_positional_id_guard_rejects_a_mode_shift():
     model = RevTorus(2.0, 1.0)
     probe = build_basis(model, 2.0)
     final = build_basis(model, 3.0)
-    cli._check_positional_ids(probe, final, ["1", "2"], (1, 2))
+    cli._check_positional_ids(probe, final, [1, 2], (1, 2))
     # the same ids against a final basis whose modes 1 and 2 swapped places
     swap = np.array([0, 2, 1, *range(3, final.size)])
     shifted = dataclasses.replace(final, lams=final.lams[swap],
                                   reps={name: column[swap] for name, column in final.reps.items()})
     assert mode_rep(probe, 1) != mode_rep(shifted, 1)
     with pytest.raises(ParameterError):
-        cli._check_positional_ids(probe, shifted, ["1", "2"], (1, 2))
+        cli._check_positional_ids(probe, shifted, [1, 2], (1, 2))
     # same representation, lambda off by more than 1e-9 relative
     lams = final.lams.copy()
     lams[2] *= 1.0 + 1e-8
     shifted = dataclasses.replace(final, lams=lams)
     with pytest.raises(ParameterError):
-        cli._check_positional_ids(probe, shifted, ["2"], (2,))
+        cli._check_positional_ids(probe, shifted, [2], (2,))
 
 
 @pytest.mark.parametrize("argv, config_text", [

@@ -28,7 +28,6 @@ from eigenprod.manifolds import (
     RevTorus,
     Sphere2,
     build_basis,
-    evaluate,
 )
 from reference import find_mode, grid_weights, torus_support_lambda
 

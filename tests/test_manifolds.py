@@ -234,6 +234,22 @@ def test_labels_that_name_no_mode_are_refused(model, token):
         model.parse_label(token)
 
 
+@pytest.mark.parametrize("model, token", [
+    (FlatTorus(1, (TWO_PI,)), "cos1_0"),
+    (FlatTorus(1, (TWO_PI,)), "cos\u0663"),
+    (FlatTorus(1, (TWO_PI,)), "sin+2"),
+    (FlatTorus(2, (TWO_PI, TWO_PI)), "c 1s2"),
+    (FlatTorus(2, (TWO_PI, TWO_PI)), "c1s\u00b2"),
+    (Sphere2(), "Y+2m-1"),
+    (Sphere2(), "Y2m\u0661"),
+], ids=["underscore", "arabic-indic", "plus", "space", "superscript", "sphere-plus",
+        "sphere-arabic-indic"])
+def test_labels_outside_the_ascii_grammar_are_refused(model, token):
+    # a frequency or degree is ASCII digits with an optional minus sign
+    with pytest.raises(ParameterError, match="cannot parse"):
+        model.parse_label(token)
+
+
 def test_rev_torus_has_no_closed_form_lambda(rev_basis_3):
     assert rev_basis_3.model.rep_lambda(mode_reps(rev_basis_3)[1]) is None
 
@@ -1113,6 +1129,29 @@ def test_scipy_imported_only_inside_numerics_functions():
     for path in sorted(package.rglob("*.py")):
         visit(path.stem, ast.parse(path.read_text(encoding="utf-8")), False)
     assert found == {("numerics", True)}
+
+
+def _unused_imports(path: pathlib.Path) -> list:
+    """``name:line`` for each name that a module imports and never reads;
+    a name listed in the module's ``__all__`` counts as read."""
+    imported, used = {}, set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and \
+                getattr(node, "module", None) != "__future__":
+            for alias in node.names:
+                imported.setdefault(alias.asname or alias.name.split(".")[0], node.lineno)
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "__all__":
+            used |= set(ast.literal_eval(node.value))
+    return [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # the unused-import lint, over the package and its tests
+    package = pathlib.Path(manifolds.__file__).parent
+    paths = sorted(package.rglob("*.py")) + sorted(pathlib.Path(__file__).parent.rglob("*.py"))
+    assert [line for path in paths for line in _unused_imports(path)] == []
 
 
 def test_every_exported_name_resolves():
