@@ -455,6 +455,8 @@ def _cmd_lower_bound(config, cache_dir):
     params = config["params"]
     family = params.get("family", "self")
     if family == "rotated-s2":
+        if config["model"] is not None:
+            raise ParameterError("--family rotated-s2 reads no model")
         fit = sphere_rotated_pair_experiment(
             range(_param(params, "l_min", 2, int), _param(params, "l_max", 12, int) + 1))
         summary = f"lower-bound: C3={fit.C3_hat:.3e} C4={fit.C4_hat:.4f}"
@@ -559,6 +561,8 @@ def _function_from_config(config, cache_dir):
     basis it was drawn from (None for the closed-form functions)."""
     params = config["params"]
     spec = str(params.get("function", "linear"))
+    if (spec == "linear" or spec.startswith("power:")) and config["model"] is not None:
+        raise ParameterError(f"--function {spec} reads no model")
     if spec == "linear":
         return coordinate_function(), 1, None
     if spec.startswith("power:"):
@@ -690,8 +694,9 @@ def run_config(config: dict, out_dir: str, cache_dir: str):
 
     Argv, config files and replayed reports all run through here: a params
     key that no flag of the command sets, a model for a command without
-    model flags, or a model key its kind does not take exits 2, even where
-    the run reads no model (``remez --function linear``)."""
+    model flags, a model key its kind does not take, or a model for a run
+    that reads none (``remez``/``doubling`` with ``--function linear`` or
+    ``power:<k>``, ``lower-bound --family rotated-s2``) exits 2."""
     command = config["command"]
     if not isinstance(command, str) or command not in _SUBCOMMANDS:
         raise ParameterError(f"unknown command {command!r}")
@@ -766,10 +771,18 @@ def _config_from_args(args) -> dict:
         value = getattr(args, _dest(flag))
         if value is not None and value is not False:
             params[_dest(flag)] = value
-    if takes_model and args.model is not None:
-        model = {"kind": args.model, **_CLI_MODELS[args.model][1](args)}
-    else:
-        model = file_config["model"] if file_config else None
+    model = file_config["model"] if file_config else None
+    if takes_model:
+        given = [flag for flag, _kind, _help in _MODEL_FLAGS[1:]
+                 if getattr(args, _dest(flag)) is not None]
+        if args.model is None and given:
+            raise ParameterError(f"{given[0]} needs --model")
+        if args.model is not None:
+            keys, from_args, _surface = _CLI_MODELS[args.model]
+            foreign = [flag for flag in given if flag[2:] not in keys]
+            if foreign:
+                raise ParameterError(f"model {args.model} takes no {foreign[0]}")
+            model = {"kind": args.model, **from_args(args)}
     return {"command": args.command, "model": model, "params": params}
 
 

@@ -193,9 +193,9 @@ class _Surface:
     CLI mode label names) and ``rep_lambda(rep)`` (the mode's lambda in
     closed form, with which ``build`` and the CLI size).
 
-    Shared: ``values`` at scattered chart points and ``lattice_values`` on
-    a tensor lattice, which evaluates the factor rows on each axis's own
-    coordinates.
+    Shared: ``values`` at scattered chart points, ``lattice_rows`` (the
+    factor rows on each axis's own coordinates, checked) and
+    ``lattice_values`` (their outer product, a tensor lattice).
     """
 
     coefficients_name = None
@@ -213,22 +213,26 @@ class _Surface:
             out *= axis_rows
         return out
 
-    def lattice_values(self, basis: SpectralBasis, ids, coords) -> np.ndarray:
-        """Values of the modes ``ids`` of ``basis`` on the tensor lattice of
-        the per-axis chart coordinates ``coords`` (first axis slowest, as
-        ``meshgrid`` with ``indexing="ij"``), one row per mode.  The factor
-        rows are formed on each axis's own coordinates and multiplied as an
-        outer product, so each value is the product :meth:`values` forms at
-        that lattice point, bit for bit, however many modes one call asks
-        for.  The array is fresh, shared with nothing, so callers may
-        write into it (``good_set_experiment`` takes its absolute values
-        in place)."""
+    def lattice_rows(self, basis: SpectralBasis, ids, coords) -> tuple:
+        """The factor rows of the modes ``ids`` of ``basis`` on the per-axis
+        chart coordinates ``coords``, one (len(ids), len(coords[a])) array
+        per chart axis, each formed on its axis's own coordinates; a wrong
+        number of axes or a coordinate that is not finite is refused."""
         if len(coords) != self.chart_dim:
             raise ParameterError(f"points must have {self.chart_dim} chart coordinates")
         coords = [np.asarray(c, dtype=float).reshape(-1) for c in coords]
         if not all(np.all(np.isfinite(c)) for c in coords):
             raise ParameterError("points must be finite chart coordinates")
-        rows = self.axis_factor_rows(basis, ids, self.chart_axes(coords))
+        return self.axis_factor_rows(basis, ids, self.chart_axes(coords))
+
+    def lattice_values(self, basis: SpectralBasis, ids, coords) -> np.ndarray:
+        """Values of the modes ``ids`` of ``basis`` on the tensor lattice of
+        the per-axis chart coordinates ``coords`` (first axis slowest, as
+        ``meshgrid`` with ``indexing="ij"``), one row per mode.  The
+        :meth:`lattice_rows` are multiplied as an outer product, so each
+        value is the product :meth:`values` forms at that lattice point,
+        bit for bit, however many modes one call asks for."""
+        rows = self.lattice_rows(basis, ids, coords)
         out = rows[0]
         for axis_rows in rows[1:]:
             out = (out[:, :, None] * axis_rows[:, None, :]).reshape(out.shape[0], -1)

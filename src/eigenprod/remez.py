@@ -88,13 +88,22 @@ def _eval(fn, axes) -> np.ndarray:
         raise ParameterError(f"values {values.shape} do not broadcast to {shape}") from None
 
 
+def _row_blocks(shape) -> list:
+    """Near-equal blocks of the first axis of a lattice of ``shape``, about
+    BLOCK_CELLS cells each, as slices in order; the first ones take the
+    extra row, as ``np.array_split`` does."""
+    rows = shape[0]
+    n_blocks = min(rows, -(-math.prod(shape) // BLOCK_CELLS))
+    size, extra = divmod(rows, n_blocks)
+    edges = [k * size + min(k, extra) for k in range(n_blocks + 1)]
+    return [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
+
+
 def _blocks(fn, axes):
-    """:func:`_eval` on near-equal row blocks of the first axis, about
-    BLOCK_CELLS cells each, in order."""
+    """:func:`_eval` on the :func:`_row_blocks` of the lattice, in order."""
     rest = axes[1:]
-    row_cells = math.prod(axis.size for axis in rest)
-    n_blocks = min(axes[0].size, -(-axes[0].size * row_cells // BLOCK_CELLS))
-    return (_eval(fn, [rows, *rest]) for rows in np.array_split(axes[0], n_blocks))
+    return (_eval(fn, [axes[0][block], *rest])
+            for block in _row_blocks(tuple(axis.size for axis in axes)))
 
 
 def _sup(fn, center: tuple, half_side: float, per_axis: int) -> float:
@@ -263,6 +272,69 @@ class GoodSetResult:
     min_product_bound: float
 
 
+def _factor_block(rows, j: int, block: slice, out: np.ndarray) -> None:
+    """Factor j of the absolute axis ``rows`` on the first-axis rows
+    ``block`` of the lattice, written into ``out``: on a line its one row;
+    on a plane the outer product of its two rows.  Rounding is symmetric,
+    so |x| |y| is |x y|, the absolute value of the product
+    ``lattice_values`` forms.  einsum (no BLAS path) rounds each product
+    once, as a broadcast ``np.multiply`` does, in under half its time on
+    a 64 x 512 block."""
+    if len(rows) == 1:
+        np.copyto(out, rows[0][j, block])
+    else:
+        np.einsum("i,j->ij", rows[0][j, block], rows[1][j], out=out)
+
+
+def _good_set_thresholds(rows, shape, blocks, grid, factors) -> list:
+    """Each factor's smallest grid a whose sublevel set {|phi| < exp(-a)}
+    holds at most floor(cells / (2 n)) of the lattice's cells, from one
+    lattice-sized buffer that every factor reuses."""
+    # count(values < t) <= budget exactly when t <= the floor(budget)-th
+    # smallest value (from 0), so one partition per factor replaces a
+    # count per grid step; floor(budget) < cells because n >= 1
+    values = np.empty(shape)
+    flat = values.reshape(-1)
+    rank = math.floor(flat.size / (2.0 * len(factors)))
+    thresholds = []
+    for j, i in enumerate(factors):
+        for block in blocks:
+            _factor_block(rows, j, block, values[block])
+        flat.partition(rank)
+        bound = float(flat[rank])
+        chosen = next((float(a) for a in grid if math.exp(-float(a)) <= bound), None)
+        if chosen is None:
+            raise GridExhaustedError(
+                f"no grid threshold tames the sublevel set of mode {i}")
+        thresholds.append(chosen)
+    return thresholds
+
+
+def _good_set_measure(rows, shape, blocks, thresholds) -> tuple:
+    """The number of cells where every factor j is at least
+    exp(-thresholds[j]), and the least product of the factors there (the
+    factors multiplied in order), block by block."""
+    floors = [math.exp(-a) for a in thresholds]
+    block_shape = (blocks[0].stop - blocks[0].start, *shape[1:])
+    factor, product = np.empty(block_shape), np.empty(block_shape)
+    keep, above = np.empty(block_shape, dtype=bool), np.empty(block_shape, dtype=bool)
+    count, least = 0, math.inf
+    for block in blocks:
+        height = block.stop - block.start
+        values, running = factor[:height], product[:height]
+        kept, passed = keep[:height], above[:height]
+        _factor_block(rows, 0, block, running)
+        np.greater_equal(running, floors[0], out=kept)
+        for j in range(1, len(floors)):
+            _factor_block(rows, j, block, values)
+            np.greater_equal(values, floors[j], out=passed)
+            kept &= passed
+            running *= values
+        count += int(np.count_nonzero(kept))
+        least = min(least, float(np.min(running, where=kept, initial=np.inf)))
+    return count, least
+
+
 def good_set_experiment(basis, spec: ProductSpec, center, side: float,
                         a_grid=None, samples_per_axis: int | None = None) -> GoodSetResult:
     """For each factor, find the smallest grid threshold a_j whose sublevel
@@ -270,11 +342,18 @@ def good_set_experiment(basis, spec: ProductSpec, center, side: float,
     intersection of the complements then covers at least half of it.
 
     Counting runs on one shared lattice, so the 1/2 guarantee is exact
-    cell arithmetic, not an approximation.  Each factor is evaluated on
-    the lattice axis by axis (``lattice_values``), so its values are
-    :func:`eigenprod.manifolds.evaluate`'s at the lattice points, bit for
-    bit.  The work runs in place: one factor's lattice, one scratch copy
-    of it for the partition and the running product are held at a time.
+    cell arithmetic, not an approximation.  One ``lattice_rows`` call forms
+    every factor's rows on each axis's own coordinates, and each |value|
+    is the product of its two absolute row values: the |values| of
+    :func:`eigenprod.manifolds.evaluate` at the lattice points, bit for
+    bit.  Two passes run over the row blocks of
+    the lattice (about BLOCK_CELLS cells each).  The threshold pass writes
+    each factor's |values| into one lattice-sized buffer, reused for every
+    factor, and partitions it.  The measure pass, with that buffer freed,
+    forms every factor's values on one block at a time and updates the
+    block's keep mask and running product in place; it adds up the kept
+    cells and takes the least product over them.  Counts and minima do
+    not depend on the blocking.
     """
     center = _as_center(center)
     if len(center) != basis.model.chart_dim:
@@ -285,45 +364,17 @@ def good_set_experiment(basis, spec: ProductSpec, center, side: float,
         raise ParameterError("cube side must be positive")
     grid = _checked_grid(a_grid, 1)
     axes, cell = _measure_axes(center, side, samples_per_axis)
-    total = math.prod(axis.size for axis in axes)
-    n = spec.n_factors
-    budget = total / (2.0 * n)
-    # count(values < t) <= budget exactly when t <= the floor(budget)-th
-    # smallest value (from 0), so one partition per factor replaces a
-    # count per grid step; floor(budget) < total because n >= 1
-    rank = math.floor(budget)
-    thresholds = []
-    keep = np.ones(total, dtype=bool)
-    above = np.empty(total, dtype=bool)
-    scratch = np.empty(total)
-    product = None  # the factors multiplied in order
-    for i in spec.factors:
-        values = basis.model.lattice_values(basis, [i], axes)[0]
-        np.abs(values, out=values)
-        np.copyto(scratch, values)
-        scratch.partition(rank)
-        bound = float(scratch[rank])
-        chosen = None
-        for a in grid:
-            if math.exp(-float(a)) <= bound:
-                chosen = float(a)
-                break
-        if chosen is None:
-            raise GridExhaustedError(
-                f"no grid threshold tames the sublevel set of mode {i}")
-        thresholds.append(chosen)
-        np.greater_equal(values, math.exp(-chosen), out=above)
-        keep &= above
-        if product is None:
-            product = values
-        else:
-            product *= values
-    measure_e = float(np.count_nonzero(keep)) * cell
-    half_measure = total * cell
+    shape = tuple(axis.size for axis in axes)
+    blocks = _row_blocks(shape)
+    rows = [np.abs(axis_rows) for axis_rows in
+            basis.model.lattice_rows(basis, list(spec.factors), axes)]
+    thresholds = _good_set_thresholds(rows, shape, blocks, grid, spec.factors)
+    count, min_product = _good_set_measure(rows, shape, blocks, thresholds)
+    measure_e = float(count) * cell
+    half_measure = math.prod(shape) * cell
     if measure_e < 0.5 * half_measure - 1e-12:
         raise BreakdownError("good-set measure fell below half the half-cube")
     # E holds at least half the lattice here, so the minimum is finite
-    min_product = float(np.min(product, where=keep, initial=np.inf))
     if min_product < math.exp(-float(np.sum(thresholds))) * (1.0 - 1e-12):
         raise BreakdownError("pointwise product bound violated on the good set")
     return GoodSetResult(tuple(thresholds), measure_e, half_measure, min_product)

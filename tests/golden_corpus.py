@@ -93,6 +93,12 @@ INVOCATIONS = {
                        "--side", "1"),
     "good-set-sphere": ("good-set", *SPHERE, "--factors", "Y2m1,Y1m0", "--center", "1,1",
                         "--side", "0.5"),
+    "good-set-sphere-3": ("good-set", *SPHERE, "--factors", "Y2m1,Y1m0,Y3m-2", "--center", "1,1",
+                          "--side", "0.5"),
+    "good-set-rev": ("good-set", *REV, "--factors", "1,3", "--center", "2,2", "--side", "1"),
+    # the cli-warm benchmark's 2-d good-set op
+    "good-set-flat2-warm": ("good-set", *FLAT2, "--lambda-max", "8", "--factors", "c1s1,c0c2",
+                            "--center", "0.5,0.5", "--side", "1"),
     "report-replay-greens": ("report", "--replay", "{work}/greens-flat1/greens.json",
                              "--check"),
     "product-rev-1-1": ("product", *REV, "--factors", "1,1"),

@@ -520,6 +520,67 @@ def test_replay_of_a_key_the_run_does_not_take_exits_2(tmp_path, capsys, section
     assert not (out / "replay-truncate.json").exists()
 
 
+@pytest.mark.parametrize("argv, named", [
+    (("--model", "sphere", "--R", "2", "--factors", "Y1m0,Y1m1"), "model sphere takes no --R"),
+    (("--model", "sphere", "--dim", "2", "--factors", "Y1m0,Y1m1"), "model sphere takes no --dim"),
+    (("--model", "flat-torus", "--dim", "1", "--r", "1", "--factors", "cos1,cos2"),
+     "model flat-torus takes no --r"),
+    (("--model", "rev-torus", "--R", "2", "--r", "1", "--periods", "1,2", "--factors", "1,1"),
+     "model rev-torus takes no --periods"),
+    (("--dim", "1", "--factors", "cos1,cos2"), "--dim needs --model"),
+    (("--R", "2", "--r", "1", "--factors", "1,1"), "--R needs --model"),
+], ids=["sphere-R", "sphere-dim", "flat-r", "rev-periods", "flat-without-model",
+        "rev-without-model"])
+def test_model_flags_the_model_does_not_take_exit_2(tmp_path, capsys, argv, named):
+    # a dropped flag would run without it, and the report would not show it
+    code, out = run(tmp_path, "product", *argv)
+    assert code == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_a_model_flag_beside_a_config_files_model_exits_2(tmp_path, capsys):
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text("[run]\ncommand = product\n[model]\nkind = rev-torus\nR = 2\nr = 1\n"
+                        "[params]\nfactors = 1,1\n")
+    code, out = run(tmp_path, "product", "--config", str(cfg_path), "--R", "3")
+    assert code == 2
+    assert "--R needs --model" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, named", [
+    (("remez", "--function", "linear", "--model", "flat-torus", "--dim", "2"),
+     "--function linear reads no model"),
+    (("remez", "--function", "power:2", "--center", "0,0", "--model", "sphere"),
+     "--function power:2 reads no model"),
+    (("doubling", "--function", "power:3", "--center", "0,0", "--model", "flat-torus",
+      "--dim", "2"), "--function power:3 reads no model"),
+    (("doubling", "--model", "sphere"), "--function linear reads no model"),
+    (("lower-bound", "--family", "rotated-s2", "--model", "sphere"),
+     "--family rotated-s2 reads no model"),
+], ids=["remez-linear", "remez-power", "doubling-power", "doubling-default", "rotated-s2"])
+def test_a_model_the_run_never_reads_exits_2(tmp_path, capsys, argv, named):
+    code, out = run(tmp_path, *argv)
+    assert code == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_replay_of_a_model_the_run_never_reads_exits_2(tmp_path, capsys):
+    code, out = run(tmp_path, "doubling", "--function", "power:2", "--center", "0,0")
+    assert code == 0
+    doc = read(out, "doubling.json")
+    assert doc["config"]["model"] is None
+    doc["config"]["model"] = {"kind": "sphere"}
+    (tmp_path / "edited.json").write_text(json.dumps(doc))
+    capsys.readouterr()
+    code2, _ = run(tmp_path, "report", "--replay", str(tmp_path / "edited.json"), "--check")
+    assert code2 == 2
+    assert "reads no model" in capsys.readouterr().err
+    assert not (out / "replay-doubling.json").exists()
+
+
 @pytest.mark.parametrize("argv, token", [
     (("--model", "flat-torus", "--dim", "1", "--factors", "\u00b2,1"), "\u00b2"),
     (("--model", "flat-torus", "--dim", "1", "--factors=--1,1"), "--1"),

@@ -417,23 +417,24 @@ def test_good_set_equals_pointwise_evaluation(good_set_case):
 
 
 def test_good_set_evaluates_factors_on_axes_only(monkeypatch, good_set_case, circle_basis):
-    # axis_factor_rows sees one axis's coordinates (512 per axis in 2-d,
-    # 16384 in 1-d), never the 262144 points of the lattice
+    # one axis_factor_rows call per good set carries every factor, in
+    # order, on one axis's coordinates each (512 per axis in 2-d, 16384 in
+    # 1-d), never the 262144 points of the lattice
     seen = []
     for basis, spec, center, side in (
-            good_set_case, (circle_basis, ProductSpec(circle_basis, (1, 2)), 0.0, 2.0)):
+            good_set_case, (circle_basis, ProductSpec(circle_basis, (1, 2, 1)), 0.0, 2.0)):
         per_axis = 512 if basis.model.chart_dim == 2 else 16384
         model_type = type(basis.model)
         original = model_type.axis_factor_rows
 
         def recording(self, basis, ids, axis_points, original=original):
-            seen.append([len(points) for points in axis_points])
+            seen.append((list(ids), [len(points) for points in axis_points]))
             return original(self, basis, ids, axis_points)
 
         monkeypatch.setattr(model_type, "axis_factor_rows", recording)
         seen.clear()
         good_set_experiment(basis, spec, center, side)
-        assert seen == [[per_axis] * basis.model.chart_dim] * spec.n_factors
+        assert seen == [(list(spec.factors), [per_axis] * basis.model.chart_dim)]
         monkeypatch.undo()
 
 
@@ -701,6 +702,25 @@ def test_remez_fit_peaks_below_one_lattice():
     finally:
         tracemalloc.stop()
     assert peak < 512 * 512 * 8
+
+
+@pytest.mark.parametrize("case", ["flat2", "sphere"])
+def test_good_set_peaks_below_one_and_three_quarter_lattices(case):
+    # one 512^2 float64 buffer (2 MiB) serves every factor's partition and
+    # the measure pass works on row blocks; a lattice per factor would pass
+    # the bound at two factors
+    model, lambda_max, factors, center, side = GOOD_SET_CASES[case]
+    basis = build_basis(model, lambda_max)
+    spec = ProductSpec(basis, factors)
+    good_set_experiment(basis, spec, center, side)
+    tracemalloc.start()
+    try:
+        good_set_experiment(basis, spec, center, side)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert spec.n_factors == {"flat2": 2, "sphere": 3}[case]
+    assert peak < 1.75 * 512 * 512 * 8
 
 
 def test_function_values_must_broadcast_to_the_lattice():
