@@ -20,6 +20,7 @@ import numpy as np
 from .coefficients import CoefficientSeries, product_norm_sq
 from .errors import BreakdownError, ParameterError, UnderResolvedError
 from .manifolds import SpectralBasis, Sphere2
+from .numerics import real_powers
 
 NOISE_FLOOR_REL = 1e-12
 DEFAULT_BIN_WIDTH = 1.0
@@ -274,6 +275,14 @@ def _sphere_cartesian(n_gl: int, n_phi: int):
     return xs, ys, zs, weights
 
 
+def _weighted_square_sum(weights, values, scratch=None) -> float:
+    """sum(weights * values * values), its products formed in ``scratch``
+    (a fresh array without one)."""
+    square = np.multiply(weights, values, out=scratch)
+    square *= values
+    return float(np.sum(square))
+
+
 def sphere_rotated_pair_experiment(l_values) -> LowerBoundFit:
     """Norms of Y_l^l times its quarter-turn about the x-axis.
 
@@ -288,14 +297,15 @@ def sphere_rotated_pair_experiment(l_values) -> LowerBoundFit:
         raise ParameterError("degrees must be >= 0")
     lmax = max(l_values)
     xs, ys, zs, weights = _sphere_cartesian(2 * lmax + 16, 4 * lmax + 16)
+    # Re (x + iy)^l, which is proportional to Y_l^l, and its quarter-turn
+    # image, stacked
+    pairs = real_powers(np.stack((xs + 1j * ys, xs + 1j * zs)), l_values)
     samples = []
-    for l in l_values:
-        first = np.real((xs + 1j * ys) ** l)
-        second = np.real((xs + 1j * zs) ** l)  # the quarter-turn image
-        first = first / math.sqrt(float(np.sum(weights * first * first)))
-        second = second / math.sqrt(float(np.sum(weights * second * second)))
-        product = first * second
-        norm = math.sqrt(float(np.sum(weights * product * product)))
+    for l, (first, second) in zip(l_values, pairs):
+        first /= math.sqrt(_weighted_square_sum(weights, first))
+        second /= math.sqrt(_weighted_square_sum(weights, second))
+        first *= second  # first * second
+        norm = math.sqrt(_weighted_square_sum(weights, first))
         lam = math.sqrt(l * (l + 1.0))
         samples.append((2.0 * lam, norm))
     return _norm_from_samples(samples, 2)
@@ -315,15 +325,15 @@ def sphere_remark_experiment(k_range) -> RemarkDecay:
     n_gl = 3 * kmax + 8
     n_phi = 6 * kmax + 8
     xs, ys, zs, weights = _sphere_cartesian(n_gl, n_phi)
+    triples = real_powers(np.stack((xs + 1j * ys, xs + 1j * zs, ys + 1j * zs)), ks)
+    del xs, ys, zs  # the stacked bases hold all that is needed of them
     samples = []
     for k in ks:
-        values = (
-            np.real((xs + 1j * ys) ** k)
-            * np.real((xs + 1j * zs) ** k)
-            * np.real((ys + 1j * zs) ** k)
-        )
-        norm = math.sqrt(float(np.sum(weights * values * values)))
-        samples.append((k, norm))
+        first, second, third = next(triples)
+        first *= second
+        first *= third  # first * second * third
+        samples.append((k, math.sqrt(_weighted_square_sum(weights, first, second))))
+        del first, second, third  # freed before the next degree's stack is formed
     arr_k = np.array([float(k) for k, _n in samples])
     arr_n = np.array([n for _k, n in samples])
     if np.any(arr_n <= 0.0):

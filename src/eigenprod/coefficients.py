@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import BreakdownError, ParameterError, UnderResolvedError
 from .manifolds import FlatTorus, RevTorus, SpectralBasis, Sphere2
-from .numerics import TWO_PI, circle_norms, circle_product
+from .numerics import TWO_PI, circle_norms, circle_product, circle_unit_product
 
 FOUR_PI = 4.0 * math.pi
 
@@ -420,12 +420,7 @@ def _axis_product(columns, scale: float) -> np.ndarray:
     period.  With amplitudes a = scale / circle_norms, the factors are a_c
     times 1, cos or sin, and the integral is prod(a_c) T_t / a_t for the
     product T of those unit series."""
-    rows = []
-    for column in columns:
-        row = np.zeros(column + 1 + column % 2)
-        row[column] = 1.0
-        rows.append(row)
-    product = circle_product(rows)
+    product = circle_unit_product(columns)
     return np.prod(scale / circle_norms(columns)) * product / (
         scale / circle_norms(np.arange(product.shape[0])))
 

@@ -8,9 +8,13 @@ codec of every periodic axis.
 The codec owns the column layout of :func:`circle_basis` (column <->
 (freq, parity) and each column's normalization), the conversion of a row
 to e^{ins} coefficients and back, the product of rows
-(:func:`circle_product`, one ``np.convolve`` per factor) and the sums of
+(:func:`circle_product`, and :func:`circle_unit_product` for unit rows,
+one ``np.convolve`` per factor) and the sums of
 every column against a vector on a uniform grid (:func:`circle_sums`, one
 ``np.fft.fft``).  No other module calls ``np.convolve`` or ``np.fft``.
+
+:func:`real_powers` gives Re(z^k) for a run of degrees k, bit for bit as
+numpy's ``z ** k`` forms it, from squarings of z that all degrees share.
 
 The eigensolver reduces a pencil (A, B) once: :func:`inverse_cholesky`
 factors B = L L^T (LAPACK ``dpotrf``, ``dtrtri``) and
@@ -65,7 +69,9 @@ __all__ = [
     "to_exponential",
     "from_exponential",
     "circle_product",
+    "circle_unit_product",
     "circle_sums",
+    "real_powers",
 ]
 
 
@@ -352,6 +358,26 @@ def circle_product(rows) -> np.ndarray:
     return from_exponential(series)
 
 
+def circle_unit_product(columns) -> np.ndarray:
+    """:func:`circle_product` of one unit row per :func:`circle_basis`
+    column of ``columns``: 1, cos(freq s) or sin(freq s)."""
+    series = np.ones(1, dtype=complex)
+    for column in columns:
+        series = np.convolve(series, _unit_exponential(int(column)))
+    return from_exponential(series)
+
+
+@functools.cache
+def _unit_exponential(column: int) -> np.ndarray:
+    """:func:`to_exponential` of the unit row of ``column``, formed once
+    per column and process, read-only."""
+    row = np.zeros(column + 1 + column % 2)
+    row[column] = 1.0
+    coeffs = to_exponential(row)
+    coeffs.setflags(write=False)
+    return coeffs
+
+
 def circle_sums(values, width: int) -> np.ndarray:
     """``circle_basis(nodes, width).T @ values`` on the uniform grid
     nodes 2 pi j / n, n = len(values), from one FFT: the sum against
@@ -422,3 +448,109 @@ def rev_galerkin_terms(big: float, small: float, trunc: int):
 
     stiff = (freq[:, None] * freq[None, :]) * gather(f_moments, -sign)
     return stiff, gather(inv_moments, sign), gather(f_moments, sign)
+
+
+def real_powers(z, degrees):
+    """Yield ``np.real(z ** k)`` for each k of ``degrees`` in turn, bit for
+    bit, from squarings z, z^2, z^4, ... that every degree shares.
+
+    numpy (its ``nc_pow``, as of numpy 2.4) forms ``z ** 2`` with
+    ``np.square``, and ``z ** k`` for 3 <= k < 100 by complex multiplies
+    (re = ar br - ai bi, im = ar bi + ai br, each product rounded on its
+    own, no FMA): z^3 as (z z) z, and z^k for k >= 4 by binary
+    exponentiation from 1, multiplying in the squarings of k's set bits,
+    lowest first.  A numpy whose recipe differs, or whose compiler fuses
+    those multiplies, gives powers that differ from these in the last
+    bits.  Degrees 3 to 99 follow that
+    recipe here, one real multiply, add or subtract per step, in three
+    work arrays that every degree reuses; for a zero z of either sign
+    those steps give +0, as numpy's own zero check does.  The squarings
+    are formed when a degree first needs them and kept until the
+    generator is done, so degrees up to K hold 2 floor(log2 K) + 5 real
+    arrays of z's shape besides the one yielded.  ``np.square`` serves
+    degree 2 and ``**`` every other degree.  Each yielded array is fresh,
+    and the caller may write to it.
+    """
+    z = np.asarray(z, dtype=complex)
+    shape = z.shape
+    squares = [(z.real.flatten(), z.imag.flatten())]
+    del z  # only its parts are kept
+    zr, zi = squares[0]
+    work = [np.empty_like(zr) for _ in range(3)]
+    for k in degrees:
+        k = int(k)
+        if not 3 <= k < 100:
+            out = _numpy_power_real(zr, zi, k)
+        elif k == 3:
+            out = _cube_real(zr, zi, work)
+        else:
+            out = _binary_power_real(squares, k, work)
+        yield out.reshape(shape)
+        del out  # freed before the next degree's array is formed
+
+
+def _numpy_power_real(zr, zi, k: int) -> np.ndarray:
+    """``np.real(z ** k)`` of z = zr + i zi, degree 2 by ``np.square``."""
+    z = np.empty(zr.shape, dtype=complex)
+    z.real, z.imag = zr, zi
+    return np.square(z).real if k == 2 else np.real(z ** k)
+
+
+def _unit_times(pr, pi, re, im) -> tuple:
+    """1 p = (pr - 0 pi, pi + 0 pr) into ``re`` and ``im``: the first
+    multiply of a binary power, which can flip the sign of a zero part."""
+    np.multiply(0.0, pi, out=re)
+    np.subtract(pr, re, out=re)
+    np.multiply(0.0, pr, out=im)
+    im += pi
+    return re, im
+
+
+def _cube_real(zr, zi, work) -> np.ndarray:
+    """Re((z z) z) as a fresh array."""
+    sr, si, tmp = work
+    out = np.empty_like(zr)
+    np.multiply(zr, zr, out=sr)
+    np.multiply(zi, zi, out=tmp)
+    sr -= tmp
+    np.multiply(zr, zi, out=si)
+    si += si  # zr zi + zi zr
+    np.multiply(zr, sr, out=out)
+    np.multiply(zi, si, out=tmp)
+    out -= tmp
+    return out
+
+
+def _binary_power_real(squares: list, k: int, work) -> np.ndarray:
+    """Re(z^k) by binary exponentiation, 4 <= k < 100, as a fresh array,
+    from the squarings ``squares`` of z, grown here as k needs them."""
+    re, im, tmp = work
+    out = np.empty_like(tmp)
+    while len(squares) < k.bit_length():
+        pr, pi = squares[-1]
+        sr = pr * pr
+        np.multiply(pi, pi, out=tmp)
+        sr -= tmp
+        si = pr * pi
+        si += si
+        squares.append((sr, si))
+    (ar, ai), *rest = (squares[j] for j in range(k.bit_length()) if k >> j & 1)
+    if not rest:
+        np.multiply(0.0, ai, out=out)
+        np.subtract(ar, out, out=out)  # Re(1 p)
+        return out
+    ar, ai = _unit_times(ar, ai, re, im)
+    for br, bi in rest[:-1]:
+        # each output is written after the last read of the input it may be
+        np.multiply(ai, bi, out=tmp)
+        np.multiply(ar, bi, out=out)
+        np.multiply(ar, br, out=re)
+        re -= tmp
+        np.multiply(ai, br, out=im)
+        im += out
+        ar, ai = re, im
+    br, bi = rest[-1]  # the last multiply needs the real part only
+    np.multiply(ar, br, out=out)
+    np.multiply(ai, bi, out=tmp)
+    out -= tmp
+    return out

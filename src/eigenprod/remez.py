@@ -390,7 +390,14 @@ def coordinate_function():
 
 
 def harmonic_power_function(k: int):
-    """Re((x + iy)^k): harmonic and homogeneous of degree k on the plane."""
+    """Re((x + iy)^k): harmonic and homogeneous of degree k on the plane.
+    x and y fill the parts of one complex block, with no complex add."""
     if k < 0:
         raise ParameterError("exponent must be nonnegative")
-    return lambda x, y: np.real((x + 1j * y) ** k)
+
+    def fn(x, y):
+        z = np.empty(np.broadcast_shapes(np.shape(x), np.shape(y)), dtype=complex)
+        z.real, z.imag = x, y
+        return np.real(z ** k)
+
+    return fn

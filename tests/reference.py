@@ -1,11 +1,13 @@
 """Helpers that several test modules share: mode lookups and the check
 helpers that no CLI command runs."""
 
+import json
 import math
+import platform
 
 import numpy as np
 
-from eigenprod.analysis import DecayFit
+from eigenprod.analysis import DecayFit, _sphere_cartesian
 from eigenprod.coefficients import CoefficientSeries, ProductSpec, _torus_axis_products
 from eigenprod.errors import ParameterError
 from eigenprod.manifolds import FlatTorus, SpectralBasis
@@ -90,3 +92,61 @@ def grid_weights(basis: SpectralBasis) -> np.ndarray:
     if len(basis.axes) == 1:
         return basis.axes[0].weights
     return np.multiply.outer(basis.axes[0].weights, basis.axes[1].weights).reshape(-1)
+
+
+def canonical_json_reference(obj) -> str:
+    """The report text that ``reportio.canonical_json`` must reproduce:
+    json's own indented encoding, with a final newline."""
+    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+# the numpy builds (version, machine) on which ``numerics.real_powers`` was
+# checked to give numpy's own complex powers bit for bit; another build may
+# follow another recipe, or fuse its multiplies, and differ in the last bits
+EXACT_POWER_BUILDS = {("2.4.6", "x86_64")}
+
+
+def exact_powers_expected() -> bool:
+    """Whether the running numpy build is one of :data:`EXACT_POWER_BUILDS`."""
+    return (np.__version__, platform.machine()) in EXACT_POWER_BUILDS
+
+
+def assert_same_samples(got, want) -> None:
+    """(x, norm) samples equal to the last bit under a build of
+    :data:`EXACT_POWER_BUILDS`, and to 1e-12 relative under another."""
+    if exact_powers_expected():
+        assert list(got) == list(want)
+    else:
+        assert len(got) == len(want)
+        for (x, norm), (x_want, norm_want) in zip(got, want):
+            assert x == x_want and math.isclose(norm, norm_want, rel_tol=1e-12)
+
+
+def remark_samples_reference(ks) -> list:
+    """``sphere_remark_experiment``'s (k, norm) samples from numpy's own
+    complex powers, formed afresh for every k."""
+    kmax = max(ks)
+    xs, ys, zs, weights = _sphere_cartesian(3 * kmax + 8, 6 * kmax + 8)
+    samples = []
+    for k in ks:
+        values = (np.real((xs + 1j * ys) ** k) * np.real((xs + 1j * zs) ** k)
+                  * np.real((ys + 1j * zs) ** k))
+        samples.append((k, math.sqrt(float(np.sum(weights * values * values)))))
+    return samples
+
+
+def rotated_pair_samples_reference(ls) -> list:
+    """``sphere_rotated_pair_experiment``'s (2 lambda, norm) samples from
+    numpy's own complex powers, formed afresh for every l."""
+    lmax = max(ls)
+    xs, ys, zs, weights = _sphere_cartesian(2 * lmax + 16, 4 * lmax + 16)
+    samples = []
+    for l in ls:
+        first = np.real((xs + 1j * ys) ** l)
+        second = np.real((xs + 1j * zs) ** l)
+        first = first / math.sqrt(float(np.sum(weights * first * first)))
+        second = second / math.sqrt(float(np.sum(weights * second * second)))
+        product = first * second
+        samples.append((2.0 * math.sqrt(l * (l + 1.0)),
+                        math.sqrt(float(np.sum(weights * product * product)))))
+    return samples

@@ -16,7 +16,13 @@ from eigenprod.analysis import (
 from eigenprod.coefficients import CoefficientSeries, ProductSpec, expand_product
 from eigenprod.errors import ParameterError, UnderResolvedError
 from eigenprod.manifolds import COS, FlatTorus, RevTorus, Sphere2, build_basis
-from reference import envelope_dominates, find_mode
+from reference import (
+    assert_same_samples,
+    envelope_dominates,
+    find_mode,
+    remark_samples_reference,
+    rotated_pair_samples_reference,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -225,6 +231,15 @@ def test_sphere_rotated_pairs_decay():
     assert fit.n_factors == 2
 
 
+@pytest.mark.parametrize("l_min", [0, 2])
+@pytest.mark.parametrize("l_max", [5, 12, 39])
+def test_sphere_rotated_pairs_are_numpys_powers_bit_for_bit(l_min, l_max):
+    # the streamed powers reproduce the samples of fresh ``z ** l`` per l,
+    # and so the reports of every l range, to the last bit
+    fit = sphere_rotated_pair_experiment(range(l_min, l_max + 1))
+    assert_same_samples(fit.samples, rotated_pair_samples_reference(range(l_min, l_max + 1)))
+
+
 def sphere_moment(a, b, c):
     """Exact monomial moment of x^a y^b z^c over the unit sphere."""
     if a % 2 or b % 2 or c % 2:
@@ -254,6 +269,15 @@ def test_remark_norms_strictly_decreasing():
     norms = [n for _k, n in result.samples]
     assert all(b < a for a, b in zip(norms, norms[1:]))
     assert result.log_slope < 0.0
+
+
+@pytest.mark.parametrize("k_min", [1, 2, 3])
+@pytest.mark.parametrize("k_max", [3, 8, 13, 16, 24])
+def test_remark_samples_are_numpys_powers_bit_for_bit(k_min, k_max):
+    # odd and even k_max: an odd one puts a Gauss node on the equator,
+    # where y + iz vanishes on the phi = 0 meridian
+    result = sphere_remark_experiment(range(k_min, k_max + 1))
+    assert_same_samples(result.samples, remark_samples_reference(range(k_min, k_max + 1)))
 
 
 def test_remark_rejects_out_of_range():

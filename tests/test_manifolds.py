@@ -1087,6 +1087,20 @@ def test_fft_and_convolve_only_in_numerics():
     assert found == {"numerics"}
 
 
+def test_only_reportio_writes_indented_json():
+    # every report's text comes from reportio.canonical_json: no other
+    # package module calls json.dump or json.dumps with an indent
+    found = set()
+    package = pathlib.Path(manifolds.__file__).parent
+    for path in sorted(package.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) \
+                    and ast.unparse(node.func) in ("json.dump", "json.dumps", "dump", "dumps") \
+                    and any(keyword.arg == "indent" for keyword in node.keywords):
+                found.add(path.stem)
+    assert found <= {"reportio"}
+
+
 def test_no_module_makes_or_reads_a_mode_value():
     # a mode is its id in the basis arrays: no package module defines or
     # builds a Mode, asks a basis for ``.mode(``, or reads ``.rep`` or

@@ -1,4 +1,5 @@
-"""Quadrature kernels: hand-derived node/weight cases and exactness sweeps."""
+"""Quadrature kernels: hand-derived node/weight cases and exactness sweeps,
+and the numerics codec's bit-for-bit shortcuts."""
 
 import math
 
@@ -7,17 +8,22 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from eigenprod import numerics
+from eigenprod.analysis import _sphere_cartesian
 from eigenprod.errors import GeometryError, ParameterError
 from eigenprod.numerics import (
     QuadratureGrid,
     circle_basis,
     circle_columns,
+    circle_product,
     circle_sums,
+    circle_unit_product,
     from_exponential,
     gauss_legendre,
+    real_powers,
     to_exponential,
     uniform_periodic,
 )
+from reference import exact_powers_expected
 
 TWO_PI = 2.0 * math.pi
 
@@ -188,6 +194,52 @@ def test_convolved_unit_columns_are_the_product_to_sum_identities():
             product = from_exponential(np.convolve(to_exponential(_unit(fa, pa)),
                                                    to_exponential(_unit(fb, pb))))
             assert np.array_equal(product, expected), (fa, pa, fb, pb)
+
+
+def test_unit_products_are_circle_products_bit_for_bit():
+    # signed zeros included: a -0 coefficient would print as -0.0
+    for columns in ([0], [7], [0, 0], [1, 2], [4, 4, 9], [16, 3, 0, 12], [30, 29]):
+        rows = []
+        for column in columns:
+            row = np.zeros(column + 1 + column % 2)
+            row[column] = 1.0
+            rows.append(row)
+        assert circle_unit_product(columns).tobytes() == circle_product(rows).tobytes(), columns
+
+
+POWER_DEGREES = [*range(25), 100, 101]
+
+
+def _power_inputs():
+    """Complex arrays to raise: random ones, every base of both sphere
+    experiments' grids (odd and even sizes), zeros, and values whose parts
+    are signed zeros or units."""
+    rng = np.random.default_rng(23)
+    inputs = {"random": rng.standard_normal((7, 9)) + 1j * rng.standard_normal((7, 9)),
+              "random-wide": (rng.standard_normal(64) * np.exp(rng.uniform(-3.0, 3.0, 64))
+                              + 1j * rng.standard_normal(64)),
+              "zeros": np.zeros((3, 4), dtype=complex)}
+    for name, kmax in (("remark", 7), ("remark", 16), ("rotated", 12), ("rotated", 39)):
+        sizes = (3 * kmax + 8, 6 * kmax + 8) if name == "remark" else (2 * kmax + 16, 4 * kmax + 16)
+        xs, ys, zs, _weights = _sphere_cartesian(*sizes)
+        inputs[f"{name}-{kmax}"] = np.stack((xs + 1j * ys, xs + 1j * zs, ys + 1j * zs))
+    parts = (0.0, -0.0, 1.0, -1.0, 0.5)
+    inputs["signed-zeros"] = np.array([complex(a, b) for a in parts for b in parts])
+    return inputs
+
+
+@pytest.mark.parametrize("name", sorted(_power_inputs()))
+def test_real_powers_are_numpys_powers_bit_for_bit(name):
+    z = _power_inputs()[name]
+    every = list(range(102)) if z.size < 100 else POWER_DEGREES
+    for degrees in (every, every[::-1], [9, 4, 9, 3, 64, 100]):
+        for k, got in zip(degrees, real_powers(z, degrees), strict=True):
+            want = np.real(z ** k)
+            assert got.shape == want.shape, (name, k)
+            if exact_powers_expected():
+                assert got.tobytes() == want.tobytes(), (name, k)
+            else:  # the same powers up to rounding, relative to |z|^k
+                assert np.all(np.abs(got - want) <= 1e-13 * np.abs(z) ** k), (name, k)
 
 
 @pytest.mark.parametrize("n", [1, 10, 16, 33])
