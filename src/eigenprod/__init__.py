@@ -30,11 +30,9 @@ from .coefficients import (
     CoefficientSeries,
     ProductSpec,
     expand_product,
-    gaunt_real,
     parseval_report,
     quadrature_coefficients,
     series_to_csv,
-    wigner_3j,
 )
 from .extension import (
     CauchyCheck,
@@ -60,7 +58,9 @@ from .manifolds import (
 from .numerics import (
     QuadratureGrid,
     gauss_legendre,
+    gaunt_real,
     uniform_periodic,
+    wigner_3j,
 )
 from .remez import (
     DoublingReport,
@@ -75,15 +75,14 @@ from .remez import (
 __all__ = [
     "__version__",
     # numerics
-    "QuadratureGrid", "gauss_legendre", "uniform_periodic",
+    "QuadratureGrid", "gauss_legendre", "uniform_periodic", "wigner_3j", "gaunt_real",
     # manifolds
     "FlatTorus", "Sphere2", "RevTorus", "SpectralBasis",
     "build_basis", "evaluate", "as_chart_function", "save_basis", "load_basis",
     "basis_digest",
     # coefficients
     "ProductSpec", "CoefficientSeries", "expand_product",
-    "quadrature_coefficients", "parseval_report",
-    "wigner_3j", "gaunt_real", "series_to_csv",
+    "quadrature_coefficients", "parseval_report", "series_to_csv",
     # analysis
     "DecayFit", "TruncationResult", "LowerBoundFit", "RemarkDecay",
     "fit_decay", "find_truncation", "captured_norm_ratio", "lower_bound_experiment",

@@ -98,7 +98,7 @@ def _param(section: dict, key: str, default=None, convert=float):
 
 
 def _flat_config(args) -> dict:
-    dim = args.dim or 1
+    dim = 1 if args.dim is None else args.dim
     periods = [2.0 * math.pi] * dim if args.periods is None else args.periods.split(",")
     return {"dim": dim, "periods": [_number(p) for p in periods]}
 
@@ -451,9 +451,23 @@ def _cmd_truncate(config, cache_dir):
     return results, _provenance(basis), {}, summary
 
 
+# The params each lower-bound family reads, besides ``family``.
+_LOWER_BOUND_PARAMS = {
+    "self": ("k_min", "k_max", "lambda_max", "lambda_max_mult"),
+    "pairs": ("pairs", "lambda_max", "lambda_max_mult"),
+    "rotated-s2": ("l_min", "l_max"),
+}
+
+
 def _cmd_lower_bound(config, cache_dir):
     params = config["params"]
-    family = params.get("family", "self")
+    family = _param(params, "family", "self", str)
+    if family not in _LOWER_BOUND_PARAMS:
+        raise ParameterError(f"unknown family {family!r}")
+    unread = sorted(set(params) - {"family", *_LOWER_BOUND_PARAMS[family]})
+    if unread:
+        raise ParameterError(
+            f"--family {family} reads no --{unread[0].replace('_', '-')}")
     if family == "rotated-s2":
         if config["model"] is not None:
             raise ParameterError("--family rotated-s2 reads no model")
@@ -470,15 +484,13 @@ def _cmd_lower_bound(config, cache_dir):
         tokens = [f"cos{k}" for k in range(k_lo, k_hi + 1)]
         basis, (ids,) = _resolve_basis_and_factors(model_cfg, params, [tokens], cache_dir)
         specs = [ProductSpec(basis, (i, i)) for i in ids]
-    elif family == "pairs":
+    else:
         groups = [g for g in _param(params, "pairs", convert=str).split(";") if g.strip(",")]
         if not groups:
             raise ParameterError("--pairs names no pair")
         basis, group_ids = _resolve_basis_and_factors(
             model_cfg, params, [g.split(",") for g in groups], cache_dir)
         specs = [ProductSpec(basis, ids) for ids in group_ids]
-    else:
-        raise ParameterError(f"unknown family {family!r}")
     fit = lower_bound_experiment(basis, specs)
     summary = f"lower-bound: C3={fit.C3_hat:.6e} C4={fit.C4_hat:.6f}"
     return _lower_bound_results(fit), _provenance(basis), {}, summary
@@ -568,9 +580,12 @@ def _function_from_config(config, cache_dir):
     if spec.startswith("power:"):
         return harmonic_power_function(_number(spec.split(":", 1)[1], int)), 2, None
     if spec.startswith("mode:"):
-        basis, (ids,) = _resolve_basis_and_factors(config["model"], params,
-                                                   [spec.split(":", 1)[1].split(",")], cache_dir)
-        return as_chart_function(basis, ids[0]), basis.model.chart_dim, basis
+        tokens = spec.split(":", 1)[1].split(",")
+        if len(tokens) != 1 or not tokens[0].strip():
+            raise ParameterError(f"--function {spec} must name exactly one mode")
+        basis, ((mode_id,),) = _resolve_basis_and_factors(config["model"], params, [tokens],
+                                                          cache_dir)
+        return as_chart_function(basis, mode_id), basis.model.chart_dim, basis
     raise ParameterError(f"unknown function spec {spec!r}")
 
 

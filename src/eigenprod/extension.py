@@ -15,7 +15,9 @@ basis's own quadrature: by linearity, each kept mode's integrals against
 every basis mode are the quadrature coefficients of that one-mode
 product, so no array of modes on the grid is formed.  The PDE residual
 is bounded term by term over the whole slab, and H(., 0) = f is checked
-on the tensor lattice of the basis's quadrature nodes.
+on the tensor lattice of the basis's quadrature nodes.  The flat
+specifics come from the model's ``extension_chart`` and
+``extension_spectrum``, which only the flat torus implements.
 """
 
 from __future__ import annotations
@@ -27,8 +29,6 @@ import numpy as np
 
 from .coefficients import CoefficientSeries, ProductSpec, quadrature_coefficients
 from .errors import BreakdownError, ParameterError
-from .manifolds import FlatTorus
-from .numerics import TWO_PI, circle_frequencies, circle_norms
 
 __all__ = [
     "ExtensionParams",
@@ -62,19 +62,15 @@ class ExtensionParams:
     C8: float
 
 
-def compute_extension_params(model: FlatTorus,
-                             r2_override: float | None = None) -> ExtensionParams:
-    """Evaluate the flat-metric constants.
+def compute_extension_params(model, r2_override: float | None = None) -> ExtensionParams:
+    """Evaluate the flat-metric constants from ``model.extension_chart()``.
 
     R1 is half the polydisk radius fitting inside a normal chart
     (injectivity radius over 2 sqrt(d); the Taylor radius of a flat metric
     is infinite).  R2 defaults to R1/2 and may be overridden; R3 = R2/4.
     """
-    if not isinstance(model, FlatTorus):
-        raise ParameterError(
-            "the explicit cosh extension exists only on the flat torus")
-    d = model.dim
-    r_inj = min(model.periods) / 2.0
+    r_inj, coeff_sup = model.extension_chart()
+    d = model.chart_dim
     r1 = r_inj / (2.0 * math.sqrt(d))
     if r2_override is not None:
         r2 = float(r2_override)
@@ -83,7 +79,6 @@ def compute_extension_params(model: FlatTorus,
     else:
         r2 = r1 / 2.0
     r3 = r2 / 4.0
-    coeff_sup = float(d)  # d unit second-order coefficients, (2 R3)^0 each
     delta0 = 2.0 * (2.0 ** (d + 1) * math.e) ** 2 * coeff_sup
     delta = 1.0 / math.sqrt(delta0)
     height = r3 * delta / 2.0
@@ -96,29 +91,21 @@ class HarmonicExtension:
 
     def __init__(self, series: CoefficientSeries, height: float):
         basis = series.product.basis
-        if not isinstance(basis.model, FlatTorus):
-            raise ParameterError("harmonic extension requires a flat torus basis")
+        keep = series.coeffs != 0.0
+        self.mode_ids = series.ids[keep]
+        # the model's Laplacian eigenvalues from the representation,
+        # independent of the lams the cosh propagation uses, so the
+        # residual check can fail; a model without them refuses here
+        self.laplacian_eigs, self.sups = basis.model.extension_spectrum(basis, self.mode_ids)
         if series.method != "both":
             raise ParameterError(
                 "harmonic extension requires the exact coefficient expansion")
         if not (height > 0.0) or not math.isfinite(height):
             raise ParameterError("extension height must be positive and finite")
-        keep = series.coeffs != 0.0
         self.basis = basis
         self.T = float(height)
-        self.mode_ids = series.ids[keep]
         self.lams = series.lams[keep]
         self.coeffs = series.coeffs[keep]
-        # Laplacian eigenvalues from the frequency vectors, independent of
-        # the lams the cosh propagation uses, so the residual check can fail
-        self.laplacian_eigs = sum(
-            (TWO_PI * circle_frequencies(columns[self.mode_ids]) / period) ** 2
-            for columns, period in zip(basis.axis_columns, basis.model.periods))
-        # a mode's sup is the product over the axes of sqrt(2 pi / P) over
-        # the norm of its circle_basis column
-        self.sups = np.prod([math.sqrt(TWO_PI / period) / circle_norms(columns[self.mode_ids])
-                             for columns, period in zip(basis.axis_columns,
-                                                        basis.model.periods)], axis=0)
 
     def on_lattice(self, coords) -> np.ndarray:
         """The kept modes on the tensor lattice of the per-axis chart
@@ -158,7 +145,7 @@ def harmonic_extension_flat(series: CoefficientSeries, height: float) -> Harmoni
     sampled there without aliasing, so an error in any coefficient shows.
     """
     ext = HarmonicExtension(series, height)
-    model: FlatTorus = ext.basis.model
+    model = ext.basis.model
     scale = max(ext.sup_bound(), 1e-300)
     residual = float((np.abs(ext.coeffs * (ext.laplacian_eigs - ext.lams**2)) * ext.sups)
                      @ np.cosh(ext.lams * ext.T))

@@ -23,7 +23,7 @@ section of this module each; ``build_basis``, ``evaluate``, persistence
 and the JSON view are model-agnostic.  A fourth model is a frozen
 dataclass derived from ``_Surface`` whose fields are its constructor
 arguments.  It implements the method set listed there and joins
-``_MODELS``, and its exact oracle joins ``coefficients._EXACT_ORACLES``.
+``_MODELS``.
 """
 
 from __future__ import annotations
@@ -51,9 +51,13 @@ from .numerics import (
     circle_basis,
     circle_columns,
     circle_frequencies,
+    circle_norms,
+    circle_product,
     circle_sums,
+    circle_unit_product,
     family_eigs,
     gauss_legendre,
+    gaunt_real,
     inverse_cholesky,
     reduce_congruent,
     rev_galerkin_terms,
@@ -183,15 +187,21 @@ class _Surface:
     ``axis_projections(basis, weighted)`` (per grid axis, the sum of every
     mode's factor row against ``weighted[axis]``, one value per mode: the
     quadrature check of product coefficients; a uniform periodic axis
-    takes one FFT, :func:`_circle_projections`).
+    takes one FFT, :func:`_circle_projections`) and
+    ``exact_coefficients(basis, factors)`` (the exact oracle: every mode's
+    coefficient in the product of the modes ``factors``, ascending ids).
 
     Optional: ``coefficients_name`` (the JSON name of a coefficient row;
     None for empty rows), ``rep_shape`` (the shape of one mode's entry in
     a representation column; () for a scalar), ``chart_axes(coords)``
     (the grid-axis coordinates of a list of per-axis chart coordinates,
     and their range check), ``parse_label(token)`` (the representation a
-    CLI mode label names) and ``rep_lambda(rep)`` (the mode's lambda in
-    closed form, with which ``build`` and the CLI size).
+    CLI mode label names), ``rep_lambda(rep)`` (the mode's lambda in
+    closed form, with which ``build`` and the CLI size), and the explicit
+    cosh extension's ``extension_chart()`` (the injectivity radius and
+    the sup of the metric's coefficient sum) and
+    ``extension_spectrum(basis, ids)`` (per mode of ``ids``, its Laplacian
+    eigenvalue from its representation and its sup).
 
     Shared: ``values`` at scattered chart points, ``lattice_rows`` (the
     factor rows on each axis's own coordinates, checked) and
@@ -245,6 +255,14 @@ class _Surface:
     def rep_lambda(self, rep: tuple) -> float | None:
         """Lambda of the mode ``rep`` names, or None: no closed form."""
         return None
+
+    def extension_chart(self) -> tuple:
+        """(injectivity radius, coefficient sup) of the extension's chart."""
+        raise ParameterError("the explicit cosh extension exists only on the flat torus")
+
+    def extension_spectrum(self, basis: SpectralBasis, ids) -> tuple:
+        """(Laplacian eigenvalues, sups) of the modes ``ids`` of ``basis``."""
+        raise ParameterError("harmonic extension requires a flat torus basis")
 
 
 def _round_up(n: int, mult: int = 16) -> int:
@@ -353,6 +371,29 @@ class FlatTorus(_Surface):
             raise ParameterError(f"factor token {token!r} names no mode of the flat torus")
         return (freqs, parities)
 
+    def exact_coefficients(self, basis: SpectralBasis, factors) -> np.ndarray:
+        # per axis, the product of the factors' columns; a factor on an
+        # axis of period P is sqrt(2 pi / P) times a column
+        coeffs = np.ones(basis.size)
+        for columns, period in zip(basis.axis_columns, self.periods):
+            coeffs *= _gather(_axis_product(columns[factors], math.sqrt(TWO_PI / period)), columns)
+        return coeffs
+
+    def extension_chart(self) -> tuple:
+        """Half the shortest period, and d: the flat Laplacian has d unit
+        second-order coefficients, (2 R3)^0 each."""
+        return min(self.periods) / 2.0, float(self.dim)
+
+    def extension_spectrum(self, basis: SpectralBasis, ids) -> tuple:
+        """The eigenvalues from the frequency vectors, independent of
+        ``basis.lams``; a mode's sup is the product over the axes of
+        sqrt(2 pi / P) over the norm of its circle_basis column."""
+        eigs = sum((TWO_PI * circle_frequencies(columns[ids]) / period) ** 2
+                   for columns, period in zip(basis.axis_columns, self.periods))
+        sups = np.prod([math.sqrt(TWO_PI / period) / circle_norms(columns[ids])
+                        for columns, period in zip(basis.axis_columns, self.periods)], axis=0)
+        return eigs, sups
+
 
 def _trig_rows(x, columns, const: float, amp: float, scale: float = 1.0) -> np.ndarray:
     """One row per circle_basis column, of frequency freq: ``const`` for
@@ -382,6 +423,24 @@ def _circle_projections(values, columns, scale: float = 1.0) -> np.ndarray:
     frequency below the node count."""
     width = 2 * int(circle_frequencies(np.max(columns, initial=0))) + 1
     return scale * circle_sums(values, width)[columns]
+
+
+def _axis_product(columns, scale: float) -> np.ndarray:
+    """Per column t of the product's band, the integral over one period of
+    the product of the axis factors ``scale`` col_c(2 pi x / period), c in
+    ``columns``, against ``scale`` col_t, where col is a
+    :func:`eigenprod.numerics.circle_basis` column and scale^2 = 2 pi /
+    period.  With amplitudes a = scale / circle_norms, the factors are a_c
+    times 1, cos or sin, and the integral is prod(a_c) T_t / a_t for the
+    product T of those unit series."""
+    product = circle_unit_product(columns)
+    return np.prod(scale / circle_norms(columns)) * product / (
+        scale / circle_norms(np.arange(product.shape[0])))
+
+
+def _gather(row: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """row[columns], 0 past the end of ``row``."""
+    return np.where(columns < row.shape[0], row[np.minimum(columns, row.shape[0] - 1)], 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -467,6 +526,21 @@ class Sphere2(_Surface):
             return (l, m)
         return super().parse_label(token)
 
+    def exact_coefficients(self, basis: SpectralBasis, factors) -> np.ndarray:
+        """Gaunt fold over the factors in id order, dropping degrees the rest
+        cannot bring back into the basis; then one table lookup of every
+        basis mode, keyed l (l + 1) + m, which is unique per harmonic."""
+        degrees, orders = basis.reps["l"], basis.reps["m"]
+        first, *rest = ((int(degrees[i]), int(orders[i])) for i in factors)
+        top = int(degrees.max()) + sum(l for l, _m in rest)
+        poly = {first: 1.0}
+        for l, m in rest:
+            top -= l
+            poly = _harmonic_multiply(poly, l, m, top)
+        table = np.zeros((top + 1) ** 2)
+        table[[l * (l + 1) + m for l, m in poly]] = list(poly.values())
+        return table[degrees * (degrees + 1) + orders]
+
 
 def _legendre_rows(lms, x: np.ndarray) -> np.ndarray:
     """P(l, |m|, x) for every (l, m) in ``lms``: orthonormalized
@@ -506,6 +580,24 @@ def _legendre_rows(lms, x: np.ndarray) -> np.ndarray:
         rows = by_step[bounds[t]:bounds[t + 1]]
         out[rows] = current[slots[rows]]
     return out
+
+
+def _harmonic_multiply(poly: dict, l: int, m: int, top: int) -> dict:
+    """poly * Y_lm for poly = {(l, m): coefficient}, exact through Gaunt, up
+    to degree ``top``.  Each term visits, in ascending (L, M), only the
+    targets the real-Gaunt rules allow: |l_a - l| <= L <= l_a + l with
+    l_a + l + L even, and |M| in {|m_a| + |m|, ||m_a| - |m||}, negative
+    exactly when one of m_a, m is."""
+    out: dict = {}
+    for (la, ma), weight in poly.items():
+        sign = -1 if (ma < 0) != (m < 0) else 1
+        orders = sorted({sign * o for o in (abs(ma) + abs(m), abs(abs(ma) - abs(m)))
+                         if o or sign > 0})
+        for big_l in range(abs(la - l), min(la + l, top) + 1, 2):
+            for big_m in (o for o in orders if abs(o) <= big_l):
+                g = gaunt_real(la, ma, l, m, big_l, big_m)
+                out[big_l, big_m] = out.get((big_l, big_m), 0.0) + weight * g
+    return {k: v for k, v in out.items() if v != 0.0}
 
 
 def _sphere_lmax(lambda_max: float) -> int:
@@ -662,6 +754,35 @@ class RevTorus(_Surface):
         # circle_basis sums: no (modes, nodes) array is formed
         return (basis.coefficients @ circle_sums(weighted[0], basis.coefficients.shape[1]),
                 _circle_projections(weighted[1], basis.axis_columns[1]))
+
+    def exact_coefficients(self, basis: SpectralBasis, factors) -> np.ndarray:
+        """The product of the factors' theta columns, the product of their s
+        profiles with f = R + r cos s, then one dot per target row of the
+        theta support.
+
+        Theta factors are circle_basis columns, so the theta integral of the
+        product against a family (m, parity) is the product's coefficient in
+        that column, and only families in the product's support are nonzero.
+        The s integral carries the weight f; it is the target's coefficient
+        row dotted with the circle_basis coefficients of f times the factors'
+        s profiles.
+        """
+        columns = basis.axis_columns[1]
+        theta = _gather(_axis_product(columns[factors], 1.0), columns)
+        norms = circle_norms(np.arange(basis.coefficients.shape[1]))
+        # the profiles as series in 1, cos, sin: the constant divided by its
+        # norm, the other columns times the reciprocal norm, which keeps the
+        # bits this oracle has always had; f is the series R + r cos s
+        profiles = basis.coefficients[factors] * (1.0 / norms)
+        profiles[:, 0] = basis.coefficients[factors, 0] / norms[0]
+        weighted = circle_product([*profiles, [self.major_radius, self.minor_radius, 0.0]])
+        weighted = weighted[:norms.shape[0]] * norms
+        rows = np.flatnonzero(theta)
+        coeffs = np.zeros(basis.size)
+        # einsum without ``optimize`` takes no BLAS path, so the bits do not
+        # depend on the BLAS thread count
+        coeffs[rows] = np.einsum("ij,j->i", basis.coefficients[rows], weighted) * theta[rows]
+        return coeffs
 
 
 def _rev_truncation(model: RevTorus, lambda_max: float) -> int:

@@ -16,6 +16,14 @@ every column against a vector on a uniform grid (:func:`circle_sums`, one
 :func:`real_powers` gives Re(z^k) for a run of degrees k, bit for bit as
 numpy's ``z ** k`` forms it, from squarings of z that all degrees share.
 
+:func:`wigner_3j` and :func:`gaunt_real` (the integral of three real
+spherical harmonics) share one cached kernel.  It uses the three-term
+recursion in the third angular momentum, run from both ends of the
+admissible range and spliced in the classical region, with the overall
+scale fixed by the two-sided normalization sum (2 l3 + 1) f(l3)^2 = 1 and
+the sign anchored at l3 = l1 + l2.  Unlike factorial formulas this
+survives degrees around 64 without overflow.
+
 The eigensolver reduces a pencil (A, B) once: :func:`inverse_cholesky`
 factors B = L L^T (LAPACK ``dpotrf``, ``dtrtri``) and
 :func:`reduce_congruent` forms L^-1 A L^-T.  Pencils that share B, such
@@ -43,6 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    BreakdownError,
     ConvergenceError,
     FactorizationError,
     GeometryError,
@@ -50,6 +59,7 @@ from .errors import (
 )
 
 TWO_PI = 2.0 * math.pi
+FOUR_PI = 4.0 * math.pi
 
 MAX_GAUSS_NODES = 512
 MAX_GALERKIN_TRUNCATION = 1024
@@ -72,6 +82,8 @@ __all__ = [
     "circle_unit_product",
     "circle_sums",
     "real_powers",
+    "wigner_3j",
+    "gaunt_real",
 ]
 
 
@@ -554,3 +566,177 @@ def _binary_power_real(squares: list, k: int, work) -> np.ndarray:
     np.multiply(ai, bi, out=tmp)
     out -= tmp
     return out
+
+
+def _jacobi_a(j3: float, j1: int, j2: int, m3: int) -> float:
+    return math.sqrt(
+        (j3 * j3 - (j1 - j2) ** 2)
+        * ((j1 + j2 + 1.0) ** 2 - j3 * j3)
+        * (j3 * j3 - m3 * m3)
+    )
+
+
+def _jacobi_b(j3: float, j1: int, j2: int, m1: int, m2: int, m3: int) -> float:
+    return -(2.0 * j3 + 1.0) * (
+        m3 * (j1 * (j1 + 1.0) - j2 * (j2 + 1.0)) + (m1 - m2) * j3 * (j3 + 1.0)
+    )
+
+
+def _zero_m_value(j1: int, j2: int, j3: int) -> float:
+    """Closed form of the all-zero-m symbol through log-gamma."""
+    total = j1 + j2 + j3
+    if total % 2:
+        return 0.0
+    g = total // 2
+    lg = math.lgamma
+    log_delta = (
+        lg(total - 2 * j1 + 1) + lg(total - 2 * j2 + 1) + lg(total - 2 * j3 + 1)
+        - lg(total + 2)
+    )
+    log_term = lg(g + 1) - lg(g - j1 + 1) - lg(g - j2 + 1) - lg(g - j3 + 1)
+    return (-1.0) ** g * math.exp(0.5 * log_delta + log_term)
+
+
+_RESCALE = 1e150
+
+
+@functools.lru_cache(maxsize=1 << 18)
+def _three_j_range(j1: int, j2: int, m1: int, m2: int):
+    """All 3j(j1 j2 j3; m1 m2 -(m1+m2)) over the admissible j3 range.
+
+    Returns (j3_min, tuple of values for j3 = j3_min .. j1+j2).
+    """
+    m3 = -(m1 + m2)
+    j_lo = max(abs(j1 - j2), abs(m3))
+    j_hi = j1 + j2
+    count = j_hi - j_lo + 1
+    if count == 1:
+        sign = (-1.0) ** (j1 - j2 - m3)
+        return j_lo, (sign / math.sqrt(2.0 * j_lo + 1.0),)
+    if m1 == 0 and m2 == 0:
+        return j_lo, tuple(_zero_m_value(j1, j2, j3) for j3 in range(j_lo, j_hi + 1))
+
+    def a_at(j3):
+        return _jacobi_a(float(j3), j1, j2, m3)
+
+    def b_at(j3):
+        return _jacobi_b(float(j3), j1, j2, m1, m2, m3)
+
+    down = np.zeros(count)
+    down[-1] = 1.0
+    for idx in range(count - 1, 0, -1):
+        j3 = j_lo + idx
+        upper = down[idx + 1] if idx + 1 < count else 0.0
+        down[idx - 1] = -(j3 * a_at(j3 + 1) * upper + b_at(j3) * down[idx]) / (
+            (j3 + 1.0) * a_at(j3)
+        )
+        peak = abs(down[idx - 1])
+        if peak > _RESCALE:
+            down[idx - 1:] /= peak
+
+    up = np.zeros(count)
+    if j_lo == 0:
+        # only reachable with j1 == j2 and m2 == -m1 != 0; seed the first two
+        # values from their closed forms (the three-term relation is vacuous
+        # at j3 = 0)
+        up[0] = (-1.0) ** (j1 - m1) / math.sqrt(2.0 * j1 + 1.0)
+        up[1] = (
+            (-1.0) ** (j1 - m1)
+            * 2.0
+            * m1
+            / math.sqrt(2.0 * j1 * (2.0 * j1 + 1.0) * (2.0 * j1 + 2.0))
+        )
+    else:
+        up[0] = 1.0
+        up[1] = -b_at(j_lo) * up[0] / (j_lo * a_at(j_lo + 1))
+    for idx in range(1, count - 1):
+        j3 = j_lo + idx
+        up[idx + 1] = -(b_at(j3) * up[idx] + (j3 + 1.0) * a_at(j3) * up[idx - 1]) / (
+            j3 * a_at(j3 + 1)
+        )
+        peak = abs(up[idx + 1])
+        if peak > _RESCALE:
+            up[: idx + 2] /= peak
+
+    overlap = np.abs(up) * np.abs(down)
+    pivot = int(np.argmax(overlap))
+    if overlap[pivot] == 0.0:  # pragma: no cover - defensive
+        raise BreakdownError("3j recursion lost all overlap between passes")
+    values = np.empty(count)
+    values[: pivot + 1] = up[: pivot + 1]
+    values[pivot:] = down[pivot:] * (up[pivot] / down[pivot])
+    j3s = np.arange(j_lo, j_hi + 1, dtype=float)
+    norm = math.sqrt(float(np.sum((2.0 * j3s + 1.0) * values * values)))
+    values /= norm
+    anchor = (-1.0) ** (j1 - j2 - m3)
+    if values[-1] * anchor < 0.0:
+        values = -values
+    return j_lo, tuple(float(v) for v in values)
+
+
+def _validate_lm(l: int, m: int, label: str):
+    if not isinstance(l, (int, np.integer)) or isinstance(l, bool) or l < 0:
+        raise ParameterError(f"{label}: degree must be a nonnegative integer")
+    if not isinstance(m, (int, np.integer)) or isinstance(m, bool) or abs(m) > l:
+        raise ParameterError(f"{label}: order must be an integer with |m| <= l")
+
+
+def wigner_3j(l1: int, l2: int, l3: int, m1: int, m2: int, m3: int) -> float:
+    """The Wigner 3j symbol for integer angular momenta.
+
+    Zero when m1+m2+m3 != 0 or the triangle inequality fails; otherwise
+    evaluated from the recursion described in the module docstring.
+    """
+    for l, m, label in ((l1, m1, "first"), (l2, m2, "second"), (l3, m3, "third")):
+        _validate_lm(l, m, f"{label} column")
+    if m1 + m2 + m3 != 0:
+        return 0.0
+    if l3 < abs(l1 - l2) or l3 > l1 + l2:
+        return 0.0
+    j_lo, values = _three_j_range(int(l1), int(l2), int(m1), int(m2))
+    return values[l3 - j_lo]
+
+
+def _complex_weights(m: int):
+    """Real harmonic as a combination of the phase-free complex ones."""
+    if m == 0:
+        return ((0, 1.0 + 0.0j),)
+    am = abs(m)
+    inv = 1.0 / math.sqrt(2.0)
+    if m > 0:  # cosine type
+        return ((am, inv + 0.0j), (-am, inv + 0.0j))
+    return ((am, -1.0j * inv), (-am, 1.0j * inv))  # sine type
+
+
+def gaunt_real(l1: int, m1: int, l2: int, m2: int, l3: int, m3: int) -> float:
+    """Integral over the sphere of three real harmonics.
+
+    Built from the cached 3j recursion via the real-to-complex change of
+    basis, after one argument check; our real harmonics carry no
+    Condon-Shortley phase, which contributes the (-1)^mu factors below.
+    """
+    for l, m, label in ((l1, m1, "first"), (l2, m2, "second"), (l3, m3, "third")):
+        _validate_lm(l, m, f"{label} harmonic")
+    l1, m1, l2, m2, l3, m3 = (int(v) for v in (l1, m1, l2, m2, l3, m3))
+    total = l1 + l2 + l3
+    if total % 2:
+        return 0.0
+    if l3 < abs(l1 - l2) or l3 > l1 + l2:
+        return 0.0
+    if (int(m1 < 0) + int(m2 < 0) + int(m3 < 0)) % 2:
+        return 0.0
+    j_lo, values = _three_j_range(l1, l2, 0, 0)
+    base = values[l3 - j_lo]
+    if base == 0.0:
+        return 0.0
+    prefactor = math.sqrt((2 * l1 + 1) * (2 * l2 + 1) * (2 * l3 + 1) / FOUR_PI)
+    acc = 0.0 + 0.0j
+    for mu1, c1 in _complex_weights(m1):
+        for mu2, c2 in _complex_weights(m2):
+            for mu3, c3 in _complex_weights(m3):
+                if mu1 + mu2 + mu3 != 0:
+                    continue
+                phase = (-1.0) ** (max(mu1, 0) + max(mu2, 0) + max(mu3, 0))
+                j_lo, values = _three_j_range(l1, l2, mu1, mu2)
+                acc += c1 * c2 * c3 * phase * values[l3 - j_lo]
+    return float(acc.real) * prefactor * base

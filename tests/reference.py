@@ -8,9 +8,9 @@ import platform
 import numpy as np
 
 from eigenprod.analysis import DecayFit, _sphere_cartesian
-from eigenprod.coefficients import CoefficientSeries, ProductSpec, _torus_axis_products
+from eigenprod.coefficients import CoefficientSeries, ProductSpec
 from eigenprod.errors import ParameterError
-from eigenprod.manifolds import FlatTorus, SpectralBasis
+from eigenprod.manifolds import FlatTorus, SpectralBasis, _axis_product
 from eigenprod.numerics import TWO_PI, circle_basis, circle_frequencies
 
 
@@ -42,10 +42,12 @@ def torus_support_lambda(spec: ProductSpec) -> float:
     model = spec.basis.model
     if not isinstance(model, FlatTorus):
         raise ParameterError("support enumeration is exact on flat tori only")
-    per_axis_max = [
-        float(circle_frequencies(np.flatnonzero(product)[-1])) * (TWO_PI / period)
-        for period, product in zip(model.periods, _torus_axis_products(spec))
-    ]
+    factors = sorted(spec.factors)
+    per_axis_max = []
+    for columns, period in zip(spec.basis.axis_columns, model.periods):
+        product = _axis_product(columns[factors], math.sqrt(TWO_PI / period))
+        per_axis_max.append(float(circle_frequencies(np.flatnonzero(product)[-1]))
+                            * (TWO_PI / period))
     return math.hypot(*per_axis_max) if model.dim == 2 else per_axis_max[0]
 
 

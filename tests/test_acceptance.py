@@ -23,10 +23,8 @@ from eigenprod.cli import cli_main
 from eigenprod.coefficients import (
     ProductSpec,
     expand_product,
-    gaunt_real,
     parseval_report,
     quadrature_coefficients,
-    wigner_3j,
 )
 from eigenprod.extension import (
     compute_extension_params,
@@ -41,6 +39,7 @@ from eigenprod.manifolds import (
     RevTorus,
     build_basis,
 )
+from eigenprod.numerics import gaunt_real, wigner_3j
 from eigenprod.remez import (
     coordinate_function,
     default_a_grid,

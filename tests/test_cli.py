@@ -581,6 +581,26 @@ def test_replay_of_a_model_the_run_never_reads_exits_2(tmp_path, capsys):
     assert not (out / "replay-doubling.json").exists()
 
 
+@pytest.mark.parametrize("dim", ["0", "-1"])
+def test_flat_torus_dimension_outside_1_and_2_exits_2(tmp_path, capsys, dim):
+    # --dim 0 is refused like --dim 3, not read as the default 1-d torus
+    code, out = run(tmp_path, "basis", "--model", "flat-torus", f"--dim={dim}",
+                    "--lambda-max", "2")
+    assert code == 2
+    assert "flat torus dimension must be 1 or 2" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["remez", "doubling"])
+@pytest.mark.parametrize("spec", ["mode:cos1,cos9", "mode:cos1,", "mode:"])
+def test_function_mode_names_exactly_one_mode(tmp_path, capsys, command, spec):
+    code, out = run(tmp_path, command, "--function", spec, "--model", "flat-torus",
+                    "--dim", "1", "--center", "0.3")
+    assert code == 2
+    assert f"--function {spec} must name exactly one mode" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv, token", [
     (("--model", "flat-torus", "--dim", "1", "--factors", "\u00b2,1"), "\u00b2"),
     (("--model", "flat-torus", "--dim", "1", "--factors=--1,1"), "--1"),
@@ -679,6 +699,42 @@ def test_lower_bound_rotated_pairs_reject_negative_degrees(tmp_path):
                     "--l-min", "-6", "--l-max", "-2")
     assert code == 2
     assert not (out / "lower-bound.json").exists()
+
+
+@pytest.mark.parametrize("argv, named", [
+    (("--family", "rotated-s2", "--l-min", "2", "--l-max", "6", "--k-min", "3"),
+     "--family rotated-s2 reads no --k-min"),
+    (("--family", "rotated-s2", "--lambda-max", "9"), "--family rotated-s2 reads no --lambda-max"),
+    ((*LOWER_BOUND[1:], "--family", "self", "--pairs", "1,1"), "--family self reads no --pairs"),
+    ((*LOWER_BOUND[1:], "--family", "self", "--l-max", "4"), "--family self reads no --l-max"),
+    ((*LOWER_BOUND[1:], "--family", "pairs", "--pairs", "1,1", "--k-max", "4"),
+     "--family pairs reads no --k-max"),
+], ids=["rotated-k-min", "rotated-lambda-max", "self-pairs", "self-l-max", "pairs-k-max"])
+def test_lower_bound_flag_its_family_never_reads_exits_2(tmp_path, capsys, argv, named):
+    code, out = run(tmp_path, "lower-bound", *argv)
+    assert code == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_lower_bound_config_and_replay_of_a_param_its_family_never_reads_exit_2(
+        tmp_path, capsys):
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text("[run]\ncommand = lower-bound\n"
+                        "[params]\nfamily = rotated-s2\nl_max = 6\npairs = 1,2\n")
+    code, out = run(tmp_path, "lower-bound", "--config", str(cfg_path))
+    assert code == 2
+    assert "--family rotated-s2 reads no --pairs" in capsys.readouterr().err
+    assert not out.exists()
+    code, out = run(tmp_path, "lower-bound", "--family", "rotated-s2", "--l-max", "6")
+    assert code == 0
+    doc = read(out, "lower-bound.json")
+    doc["config"]["params"]["k_min"] = 3
+    (tmp_path / "edited.json").write_text(json.dumps(doc))
+    code, _ = run(tmp_path, "report", "--replay", str(tmp_path / "edited.json"), "--check")
+    assert code == 2
+    assert "--family rotated-s2 reads no --k-min" in capsys.readouterr().err
+    assert not (out / "replay-lower-bound.json").exists()
 
 
 def test_decay_command_rev_torus(tmp_path):

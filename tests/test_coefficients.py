@@ -9,16 +9,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eigenprod import coefficients
+from eigenprod import manifolds
 from eigenprod.coefficients import (
     CoefficientSeries,
     ProductSpec,
     expand_product,
-    gaunt_real,
     parseval_report,
     quadrature_coefficients,
     series_to_csv,
-    wigner_3j,
 )
 from eigenprod.errors import BreakdownError, ParameterError, UnderResolvedError
 from eigenprod.manifolds import (
@@ -29,6 +27,7 @@ from eigenprod.manifolds import (
     Sphere2,
     build_basis,
 )
+from eigenprod.numerics import gaunt_real, wigner_3j
 from reference import find_mode, grid_weights, torus_support_lambda
 
 TWO_PI = 2.0 * math.pi
@@ -339,13 +338,13 @@ def test_sphere_oracle_gate_can_fail(sphere12_basis, monkeypatch):
     reps = ((1, 1), (1, 1), (2, 0), (2, 0))
     spec = ProductSpec(sphere12_basis, tuple(find_mode(sphere12_basis, r) for r in reps))
     assert expand_product(spec).method == "both"
-    exact_gaunt = coefficients.gaunt_real
+    exact_gaunt = manifolds.gaunt_real
     shifted = (1, 1, 1, 1, 2, 2)
 
     def off_by_one_value(*args):
         return exact_gaunt(*args) + (1e-8 if args == shifted else 0.0)
 
-    monkeypatch.setattr(coefficients, "gaunt_real", off_by_one_value)
+    monkeypatch.setattr(manifolds, "gaunt_real", off_by_one_value)
     with pytest.raises(BreakdownError, match="disagree"):
         expand_product(spec)
 
@@ -393,7 +392,8 @@ def test_rev_oracle_selection_rule(rev_basis, factors):
     quad, f_norm_sq = quadrature_coefficients(spec)
     assert float(np.max(np.abs(series.coeffs - quad))) <= 1e-10
     assert series.f_norm_sq == f_norm_sq
-    assert series.oracle_gap == float(np.max(np.abs(coefficients._rev_exact(spec) - quad)))
+    exact = rev_basis.model.exact_coefficients(rev_basis, sorted(factors))
+    assert series.oracle_gap == float(np.max(np.abs(exact - quad)))
     assert series.truncated(2.0).oracle_gap == series.oracle_gap
 
 

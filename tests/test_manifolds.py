@@ -1046,32 +1046,33 @@ def test_rev_evaluate_builds_the_circle_basis_at_distinct_s_only(monkeypatch, re
                                rtol=0.0, atol=1e-13)
 
 
-def test_model_isinstance_only_in_input_guards():
-    # a model's behaviour lives in its class; an isinstance test against a
-    # model class is allowed only where input is validated
-    guards = {("extension", "compute_extension_params"),
-              ("extension", "HarmonicExtension.__init__")}
+def test_no_module_tests_which_model_it_holds():
+    # a model's behaviour lives in its class: no module runs an isinstance
+    # test against a model class, and none outside manifolds keys a dict by
+    # one or looks an entry up by ``type(...)``, a second model registry
     models = {"FlatTorus", "Sphere2", "RevTorus"}
-    found = set()
+    found = []
 
     def names(node):
         return {getattr(n, "id", None) or getattr(n, "attr", None) for n in ast.walk(node)}
 
-    def visit(module, node, scope):
-        for child in ast.iter_child_nodes(node):
-            inner = scope
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                inner = f"{scope}.{child.name}" if scope else child.name
-            if isinstance(child, ast.Call) and isinstance(child.func, ast.Name) \
-                    and child.func.id == "isinstance" and len(child.args) == 2 \
-                    and models & names(child.args[1]):
-                found.add((module, inner))
-            visit(module, child, inner)
-
     package = pathlib.Path(manifolds.__file__).parent
     for path in sorted(package.rglob("*.py")):
-        visit(path.stem, ast.parse(path.read_text(encoding="utf-8")), "")
-    assert found == guards
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            where = f"{path.name}:{getattr(node, 'lineno', 0)}"
+            if isinstance(node, ast.Call) and ast.unparse(node.func) == "isinstance" \
+                    and len(node.args) == 2 and models & names(node.args[1]):
+                found.append(f"{where} isinstance")
+            if path.stem == "manifolds":
+                continue
+            keys = node.keys if isinstance(node, ast.Dict) else \
+                [node.key] if isinstance(node, ast.DictComp) else []
+            if any(key is not None and models & names(key) for key in keys):
+                found.append(f"{where} keyed by a model class")
+            if isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Call) \
+                    and ast.unparse(node.slice.func) == "type":
+                found.append(f"{where} looked up by type")
+    assert found == []
 
 
 def test_fft_and_convolve_only_in_numerics():
