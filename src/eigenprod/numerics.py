@@ -13,8 +13,10 @@ one ``np.convolve`` per factor) and the sums of
 every column against a vector on a uniform grid (:func:`circle_sums`, one
 ``np.fft.fft``).  No other module calls ``np.convolve`` or ``np.fft``.
 
-:func:`real_powers` gives Re(z^k) for a run of degrees k, bit for bit as
-numpy's ``z ** k`` forms it, from squarings of z that all degrees share.
+:func:`real_part_powers` gives Re(z^k) for a run of degrees k, bit for
+bit as numpy's ``z ** k`` forms it, from squarings of z that all degrees
+share, on real and imaginary parts that broadcast (an open mesh, say);
+:func:`real_powers` runs it on a complex array's parts.
 
 :func:`wigner_3j` and :func:`gaunt_real` (the integral of three real
 spherical harmonics) share one cached kernel.  It uses the three-term
@@ -82,6 +84,7 @@ __all__ = [
     "circle_unit_product",
     "circle_sums",
     "real_powers",
+    "real_part_powers",
     "wigner_3j",
     "gaunt_real",
 ]
@@ -464,7 +467,19 @@ def rev_galerkin_terms(big: float, small: float, trunc: int):
 
 def real_powers(z, degrees):
     """Yield ``np.real(z ** k)`` for each k of ``degrees`` in turn, bit for
-    bit, from squarings z, z^2, z^4, ... that every degree shares.
+    bit: :func:`real_part_powers` on copies of z's two parts."""
+    z = np.asarray(z, dtype=complex)
+    zr, zi = z.real.copy(), z.imag.copy()
+    del z  # only its parts are kept
+    yield from real_part_powers(zr, zi, degrees)
+
+
+def real_part_powers(zr, zi, degrees):
+    """Yield Re(z^k) of z = zr + i zi for each k of ``degrees`` in turn, bit
+    for bit as numpy's ``np.real(z ** k)`` forms it, from squarings z, z^2,
+    z^4, ... that every degree shares.  ``zr`` and ``zi`` are real arrays
+    that broadcast together (an open mesh, say), and each power has their
+    broadcast shape.
 
     numpy (its ``nc_pow``, as of numpy 2.4) forms ``z ** 2`` with
     ``np.square``, and ``z ** k`` for 3 <= k < 100 by complex multiplies
@@ -473,99 +488,121 @@ def real_powers(z, degrees):
     exponentiation from 1, multiplying in the squarings of k's set bits,
     lowest first.  A numpy whose recipe differs, or whose compiler fuses
     those multiplies, gives powers that differ from these in the last
-    bits.  Degrees 3 to 99 follow that
-    recipe here, one real multiply, add or subtract per step, in three
-    work arrays that every degree reuses; for a zero z of either sign
-    those steps give +0, as numpy's own zero check does.  The squarings
-    are formed when a degree first needs them and kept until the
-    generator is done, so degrees up to K hold 2 floor(log2 K) + 5 real
-    arrays of z's shape besides the one yielded.  ``np.square`` serves
-    degree 2 and ``**`` every other degree.  Each yielded array is fresh,
-    and the caller may write to it.
+    bits.  Degrees 3 to 99 follow that recipe here, one real multiply, add
+    or subtract per step, in work arrays that every degree reuses; for a
+    zero z of either sign those steps give +0, as numpy's own zero check
+    does.  A squaring that some degree multiplies in is kept until the
+    generator is done; one that only leads to the next is squared in place.
+    So degrees up to K hold at most 2 floor(log2 K) + 3 real arrays of the
+    broadcast shape besides the parts and the one yielded, and a single
+    degree 3 or power of two at most 3 in all.  ``np.square`` serves degree
+    2 and ``**`` every other degree, on one complex array.  Each yielded
+    array is fresh, and the caller may write to it.
     """
-    z = np.asarray(z, dtype=complex)
-    shape = z.shape
-    squares = [(z.real.flatten(), z.imag.flatten())]
-    del z  # only its parts are kept
-    zr, zi = squares[0]
-    work = [np.empty_like(zr) for _ in range(3)]
+    zr, zi = np.asarray(zr, dtype=float), np.asarray(zi, dtype=float)
+    degrees = [int(k) for k in degrees]
+    ladder = _Ladder(zr, zi, {j for k in degrees if 4 <= k < 100
+                              for j in range(k.bit_length()) if k >> j & 1})
     for k in degrees:
-        k = int(k)
         if not 3 <= k < 100:
-            out = _numpy_power_real(zr, zi, k)
+            out = _numpy_power_real(zr, zi, k, ladder.shape)
         elif k == 3:
-            out = _cube_real(zr, zi, work)
+            out = ladder.cube_real()
         else:
-            out = _binary_power_real(squares, k, work)
-        yield out.reshape(shape)
+            out = ladder.binary_power_real(k)
+        yield out
         del out  # freed before the next degree's array is formed
 
 
-def _numpy_power_real(zr, zi, k: int) -> np.ndarray:
-    """``np.real(z ** k)`` of z = zr + i zi, degree 2 by ``np.square``."""
-    z = np.empty(zr.shape, dtype=complex)
+def _numpy_power_real(zr, zi, k: int, shape) -> np.ndarray:
+    """``np.real(z ** k)`` of z = zr + i zi: numpy's ``**`` in place, which
+    squares degree 2 with ``np.square``."""
+    z = np.empty(shape, dtype=complex)
     z.real, z.imag = zr, zi
-    return np.square(z).real if k == 2 else np.real(z ** k)
+    z **= k
+    return z.real
 
 
-def _unit_times(pr, pi, re, im) -> tuple:
-    """1 p = (pr - 0 pi, pi + 0 pr) into ``re`` and ``im``: the first
-    multiply of a binary power, which can flip the sign of a zero part."""
-    np.multiply(0.0, pi, out=re)
-    np.subtract(pr, re, out=re)
-    np.multiply(0.0, pr, out=im)
-    im += pi
-    return re, im
+class _Ladder:
+    """The squarings of z = zr + i zi and the work arrays of one
+    :func:`real_part_powers` run.
 
+    ``squares[j]`` holds the parts of z^(2^j), or None once it has been
+    squared in place; levels in ``shared`` (the squarings some degree
+    multiplies in) are never overwritten, and level 0 is the caller's
+    parts.  ``work`` holds spare arrays of the broadcast shape."""
 
-def _cube_real(zr, zi, work) -> np.ndarray:
-    """Re((z z) z) as a fresh array."""
-    sr, si, tmp = work
-    out = np.empty_like(zr)
-    np.multiply(zr, zr, out=sr)
-    np.multiply(zi, zi, out=tmp)
-    sr -= tmp
-    np.multiply(zr, zi, out=si)
-    si += si  # zr zi + zi zr
-    np.multiply(zr, sr, out=out)
-    np.multiply(zi, si, out=tmp)
-    out -= tmp
-    return out
+    def __init__(self, zr, zi, shared: set):
+        self.shape = np.broadcast_shapes(zr.shape, zi.shape)
+        self.squares = [(zr, zi)]
+        self.shared = shared
+        self.work = []
 
+    def _take(self) -> np.ndarray:
+        return self.work.pop() if self.work else np.empty(self.shape)
 
-def _binary_power_real(squares: list, k: int, work) -> np.ndarray:
-    """Re(z^k) by binary exponentiation, 4 <= k < 100, as a fresh array,
-    from the squarings ``squares`` of z, grown here as k needs them."""
-    re, im, tmp = work
-    out = np.empty_like(tmp)
-    while len(squares) < k.bit_length():
-        pr, pi = squares[-1]
-        sr = pr * pr
-        np.multiply(pi, pi, out=tmp)
-        sr -= tmp
-        si = pr * pi
-        si += si
-        squares.append((sr, si))
-    (ar, ai), *rest = (squares[j] for j in range(k.bit_length()) if k >> j & 1)
-    if not rest:
-        np.multiply(0.0, ai, out=out)
-        np.subtract(ar, out, out=out)  # Re(1 p)
-        return out
-    ar, ai = _unit_times(ar, ai, re, im)
-    for br, bi in rest[:-1]:
-        # each output is written after the last read of the input it may be
-        np.multiply(ai, bi, out=tmp)
-        np.multiply(ar, bi, out=out)
-        np.multiply(ar, br, out=re)
-        re -= tmp
-        np.multiply(ai, br, out=im)
-        im += out
-        ar, ai = re, im
-    br, bi = rest[-1]  # the last multiply needs the real part only
-    np.multiply(ar, br, out=out)
-    np.multiply(ai, bi, out=tmp)
-    out -= tmp
-    return out
+    def _grow(self, level: int) -> None:
+        """Square up to ``level``: p p = (pr pr - pi pi, pr pi + pi pr)."""
+        while len(self.squares) <= level:
+            j = len(self.squares) - 1
+            pr, pi = self.squares[j]
+            if j and j not in self.shared:
+                self.squares[j] = None
+                sr, si = pr, pi
+            else:
+                sr, si = self._take(), self._take()
+            pi_squared = pi * pi  # read before pi may be overwritten
+            np.multiply(pr, pi, out=si)
+            si += si
+            np.multiply(pr, pr, out=sr)
+            sr -= pi_squared
+            self.squares.append((sr, si))
+
+    def cube_real(self) -> np.ndarray:
+        """Re((z z) z) as a fresh array."""
+        zr, zi = self.squares[0]
+        sr, si = self._take(), self._take()
+        np.multiply(zr, zr, out=sr)
+        sr -= zi * zi
+        np.multiply(zr, zi, out=si)
+        si += si  # zr zi + zi zr
+        np.multiply(zi, si, out=si)
+        np.multiply(zr, sr, out=sr)
+        sr -= si
+        self.work.append(si)
+        return sr
+
+    def binary_power_real(self, k: int) -> np.ndarray:
+        """Re(z^k) by binary exponentiation, 4 <= k < 100, as a fresh
+        array."""
+        self._grow(k.bit_length() - 1)
+        (ar, ai), *rest = (self.squares[j] for j in range(k.bit_length()) if k >> j & 1)
+        if not rest:
+            out = self._take()
+            np.multiply(0.0, ai, out=out)
+            np.subtract(ar, out, out=out)  # Re(1 p)
+            return out
+        # 1 p = (pr - 0 pi, pi + 0 pr), which can flip the sign of a zero part
+        re, im = self._take(), self._take()
+        np.multiply(0.0, ai, out=re)
+        np.subtract(ar, re, out=re)
+        np.multiply(0.0, ar, out=im)
+        im += ai
+        for br, bi in rest[:-1]:
+            tmp, spare = self._take(), self._take()
+            np.multiply(im, bi, out=tmp)
+            np.multiply(re, bi, out=spare)
+            np.multiply(re, br, out=re)
+            re -= tmp
+            np.multiply(im, br, out=im)
+            im += spare
+            self.work += [tmp, spare]
+        br, bi = rest[-1]  # the last multiply needs the real part only
+        np.multiply(im, bi, out=im)
+        np.multiply(re, br, out=re)
+        re -= im
+        self.work.append(im)
+        return re
 
 
 def _jacobi_a(j3: float, j1: int, j2: int, m3: int) -> float:

@@ -11,8 +11,10 @@ a line and ``fn(x, y)``, x (n, 1) and y (1, m), on a plane, as the
 factories below do.  It is called on row blocks of the lattice, about
 BLOCK_CELLS cells each (consecutive rows of the first axis with every
 point of the others), so it must be pointwise: each value may depend on
-its own lattice point only.  Sups take the maximum of the block maxima
-and measures add the block counts, so neither depends on the blocking.
+its own lattice point only.  The absolute values of each block are
+written into one block-sized buffer per lattice, which the next block
+overwrites.  Sups take the maximum of the block maxima and measures add
+the block counts, so neither depends on the blocking.
 Values that do not broadcast to the block's shape raise
 ``ParameterError``, and so does a NaN or infinite sup, where it is
 taken: before any measure lattice is evaluated.
@@ -20,6 +22,8 @@ taken: before any measure lattice is evaluated.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -28,6 +32,7 @@ import numpy as np
 from .analysis import _least_squares_line
 from .coefficients import ProductSpec
 from .errors import BreakdownError, GridExhaustedError, ParameterError
+from .numerics import real_part_powers
 
 DEFAULT_A_GRID_STEP = 0.25
 DEFAULT_A_GRID_STOP = 12.0
@@ -77,15 +82,16 @@ def _checked_grid(a_grid, min_points: int) -> np.ndarray:
     return grid
 
 
-def _eval(fn, axes) -> np.ndarray:
+def _eval(fn, axes, out: np.ndarray) -> np.ndarray:
     """|fn| on the tensor lattice of the 1-d arrays ``axes``, one array axis
-    each, as a fresh array; the function's own arrays are freed on return."""
-    shape = tuple(axis.size for axis in axes)
+    each, written into ``out`` (of the lattice's shape) and returned; the
+    function's own arrays are freed on return."""
     values = np.asarray(fn(*np.meshgrid(*axes, indexing="ij", sparse=True)))
     try:
-        return np.abs(np.broadcast_to(values, shape))
+        values = np.broadcast_to(values, out.shape)
     except ValueError:
-        raise ParameterError(f"values {values.shape} do not broadcast to {shape}") from None
+        raise ParameterError(f"values {values.shape} do not broadcast to {out.shape}") from None
+    return np.abs(values, out=out)
 
 
 def _row_blocks(shape) -> list:
@@ -100,10 +106,14 @@ def _row_blocks(shape) -> list:
 
 
 def _blocks(fn, axes):
-    """:func:`_eval` on the :func:`_row_blocks` of the lattice, in order."""
-    rest = axes[1:]
-    return (_eval(fn, [axes[0][block], *rest])
-            for block in _row_blocks(tuple(axis.size for axis in axes)))
+    """:func:`_eval` on the :func:`_row_blocks` of the lattice, in order,
+    each written into the leading rows of one buffer of the first (tallest)
+    block's shape: a block is overwritten by the next one."""
+    shape = tuple(axis.size for axis in axes)
+    blocks = _row_blocks(shape)
+    buffer = np.empty((blocks[0].stop, *shape[1:]))
+    for block in blocks:
+        yield _eval(fn, [axes[0][block], *axes[1:]], buffer[:block.stop - block.start])
 
 
 def _sup(fn, center: tuple, half_side: float, per_axis: int) -> float:
@@ -161,14 +171,16 @@ def _measure_axes(center: tuple, side: float, per_axis: int | None):
 
 
 def _counts_below(values: np.ndarray, a_values) -> list:
-    """Number of values strictly below exp(-a), for each a.
+    """Number of values strictly below exp(-a), for each a; a contiguous
+    ``values`` is sorted in place.
 
     One sort serves every threshold; ``side="left"`` counts exactly the
     entries with value < exp(-a), as the direct comparison in
     ``sublevel_measure`` does.  For a single threshold that comparison is
     cheaper than the sort.
     """
-    ordered = np.sort(values, axis=None)
+    ordered = values.reshape(-1)
+    ordered.sort()
     thresholds = [math.exp(-float(a)) for a in a_values]
     return np.searchsorted(ordered, thresholds, side="left").tolist()
 
@@ -215,8 +227,8 @@ def remez_fit(fn, center, side: float, a_grid=None,
     The function is normalized internally so sup over the cube is 1.  It
     is evaluated once on each of three lattices, block by block: the two
     sup lattices and the half-cube's cell lattice, where each block is
-    divided by the sup in place and its sorted values give the count of
-    every threshold; each measure equals ``sublevel_measure`` of the
+    divided by the sup and sorted in place, and its sorted values give the
+    count of every threshold; each measure equals ``sublevel_measure`` of the
     normalized function at that threshold, bit for bit.  The
     least-squares fit skips saturated samples (the sublevel set filled the
     whole half-cube) and quantization-floor samples (fewer than
@@ -286,27 +298,59 @@ def _factor_block(rows, j: int, block: slice, out: np.ndarray) -> None:
         np.einsum("i,j->ij", rows[0][j, block], rows[1][j], out=out)
 
 
-def _good_set_thresholds(rows, shape, blocks, grid, factors) -> list:
+def _count_below(xs: np.ndarray, ys: np.ndarray, t: float) -> int:
+    """The number of lattice values x y below ``t``, for x of ``xs`` and y
+    of the ascending ``ys``, all >= 0, each product rounded once.
+
+    For x >= 0 the rounded x y never falls as y rises, so each x's values
+    below t are a prefix of ``ys``.  ``searchsorted`` at t / x finds its
+    length up to rounding; the product check at the boundary then steps
+    it down or up over whole runs of equal ys until it is exact."""
+    if not t > 0.0:
+        return 0  # no |value| is below 0
+    with np.errstate(divide="ignore", over="ignore"):
+        counts = np.searchsorted(ys, t / xs)
+    rows = np.flatnonzero(counts)
+    rows = rows[xs[rows] * ys[counts[rows] - 1] >= t]
+    while rows.size:  # the last y counted reaches t: back to its run's start
+        counts[rows] = np.searchsorted(ys, ys[counts[rows] - 1])
+        rows = rows[counts[rows] > 0]
+        rows = rows[xs[rows] * ys[counts[rows] - 1] >= t]
+    rows = np.flatnonzero(counts < ys.size)
+    rows = rows[xs[rows] * ys[counts[rows]] < t]
+    while rows.size:  # the first y not counted is below t: past its run's end
+        counts[rows] = np.searchsorted(ys, ys[counts[rows]], side="right")
+        rows = rows[counts[rows] < ys.size]
+        rows = rows[xs[rows] * ys[counts[rows]] < t]
+    return int(counts.sum())
+
+
+def _good_set_thresholds(rows, grid, factors) -> list:
     """Each factor's smallest grid a whose sublevel set {|phi| < exp(-a)}
-    holds at most floor(cells / (2 n)) of the lattice's cells, from one
-    lattice-sized buffer that every factor reuses."""
-    # count(values < t) <= budget exactly when t <= the floor(budget)-th
-    # smallest value (from 0), so one partition per factor replaces a
-    # count per grid step; floor(budget) < cells because n >= 1
-    values = np.empty(shape)
-    flat = values.reshape(-1)
-    rank = math.floor(flat.size / (2.0 * len(factors)))
+    holds at most floor(cells / (2 n)) of the lattice's cells, from the
+    factor's absolute axis ``rows`` alone.
+
+    count(values < t) <= rank exactly when t <= the rank-th smallest value
+    (from 0), and the first grid a whose exp(-a) passes is the first whose
+    running minimum of exp(-a) along the grid passes, which a bisection
+    finds.  On a line the lattice is the factor's one row, and a partition
+    selects that value; on a plane each value is the product of two row
+    values, and :func:`_count_below` counts from one sorted row."""
+    rank = math.floor(math.prod(axis_rows.shape[1] for axis_rows in rows) / (2.0 * len(factors)))
+    floors = list(itertools.accumulate((math.exp(-float(a)) for a in grid), min))
     thresholds = []
     for j, i in enumerate(factors):
-        for block in blocks:
-            _factor_block(rows, j, block, values[block])
-        flat.partition(rank)
-        bound = float(flat[rank])
-        chosen = next((float(a) for a in grid if math.exp(-float(a)) <= bound), None)
-        if chosen is None:
+        if len(rows) == 1:
+            bound = float(np.partition(rows[0][j], rank)[rank])
+            tame = lambda t: t <= bound
+        else:
+            xs, ys = rows[0][j], np.sort(rows[1][j])
+            tame = lambda t: _count_below(xs, ys, t) <= rank
+        chosen = bisect.bisect_left(floors, True, key=tame)
+        if chosen == len(floors):
             raise GridExhaustedError(
                 f"no grid threshold tames the sublevel set of mode {i}")
-        thresholds.append(chosen)
+        thresholds.append(float(grid[chosen]))
     return thresholds
 
 
@@ -346,14 +390,14 @@ def good_set_experiment(basis, spec: ProductSpec, center, side: float,
     every factor's rows on each axis's own coordinates, and each |value|
     is the product of its two absolute row values: the |values| of
     :func:`eigenprod.manifolds.evaluate` at the lattice points, bit for
-    bit.  Two passes run over the row blocks of
-    the lattice (about BLOCK_CELLS cells each).  The threshold pass writes
-    each factor's |values| into one lattice-sized buffer, reused for every
-    factor, and partitions it.  The measure pass, with that buffer freed,
-    forms every factor's values on one block at a time and updates the
-    block's keep mask and running product in place; it adds up the kept
-    cells and takes the least product over them.  Counts and minima do
-    not depend on the blocking.
+    bit.  The thresholds come from those rows alone
+    (:func:`_good_set_thresholds`: a partition of the one row on a line,
+    counts from one sorted row on a plane), so no lattice-sized array is
+    formed.  The measure pass runs over the row blocks of the lattice
+    (about BLOCK_CELLS cells each): it forms every factor's values on one
+    block at a time and updates the block's keep mask and running product
+    in place; it adds up the kept cells and takes the least product over
+    them.  Counts and minima do not depend on the blocking.
     """
     center = _as_center(center)
     if len(center) != basis.model.chart_dim:
@@ -368,7 +412,7 @@ def good_set_experiment(basis, spec: ProductSpec, center, side: float,
     blocks = _row_blocks(shape)
     rows = [np.abs(axis_rows) for axis_rows in
             basis.model.lattice_rows(basis, list(spec.factors), axes)]
-    thresholds = _good_set_thresholds(rows, shape, blocks, grid, spec.factors)
+    thresholds = _good_set_thresholds(rows, grid, spec.factors)
     count, min_product = _good_set_measure(rows, shape, blocks, thresholds)
     measure_e = float(count) * cell
     half_measure = math.prod(shape) * cell
@@ -390,14 +434,14 @@ def coordinate_function():
 
 
 def harmonic_power_function(k: int):
-    """Re((x + iy)^k): harmonic and homogeneous of degree k on the plane.
-    x and y fill the parts of one complex block, with no complex add."""
+    """Re((x + iy)^k): harmonic and homogeneous of degree k on the plane,
+    by :func:`eigenprod.numerics.real_part_powers` on x and y as they come
+    (no complex add), so its values are numpy's ``np.real(z ** k)``."""
     if k < 0:
         raise ParameterError("exponent must be nonnegative")
 
     def fn(x, y):
-        z = np.empty(np.broadcast_shapes(np.shape(x), np.shape(y)), dtype=complex)
-        z.real, z.imag = x, y
-        return np.real(z ** k)
+        (values,) = real_part_powers(x, y, (k,))
+        return values
 
     return fn

@@ -9,7 +9,7 @@ import numpy as np
 
 from eigenprod.analysis import DecayFit, _sphere_cartesian
 from eigenprod.coefficients import CoefficientSeries, ProductSpec
-from eigenprod.errors import ParameterError
+from eigenprod.errors import GridExhaustedError, ParameterError
 from eigenprod.manifolds import FlatTorus, SpectralBasis, _axis_product
 from eigenprod.numerics import TWO_PI, circle_basis, circle_frequencies
 
@@ -152,3 +152,27 @@ def rotated_pair_samples_reference(ls) -> list:
         samples.append((2.0 * math.sqrt(l * (l + 1.0)),
                         math.sqrt(float(np.sum(weights * product * product)))))
     return samples
+
+
+def good_set_thresholds_reference(rows, grid, factors) -> list:
+    """The partition pick that ``remez._good_set_thresholds`` must
+    reproduce: each factor's values on the whole lattice (its one absolute
+    row on a line, the outer product of its two on a plane, each product
+    rounded once) partitioned at rank floor(cells / (2 n)), and the first
+    grid a whose exp(-a) is at most the value there."""
+    values = np.empty(tuple(axis_rows.shape[1] for axis_rows in rows))
+    flat = values.reshape(-1)
+    rank = math.floor(flat.size / (2.0 * len(factors)))
+    thresholds = []
+    for j, i in enumerate(factors):
+        if len(rows) == 1:
+            np.copyto(values, rows[0][j])
+        else:
+            np.multiply.outer(rows[0][j], rows[1][j], out=values)
+        flat.partition(rank)
+        bound = float(flat[rank])
+        chosen = next((float(a) for a in grid if math.exp(-float(a)) <= bound), None)
+        if chosen is None:
+            raise GridExhaustedError(f"no grid threshold tames the sublevel set of mode {i}")
+        thresholds.append(chosen)
+    return thresholds

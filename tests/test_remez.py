@@ -1,10 +1,12 @@
 """Doubling indices, sublevel measures, Remez-type fits, good sets."""
 
+import functools
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from eigenprod import remez
 from eigenprod.coefficients import ProductSpec
@@ -30,7 +32,7 @@ from eigenprod.remez import (
     remez_fit,
     sublevel_measure,
 )
-from reference import find_mode
+from reference import exact_powers_expected, find_mode, good_set_thresholds_reference
 
 TWO_PI = 2.0 * math.pi
 
@@ -471,6 +473,93 @@ def test_good_set_thresholds_equal_the_linear_scan(case):
         assert result.thresholds == scanned
 
 
+def _pick(choose, rows, grid, factors):
+    """The thresholds ``choose`` picks, or the message it refuses with."""
+    try:
+        return choose(rows, grid, factors)
+    except GridExhaustedError as exc:
+        return str(exc)
+
+
+def _straddle_grid(rows, n_factors):
+    """Grid points at, and one ulp either side of, the a of the values
+    around every factor's partition rank, where the pick turns."""
+    cells = math.prod(axis_rows.shape[1] for axis_rows in rows)
+    rank = math.floor(cells / (2.0 * n_factors))
+    a_near = []
+    for j in range(n_factors):
+        values = np.sort(functools.reduce(np.multiply.outer, [axis_rows[j] for axis_rows in rows]),
+                         axis=None)
+        near = values[max(rank - 2, 0):rank + 3]
+        a_near.extend(-np.log(near[near > 0.0]))
+    a_near = np.array(a_near)
+    return np.unique(np.concatenate((a_near, np.nextafter(a_near, -np.inf),
+                                     np.nextafter(a_near, np.inf))))
+
+
+def test_good_set_thresholds_equal_the_partition_pick_on_every_chart(good_set_case):
+    # the sorted-row count picks what partitioning the whole lattice picks,
+    # on every chart's own absolute lattice rows
+    basis, spec, center, side = good_set_case
+    axes, _cell = remez._measure_axes(center, side, None)
+    rows = [np.abs(axis_rows) for axis_rows in
+            basis.model.lattice_rows(basis, list(spec.factors), axes)]
+    straddle = _straddle_grid(rows, spec.n_factors)
+    for grid in (default_a_grid(), straddle, np.union1d(default_a_grid(), straddle)):
+        assert remez._good_set_thresholds(rows, grid, spec.factors) == \
+            good_set_thresholds_reference(rows, grid, spec.factors)
+
+
+# values an absolute axis row may hold: zeros, subnormals and tiny values
+# (whose quotient t / x overflows), and ordinary magnitudes
+ROW_VALUES = st.one_of(st.sampled_from([0.0, 5e-324, 1e-300, 0.25, 0.5, 1.0]),
+                       st.floats(0.0, 4.0))
+
+
+@st.composite
+def rank_one_lattices(draw):
+    """(rows, grid) of a random good set: one to three factors on a line or
+    a plane, each axis row random, drawn from a few values (runs of ties),
+    constant or zero, and an ascending grid drawn from the points where the
+    pick turns, below and above every value, and exp(-a) = 0."""
+    dim = draw(st.sampled_from((1, 2)))
+    n_factors = draw(st.integers(1, 3))
+    rows = []
+    for _axis in range(dim):
+        size = draw(st.integers(1, 24))
+        axis_rows = []
+        for _factor in range(n_factors):
+            kind = draw(st.sampled_from(("random", "ties", "constant", "zero")))
+            if kind == "random":
+                row = draw(st.lists(ROW_VALUES, min_size=size, max_size=size))
+            elif kind == "ties":
+                pool = draw(st.lists(ROW_VALUES, min_size=1, max_size=3))
+                row = draw(st.lists(st.sampled_from(pool), min_size=size, max_size=size))
+            else:
+                row = [draw(ROW_VALUES) if kind == "constant" else 0.0] * size
+            axis_rows.append(row)
+        rows.append(np.array(axis_rows, dtype=float))
+    points = [-2.0, 800.0, *_straddle_grid(rows, n_factors).tolist()]
+    grid = draw(st.lists(st.sampled_from(points), min_size=1, max_size=10, unique=True))
+    return rows, np.sort(grid)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rank_one_lattices())
+@example(([np.zeros((2, 3)), np.zeros((2, 4))], np.array([0.5, 1.0])))  # exhausted
+@example(([np.zeros((1, 5))], np.array([1.0, 800.0])))  # only exp(-a) = 0 tames zeros
+@example(([np.full((1, 6), 0.5)], np.array([0.75, 1.0, 2.0])))  # the first point
+@example(([np.full((1, 3), 0.5), np.full((1, 4), 2.0)], np.array([-1.0, -0.5, 0.0])))  # the last
+def test_good_set_thresholds_equal_the_partition_pick(lattice):
+    # per-row boundaries on one sorted row, bisected over the grid, pick
+    # the threshold (or refuse the grid) as partitioning the whole lattice
+    # does: zero, tied and constant rows, on a line and on a plane
+    rows, grid = lattice
+    factors = tuple(range(rows[0].shape[0]))
+    assert _pick(remez._good_set_thresholds, rows, grid, factors) == \
+        _pick(good_set_thresholds_reference, rows, grid, factors)
+
+
 def _lattices(center, side):
     """The sup lattice and the cell lattice remez_fit samples for (center, side)."""
     return [_cube_axes(center, side / 2.0, 257), remez._measure_axes(center, side, None)[0]]
@@ -487,13 +576,27 @@ def _open_mesh_and_points(axes):
 @pytest.mark.parametrize("center", [(0.0, 0.0), (0.3, -0.7)])
 @pytest.mark.parametrize("side", [0.5, 1.0, 2.0])
 def test_power_function_open_mesh_equals_pointwise(center, side):
-    # Re((x + iy)^k) on the open mesh is the pointwise formula on the
-    # (n, 2) lattice points, bit for bit, for every exponent the CLI uses
+    # Re((x + iy)^k) on the open mesh is numpy's np.real(z ** k) at the
+    # (n, 2) lattice points, for every exponent the CLI uses and across
+    # both ends of the real ladder (3 <= k < 100): on each lattice, on the
+    # lattice with +0 and -0 put on both axes, and on one row (n, 1) and
+    # one column (1, m) of it.  Bit for bit under a build of
+    # EXACT_POWER_BUILDS and wherever numpy's own ** serves the degree;
+    # to rounding, relative to |z|^k, on another build's real ladder.
     for axes in _lattices(center, side):
-        mesh, shape, points = _open_mesh_and_points(axes)
-        for k in range(9):
-            got = np.broadcast_to(harmonic_power_function(k)(*mesh), shape).reshape(-1)
-            assert np.array_equal(got, np.real((points[:, 0] + 1j * points[:, 1]) ** k)), k
+        signed = [np.concatenate(([0.0, -0.0], axis)) for axis in axes]
+        for x, y in (axes, signed, (axes[0], axes[1][:1]), (axes[0][:1], axes[1])):
+            mesh, shape, points = _open_mesh_and_points([x, y])
+            z = np.empty(points.shape[0], dtype=complex)
+            z.real, z.imag = points[:, 0], points[:, 1]
+            for k in [*range(13), *range(97, 102)]:
+                got = harmonic_power_function(k)(*mesh)
+                assert got.shape == shape, k
+                want = np.real(z ** k)
+                if exact_powers_expected() or not 3 <= k < 100:
+                    assert got.reshape(-1).tobytes() == want.tobytes(), k
+                else:
+                    assert np.all(np.abs(got.reshape(-1) - want) <= 1e-13 * np.abs(z) ** k), k
 
 
 def test_line_factories_open_mesh_equal_pointwise(circle_basis):
@@ -704,11 +807,45 @@ def test_remez_fit_peaks_below_one_lattice():
     assert peak < 512 * 512 * 8
 
 
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_remez_fit_peaks_no_higher_than_complex_powers(k):
+    # one block buffer per lattice, sorts in place and real arithmetic for
+    # k >= 3 keep a fit at or below the 1.27 MiB that complex block powers
+    # peaked at; a real ladder that kept every squaring and three spare
+    # arrays reached 1.77 MiB at k = 4
+    fn = harmonic_power_function(k)
+    remez_fit(fn, (0.0, 0.0), 2.0)
+    tracemalloc.start()
+    try:
+        remez_fit(fn, (0.0, 0.0), 2.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.27 * 2 ** 20
+
+
+@pytest.mark.parametrize("case", ["flat2", "sphere"])
+def test_good_set_peaks_below_one_mib(case):
+    # thresholds come from the axis rows alone, so only the measure pass's
+    # four block buffers are lattice-sized: a 512^2 lattice buffer (2 MiB)
+    # would pass the bound
+    model, lambda_max, factors, center, side = GOOD_SET_CASES[case]
+    basis = build_basis(model, lambda_max)
+    spec = ProductSpec(basis, factors)
+    good_set_experiment(basis, spec, center, side)
+    tracemalloc.start()
+    try:
+        good_set_experiment(basis, spec, center, side)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
 @pytest.mark.parametrize("case", ["flat2", "sphere"])
 def test_good_set_peaks_below_one_and_three_quarter_lattices(case):
-    # one 512^2 float64 buffer (2 MiB) serves every factor's partition and
-    # the measure pass works on row blocks; a lattice per factor would pass
-    # the bound at two factors
+    # the measure pass works on row blocks; a 512^2 float64 lattice per
+    # factor would pass the bound at two factors
     model, lambda_max, factors, center, side = GOOD_SET_CASES[case]
     basis = build_basis(model, lambda_max)
     spec = ProductSpec(basis, factors)
