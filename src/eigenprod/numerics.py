@@ -33,21 +33,28 @@ as the angular families K + m^2 M of the torus of revolution, share one
 reduction, and :func:`family_eigs` solves all of them: one ``dsyevr``
 workspace query, then one direct ``dsyevr`` call per family, optionally
 for the eigenvalues below a bound only, and one back-transform
-v = L^-T w of every family's vectors.  scipy is imported by the first of
-these LAPACK calls, not with this module, so a process that solves no
+v = L^-T w of every family's vectors.  Both take their LAPACK routines
+from :func:`_lapack`, which loads scipy's f2py extension
+``scipy.linalg._flapack`` on its own the first time a pencil is solved:
+no scipy package ``__init__`` runs, and a process that solves no
 eigenproblem never loads it.
 
-Every function here is a pure function of its arguments and safe to call
-from many threads.  Results are bit-reproducible for a fixed BLAS thread
-count.  Only the LAPACK calls' bits may change with it, and only for
-large pencils: the Galerkin matrices, the congruence L^-1 A L^-T and the
-back-substitution use no BLAS at all.
+Every function here but :func:`_lapack` is a pure function of its
+arguments, and all are safe to call from many threads.  Results are
+bit-reproducible for a fixed BLAS thread count.  Only the LAPACK calls'
+bits may change with it, and only for large pencils: the Galerkin
+matrices, the congruence L^-1 A L^-T and the back-substitution use no
+BLAS at all.
 """
 
 from __future__ import annotations
 
 import functools
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -204,6 +211,32 @@ def uniform_periodic(n: int, period: float) -> QuadratureGrid:
     return QuadratureGrid(nodes, weights, n - 1, period)
 
 
+def _lapack():
+    """scipy's LAPACK extension module, ``scipy.linalg._flapack``.
+
+    ``scipy.linalg.lapack`` re-exports these very routine objects, but
+    importing it runs the whole ``scipy.linalg`` package import (about 320
+    modules and 20 MB of memory); the extension alone is found under
+    scipy's package directory and loaded without running any scipy
+    ``__init__``.  The module is kept in ``sys.modules``, so it is loaded
+    once per process and shared with a later ``import scipy.linalg``.
+    Raises :class:`ImportError` when scipy or the extension is missing.
+    """
+    name = "scipy.linalg._flapack"
+    module = sys.modules.get(name)
+    if module is not None:
+        return module
+    scipy = importlib.util.find_spec("scipy")
+    spec = None if scipy is None else importlib.machinery.PathFinder.find_spec(
+        name, [os.path.join(entry, "linalg") for entry in scipy.submodule_search_locations or ()])
+    if spec is None:
+        raise ImportError(f"LAPACK needs scipy's extension module {name}, which is not installed",
+                          name=name)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return sys.modules.setdefault(name, module)
+
+
 def inverse_cholesky(b: np.ndarray) -> np.ndarray:
     """L^-1 for the Cholesky factor B = L L^T of a symmetric positive
     definite B (lower triangular, zero above the diagonal).
@@ -211,15 +244,13 @@ def inverse_cholesky(b: np.ndarray) -> np.ndarray:
     Raises :class:`ParameterError` when B is not symmetric to 1e-12 and
     :class:`FactorizationError` when it is not positive definite.
     """
-    # imported here so that runs which solve no eigenproblem never load scipy
-    from scipy.linalg.lapack import dpotrf, dtrtri
-
     _check_symmetric(b, "mass")
     if not b.size:
         return np.zeros(b.shape)
-    lower, info = dpotrf(b, lower=1)
+    lapack = _lapack()
+    lower, info = lapack.dpotrf(b, lower=1)
     if info == 0:
-        inverse, info = dtrtri(lower, lower=1)
+        inverse, info = lapack.dtrtri(lower, lower=1)
     if info != 0:
         raise FactorizationError("mass matrix is not positive definite")
     return inverse
@@ -260,9 +291,6 @@ def family_eigs(k_red: np.ndarray, w_red: np.ndarray, inv_lower: np.ndarray,
     when an entry of some K + w M could be infinite or NaN and
     :class:`ConvergenceError` when LAPACK reports a failure.
     """
-    # imported here so that runs which solve no eigenproblem never load scipy
-    from scipy.linalg.lapack import dsyevr, dsyevr_lwork
-
     weights = list(weights)
     n = k_red.shape[0]
     if not n or not weights:
@@ -273,8 +301,9 @@ def family_eigs(k_red: np.ndarray, w_red: np.ndarray, inv_lower: np.ndarray,
              + max(abs(w) for w in weights) * float(np.max(np.abs(w_red))))
     if not math.isfinite(bound):
         raise ParameterError("the reduced family matrices must be finite")
+    lapack = _lapack()
     # the workspace sizes scipy.linalg.eigh would query for each call
-    work, iwork, info = dsyevr_lwork(n, lower=1)
+    work, iwork, info = lapack.dsyevr_lwork(n, lower=1)
     if info != 0:
         raise ConvergenceError(f"dsyevr workspace query failed (info={info})")
     options = {"range": "A"} if upper is None else {"range": "V", "vl": -math.inf, "vu": upper}
@@ -282,7 +311,7 @@ def family_eigs(k_red: np.ndarray, w_red: np.ndarray, inv_lower: np.ndarray,
     for w in weights:
         # the matrix is exactly symmetric, so its transpose hands LAPACK
         # the same entries in column-major order, with no copy
-        vals, vecs, count, _support, info = dsyevr(
+        vals, vecs, count, _support, info = lapack.dsyevr(
             (k_red + w * w_red).T, lower=1, overwrite_a=1,
             lwork=int(work), liwork=int(iwork), **options)
         if info != 0:

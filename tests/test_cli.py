@@ -9,11 +9,12 @@ import pathlib
 import struct
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
 
-from eigenprod import cli, remez
+from eigenprod import cli, numerics, remez
 from eigenprod.cli import cli_main, config_from_text
 from eigenprod.errors import ParameterError
 from eigenprod.manifolds import (
@@ -242,12 +243,62 @@ def test_cache_hits_load_no_scipy(tmp_path, argv):
 
 
 def test_rev_build_in_a_fresh_process_loads_scipy():
+    # the LAPACK extension alone is loaded, without scipy.linalg's package
     lines = fresh_python(
         f"import sys; from eigenprod import RevTorus, basis_digest, build_basis; "
         f"before = {SCIPY_LOADED}; digest = basis_digest(build_basis(RevTorus(2.0, 1.0), 3.0)); "
-        f"print(before); print('scipy.linalg' in sys.modules); print(digest)")
-    assert lines[:2] == ["[]", "True"]
-    assert lines[2] == basis_digest(build_basis(RevTorus(2.0, 1.0), 3.0))
+        f"print(before); print({SCIPY_LOADED}); print('scipy.linalg' in sys.modules); "
+        f"print(digest)")
+    assert lines[:3] == ["[]", "['scipy.linalg._flapack']", "False"]
+    assert lines[3] == basis_digest(build_basis(RevTorus(2.0, 1.0), 3.0))
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                    reason="the peak resident set is read from /proc/self/status")
+def test_rev_build_in_a_fresh_process_grows_peak_rss_by_less_than_12_mb():
+    # importing scipy.linalg's whole package for its LAPACK routines grew
+    # the peak by about 25 MB; the extension alone costs a few MB.  VmHWM is
+    # the peak of this process's own memory: ru_maxrss would start from the
+    # peak of the process that spawned it, which exec carries over
+    lines = fresh_python(
+        "import eigenprod; from eigenprod import RevTorus, build_basis; "
+        "peak = lambda: int(next(line.split()[1] for line in open('/proc/self/status') "
+        "if line.startswith('VmHWM:'))); "
+        "before = peak(); build_basis(RevTorus(2.0, 1.0), 3.0); print(peak() - before)")
+    assert int(lines[0]) < 12 * 1024  # kB
+
+
+def test_lapack_loaded_first_is_the_one_scipy_linalg_imports():
+    # scipy.linalg.lapack re-exports the routines of the extension that the
+    # loader put into sys.modules; scipy.linalg keeps working around it
+    lines = fresh_python(
+        "from eigenprod import numerics; lapack = numerics._lapack(); "
+        "import numpy as np, scipy.linalg, scipy.linalg.lapack as scipy_lapack; "
+        "print([getattr(lapack, name) is getattr(scipy_lapack, name) "
+        "for name in ('dpotrf', 'dtrtri', 'dsyevr', 'dsyevr_lwork')]); "
+        "print(scipy.linalg.eigh(np.array([[2.0, 1.0], [1.0, 2.0]]))[0].tolist())")
+    assert lines == ["[True, True, True, True]", "[1.0, 3.0]"]
+
+
+@pytest.mark.parametrize("routine, info, message", [
+    ("dsyevr_lwork", -1, "dsyevr workspace query failed (info=-1)"),
+    ("dsyevr", 7, "dsyevr failed (info=7)"),
+])
+def test_a_failed_dsyevr_exits_3(tmp_path, capsys, monkeypatch, routine, info, message):
+    # LAPACK's info != 0 reaches the CLI as a numerical breakdown; the
+    # planted routine runs the real one and replaces its info, the last value
+    real = numerics._lapack()
+    fake = types.SimpleNamespace(**{name: getattr(real, name)
+                                    for name in ("dpotrf", "dtrtri", "dsyevr_lwork", "dsyevr")})
+    setattr(fake, routine,
+            lambda *args, **kwargs: (*getattr(real, routine)(*args, **kwargs)[:-1], info))
+    monkeypatch.setattr(numerics, "_lapack", lambda: fake)
+    capsys.readouterr()
+    code, _out = run(tmp_path, "decay", *MODEL_ARGS["rev"], "--factors", "1,3",
+                     "--lambda-max-mult", "5")
+    assert code == 3
+    assert capsys.readouterr().err == f"numerical breakdown: {message}\n"
+    assert not (tmp_path / "cache").exists() or not any((tmp_path / "cache").iterdir())
 
 
 def test_rev_product_results_do_not_depend_on_blas_threads(tmp_path):

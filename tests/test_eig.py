@@ -1,11 +1,16 @@
 """Generalized eigensolver and the closed-form rev-torus Galerkin matrices."""
 
+import importlib.machinery
+import importlib.util
 import math
+import sys
 
 import numpy as np
 import pytest
+import scipy.linalg.lapack
 from scipy.linalg import eigh
 
+from eigenprod import numerics
 from eigenprod.errors import FactorizationError, ParameterError
 from eigenprod.manifolds import RevTorus, _rev_parity_indices, _rev_truncation
 from eigenprod.numerics import (
@@ -27,6 +32,24 @@ def solve(a, b, upper=None):
     """A v = mu B v through the one reduction the rev-torus build uses."""
     inv_lower = inverse_cholesky(b)
     return solve_reduced(reduce_congruent(inv_lower, a), inv_lower, upper)
+
+
+def test_lapack_routines_are_those_of_scipy_linalg_lapack():
+    # scipy.linalg was imported with this module, so the loader reuses the
+    # extension it loaded, and every call keeps scipy's exact routine
+    lapack = numerics._lapack()
+    for name in ("dpotrf", "dtrtri", "dsyevr", "dsyevr_lwork"):
+        assert getattr(lapack, name) is getattr(scipy.linalg.lapack, name)
+
+
+@pytest.mark.parametrize("finder", [importlib.util, importlib.machinery.PathFinder],
+                         ids=["no-scipy", "no-extension"])
+def test_missing_lapack_extension_raises_import_error(monkeypatch, finder):
+    monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
+    monkeypatch.setattr(finder, "find_spec", lambda *args, **kwargs: None)
+    with pytest.raises(ImportError, match=r"scipy\.linalg\._flapack") as raised:
+        numerics._lapack()
+    assert raised.value.name == "scipy.linalg._flapack"
 
 
 def test_identity_pencil():

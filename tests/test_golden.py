@@ -1,10 +1,16 @@
 """The golden corpus: every pinned CLI invocation reproduces its results."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 import warnings
 
 import numpy as np
+import pytest
 
+import eigenprod
 import golden_corpus
 from golden_corpus import (
     CORPUS,
@@ -13,8 +19,13 @@ from golden_corpus import (
     moved_entries,
     numbers_agree,
     run_all,
+    run_invocation,
     same_build,
 )
+
+# the rev-torus entries, whose bases come from LAPACK and so from the kernels
+# that OpenBLAS picks by CPU
+REV_ENTRIES = [name for name, argv in INVOCATIONS.items() if "rev-torus" in argv]
 
 
 def test_golden_corpus_reproduces(tmp_path):
@@ -29,6 +40,36 @@ def test_golden_corpus_reproduces(tmp_path):
     moved = moved_entries(corpus, run_all(tmp_path))
     assert not moved, "golden entries moved (regenerate with " \
         "tests/golden_corpus.py and declare each move):\n" + "\n".join(moved)
+
+
+def test_rev_entries_agree_under_another_openblas_kernel(tmp_path):
+    # under another core every rev number stays within 1e-12 of the corpus,
+    # and some basis digest moves from this process's own, which shows that
+    # the LAPACK extension really ran the other kernel
+    build = blas_build()
+    if build is None or "DYNAMIC_ARCH" not in build.split():
+        pytest.skip(f"OpenBLAS is not a DYNAMIC_ARCH build ({build}), so "
+                    "OPENBLAS_CORETYPE cannot pick another kernel")
+    core = "Haswell" if "Sandybridge" in build.split() else "Sandybridge"
+    code = ("import json, pathlib, sys; import golden_corpus as g; "
+            "work = pathlib.Path(sys.argv[1]); "
+            "records = {name: g.run_invocation(name, work, work / 'cache') "
+            "for name in sys.argv[2:]}; "
+            "print(json.dumps({'blas': g.blas_build(), 'records': records}))")
+    path = os.pathsep.join([str(pathlib.Path(eigenprod.__file__).parents[1]),
+                            str(pathlib.Path(__file__).parent)])
+    other = json.loads(subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path / "other"), *REV_ENTRIES],
+        env={**os.environ, "PYTHONPATH": path, "OPENBLAS_CORETYPE": core},
+        check=True, capture_output=True, text=True, timeout=300).stdout.splitlines()[-1])
+    assert core in other["blas"].split()
+    corpus = json.loads(CORPUS.read_text(encoding="utf-8"))["entries"]
+    assert [name for name in REV_ENTRIES if not numbers_agree(
+        corpus[name]["results"], other["records"][name]["results"])] == []
+    native = tmp_path / "native"
+    digests = {name: run_invocation(name, native, native / "cache")["basis_digest"]
+               for name in REV_ENTRIES}
+    assert any(digests[name] != other["records"][name]["basis_digest"] for name in REV_ENTRIES)
 
 
 def test_numbers_agree_is_relative_to_the_report_scale():

@@ -1123,27 +1123,34 @@ def test_no_module_makes_or_reads_a_mode_value():
 
 
 def test_scipy_imported_only_inside_numerics_functions():
-    # scipy is loaded by the first LAPACK call, never with a module, and
-    # numerics owns every LAPACK call
+    # numerics owns every LAPACK call and takes its routines from one
+    # loader; no module imports scipy or looks it up by name anywhere else
     found = set()
 
-    def visit(module, node, in_function):
+    def names_scipy(node):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+        elif isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] in (
+                "find_spec", "import_module", "__import__"):
+            names = [arg.value for arg in node.args
+                     if isinstance(arg, ast.Constant) and isinstance(arg.value, str)]
+        else:
+            names = []
+        return any(name == "scipy" or name.startswith("scipy.") for name in names)
+
+    def visit(module, node, function):
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.Import):
-                imported = [alias.name for alias in child.names]
-            elif isinstance(child, ast.ImportFrom):
-                imported = [child.module or ""]
-            else:
-                imported = []
-            if any(name == "scipy" or name.startswith("scipy.") for name in imported):
-                found.add((module, in_function))
-            visit(module, child, in_function or isinstance(
-                child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)))
+            if names_scipy(child):
+                found.add((module, function))
+            visit(module, child, child.name if isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef)) else function)
 
     package = pathlib.Path(manifolds.__file__).parent
     for path in sorted(package.rglob("*.py")):
-        visit(path.stem, ast.parse(path.read_text(encoding="utf-8")), False)
-    assert found == {("numerics", True)}
+        visit(path.stem, ast.parse(path.read_text(encoding="utf-8")), None)
+    assert found == {("numerics", "_lapack")}
 
 
 def _unused_imports(path: pathlib.Path) -> list:
