@@ -19,8 +19,8 @@ import numpy as np
 
 from .coefficients import CoefficientSeries, product_norm_sq
 from .errors import BreakdownError, ParameterError, UnderResolvedError
-from .manifolds import SpectralBasis, Sphere2
-from .numerics import real_powers
+from .manifolds import Sphere2
+from .numerics import real_part_powers
 
 NOISE_FLOOR_REL = 1e-12
 DEFAULT_BIN_WIDTH = 1.0
@@ -63,10 +63,11 @@ class DecayFit:
 @dataclass(frozen=True)
 class TruncationResult:
     """Minimal grid multiple C5 with ||sum_{A} c_i phi_i|| >= target ||f||,
-    A = {i : lambda_i <= C5 * sum_lambda}."""
+    A = {i : lambda_i <= C5 * sum_lambda}, which is the modes
+    0 ... kept_count - 1."""
 
     c5: float
-    kept_ids: tuple
+    kept_count: int
     captured_ratio: float
     s_partial: float
     target: float
@@ -217,7 +218,7 @@ def find_truncation(series: CoefficientSeries, target: float = 0.99,
             cutoff = c5 * sum_lambda
             kept = series.lams <= cutoff * (1.0 + 1e-12)
             s_partial = float(np.sum(np.exp(-c2 * series.lams[series.lams > 0.0])))
-            return TruncationResult(c5, tuple(series.ids[kept].tolist()),
+            return TruncationResult(c5, int(np.count_nonzero(kept)),
                                     captured, s_partial, target, c2)
     raise BreakdownError("truncation grid exhausted despite a feasible series")
 
@@ -243,7 +244,7 @@ def _norm_from_samples(samples, n_factors: int) -> LowerBoundFit:
                                                      for s, n in samples), n_factors)
 
 
-def lower_bound_experiment(basis: SpectralBasis, specs) -> LowerBoundFit:
+def lower_bound_experiment(specs) -> LowerBoundFit:
     """Measure ||prod phi|| over a family of products and fit the
     from-below exponential envelope (least squares on log norms, then
     shifted down until it touches the weakest sample).  Each norm is the
@@ -255,11 +256,7 @@ def lower_bound_experiment(basis: SpectralBasis, specs) -> LowerBoundFit:
     n_factors = {s.n_factors for s in specs}
     if len(n_factors) != 1:
         raise ParameterError("all products in a family must share the factor count")
-    samples = []
-    for spec in specs:
-        if spec.basis is not basis:
-            raise ParameterError("product specs must reference the given basis")
-        samples.append((spec.sum_lambda, math.sqrt(product_norm_sq(spec))))
+    samples = [(spec.sum_lambda, math.sqrt(product_norm_sq(spec))) for spec in specs]
     return _norm_from_samples(samples, next(iter(n_factors)))
 
 
@@ -299,7 +296,7 @@ def sphere_rotated_pair_experiment(l_values) -> LowerBoundFit:
     xs, ys, zs, weights = _sphere_cartesian(2 * lmax + 16, 4 * lmax + 16)
     # Re (x + iy)^l, which is proportional to Y_l^l, and its quarter-turn
     # image, stacked
-    pairs = real_powers(np.stack((xs + 1j * ys, xs + 1j * zs)), l_values)
+    pairs = real_part_powers(np.stack((xs, xs)), np.stack((ys, zs)), l_values)
     samples = []
     for l, (first, second) in zip(l_values, pairs):
         first /= math.sqrt(_weighted_square_sum(weights, first))
@@ -325,7 +322,7 @@ def sphere_remark_experiment(k_range) -> RemarkDecay:
     n_gl = 3 * kmax + 8
     n_phi = 6 * kmax + 8
     xs, ys, zs, weights = _sphere_cartesian(n_gl, n_phi)
-    triples = real_powers(np.stack((xs + 1j * ys, xs + 1j * zs, ys + 1j * zs)), ks)
+    triples = real_part_powers(np.stack((xs, xs, ys)), np.stack((ys, zs, zs)), ks)
     del xs, ys, zs  # the stacked bases hold all that is needed of them
     samples = []
     for k in ks:

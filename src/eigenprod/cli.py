@@ -349,8 +349,9 @@ def _series_results(series) -> dict:
         "mass_captured": series.mass_captured,
         "parseval_ratio": ratio,
         "parseval_defect": defect,
-        "method": series.method,
-        "entries": [[int(i), float(l), float(c)] for i, l, c in series.entries()],
+        "method": "both",
+        "entries": [[i, lam, c] for i, (lam, c) in
+                    enumerate(zip(series.lams.tolist(), series.coeffs.tolist()))],
     }
 
 
@@ -441,7 +442,7 @@ def _cmd_truncate(config, cache_dir):
         "sum_lambda": series.sum_lambda,
         "C5": result.c5,
         "captured_ratio": result.captured_ratio,
-        "kept_count": len(result.kept_ids),
+        "kept_count": result.kept_count,
         "s_partial": result.s_partial,
         "target": result.target,
         "c2": result.c2,
@@ -491,7 +492,7 @@ def _cmd_lower_bound(config, cache_dir):
         basis, group_ids = _resolve_basis_and_factors(
             model_cfg, params, [g.split(",") for g in groups], cache_dir)
         specs = [ProductSpec(basis, ids) for ids in group_ids]
-    fit = lower_bound_experiment(basis, specs)
+    fit = lower_bound_experiment(specs)
     summary = f"lower-bound: C3={fit.C3_hat:.6e} C4={fit.C4_hat:.6f}"
     return _lower_bound_results(fit), _provenance(basis), {}, summary
 
@@ -534,9 +535,8 @@ def _cmd_greens(config, cache_dir):
     per_height = []
     worst = 0.0
     for height in heights:
-        errs = [abs(c - series.coeffs[mode_id])
-                for mode_id, c in greens_coefficients(ext, height).items()]
-        err = float(max(errs))
+        ids, recovered = greens_coefficients(ext, height)
+        err = float(np.max(np.abs(recovered - series.coeffs[ids])))
         worst = max(worst, err)
         per_height.append({"height": height, "max_error": err})
     check = None
@@ -642,7 +642,7 @@ def _cmd_good_set(config, cache_dir):
     spec = ProductSpec(basis, ids)
     center = _center_from_params(params, basis.model.chart_dim)
     side = _param(params, "side", 2.0)
-    result = good_set_experiment(basis, spec, center, side)
+    result = good_set_experiment(spec, center, side)
     results = {
         "thresholds": list(result.thresholds),
         "measure_e": result.measure_e,

@@ -62,52 +62,41 @@ class ProductSpec:
 
 @dataclass(frozen=True)
 class CoefficientSeries:
-    """Coefficients <f, phi_i> for every basis mode, with Parseval
-    bookkeeping.  ``method`` records which route produced the stored
-    values: :func:`expand_product` stores "both", the exact oracle after it
-    agreed with quadrature to 1e-10, and ``oracle_gap``, the largest
-    |exact - quadrature| over the expansion's modes; a series built by
-    hand names its own method and may carry no gap."""
+    """Coefficients <f, phi_i> of a product on a prefix of its basis:
+    ``coeffs[i]`` is mode i's, and ``lams`` are the basis's lambdas of the
+    same modes, with Parseval bookkeeping.  :func:`expand_product` stores
+    the exact oracle's values after they agreed with quadrature to 1e-10,
+    and ``oracle_gap``, the largest |exact - quadrature| over the
+    expansion's modes."""
 
     product: ProductSpec
-    ids: np.ndarray
-    lams: np.ndarray
     coeffs: np.ndarray
     f_norm_sq: float
-    method: str
+    oracle_gap: float
     mass_captured: float = field(init=False)
-    oracle_gap: float | None = None
 
     def __post_init__(self):
-        ids = np.asarray(self.ids, dtype=int)
-        lams = np.asarray(self.lams, dtype=float)
         coeffs = np.asarray(self.coeffs, dtype=float)
-        if not (ids.shape == lams.shape == coeffs.shape):
-            raise ParameterError("series columns must have equal length")
-        if np.any(np.diff(lams) < 0.0):
-            raise ParameterError("series entries must be sorted by ascending lambda")
         mass = float(coeffs @ coeffs)
         if mass > self.f_norm_sq * (1.0 + 1e-8):
             raise BreakdownError(
                 f"captured mass {mass!r} exceeds the product norm {self.f_norm_sq!r}")
-        object.__setattr__(self, "ids", ids)
-        object.__setattr__(self, "lams", lams)
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "mass_captured", mass)
+
+    @property
+    def lams(self) -> np.ndarray:
+        return self.product.basis.lams[:self.coeffs.size]
 
     @property
     def sum_lambda(self) -> float:
         return self.product.sum_lambda
 
-    def entries(self):
-        return list(zip(self.ids.tolist(), self.lams.tolist(), self.coeffs.tolist()))
-
     def truncated(self, lambda_max: float) -> "CoefficientSeries":
-        """Sub-series of entries with lambda <= lambda_max (same product,
+        """The prefix of modes with lambda <= lambda_max (same product,
         same quadrature norm, same oracle gap)."""
-        keep = self.lams <= lambda_max * (1.0 + 1e-12)
-        return CoefficientSeries(self.product, self.ids[keep], self.lams[keep],
-                                 self.coeffs[keep], self.f_norm_sq, self.method,
+        count = int(np.count_nonzero(self.lams <= lambda_max * (1.0 + 1e-12)))
+        return CoefficientSeries(self.product, self.coeffs[:count], self.f_norm_sq,
                                  self.oracle_gap)
 
 
@@ -130,8 +119,7 @@ def expand_product(spec: ProductSpec) -> CoefficientSeries:
         raise BreakdownError(
             f"exact and quadrature coefficients disagree by {gap:.3e}")
     coeffs = np.where(np.abs(exact) < EXACT_ZERO_SNAP, 0.0, exact)
-    ids = np.arange(basis.size)
-    return CoefficientSeries(spec, ids, basis.lams, coeffs, f_norm_sq, "both", gap)
+    return CoefficientSeries(spec, coeffs, f_norm_sq, gap)
 
 
 def quadrature_coefficients(spec: ProductSpec):
@@ -220,11 +208,11 @@ def _quadrature_expansion(spec: ProductSpec):
 
 
 def series_to_csv(series: CoefficientSeries) -> str:
-    """CSV dump: one row per entry, 17-significant-digit floats."""
+    """CSV dump: one row per mode, 17-significant-digit floats."""
     lines = ["index,lambda,coeff,abs_coeff,cumulative_mass_ratio"]
     running = 0.0
     denom = series.f_norm_sq if series.f_norm_sq > 0.0 else 1.0
-    for mode_id, lam, coeff in series.entries():
+    for mode_id, (lam, coeff) in enumerate(zip(series.lams.tolist(), series.coeffs.tolist())):
         running += coeff * coeff
         lines.append(
             f"{mode_id},{lam:.17g},{coeff:.17g},{abs(coeff):.17g},{running / denom:.17g}"

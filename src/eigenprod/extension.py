@@ -91,21 +91,17 @@ class HarmonicExtension:
 
     def __init__(self, series: CoefficientSeries, height: float):
         basis = series.product.basis
-        keep = series.coeffs != 0.0
-        self.mode_ids = series.ids[keep]
+        self.mode_ids = np.flatnonzero(series.coeffs)
         # the model's Laplacian eigenvalues from the representation,
         # independent of the lams the cosh propagation uses, so the
         # residual check can fail; a model without them refuses here
         self.laplacian_eigs, self.sups = basis.model.extension_spectrum(basis, self.mode_ids)
-        if series.method != "both":
-            raise ParameterError(
-                "harmonic extension requires the exact coefficient expansion")
         if not (height > 0.0) or not math.isfinite(height):
             raise ParameterError("extension height must be positive and finite")
         self.basis = basis
         self.T = float(height)
-        self.lams = series.lams[keep]
-        self.coeffs = series.coeffs[keep]
+        self.lams = series.lams[self.mode_ids]
+        self.coeffs = series.coeffs[self.mode_ids]
 
     def on_lattice(self, coords) -> np.ndarray:
         """The kept modes on the tensor lattice of the per-axis chart
@@ -160,9 +156,9 @@ def harmonic_extension_flat(series: CoefficientSeries, height: float) -> Harmoni
     return ext
 
 
-def greens_coefficients(ext: HarmonicExtension, height: float) -> dict:
-    """Recover c_i, by mode id, for every basis mode with lambda_i > 0
-    from the boundary integral at a height t in the slab:
+def greens_coefficients(ext: HarmonicExtension, height: float) -> tuple:
+    """Recover c_i for every basis mode i with lambda_i > 0, as the arrays
+    (ids, values), from the boundary integral at a height t in the slab:
 
         c_i = exp(-t lambda_i) / lambda_i *
               int_M phi_i (dH/dt + lambda_i H)|_t.
@@ -173,21 +169,23 @@ def greens_coefficients(ext: HarmonicExtension, height: float) -> dict:
     over the kept modes j, and the integrals of phi_j against every basis
     mode are :func:`eigenprod.coefficients.quadrature_coefficients` of
     the one-factor product j, which the model's ``axis_projections``
-    forms.  No array of modes on the grid is formed.
+    forms.  No array of modes on the grid is formed.  A basis without a
+    mode of lambda > 0 leaves nothing to recover and is refused.
     """
     if not 0.0 < height <= ext.T * (1.0 + 1e-12):
         raise ParameterError("height must lie in (0, T] of the extension")
     basis = ext.basis
+    ids = np.flatnonzero(basis.lams > 0.0)
+    if not ids.size:
+        raise ParameterError("the basis has no mode with lambda > 0 left to recover")
     values = np.zeros(basis.size)
     slopes = np.zeros_like(values)
     for mode_id, lam, c in zip(ext.mode_ids.tolist(), ext.lams.tolist(), ext.coeffs.tolist()):
         projections, _norm = quadrature_coefficients(ProductSpec(basis, (mode_id,)))
         values += c * math.cosh(lam * height) * projections
         slopes += c * lam * math.sinh(lam * height) * projections
-    ids = np.flatnonzero(basis.lams > 0.0)
     lams = basis.lams[ids]
-    recovered = np.exp(-height * lams) / lams * (slopes[ids] + lams * values[ids])
-    return dict(zip(ids.tolist(), recovered.tolist()))
+    return ids, np.exp(-height * lams) / lams * (slopes[ids] + lams * values[ids])
 
 
 @dataclass(frozen=True)

@@ -203,9 +203,10 @@ class _Surface:
     ``extension_spectrum(basis, ids)`` (per mode of ``ids``, its Laplacian
     eigenvalue from its representation and its sup).
 
-    Shared: ``values`` at scattered chart points, ``lattice_rows`` (the
-    factor rows on each axis's own coordinates, checked) and
-    ``lattice_values`` (their outer product, a tensor lattice).
+    Shared: ``lattice_rows`` (the factor rows on each axis's own
+    coordinates, checked), whose product at scattered chart points is
+    :func:`evaluate`, and ``lattice_values`` (their outer product, a tensor
+    lattice).
     """
 
     coefficients_name = None
@@ -214,14 +215,6 @@ class _Surface:
     def chart_axes(self, coords: list) -> list:
         """The grid-axis coordinates of validated per-axis chart coordinates."""
         return coords
-
-    def values(self, basis: SpectralBasis, ids, arr: np.ndarray) -> np.ndarray:
-        """Values of the modes ``ids`` of ``basis`` at validated chart points, one per row."""
-        rows = self.axis_factor_rows(basis, ids, self.chart_axes(list(arr.T)))
-        out = rows[0]
-        for axis_rows in rows[1:]:
-            out *= axis_rows
-        return out
 
     def lattice_rows(self, basis: SpectralBasis, ids, coords) -> tuple:
         """The factor rows of the modes ``ids`` of ``basis`` on the per-axis
@@ -240,7 +233,7 @@ class _Surface:
         the per-axis chart coordinates ``coords`` (first axis slowest, as
         ``meshgrid`` with ``indexing="ij"``), one row per mode.  The
         :meth:`lattice_rows` are multiplied as an outer product, so each
-        value is the product :meth:`values` forms at that lattice point,
+        value is the product :func:`evaluate` forms at that lattice point,
         bit for bit, however many modes one call asks for."""
         rows = self.lattice_rows(basis, ids, coords)
         out = rows[0]
@@ -843,8 +836,6 @@ def _normalize_points(points, dim: int):
             pass
         else:
             raise ParameterError(f"points must have {dim} chart coordinates")
-    if not np.all(np.isfinite(arr)):
-        raise ParameterError("points must be finite chart coordinates")
     return arr, scalar
 
 
@@ -854,12 +845,16 @@ def evaluate(basis: SpectralBasis, mode_id: int, points):
 
     Charts: flat torus, x in R^d (periodic); sphere, (theta, phi) with
     theta in [0, pi]; torus of revolution, (s, theta), both periodic.
-    Scalar-like input returns a float.
+    Scalar-like input returns a float.  The value at a point is the
+    product of the mode's :meth:`_Surface.lattice_rows` there.
     """
     mode_id = basis.checked_id(mode_id)
     model = basis.model
     arr, scalar = _normalize_points(points, model.chart_dim)
-    out = model.values(basis, [mode_id], arr)[0]
+    rows = model.lattice_rows(basis, [mode_id], list(arr.T))
+    out = rows[0][0]
+    for axis_rows in rows[1:]:
+        out *= axis_rows[0]
     return float(out[0]) if scalar else out
 
 
@@ -941,14 +936,19 @@ def _arrays_from_payload(model, header: dict, block: bytes) -> tuple:
     """(lams, reps, coefficients) as :func:`_basis_payload` wrote them;
     ValueError if the block or a column does not match the mode count and
     the model's ``rep_shape``, a column entry is not an int (a float or a
-    JSON boolean), or the width does not fit the model (0 exactly when it
-    has no ``coefficients_name``); OverflowError for an int past int64."""
+    JSON boolean), the width does not fit the model (0 exactly when it
+    has no ``coefficients_name``), or the lambdas are not finite, >= 0 and
+    ascending, the mode order every build makes; OverflowError for an int
+    past int64."""
     count, per_mode = header["count"], header["floats_per_mode"]
     if not (isinstance(count, int) and isinstance(per_mode, int)) \
             or per_mode < 1 or len(block) != 8 * count * per_mode \
             or (per_mode > 1) != (model.coefficients_name is not None):
         raise ValueError("the float block does not match the header")
     values = np.frombuffer(block, dtype="<f8")
+    lams = values[:count]
+    if not (np.all(np.isfinite(lams)) and np.all(lams >= 0.0) and np.all(np.diff(lams) >= 0.0)):
+        raise ValueError("the lambda column is not finite, >= 0 and ascending")
     reps = {}
     for name in model.rep_names:
         column = header["columns"][name]
@@ -960,7 +960,7 @@ def _arrays_from_payload(model, header: dict, block: bytes) -> tuple:
         reps[name] = np.array(entries, dtype=np.int64).reshape(-1, *model.rep_shape)
     if any(column.shape != (count, *model.rep_shape) for column in reps.values()):
         raise ValueError("a header column does not hold one entry of the model's shape per mode")
-    return values[:count], reps, values[count:].reshape(count, per_mode - 1)
+    return lams, reps, values[count:].reshape(count, per_mode - 1)
 
 
 def basis_digest(basis: SpectralBasis) -> str:

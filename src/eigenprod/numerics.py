@@ -15,8 +15,7 @@ every column against a vector on a uniform grid (:func:`circle_sums`, one
 
 :func:`real_part_powers` gives Re(z^k) for a run of degrees k, bit for
 bit as numpy's ``z ** k`` forms it, from squarings of z that all degrees
-share, on real and imaginary parts that broadcast (an open mesh, say);
-:func:`real_powers` runs it on a complex array's parts.
+share, on real and imaginary parts that broadcast (an open mesh, say).
 
 :func:`wigner_3j` and :func:`gaunt_real` (the integral of three real
 spherical harmonics) share one cached kernel.  It uses the three-term
@@ -90,7 +89,6 @@ __all__ = [
     "circle_product",
     "circle_unit_product",
     "circle_sums",
-    "real_powers",
     "real_part_powers",
     "wigner_3j",
     "gaunt_real",
@@ -492,15 +490,6 @@ def rev_galerkin_terms(big: float, small: float, trunc: int):
 
     stiff = (freq[:, None] * freq[None, :]) * gather(f_moments, -sign)
     return stiff, gather(inv_moments, sign), gather(f_moments, sign)
-
-
-def real_powers(z, degrees):
-    """Yield ``np.real(z ** k)`` for each k of ``degrees`` in turn, bit for
-    bit: :func:`real_part_powers` on copies of z's two parts."""
-    z = np.asarray(z, dtype=complex)
-    zr, zi = z.real.copy(), z.imag.copy()
-    del z  # only its parts are kept
-    yield from real_part_powers(zr, zi, degrees)
 
 
 def real_part_powers(zr, zi, degrees):

@@ -379,7 +379,7 @@ def _good_set_measure(rows, shape, blocks, thresholds) -> tuple:
     return count, least
 
 
-def good_set_experiment(basis, spec: ProductSpec, center, side: float,
+def good_set_experiment(spec: ProductSpec, center, side: float,
                         a_grid=None, samples_per_axis: int | None = None) -> GoodSetResult:
     """For each factor, find the smallest grid threshold a_j whose sublevel
     set {|phi| < exp(-a_j)} fills at most 1/(2n) of the half-cube; the
@@ -399,11 +399,10 @@ def good_set_experiment(basis, spec: ProductSpec, center, side: float,
     in place; it adds up the kept cells and takes the least product over
     them.  Counts and minima do not depend on the blocking.
     """
+    basis = spec.basis
     center = _as_center(center)
     if len(center) != basis.model.chart_dim:
         raise ParameterError("cube dimension must match the model chart")
-    if spec.basis is not basis:
-        raise ParameterError("product spec must reference the given basis")
     if not (side > 0.0):
         raise ParameterError("cube side must be positive")
     grid = _checked_grid(a_grid, 1)

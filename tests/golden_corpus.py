@@ -3,11 +3,13 @@
 ``golden/corpus.json`` records, for each invocation in
 :data:`INVOCATIONS`, its argv, its ``basis_digest`` (None for commands
 without a basis) and its report's ``results``, together with the numpy
-version and the BLAS build that made it (:func:`blas_build`: OpenBLAS
-picks its kernels by CPU, so the low bits of a BLAS product can differ
-between machines running one numpy wheel).  ``test_golden.py`` reruns
+version and the BLAS builds that made it (:func:`blas_build`: numpy's
+bundled OpenBLAS, which runs numpy's products, and scipy's, which runs
+the LAPACK calls that make the rev-torus bits; OpenBLAS picks its
+kernels by CPU, so the low bits of a BLAS product can differ between
+machines running one wheel).  ``test_golden.py`` reruns
 every invocation in process through ``cli_main`` with one shared cache.
-Under the recorded numpy and BLAS the canonical JSON of the results and
+Under the recorded numpy and both BLAS builds the canonical JSON of the results and
 the basis digests must match exactly; under another build the numbers
 must agree to 1e-12 relative, and the digests are not compared.
 
@@ -21,6 +23,7 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import hashlib
+import importlib.util
 import io
 import json
 import pathlib
@@ -137,15 +140,19 @@ def run_all(work: pathlib.Path) -> dict:
     return {name: run_invocation(name, work, cache) for name in INVOCATIONS}
 
 
-def blas_build() -> str | None:
-    """The loaded OpenBLAS's runtime configuration: its version and the
-    CPU core whose kernels it picked.  None when numpy's bundled OpenBLAS
-    is not found: the kernels are then unknown, and no digest is compared."""
-    libs = pathlib.Path(np.__file__).resolve().parent.parent / "numpy.libs"
+def _openblas_config(package: str) -> str | None:
+    """The runtime configuration of the OpenBLAS bundled in ``package``'s
+    wheel (its ``<package>.libs`` directory): its version and the CPU core
+    whose kernels it picked.  None when none is found.  The package's
+    ``__init__`` is not run."""
+    spec = importlib.util.find_spec(package)
+    if spec is None or not spec.submodule_search_locations:
+        return None
+    libs = pathlib.Path(spec.submodule_search_locations[0]).resolve().parent / f"{package}.libs"
     for lib_path in sorted(libs.glob("*openblas*")) if libs.is_dir() else ():
         lib = ctypes.CDLL(str(lib_path))
-        for symbol in ("scipy_openblas_get_config64_", "openblas_get_config64_",
-                       "openblas_get_config"):
+        for symbol in ("scipy_openblas_get_config64_", "scipy_openblas_get_config",
+                       "openblas_get_config64_", "openblas_get_config"):
             if hasattr(lib, symbol):
                 getter = getattr(lib, symbol)
                 getter.restype = ctypes.c_char_p
@@ -153,10 +160,19 @@ def blas_build() -> str | None:
     return None
 
 
+def blas_build() -> dict:
+    """The configuration of numpy's and of scipy's bundled OpenBLAS, by
+    package name: scipy's runs the LAPACK calls that make the rev-torus
+    bits, numpy's every numpy product.  A value is None when that library
+    is not found: its kernels are then unknown, and no digest is compared."""
+    return {package: _openblas_config(package) for package in ("numpy", "scipy")}
+
+
 def same_build(corpus: dict) -> bool:
-    """Whether this process runs the numpy and BLAS build that made ``corpus``."""
+    """Whether this process runs the numpy and both BLAS builds that made ``corpus``."""
     blas = blas_build()
-    return corpus["numpy"] == np.__version__ and blas is not None and corpus.get("blas") == blas
+    return corpus["numpy"] == np.__version__ and None not in blas.values() \
+        and corpus.get("blas") == blas
 
 
 def _short_digest(results) -> str:

@@ -102,7 +102,7 @@ def canonical_json_reference(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
-# the numpy builds (version, machine) on which ``numerics.real_powers`` was
+# the numpy builds (version, machine) on which ``numerics.real_part_powers`` was
 # checked to give numpy's own complex powers bit for bit; another build may
 # follow another recipe, or fuse its multiplies, and differ in the last bits
 EXACT_POWER_BUILDS = {("2.4.6", "x86_64")}

@@ -105,6 +105,27 @@ def test_cache_file_with_one_grid_size_exits_2(tmp_path, capsys):
     assert "grid axis sizes" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("damage", ["descending", "nan"])
+def test_cache_file_with_a_bad_lambda_column_exits_2(tmp_path, capsys, damage):
+    # a flat-torus cache file whose lambda column is reversed, or holds a
+    # NaN, under a matching digest, is corrupt: exit 2, no traceback
+    args = ("basis", "--model", "flat-torus", "--dim", "1", "--lambda-max", "3")
+    assert run(tmp_path, *args)[0] == 0
+    (path,) = (tmp_path / "cache").glob("*.eprd")
+    blob = path.read_bytes()
+    header_text, _, block = blob[46:].partition(b"\n")
+    lams = np.frombuffer(block, dtype="<f8").copy()
+    if damage == "descending":
+        lams = lams[::-1]
+    else:
+        lams[-1] = np.nan
+    body = header_text + b"\n" + lams.tobytes()
+    path.write_bytes(blob[:6] + hashlib.sha256(body).digest()
+                     + struct.pack("<Q", len(body)) + body)
+    assert run(tmp_path, *args)[0] == 2
+    assert "the lambda column is not finite, >= 0 and ascending" in capsys.readouterr().err
+
+
 def test_cache_warm_equals_cold(tmp_path):
     args = ("product", "--model", "flat-torus", "--dim", "1",
             "--factors", "cos2,cos3")
@@ -348,6 +369,19 @@ def test_greens_replay_check_passes(tmp_path):
     assert code2 == 0
     assert read(out2, "replay-greens.json")["results"] == \
         read(out, "greens.json")["results"]
+
+
+@pytest.mark.parametrize("argv", [("--dim", "2", "--factors", "c0c0"),
+                                  ("--dim", "1", "--factors", "const,const")],
+                         ids=["flat2", "flat1"])
+def test_greens_on_a_basis_without_positive_lambda_exits_2(tmp_path, capsys, argv):
+    # a product of constants sizes a basis of the constant alone, whose
+    # boundary identity has no mode to recover
+    code, out = run(tmp_path, "greens", "--model", "flat-torus", *argv)
+    assert code == 2
+    assert capsys.readouterr().err == \
+        "error: the basis has no mode with lambda > 0 left to recover\n"
+    assert not (out / "greens.json").exists()
 
 
 @pytest.mark.parametrize("model", [("--model", "rev-torus", "--R", "2", "--r", "1"),

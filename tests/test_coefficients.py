@@ -178,16 +178,16 @@ def test_circle_product_cos2_cos3(circle_basis):
     cos2 = find_mode(basis, ((2,), (COS,)))
     cos3 = find_mode(basis, ((3,), (COS,)))
     series = expand_product(ProductSpec(basis, (cos2, cos3)))
-    assert series.method == "both"
+    assert series.oracle_gap <= 1e-10
     expected = 1.0 / (2.0 * math.sqrt(math.pi))  # 0.28209479...
-    nonzero = {i: c for i, _lam, c in series.entries() if c != 0.0}
+    nonzero = {i: c for i, c in enumerate(series.coeffs.tolist()) if c != 0.0}
     cos1 = find_mode(basis, ((1,), (COS,)))
     cos5 = find_mode(basis, ((5,), (COS,)))
     assert set(nonzero) == {cos1, cos5}
     assert nonzero[cos1] == pytest.approx(expected, abs=1e-13)
     assert nonzero[cos5] == pytest.approx(expected, abs=1e-13)
     # every coefficient past the frequency sum is identically zero
-    for _i, lam, coeff in series.entries():
+    for lam, coeff in zip(series.lams, series.coeffs):
         if lam > 5.0:
             assert coeff == 0.0
     # hand values: ||f||^2 = 1/(2 pi) and the two coefficients carry it all
@@ -203,7 +203,7 @@ def test_circle_three_factor_hand_values(circle_basis):
     basis = circle_basis
     ids = tuple(find_mode(basis, ((k,), (COS,))) for k in (1, 2, 3))
     series = expand_product(ProductSpec(basis, ids))
-    nonzero = {i: c for i, _lam, c in series.entries() if c != 0.0}
+    nonzero = {i: c for i, c in enumerate(series.coeffs.tolist()) if c != 0.0}
     const = find_mode(basis, ((0,), (COS,)))
     expected = {
         const: math.sqrt(2.0) / (4.0 * math.pi),
@@ -247,7 +247,7 @@ def test_circle_selection_rule_random_products(ids):
     spec = ProductSpec(_SELECTION_BASIS, tuple(ids))
     series = expand_product(spec)
     limit = spec.sum_lambda
-    for _i, lam, coeff in series.entries():
+    for lam, coeff in zip(series.lams, series.coeffs):
         if lam > limit * (1.0 + 1e-12):
             assert coeff == 0.0
 
@@ -257,9 +257,9 @@ def test_torus_2d_product_selection_rule():
     a = find_mode(basis, ((1, 2), (COS, SIN)))
     b = find_mode(basis, ((2, 1), (SIN, SIN)))
     series = expand_product(ProductSpec(basis, (a, b)))
-    assert series.method == "both"
+    assert series.oracle_gap <= 1e-10
     limit = float(basis.lams[a]) + float(basis.lams[b])
-    support = [lam for _i, lam, c in series.entries() if c != 0.0]
+    support = [lam for lam, c in zip(series.lams, series.coeffs) if c != 0.0]
     assert support and max(support) <= limit + 1e-12
     ratio, _ = parseval_report(series)
     assert ratio == pytest.approx(1.0, abs=1e-10)
@@ -269,10 +269,10 @@ def test_sphere_product_y10_squared():
     basis = build_basis(Sphere2(), math.sqrt(6.0) + 1e-9)  # l <= 2
     y10 = find_mode(basis, (1, 0))
     series = expand_product(ProductSpec(basis, (y10, y10)))
-    assert series.method == "both"
+    assert series.oracle_gap <= 1e-10
     y00 = find_mode(basis, (0, 0))
     y20 = find_mode(basis, (2, 0))
-    coeffs = dict((i, c) for i, _lam, c in series.entries())
+    coeffs = series.coeffs
     assert coeffs[y00] == pytest.approx(0.2820947917738781, abs=1e-12)
     assert coeffs[y20] == pytest.approx(0.25231325220201604, abs=1e-12)
     ratio, _ = parseval_report(series)
@@ -285,8 +285,8 @@ def test_sphere_three_factor_exact_route(sphere12_basis):
     y31 = find_mode(basis, (3, 1))
     y43 = find_mode(basis, (4, -3))
     series = expand_product(ProductSpec(basis, (y22, y31, y43)))
-    assert series.method == "both"  # iterated Gaunt agreed with quadrature
-    for _i, lam, coeff in series.entries():
+    assert series.oracle_gap <= 1e-10  # iterated Gaunt agreed with quadrature
+    for lam, coeff in zip(series.lams, series.coeffs):
         if lam > math.sqrt(9.0 * 10.0) + 1e-9:  # l > 2+3+4 is out of support
             assert coeff == 0.0
 
@@ -302,7 +302,7 @@ def test_sphere_three_factor_bits_are_pinned(sphere12_basis, reps, digest):
     # replaced; the digests were recorded from that route
     ids = tuple(find_mode(sphere12_basis, rep) for rep in reps)
     series = expand_product(ProductSpec(sphere12_basis, ids))
-    assert series.method == "both"
+    assert series.oracle_gap <= 1e-10
     assert hashlib.sha256(series.coeffs.tobytes()).hexdigest() == digest
 
 
@@ -313,7 +313,7 @@ def test_sphere_four_factor_exact_route():
     y11 = find_mode(basis, (1, 1))
     y20 = find_mode(basis, (2, 0))
     series = expand_product(ProductSpec(basis, (y11, y11, y20, y20)))
-    assert series.method == "both"
+    assert series.oracle_gap <= 1e-10
     ratio, _ = parseval_report(series)  # degree 6 <= basis degree 8
     assert ratio == pytest.approx(1.0, abs=1e-10)
 
@@ -322,10 +322,10 @@ def test_sphere_five_factor_support_is_exact(sphere12_basis):
     reps = ((1, 1), (1, -1), (2, 0), (2, -2), (3, 2))  # degree sum 9
     spec = ProductSpec(sphere12_basis, tuple(find_mode(sphere12_basis, r) for r in reps))
     series = expand_product(spec)
-    assert series.method == "both"
+    assert series.oracle_gap <= 1e-10
     quad, _ = quadrature_coefficients(spec)
     assert float(np.max(np.abs(series.coeffs - quad))) <= 1e-10
-    degrees = sphere12_basis.reps["l"][series.ids]
+    degrees = sphere12_basis.reps["l"][:series.coeffs.size]
     assert np.all(series.coeffs[degrees > 9] == 0.0)
     assert np.any(series.coeffs[degrees == 9] != 0.0)
     ratio, _ = parseval_report(series)
@@ -337,7 +337,7 @@ def test_sphere_oracle_gate_can_fail(sphere12_basis, monkeypatch):
     # four-factor product, not be reported as exact
     reps = ((1, 1), (1, 1), (2, 0), (2, 0))
     spec = ProductSpec(sphere12_basis, tuple(find_mode(sphere12_basis, r) for r in reps))
-    assert expand_product(spec).method == "both"
+    assert expand_product(spec).oracle_gap <= 1e-10
     exact_gaunt = manifolds.gaunt_real
     shifted = (1, 1, 1, 1, 2, 2)
 
@@ -355,7 +355,7 @@ def test_rev_torus_product_parseval_tail():
     sum_lambda = spec.sum_lambda
     assert 3.0 * sum_lambda <= 4.0  # the basis reaches 3x the frequency sum
     series = expand_product(spec)
-    assert series.method == "both"
+    assert series.oracle_gap <= 1e-10
     ratio, defect = parseval_report(series)
     assert ratio >= 0.999
     # mass below 3x the frequency sum already captures the 0.999
@@ -383,7 +383,7 @@ def theta_families(reps):
 def test_rev_oracle_selection_rule(rev_basis, factors):
     spec = ProductSpec(rev_basis, factors)
     series = expand_product(spec)
-    assert series.method == "both"
+    assert series.oracle_gap <= 1e-10
     reps = list(zip(rev_basis.reps["m"].tolist(), rev_basis.reps["theta_parity"].tolist()))
     families = theta_families([reps[i] for i in factors])
     reached = np.array([rep in families for rep in reps])
@@ -409,7 +409,7 @@ def test_rev_expansion_evaluates_only_factor_rows(rev_basis, factors, monkeypatc
         return original(self, basis, ids, axis_points)
 
     monkeypatch.setattr(RevTorus, "axis_factor_rows", counting)
-    assert expand_product(ProductSpec(rev_basis, factors)).method == "both"
+    assert expand_product(ProductSpec(rev_basis, factors)).oracle_gap <= 1e-10
     assert sorted(seen) == sorted(factors)
 
 
@@ -420,7 +420,7 @@ def test_flat_oracle_gate_can_fail(periods):
     # agreement gate
     basis = build_basis(FlatTorus(len(periods), periods), 6.0)
     factors = (1, 3, 4)
-    assert expand_product(ProductSpec(basis, factors)).method == "both"
+    assert expand_product(ProductSpec(basis, factors)).oracle_gap <= 1e-10
     skewed = dataclasses.replace(
         basis, model=FlatTorus(len(periods), tuple(p * (1.0 + 1e-6) for p in periods)))
     with pytest.raises(BreakdownError, match="disagree"):
@@ -436,7 +436,7 @@ def test_quadrature_on_a_grid_coarser_than_twice_the_top_frequency():
     coarse = dataclasses.replace(basis, axes=model.quadrature_grid([10]))
     assert basis.reps["freqs"].max() == 8
     series = expand_product(ProductSpec(coarse, (0,)))
-    assert series.method == "both"
+    assert series.oracle_gap <= 1e-10
     quad, f_norm_sq = quadrature_coefficients(ProductSpec(coarse, (0,)))
     assert quad[0] == pytest.approx(1.0, abs=1e-13)
     assert float(np.max(np.abs(quad[1:]))) <= 1e-13
@@ -451,7 +451,7 @@ def test_rev_oracle_gate_can_fail(minor_radius):
     # terms are (almost) dropped, or r off by 1e-6, perturbs the oracle
     # alone and must trip the agreement gate
     basis = build_basis(RevTorus(2.0, 1.0), 4.5)
-    assert expand_product(ProductSpec(basis, (1, 3))).method == "both"
+    assert expand_product(ProductSpec(basis, (1, 3))).oracle_gap <= 1e-10
     skewed = dataclasses.replace(basis, model=RevTorus(2.0, minor_radius))
     with pytest.raises(BreakdownError, match="disagree"):
         expand_product(ProductSpec(skewed, (1, 3)))
@@ -475,8 +475,8 @@ def test_grid_resolution_check_covers_every_axis(model, lambda_max):
 
 def test_degenerate_norm_rejected(circle_basis):
     series = expand_product(ProductSpec(circle_basis, (1, 2)))
-    broken = CoefficientSeries(series.product, series.ids, series.lams,
-                               np.zeros_like(series.coeffs), 0.0, "quadrature")
+    broken = CoefficientSeries(series.product, np.zeros_like(series.coeffs), 0.0,
+                               series.oracle_gap)
     with pytest.raises(BreakdownError):
         parseval_report(broken)
 

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from eigenprod.coefficients import (
-    CoefficientSeries,
     ProductSpec,
     expand_product,
     quadrature_coefficients,
@@ -29,6 +28,12 @@ TWO_PI = 2.0 * math.pi
 @pytest.fixture(scope="module")
 def circle_basis():
     return build_basis(FlatTorus(1, (TWO_PI,)), 8.0)
+
+
+def recovered_by_id(ext, height) -> dict:
+    """:func:`greens_coefficients` as {mode id: recovered value}."""
+    ids, values = greens_coefficients(ext, height)
+    return dict(zip(ids.tolist(), values.tolist()))
 
 
 def test_extension_params_dim1():
@@ -104,10 +109,10 @@ def test_extension_residual_check_catches_a_wrong_lambda(circle_basis):
     cos3 = find_mode(circle_basis, ((3,), (COS,)))
     series = expand_product(ProductSpec(circle_basis, (cos2, cos3)))
     harmonic_extension_flat(series, 0.05)
-    lams = series.lams.copy()
-    cos5 = int(np.flatnonzero(series.ids == find_mode(circle_basis, ((5,), (COS,))))[0])
-    lams[cos5] = 5.0 * (1.0 - 1e-3)  # stays sorted: below sin5, above sin4
-    planted = dataclasses.replace(series, lams=lams)
+    lams = circle_basis.lams.copy()
+    lams[find_mode(circle_basis, ((5,), (COS,)))] = 5.0 * (1.0 - 1e-3)  # below sin5, above sin4
+    wrong = dataclasses.replace(circle_basis, lams=lams)
+    planted = dataclasses.replace(series, product=ProductSpec(wrong, series.product.factors))
     with pytest.raises(BreakdownError):
         harmonic_extension_flat(planted, 0.05)
 
@@ -183,11 +188,11 @@ def test_greens_recovers_cos5_coefficient(circle_basis):
     series = expand_product(ProductSpec(circle_basis, (cos2, cos3)))
     ext = harmonic_extension_flat(series, 0.0064)
     expected = 1.0 / (2.0 * math.sqrt(math.pi))
-    got = greens_coefficients(ext, 0.006)
+    got = recovered_by_id(ext, 0.006)
     assert got[cos5] == pytest.approx(expected, abs=1e-10)
     assert got[cos4] == pytest.approx(0.0, abs=1e-12)
     # the identity is exact in the height, so two heights must agree
-    low = greens_coefficients(ext, 0.003)
+    low = recovered_by_id(ext, 0.003)
     assert low[cos5] == pytest.approx(got[cos5], rel=1e-10)
 
 
@@ -203,7 +208,7 @@ def test_greens_reconstruction_exhaustive_pairs():
             spec = ProductSpec(basis, (cos_sin[i], cos_sin[j]))
             series = expand_product(spec)
             ext = harmonic_extension_flat(series, params.T)
-            recovered = greens_coefficients(ext, params.T)
+            recovered = recovered_by_id(ext, params.T)
             assert sorted(recovered) == np.flatnonzero(basis.lams > 0.0).tolist()
             for mode, c in recovered.items():
                 err = abs(c - series.coeffs[mode])
@@ -213,13 +218,18 @@ def test_greens_reconstruction_exhaustive_pairs():
 
 def test_greens_rejects_constant_mode(circle_basis):
     # the boundary identity divides by lambda: the constant mode is left
-    # out, and a height outside (0, T] is refused
+    # out, a basis of the constant alone is refused, and so is a height
+    # outside (0, T]
     series = expand_product(ProductSpec(circle_basis, (1, 2)))
     ext = harmonic_extension_flat(series, 0.01)
-    assert sorted(greens_coefficients(ext, 0.005)) == list(range(1, circle_basis.size))
+    assert greens_coefficients(ext, 0.005)[0].tolist() == list(range(1, circle_basis.size))
     for height in (0.02, 0.0):  # above the slab, and t = 0
         with pytest.raises(ParameterError):
             greens_coefficients(ext, height)
+    constant = build_basis(circle_basis.model, 0.0)
+    ext = harmonic_extension_flat(expand_product(ProductSpec(constant, (0,))), 0.01)
+    with pytest.raises(ParameterError, match="no mode with lambda > 0"):
+        greens_coefficients(ext, 0.005)
 
 
 def test_greens_reconstruction_2d():
@@ -229,7 +239,7 @@ def test_greens_reconstruction_2d():
     series = expand_product(ProductSpec(basis, (a, b)))
     params = compute_extension_params(basis.model)
     ext = harmonic_extension_flat(series, params.T)
-    recovered = greens_coefficients(ext, params.T)
+    recovered = recovered_by_id(ext, params.T)
     assert sorted(recovered) == np.flatnonzero(basis.lams > 0.0).tolist()
     for mode, got in recovered.items():
         expected = series.coeffs[mode]
@@ -269,7 +279,7 @@ def test_greens_coefficients_equal_the_single_mode_recovery(monkeypatch, dim):
         raise AssertionError("greens_coefficients put modes on a lattice")
 
     monkeypatch.setattr(FlatTorus, "lattice_values", refused)
-    assert greens_coefficients(ext, t) == single
+    assert recovered_by_id(ext, t) == single
     with pytest.raises(ParameterError):
         greens_coefficients(ext, 0.006)  # above the slab
 
@@ -287,14 +297,6 @@ def test_greens_coefficients_form_no_grid_array():
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000
-
-
-def test_extension_requires_exact_series(circle_basis):
-    series = expand_product(ProductSpec(circle_basis, (1, 2)))
-    quad_only = CoefficientSeries(series.product, series.ids, series.lams,
-                                  series.coeffs, series.f_norm_sq, "quadrature")
-    with pytest.raises(ParameterError):
-        harmonic_extension_flat(quad_only, 0.01)
 
 
 def test_cauchy_check_constant(circle_basis):

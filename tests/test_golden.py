@@ -24,7 +24,7 @@ from golden_corpus import (
 )
 
 # the rev-torus entries, whose bases come from LAPACK and so from the kernels
-# that OpenBLAS picks by CPU
+# that scipy's bundled OpenBLAS picks by CPU
 REV_ENTRIES = [name for name, argv in INVOCATIONS.items() if "rev-torus" in argv]
 
 
@@ -46,10 +46,10 @@ def test_rev_entries_agree_under_another_openblas_kernel(tmp_path):
     # under another core every rev number stays within 1e-12 of the corpus,
     # and some basis digest moves from this process's own, which shows that
     # the LAPACK extension really ran the other kernel
-    build = blas_build()
+    build = blas_build()["scipy"]
     if build is None or "DYNAMIC_ARCH" not in build.split():
-        pytest.skip(f"OpenBLAS is not a DYNAMIC_ARCH build ({build}), so "
-                    "OPENBLAS_CORETYPE cannot pick another kernel")
+        pytest.skip(f"scipy's OpenBLAS is not a DYNAMIC_ARCH build ({build}), so "
+                    "OPENBLAS_CORETYPE cannot pick another LAPACK kernel")
     core = "Haswell" if "Sandybridge" in build.split() else "Sandybridge"
     code = ("import json, pathlib, sys; import golden_corpus as g; "
             "work = pathlib.Path(sys.argv[1]); "
@@ -62,7 +62,7 @@ def test_rev_entries_agree_under_another_openblas_kernel(tmp_path):
         [sys.executable, "-c", code, str(tmp_path / "other"), *REV_ENTRIES],
         env={**os.environ, "PYTHONPATH": path, "OPENBLAS_CORETYPE": core},
         check=True, capture_output=True, text=True, timeout=300).stdout.splitlines()[-1])
-    assert core in other["blas"].split()
+    assert core in other["blas"]["scipy"].split()
     corpus = json.loads(CORPUS.read_text(encoding="utf-8"))["entries"]
     assert [name for name in REV_ENTRIES if not numbers_agree(
         corpus[name]["results"], other["records"][name]["results"])] == []
@@ -81,16 +81,19 @@ def test_numbers_agree_is_relative_to_the_report_scale():
 
 
 def test_digests_are_compared_only_under_the_corpus_numpy_and_blas(monkeypatch):
-    # a last-bit move is a move under the corpus's own build, and within
-    # 1e-12 relative under another BLAS kernel or an unknown one
-    monkeypatch.setattr(golden_corpus, "blas_build", lambda: "OpenBLAS 0.3 SkylakeX")
+    # a last-bit move is a move under the corpus's own builds, and within
+    # 1e-12 relative under another kernel of either BLAS or an unknown one
+    build = {"numpy": "OpenBLAS 0.3.31 SkylakeX", "scipy": "OpenBLAS 0.3.30 SkylakeX"}
+    monkeypatch.setattr(golden_corpus, "blas_build", lambda: build)
     want = {"argv": ["x"], "basis_digest": None, "results": {"v": 1.0}}
     got = {"argv": ["x"], "basis_digest": None, "results": {"v": 1.0 + 4e-16}}
-    corpus = {"numpy": np.__version__, "blas": "OpenBLAS 0.3 SkylakeX", "entries": {"x": want}}
+    corpus = {"numpy": np.__version__, "blas": dict(build), "entries": {"x": want}}
     assert [line.split(":")[0] for line in moved_entries(corpus, {"x": got})] == ["x"]
     assert moved_entries(corpus, {"x": want}) == []
-    corpus["blas"] = "OpenBLAS 0.3 Haswell"
-    assert moved_entries(corpus, {"x": got}) == []
-    monkeypatch.setattr(golden_corpus, "blas_build", lambda: None)
-    corpus["blas"] = None
+    for package in build:
+        corpus["blas"] = {**build, package: "OpenBLAS 0.3 Haswell"}
+        assert moved_entries(corpus, {"x": got}) == []
+    unknown = {"numpy": "OpenBLAS 0.3.31 SkylakeX", "scipy": None}
+    monkeypatch.setattr(golden_corpus, "blas_build", lambda: unknown)
+    corpus["blas"] = unknown
     assert moved_entries(corpus, {"x": got}) == []

@@ -953,6 +953,19 @@ def _no_modes(header, values):
     return json.dumps({**header, "count": 0, "columns": columns}).encode() + b"\n"
 
 
+def _lambdas_descending(header, values):
+    # every other byte of the body kept: only the lambda order is wrong
+    count = header["count"]
+    lams = values[:count][::-1]
+    return json.dumps(header).encode() + b"\n" + np.concatenate([lams, values[count:]]).tobytes()
+
+
+def _lambda_nan(header, values):
+    values = values.copy()
+    values[header["count"] - 1] = np.nan
+    return json.dumps(header).encode() + b"\n" + values.tobytes()
+
+
 def _coefficient_width_flipped(header, values):
     # a consistent block whose coefficient width does not fit the model:
     # one coefficient per flat-torus mode, none per rev-torus mode
@@ -977,7 +990,8 @@ def _grid_sizes_miscounted(header, values):
                                     _widened_column(1), _no_modes,
                                     _coefficient_width_flipped, _grid_sizes_miscounted,
                                     _non_int_entry(float), _non_int_entry(bool),
-                                    _non_int_entry(_past_int64)])
+                                    _non_int_entry(_past_int64), _lambdas_descending,
+                                    _lambda_nan])
 def test_load_rejects_a_malformed_v4_body(tmp_path, request, name, damage):
     # a body with a valid digest whose header and float block disagree
     header, values = split_payload(manifolds._basis_payload(request.getfixturevalue(name)))

@@ -278,7 +278,7 @@ def test_good_set_constant_mode(circle_basis):
     # the constant mode has value 1/sqrt(2 pi) ~ 0.399: its sublevel set is
     # empty exactly from the first grid threshold below that value
     spec = ProductSpec(circle_basis, (0,))
-    result = good_set_experiment(circle_basis, spec, 0.0, 2.0)
+    result = good_set_experiment(spec, 0.0, 2.0)
     const_value = 1.0 / math.sqrt(TWO_PI)
     expected = next(float(a) for a in default_a_grid()
                     if math.exp(-float(a)) <= const_value)
@@ -290,7 +290,7 @@ def test_good_set_two_cosines(circle_basis):
     cos1 = find_mode(circle_basis, ((1,), (COS,)))
     cos2 = find_mode(circle_basis, ((2,), (COS,)))
     spec = ProductSpec(circle_basis, (cos1, cos2))
-    result = good_set_experiment(circle_basis, spec, 0.0, 2.0)
+    result = good_set_experiment(spec, 0.0, 2.0)
     assert result.measure_e >= 0.5 * result.measure_half_cube
     assert result.min_product_bound >= math.exp(-sum(result.thresholds))
     # thresholds agree with a dense brute-force scan to one grid step
@@ -311,8 +311,7 @@ def test_good_set_lower_bound_chain(circle_basis):
     cos2 = find_mode(circle_basis, ((2,), (COS,)))
     spec = ProductSpec(circle_basis, (cos1, cos2))
     per_axis = 16384
-    result = good_set_experiment(circle_basis, spec, 0.0, 2.0,
-                                 samples_per_axis=per_axis)
+    result = good_set_experiment(spec, 0.0, 2.0, samples_per_axis=per_axis)
     centers = -0.5 + (np.arange(per_axis) + 0.5) / per_axis
     product = np.ones(per_axis)
     for mode in (cos1, cos2):
@@ -331,8 +330,7 @@ def test_good_set_grid_exhaustion(circle_basis):
     spec = ProductSpec(circle_basis, (1, 2))
     with pytest.raises(GridExhaustedError):
         # thresholds capped far too low for any sublevel set to shrink
-        good_set_experiment(circle_basis, spec, 0.0, 2.0,
-                            a_grid=np.array([1e-6, 2e-6, 3e-6, 4e-6, 5e-6]))
+        good_set_experiment(spec, 0.0, 2.0, a_grid=np.array([1e-6, 2e-6, 3e-6, 4e-6, 5e-6]))
 
 
 BAD_GRIDS = {
@@ -354,18 +352,17 @@ def test_threshold_grids_must_be_finite_and_ascending(circle_basis, name):
     with pytest.raises(ParameterError, match="threshold grid"):
         remez_fit(coordinate_function(), 0.0, 2.0, a_grid=grid)
     with pytest.raises(ParameterError, match="threshold grid"):
-        good_set_experiment(circle_basis, ProductSpec(circle_basis, (1, 2)), 0.0, 2.0,
-                            a_grid=grid)
+        good_set_experiment(ProductSpec(circle_basis, (1, 2)), 0.0, 2.0, a_grid=grid)
 
 
 def test_grid_minimum_lengths(circle_basis):
     # a fit needs five grid points; a good set needs one
     spec = ProductSpec(circle_basis, (1, 2))
-    assert good_set_experiment(circle_basis, spec, 0.0, 2.0).thresholds == (0.75, 2.75)
-    assert good_set_experiment(circle_basis, spec, 0.0, 2.0, a_grid=[12.0]).thresholds == \
+    assert good_set_experiment(spec, 0.0, 2.0).thresholds == (0.75, 2.75)
+    assert good_set_experiment(spec, 0.0, 2.0, a_grid=[12.0]).thresholds == \
         (12.0, 12.0)
     with pytest.raises(ParameterError, match="threshold grid"):
-        good_set_experiment(circle_basis, spec, 0.0, 2.0, a_grid=[])
+        good_set_experiment(spec, 0.0, 2.0, a_grid=[])
     with pytest.raises(ParameterError, match=">= 5 points"):
         remez_fit(coordinate_function(), 0.0, 2.0, a_grid=default_a_grid()[:4])
 
@@ -414,7 +411,7 @@ def test_good_set_equals_pointwise_evaluation(good_set_case):
     # pointwise construction's
     basis, spec, center, side = good_set_case
     assert len(set(basis.lams[list(spec.factors)].tolist())) > 1
-    result = good_set_experiment(basis, spec, center, side)
+    result = good_set_experiment(spec, center, side)
     assert result == _pointwise_good_set(basis, spec, center, side)
 
 
@@ -435,7 +432,7 @@ def test_good_set_evaluates_factors_on_axes_only(monkeypatch, good_set_case, cir
 
         monkeypatch.setattr(model_type, "axis_factor_rows", recording)
         seen.clear()
-        good_set_experiment(basis, spec, center, side)
+        good_set_experiment(spec, center, side)
         assert seen == [(list(spec.factors), [per_axis] * basis.model.chart_dim)]
         monkeypatch.undo()
 
@@ -469,7 +466,7 @@ def test_good_set_thresholds_equal_the_linear_scan(case):
         scanned = tuple(next(float(a) for a in grid
                              if np.count_nonzero(values < math.exp(-float(a))) <= budget)
                         for values in factor_values)
-        result = good_set_experiment(basis, spec, center, side, a_grid=grid)
+        result = good_set_experiment(spec, center, side, a_grid=grid)
         assert result.thresholds == scanned
 
 
@@ -832,10 +829,10 @@ def test_good_set_peaks_below_one_mib(case):
     model, lambda_max, factors, center, side = GOOD_SET_CASES[case]
     basis = build_basis(model, lambda_max)
     spec = ProductSpec(basis, factors)
-    good_set_experiment(basis, spec, center, side)
+    good_set_experiment(spec, center, side)
     tracemalloc.start()
     try:
-        good_set_experiment(basis, spec, center, side)
+        good_set_experiment(spec, center, side)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -849,10 +846,10 @@ def test_good_set_peaks_below_one_and_three_quarter_lattices(case):
     model, lambda_max, factors, center, side = GOOD_SET_CASES[case]
     basis = build_basis(model, lambda_max)
     spec = ProductSpec(basis, factors)
-    good_set_experiment(basis, spec, center, side)
+    good_set_experiment(spec, center, side)
     tracemalloc.start()
     try:
-        good_set_experiment(basis, spec, center, side)
+        good_set_experiment(spec, center, side)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
