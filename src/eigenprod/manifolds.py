@@ -647,58 +647,69 @@ class RevTorus(_Surface):
         if trunc > REV_TRUNCATION_CAP:
             raise UnderResolvedError(
                 f"s-profile truncation N={trunc} exceeds cap {REV_TRUNCATION_CAP}")
-        size = 2 * trunc + 1
-        stiff, inv_weight, mass = rev_galerkin_terms(big, small, trunc)
+        blocks = rev_galerkin_terms(big, small, trunc)
         weights = np.arange(m_scan + 1) ** 2
-        # every family m solves (K + m^2 M_inv) v = mu B v on each s-parity
-        # block, so B is factored and K, M_inv are reduced once per block
-        blocks = []
-        for s_parity, idx in zip((COS, SIN), _rev_parity_indices(trunc)):
-            grid = np.ix_(idx, idx)
-            k, w = stiff[grid], inv_weight[grid]
-            blocks.append((s_parity, idx, k, w, mass[grid],
-                           k + weights[:, None, None] * w))
         # the full stiffness K + m^2 M_inv scales the zero-snap and the
         # residual; its entries outside the parity blocks are exactly 0
-        a_maxes = np.maximum(np.max([np.abs(block[-1]).max(axis=(1, 2)) for block in blocks],
-                                    axis=0), 1.0).tolist()
+        a_maxes = np.maximum(np.maximum(*[_family_maxima(k, w, weights)
+                                          for _idx, k, w, _b in blocks]), 1.0)
         # only the eigenpairs below a slightly widened lambda_max are computed
         upper = (lambda_max * (1.0 + 1e-9)) ** 2
-        profiles = []  # (lam, m, s_parity) in solve order
-        rows = []  # their coefficient rows, full width, in solve order
+        # every family m solves (K + m^2 M_inv) v = mu B v on each s-parity
+        # block, so B is factored and K, M_inv are reduced once per block
+        lams, ms, s_parities, kept_vectors = [], [], [], []
         worst_residual = 0.0
-        for s_parity, idx, k, w, b, families in blocks:
+        for s_parity, (idx, k, w, b) in zip((COS, SIN), blocks):
             inv_lower = inverse_cholesky(b)
-            solved = family_eigs(reduce_congruent(inv_lower, k), reduce_congruent(inv_lower, w),
-                                 inv_lower, weights, upper)
-            for m, (a_max, (values, block)) in enumerate(zip(a_maxes, solved)):
-                roots = np.sqrt(np.where(values <= 1e-12 * a_max, 0.0, values))
-                kept = int(np.count_nonzero(roots <= lambda_max * (1.0 + 1e-12)))
-                if not kept:
-                    continue
-                block, values = block[:, :kept], values[:kept]
-                # einsum without ``optimize`` takes no BLAS path, so the
-                # residual (part of the digest) does not depend on the
-                # BLAS thread count
-                residuals = np.linalg.norm(
-                    np.einsum("ij,jk->ik", families[m], block)
-                    - np.einsum("ij,jk->ik", b, block) * values, axis=0)
-                worst_residual = max(worst_residual, float(np.max(residuals)) / a_max)
-                rows.append(np.zeros((kept, size)))
-                rows[-1][:, idx] = block.T
-                profiles.extend((lam, m, s_parity) for lam in roots[:kept].tolist())
+            values, vectors, counts = family_eigs(
+                reduce_congruent(inv_lower, k), reduce_congruent(inv_lower, w),
+                inv_lower, weights, upper)
+            family = np.repeat(np.arange(counts.shape[0]), counts)
+            roots = np.sqrt(np.where(values <= 1e-12 * a_maxes[family], 0.0, values))
+            # each family's roots ascend, so it keeps a prefix of its pairs
+            keep = roots <= lambda_max * (1.0 + 1e-12)
+            kept = np.bincount(family[keep], minlength=counts.shape[0])
+            starts = np.cumsum(counts) - counts
+            stiffness = np.empty_like(k)
+            for m in np.flatnonzero(kept).tolist():
+                start, count = starts[m], counts[m]
+                # each family's residual on a contiguous copy of its vectors,
+                # sliced to the kept ones; einsum without ``optimize`` takes
+                # no BLAS path, so the residual (part of the digest) does not
+                # depend on the BLAS thread count
+                block = np.ascontiguousarray(vectors[:, start:start + count])[:, :kept[m]]
+                np.multiply(w, weights[m], out=stiffness)
+                np.add(k, stiffness, out=stiffness)
+                residual = (np.einsum("ij,jk->ik", stiffness, block)
+                            - np.einsum("ij,jk->ik", b, block) * values[start:start + kept[m]])
+                np.square(residual, out=residual)
+                # sqrt is monotone and correctly rounded: the largest norm
+                # is the root of the largest sum of squares
+                worst_residual = max(worst_residual,
+                                     math.sqrt(residual.sum(axis=0).max()) / float(a_maxes[m]))
+            lams.append(roots[keep])
+            ms.append(family[keep])
+            s_parities.append(np.full(lams[-1].shape[0], s_parity))
+            kept_vectors.append((idx, vectors[:, keep]))
         if worst_residual > MAX_EIGEN_RESIDUAL:
             raise ConvergenceError(
                 f"rev-torus eigen-residual {worst_residual:.3e} exceeds {MAX_EIGEN_RESIDUAL:g}")
+        # the profiles (lambda, m, s-parity) and their coefficient rows, full
+        # width, in solve order
+        lams, ms, s_parities = map(np.concatenate, (lams, ms, s_parities))
+        rows = np.zeros((lams.shape[0], 2 * trunc + 1))
+        offset = 0
+        for idx, vectors in kept_vectors:
+            rows[offset:offset + vectors.shape[1], idx] = vectors.T
+            offset += vectors.shape[1]
         # each profile gives a cosine mode in theta, and a sine mode where
         # m > 0: by lambda, then m, the parities and the solve order
-        lams, ms, s_parities = np.array(profiles).T
         source = np.concatenate((np.arange(lams.shape[0]), np.flatnonzero(ms > 0)))
         theta_parities = np.where(np.arange(source.shape[0]) < lams.shape[0], COS, SIN)
         order = np.lexsort((source, s_parities[source], theta_parities, ms[source], lams[source]))
         source, theta_parities = source[order], theta_parities[order]
-        lams, ms = lams[source], ms[source].astype(np.int64)
-        coefficients = np.concatenate(rows)[source]
+        lams, ms = lams[source], ms[source]
+        coefficients = rows[source]
         # the constant: v = e_0 / sqrt(R), exact by inspection
         constant = np.flatnonzero((ms == 0) & (lams == 0.0))
         coefficients[constant] = 0.0
@@ -788,10 +799,20 @@ def _rev_truncation(model: RevTorus, lambda_max: float) -> int:
     return max(8, _round_up(math.ceil(lambda_max + math.ceil(36.0 / sigma)), 8))
 
 
-def _rev_parity_indices(trunc: int):
-    even = [0] + [2 * k - 1 for k in range(1, trunc + 1)]
-    odd = [2 * k for k in range(1, trunc + 1)]
-    return np.array(even), np.array(odd)
+def _family_maxima(k: np.ndarray, w: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """max |K + m^2 M_inv| of each family of one parity block, formed a few
+    families at a time in one reused buffer of at most 128 KiB (one family
+    where a family alone is larger)."""
+    per_chunk = max(1, (128 * 1024) // (8 * k.size))
+    families = np.empty((min(per_chunk, weights.shape[0]), *k.shape))
+    maxima = np.empty(weights.shape[0])
+    for start in range(0, weights.shape[0], per_chunk):
+        chunk = families[:min(per_chunk, weights.shape[0] - start)]
+        np.multiply(weights[start:start + chunk.shape[0], None, None], w, out=chunk)
+        np.add(k, chunk, out=chunk)
+        np.abs(chunk, out=chunk)
+        chunk.max(axis=(1, 2), out=maxima[start:start + chunk.shape[0]])
+    return maxima
 
 
 _MODELS = {cls.kind: cls for cls in (FlatTorus, Sphere2, RevTorus)}
@@ -911,14 +932,15 @@ def model_from_descriptor(desc: dict):
     return _MODELS[kind](**{k: _decode_field(v) for k, v in desc.items() if k != "kind"})
 
 
-def _basis_payload(basis: SpectralBasis) -> bytes:
-    """The canonical body: a JSON header of ints and strings (sorted keys,
-    no whitespace; the representation fields are its columns), ``\\n``,
-    then one little-endian float64 block holding the lambda column and the
-    (modes x width) coefficient matrix, row-major."""
+def _basis_payload(basis: SpectralBasis) -> tuple:
+    """The canonical body as the three parts whose bytes it is, in order:
+    a JSON header of ints and strings (sorted keys, no whitespace; the
+    representation fields are its columns) ending in ``\\n``, then the
+    lambda column and the (modes x width) coefficient matrix, row-major,
+    as little-endian float64 arrays.  The arrays are the basis's own
+    wherever they already have that layout, so no part of the body is
+    copied to hash or write it."""
     model = basis.model
-    block = basis.lams.astype("<f8").tobytes() \
-        + np.ascontiguousarray(basis.coefficients, dtype="<f8").tobytes()
     header = {
         "model": model_descriptor(model),
         "lambda_max": basis.lambda_max.hex(),
@@ -929,7 +951,16 @@ def _basis_payload(basis: SpectralBasis) -> bytes:
         "columns": {name: basis.reps[name].tolist() for name in model.rep_names},
     }
     text = json.dumps(header, sort_keys=True, separators=(",", ":"))
-    return text.encode("utf-8") + b"\n" + block
+    return (text.encode("utf-8") + b"\n", np.ascontiguousarray(basis.lams, dtype="<f8"),
+            np.ascontiguousarray(basis.coefficients, dtype="<f8"))
+
+
+def _payload_hash(parts):
+    """The sha256 of the body whose bytes are ``parts`` in sequence."""
+    digest = hashlib.sha256()
+    for part in parts:
+        digest.update(part)
+    return digest
 
 
 def _arrays_from_payload(model, header: dict, block: bytes) -> tuple:
@@ -967,18 +998,19 @@ def basis_digest(basis: SpectralBasis) -> str:
     """Content digest of the basis (independent of where it is stored):
     the sha256 of its canonical payload, computed at most once per basis."""
     if basis._digest is None:
-        basis._digest = hashlib.sha256(_basis_payload(basis)).hexdigest()
+        basis._digest = _payload_hash(_basis_payload(basis)).hexdigest()
     return basis._digest
 
 
 def save_basis(basis: SpectralBasis, path) -> str:
     """Write the versioned binary cache file, creating its directory and
-    replacing any file at ``path`` atomically; returns the content digest."""
-    body = _basis_payload(basis)
-    digest = hashlib.sha256(body).digest()
-    blob = CACHE_MAGIC + struct.pack("<H", CACHE_VERSION) + digest
-    blob += struct.pack("<Q", len(body)) + body
-    atomic_write_bytes(path, blob)
+    replacing any file at ``path`` atomically; returns the content digest.
+    The body's parts are hashed and written one after another."""
+    parts = _basis_payload(basis)
+    digest = _payload_hash(parts).digest()
+    length = sum(memoryview(part).nbytes for part in parts)
+    atomic_write_bytes(path, CACHE_MAGIC + struct.pack("<H", CACHE_VERSION) + digest
+                       + struct.pack("<Q", length), *parts)
     basis._digest = digest.hex()
     return basis._digest
 

@@ -32,8 +32,13 @@ as the angular families K + m^2 M of the torus of revolution, share one
 reduction, and :func:`family_eigs` solves all of them: one ``dsyevr``
 workspace query, then one direct ``dsyevr`` call per family, optionally
 for the eigenvalues below a bound only, and one back-transform
-v = L^-T w of every family's vectors.  Both take their LAPACK routines
-from :func:`_lapack`, which loads scipy's f2py extension
+v = L^-T w of every family's vectors.  It returns the whole block at
+once: every family's eigenvalues in one array, their vectors as the
+columns of one (n, total) array, and each family's count, so a caller
+cuts a family as a slice.  :func:`rev_galerkin_terms` likewise gives the
+torus of revolution's matrices one s-parity block at a time.
+:func:`inverse_cholesky` and :func:`family_eigs` take their LAPACK
+routines from :func:`_lapack`, which loads scipy's f2py extension
 ``scipy.linalg._flapack`` on its own the first time a pencil is solved:
 no scipy package ``__init__`` runs, and a process that solves no
 eigenproblem never loads it.
@@ -275,24 +280,28 @@ def _check_symmetric(matrix: np.ndarray, name: str) -> None:
 
 
 def family_eigs(k_red: np.ndarray, w_red: np.ndarray, inv_lower: np.ndarray,
-                weights, upper: float | None = None) -> list:
-    """Eigenpairs of the pencils (K + w M, B), one per weight w, whose
-    reductions are ``k_red`` = L^-1 K L^-T and ``w_red`` = L^-1 M L^-T.
+                weights, upper: float | None = None) -> tuple:
+    """Eigenpairs of the pencils (K + w M, B), one family per weight w,
+    whose reductions are ``k_red`` = L^-1 K L^-T and ``w_red`` = L^-1 M L^-T.
 
-    Returns one (eigenvalues ascending, eigenvectors v = L^-T u as
-    B-orthonormal columns) per weight, each a C-contiguous array; with
-    ``upper``, only the eigenvalues <= ``upper``.  The weights ascend and
-    M is positive definite, so K + w M rises with w: the families after the
-    first that keeps no eigenvalue keep none and are not solved.  Each
-    column's sign is fixed so that its first entry above 1e-8 times the
-    column's largest magnitude is positive.  Raises :class:`ParameterError`
-    when an entry of some K + w M could be infinite or NaN and
-    :class:`ConvergenceError` when LAPACK reports a failure.
+    Returns ``(values, vectors, counts)``: family i has ``counts[i]``
+    eigenpairs, and ``values`` holds every family's eigenvalues in weight
+    order, ascending within a family; column j of the (n, total) array
+    ``vectors`` is the eigenvector v = L^-T u of ``values[j]``, the columns
+    B-orthonormal within a family.  With ``upper``, only the eigenvalues
+    <= ``upper`` are kept.  The weights ascend and M is positive definite,
+    so K + w M rises with w: the families after the first that keeps no
+    eigenvalue keep none and are not solved.  Each column's sign is fixed
+    so that its first entry above 1e-8 times the column's largest
+    magnitude is positive.  Raises :class:`ParameterError` when an entry of
+    some K + w M could be infinite or NaN and :class:`ConvergenceError`
+    when LAPACK reports a failure.
     """
     weights = list(weights)
     n = k_red.shape[0]
+    counts = np.zeros(len(weights), dtype=np.int64)
     if not n or not weights:
-        return [(np.zeros(0), np.zeros((0, 0))) for _ in weights]
+        return np.zeros(0), np.zeros((n, 0)), counts
     # |k + w m| <= |k| + |w| |m| entrywise, so one finite bound covers
     # every entry of every family, and any NaN makes it NaN
     bound = (float(np.max(np.abs(k_red)))
@@ -306,7 +315,7 @@ def family_eigs(k_red: np.ndarray, w_red: np.ndarray, inv_lower: np.ndarray,
         raise ConvergenceError(f"dsyevr workspace query failed (info={info})")
     options = {"range": "A"} if upper is None else {"range": "V", "vl": -math.inf, "vu": upper}
     values, columns = [], []
-    for w in weights:
+    for family, w in enumerate(weights):
         # the matrix is exactly symmetric, so its transpose hands LAPACK
         # the same entries in column-major order, with no copy
         vals, vecs, count, _support, info = lapack.dsyevr(
@@ -314,19 +323,19 @@ def family_eigs(k_red: np.ndarray, w_red: np.ndarray, inv_lower: np.ndarray,
             lwork=int(work), liwork=int(iwork), **options)
         if info != 0:
             raise ConvergenceError(f"dsyevr failed (info={info})")
+        counts[family] = count
         values.append(vals[:count])
+        # the first family that keeps nothing joins with its empty block:
+        # the concatenation takes its memory layout from all the blocks
         columns.append(vecs[:, :count])
         if not count:
             break
-    values += [np.zeros(0) for _ in range(len(weights) - len(values))]
     vectors = np.einsum("ji,jk->ik", inv_lower, np.concatenate(columns, axis=1))
     mags = np.abs(vectors)
     lead = np.argmax(mags > 1e-8 * np.maximum(mags.max(axis=0), 1e-300), axis=0)
     flip = vectors[lead, np.arange(vectors.shape[1])] < 0.0
     vectors[:, flip] = -vectors[:, flip]
-    splits = np.cumsum([vals.shape[0] for vals in values])[:-1]
-    return [(vals, np.ascontiguousarray(block))
-            for vals, block in zip(values, np.split(vectors, splits, axis=1))]
+    return np.concatenate(values), vectors, counts
 
 
 def circle_basis(s: np.ndarray, size: int) -> np.ndarray:
@@ -437,19 +446,24 @@ def circle_sums(values, width: int) -> np.ndarray:
     return sums / circle_norms(np.arange(width))
 
 
-def rev_galerkin_terms(big: float, small: float, trunc: int):
+def rev_galerkin_terms(big: float, small: float, trunc: int) -> tuple:
     """The m-independent Galerkin matrices of the torus of revolution,
-    in closed form.
+    in closed form, one s-parity block at a time.
 
-    With f(s) = big + small cos s, 0 <= small < big, returns (K, M_inv, B)
-    in the real Fourier basis of size 2*trunc+1 on the 2*pi circle (the
-    column order of :func:`circle_basis`): K[i,j] = int f e_i' e_j',
-    M_inv[i,j] = int e_i e_j / f and B[i,j] = int f e_i e_j.  The
-    stiffness of angular family m is K + m^2 M_inv.
+    With f(s) = big + small cos s, 0 <= small < big, the matrices in the
+    real Fourier basis of size 2*trunc+1 on the 2*pi circle (the column
+    order of :func:`circle_basis`) are K[i,j] = int f e_i' e_j',
+    M_inv[i,j] = int e_i e_j / f and B[i,j] = int f e_i e_j.  The stiffness
+    of angular family m is K + m^2 M_inv.  f and 1/f are even, so every
+    entry between an s-cosine and an s-sine column vanishes.  Returns the
+    two blocks ``(idx, K, M_inv, B)``: the s-cosine block on the columns
+    idx = 0, 1, 3, ..., 2*trunc-1 (frequencies 0 ... trunc), then the
+    s-sine block on idx = 2, 4, ..., 2*trunc (frequencies 1 ... trunc),
+    each matrix gathered on ``np.ix_(idx, idx)`` of the full one.
 
     An even weight w with cosine moments W_n = int w cos(ns) ds gives
     int w cos(ks) cos(ls) = (W_|k-l| + W_{k+l}) / 2 and
-    int w sin(ks) sin(ls) = (W_|k-l| - W_{k+l}) / 2; cos-sin pairs vanish.
+    int w sin(ks) sin(ls) = (W_|k-l| - W_{k+l}) / 2.
     f has the moments 2 pi big and pi small, so K and B are banded; 1/f
     has the Poisson-kernel moments (2 pi / d) rho^|n| with
     d = sqrt(big^2 - small^2) and rho = -small / (big + d), so M_inv is
@@ -467,16 +481,6 @@ def rev_galerkin_terms(big: float, small: float, trunc: int):
     if not (0.0 <= small < big) or not math.isfinite(big):
         raise ParameterError(
             f"profile {big!r} + {small!r} cos s must stay positive: need 0 <= small < big")
-    size = 2 * trunc + 1
-    freq = circle_frequencies(np.arange(size))
-    # +1 on cosine rows, -1 on sine rows: the sign of W_{k+l} in B
-    sign = np.where((np.arange(size) % 2 == 0) & (freq > 0), -1.0, 1.0)[:, None]
-    same = sign == sign.T
-    norm = np.where(freq > 0, 1.0 / math.sqrt(math.pi), 1.0 / math.sqrt(TWO_PI))
-    scale = 0.5 * (norm[:, None] * norm[None, :])
-    diff = np.abs(freq[:, None] - freq[None, :])
-    total = freq[:, None] + freq[None, :]
-
     f_moments = np.zeros(2 * trunc + 2)
     f_moments[:2] = TWO_PI * big, math.pi * small
     d = math.sqrt((big - small) * (big + small))
@@ -484,12 +488,22 @@ def rev_galerkin_terms(big: float, small: float, trunc: int):
         raise ParameterError(
             f"major radius {big!r} is too large: the moments of the profile overflow")
     inv_moments = (TWO_PI / d) * (-small / (big + d)) ** np.arange(2 * trunc + 2)
+    blocks = []
+    # the sign of W_{k+l} in B: +1 on the s-cosine block, -1 on the s-sine one
+    for idx, sign in ((np.concatenate(([0], np.arange(1, 2 * trunc, 2))), 1.0),
+                      (np.arange(2, 2 * trunc + 1, 2), -1.0)):
+        freq = circle_frequencies(idx)
+        norm = np.where(freq > 0, 1.0 / math.sqrt(math.pi), 1.0 / math.sqrt(TWO_PI))
+        scale = 0.5 * (norm[:, None] * norm[None, :])
+        diff = np.abs(freq[:, None] - freq[None, :])
+        total = freq[:, None] + freq[None, :]
 
-    def gather(moments, hankel_sign):
-        return np.where(same, scale * (moments[diff] + hankel_sign * moments[total]), 0.0)
+        def gather(moments, hankel_sign):
+            return scale * (moments[diff] + hankel_sign * moments[total])
 
-    stiff = (freq[:, None] * freq[None, :]) * gather(f_moments, -sign)
-    return stiff, gather(inv_moments, sign), gather(f_moments, sign)
+        stiff = (freq[:, None] * freq[None, :]) * gather(f_moments, -sign)
+        blocks.append((idx, stiff, gather(inv_moments, sign), gather(f_moments, sign)))
+    return tuple(blocks)
 
 
 def real_part_powers(zr, zi, degrees):

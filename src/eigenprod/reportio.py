@@ -118,14 +118,18 @@ def atomic_write_text(path, text: str) -> None:
     atomic_write_bytes(path, text.encode("utf-8"))
 
 
-def atomic_write_bytes(path, blob: bytes) -> None:
+def atomic_write_bytes(path, *parts) -> None:
+    """Write the bytes-like ``parts`` one after another to a temporary file
+    beside ``path``, then move it onto ``path``: readers see the old file
+    or the whole new one, never a part."""
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-eigenprod-")
     try:
         with os.fdopen(fd, "wb") as handle:
-            handle.write(blob)
+            for part in parts:
+                handle.write(part)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

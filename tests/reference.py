@@ -9,9 +9,27 @@ import numpy as np
 
 from eigenprod.analysis import DecayFit, _sphere_cartesian
 from eigenprod.coefficients import CoefficientSeries, ProductSpec
-from eigenprod.errors import GridExhaustedError, ParameterError
-from eigenprod.manifolds import FlatTorus, SpectralBasis, _axis_product
-from eigenprod.numerics import TWO_PI, circle_basis, circle_frequencies
+from eigenprod.errors import ConvergenceError, GridExhaustedError, ParameterError
+from eigenprod.manifolds import (
+    COS,
+    GRID_MARGIN,
+    GRID_PRODUCT_FACTORS,
+    MAX_EIGEN_RESIDUAL,
+    SIN,
+    FlatTorus,
+    SpectralBasis,
+    _axis_product,
+    _rev_truncation,
+    _round_up,
+)
+from eigenprod.numerics import (
+    TWO_PI,
+    circle_basis,
+    circle_frequencies,
+    family_eigs,
+    inverse_cholesky,
+    reduce_congruent,
+)
 
 
 def find_mode(basis, rep):
@@ -176,3 +194,107 @@ def good_set_thresholds_reference(rows, grid, factors) -> list:
             raise GridExhaustedError(f"no grid threshold tames the sublevel set of mode {i}")
         thresholds.append(chosen)
     return thresholds
+
+
+def full_galerkin_terms(big: float, small: float, trunc: int):
+    """(K, M_inv, B) of the torus of revolution as full (2N+1)^2 matrices,
+    formed the way ``numerics.rev_galerkin_terms`` formed them before it
+    gathered each s-parity block on its own: the moment sums on every
+    entry, masked to 0 where an s-cosine column meets an s-sine one."""
+    size = 2 * trunc + 1
+    freq = circle_frequencies(np.arange(size))
+    # +1 on cosine rows, -1 on sine rows: the sign of W_{k+l} in B
+    sign = np.where((np.arange(size) % 2 == 0) & (freq > 0), -1.0, 1.0)[:, None]
+    same = sign == sign.T
+    norm = np.where(freq > 0, 1.0 / math.sqrt(math.pi), 1.0 / math.sqrt(TWO_PI))
+    scale = 0.5 * (norm[:, None] * norm[None, :])
+    diff = np.abs(freq[:, None] - freq[None, :])
+    total = freq[:, None] + freq[None, :]
+    f_moments = np.zeros(2 * trunc + 2)
+    f_moments[:2] = TWO_PI * big, math.pi * small
+    d = math.sqrt((big - small) * (big + small))
+    inv_moments = (TWO_PI / d) * (-small / (big + d)) ** np.arange(2 * trunc + 2)
+
+    def gather(moments, hankel_sign):
+        return np.where(same, scale * (moments[diff] + hankel_sign * moments[total]), 0.0)
+
+    stiff = (freq[:, None] * freq[None, :]) * gather(f_moments, -sign)
+    return stiff, gather(inv_moments, sign), gather(f_moments, sign)
+
+
+def rev_parity_indices(trunc: int):
+    """The s-cosine and s-sine columns of a 2N+1 circle basis."""
+    even = [0] + [2 * k - 1 for k in range(1, trunc + 1)]
+    odd = [2 * k for k in range(1, trunc + 1)]
+    return np.array(even), np.array(odd)
+
+
+def per_family_eigs(k_red, w_red, inv_lower, weights, upper):
+    """``family_eigs`` cut into one (values, C-contiguous vectors) pair per
+    weight, the shape it returned before it gave one block's arrays."""
+    values, vectors, counts = family_eigs(k_red, w_red, inv_lower, weights, upper)
+    splits = np.cumsum(counts)[:-1]
+    return [(vals, np.ascontiguousarray(block))
+            for vals, block in zip(np.split(values, splits), np.split(vectors, splits, axis=1))]
+
+
+def rev_build_reference(model, lambda_max: float) -> SpectralBasis:
+    """The rev-torus build that ``RevTorus.build`` must reproduce bit for
+    bit: the full Galerkin matrices cut into parity blocks by ``np.ix_``,
+    (m_scan + 1, n, n) family stacks, and the zero-snap, kept count,
+    residual and coefficient rows formed family by family."""
+    big, small = model.major_radius, model.minor_radius
+    m_scan = int(math.floor(lambda_max * (big + small) * (1.0 + 1e-12)))
+    trunc = _rev_truncation(model, lambda_max)
+    size = 2 * trunc + 1
+    stiff, inv_weight, mass = full_galerkin_terms(big, small, trunc)
+    weights = np.arange(m_scan + 1) ** 2
+    blocks = []
+    for s_parity, idx in zip((COS, SIN), rev_parity_indices(trunc)):
+        grid = np.ix_(idx, idx)
+        k, w = stiff[grid], inv_weight[grid]
+        blocks.append((s_parity, idx, k, w, mass[grid],
+                       k + weights[:, None, None] * w))
+    a_maxes = np.maximum(np.max([np.abs(block[-1]).max(axis=(1, 2)) for block in blocks],
+                                axis=0), 1.0).tolist()
+    upper = (lambda_max * (1.0 + 1e-9)) ** 2
+    profiles = []  # (lam, m, s_parity) in solve order
+    rows = []  # their coefficient rows, full width, in solve order
+    worst_residual = 0.0
+    for s_parity, idx, k, w, b, families in blocks:
+        inv_lower = inverse_cholesky(b)
+        solved = per_family_eigs(reduce_congruent(inv_lower, k), reduce_congruent(inv_lower, w),
+                                 inv_lower, weights, upper)
+        for m, (a_max, (values, block)) in enumerate(zip(a_maxes, solved)):
+            roots = np.sqrt(np.where(values <= 1e-12 * a_max, 0.0, values))
+            kept = int(np.count_nonzero(roots <= lambda_max * (1.0 + 1e-12)))
+            if not kept:
+                continue
+            block, values = block[:, :kept], values[:kept]
+            residuals = np.linalg.norm(
+                np.einsum("ij,jk->ik", families[m], block)
+                - np.einsum("ij,jk->ik", b, block) * values, axis=0)
+            worst_residual = max(worst_residual, float(np.max(residuals)) / a_max)
+            rows.append(np.zeros((kept, size)))
+            rows[-1][:, idx] = block.T
+            profiles.extend((lam, m, s_parity) for lam in roots[:kept].tolist())
+    if worst_residual > MAX_EIGEN_RESIDUAL:
+        raise ConvergenceError(
+            f"rev-torus eigen-residual {worst_residual:.3e} exceeds {MAX_EIGEN_RESIDUAL:g}")
+    lams, ms, s_parities = np.array(profiles).T
+    source = np.concatenate((np.arange(lams.shape[0]), np.flatnonzero(ms > 0)))
+    theta_parities = np.where(np.arange(source.shape[0]) < lams.shape[0], COS, SIN)
+    order = np.lexsort((source, s_parities[source], theta_parities, ms[source], lams[source]))
+    source, theta_parities = source[order], theta_parities[order]
+    lams, ms = lams[source], ms[source].astype(np.int64)
+    coefficients = np.concatenate(rows)[source]
+    constant = np.flatnonzero((ms == 0) & (lams == 0.0))
+    coefficients[constant] = 0.0
+    coefficients[constant, 0] = 1.0 / math.sqrt(big)
+    stretch = max(GRID_PRODUCT_FACTORS + 1, 2 * GRID_PRODUCT_FACTORS)
+    sizes = [_round_up(stretch * trunc + 2 + GRID_MARGIN),
+             _round_up(stretch * max(int(ms.max()), 1) + 1 + GRID_MARGIN)]
+    provenance = f"numerical(residual={worst_residual:.3e})"
+    return SpectralBasis(model, float(lambda_max), lams,
+                         {"m": ms, "theta_parity": theta_parities},
+                         coefficients, model.quadrature_grid(sizes), provenance)

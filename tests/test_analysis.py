@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from eigenprod import analysis
 from eigenprod.analysis import (
     captured_norm_ratio,
     find_truncation,
@@ -14,7 +15,8 @@ from eigenprod.analysis import (
     sphere_rotated_pair_experiment,
 )
 from eigenprod.coefficients import CoefficientSeries, ProductSpec, expand_product
-from eigenprod.errors import ParameterError, UnderResolvedError
+from eigenprod.cli import cli_main
+from eigenprod.errors import BreakdownError, ParameterError, UnderResolvedError
 from eigenprod.manifolds import COS, FlatTorus, RevTorus, Sphere2, build_basis
 from reference import (
     assert_same_samples,
@@ -215,6 +217,34 @@ def test_lower_bound_refuses_an_aliased_norm():
     with pytest.raises(UnderResolvedError):
         lower_bound_experiment(specs)
     lower_bound_experiment(specs[:-1] + [ProductSpec(basis, (cos_ids[0],) * 4)])
+
+
+def test_norm_floor_refuses_a_vanishing_sample():
+    # a product norm at or below 1e-13 means the quadrature under-resolved
+    # the product; just above the floor the fit goes through
+    samples = [(2.0, 1.0), (3.0, 0.5), (4.0, 0.25), (5.0, 1e-13)]
+    with pytest.raises(BreakdownError, match="below 1e-13"):
+        analysis._norm_from_samples(samples, 2)
+    fit = analysis._norm_from_samples(samples[:-1] + [(5.0, 1.0000001e-13)], 2)
+    assert fit.C4_hat > 0.0
+
+
+def test_lower_bound_with_a_vanishing_norm_exits_3(tmp_path, monkeypatch, capsys):
+    # a planted product norm of 1e-14 for the family's last product, cos8^2
+    norm_sq = analysis.product_norm_sq
+
+    def vanishing_last(spec):
+        return 1e-28 if spec.sum_lambda == 16.0 else norm_sq(spec)
+    monkeypatch.setattr(analysis, "product_norm_sq", vanishing_last)
+    basis = build_basis(FlatTorus(1, (TWO_PI,)), 8.0)
+    ids = [find_mode(basis, ((k,), (COS,))) for k in (2, 4, 6, 8)]
+    with pytest.raises(BreakdownError, match="below 1e-13"):
+        lower_bound_experiment([ProductSpec(basis, (i, i)) for i in ids])
+    code = cli_main(["lower-bound", "--model", "flat-torus", "--dim", "1",
+                     "--out", str(tmp_path / "out"), "--cache", str(tmp_path / "cache")])
+    assert code == 3
+    assert "below 1e-13" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "lower-bound.json").exists()
 
 
 def test_sphere_rotated_pairs_reject_negative_degrees():

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eigenprod import manifolds
+from eigenprod import coefficients, manifolds
+from eigenprod.cli import cli_main
 from eigenprod.coefficients import (
     CoefficientSeries,
     ProductSpec,
@@ -508,3 +509,33 @@ def test_csv_dump(circle_basis):
     # floats round-trip at 17 significant digits
     coeff_cell = lines[2].split(",")[2]
     assert float(coeff_cell) == series.coeffs[1]
+
+
+def test_series_bessel_gate_refuses_mass_above_the_norm():
+    # Bessel's inequality: a series may capture at most the product's norm,
+    # up to a relative 1e-8
+    basis = build_basis(FlatTorus(1, (TWO_PI,)), 8.0)
+    series = expand_product(ProductSpec(basis, (3, 5)))
+    mass = series.mass_captured
+    assert mass > 0.0
+    with pytest.raises(BreakdownError, match="captured mass"):
+        CoefficientSeries(series.product, series.coeffs, mass / (1.0 + 2e-8), series.oracle_gap)
+    edge = CoefficientSeries(series.product, series.coeffs, mass / (1.0 + 0.5e-8),
+                             series.oracle_gap)
+    assert edge.mass_captured == mass
+
+
+def test_product_whose_mass_exceeds_its_norm_exits_3(tmp_path, monkeypatch, capsys):
+    # a planted quadrature norm of half the true one: the coefficients
+    # still agree with the oracle, so only the Bessel gate can catch it
+    expansion = coefficients._quadrature_expansion
+
+    def halved_norm(spec):
+        coeffs, norm_sq = expansion(spec)
+        return coeffs, 0.5 * norm_sq
+    monkeypatch.setattr(coefficients, "_quadrature_expansion", halved_norm)
+    code = cli_main(["product", "--model", "flat-torus", "--dim", "1", "--factors", "cos2,cos3",
+                     "--out", str(tmp_path / "out"), "--cache", str(tmp_path / "cache")])
+    assert code == 3
+    assert "captured mass" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "product.json").exists()

@@ -12,20 +12,22 @@ from scipy.linalg import eigh
 
 from eigenprod import numerics
 from eigenprod.errors import FactorizationError, ParameterError
-from eigenprod.manifolds import RevTorus, _rev_parity_indices, _rev_truncation
+from eigenprod.manifolds import RevTorus, _rev_truncation
 from eigenprod.numerics import (
     circle_basis,
+    circle_frequencies,
     family_eigs,
     inverse_cholesky,
     reduce_congruent,
     rev_galerkin_terms,
 )
-from reference import circle_basis_derivative
+from reference import circle_basis_derivative, full_galerkin_terms, rev_parity_indices
 
 
 def solve_reduced(reduced, inv_lower, upper=None):
     """The pencil whose reduction is ``reduced``, as a family of one."""
-    return family_eigs(reduced, np.zeros_like(reduced), inv_lower, [0], upper)[0]
+    values, vectors, _counts = family_eigs(reduced, np.zeros_like(reduced), inv_lower, [0], upper)
+    return values, vectors
 
 
 def solve(a, b, upper=None):
@@ -169,12 +171,10 @@ def _rev_family_pencils():
     m = 7 (s-sine block) on."""
     lambda_max = 6.954
     trunc = _rev_truncation(RevTorus(2.0, 1.0), lambda_max)
-    stiff, inv_weight, mass = rev_galerkin_terms(2.0, 1.0, trunc)
     weights = [m * m for m in range(math.floor(lambda_max * 3.0) + 1)]
     for bound in (lambda_max, 3.0):
-        for idx in _rev_parity_indices(trunc):
-            grid = np.ix_(idx, idx)
-            yield stiff[grid], inv_weight[grid], mass[grid], weights, (bound * (1.0 + 1e-9)) ** 2
+        for _idx, stiff, inv_weight, mass in rev_galerkin_terms(2.0, 1.0, trunc):
+            yield stiff, inv_weight, mass, weights, (bound * (1.0 + 1e-9)) ** 2
 
 
 def _random_family_pencils():
@@ -190,19 +190,21 @@ def _random_family_pencils():
                          ids=["rev-2-1", "random"])
 def test_family_eigs_equals_one_eigh_per_family(pencils, bounded):
     # the direct dsyevr loop gives every bit of one scipy.linalg.eigh per
-    # family; each family's vectors are a C-contiguous array of their own
+    # family; family i is the slice of counts[i] pairs after the families
+    # before it, in the block's values and in the columns of its vectors
     for k, w, b, weights, upper in pencils():
         upper = upper if bounded else None
         inv_lower = inverse_cholesky(b)
         k_red, w_red = reduce_congruent(inv_lower, k), reduce_congruent(inv_lower, w)
-        ours = family_eigs(k_red, w_red, inv_lower, weights, upper)
+        values, vectors, counts = family_eigs(k_red, w_red, inv_lower, weights, upper)
         reference = _eigh_families(k_red, w_red, inv_lower, weights, upper)
-        assert len(ours) == len(weights)
-        assert sum(values.shape[0] for values, _ in ours) > 0
-        for (values, vectors), (ref_values, ref_vectors) in zip(ours, reference):
-            assert vectors.flags.c_contiguous
-            assert np.array_equal(values, ref_values)
-            assert np.array_equal(vectors, ref_vectors)
+        assert counts.shape == (len(weights),) and counts.sum() > 0
+        assert values.shape == (counts.sum(),) and vectors.shape == (k.shape[0], counts.sum())
+        start = 0
+        for count, (ref_values, ref_vectors) in zip(counts.tolist(), reference):
+            assert np.array_equal(values[start:start + count], ref_values)
+            assert np.array_equal(vectors[:, start:start + count], ref_vectors)
+            start += count
 
 
 def test_family_eigs_rejects_non_finite_matrices():
@@ -228,27 +230,34 @@ def test_asymmetric_stiffness_rejected():
 
 
 def test_flat_circle_galerkin_matrices():
-    # f = 1: K = diag of squared frequencies, M_inv = B = identity
-    stiff, inv_weight, mass = rev_galerkin_terms(1.0, 0.0, 2)
-    assert np.max(np.abs(stiff - np.diag([0.0, 1.0, 1.0, 4.0, 4.0]))) <= 1e-12
-    assert np.max(np.abs(inv_weight - np.eye(5))) <= 1e-12
-    assert np.max(np.abs(mass - np.eye(5))) <= 1e-12
+    # f = 1: K = diag of squared frequencies, M_inv = B = identity, on the
+    # s-cosine columns 0, 1, 3 (frequencies 0, 1, 2) and the s-sine
+    # columns 2, 4 (frequencies 1, 2)
+    (cos_idx, *cos_block), (sin_idx, *sin_block) = rev_galerkin_terms(1.0, 0.0, 2)
+    assert cos_idx.tolist() == [0, 1, 3] and sin_idx.tolist() == [2, 4]
+    for (stiff, inv_weight, mass), squares in ((cos_block, [0.0, 1.0, 4.0]),
+                                               (sin_block, [1.0, 4.0])):
+        assert np.max(np.abs(stiff - np.diag(squares))) <= 1e-12
+        assert np.max(np.abs(inv_weight - np.eye(len(squares)))) <= 1e-12
+        assert np.max(np.abs(mass - np.eye(len(squares)))) <= 1e-12
 
 
 def test_angular_term_shifts_by_m_squared():
-    stiff, inv_weight, mass = rev_galerkin_terms(1.0, 0.0, 3)
-    shifted = stiff + 9.0 * inv_weight
-    assert np.max(np.abs(shifted - (stiff + 9.0 * mass))) <= 1e-12
-    values, _ = solve(shifted, mass)
-    expected = sorted(k * k + 9 for k in (0, 1, 1, 2, 2, 3, 3))
-    assert values == pytest.approx(expected, abs=1e-12)
+    for idx, stiff, inv_weight, mass in rev_galerkin_terms(1.0, 0.0, 3):
+        shifted = stiff + 9.0 * inv_weight
+        assert np.max(np.abs(shifted - (stiff + 9.0 * mass))) <= 1e-12
+        values, _ = solve(shifted, mass)
+        expected = sorted(k * k + 9 for k in circle_frequencies(idx).tolist())
+        assert values == pytest.approx(expected, abs=1e-12)
 
 
 def test_flat_circle_eigenvalues_exact():
-    stiff, _, mass = rev_galerkin_terms(1.0, 0.0, 8)
-    values, _ = solve(stiff, mass)
-    expected = sorted([0.0] + [k * k for k in range(1, 9) for _ in (0, 1)])
-    assert np.max(np.abs(values - np.array(expected, dtype=float))) <= 1e-12
+    # frequency 0 and the cosines 1 ... 8 on one block, the sines 1 ... 8
+    # on the other
+    for idx, stiff, _, mass in rev_galerkin_terms(1.0, 0.0, 8):
+        values, _ = solve(stiff, mass)
+        expected = sorted(k * k for k in circle_frequencies(idx).tolist())
+        assert np.max(np.abs(values - np.array(expected, dtype=float))) <= 1e-12
 
 
 def test_cosine_weight_couplings_hand_integral():
@@ -256,11 +265,13 @@ def test_cosine_weight_couplings_hand_integral():
     # derivative, so K[const, cos] = 0, while
     # B[const, cos] = int (1 + 0.3 cos s) cos s ds / (sqrt(2 pi) sqrt(pi))
     #              = 0.3 pi / (pi sqrt(2)) = 0.3/sqrt(2).
-    stiff, _, mass = rev_galerkin_terms(1.0, 0.3, 8)
+    # The s-cosine block holds columns 0, 1, 3: 1, cos s, cos 2s.
+    (idx, stiff, _, mass), _sine = rev_galerkin_terms(1.0, 0.3, 8)
+    assert idx[:3].tolist() == [0, 1, 3]
     assert stiff[0, 1] == pytest.approx(0.0, abs=1e-13)
     assert mass[0, 1] == pytest.approx(0.3 / math.sqrt(2.0), abs=1e-13)
     # first off-diagonal coupling of the cos block is proportional to 0.15
-    assert mass[1, 3] == pytest.approx(0.15, abs=1e-13)
+    assert mass[1, 2] == pytest.approx(0.15, abs=1e-13)
 
 
 def test_nonpositive_weight_rejected():
@@ -296,10 +307,39 @@ def _quadrature_galerkin_terms(big, small, trunc):
     (2.0, 1.0, 64), (1.8, 0.9, 64), (3.0, 1.0, 32), (2.0, 1.0, 128),
 ])
 def test_closed_form_galerkin_terms_match_quadrature(big, small, trunc):
-    closed = rev_galerkin_terms(big, small, trunc)
+    # each block against its cut of the quadrature matrices, whose entries
+    # between the blocks must vanish to the same tolerance
+    blocks = rev_galerkin_terms(big, small, trunc)
     oracle = _quadrature_galerkin_terms(big, small, trunc)
-    for name, ours, theirs in zip(("K", "M_inv", "B"), closed, oracle):
-        assert ours.shape == theirs.shape == (2 * trunc + 1,) * 2
-        assert np.array_equal(ours, ours.T), name
-        gap = np.max(np.abs(ours - theirs))
-        assert gap <= 1e-13 * np.max(np.abs(theirs)), (name, gap)
+    cos_idx, sin_idx = (idx for idx, *_ in blocks)
+    assert np.array_equal(np.sort(np.concatenate((cos_idx, sin_idx))), np.arange(2 * trunc + 1))
+    for position, name in enumerate(("K", "M_inv", "B")):
+        theirs = oracle[position]
+        tolerance = 1e-13 * np.max(np.abs(theirs))
+        assert np.max(np.abs(theirs[np.ix_(cos_idx, sin_idx)])) <= tolerance, name
+        for idx, *ours in blocks:
+            ours = ours[position]
+            assert ours.shape == (idx.shape[0],) * 2
+            assert np.array_equal(ours, ours.T), name
+            gap = np.max(np.abs(ours - theirs[np.ix_(idx, idx)]))
+            assert gap <= tolerance, (name, gap)
+
+
+@pytest.mark.parametrize("big, small, trunc", [
+    (2.0, 1.0, 40), (1.8, 0.9, 64), (2.0, 1.9, 128), (4.4296, 0.822, 16), (1.0, 0.0, 2),
+])
+def test_galerkin_blocks_are_the_full_matrices_cut_bit_for_bit(big, small, trunc):
+    # each block is gathered from the moments directly; its entries are
+    # the full matrices' on np.ix_(idx, idx), every bit, and the full
+    # matrices hold exact zeros between the blocks
+    full = full_galerkin_terms(big, small, trunc)
+    blocks = rev_galerkin_terms(big, small, trunc)
+    cos_idx, sin_idx = rev_parity_indices(trunc)
+    assert [idx.tolist() for idx, *_ in blocks] == [cos_idx.tolist(), sin_idx.tolist()]
+    for matrix in full:
+        assert not np.any(matrix[np.ix_(cos_idx, sin_idx)])
+    for idx, *ours in blocks:
+        for mine, whole in zip(ours, full):
+            assert mine.dtype == whole.dtype
+            assert np.array_equal(mine, whole[np.ix_(idx, idx)])
+            assert np.array_equal(np.signbit(mine), np.signbit(whole[np.ix_(idx, idx)]))

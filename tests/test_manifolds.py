@@ -13,6 +13,7 @@ import struct
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -45,7 +46,7 @@ from eigenprod.manifolds import (
     save_basis,
 )
 from eigenprod.numerics import QuadratureGrid, rev_galerkin_terms, uniform_periodic
-from reference import grid_weights, mode_reps, rev_profile_derivatives
+from reference import grid_weights, mode_reps, rev_build_reference, rev_profile_derivatives
 
 TWO_PI = 2.0 * math.pi
 
@@ -546,16 +547,14 @@ def _gvd_rev_modes(basis):
     big, small = basis.model.major_radius, basis.model.minor_radius
     lambda_max = basis.lambda_max
     trunc = (basis.coefficients.shape[1] - 1) // 2
-    stiff, inv_weight, mass = rev_galerkin_terms(big, small, trunc)
-    blocks = ((COS, np.array([0] + list(range(1, 2 * trunc, 2)))),
-              (SIN, np.arange(2, 2 * trunc + 1, 2)))
+    blocks = rev_galerkin_terms(big, small, trunc)
     entries = []
     for m in range(math.floor(lambda_max * (big + small) * (1.0 + 1e-12)) + 1):
-        a = stiff + (m * m) * inv_weight
-        a_max = max(float(np.max(np.abs(a))), 1.0)
-        for s_parity, idx in blocks:
-            grid = np.ix_(idx, idx)
-            values, vectors = scipy.linalg.eigh(a[grid], mass[grid], driver="gvd")
+        # the full K + m^2 M_inv is 0 between the blocks
+        families = [stiff + (m * m) * inv_weight for _idx, stiff, inv_weight, _mass in blocks]
+        a_max = max(max(float(np.max(np.abs(a))) for a in families), 1.0)
+        for s_parity, (idx, _stiff, _inv_weight, mass), a in zip((COS, SIN), blocks, families):
+            values, vectors = scipy.linalg.eigh(a, mass, driver="gvd")
             lams = np.sqrt(np.where(values <= 1e-12 * a_max, 0.0, values))
             for q in np.flatnonzero(lams <= lambda_max * (1.0 + 1e-12)):
                 coeffs = np.zeros(2 * trunc + 1)
@@ -593,11 +592,85 @@ def test_reduced_subset_solver_matches_full_dsygvd(big, small, lambda_max):
     assert max(np.max(np.abs(x[4] - y[4])) for x, y in zip(ours, oracle)) <= 1e-12
 
 
+def assert_same_rev_basis(ours, reference):
+    assert ours.lams.dtype == reference.lams.dtype and np.array_equal(ours.lams, reference.lams)
+    for name in reference.model.rep_names:
+        assert ours.reps[name].dtype == reference.reps[name].dtype
+        assert np.array_equal(ours.reps[name], reference.reps[name])
+    assert np.array_equal(ours.coefficients, reference.coefficients)
+    assert ours.provenance == reference.provenance
+    # the digest also covers the sign of every zero
+    assert basis_digest(ours) == basis_digest(reference)
+
+
+# the rev-cold workload's geometries, R and r as its CLI arguments give them
+REV_COLD_SCALES = [(float(f"{2.0 * scale:.4f}"), float(f"{scale:.4f}"))
+                   for scale in (0.9, 0.95, 1.0, 1.05, 1.1, 1.15)]
+
+
+@pytest.mark.parametrize("big, small", REV_COLD_SCALES)
+def test_rev_build_matches_the_per_family_reference_on_rev_cold(big, small):
+    # one array pass per s-parity block gives every bit of the per-family
+    # build, on the lambda=2 probe and the final basis of a rev-cold op
+    probe = build_basis(RevTorus(big, small), 2.0)
+    assert_same_rev_basis(probe, rev_build_reference(RevTorus(big, small), 2.0))
+    lambda_max = _rev_cold_lambda(big, small)
+    assert_same_rev_basis(build_basis(RevTorus(big, small), lambda_max),
+                          rev_build_reference(RevTorus(big, small), lambda_max))
+
+
+@pytest.mark.parametrize("big, small, lambda_max", [
+    (2.0, 1.0, 2.0), (2.0, 1.0, 3.0), (2.0, 1.0, 6.0),
+    (2.0, 1.9, 8.1), (4.4296, 0.8220, 0.625),
+], ids=["probe", "lambda-3", "lambda-6", "thin-neck", "no-s-sine-mode"])
+def test_rev_build_matches_the_per_family_reference(big, small, lambda_max):
+    basis = build_basis(RevTorus(big, small), lambda_max)
+    assert_same_rev_basis(basis, rev_build_reference(RevTorus(big, small), lambda_max))
+    if small == 1.9:
+        # the thin neck runs at the truncation cap N = 128
+        assert basis.coefficients.shape[1] == 2 * 128 + 1
+    if big == 4.4296:
+        # the s-sine block keeps no family at all
+        assert not np.any(basis.coefficients[:, 2::2])
+
+
+def test_rev_build_peaks_below_the_family_stacks():
+    # no (m_scan + 1, n, n) family stack, no |stack| copy and no per-family
+    # row list: the per-family build peaked at 1.23 MiB here
+    build_basis(RevTorus(2.0, 1.0), 6.954)
+    tracemalloc.start()
+    try:
+        build_basis(RevTorus(2.0, 1.0), 6.954)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.9 * 2 ** 20
+
+
+def test_save_basis_streams_the_payload(tmp_path):
+    # the body's parts are hashed and written in sequence; a save that
+    # joined them into one blob (three payload copies) peaked at 0.57 MiB
+    basis = build_basis(RevTorus(2.0, 1.0), 6.954)
+    save_basis(basis, tmp_path / "warm.eprd")
+    basis._digest = None
+    tracemalloc.start()
+    try:
+        save_basis(basis, tmp_path / "basis.eprd")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert basis.coefficients.nbytes > 0.18 * 2 ** 20
+    assert peak < 0.2 * 2 ** 20
+    loaded = load_basis(tmp_path / "basis.eprd")
+    assert loaded.coefficients.tobytes() == basis.coefficients.tobytes()
+
+
 def test_rev_torus_residual_check_can_fail(tmp_path, monkeypatch):
     solve = manifolds.family_eigs
 
     def perturbed(*args):
-        return [(values, vectors + 1e-6) for values, vectors in solve(*args)]
+        values, vectors, counts = solve(*args)
+        return values, vectors + 1e-6, counts
     monkeypatch.setattr(manifolds, "family_eigs", perturbed)
     with pytest.raises(ConvergenceError, match="residual"):
         build_basis(RevTorus(2.0, 1.0), 3.0)
@@ -695,9 +768,9 @@ def test_memoised_digest_matches_the_payload(tmp_path, request, monkeypatch, nam
     path = tmp_path / "basis.eprd"
     saved = save_basis(basis, path)
     loaded = load_basis(path)
-    from_scratch = hashlib.sha256(manifolds._basis_payload(loaded)).hexdigest()
+    from_scratch = streamed_digest(loaded)
     assert saved == from_scratch
-    assert hashlib.sha256(manifolds._basis_payload(basis)).hexdigest() == from_scratch
+    assert streamed_digest(basis) == from_scratch
     assert basis_digest(fresh) == from_scratch
 
     def no_payload(_basis):
@@ -839,7 +912,22 @@ def test_rep_arrays_equal_the_whole_column_conversion(request, name, tmp_path):
 def test_cache_payload_is_pinned(request, name, digest):
     # the .eprd payload format is fixed: exact bases hash to known digests
     basis = request.getfixturevalue(name)
-    assert hashlib.sha256(manifolds._basis_payload(basis)).hexdigest() == digest
+    assert streamed_digest(basis) == digest
+    assert hashlib.sha256(payload_bytes(basis)).hexdigest() == digest
+
+
+def streamed_digest(basis) -> str:
+    """The sha256 of a basis's canonical body, fed its parts one at a time
+    as ``save_basis`` streams them."""
+    digest = hashlib.sha256()
+    for part in manifolds._basis_payload(basis):
+        digest.update(part)
+    return digest.hexdigest()
+
+
+def payload_bytes(basis) -> bytes:
+    """A basis's canonical body: the bytes of its parts in sequence."""
+    return b"".join(manifolds._basis_payload(basis))
 
 
 def split_payload(payload: bytes):
@@ -853,7 +941,7 @@ def test_rev_mode_payload_layout(rev_basis_3):
     # canonical header with m and theta parity as columns, then the lambda
     # column and the 2N+1 profile coefficients per mode, row-major, with
     # N = 32 from the strip rule on (2, 1) at lambda 3
-    payload = manifolds._basis_payload(rev_basis_3)
+    payload = payload_bytes(rev_basis_3)
     header, values = split_payload(payload)
     header_text = payload.partition(b"\n")[0]
     assert header_text == json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
@@ -883,7 +971,7 @@ def test_non_models_fail_cleanly(tmp_path, circle_basis_3):
         build_basis(object(), 1.0)
     # a file with an unknown model kind but a valid digest: the kind check,
     # not the digest check, must reject it
-    header, values = split_payload(manifolds._basis_payload(circle_basis_3))
+    header, values = split_payload(payload_bytes(circle_basis_3))
     header["model"]["kind"] = "cube"
     path = tmp_path / "cube.eprd"
     write_body(path, json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
@@ -994,7 +1082,7 @@ def _grid_sizes_miscounted(header, values):
                                     _lambda_nan])
 def test_load_rejects_a_malformed_v4_body(tmp_path, request, name, damage):
     # a body with a valid digest whose header and float block disagree
-    header, values = split_payload(manifolds._basis_payload(request.getfixturevalue(name)))
+    header, values = split_payload(payload_bytes(request.getfixturevalue(name)))
     path = tmp_path / "bad.eprd"
     write_body(path, damage(header, values))
     with pytest.raises(CorruptionError, match="malformed basis payload"):
@@ -1005,7 +1093,7 @@ def test_load_refuses_fractional_and_boolean_rep_entries(tmp_path, circle_basis_
     # a circle lambda 3 file with freqs 0.7, 1.7, 1.7, 2.7, ... and parities
     # written as true/false, under a recomputed digest: int64 conversion
     # would truncate both back to the original basis
-    header, values = split_payload(manifolds._basis_payload(circle_basis_3))
+    header, values = split_payload(payload_bytes(circle_basis_3))
     columns = header["columns"]
     freqs = [[k + 0.7 for k in entry] for entry in columns["freqs"]]
     parities = [[bool(p) for p in entry] for entry in columns["parities"]]
