@@ -200,17 +200,21 @@ def find_truncation(series: CoefficientSeries, target: float = 0.99,
     norm share.  Cumulative sums are exact; no fit is involved."""
     if not 0.0 <= target <= 1.0:
         raise ParameterError("target must lie in [0, 1]")
+    if not math.isfinite(c2):
+        raise ParameterError("c2 must be finite")
     if series.f_norm_sq <= 0.0:
         raise BreakdownError("product norm degenerated to zero")
-    ratio = series.mass_captured / series.f_norm_sq
-    if ratio < target:
-        raise UnderResolvedError(
-            f"the basis captures only {ratio:.6f} of the product mass; "
-            f"raise lambda_max before asking for target {target}")
     sum_lambda = series.sum_lambda
     lam_hi = float(series.lams[-1]) if series.lams.size else 0.0
     steps = max(1, int(math.ceil(lam_hi / (C5_GRID_STEP * sum_lambda))) + 1) \
         if sum_lambda > 0.0 else 1
+    # the search's last grid point captures the most of any, and the gate
+    # computes its share as the search will, so the two cannot disagree
+    ratio = captured_norm_ratio(series, C5_GRID_STEP * steps)
+    if ratio < target:
+        raise UnderResolvedError(
+            f"the basis captures only {ratio:.6f} of the product norm; "
+            f"raise lambda_max before asking for target {target}")
     for k in range(1, steps + 1):
         c5 = C5_GRID_STEP * k
         captured = captured_norm_ratio(series, c5)

@@ -102,6 +102,12 @@ class HarmonicExtension:
         self.T = float(height)
         self.lams = series.lams[self.mode_ids]
         self.coeffs = series.coeffs[self.mode_ids]
+        try:
+            # cosh is increasing on [0, inf): the largest kept lambda decides
+            math.cosh(float(np.max(self.lams, initial=0.0)) * self.T)
+        except OverflowError:
+            raise ParameterError(
+                f"extension height {height!r} overflows cosh(lambda T) of a kept mode") from None
 
     def on_lattice(self, coords) -> np.ndarray:
         """The kept modes on the tensor lattice of the per-axis chart

@@ -649,10 +649,13 @@ class RevTorus(_Surface):
                 f"s-profile truncation N={trunc} exceeds cap {REV_TRUNCATION_CAP}")
         blocks = rev_galerkin_terms(big, small, trunc)
         weights = np.arange(m_scan + 1) ** 2
-        # the full stiffness K + m^2 M_inv scales the zero-snap and the
-        # residual; its entries outside the parity blocks are exactly 0
-        a_maxes = np.maximum(np.maximum(*[_family_maxima(k, w, weights)
-                                          for _idx, k, w, _b in blocks]), 1.0)
+        # max |K + m^2 M_inv| scales the zero-snap and the residual.  K and
+        # M_inv are Gram matrices under the positive weights f and 1/f, so
+        # by Cauchy-Schwarz |a_ij| <= sqrt(a_ii a_jj): each family's largest
+        # entry is on its diagonal (entries between the blocks are 0)
+        a_maxes = np.maximum(np.maximum(*[
+            (np.diagonal(k) + weights[:, None] * np.diagonal(w)).max(axis=1)
+            for _idx, k, w, _b in blocks]), 1.0)
         # only the eigenpairs below a slightly widened lambda_max are computed
         upper = (lambda_max * (1.0 + 1e-9)) ** 2
         # every family m solves (K + m^2 M_inv) v = mu B v on each s-parity
@@ -797,22 +800,6 @@ def _rev_truncation(model: RevTorus, lambda_max: float) -> int:
     overflows to an infinite strip)."""
     sigma = math.acosh(model.major_radius / model.minor_radius)
     return max(8, _round_up(math.ceil(lambda_max + math.ceil(36.0 / sigma)), 8))
-
-
-def _family_maxima(k: np.ndarray, w: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """max |K + m^2 M_inv| of each family of one parity block, formed a few
-    families at a time in one reused buffer of at most 128 KiB (one family
-    where a family alone is larger)."""
-    per_chunk = max(1, (128 * 1024) // (8 * k.size))
-    families = np.empty((min(per_chunk, weights.shape[0]), *k.shape))
-    maxima = np.empty(weights.shape[0])
-    for start in range(0, weights.shape[0], per_chunk):
-        chunk = families[:min(per_chunk, weights.shape[0] - start)]
-        np.multiply(weights[start:start + chunk.shape[0], None, None], w, out=chunk)
-        np.add(k, chunk, out=chunk)
-        np.abs(chunk, out=chunk)
-        chunk.max(axis=(1, 2), out=maxima[start:start + chunk.shape[0]])
-    return maxima
 
 
 _MODELS = {cls.kind: cls for cls in (FlatTorus, Sphere2, RevTorus)}

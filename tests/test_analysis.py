@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from eigenprod import analysis
+from eigenprod import analysis, cli
 from eigenprod.analysis import (
     captured_norm_ratio,
     find_truncation,
@@ -140,6 +140,55 @@ def test_truncation_rejects_underresolved_basis(circle_basis_24):
     series = synthetic_series(basis, coeffs, f_norm_sq=1.0)  # most mass missing
     with pytest.raises(UnderResolvedError):
         find_truncation(series, target=0.99)
+
+
+def test_truncation_gates_on_the_norm_share_it_searches(circle_basis_24):
+    # a mass share of 0.8 is a norm share of 0.894: target 0.85 is met by
+    # the last grid point, and a target above the norm share is refused
+    # with it
+    basis = circle_basis_24
+    coeffs = np.zeros(basis.size)
+    coeffs[np.argmax(basis.lams == 2.0)] = math.sqrt(0.5)
+    coeffs[np.argmax(basis.lams == 24.0)] = math.sqrt(0.3)
+    series = synthetic_series(basis, coeffs, f_norm_sq=1.0)
+    result = find_truncation(series, target=0.85)
+    assert result.captured_ratio == captured_norm_ratio(series, result.c5) \
+        == pytest.approx(math.sqrt(0.8), abs=1e-15)
+    assert result.kept_count == basis.size
+    with pytest.raises(UnderResolvedError, match=r"captures only 0\.894427 of the product norm"):
+        find_truncation(series, target=0.9)
+
+
+@pytest.mark.parametrize("c2", [math.nan, math.inf, -math.inf])
+def test_truncation_refuses_a_non_finite_c2(circle_basis_24, c2):
+    series = expand_product(ProductSpec(circle_basis_24, (1, 2)))
+    with pytest.raises(ParameterError, match="c2 must be finite"):
+        find_truncation(series, target=0.99, c2=c2)
+
+
+@pytest.mark.parametrize("first, f_norm_sq, message", [
+    # a zero product norm: every coefficient 0
+    (0.0, 0.0, "product norm degenerated to zero"),
+    # a NaN coefficient passes the gate (NaN < target is false), and no
+    # grid point reaches the target
+    (math.nan, 1.0, "truncation grid exhausted despite a feasible series"),
+], ids=["zero-norm", "grid-exhausted"])
+def test_truncation_breakdowns_exit_3(monkeypatch, tmp_path, capsys, circle_basis_24,
+                                      first, f_norm_sq, message):
+    # a crafted series, and the same series planted in place of the CLI's
+    # expansion of (1, 2) on the flat circle to lambda 24
+    def expand(spec):
+        coeffs = np.r_[first, np.zeros(spec.basis.size - 1)]
+        return CoefficientSeries(spec, coeffs, f_norm_sq, 0.0)
+    with pytest.raises(BreakdownError, match=message):
+        find_truncation(expand(ProductSpec(circle_basis_24, (1, 2))), target=0.99)
+    monkeypatch.setattr(cli, "expand_product", expand)
+    capsys.readouterr()
+    code = cli_main(["truncate", "--model", "flat-torus", "--dim", "1", "--lambda-max", "24",
+                     "--factors", "1,2", "--out", str(tmp_path / "out"),
+                     "--cache", str(tmp_path / "cache")])
+    assert code == 3
+    assert capsys.readouterr().err == f"numerical breakdown: {message}\n"
 
 
 def test_lower_bound_self_products(circle_basis_24):
@@ -313,6 +362,22 @@ def test_remark_rejects_out_of_range():
         sphere_remark_experiment([0, 1])
     with pytest.raises(ParameterError):
         sphere_remark_experiment([25])
+
+
+def test_remark_with_a_vanishing_triple_exits_3(monkeypatch, tmp_path, capsys):
+    # planted powers that vanish on the whole grid: every triple norm is 0
+    def vanishing_powers(zr, _zi, degrees):
+        for _k in degrees:
+            yield np.zeros_like(zr)
+    monkeypatch.setattr(analysis, "real_part_powers", vanishing_powers)
+    with pytest.raises(BreakdownError, match="triple product norm degenerated to zero"):
+        sphere_remark_experiment(range(2, 5))
+    capsys.readouterr()
+    code = cli_main(["remark-s2", "--k-min", "2", "--k-max", "4",
+                     "--out", str(tmp_path / "out"), "--cache", str(tmp_path / "cache")])
+    assert code == 3
+    assert capsys.readouterr().err == \
+        "numerical breakdown: triple product norm degenerated to zero\n"
 
 
 def test_rev_torus_decay_smoke():

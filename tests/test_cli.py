@@ -66,6 +66,31 @@ def test_truncate_command_matches_hand_case(tmp_path):
     assert doc["results"]["sum_lambda"] == 5.0
 
 
+
+def test_truncate_gates_on_the_norm_share(tmp_path, capsys):
+    # every mode to lambda 1.4 captures a norm share of 0.99932 of (1, 3)
+    # on the rev torus, but a mass share of only 0.99864: target 0.9993 is
+    # met, and a target above the norm share is refused with it
+    code, out = run(tmp_path, "truncate", *MODEL_ARGS["rev"], "--factors", "1,3",
+                    "--lambda-max", "1.4", "--target", "0.9993")
+    assert code == 0
+    assert 0.9993 <= read(out, "truncate.json")["results"]["captured_ratio"] < 0.99933
+    capsys.readouterr()
+    code, _out = run(tmp_path, "truncate", *MODEL_ARGS["rev"], "--factors", "1,3",
+                     "--lambda-max", "1.4", "--target", "0.99933")
+    assert code == 2
+    assert "captures only 0.999320 of the product norm" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("c2", ["nan", "inf", "-inf"])
+def test_truncate_refuses_a_non_finite_c2(tmp_path, capsys, c2):
+    capsys.readouterr()
+    code, out = run(tmp_path, "truncate", "--model", "flat-torus", "--dim", "1",
+                    "--factors", "cos2,cos3", f"--c2={c2}")
+    assert code == 2
+    assert capsys.readouterr().err == "error: c2 must be finite\n"
+    assert not (out / "truncate.json").exists()
+
 def test_product_command_csv_and_svg(tmp_path):
     code, out = run(tmp_path, "product", "--model", "flat-torus", "--dim", "1",
                     "--factors", "cos2,cos3", "--csv", "--svg")

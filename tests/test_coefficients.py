@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eigenprod import coefficients, manifolds
+from eigenprod import coefficients, manifolds, numerics
 from eigenprod.cli import cli_main
 from eigenprod.coefficients import (
     CoefficientSeries,
@@ -126,6 +126,27 @@ def test_3j_survives_large_degrees():
     )
     assert total == pytest.approx(1.0, rel=1e-9)
 
+
+
+def test_3j_overlap_check_fires_on_a_planted_recursion(monkeypatch, tmp_path, capsys):
+    # with B = 0 the upward pass lives on even offsets from j3_min and the
+    # downward one on even offsets from j3_max: on an even range, such as
+    # j3 = 1, 2 of (1 1 j3; 1 0 -1), the two passes never overlap.  The
+    # memo is emptied before and after, so no planted value is served
+    monkeypatch.setattr(numerics, "_jacobi_b", lambda *_args: 0.0)
+    numerics._three_j_range.cache_clear()
+    try:
+        with pytest.raises(BreakdownError, match="3j recursion lost all overlap"):
+            wigner_3j(1, 1, 2, 1, 0, -1)
+        # the sphere oracle of Y1m1 Y1m0 folds exactly these symbols
+        capsys.readouterr()
+        code = cli_main(["product", "--model", "sphere", "--factors", "Y1m1,Y1m0",
+                         "--out", str(tmp_path / "out"), "--cache", str(tmp_path / "cache")])
+        assert code == 3
+        assert capsys.readouterr().err == \
+            "numerical breakdown: 3j recursion lost all overlap between passes\n"
+    finally:
+        numerics._three_j_range.cache_clear()
 
 def test_gaunt_constant_factor():
     for l in range(0, 7):

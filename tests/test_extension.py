@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from eigenprod.cli import cli_main
 from eigenprod.coefficients import (
     ProductSpec,
     expand_product,
@@ -231,6 +232,26 @@ def test_greens_rejects_constant_mode(circle_basis):
     with pytest.raises(ParameterError, match="no mode with lambda > 0"):
         greens_coefficients(ext, 0.005)
 
+
+
+def test_extension_refuses_a_height_whose_cosh_overflows(circle_basis, tmp_path, capsys):
+    # cos1 cos2 keeps modes of lambda 1 and 3, and cosh overflows a float
+    # past 710.47: height 236 still propagates, 237 is refused
+    cos1 = find_mode(circle_basis, ((1,), (COS,)))
+    cos2 = find_mode(circle_basis, ((2,), (COS,)))
+    series = expand_product(ProductSpec(circle_basis, (cos1, cos2)))
+    assert harmonic_extension_flat(series, 236.0).T == 236.0
+    with pytest.raises(ParameterError, match="overflows cosh"):
+        harmonic_extension_flat(series, 237.0)
+    # the CLI exits 2, not with an OverflowError from the Green recovery
+    for height in ("400", "1e9"):
+        capsys.readouterr()
+        code = cli_main(["greens", "--model", "flat-torus", "--dim", "1", "--lambda-max", "8",
+                         "--factors", "cos1,cos2", "--heights", height,
+                         "--out", str(tmp_path / "out"), "--cache", str(tmp_path / "cache")])
+        assert code == 2
+        assert capsys.readouterr().err == \
+            f"error: extension height {float(height)!r} overflows cosh(lambda T) of a kept mode\n"
 
 def test_greens_reconstruction_2d():
     basis = build_basis(FlatTorus(2, (TWO_PI, TWO_PI)), 4.0)

@@ -32,11 +32,14 @@ from eigenprod.errors import (
 from eigenprod import manifolds
 from eigenprod.manifolds import (
     COS,
+    REV_M_CAP,
+    REV_TRUNCATION_CAP,
     SIN,
     FlatTorus,
     RevTorus,
     Sphere2,
     _legendre_rows,
+    _rev_truncation,
     as_chart_function,
     basis_digest,
     basis_to_json_dict,
@@ -633,6 +636,44 @@ def test_rev_build_matches_the_per_family_reference(big, small, lambda_max):
         # the s-sine block keeps no family at all
         assert not np.any(basis.coefficients[:, 2::2])
 
+
+
+def _random_rev_geometries(count):
+    rng = np.random.default_rng(40)
+    cases = []
+    for _ in range(count):
+        small = float(rng.uniform(0.3, 2.0))
+        cases.append((small * float(rng.uniform(1.05, 6.0)), small, float(rng.uniform(0.5, 8.0))))
+    return cases
+
+
+@pytest.mark.parametrize("big, small, lambda_max", [
+    *[(big, small, None) for big, small in REV_COLD_SCALES],
+    (2.0, 1.0, 6.0),
+    # the thinnest neck the truncation cap admits (N = 128 at R / r = 1.04),
+    # with every family up to the angular cap
+    (1.04, 1.0, 15.7),
+    *_random_rev_geometries(4),
+])
+def test_rev_stiffness_maximum_is_on_the_diagonal(big, small, lambda_max):
+    # a rev build scales its zero-snap and residual by each family's
+    # largest diagonal entry of K + m^2 M_inv.  K and M_inv are Gram
+    # matrices under the positive weights f and 1/f, so the family is
+    # positive semidefinite and no entry exceeds its largest diagonal one;
+    # here the off-diagonal entries stay below 0.95 of it
+    lambda_max = lambda_max or _rev_cold_lambda(big, small)
+    trunc = min(_rev_truncation(RevTorus(big, small), lambda_max), REV_TRUNCATION_CAP)
+    m_scan = min(math.floor(lambda_max * (big + small) * (1.0 + 1e-12)), REV_M_CAP)
+    blocks = rev_galerkin_terms(big, small, trunc)
+    for _idx, stiff, inv_weight, _mass in blocks:
+        for gram in (stiff, inv_weight):
+            assert np.linalg.eigvalsh(gram)[0] >= -1e-12 * float(np.max(np.diagonal(gram)))
+    for m in range(m_scan + 1):
+        families = [stiff + (m * m) * inv_weight for _idx, stiff, inv_weight, _mass in blocks]
+        diagonal = max(float(np.max(np.diagonal(a))) for a in families)
+        off_diagonal = max(float(np.max(np.abs(a - np.diag(np.diagonal(a))))) for a in families)
+        assert max(float(np.max(np.abs(a))) for a in families) == diagonal, m
+        assert off_diagonal < 0.95 * diagonal, m
 
 def test_rev_build_peaks_below_the_family_stacks():
     # no (m_scan + 1, n, n) family stack, no |stack| copy and no per-family

@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from eigenprod import numerics
 from eigenprod.analysis import _sphere_cartesian
-from eigenprod.errors import GeometryError, ParameterError
+from eigenprod.cli import cli_main
+from eigenprod.errors import ConvergenceError, GeometryError, ParameterError
 from eigenprod.numerics import (
     QuadratureGrid,
     circle_basis,
@@ -96,6 +97,44 @@ def test_gauss_legendre_rejects_out_of_range(bad):
     gauss_legendre(1)  # a memoised rule for 1 must not serve True
     with pytest.raises(ParameterError):
         gauss_legendre(bad)
+
+
+@pytest.fixture
+def fresh_gauss_legendre_rules():
+    """An empty rule cache before the test and after it, so that a rule
+    is computed under the test's plants and none of them is kept."""
+    numerics._gauss_legendre_rule.cache_clear()
+    yield
+    numerics._gauss_legendre_rule.cache_clear()
+
+
+def drifting_pair(n, x):
+    # P_n = 1 with P_n' = 1: every Newton step moves each node by -1
+    return np.ones_like(x), x - (x * x - 1.0) / n
+
+
+def collapsing_pair(n, x):
+    # P_n = x^2 - 4 with P_n' = 2x: Newton sends every node to -2 or 2
+    return x * x - 4.0, x * (x * x - 4.0) - 2.0 * x * (x * x - 1.0) / n
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("pair, message", [
+    (drifting_pair, "Gauss-Legendre Newton iteration stalled"),
+    (collapsing_pair, "Gauss-Legendre nodes failed ordering check"),
+], ids=["stall", "ordering"])
+def test_gauss_legendre_checks_fire_on_a_planted_legendre_pair(
+        monkeypatch, tmp_path, capsys, fresh_gauss_legendre_rules, pair, message):
+    monkeypatch.setattr(numerics, "_legendre_pair", pair)
+    for n in (9, 10):
+        with pytest.raises(ConvergenceError, match=message):
+            gauss_legendre(n)
+    # a sphere basis takes its Gauss-Legendre axis from the same rule
+    capsys.readouterr()
+    code = cli_main(["product", "--model", "sphere", "--factors", "Y1m1,Y2m0",
+                     "--out", str(tmp_path / "out"), "--cache", str(tmp_path / "cache")])
+    assert code == 3
+    assert capsys.readouterr().err == f"numerical breakdown: {message}\n"
 
 
 @pytest.mark.parametrize("n", [1, 2, 17, 64])

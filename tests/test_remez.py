@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from eigenprod import remez
+from eigenprod.cli import cli_main
 from eigenprod.coefficients import ProductSpec
 from eigenprod.errors import BreakdownError, GridExhaustedError, ParameterError
 from eigenprod.manifolds import (
@@ -331,6 +332,53 @@ def test_good_set_grid_exhaustion(circle_basis):
     with pytest.raises(GridExhaustedError):
         # thresholds capped far too low for any sublevel set to shrink
         good_set_experiment(spec, 0.0, 2.0, a_grid=np.array([1e-6, 2e-6, 3e-6, 4e-6, 5e-6]))
+
+
+def run_cli(tmp_path, *argv) -> int:
+    return cli_main([*argv, "--out", str(tmp_path / "out"), "--cache", str(tmp_path / "cache")])
+
+
+def test_remez_fit_on_a_vanishing_cube_exits_3(tmp_path, capsys):
+    # x on a cube of side 1e-300 about 0: its sup is below the 1e-300 floor
+    with pytest.raises(BreakdownError, match="function vanishes on the cube"):
+        remez_fit(coordinate_function(), 0.0, 1e-300)
+    capsys.readouterr()
+    assert run_cli(tmp_path, "remez", "--function", "linear", "--center", "0",
+                   "--side", "1e-300") == 3
+    assert capsys.readouterr().err == "numerical breakdown: function vanishes on the cube\n"
+
+
+def too_small_pick(rows, grid, factors):
+    # the grid's smallest threshold for every factor: its floor e^-0.25
+    # lies above every value of a unit-norm cosine on the circle
+    return [float(grid[0])] * len(factors)
+
+
+def row_corrupting_pick(rows, grid, factors):
+    # a pick that writes into the absolute rows the measure pass reads:
+    # factor 0 vanishes at factor 1's largest cell, and factor 1 grows by
+    # 1e30, so a floor of 0 and one of e^60 keep most cells while the
+    # bound exp(-740) stays above the product 0 at that cell
+    (row,) = rows
+    row[0, int(np.argmax(row[1]))] = 0.0
+    row[1] *= 1e30
+    return [800.0, -60.0]
+
+
+@pytest.mark.parametrize("pick, message", [
+    (too_small_pick, "good-set measure fell below half the half-cube"),
+    (row_corrupting_pick, "pointwise product bound violated on the good set"),
+])
+def test_good_set_post_checks_fire_on_a_wrong_pick(monkeypatch, tmp_path, capsys,
+                                                    circle_basis, pick, message):
+    monkeypatch.setattr(remez, "_good_set_thresholds", pick)
+    with pytest.raises(BreakdownError, match=message):
+        good_set_experiment(ProductSpec(circle_basis, (1, 2)), 0.0, 2.0)
+    capsys.readouterr()
+    assert run_cli(tmp_path, "good-set", "--model", "flat-torus", "--dim", "1",
+                   "--factors", "cos2,cos3") == 3
+    assert capsys.readouterr().err == f"numerical breakdown: {message}\n"
+    assert not (tmp_path / "out" / "good-set.json").exists()
 
 
 BAD_GRIDS = {
